@@ -82,7 +82,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
     jet = lp.jets[jname]
     problem = _reasoned_problem(lp, jet.f)
     sed = structure_equation_coefficients(problem, jet)
-    verdict = torsion_absorbable(problem, jet)
+    verdict = torsion_absorbable(problem, jet, sed)
     return {
         "jet": jname,
         "case": verdict.case,

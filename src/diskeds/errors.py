@@ -59,10 +59,6 @@ class InadmissibleFlag(DiskEdsError):
     pass
 
 
-class NoValidProbePoint(DiskEdsError):
-    pass
-
-
 class ProbeViolatesStratum(DiskEdsError):
     pass
 

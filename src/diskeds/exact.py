@@ -39,10 +39,6 @@ def rat(value) -> Fraction:
     raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
 
 
-def rat_str(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts."""
@@ -137,6 +133,46 @@ class GaussianRational:
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
+class FirstJet:
+    """Exact first jet of a function at a point: its value and gradient.
+
+    Forward-mode differentiation over Q (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., 2008): +, -, * and / carry the gradient by the
+    sum, product and quotient rules, so a formula evaluated over FirstJets
+    seeded with each input's value and gradient returns the exact value
+    and first partial derivatives of its result.  Both operands of a
+    binary operation are FirstJets at the same point.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value: Fraction, grad: tuple):
+        self.value = value
+        self.grad = grad
+
+    def __add__(self, other):
+        return FirstJet(self.value + other.value,
+                        tuple(a + b for a, b in zip(self.grad, other.grad)))
+
+    def __sub__(self, other):
+        return FirstJet(self.value - other.value,
+                        tuple(a - b for a, b in zip(self.grad, other.grad)))
+
+    def __neg__(self):
+        return FirstJet(-self.value, tuple(-a for a in self.grad))
+
+    def __mul__(self, other):
+        u, v = self.value, other.value
+        return FirstJet(u * v, tuple(u * b + v * a
+                                     for a, b in zip(self.grad, other.grad)))
+
+    def __truediv__(self, other):
+        v = other.value
+        q = self.value / v
+        return FirstJet(q, tuple((a - q * b) / v
+                                 for a, b in zip(self.grad, other.grad)))
+
+
 def _lift(value):
     if isinstance(value, GaussianRational):
         return value
@@ -162,18 +198,6 @@ def scalar_conj(value):
     if isinstance(value, GaussianRational):
         return normalize_scalar(value.conjugate())
     return value
-
-
-def scalar_re(value) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.re
-    return Fraction(value)
-
-
-def scalar_im(value) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.im
-    return Fraction(0)
 
 
 def require_real(value) -> Fraction:

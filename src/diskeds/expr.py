@@ -32,6 +32,7 @@ from .errors import (
     UnknownVariable,
 )
 from .exact import (
+    FirstJet,
     GaussianRational,
     I_UNIT,
     normalize_scalar,
@@ -302,6 +303,11 @@ class Polynomial:
                     acc = acc * x ** e
             out = out + acc
         return normalize_scalar(out)
+
+    def first_jet(self, point) -> FirstJet:
+        """Value and gradient at a point."""
+        return FirstJet(self.evaluate(point),
+                        tuple(self.differentiate(v).evaluate(point) for v in self.vars))
 
     def partial_evaluate(self, assignment):
         """Substitute scalars for a subset of variables; table shrinks."""
@@ -757,23 +763,9 @@ class RationalFunction:
             raise ZeroDivisionError("denominator vanishes at the point")
         return normalize_scalar(self.num.evaluate(point) / d)
 
-    def value_and_gradient(self, point):
-        """(value, tuple of partial-derivative values) at a point.
-
-        Evaluates (u_i d - u d_i)/d^2 directly from polynomial evaluations,
-        never forming the symbolic quotient-rule numerators.
-        """
-        u = self.num.evaluate(point)
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        d2 = d * d
-        grad = []
-        for name in self.vars:
-            ui = self.num.differentiate(name).evaluate(point)
-            di = self.den.differentiate(name).evaluate(point)
-            grad.append(normalize_scalar((ui * d - u * di) / d2))
-        return normalize_scalar(u / d), tuple(grad)
+    def first_jet(self, point) -> FirstJet:
+        """Value and gradient at a point (ZeroDivisionError at a pole)."""
+        return self.num.first_jet(point) / self.den.first_jet(point)
 
 
 def ratfn_arithmetic(a: RationalFunction, b: RationalFunction, op: str):

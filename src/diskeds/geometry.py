@@ -14,9 +14,11 @@ differentiating rho(f(x)) = 0 along both disk directions:
     D = rho_1 mu_2 - rho_2 mu_1,   mu_i = sum_j rho_j alpha_{j,i}
 
 and then beta_{i,j} = alpha_{i,1} gamma^1_j + alpha_{i,2} gamma^2_j
-+ alpha_{i,j}.  Both a symbolic mode (rational functions of f, feeding
-torsion differentiation) and a pointwise mode (exact rationals, feeding
-rank tests) are provided and must agree wherever both are defined.
++ alpha_{i,j}.  The formulas are written once and evaluated over three
+exact scalars: rational functions of f (symbolic mode, the reference the
+tests differentiate), rationals (pointwise mode, feeding rank tests) and
+exact first jets (value and gradient at a point, feeding torsion and the
+polar maps).  All modes agree wherever they are defined.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .errors import (
     SingularD,
     ZeroB,
 )
+from .exact import FirstJet
 from .expr import Polynomial, RationalFunction
 
 
@@ -67,9 +70,6 @@ class StructureMatrix:
     def entry(self, j, i):
         """1-based access to alpha_{j,i}."""
         return self.entries[j - 1][i - 1]
-
-    def evaluated(self, point):
-        return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def squared(self):
         m = self.size
@@ -204,8 +204,9 @@ class HypersurfaceProblem:
 
 @dataclass(frozen=True)
 class GammaBetaData:
-    """Reduced first-jet data; entries are Fractions in pointwise mode and
-    RationalFunctions over the internal table in symbolic mode."""
+    """Reduced first-jet data; entries are Fractions in pointwise mode,
+    FirstJets in first-jet mode and RationalFunctions over the internal
+    table in symbolic mode."""
 
     problem: HypersurfaceProblem
     symbolic: bool
@@ -264,7 +265,42 @@ def _internal_pieces(problem: HypersurfaceProblem):
     order = problem.internal_order()
     rho_int = permute_polynomial(problem.rho, order)
     struct_int = problem.structure.permuted(order)
-    return order, rho_int, struct_int
+    return rho_int, struct_int
+
+
+def _mu_and_D(grad, alpha, zero):
+    """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
+    two_n = len(grad)
+    mu = tuple(sum((grad[j] * alpha[j][i] for j in range(two_n)), zero)
+               for i in range(two_n))
+    return mu, grad[0] * mu[1] - grad[1] * mu[0]
+
+
+def _gammas_and_betas(grad, mu, D, alpha):
+    """gamma^1, gamma^2 (j = 3..2n) and all 2n rows of beta_full."""
+    two_n = len(grad)
+    gamma1 = tuple((grad[j] * mu[1] - grad[1] * mu[j]) / (-D)
+                   for j in range(2, two_n))
+    gamma2 = tuple((grad[0] * mu[j] - grad[j] * mu[0]) / (-D)
+                   for j in range(2, two_n))
+    beta_full = tuple(
+        tuple(alpha[i][0] * gamma1[j] + alpha[i][1] * gamma2[j] + alpha[i][j + 2]
+              for j in range(two_n - 2))
+        for i in range(two_n))
+    return gamma1, gamma2, beta_full
+
+
+def _mu2(grad, alpha2, zero):
+    two_n = len(grad)
+    return tuple(sum((grad[j] * alpha2[j][i] for j in range(two_n)), zero)
+                 for i in range(two_n))
+
+
+def _internal_point(problem: HypersurfaceProblem, point):
+    point = tuple(Fraction(x) for x in point)
+    if len(point) != problem.two_n:
+        raise DimensionMismatch("point has wrong length")
+    return tuple(point[i] for i in problem.internal_order())
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaData:
@@ -272,62 +308,71 @@ def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaDat
 
     ``point`` is given in the user's coordinate order.
     """
-    order, rho_int, struct_int = _internal_pieces(problem)
+    rho_int, struct_int = _internal_pieces(problem)
     two_n = problem.two_n
     grad = tuple(rho_int.differentiate(v) for v in rho_int.vars)
 
     if point is None:
         alpha = struct_int.entries
-        one = RationalFunction.from_const(rho_int.vars, 1)
+        zero = RationalFunction.from_const(rho_int.vars, 0)
         grad_r = tuple(RationalFunction(g) for g in grad)
-        mu = tuple(sum((grad_r[j] * alpha[j][i] for j in range(two_n)),
-                       one * 0) for i in range(two_n))
-        alpha2 = struct_int.squared()
-        mu2 = tuple(sum((grad_r[j] * alpha2[j][i] for j in range(two_n)),
-                        one * 0) for i in range(two_n))
-        D = grad_r[0] * mu[1] - grad_r[1] * mu[0]
+        mu, D = _mu_and_D(grad_r, alpha, zero)
+        mu2 = _mu2(grad_r, struct_int.squared(), zero)
         if D.is_zero():
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
-        gamma1 = tuple((grad_r[j] * mu[1] - grad_r[1] * mu[j]) / (-D)
-                       for j in range(2, two_n))
-        gamma2 = tuple((grad_r[0] * mu[j] - grad_r[j] * mu[0]) / (-D)
-                       for j in range(2, two_n))
-        beta_full = tuple(
-            tuple(alpha[i][0] * gamma1[j] + alpha[i][1] * gamma2[j] + alpha[i][j + 2]
-                  for j in range(two_n - 2))
-            for i in range(two_n))
+        gamma1, gamma2, beta_full = _gammas_and_betas(grad_r, mu, D, alpha)
         return GammaBetaData(problem, True, problem.sigma(), rho_int.vars,
                              rho_int, alpha, grad_r, mu, mu2, D, gamma1, gamma2,
                              beta_full)
 
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != two_n:
-        raise DimensionMismatch("point has wrong length")
-    pt_int = tuple(point[i] for i in order)
+    pt_int = _internal_point(problem, point)
     alpha = tuple(tuple(e.evaluate(pt_int) for e in row)
                   for row in struct_int.entries)
     grad_v = tuple(g.evaluate(pt_int) for g in grad)
-    mu = tuple(sum(grad_v[j] * alpha[j][i] for j in range(two_n))
-               for i in range(two_n))
+    zero = Fraction(0)
+    mu, D = _mu_and_D(grad_v, alpha, zero)
     alpha2 = [[sum(alpha[j][k] * alpha[k][i] for k in range(two_n))
                for i in range(two_n)] for j in range(two_n)]
-    mu2 = tuple(sum(grad_v[j] * alpha2[j][i] for j in range(two_n))
-                for i in range(two_n))
-    D = grad_v[0] * mu[1] - grad_v[1] * mu[0]
+    mu2 = _mu2(grad_v, alpha2, zero)
     if D == 0:
         raise SingularD(
             "D = 0 at this point; try another distinguished pair")
-    gamma1 = tuple((grad_v[j] * mu[1] - grad_v[1] * mu[j]) / (-D)
-                   for j in range(2, two_n))
-    gamma2 = tuple((grad_v[0] * mu[j] - grad_v[j] * mu[0]) / (-D)
-                   for j in range(2, two_n))
-    beta_full = tuple(
-        tuple(alpha[i][0] * gamma1[j] + alpha[i][1] * gamma2[j] + alpha[i][j + 2]
-              for j in range(two_n - 2))
-        for i in range(two_n))
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad_v, mu, D, alpha)
     return GammaBetaData(problem, False, problem.sigma(), rho_int.vars,
                          rho_int, alpha, grad_v, mu, mu2, D, gamma1, gamma2,
+                         beta_full, point_internal=pt_int)
+
+
+def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
+    """Pointwise mode over exact first jets: every entry is a FirstJet
+    holding its value and its gradient in the internal f-variables.
+
+    The same formulas as :func:`compute_gamma_beta`, seeded with rho's
+    first and second derivatives and each structure entry's value and
+    gradient at the point, so no symbolic gamma/beta is ever formed.
+    ``mu2`` is left as None (only the tableau rows need it).  Raises
+    IdenticallySingularD when D vanishes identically and SingularD when
+    it vanishes at the point only.
+    """
+    rho_int, struct_int = _internal_pieces(problem)
+    pt_int = _internal_point(problem, point)
+    alpha = tuple(tuple(e.first_jet(pt_int) for e in row)
+                  for row in struct_int.entries)
+    grad = tuple(rho_int.differentiate(v).first_jet(pt_int) for v in rho_int.vars)
+    zero = FirstJet(Fraction(0), (Fraction(0),) * problem.two_n)
+    mu, D = _mu_and_D(grad, alpha, zero)
+    if D.value == 0:
+        # the symbolic D, formed on this path only, tells the two errors apart
+        grad_r = tuple(RationalFunction(rho_int.differentiate(v)) for v in rho_int.vars)
+        zero_r = RationalFunction.from_const(rho_int.vars, 0)
+        if _mu_and_D(grad_r, struct_int.entries, zero_r)[1].is_zero():
+            raise IdenticallySingularD(
+                "D vanishes identically for this distinguished pair")
+        raise SingularD("D = 0 at this point; try another distinguished pair")
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
+    return GammaBetaData(problem, False, problem.sigma(), rho_int.vars,
+                         rho_int, alpha, grad, mu, None, D, gamma1, gamma2,
                          beta_full, point_internal=pt_int)
 
 

@@ -95,8 +95,7 @@ class PolarSystem:
 def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint):
     """gamma/beta values and their x-derivative contractions at the jet."""
     order = problem.internal_order()
-    pt_int = tuple(jet.f[i] for i in order)
-    gb_sym, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, pt_int)
+    _, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
     fj = full_jet(problem, jet)
     two_n = problem.two_n
     p1_int = tuple(fj.p1[i] for i in order)
@@ -121,10 +120,14 @@ def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint):
 
 
 def build_polar_maps(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                     flag: FlagSpec) -> PolarSystem:
+                     flag: FlagSpec, rows=None) -> PolarSystem:
+    """``rows`` is _dtheta_row_data(problem, jet) when the caller has it;
+    it is built here otherwise."""
     two_n = problem.two_n
     m = two_n - 2
     A1, A2, C, _ = flag.resolved(two_n)
+    if rows is None:
+        rows = _dtheta_row_data(problem, jet)
     x_degenerate = A1 == 0 and A2 == 0
     nx = 4 * problem.n - 3
 
@@ -154,7 +157,7 @@ def build_polar_maps(problem: HypersurfaceProblem, jet: FirstJetPoint,
     R = tuple(R)
 
     G = []
-    for x2, xi, xlast in _dtheta_row_data(problem, jet):
+    for x2, xi, xlast in rows:
         row = [Fraction(0)] * nx
         row[0] = x2
         for i in range(m):
@@ -215,7 +218,7 @@ def _sample_eps_p(two_n, pattern):
 
 
 def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                      flag: FlagSpec) -> KahlerVerdict:
+                      flag: FlagSpec, rows=None) -> KahlerVerdict:
     """Flag test for the sufficiency theorem.
 
     The certificate requires the spanned plane E to be an integral element
@@ -226,9 +229,14 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     system is reported as well; note det != 0 says the perturbed line
     extends to *no* integral plane (dim H(D') = 1), so on an integral flag
     itself the determinant always vanishes -- E lies in the polar space.
+    The d(theta) rows do not depend on the flag: they are built once
+    (or taken from ``rows``) and shared with the epsilon samples.
     """
-    ps = build_polar_maps(problem, jet, flag)
     two_n = problem.two_n
+    if rows is None:
+        flag.resolved(two_n)  # an inadmissible flag is reported before a singular jet
+        rows = _dtheta_row_data(problem, jet)
+    ps = build_polar_maps(problem, jet, flag, rows)
     d = det([list(r) for r in ps.square])
     gf = mat_mul([list(r) for r in ps.G], [list(r) for r in ps.F])
     dim_ker = nullity(gf, two_n)
@@ -240,7 +248,7 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
                          eps_x=ex, eps_theta=None,
                          eps_p=_sample_eps_p(two_n, pat) if pat else None)
         try:
-            eps_ps = build_polar_maps(problem, jet, eflag)
+            eps_ps = build_polar_maps(problem, jet, eflag, rows)
         except InadmissibleFlag:
             continue
         ed = det([list(r) for r in eps_ps.square])
@@ -268,9 +276,9 @@ class SearchResult:
     attempted: int
 
 
-def integral_flag_from_c1(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                          c1) -> FlagSpec:
-    """Integral-element flag with x-parts e_1, e_2 and prescribed c^1.
+def integral_flag_from_c1(problem: HypersurfaceProblem, rows, c1) -> FlagSpec:
+    """Integral-element flag with x-parts e_1, e_2 and prescribed c^1, at
+    the jet whose _dtheta_row_data are ``rows``.
 
     The rows d(theta^j) = 0 (j >= 3) determine c^2 uniquely; the remaining
     d(theta^2) row is then a consistency condition equivalent to torsion
@@ -279,7 +287,6 @@ def integral_flag_from_c1(problem: HypersurfaceProblem, jet: FirstJetPoint,
     two_n = problem.two_n
     m = two_n - 2
     c1 = tuple(Fraction(x) for x in c1)
-    rows = _dtheta_row_data(problem, jet)
     # rows[1:]: X_2 coeff q_j, own X_j coeff 1, X_{2n-2+i} coeffs beta_{j,i}
     c2 = []
     for j, (q, unit, betarow) in enumerate(rows[1:]):
@@ -310,19 +317,21 @@ def _candidate_c1(two_n, trials, seed):
 def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
                             trials: int = 25, seed: int = 0):
     """First Kahler-regular integral flag (coordinate c^1 candidates first,
-    then seeded rationals); None result carries the attempt count."""
+    then seeded rationals); None result carries the attempt count.  The
+    d(theta) rows depend on the jet only, so every candidate shares them."""
     if trials < 1:
         raise InadmissibleFlag("trials must be >= 1")
+    rows = _dtheta_row_data(problem, jet)
     attempted = 0
     for index, c1 in enumerate(_candidate_c1(problem.two_n, trials, seed)):
         if attempted >= trials:
             break
         attempted += 1
-        flag = integral_flag_from_c1(problem, jet, c1)
+        flag = integral_flag_from_c1(problem, rows, c1)
         if flag is None:
             continue
         try:
-            verdict = kahler_regularity(problem, jet, flag)
+            verdict = kahler_regularity(problem, jet, flag, rows)
         except InadmissibleFlag:
             continue
         if verdict.regular:

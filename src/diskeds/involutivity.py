@@ -56,10 +56,10 @@ def compute_D_vectors(gb: GammaBetaData) -> DVectors:
     D2sq = gb.D * gb.D
     D0 = tuple(-b / D2sq for b in bracket)
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
-    if not gb.symbolic:
+    if not gb.symbolic and r1 == 0 and r2 == 0:
         # D = rho_1 mu_2 - rho_2 mu_1 != 0 forces a nonzero rho-pair, which
         # is what lets the two kernel rows collapse onto the single D0 row
-        assert r1 != 0 or r2 != 0
+        raise CrossCheckMismatch("rho_1 = rho_2 = 0 at a point with D != 0")
     D1 = tuple(r2 * x for x in D0)
     D2 = tuple(-r1 * x for x in D0)
     if gb.symbolic:

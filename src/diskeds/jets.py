@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
+    CrossCheckMismatch,
     DimensionMismatch,
     NotComplexifiedMode,
     ProbeViolatesStratum,
@@ -227,7 +228,8 @@ def probe_from_values(n: int, order: int, z_values, w_jets) -> dict:
         for l, val in enumerate(vals, start=1):
             probe[f"w{l}{suffix}"] = normalize_scalar(val)
             probe[f"wb{l}{suffix}"] = scalar_conj(normalize_scalar(val))
-    assert set(probe) == set(table)
+    if set(probe) != set(table):
+        raise CrossCheckMismatch("probe variables differ from the jet table")
     return probe
 
 
@@ -306,7 +308,9 @@ def tableau_at_probe(system: JetConstraintSystem, probe: dict):
     rank = mat_rank(rows) if rows else 0
     null = len(tops) - rank
     if not mixed:
-        assert null % 2 == 0
+        if null % 2:
+            raise CrossCheckMismatch(
+                "unmixed top-order kernel does not split into conjugate halves")
         return null // 2, True, rank
     return null, False, rank
 
@@ -524,8 +528,8 @@ def involution_loop(initial: JetConstraintSystem, probe: dict,
     dims = [r.tableau_dim for r in reports]
     if reports and reports[-1].verdict == "involutive_at_order_q":
         dims.append(reports[-1].next_dim)
-    for a, b in zip(dims, dims[1:]):
-        assert b <= a, "tableau dimensions must be non-increasing"
+    if any(b > a for a, b in zip(dims, dims[1:])):
+        raise CrossCheckMismatch("tableau dimensions must be non-increasing")
     return InvolutionChain(tuple(reports), tuple(dims), verdict, len(reports))
 
 
@@ -563,7 +567,7 @@ def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
         for r in range(two_n):
             row = []
             for s in range(two_n):
-                _, g = J.entries[r][s].value_and_gradient(f_point)
+                g = J.entries[r][s].first_jet(f_point).grad
                 row.append(sum(require_real(g[l]) * v[l] for l in range(two_n)))
             out.append(row)
         return out

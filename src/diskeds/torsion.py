@@ -37,6 +37,7 @@ from .geometry import (
     HypersurfaceProblem,
     complex_standard,
     compute_gamma_beta,
+    gamma_beta_first_jets,
 )
 from .involutivity import compute_D_vectors
 from .linalg import det, solve_particular
@@ -65,39 +66,23 @@ def _symmetrize(raw):
                  for a in range(m))
 
 
-def _coefficient_tables(problem: HypersurfaceProblem, pt_int):
-    """Values and f-gradients of gamma and beta_full at the internal point."""
-    gb = compute_gamma_beta(problem)  # symbolic
-    if gb.D.evaluate(pt_int) == 0:
-        raise SingularD("D = 0 at this point; try another distinguished pair")
-    g1v, g1d, g2v, g2d = [], [], [], []
-    for r in gb.gamma1:
-        v, grad = r.value_and_gradient(pt_int)
-        g1v.append(v)
-        g1d.append(grad)
-    for r in gb.gamma2:
-        v, grad = r.value_and_gradient(pt_int)
-        g2v.append(v)
-        g2d.append(grad)
-    bv, bd = [], []
-    for row in gb.beta_full:
-        vals, grads = [], []
-        for r in row:
-            v, grad = r.value_and_gradient(pt_int)
-            vals.append(v)
-            grads.append(grad)
-        bv.append(tuple(vals))
-        bd.append(tuple(grads))
-    return gb, (tuple(g1v), tuple(g1d)), (tuple(g2v), tuple(g2d)), tuple(bv), tuple(bd)
+def _coefficient_tables(problem: HypersurfaceProblem, point):
+    """Values and f-gradients of gamma and beta_full at the point (user
+    order), read from the exact first jets; also returns those jets."""
+    gb = gamma_beta_first_jets(problem, point)
+    values = lambda jets: tuple(x.value for x in jets)
+    grads = lambda jets: tuple(x.grad for x in jets)
+    return (gb, (values(gb.gamma1), grads(gb.gamma1)),
+            (values(gb.gamma2), grads(gb.gamma2)),
+            tuple(values(row) for row in gb.beta_full),
+            tuple(grads(row) for row in gb.beta_full))
 
 
 def structure_equation_coefficients(problem: HypersurfaceProblem,
                                     jet: FirstJetPoint) -> StructureEquationData:
     two_n = problem.two_n
     m = two_n - 2
-    order = problem.internal_order()
-    pt_int = tuple(jet.f[i] for i in order)
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, pt_int)
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
 
     def N(i):
         # - on the caller; raw row: dbeta_{i,j}/df contracted with gammas
@@ -141,8 +126,7 @@ def structure_equation_coefficients(problem: HypersurfaceProblem,
             A_coeffs[(k + 1, j + 3, 2)] = -bv[k][j]
     return StructureEquationData(A_coeffs, c_matrices, c_values,
                                  tuple(g1v), tuple(g2v),
-                                 tuple(g.evaluate(pt_int) for g in
-                                       (gb.rho_int.differentiate(v) for v in gb.internal_vars)))
+                                 tuple(g.value for g in gb.rho_grad))
 
 
 def structure_coefficient_forms(problem: HypersurfaceProblem):
@@ -190,8 +174,12 @@ class TorsionVerdict:
     witness_v: tuple = None  # one solution of D0 v = residual, minimal support
 
 
-def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint) -> TorsionVerdict:
-    sed = structure_equation_coefficients(problem, jet)
+def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
+                       sed: StructureEquationData = None) -> TorsionVerdict:
+    """``sed`` is the caller's structure_equation_coefficients(problem,
+    jet) when it has one already; it is built here otherwise."""
+    if sed is None:
+        sed = structure_equation_coefficients(problem, jet)
     gb = compute_gamma_beta(problem, jet.f)
     dv = compute_D_vectors(gb)
     m = problem.two_n - 2
@@ -240,53 +228,49 @@ def _complex_problem(rho: Polynomial) -> HypersurfaceProblem:
     return HypersurfaceProblem(rho, complex_standard(two_n // 2, rho.vars), (1, 2))
 
 
-def complex_gammas(rho: Polynomial):
-    """Symbolic gammas for the standard complex structure (pair 1,2)."""
-    problem = _complex_problem(rho)
-    gb = compute_gamma_beta(problem)
-    return problem, gb
-
-
-def _p_operator(which, k, gamma1, gamma2, fvars, target):
-    """P^1_k / P^2_k applied to a RationalFunction in the y variables."""
+def _p_operator(which, k, gamma1, gamma2, partial):
+    """P^1_k / P^2_k applied to a target given by ``partial(i)``, its
+    derivative along the 0-based f-variable i."""
     g1_2k = gamma1[2 * k - 3]   # index j=2k -> tuple slot 2k-3
     g2_2k = gamma2[2 * k - 3]
-    d1 = target.differentiate(fvars[0])
-    d2 = target.differentiate(fvars[1])
     if which == 1:
-        return g2_2k * d1 - g1_2k * d2 + target.differentiate(fvars[2 * k - 2])
-    return g1_2k * d1 + g2_2k * d2 + target.differentiate(fvars[2 * k - 1])
+        return g2_2k * partial(0) - g1_2k * partial(1) + partial(2 * k - 2)
+    return g1_2k * partial(0) + g2_2k * partial(1) + partial(2 * k - 1)
 
 
 def complex_B_coefficients(rho: Polynomial, f_point=None) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
-    B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n."""
-    problem, gb = complex_gammas(rho)
+    B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n.
+
+    Without a point the gammas are symbolic and so is every entry; at a
+    point the entries are exact rationals read from the gammas' first jets.
+    """
+    problem = _complex_problem(rho)
     n = problem.n
-    fvars = gb.internal_vars
-    if f_point is not None:
-        f_point = tuple(Fraction(x) for x in f_point)
-        r1 = gb.rho_grad[0].num.evaluate(f_point)
-        r2 = gb.rho_grad[1].num.evaluate(f_point)
-        if r1 * r1 + r2 * r2 == 0:
-            raise SingularD("rho_1^2 + rho_2^2 = 0 at the point")
+    if f_point is None:
+        gb = compute_gamma_beta(problem)
+        gamma1, gamma2 = gb.gamma1, gb.gamma2
+        fvars = gb.internal_vars
+        partials = lambda target: (lambda i: target.differentiate(fvars[i]))
+    else:
+        try:
+            gb = gamma_beta_first_jets(problem, f_point)
+        except SingularD:
+            # D = -(rho_1^2 + rho_2^2) for the standard structure
+            raise SingularD("rho_1^2 + rho_2^2 = 0 at the point") from None
+        gamma1 = tuple(g.value for g in gb.gamma1)
+        gamma2 = tuple(g.value for g in gb.gamma2)
+        partials = lambda target: target.grad.__getitem__
+    P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
+                                             partials(target))
     B_lower, B_upper = {}, {}
     for j in range(2, n + 1):
         g1_2j = gb.gamma1[2 * j - 3]
         g2_2j = gb.gamma2[2 * j - 3]
         for k in range(2, n + 1):
-            low = (_p_operator(2, k, gb.gamma1, gb.gamma2, fvars, g1_2j)
-                   + _p_operator(1, k, gb.gamma1, gb.gamma2, fvars, g2_2j))
-            up = (_p_operator(2, k, gb.gamma1, gb.gamma2, fvars, g2_2j)
-                  - _p_operator(1, k, gb.gamma1, gb.gamma2, fvars, g1_2j))
-            if f_point is not None:
-                low = low.evaluate(f_point)
-                up = up.evaluate(f_point)
-            B_lower[(j, k)] = low
-            B_upper[(j, k)] = up
+            B_lower[(j, k)] = P(2, k, g1_2j) + P(1, k, g2_2j)
+            B_upper[(j, k)] = P(2, k, g2_2j) - P(1, k, g1_2j)
     c1, c2 = quadratics_from_B(n, B_lower, B_upper)
-    gamma1 = gb.gamma1 if f_point is None else tuple(g.evaluate(f_point) for g in gb.gamma1)
-    gamma2 = gb.gamma2 if f_point is None else tuple(g.evaluate(f_point) for g in gb.gamma2)
     return ComplexTorsionData(n, gamma1, gamma2, B_lower, B_upper, c1, c2)
 
 

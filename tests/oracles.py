@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from first definitions along a
 different code path than the library: torsion coefficients by expanding
-d(theta^k) over the joint (f, p) ring, first-prolongation dimension by
+d(theta^k) over the joint (f, p) ring, the gamma/beta value and gradient
+tables by symbolic differentiation, first-prolongation dimension by
 brute-force solution of the degree-2 jet membership system, and the
 reduced jet by directly solving the 2x2 elimination system.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from diskeds.errors import SingularD
 from diskeds.expr import Polynomial, RationalFunction
 from diskeds.geometry import HypersurfaceProblem, compute_gamma_beta, structure_from_entries
 from diskeds.linalg import nullity, nullspace, solve_particular
@@ -49,6 +51,28 @@ def dtheta_torsion_oracle(problem: HypersurfaceProblem):
     a_table = [[(-a[k].differentiate(f"p{j}"), -b[k].differentiate(f"p{j}"))
                 for j in range(3, two_n + 1)] for k in range(two_n)]
     return joint, pvar, cs, a_table
+
+
+def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
+    """Values and f-gradients of gamma and beta_full at a point (user order),
+    by building the symbolic gamma/beta, differentiating each entry and
+    evaluating it; same layout as ``torsion._coefficient_tables``."""
+    gb = compute_gamma_beta(problem)
+    pt_int = tuple(Fraction(point[i]) for i in problem.internal_order())
+    if gb.D.evaluate(pt_int) == 0:
+        raise SingularD("D = 0 at this point; try another distinguished pair")
+
+    def values(row):
+        return tuple(r.evaluate(pt_int) for r in row)
+
+    def grads(row):
+        return tuple(tuple(r.differentiate(v).evaluate(pt_int)
+                           for v in gb.internal_vars) for r in row)
+
+    return (gb, (values(gb.gamma1), grads(gb.gamma1)),
+            (values(gb.gamma2), grads(gb.gamma2)),
+            tuple(values(row) for row in gb.beta_full),
+            tuple(grads(row) for row in gb.beta_full))
 
 
 def brute_force_dim_A1(gb) -> int:
@@ -128,7 +152,6 @@ def random_polynomial_structure(rng, n, lo=-2, hi=2):
 
 def on_chart_point(rng, problem, tries=200):
     """Random rational point with D != 0 (not required to lie on rho = 0)."""
-    from diskeds.errors import SingularD
     two_n = problem.two_n
     for _ in range(tries):
         pt = tuple(Fraction(rng.randint(-3, 3)) for _ in range(two_n))
@@ -143,7 +166,6 @@ def on_chart_point(rng, problem, tries=200):
 def on_surface_point(rng, problem, tries=500):
     """Random rational point with rho = 0 and D != 0, solving rho for one
     coordinate linearly when possible."""
-    from diskeds.errors import SingularD
     two_n = problem.two_n
     rho = problem.rho
     for _ in range(tries):

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
 from diskeds.reports import build_problem, emit_report, load_problem
 from diskeds import cli
@@ -274,3 +276,48 @@ def test_pair_fallback_reports_coordinate_mapping(tmp_path):
     assert res["distinguished_pair"] != [1, 2]
     pair = res["distinguished_pair"]
     assert sorted(pair + res["reduced_coordinates"]) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("command", ["complex-forms", "dim6", "all"])
+def test_identically_singular_D_exit_2(command):
+    rc, out, err = run_cli(command, "flat")
+    assert rc == 2 and out == b""
+    assert err.startswith(b"IdenticallySingularD: ")
+    assert b"Traceback" not in err
+
+
+# hyperquadric with rho_1 = rho_2 = 0 at P0: D = -(rho_1^2 + rho_2^2)
+# vanishes at the point but not identically
+SINGULAR_AT_JET = {
+    "dimension_2n": 6,
+    "rho": "2*f5 + f1^2 + f2^2 - f3^2 - f4^2",
+    "structure": {"kind": "complex_standard"},
+    "distinguished_pair": [1, 2],
+    "points": {"P0": ["0", "0", "1", "0", "1/2", "0"]},
+    "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0", "0", "1"]}},
+}
+
+
+@pytest.mark.parametrize("command", ["torsion", "complex-forms", "integral-element"])
+def test_D_zero_at_the_jet_only_exit_2(command, tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_AT_JET))
+    rc, out, err = run_cli(command, str(path))
+    assert rc == 2 and out == b""
+    assert err.startswith(b"SingularD: ")
+    assert b"Traceback" not in err
+
+
+def test_torsion_command_builds_structure_equations_once(monkeypatch, capsys):
+    from diskeds import torsion
+    real = torsion.structure_equation_coefficients
+    builds = []
+
+    def counting(problem, jet):
+        builds.append(jet)
+        return real(problem, jet)
+
+    monkeypatch.setattr(torsion, "structure_equation_coefficients", counting)
+    monkeypatch.setattr(cli, "structure_equation_coefficients", counting)
+    assert cli.main(["torsion", "hyperquadric"]) == 0
+    assert len(builds) == 1

@@ -222,3 +222,24 @@ def test_x_degenerate_flag_reported():
     assert ps.x_degenerate
     v = kahler_regularity(prob, jet, flag)
     assert v.verdict == "inconclusive_degenerate_chart"
+
+
+def test_search_builds_dtheta_rows_once_per_call(monkeypatch):
+    import diskeds.integral_element as ie
+    real = ie._dtheta_row_data
+    builds = []
+
+    def counting(problem, jet):
+        builds.append(jet)
+        return real(problem, jet)
+
+    monkeypatch.setattr(ie, "_dtheta_row_data", counting)
+    prob, jet = _hyperquadric_jet()
+    found = ordinary_element_search(prob, jet)
+    assert found.flag is not None
+    assert len(builds) == 1
+    # c^1, c^2 != 0 here: no candidate passes the consistency row
+    blocked = prob.make_jet((1, 0, 1, 0, 0, 0), (0, 1, -1, 2))
+    missed = ordinary_element_search(prob, blocked, trials=6)
+    assert missed.flag is None and missed.attempted == 6
+    assert len(builds) == 2

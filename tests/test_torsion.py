@@ -4,11 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from diskeds.errors import WrongDimension
+from diskeds.errors import SingularD, WrongDimension
 from diskeds.expr import Polynomial, RationalFunction, parse_expression
-from diskeds.geometry import HypersurfaceProblem, complex_standard, compute_gamma_beta
+from diskeds.geometry import (
+    HypersurfaceProblem,
+    choose_pair,
+    complex_standard,
+    compute_gamma_beta,
+)
 from diskeds.involutivity import compute_D_vectors
 from diskeds.torsion import (
+    _coefficient_tables,
     complex_B_coefficients,
     complex_torsion_quadratics,
     dim6_completed_square,
@@ -23,7 +29,9 @@ from diskeds.torsion import (
     torsion_absorbable,
 )
 from oracles import (
+    coefficient_tables_symbolic,
     dtheta_torsion_oracle,
+    on_chart_point,
     on_surface_point,
     random_constant_structure,
     random_polynomial,
@@ -92,6 +100,65 @@ def test_coefficient_pipeline_vs_dtheta_oracle_n3():
     rho = parse_expression("f1 + f2^2 + f3*f5", vs)
     prob = HypersurfaceProblem(rho, A, (1, 2))
     _oracle_matches_pipeline(prob)
+
+
+def _first_jet_cases(rng, n):
+    """(problem, point) pairs: constant and degree-1 polynomial structures
+    at pair (1, 2), plus one whose pair the fallback scan picks."""
+    cases = []
+    for make in (random_constant_structure, random_polynomial_structure) * 2:
+        A, vs = make(rng, n)
+        prob = HypersurfaceProblem(random_polynomial(rng, vs, 3, 6), A, (1, 2))
+        try:
+            cases.append((prob, on_chart_point(rng, prob)))
+        except AssertionError:
+            continue
+    # rho free of f1, f2 makes D vanish identically at the pair (1, 2)
+    A, vs = random_polynomial_structure(rng, n)
+    rho = random_polynomial(rng, vs[2:], 3, 6).extend_to(vs) + Polynomial.var(vs, vs[-1])
+    pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vs)
+    prob = HypersurfaceProblem(rho, A, (1, 2))
+    prob = prob.with_pair(choose_pair(prob, pt))
+    assert prob.pair != (1, 2)
+    cases.append((prob, pt))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_jet_tables_equal_symbolic_reference(n):
+    rng = random.Random(70 + n)
+    cases = _first_jet_cases(rng, n)
+    assert len(cases) >= 4
+    for prob, pt in cases:
+        got = _coefficient_tables(prob, pt)
+        want = coefficient_tables_symbolic(prob, pt)
+        assert got[1:] == want[1:]
+        pt_int = tuple(Fraction(pt[i]) for i in prob.internal_order())
+        assert [g.value for g in got[0].rho_grad] == \
+            [r.evaluate(pt_int) for r in want[0].rho_grad]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pointwise_complex_B_equals_symbolic_at_the_point(n):
+    rng = random.Random(80 + n)
+    vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+    checked = 0
+    while checked < 2:
+        rho = random_polynomial(rng, vs, 3, 5) + Polynomial.var(vs, vs[0])
+        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in vs)
+        symbolic = complex_B_coefficients(rho)
+        try:
+            pointwise = complex_B_coefficients(rho, pt)
+        except SingularD:
+            continue
+        for key in symbolic.B_lower:
+            assert pointwise.B_lower[key] == symbolic.B_lower[key].evaluate(pt)
+            assert pointwise.B_upper[key] == symbolic.B_upper[key].evaluate(pt)
+        assert pointwise.gamma1 == tuple(g.evaluate(pt) for g in symbolic.gamma1)
+        assert pointwise.gamma2 == tuple(g.evaluate(pt) for g in symbolic.gamma2)
+        for got, want in ((pointwise.c1, symbolic.c1), (pointwise.c2, symbolic.c2)):
+            assert [list(r) for r in got] == [[e.evaluate(pt) for e in r] for r in want]
+        checked += 1
 
 
 def test_a_coefficient_table():
