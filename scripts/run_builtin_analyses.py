@@ -11,7 +11,7 @@ import sys
 
 from diskeds.errors import IdenticallySingularD, SingularD
 from diskeds.geometry import choose_pair, compute_gamma_beta
-from diskeds.involutivity import compute_D_vectors, prolongation_dims
+from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import ordinary_element_search
 from diskeds.jets import involution_loop
 from diskeds.reports import build_problem, load_problem
@@ -29,7 +29,7 @@ def analyze(name, seed):
             problem = problem.with_pair(choose_pair(problem, point))
         gb = compute_gamma_beta(problem, point)
         dv = compute_D_vectors(gb)
-        rep = prolongation_dims(problem, point)
+        rep = tableau_report(gb, dv)
         print(f"  point {pname}: D = {gb.D}, D0 = {list(dv.D0)}")
         print(f"  dims A^(q) = {list(rep.dims)}, q0 = {rep.q0}, "
               f"involutive at order 0: {rep.involutive_at_0}")

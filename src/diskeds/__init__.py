@@ -29,6 +29,7 @@ from .involutivity import (
     compute_D_vectors,
     involutivity_order,
     prolongation_dims,
+    tableau_report,
 )
 from .torsion import (
     ComplexTorsionData,

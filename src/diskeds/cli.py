@@ -11,7 +11,7 @@ import sys
 
 from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
 from .geometry import choose_pair, compute_gamma_beta
-from .involutivity import compute_D_vectors, involutivity_order, prolongation_dims
+from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
 from .jets import involution_loop
 from .reports import LoadedProblem, Report, build_problem, emit_report, load_problem
@@ -56,8 +56,7 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     gb = compute_gamma_beta(problem, point)
     gb.self_check()
     dv = compute_D_vectors(gb)
-    report = prolongation_dims(problem, point, Q=opts.order)
-    q0 = involutivity_order(problem, point)
+    report = tableau_report(gb, dv, Q=opts.order)
     return {
         "point": pname,
         "distinguished_pair": list(problem.pair),
@@ -71,7 +70,7 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
         "D0_zero": all(x == 0 for x in dv.D0),
         "dim_A": report.dim_A,
         "dims": list(report.dims),
-        "q0": q0,
+        "q0": report.q0,
         "involutive_from": report.involutive_from,
         "involutive_at_0": report.involutive_at_0,
     }

@@ -140,8 +140,13 @@ class FirstJet:
     Derivatives*, 2nd ed., 2008): +, -, * and / carry the gradient by the
     sum, product and quotient rules, so a formula evaluated over FirstJets
     seeded with each input's value and gradient returns the exact value
-    and first partial derivatives of its result.  Both operands of a
-    binary operation are FirstJets at the same point.
+    and first partial derivatives of its result.  Both FirstJet operands
+    of a binary operation are jets at the same point.
+
+    An operand may also be a constant (``int`` or ``Fraction``, a jet with
+    zero gradient): it shifts the value or scales the gradient, multiplying
+    by 0 gives the constant 0, and adding 0 or multiplying or dividing by 1
+    returns the jet itself.  So constant inputs cost no gradient arithmetic.
     """
 
     __slots__ = ("value", "grad")
@@ -150,27 +155,62 @@ class FirstJet:
         self.value = value
         self.grad = grad
 
+    @staticmethod
+    def lift(x, zero_grad):
+        """``x`` as a FirstJet; a constant gets ``zero_grad``."""
+        return x if isinstance(x, FirstJet) else FirstJet(Fraction(x), zero_grad)
+
     def __add__(self, other):
+        if not isinstance(other, FirstJet):
+            return self if other == 0 else FirstJet(self.value + other, self.grad)
         return FirstJet(self.value + other.value,
                         tuple(a + b for a, b in zip(self.grad, other.grad)))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if not isinstance(other, FirstJet):
+            return self if other == 0 else FirstJet(self.value - other, self.grad)
         return FirstJet(self.value - other.value,
                         tuple(a - b for a, b in zip(self.grad, other.grad)))
+
+    def __rsub__(self, other):
+        if other == 0:
+            return -self
+        return FirstJet(other - self.value, tuple(-a for a in self.grad))
 
     def __neg__(self):
         return FirstJet(-self.value, tuple(-a for a in self.grad))
 
     def __mul__(self, other):
+        if not isinstance(other, FirstJet):
+            if other == 0:
+                return Fraction(0)
+            if other == 1:
+                return self
+            return FirstJet(self.value * other, tuple(a * other for a in self.grad))
         u, v = self.value, other.value
         return FirstJet(u * v, tuple(u * b + v * a
                                      for a, b in zip(self.grad, other.grad)))
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
+        if not isinstance(other, FirstJet):
+            if other == 1:
+                return self
+            return FirstJet(self.value / other, tuple(a / other for a in self.grad))
         v = other.value
         q = self.value / v
         return FirstJet(q, tuple((a - q * b) / v
                                  for a, b in zip(self.grad, other.grad)))
+
+    def __rtruediv__(self, other):
+        v = self.value
+        q = other / v
+        if q == 0:
+            return Fraction(0)
+        return FirstJet(q, tuple(-q * b / v for b in self.grad))
 
 
 def _lift(value):

@@ -18,12 +18,15 @@ and then beta_{i,j} = alpha_{i,1} gamma^1_j + alpha_{i,2} gamma^2_j
 exact scalars: rational functions of f (symbolic mode, the reference the
 tests differentiate), rationals (pointwise mode, feeding rank tests) and
 exact first jets (value and gradient at a point, feeding torsion and the
-polar maps).  All modes agree wherever they are defined.
+polar maps).  All modes agree wherever they are defined.  The pointwise
+modes evaluate rho's gradient and the structure entries once, in user
+coordinates, and only re-index those values into a chart's internal order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     CrossCheckMismatch,
@@ -63,21 +66,9 @@ class StructureMatrix:
     kind: str = "general"
     warnings: tuple = ()
 
-    @property
-    def size(self):
-        return 2 * self.n
-
     def entry(self, j, i):
         """1-based access to alpha_{j,i}."""
         return self.entries[j - 1][i - 1]
-
-    def squared(self):
-        m = self.size
-        return tuple(
-            tuple(sum((self.entries[j][k] * self.entries[k][i] for k in range(m)),
-                      RationalFunction.from_const(self.entries[0][0].vars, 0))
-                  for i in range(m))
-            for j in range(m))
 
     def permuted(self, order):
         return StructureMatrix(
@@ -185,6 +176,10 @@ class HypersurfaceProblem:
         """1-based map internal position -> original coordinate index."""
         return tuple(i + 1 for i in self.internal_order())
 
+    def to_internal(self, values):
+        """User-ordered values in internal order."""
+        return tuple(values[i] for i in self.internal_order())
+
     def with_pair(self, pair):
         return HypersurfaceProblem(self.rho, self.structure, tuple(pair))
 
@@ -212,7 +207,6 @@ class GammaBetaData:
     symbolic: bool
     sigma: tuple            # internal 1-based -> original 1-based
     internal_vars: tuple
-    rho_int: Polynomial     # rho over the internal table
     alpha: tuple            # evaluated/symbolic structure entries, internal order
     rho_grad: tuple         # length 2n
     mu: tuple               # length 2n
@@ -262,18 +256,28 @@ class GammaBetaData:
 
 
 def _internal_pieces(problem: HypersurfaceProblem):
+    """rho and the structure over the internal table (symbolic mode)."""
     order = problem.internal_order()
-    rho_int = permute_polynomial(problem.rho, order)
-    struct_int = problem.structure.permuted(order)
-    return rho_int, struct_int
+    return permute_polynomial(problem.rho, order), problem.structure.permuted(order)
 
 
-def _mu_and_D(grad, alpha, zero):
+def _times_alpha(row, alpha):
+    """(row alpha)_i = sum_j row_j alpha_{j,i}."""
+    two_n = len(row)
+    return tuple(sum(row[j] * alpha[j][i] for j in range(two_n))
+                 for i in range(two_n))
+
+
+def _mu_and_D(grad, alpha):
     """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
-    two_n = len(grad)
-    mu = tuple(sum((grad[j] * alpha[j][i] for j in range(two_n)), zero)
-               for i in range(two_n))
+    mu = _times_alpha(grad, alpha)
     return mu, grad[0] * mu[1] - grad[1] * mu[0]
+
+
+def _mu2(mu, alpha):
+    """mu2 = rho_grad alpha^2, formed as mu alpha: (2n)^2 products instead
+    of the (2n)^3 of alpha^2."""
+    return _times_alpha(mu, alpha)
 
 
 def _gammas_and_betas(grad, mu, D, alpha):
@@ -290,17 +294,30 @@ def _gammas_and_betas(grad, mu, D, alpha):
     return gamma1, gamma2, beta_full
 
 
-def _mu2(grad, alpha2, zero):
-    two_n = len(grad)
-    return tuple(sum((grad[j] * alpha2[j][i] for j in range(two_n)), zero)
-                 for i in range(two_n))
-
-
-def _internal_point(problem: HypersurfaceProblem, point):
+def _user_point(problem: HypersurfaceProblem, point):
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
-    return tuple(point[i] for i in problem.internal_order())
+    return point
+
+
+def _point_values(problem: HypersurfaceProblem, point):
+    """The point, rho's gradient and the structure entries there, all in
+    user coordinates: evaluated once, whatever chart reads them."""
+    point = _user_point(problem, point)
+    rho = problem.rho
+    alpha = tuple(tuple(e.evaluate(point) for e in row)
+                  for row in problem.structure.entries)
+    grad = tuple(rho.differentiate(v).evaluate(point) for v in rho.vars)
+    return point, grad, alpha
+
+
+def _chart_order(problem: HypersurfaceProblem, grad, alpha, entry=lambda x: x):
+    """Re-index user-order values into the chart's internal order (pair
+    first); ``entry`` re-indexes each value itself when it has indices."""
+    order = problem.internal_order()
+    return (tuple(entry(grad[i]) for i in order),
+            tuple(tuple(entry(alpha[j][i]) for i in order) for j in order))
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaData:
@@ -308,40 +325,37 @@ def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaDat
 
     ``point`` is given in the user's coordinate order.
     """
-    rho_int, struct_int = _internal_pieces(problem)
-    two_n = problem.two_n
-    grad = tuple(rho_int.differentiate(v) for v in rho_int.vars)
-
     if point is None:
+        rho_int, struct_int = _internal_pieces(problem)
         alpha = struct_int.entries
-        zero = RationalFunction.from_const(rho_int.vars, 0)
-        grad_r = tuple(RationalFunction(g) for g in grad)
-        mu, D = _mu_and_D(grad_r, alpha, zero)
-        mu2 = _mu2(grad_r, struct_int.squared(), zero)
+        grad = tuple(RationalFunction(rho_int.differentiate(v)) for v in rho_int.vars)
+        mu, D = _mu_and_D(grad, alpha)
         if D.is_zero():
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
-        gamma1, gamma2, beta_full = _gammas_and_betas(grad_r, mu, D, alpha)
-        return GammaBetaData(problem, True, problem.sigma(), rho_int.vars,
-                             rho_int, alpha, grad_r, mu, mu2, D, gamma1, gamma2,
-                             beta_full)
+        gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
+        return GammaBetaData(problem, True, problem.sigma(), rho_int.vars, alpha,
+                             grad, mu, _mu2(mu, alpha), D, gamma1, gamma2, beta_full)
 
-    pt_int = _internal_point(problem, point)
-    alpha = tuple(tuple(e.evaluate(pt_int) for e in row)
-                  for row in struct_int.entries)
-    grad_v = tuple(g.evaluate(pt_int) for g in grad)
-    zero = Fraction(0)
-    mu, D = _mu_and_D(grad_v, alpha, zero)
-    alpha2 = [[sum(alpha[j][k] * alpha[k][i] for k in range(two_n))
-               for i in range(two_n)] for j in range(two_n)]
-    mu2 = _mu2(grad_v, alpha2, zero)
+    point, grad_user, alpha_user = _point_values(problem, point)
+    grad, alpha = _chart_order(problem, grad_user, alpha_user)
+    mu, D = _mu_and_D(grad, alpha)
     if D == 0:
         raise SingularD(
             "D = 0 at this point; try another distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad_v, mu, D, alpha)
-    return GammaBetaData(problem, False, problem.sigma(), rho_int.vars,
-                         rho_int, alpha, grad_v, mu, mu2, D, gamma1, gamma2,
-                         beta_full, point_internal=pt_int)
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
+    return GammaBetaData(problem, False, problem.sigma(),
+                         problem.to_internal(problem.rho.vars), alpha, grad, mu,
+                         _mu2(mu, alpha), D, gamma1, gamma2, beta_full,
+                         point_internal=problem.to_internal(point))
+
+
+def _entry_first_jet(entry: RationalFunction, point):
+    """A structure entry's first jet at the point; a constant entry stays
+    a plain Fraction, so it costs no gradient arithmetic."""
+    if entry.num.degree() == 0 and entry.den.degree() == 0:
+        return entry.evaluate(point)
+    return entry.first_jet(point)
 
 
 def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
@@ -350,30 +364,57 @@ def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
 
     The same formulas as :func:`compute_gamma_beta`, seeded with rho's
     first and second derivatives and each structure entry's value and
-    gradient at the point, so no symbolic gamma/beta is ever formed.
-    ``mu2`` is left as None (only the tableau rows need it).  Raises
-    IdenticallySingularD when D vanishes identically and SingularD when
-    it vanishes at the point only.
+    gradient at the point (constant entries as plain Fractions), so no
+    symbolic gamma/beta is ever formed.  Every entry leaves as a FirstJet.
+    ``mu2`` is left as None (:func:`first_jet_values` forms it from the
+    values).  Raises IdenticallySingularD when D vanishes identically and
+    SingularD when it vanishes at the point only.
     """
-    rho_int, struct_int = _internal_pieces(problem)
-    pt_int = _internal_point(problem, point)
-    alpha = tuple(tuple(e.first_jet(pt_int) for e in row)
-                  for row in struct_int.entries)
-    grad = tuple(rho_int.differentiate(v).first_jet(pt_int) for v in rho_int.vars)
-    zero = FirstJet(Fraction(0), (Fraction(0),) * problem.two_n)
-    mu, D = _mu_and_D(grad, alpha, zero)
-    if D.value == 0:
+    point = _user_point(problem, point)
+    rho = problem.rho
+    alpha_user = tuple(tuple(_entry_first_jet(e, point) for e in row)
+                       for row in problem.structure.entries)
+    grad_user = tuple(rho.differentiate(v).first_jet(point) for v in rho.vars)
+    order = problem.internal_order()
+
+    def internal_jet(x):
+        if isinstance(x, FirstJet):
+            return FirstJet(x.value, tuple(x.grad[i] for i in order))
+        return x
+
+    grad, alpha = _chart_order(problem, grad_user, alpha_user, internal_jet)
+    mu, D = _mu_and_D(grad, alpha)
+    zero_grad = (Fraction(0),) * problem.two_n
+    lift = lambda row: tuple(FirstJet.lift(x, zero_grad) for x in row)
+    D_jet = FirstJet.lift(D, zero_grad)
+    if D_jet.value == 0:
         # the symbolic D, formed on this path only, tells the two errors apart
+        rho_int, struct_int = _internal_pieces(problem)
         grad_r = tuple(RationalFunction(rho_int.differentiate(v)) for v in rho_int.vars)
-        zero_r = RationalFunction.from_const(rho_int.vars, 0)
-        if _mu_and_D(grad_r, struct_int.entries, zero_r)[1].is_zero():
+        if _mu_and_D(grad_r, struct_int.entries)[1].is_zero():
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
     gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
-    return GammaBetaData(problem, False, problem.sigma(), rho_int.vars,
-                         rho_int, alpha, grad, mu, None, D, gamma1, gamma2,
-                         beta_full, point_internal=pt_int)
+    return GammaBetaData(problem, False, problem.sigma(),
+                         problem.to_internal(rho.vars),
+                         tuple(lift(row) for row in alpha), grad, lift(mu), None,
+                         D_jet, lift(gamma1), lift(gamma2),
+                         tuple(lift(row) for row in beta_full),
+                         point_internal=problem.to_internal(point))
+
+
+def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
+    """The pointwise data that first-jet data ``gb`` holds: every entry's
+    value, with mu2 formed from the values.  Equals compute_gamma_beta at
+    the same point, without evaluating anything again."""
+    values = lambda row: tuple(x.value for x in row)
+    alpha = tuple(values(row) for row in gb.alpha)
+    mu = values(gb.mu)
+    return replace(gb, alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
+                   mu2=_mu2(mu, alpha), D=gb.D.value, gamma1=values(gb.gamma1),
+                   gamma2=values(gb.gamma2),
+                   beta_full=tuple(values(row) for row in gb.beta_full))
 
 
 @dataclass(frozen=True)
@@ -384,9 +425,14 @@ class FullJet:
     p2: tuple  # user coordinate order
 
 
-def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint) -> FullJet:
-    """Complete the reduced jet: p^1_1, p^2_1 from the gammas, then p_2 = A p_1."""
-    gb = compute_gamma_beta(problem, jet.f)
+def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
+             gb: GammaBetaData = None) -> FullJet:
+    """Complete the reduced jet: p^1_1, p^2_1 from the gammas, then p_2 = A p_1.
+
+    ``gb`` is the pointwise gamma/beta data at ``jet.f`` when the caller
+    has it; it is built here otherwise."""
+    if gb is None:
+        gb = compute_gamma_beta(problem, jet.f)
     two_n = problem.two_n
     p_red = tuple(Fraction(x) for x in jet.p_reduced)
     p11 = sum(g * p for g, p in zip(gb.gamma1, p_red))
@@ -404,19 +450,26 @@ def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint) -> FullJet:
 
 
 def choose_pair(problem: HypersurfaceProblem, point=None):
-    """First distinguished pair (scanned in index order) with D != 0."""
-    two_n = problem.two_n
-    last_error = None
-    for i1 in range(1, two_n + 1):
-        for i2 in range(i1 + 1, two_n + 1):
-            candidate = problem.with_pair((i1, i2))
-            try:
-                compute_gamma_beta(candidate, point)
+    """First distinguished pair (scanned in index order) with D != 0.
+
+    At a point, rho's gradient and mu are evaluated once and each pair's
+    D = rho_a mu_b - rho_b mu_a is read off them; without a point each
+    pair's symbolic D is formed in turn.
+    """
+    pairs = combinations(range(1, problem.two_n + 1), 2)
+    if point is not None:
+        _, grad, alpha = _point_values(problem, point)
+        mu = _times_alpha(grad, alpha)
+        for i1, i2 in pairs:
+            if grad[i1 - 1] * mu[i2 - 1] - grad[i2 - 1] * mu[i1 - 1] != 0:
                 return (i1, i2)
-            except (SingularD, IdenticallySingularD) as exc:
-                last_error = exc
-    if point is None:
-        raise IdenticallySingularD(
-            "D vanishes identically for every distinguished pair") from last_error
-    raise SingularD(
-        "D = 0 at the point for every distinguished pair") from last_error
+        raise SingularD("D = 0 at the point for every distinguished pair")
+    last_error = None
+    for pair in pairs:
+        try:
+            compute_gamma_beta(problem.with_pair(pair))
+            return pair
+        except (SingularD, IdenticallySingularD) as exc:
+            last_error = exc
+    raise IdenticallySingularD(
+        "D vanishes identically for every distinguished pair") from last_error

@@ -36,7 +36,7 @@ from fractions import Fraction
 import random
 
 from .errors import InadmissibleFlag
-from .geometry import FirstJetPoint, HypersurfaceProblem, full_jet
+from .geometry import FirstJetPoint, HypersurfaceProblem, first_jet_values, full_jet
 from .linalg import det, mat_mul, nullity
 from .torsion import _coefficient_tables
 
@@ -95,8 +95,8 @@ class PolarSystem:
 def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint):
     """gamma/beta values and their x-derivative contractions at the jet."""
     order = problem.internal_order()
-    _, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
-    fj = full_jet(problem, jet)
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
+    fj = full_jet(problem, jet, first_jet_values(gb))
     two_n = problem.two_n
     p1_int = tuple(fj.p1[i] for i in order)
     p2_int = tuple(fj.p2[i] for i in order)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckMismatch
 from .geometry import GammaBetaData, HypersurfaceProblem, compute_gamma_beta
-from .linalg import nullity, mat_rank, row_times_matrix
+from .linalg import nullity, row_times_matrix
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,9 @@ def _krylov_rows(D0, beta, count, symbolic=False):
     return rows
 
 
-def prolongation_dims(problem: HypersurfaceProblem, f_point=None, Q=None) -> TableauReport:
-    """dim A^(q) for q = 1..Q plus the involutivity order.
-
-    ``f_point`` None runs the symbolic (generic-point) mode.
-    """
-    gb = compute_gamma_beta(problem, f_point)
-    dv = compute_D_vectors(gb)
+def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
+    """dim A^(q) for q = 1..Q plus the involutivity order, from the
+    caller's gamma/beta data and its D vectors."""
     m = gb.two_n - 2
     if Q is None:
         Q = m
@@ -175,15 +171,19 @@ def prolongation_dims(problem: HypersurfaceProblem, f_point=None, Q=None) -> Tab
         involutive_from = prefix_ranks[-1]
     q0 = prefix_ranks[m - 1] if m >= 1 else 0
     at0 = all(x == 0 for x in dv.D0)
-    return TableauReport(problem.n, m, tuple(dims[:Q]), q0, involutive_from,
-                         at0, symbolic=f_point is None)
+    return TableauReport(gb.problem.n, m, tuple(dims[:Q]), q0, involutive_from,
+                         at0, symbolic=gb.symbolic)
+
+
+def prolongation_dims(problem: HypersurfaceProblem, f_point=None, Q=None) -> TableauReport:
+    """dim A^(q) for q = 1..Q plus the involutivity order.
+
+    ``f_point`` None runs the symbolic (generic-point) mode.
+    """
+    gb = compute_gamma_beta(problem, f_point)
+    return tableau_report(gb, compute_D_vectors(gb), Q)
 
 
 def involutivity_order(problem: HypersurfaceProblem, f_point=None) -> int:
     """rank(D0, D0 beta, ..., D0 beta^{2n-3}); A^(q) is involutive for q >= this."""
-    gb = compute_gamma_beta(problem, f_point)
-    dv = compute_D_vectors(gb)
-    m = gb.two_n - 2
-    if m == 0:
-        return 0
-    return mat_rank(_krylov_rows(dv.D0, gb.beta, m, symbolic=gb.symbolic))
+    return prolongation_dims(problem, f_point).q0

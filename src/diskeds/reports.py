@@ -112,10 +112,11 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                        for row in _field(sdoc, "entries", f"{name}.structure")]
             structure = structure_from_entries(n, entries)
         elif kind == "pair":
-            a = RationalFunction(parse_expression(sdoc["a"], coords))
-            b = RationalFunction(parse_expression(sdoc["b"], coords))
+            spath = f"{name}.structure"
+            a = RationalFunction(parse_expression(_field(sdoc, "a", spath), coords))
+            b = RationalFunction(parse_expression(_field(sdoc, "b", spath), coords))
             A = [[RationalFunction(parse_expression(e, coords)) for e in row]
-                 for row in sdoc["A"]]
+                 for row in _field(sdoc, "A", spath)]
             structure = make_structure_from_pair(a, b, A, n)
         else:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
@@ -146,10 +147,8 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
     for fname, fdoc in (doc.get("flags") or {}).items():
         from .integral_element import FlagSpec
         flags[fname] = FlagSpec(
-            _rat_vector(fdoc["a1"], f"flags.{fname}.a1"),
-            _rat_vector(fdoc["a2"], f"flags.{fname}.a2"),
-            _rat_vector(fdoc["c1"], f"flags.{fname}.c1"),
-            _rat_vector(fdoc["c2"], f"flags.{fname}.c2"),
+            *(_rat_vector(_field(fdoc, key, f"flags.{fname}"), f"flags.{fname}.{key}")
+              for key in ("a1", "a2", "c1", "c2")),
             rat(fdoc.get("alpha", "1")),
             rat(fdoc.get("beta", "0")),
         )
@@ -168,10 +167,11 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                                for v in p.used_variables()])
         small = jet_table(n, max_order)
         openings = []
-        for odoc in (sdoc.get("openings") or []):
+        for k, odoc in enumerate(sdoc.get("openings") or []):
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
-            op = parse_expression(odoc["expr"], big, complexified=True)
+            op = parse_expression(_field(odoc, "expr", f"strata.{sname}.openings[{k}]"),
+                                  big, complexified=True)
             openings.append(Opening(_shrink(op, small),
                                     odoc.get("sign", "nonzero")))
         system = make_system(n, [_shrink(p, small) for p in parsed],

@@ -34,9 +34,11 @@ from .exact import rat
 from .expr import Polynomial, RationalFunction
 from .geometry import (
     FirstJetPoint,
+    GammaBetaData,
     HypersurfaceProblem,
     complex_standard,
     compute_gamma_beta,
+    first_jet_values,
     gamma_beta_first_jets,
 )
 from .involutivity import compute_D_vectors
@@ -54,9 +56,7 @@ class StructureEquationData:
     A_coeffs: dict          # (k, j, i) -> value, k=1..2n, j=3..2n, i=1,2
     c_matrices: tuple       # 2n symmetric (2n-2)x(2n-2) Fraction matrices
     c_values: tuple         # c^k_{1,2} evaluated at the jet (length 2n)
-    gamma1: tuple
-    gamma2: tuple
-    rho_grad: tuple
+    point_data: GammaBetaData  # pointwise gamma/beta at the base point
 
 
 def _symmetrize(raw):
@@ -124,9 +124,7 @@ def structure_equation_coefficients(problem: HypersurfaceProblem,
             A_coeffs[(i + 1, j + 3, 1)] = Fraction(-1) if i == j + 2 else Fraction(0)
         for k in range(two_n):
             A_coeffs[(k + 1, j + 3, 2)] = -bv[k][j]
-    return StructureEquationData(A_coeffs, c_matrices, c_values,
-                                 tuple(g1v), tuple(g2v),
-                                 tuple(g.value for g in gb.rho_grad))
+    return StructureEquationData(A_coeffs, c_matrices, c_values, first_jet_values(gb))
 
 
 def structure_coefficient_forms(problem: HypersurfaceProblem):
@@ -180,11 +178,11 @@ def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
     jet) when it has one already; it is built here otherwise."""
     if sed is None:
         sed = structure_equation_coefficients(problem, jet)
-    gb = compute_gamma_beta(problem, jet.f)
+    gb = sed.point_data
     dv = compute_D_vectors(gb)
     m = problem.two_n - 2
-    res1 = sed.c_values[0] - sum(sed.gamma1[i] * sed.c_values[i + 2] for i in range(m))
-    res2 = sed.c_values[1] - sum(sed.gamma2[i] * sed.c_values[i + 2] for i in range(m))
+    res1 = sed.c_values[0] - sum(gb.gamma1[i] * sed.c_values[i + 2] for i in range(m))
+    res2 = sed.c_values[1] - sum(gb.gamma2[i] * sed.c_values[i + 2] for i in range(m))
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     if all(x == 0 for x in dv.D0):
         absorbable = res1 == 0 and res2 == 0

@@ -4,8 +4,9 @@ Everything here recomputes quantities from first definitions along a
 different code path than the library: torsion coefficients by expanding
 d(theta^k) over the joint (f, p) ring, the gamma/beta value and gradient
 tables by symbolic differentiation, first-prolongation dimension by
-brute-force solution of the degree-2 jet membership system, and the
-reduced jet by directly solving the 2x2 elimination system.
+brute-force solution of the degree-2 jet membership system, the
+reduced jet by directly solving the 2x2 elimination system, and the
+distinguished-pair scan by one full gamma/beta build per candidate.
 """
 from __future__ import annotations
 
@@ -73,6 +74,20 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
             (values(gb.gamma2), grads(gb.gamma2)),
             tuple(values(row) for row in gb.beta_full),
             tuple(grads(row) for row in gb.beta_full))
+
+
+def choose_pair_by_builds(problem: HypersurfaceProblem, point):
+    """The fallback pair scan by a full pointwise gamma/beta build per
+    candidate pair: the first pair, in index order, whose build succeeds."""
+    two_n = problem.two_n
+    for i1 in range(1, two_n + 1):
+        for i2 in range(i1 + 1, two_n + 1):
+            try:
+                compute_gamma_beta(problem.with_pair((i1, i2)), point)
+                return (i1, i2)
+            except SingularD:
+                continue
+    raise SingularD("D = 0 at the point for every distinguished pair")
 
 
 def brute_force_dim_A1(gb) -> int:

@@ -321,3 +321,84 @@ def test_torsion_command_builds_structure_equations_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "structure_equation_coefficients", counting)
     assert cli.main(["torsion", "hyperquadric"]) == 0
     assert len(builds) == 1
+
+
+# every optional block that has required fields: a pair structure, a flag
+# and a dict-form stratum opening
+SCHEMA_DOC = {
+    "dimension_2n": 4,
+    "rho": "f4 + f1^2 + f2*f3",
+    "structure": {"kind": "pair", "a": "f1", "b": "1",
+                  "A": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                        ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    "distinguished_pair": [1, 2],
+    "points": {"P": ["1", "0", "0", "-1"]},
+    "flags": {"F": {"a1": ["1", "0"], "a2": ["0", "1"],
+                    "c1": ["0", "0"], "c2": ["0", "0"]}},
+    "strata": {"S": {"equalities": ["z2 + zb2 + z1*zb1"],
+                     "openings": [{"expr": "w1*wb1", "sign": "+"}]}},
+}
+
+
+def test_schema_document_is_valid(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(SCHEMA_DOC))
+    assert cli.main(["involutivity", str(path)]) == 0
+
+
+@pytest.mark.parametrize("field", [
+    ("structure", "a"), ("structure", "b"), ("structure", "A"),
+    ("flags", "F", "a1"), ("flags", "F", "a2"), ("flags", "F", "c1"),
+    ("flags", "F", "c2"), ("strata", "S", "openings", 0, "expr"),
+], ids=lambda field: ".".join(map(str, field)))
+def test_missing_field_is_schema_violation(field, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    del parent[field[-1]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["involutivity", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaViolation: missing field")
+    assert "Traceback" not in err
+
+
+def _count_gamma_beta_builds(monkeypatch):
+    """Count pointwise and first-jet gamma/beta builds, wherever called."""
+    from diskeds import geometry, involutivity, torsion
+    real_pointwise = geometry.compute_gamma_beta
+    real_first_jets = geometry.gamma_beta_first_jets
+    counts = {"pointwise": 0, "first_jets": 0}
+
+    def pointwise(problem, point=None):
+        counts["pointwise"] += point is not None
+        return real_pointwise(problem, point)
+
+    def first_jets(problem, point):
+        counts["first_jets"] += 1
+        return real_first_jets(problem, point)
+
+    for module in (geometry, involutivity, torsion, cli):
+        if hasattr(module, "compute_gamma_beta"):
+            monkeypatch.setattr(module, "compute_gamma_beta", pointwise)
+        if hasattr(module, "gamma_beta_first_jets"):
+            monkeypatch.setattr(module, "gamma_beta_first_jets", first_jets)
+    return counts
+
+
+@pytest.mark.parametrize("builtin", ["hyperquadric", "cusp"])
+def test_involutivity_builds_gamma_beta_once(builtin, monkeypatch, capsys):
+    # cusp names no distinguished pair, so the fallback scan runs first
+    counts = _count_gamma_beta_builds(monkeypatch)
+    assert cli.main(["involutivity", builtin]) == 0
+    assert counts == {"pointwise": 1, "first_jets": 0}
+
+
+@pytest.mark.parametrize("command", ["torsion", "integral-element"])
+def test_jet_commands_build_first_jets_once_and_no_pointwise(command, monkeypatch,
+                                                             capsys):
+    counts = _count_gamma_beta_builds(monkeypatch)
+    assert cli.main([command, "hyperquadric"]) == 0
+    assert counts == {"pointwise": 0, "first_jets": 1}

@@ -1,4 +1,5 @@
 """expr core: parsing, exact arithmetic, differentiation, rational functions."""
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from diskeds.errors import (
     NotComplexifiedMode,
     UnknownVariable,
 )
-from diskeds.exact import GaussianRational, gaussian
+from diskeds.exact import FirstJet, GaussianRational, gaussian
 from diskeds.expr import (
     Polynomial,
     RationalFunction,
@@ -224,3 +225,32 @@ def test_conjugation_is_involution(p):
 @settings(max_examples=40, deadline=None)
 def test_complexified_round_trip(p):
     assert parse_expression(print_polynomial(p), CX, complexified=True) == p
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+ZERO3 = (Fraction(0),) * 3
+
+
+@st.composite
+def first_jets(draw):
+    return FirstJet(draw(rationals), tuple(draw(rationals) for _ in range(3)))
+
+
+def _value_and_grad(x):
+    x = FirstJet.lift(x, ZERO3)
+    return x.value, x.grad
+
+
+@given(first_jets(), st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), rationals))
+@settings(max_examples=150, deadline=None)
+def test_first_jet_constant_operand_matches_lifted_jet(x, c):
+    lifted = FirstJet(c, ZERO3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args, lifted_args in (((x, c), (x, lifted)), ((c, x), (lifted, x))):
+            try:
+                want = op(*lifted_args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(*args)
+                continue
+            assert _value_and_grad(op(*args)) == _value_and_grad(want)

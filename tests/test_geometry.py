@@ -8,18 +8,24 @@ from diskeds.errors import DimensionMismatch, IdenticallySingularD, SingularD, Z
 from diskeds.expr import RationalFunction, parse_expression
 from diskeds.geometry import (
     HypersurfaceProblem,
+    _mu2,
     choose_pair,
     complex_standard,
     compute_gamma_beta,
+    first_jet_values,
     full_jet,
+    gamma_beta_first_jets,
     make_structure_from_pair,
     permute_polynomial,
     structure_from_entries,
 )
+from diskeds.reports import build_problem, load_problem
 from oracles import (
+    choose_pair_by_builds,
     on_chart_point,
     random_constant_structure,
     random_polynomial,
+    random_polynomial_structure,
     solve_A6_direct,
 )
 
@@ -246,3 +252,92 @@ def test_choose_pair_scans_in_order():
     pair = choose_pair(prob, pt)
     assert pair == (3, 4)
     compute_gamma_beta(prob.with_pair(pair), pt).self_check()
+
+
+def _scan_both_ways(prob, pt):
+    """choose_pair and the per-pair build oracle: same pair, or the same
+    SingularD message."""
+    try:
+        want = choose_pair_by_builds(prob, pt)
+    except SingularD as exc:
+        with pytest.raises(SingularD) as got:
+            choose_pair(prob, pt)
+        assert str(got.value) == str(exc)
+        return None
+    assert choose_pair(prob, pt) == want
+    return want
+
+
+@pytest.mark.parametrize("make", [random_constant_structure, random_polynomial_structure])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_pass_pair_scan_equals_per_pair_builds(make, n):
+    # rho_1 = rho_2 = 0 at the point makes D vanish there for the pair
+    # (1, 2); zeroing alpha's first two columns too (mu_1 = mu_2 = 0)
+    # makes it vanish for every pair that holds 1 or 2
+    rng = random.Random(40 + 10 * n + (make is random_polynomial_structure))
+    found = []
+    for case in range(8):
+        A, vs = make(rng, n)
+        if case % 2:
+            zero = RationalFunction.from_const(vs, 0)
+            A = structure_from_entries(n, [[zero if i < 2 else e for i, e in enumerate(row)]
+                                           for row in A.entries])
+        rho = (random_polynomial(rng, vs[2:], 3, 6).extend_to(vs)
+               + parse_expression("f1^2 - f2^2", vs))
+        pt = (0, 0) + tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                            for _ in vs[2:])
+        prob = HypersurfaceProblem(rho, A, (1, 2))
+        with pytest.raises(SingularD):
+            compute_gamma_beta(prob, pt)
+        found.append(_scan_both_ways(prob, pt))
+    pairs = [p for p in found if p is not None]
+    assert pairs and any(p[0] >= 3 for p in pairs)
+
+
+def test_one_pass_pair_scan_on_flat_and_when_no_pair_works():
+    lp = build_problem(load_problem("flat"), "flat")
+    point = lp.points["P0"]
+    assert _scan_both_ways(lp.problem, point) == choose_pair(lp.problem, point)
+    # alpha = 2 I: mu = 2 rho_grad, so D = 0 for every pair at every point
+    vs = tuple(f"f{i}" for i in range(1, 5))
+    two = RationalFunction.from_const(vs, 2)
+    zero = RationalFunction.from_const(vs, 0)
+    scalar = structure_from_entries(2, [[two if i == j else zero for j in range(4)]
+                                        for i in range(4)])
+    prob = HypersurfaceProblem(parse_expression("f1 + f2^2 - f3 + f4", vs), scalar, (1, 2))
+    assert _scan_both_ways(prob, (1, 1, 1, -1)) is None
+
+
+def _rho_grad_alpha_squared(grad, alpha, zero):
+    m = len(grad)
+    alpha2 = [[sum((alpha[j][k] * alpha[k][i] for k in range(m)), zero)
+               for i in range(m)] for j in range(m)]
+    return tuple(sum((grad[j] * alpha2[j][i] for j in range(m)), zero)
+                 for i in range(m))
+
+
+def test_mu2_is_rho_grad_times_alpha_squared():
+    rng = random.Random(12)
+    for make in (random_constant_structure, random_polynomial_structure):
+        A, vs = make(rng, 2)
+        prob = HypersurfaceProblem(random_polynomial(rng, vs, 3, 6), A, (1, 2))
+        pt = on_chart_point(rng, prob)
+        sym = compute_gamma_beta(prob)
+        zero = RationalFunction.from_const(sym.internal_vars, 0)
+        assert _mu2(sym.mu, sym.alpha) == sym.mu2
+        assert sym.mu2 == _rho_grad_alpha_squared(sym.rho_grad, sym.alpha, zero)
+        pw = compute_gamma_beta(prob, pt)
+        assert _mu2(pw.mu, pw.alpha) == pw.mu2
+        assert pw.mu2 == _rho_grad_alpha_squared(pw.rho_grad, pw.alpha, Fraction(0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_jet_values_equal_the_pointwise_build(n):
+    rng = random.Random(90 + n)
+    for make in (random_constant_structure, random_polynomial_structure) * 2:
+        A, vs = make(rng, n)
+        prob = HypersurfaceProblem(random_polynomial(rng, vs, 3, 6), A, (1, 2))
+        prob = prob.with_pair((1 + rng.randrange(2), 3 + rng.randrange(2 * n - 2)))
+        pt = on_chart_point(rng, prob)
+        assert first_jet_values(gamma_beta_first_jets(prob, pt)) == \
+            compute_gamma_beta(prob, pt)
