@@ -5,11 +5,8 @@ from .expr import (
     Polynomial,
     RationalFunction,
     conjugate_involution,
-    differentiate,
-    evaluate,
     parse_expression,
     print_polynomial,
-    ratfn_arithmetic,
 )
 from .geometry import (
     FirstJetPoint,
@@ -36,7 +33,6 @@ from .torsion import (
     StructureEquationData,
     TorsionVerdict,
     complex_B_coefficients,
-    complex_torsion_quadratics,
     dim6_definiteness,
     pseudo_ellipsoid_check,
     structure_equation_coefficients,

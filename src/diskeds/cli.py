@@ -14,7 +14,15 @@ from .geometry import choose_pair, compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
 from .jets import involution_loop
-from .reports import LoadedProblem, Report, build_problem, emit_report, load_problem
+from .reports import (
+    LoadedProblem,
+    Report,
+    _field,
+    _rat_vector,
+    build_problem,
+    emit_report,
+    load_problem,
+)
 from .torsion import (
     complex_B_coefficients,
     dim6_definiteness,
@@ -129,8 +137,14 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
     pe = lp.pseudo_ellipsoid
     if not pe:
         raise SchemaViolation("the problem has no pseudo_ellipsoid block")
+    if not isinstance(pe, dict):
+        raise SchemaViolation("pseudo_ellipsoid must be an object")
+    alphas, ks = (_rat_vector(_field(pe, key, "pseudo_ellipsoid"),
+                              f"pseudo_ellipsoid.{key}") for key in ("alphas", "ks"))
+    if any(k.denominator != 1 for k in ks):
+        raise SchemaViolation("pseudo_ellipsoid.ks must be integers")
     pname = _pick(lp.points, opts.point, "points")
-    rep = pseudo_ellipsoid_check(pe["alphas"], pe["ks"], lp.points[pname])
+    rep = pseudo_ellipsoid_check(alphas, ks, lp.points[pname])
     return {
         "point": pname,
         "v": list(rep.v),

@@ -561,14 +561,6 @@ def parse_expression(text, variables, complexified=False) -> Polynomial:
     return _Parser(_tokenize(text), variables, complexified).parse()
 
 
-def differentiate(p: Polynomial, var: str) -> Polynomial:
-    return p.differentiate(var)
-
-
-def evaluate(p: Polynomial, point):
-    return p.evaluate(point)
-
-
 # ----------------------------------------------------------------------
 # canonical printer
 
@@ -767,17 +759,3 @@ class RationalFunction:
         """Value and gradient at a point (ZeroDivisionError at a pole)."""
         return self.num.first_jet(point) / self.den.first_jet(point)
 
-
-def ratfn_arithmetic(a: RationalFunction, b: RationalFunction, op: str):
-    """Dispatch helper mirroring the coarse operation names."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "equal":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")

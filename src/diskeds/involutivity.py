@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckMismatch
 from .geometry import GammaBetaData, HypersurfaceProblem, compute_gamma_beta
-from .linalg import nullity, row_times_matrix
+from .linalg import mat_rank, row_times_matrix
 
 
 @dataclass(frozen=True)
@@ -148,31 +148,21 @@ def _krylov_rows(D0, beta, count, symbolic=False):
 
 def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
     """dim A^(q) for q = 1..Q plus the involutivity order, from the
-    caller's gamma/beta data and its D vectors."""
+    caller's gamma/beta data and its D vectors.
+
+    Once a Krylov row D0 beta^d lies in the span of the earlier rows, so
+    does every later one; hence the first q rows have rank min(q, d) with
+    d the rank of the first m = 2n-2 rows, and one elimination gives
+    every dim A^(q) = m - min(q, d) and q0 = d.
+    """
     m = gb.two_n - 2
     if Q is None:
         Q = m
-    depth = max(Q, m)
-    rows = _krylov_rows(dv.D0, gb.beta, depth, symbolic=gb.symbolic)
-    dims = []
-    prefix_ranks = []
-    for q in range(1, depth + 1):
-        stack = rows[:q]
-        dims.append(nullity(stack, m))
-        prefix_ranks.append(m - dims[-1])
-    involutive_from = 0
-    prev = 0
-    for q, r in enumerate(prefix_ranks, start=1):
-        if r == prev:
-            involutive_from = q - 1
-            break
-        prev = r
-    else:
-        involutive_from = prefix_ranks[-1]
-    q0 = prefix_ranks[m - 1] if m >= 1 else 0
+    d = mat_rank(_krylov_rows(dv.D0, gb.beta, m, symbolic=gb.symbolic))
+    dims = [m - min(q, d) for q in range(1, max(Q, m) + 1)][:Q]
     at0 = all(x == 0 for x in dv.D0)
-    return TableauReport(gb.problem.n, m, tuple(dims[:Q]), q0, involutive_from,
-                         at0, symbolic=gb.symbolic)
+    return TableauReport(gb.problem.n, m, tuple(dims), d, d, at0,
+                         symbolic=gb.symbolic)
 
 
 def prolongation_dims(problem: HypersurfaceProblem, f_point=None, Q=None) -> TableauReport:

@@ -315,9 +315,28 @@ def tableau_at_probe(system: JetConstraintSystem, probe: dict):
     return null, False, rank
 
 
-def _freeze_lower(p: Polynomial, probe: dict, new_vars):
-    assignment = {v: probe[v] for v in p.vars if v not in new_vars}
-    return p.partial_evaluate(assignment)
+def _affine_parts(system: JetConstraintSystem, probe: dict):
+    """Each equality with the lower jets frozen at the probe, read as an
+    affine form in the top-order jets (table order).
+
+    Returns one (coefficients, constant, nonlinear) triple per equality;
+    ``nonlinear`` flags a frozen monomial of degree >= 2 in the top jets.
+    """
+    lower = {v: probe[v] for v in system.table
+             if var_jet_order(v) < system.order}
+    parts = []
+    for p in system.equalities:
+        q = p.partial_evaluate(lower)
+        lin = [Fraction(0)] * len(q.vars)
+        nonlinear = False
+        for exps, c in q.terms.items():
+            deg = sum(exps)
+            if deg == 1:
+                lin[exps.index(1)] = c
+            elif deg >= 2:
+                nonlinear = True
+        parts.append((lin, q.constant_term(), nonlinear))
+    return parts
 
 
 def torsion_at_probe(system: JetConstraintSystem, probe: dict):
@@ -330,23 +349,8 @@ def torsion_at_probe(system: JetConstraintSystem, probe: dict):
     new_vars = [v for v in prolonged.table if var_jet_order(v) == prolonged.order]
     rows, rhs = [], []
     nonlinear = []
-    frozen = []
-    for p in prolonged.equalities:
-        q = _freeze_lower(p.extend_to(prolonged.table), probe, set(new_vars))
-        frozen.append((p, q))
-        if q.is_zero():
-            continue
-        const = q.constant_term()
-        lin = [Fraction(0)] * len(new_vars)
-        higher = False
-        for exps, c in q.terms.items():
-            deg = sum(exps)
-            if deg == 0:
-                continue
-            if deg == 1:
-                lin[exps.index(1)] = c
-            else:
-                higher = True
+    for p, (lin, const, higher) in zip(prolonged.equalities,
+                                       _affine_parts(prolonged, probe)):
         if higher:
             nonlinear.append(p)
         if any(x != 0 for x in lin) or const != 0:
@@ -369,55 +373,30 @@ def torsion_at_probe(system: JetConstraintSystem, probe: dict):
     return torsion_free, prolonged, extension, nonlinear
 
 
-def reduce_redundant(system: JetConstraintSystem, probe_points):
-    """Drop top-order equalities whose affine part at every probe lies in
-    the span of the retained ones (nonlinear-in-top equalities are kept).
+def reduce_redundant(system: JetConstraintSystem, probe: dict):
+    """Drop top-order equalities whose affine part at the probe lies in the
+    span of the retained ones (nonlinear-in-top equalities are kept).
 
     Returns (reduced system, dropped list).
     """
-    top = set(v for v in system.table if var_jet_order(v) == system.order)
-    eqs = list(system.equalities)
+    top = {v for v in system.table if var_jet_order(v) == system.order}
+    eqs = system.equalities
+    parts = _affine_parts(system, probe)
+    retained = list(range(len(eqs)))
     dropped = []
-
-    def augmented(p, probe, new_vars):
-        q = _freeze_lower(p, probe, top)
-        lin = [Fraction(0)] * len(new_vars)
-        higher = False
-        for exps, c in q.terms.items():
-            deg = sum(exps)
-            if deg == 1:
-                lin[exps.index(1)] = c
-            elif deg >= 2:
-                higher = True
-        return lin + [q.constant_term()], higher
-
-    new_vars = [v for v in system.table if v in top]
-    for idx in range(len(eqs) - 1, -1, -1):
-        cand = eqs[idx]
-        if not cand.used_variables() & top:
+    for idx in reversed(range(len(eqs))):
+        lin, const, higher = parts[idx]
+        if higher or not eqs[idx].used_variables() & top:
             continue
-        retained = [e for j, e in enumerate(eqs) if j != idx]
-        ok = bool(probe_points)
-        for probe in probe_points:
-            row, higher = augmented(cand, probe, new_vars)
-            if higher:
-                ok = False
-                break
-            base = []
-            for e in retained:
-                r, h = augmented(e, probe, new_vars)
-                if not h:
-                    base.append(r)
-            if not in_row_span(base, row, len(new_vars) + 1):
-                ok = False
-                break
-        if ok:
-            dropped.append(cand)
-            del eqs[idx]
+        base = [parts[j][0] + [parts[j][1]] for j in retained
+                if j != idx and not parts[j][2]]
+        if in_row_span(base, lin + [const], len(top) + 1):
+            dropped.append(eqs[idx])
+            retained.remove(idx)
     # keep conjugation closure: a dropped equality whose conjugate survived
     # is harmless (the conjugate was independently tested), but _normalize
     # would re-add it, so rebuild without closure re-insertion
-    return replace(system, equalities=tuple(eqs)), dropped
+    return replace(system, equalities=tuple(eqs[j] for j in retained)), dropped
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +409,6 @@ class StratumReport:
     tableau_dim: int
     complex_split: bool
     next_dim: int
-    new_constraints: tuple
     redundant_dropped: tuple
     verdict: str            # involutive_at_order_q | continue | blocked
     warnings: tuple
@@ -453,8 +431,7 @@ def _velocities_pinned(system: JetConstraintSystem) -> bool:
     return bool(rows) and mat_rank(rows) == system.n
 
 
-def stratum_analyze(system: JetConstraintSystem, probe: dict,
-                    reference_dims=None) -> StratumReport:
+def stratum_analyze(system: JetConstraintSystem, probe: dict) -> StratumReport:
     probe_satisfies(system, probe)
     dim_now, split_now, _ = tableau_at_probe(system, probe)
     torsion_free, prolonged, ext, nonlinear = torsion_at_probe(system, probe)
@@ -469,7 +446,7 @@ def stratum_analyze(system: JetConstraintSystem, probe: dict,
         reduced, dropped = prolonged, []
         dim_next = -1
     else:
-        reduced, dropped = reduce_redundant(prolonged, [ext])
+        reduced, dropped = reduce_redundant(prolonged, ext)
         reduced = substitute_vanishing(reduced)
         dim_next, _, _ = tableau_at_probe(prolonged, ext)
         dim_reduced, _, _ = tableau_at_probe(reduced, ext)
@@ -483,15 +460,8 @@ def stratum_analyze(system: JetConstraintSystem, probe: dict,
             verdict = "involutive_at_order_q"
         else:
             verdict = "continue"
-    if reference_dims is not None and reference_dims and dim_now > min(reference_dims):
-        warnings.append(
-            "tableau dimension is not locally constant: this probe is special "
-            f"(dimension {dim_now} vs {min(reference_dims)} at reference probes)")
-    new_constraints = tuple(p for p in prolonged.equalities
-                            if p.extend_to(prolonged.table) not in
-                            {q.extend_to(prolonged.table) for q in system.equalities})
     return StratumReport(torsion_free, dim_now, split_now, dim_next,
-                         new_constraints, tuple(dropped), verdict,
+                         tuple(dropped), verdict,
                          tuple(warnings), reduced, ext if ext else probe,
                          _velocities_pinned(reduced if ext else system))
 

@@ -62,6 +62,8 @@ def _field(doc, key, path, required=True, default=None):
 
 
 def _rat_vector(values, path):
+    if not isinstance(values, list):
+        raise SchemaViolation(f"{path} must be a list of exact rationals")
     out = []
     for i, v in enumerate(values):
         try:
@@ -126,9 +128,9 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
     points = {}
     for pname, vec in (doc.get("points") or {}).items():
+        points[pname] = _rat_vector(vec, f"points.{pname}")
         if len(vec) != two_n:
             raise SchemaViolation(f"points.{pname} must have {two_n} entries")
-        points[pname] = _rat_vector(vec, f"points.{pname}")
 
     jets = {}
     for jname, jdoc in (doc.get("jets") or {}).items():

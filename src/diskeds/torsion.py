@@ -78,39 +78,32 @@ def _coefficient_tables(problem: HypersurfaceProblem, point):
             tuple(grads(row) for row in gb.beta_full))
 
 
+def _raw_torsion_matrices(gammas, gamma_grads, beta_full, beta_grads, zero):
+    """The 2n unsymmetrized torsion matrices from gamma^1, gamma^2 and
+    beta_full and their f-gradients (internal order), over any exact
+    scalar; ``zero`` of that scalar starts the contracted sums."""
+    two_n = len(beta_full)
+    m = two_n - 2
+
+    def contracted(i, j, jp):
+        # dbeta_{i,j}/df contracted with the gammas
+        grad = beta_grads[i][j]
+        return grad[0] * gammas[0][jp] + grad[1] * gammas[1][jp] + grad[jp + 2]
+
+    raw = [[[sum((gamma_grads[k][j][mm] * beta_full[mm][jp]
+                  for mm in range(two_n)), zero) - contracted(k, j, jp)
+             for jp in range(m)] for j in range(m)] for k in range(2)]
+    raw += [[[-contracted(i, j, jp) for jp in range(m)] for j in range(m)]
+            for i in range(2, two_n)]
+    return raw
+
+
 def structure_equation_coefficients(problem: HypersurfaceProblem,
                                     jet: FirstJetPoint) -> StructureEquationData:
     two_n = problem.two_n
     m = two_n - 2
     gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
-
-    def N(i):
-        # - on the caller; raw row: dbeta_{i,j}/df contracted with gammas
-        out = []
-        for j in range(m):
-            grad = bd[i][j]
-            row = []
-            for jp in range(m):
-                row.append(grad[0] * g1v[jp] + grad[1] * g2v[jp] + grad[jp + 2])
-            out.append(row)
-        return out
-
-    raw = []
-    for k in range(2):
-        gd = g1d if k == 0 else g2d
-        nk = N(k)
-        mat = []
-        for j in range(m):
-            row = []
-            for jp in range(m):
-                s = sum(gd[j][mm] * bv[mm][jp] for mm in range(two_n))
-                row.append(s - nk[j][jp])
-            mat.append(row)
-        raw.append(mat)
-    for i in range(2, two_n):
-        ni = N(i)
-        raw.append([[-ni[j][jp] for jp in range(m)] for j in range(m)])
-
+    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
     c_matrices = tuple(_symmetrize(mat) for mat in raw)
     p = tuple(Fraction(x) for x in jet.p_reduced)
     c_values = tuple(
@@ -130,32 +123,13 @@ def structure_equation_coefficients(problem: HypersurfaceProblem,
 def structure_coefficient_forms(problem: HypersurfaceProblem):
     """Symbolic torsion quadratic-form matrices (RationalFunction entries)."""
     gb = compute_gamma_beta(problem)
-    two_n = problem.two_n
-    m = two_n - 2
     fvars = gb.internal_vars
-    dgamma = [[[r.differentiate(v) for v in fvars] for r in gb.gamma1],
-              [[r.differentiate(v) for v in fvars] for r in gb.gamma2]]
-    raw = []
-    for k in range(2):
-        mat = []
-        for j in range(m):
-            row = []
-            for jp in range(m):
-                s = sum((dgamma[k][j][mm] * gb.beta_full[mm][jp]
-                         for mm in range(two_n)),
-                        RationalFunction.from_const(fvars, 0))
-                db = [gb.beta_full[k][j].differentiate(v) for v in fvars]
-                s = s - (db[0] * gb.gamma1[jp] + db[1] * gb.gamma2[jp] + db[jp + 2])
-                row.append(s)
-            mat.append(row)
-        raw.append(mat)
-    for i in range(2, two_n):
-        mat = []
-        for j in range(m):
-            db = [gb.beta_full[i][j].differentiate(v) for v in fvars]
-            mat.append([-(db[0] * gb.gamma1[jp] + db[1] * gb.gamma2[jp] + db[jp + 2])
-                        for jp in range(m)])
-        raw.append(mat)
+    grads = lambda rows: [[[e.differentiate(v) for v in fvars] for e in row]
+                          for row in rows]
+    raw = _raw_torsion_matrices((gb.gamma1, gb.gamma2),
+                                grads((gb.gamma1, gb.gamma2)), gb.beta_full,
+                                grads(gb.beta_full),
+                                RationalFunction.from_const(fvars, 0))
     return gb, raw
 
 
@@ -297,11 +271,6 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
             raw2[b][c] = raw2[b][c] + up
             raw2[a][d] = raw2[a][d] - up
     return _symmetrize(raw1), _symmetrize(raw2)
-
-
-def complex_torsion_quadratics(rho: Polynomial, f_point):
-    data = complex_B_coefficients(rho, f_point)
-    return data.c1, data.c2
 
 
 def evaluate_form(matrix, p):

@@ -179,6 +179,39 @@ def test_pseudo_ellipsoid_command(tmp_path):
     assert res["verdict"] == "violated" and res["off_surface"] is True
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"ks": [1] * 6}, "missing field pseudo_ellipsoid.alphas"),
+    ({"alphas": ["1"] * 6}, "missing field pseudo_ellipsoid.ks"),
+    ({"alphas": ["1"] * 6, "ks": "abc"}, "pseudo_ellipsoid.ks must be a list"),
+    ({"alphas": ["1"] * 6, "ks": [1, 1, "3/2", 1, 1, 1]},
+     "pseudo_ellipsoid.ks must be integers"),
+    ({"alphas": "1", "ks": [1] * 6}, "pseudo_ellipsoid.alphas must be a list"),
+    ({"alphas": 1, "ks": [1] * 6}, "pseudo_ellipsoid.alphas must be a list"),
+    (5, "pseudo_ellipsoid must be an object"),
+], ids=["no_alphas", "no_ks", "ks_string", "ks_fraction", "alphas_string",
+        "alphas_number", "block_number"])
+def test_bad_pseudo_ellipsoid_block_is_schema_violation(block, message, tmp_path,
+                                                        capsys):
+    doc = {"dimension_2n": 6, "pseudo_ellipsoid": block,
+           "points": {"Y0": ["1", "0", "1", "0", "0", "0"]}}
+    path = tmp_path / "pe.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["pseudo-ellipsoid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaViolation: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_non_list_point_is_schema_violation(tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["points"]["P"] = 7
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["involutivity", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "SchemaViolation: points.P must be a list of exact rationals\n")
+
+
 def test_matrix_structure_problem_file(tmp_path):
     # a general-structure problem through the file interface
     entries = [["0"] * 4 for _ in range(4)]

@@ -1,0 +1,36 @@
+"""Every golden CLI report is reproduced byte for byte.
+
+The files under tests/golden/ are written by scripts/record_golden.py; this
+test only reads them.  A change to one of them is a behaviour change.
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from diskeds.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+
+
+def test_golden_set_covers_every_builtin_command():
+    assert len(INDEX) == 62
+    for name in ("flat", "hyperquadric", "cusp"):
+        for fmt in ("json", "text"):
+            assert f"all-{name}-{fmt}" in INDEX
+            assert f"jets-{name}-{fmt}" in INDEX
+
+
+@pytest.mark.parametrize("case", sorted(INDEX))
+def test_golden_report(case):
+    expected = INDEX[case]
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(expected["argv"])
+    out.flush()
+    assert code == expected["exit"]
+    assert err.getvalue() == expected["stderr"]
+    assert out.buffer.getvalue() == (GOLDEN / f"{case}.out").read_bytes()

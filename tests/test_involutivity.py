@@ -13,8 +13,10 @@ from diskeds.involutivity import (
     involutivity_order,
     obstruction_bracket,
     prolongation_dims,
+    tableau_report,
 )
-from diskeds.linalg import mat_rank, row_times_matrix
+from diskeds import linalg
+from diskeds.linalg import mat_rank, nullity, row_times_matrix
 from oracles import (
     brute_force_dim_A1,
     on_chart_point,
@@ -286,6 +288,43 @@ def test_involutive_from_matches_span_condition():
                 first = q
                 break
         assert rep.involutive_from == first
+        done += 1
+
+
+def test_tableau_report_is_one_elimination(monkeypatch):
+    # every dim A^(q) and q0 come from one rank elimination of the first
+    # 2n-2 Krylov rows; the per-prefix nullities are the reference
+    rng = random.Random(24)
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counting(rows, ncols):
+        eliminations.append(len(rows))
+        return echelon(rows, ncols)
+
+    done = 0
+    while done < 6:
+        n = rng.choice((2, 3))
+        A, vs = random_constant_structure(rng, n, -1, 1)
+        rho = random_polynomial(rng, vs, 3, 6)
+        prob = HypersurfaceProblem(rho, A, (1, 2))
+        try:
+            pt = on_chart_point(rng, prob)
+        except AssertionError:
+            continue
+        gb = compute_gamma_beta(prob, pt)
+        dv = compute_D_vectors(gb)
+        eliminations.clear()
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        rep = tableau_report(gb, dv, Q=2 * n + 2)
+        monkeypatch.setattr(linalg, "_echelon", echelon)
+        assert eliminations == [2 * n - 2]
+        rows = [list(dv.D0)]
+        for _ in range(2 * n + 1):
+            rows.append(row_times_matrix(rows[-1], gb.beta))
+        m = 2 * n - 2
+        assert rep.dims == tuple(nullity(rows[:q], m) for q in range(1, 2 * n + 3))
+        assert rep.q0 == rep.involutive_from == m - rep.dims[-1]
         done += 1
 
 

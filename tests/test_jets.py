@@ -107,12 +107,12 @@ def test_reduce_redundant_marks_square_norm_rows():
     P = prolong_constraints(system)
     from diskeds.jets import extend_probe
     ext = extend_probe(P, probe)
-    reduced, dropped = reduce_redundant(P, [ext])
+    reduced, dropped = reduce_redundant(P, ext)
     sq = cx("w1_1*wb1_1 - w2_1*wb2_1", order=P.order)
     assert sq in set(reduced.equalities)
     P2 = prolong_constraints(P)
     ext2 = extend_probe(P2, ext)
-    reduced2, dropped2 = reduce_redundant(P2, [ext2])
+    reduced2, dropped2 = reduce_redundant(P2, ext2)
     mixed_row = cx("w1_2*wb1_1 - w2_2*wb2_1", order=P2.order)
     assert mixed_row in set(dropped2)
 
@@ -129,11 +129,31 @@ def test_stratum_dims_fixtures():
     rep_gen = stratum_analyze(system, probes["P_generic"])
     assert rep_gen.tableau_dim == 1 and rep_gen.complex_split
     assert rep_gen.torsion_free and rep_gen.verdict == "involutive_at_order_q"
-    rep_org = stratum_analyze(system, probes["P_origin"],
-                              reference_dims=[rep_gen.tableau_dim])
+    rep_org = stratum_analyze(system, probes["P_origin"])
     assert rep_org.tableau_dim == 2
     assert not rep_org.torsion_free
-    assert any("not locally constant" in w for w in rep_org.warnings)
+
+
+def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch):
+    # the torsion test and the redundancy reduction each linearize every
+    # prolonged equality once at the probe; neither re-freezes per candidate
+    calls = []
+    original = Polynomial.partial_evaluate
+
+    def counting(self, assignment):
+        calls.append(self)
+        return original(self, assignment)
+
+    for name, sname, pname in [("hyperquadric", "nonzero_velocity", "Q0"),
+                               ("cusp", "generic", "P_generic"),
+                               ("cusp", "vertex", "R0")]:
+        system, probes = _stratum(name, sname)
+        calls.clear()
+        monkeypatch.setattr(Polynomial, "partial_evaluate", counting)
+        stratum_analyze(system, probes[pname])
+        monkeypatch.setattr(Polynomial, "partial_evaluate", original)
+        prolonged = prolong_constraints(system)
+        assert 0 < len(calls) <= 2 * len(prolonged.equalities)
 
 
 def test_tableau_dim_bounded_by_2n_minus_2():

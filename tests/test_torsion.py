@@ -16,7 +16,6 @@ from diskeds.involutivity import compute_D_vectors
 from diskeds.torsion import (
     _coefficient_tables,
     complex_B_coefficients,
-    complex_torsion_quadratics,
     dim6_completed_square,
     dim6_definiteness,
     evaluate_form,
@@ -403,6 +402,7 @@ def test_points_only_conclusion_for_definite_forms():
 
 def test_complex_torsion_quadratics_entry_point():
     pt = (1, 0, 1, 0, 0, 0)
-    c1, c2 = complex_torsion_quadratics(HYPERQUADRIC2, pt)
     data = complex_B_coefficients(HYPERQUADRIC2, pt)
-    assert c1 == data.c1 and c2 == data.c2
+    assert (data.c1, data.c2) == quadratics_from_B(3, data.B_lower, data.B_upper)
+    for c in (data.c1, data.c2):
+        assert all(c[a][b] == c[b][a] for a in range(4) for b in range(4))
