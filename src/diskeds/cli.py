@@ -9,7 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
+from .errors import (
+    CrossCheckMismatch,
+    DiskEdsError,
+    IdenticallySingularD,
+    SchemaViolation,
+    SingularD,
+)
 from .geometry import choose_pair, compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
@@ -58,6 +64,8 @@ def _reasoned_problem(lp: LoadedProblem, point=None):
 
 
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
+    if opts.order is not None and opts.order < 0:
+        raise SchemaViolation(f"--order must be nonnegative, got {opts.order}")
     pname = _pick(lp.points, opts.point, "points")
     point = lp.points[pname]
     problem = _reasoned_problem(lp, point)
@@ -242,18 +250,26 @@ def _jets_conclusion(chain) -> str:
     return "not settled within the round budget"
 
 
+def _section(command, lp, opts) -> dict:
+    """One section of ``all``; a chart with D = 0 makes it not applicable."""
+    try:
+        return command(lp, opts)
+    except (SingularD, IdenticallySingularD) as exc:
+        return {"not_applicable": f"{type(exc).__name__}: {exc}"}
+
+
 def cmd_all(lp: LoadedProblem, opts) -> dict:
     out = {}
     if lp.problem is not None and lp.points:
-        out["involutivity"] = cmd_involutivity(lp, opts)
+        out["involutivity"] = _section(cmd_involutivity, lp, opts)
         if lp.jets:
-            out["torsion"] = cmd_torsion(lp, opts)
+            out["torsion"] = _section(cmd_torsion, lp, opts)
         if lp.two_n == 6 and lp.problem.structure.kind == "complex_standard":
-            out["dim6"] = cmd_dim6(lp, opts)
+            out["dim6"] = _section(cmd_dim6, lp, opts)
     for sname in sorted(lp.strata):
         sub = argparse.Namespace(**vars(opts))
         sub.stratum = sname
-        out[f"jets[{sname}]"] = cmd_jets(lp, sub)
+        out[f"jets[{sname}]"] = _section(cmd_jets, lp, sub)
     return out
 
 

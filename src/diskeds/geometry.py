@@ -18,9 +18,10 @@ and then beta_{i,j} = alpha_{i,1} gamma^1_j + alpha_{i,2} gamma^2_j
 exact scalars: rational functions of f (symbolic mode, the reference the
 tests differentiate), rationals (pointwise mode, feeding rank tests) and
 exact first jets (value and gradient at a point, feeding torsion and the
-polar maps).  All modes agree wherever they are defined.  The pointwise
-modes evaluate rho's gradient and the structure entries once, in user
-coordinates, and only re-index those values into a chart's internal order.
+polar maps).  All modes agree wherever they are defined.  One builder runs
+them all: the modes differ only in how each input (a first derivative of
+rho or a structure entry) becomes a scalar, taken once in user coordinates
+and only re-indexed into a chart's internal order.
 """
 from __future__ import annotations
 
@@ -65,19 +66,6 @@ class StructureMatrix:
     entries: tuple  # 2n x 2n tuple of tuples of RationalFunction
     kind: str = "general"
     warnings: tuple = ()
-
-    def entry(self, j, i):
-        """1-based access to alpha_{j,i}."""
-        return self.entries[j - 1][i - 1]
-
-    def permuted(self, order):
-        return StructureMatrix(
-            self.n,
-            tuple(tuple(_permute_ratfn(self.entries[j][i], order)
-                        for i in order) for j in order),
-            self.kind,
-            self.warnings,
-        )
 
 
 def complex_standard(n: int, variables=None) -> StructureMatrix:
@@ -140,7 +128,6 @@ def make_structure_from_pair(a: RationalFunction, b: RationalFunction,
 class FirstJetPoint:
     f: tuple          # base point, user coordinate order
     p_reduced: tuple  # p^3_1..p^{2n}_1 in relabeled coordinates
-    off_surface: bool = False
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ class HypersurfaceProblem:
         if value != 0 and not allow_off_surface:
             raise DimensionMismatch(
                 f"point is off the hypersurface: rho = {value}")
-        return FirstJetPoint(f, p_reduced, off_surface=(value != 0))
+        return FirstJetPoint(f, p_reduced)
 
 
 @dataclass(frozen=True)
@@ -215,7 +202,6 @@ class GammaBetaData:
     gamma1: tuple           # length 2n-2, internal j = 3..2n
     gamma2: tuple
     beta_full: tuple        # 2n rows x (2n-2) cols, internal order
-    point_internal: tuple = None
 
     @property
     def two_n(self):
@@ -255,12 +241,6 @@ class GammaBetaData:
         return True
 
 
-def _internal_pieces(problem: HypersurfaceProblem):
-    """rho and the structure over the internal table (symbolic mode)."""
-    order = problem.internal_order()
-    return permute_polynomial(problem.rho, order), problem.structure.permuted(order)
-
-
 def _times_alpha(row, alpha):
     """(row alpha)_i = sum_j row_j alpha_{j,i}."""
     two_n = len(row)
@@ -294,114 +274,94 @@ def _gammas_and_betas(grad, mu, D, alpha):
     return gamma1, gamma2, beta_full
 
 
-def _user_point(problem: HypersurfaceProblem, point):
+def _is_constant(e):
+    """A first derivative of rho (Polynomial) or a structure entry
+    (RationalFunction) that does not depend on f."""
+    if isinstance(e, RationalFunction):
+        return e.num.degree() == 0 and e.den.degree() == 0
+    return e.degree() == 0
+
+
+def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
+    """rho's first derivatives and the structure entries, user order, as
+    the scalars of one mode: RationalFunctions without a point, values at
+    the point, or with ``jets`` first jets there (a constant stays a
+    Fraction, so it costs no gradient arithmetic)."""
+    rho = problem.rho
+    derivs = tuple(rho.differentiate(v) for v in rho.vars)
+    entries = problem.structure.entries
+    if point is None:
+        return tuple(RationalFunction(d) for d in derivs), entries
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
-    return point
+    if jets:
+        scalar = lambda e: e.evaluate(point) if _is_constant(e) else e.first_jet(point)
+    else:
+        scalar = lambda e: e.evaluate(point)
+    return (tuple(scalar(d) for d in derivs),
+            tuple(tuple(scalar(e) for e in row) for row in entries))
 
 
-def _point_values(problem: HypersurfaceProblem, point):
-    """The point, rho's gradient and the structure entries there, all in
-    user coordinates: evaluated once, whatever chart reads them."""
-    point = _user_point(problem, point)
-    rho = problem.rho
-    alpha = tuple(tuple(e.evaluate(point) for e in row)
-                  for row in problem.structure.entries)
-    grad = tuple(rho.differentiate(v).evaluate(point) for v in rho.vars)
-    return point, grad, alpha
+def _reindex(x, order):
+    """One scalar over the chart's internal variable order."""
+    if isinstance(x, FirstJet):
+        return FirstJet(x.value, tuple(x.grad[i] for i in order))
+    if isinstance(x, RationalFunction):
+        return _permute_ratfn(x, order)
+    return x
 
 
-def _chart_order(problem: HypersurfaceProblem, grad, alpha, entry=lambda x: x):
-    """Re-index user-order values into the chart's internal order (pair
-    first); ``entry`` re-indexes each value itself when it has indices."""
+def _chart_order(problem: HypersurfaceProblem, point=None, jets=False):
+    """:func:`_inputs` re-indexed into the chart's internal order (pair
+    first), the variables of gradients and rational functions included."""
+    grad, alpha = _inputs(problem, point, jets)
     order = problem.internal_order()
-    return (tuple(entry(grad[i]) for i in order),
-            tuple(tuple(entry(alpha[j][i]) for i in order) for j in order))
+    return (tuple(_reindex(grad[i], order) for i in order),
+            tuple(tuple(_reindex(alpha[j][i], order) for i in order) for j in order))
+
+
+def _gamma_beta(problem: HypersurfaceProblem, point, jets) -> GammaBetaData:
+    """The one gamma/beta builder behind all three modes."""
+    grad, alpha = _chart_order(problem, point, jets)
+    mu, D = _mu_and_D(grad, alpha)
+    if (D.value if isinstance(D, FirstJet) else D) == 0:
+        # first-jet mode forms the symbolic D only here, to tell the errors apart
+        if point is None or (jets and _mu_and_D(*_chart_order(problem))[1].is_zero()):
+            raise IdenticallySingularD(
+                "D vanishes identically for this distinguished pair")
+        raise SingularD("D = 0 at this point; try another distinguished pair")
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
+    lift = lambda x: x
+    if jets:
+        zero_grad = (Fraction(0),) * problem.two_n
+        lift = lambda x: FirstJet.lift(x, zero_grad)
+    vec = lambda row: tuple(map(lift, row))
+    mat = lambda rows: tuple(map(vec, rows))
+    return GammaBetaData(problem, point is None, problem.sigma(),
+                         problem.to_internal(problem.rho.vars), mat(alpha),
+                         vec(grad), vec(mu), None if jets else _mu2(mu, alpha),
+                         lift(D), vec(gamma1), vec(gamma2), mat(beta_full))
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaData:
     """Symbolic mode when ``point`` is None, else exact pointwise mode.
 
-    ``point`` is given in the user's coordinate order.
+    ``point`` is given in the user's coordinate order.  Raises
+    IdenticallySingularD (symbolic) or SingularD (pointwise) when D = 0.
     """
-    if point is None:
-        rho_int, struct_int = _internal_pieces(problem)
-        alpha = struct_int.entries
-        grad = tuple(RationalFunction(rho_int.differentiate(v)) for v in rho_int.vars)
-        mu, D = _mu_and_D(grad, alpha)
-        if D.is_zero():
-            raise IdenticallySingularD(
-                "D vanishes identically for this distinguished pair")
-        gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
-        return GammaBetaData(problem, True, problem.sigma(), rho_int.vars, alpha,
-                             grad, mu, _mu2(mu, alpha), D, gamma1, gamma2, beta_full)
-
-    point, grad_user, alpha_user = _point_values(problem, point)
-    grad, alpha = _chart_order(problem, grad_user, alpha_user)
-    mu, D = _mu_and_D(grad, alpha)
-    if D == 0:
-        raise SingularD(
-            "D = 0 at this point; try another distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
-    return GammaBetaData(problem, False, problem.sigma(),
-                         problem.to_internal(problem.rho.vars), alpha, grad, mu,
-                         _mu2(mu, alpha), D, gamma1, gamma2, beta_full,
-                         point_internal=problem.to_internal(point))
-
-
-def _entry_first_jet(entry: RationalFunction, point):
-    """A structure entry's first jet at the point; a constant entry stays
-    a plain Fraction, so it costs no gradient arithmetic."""
-    if entry.num.degree() == 0 and entry.den.degree() == 0:
-        return entry.evaluate(point)
-    return entry.first_jet(point)
+    return _gamma_beta(problem, point, jets=False)
 
 
 def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     """Pointwise mode over exact first jets: every entry is a FirstJet
     holding its value and its gradient in the internal f-variables.
 
-    The same formulas as :func:`compute_gamma_beta`, seeded with rho's
-    first and second derivatives and each structure entry's value and
-    gradient at the point (constant entries as plain Fractions), so no
-    symbolic gamma/beta is ever formed.  Every entry leaves as a FirstJet.
     ``mu2`` is left as None (:func:`first_jet_values` forms it from the
     values).  Raises IdenticallySingularD when D vanishes identically and
     SingularD when it vanishes at the point only.
     """
-    point = _user_point(problem, point)
-    rho = problem.rho
-    alpha_user = tuple(tuple(_entry_first_jet(e, point) for e in row)
-                       for row in problem.structure.entries)
-    grad_user = tuple(rho.differentiate(v).first_jet(point) for v in rho.vars)
-    order = problem.internal_order()
-
-    def internal_jet(x):
-        if isinstance(x, FirstJet):
-            return FirstJet(x.value, tuple(x.grad[i] for i in order))
-        return x
-
-    grad, alpha = _chart_order(problem, grad_user, alpha_user, internal_jet)
-    mu, D = _mu_and_D(grad, alpha)
-    zero_grad = (Fraction(0),) * problem.two_n
-    lift = lambda row: tuple(FirstJet.lift(x, zero_grad) for x in row)
-    D_jet = FirstJet.lift(D, zero_grad)
-    if D_jet.value == 0:
-        # the symbolic D, formed on this path only, tells the two errors apart
-        rho_int, struct_int = _internal_pieces(problem)
-        grad_r = tuple(RationalFunction(rho_int.differentiate(v)) for v in rho_int.vars)
-        if _mu_and_D(grad_r, struct_int.entries)[1].is_zero():
-            raise IdenticallySingularD(
-                "D vanishes identically for this distinguished pair")
-        raise SingularD("D = 0 at this point; try another distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
-    return GammaBetaData(problem, False, problem.sigma(),
-                         problem.to_internal(rho.vars),
-                         tuple(lift(row) for row in alpha), grad, lift(mu), None,
-                         D_jet, lift(gamma1), lift(gamma2),
-                         tuple(lift(row) for row in beta_full),
-                         point_internal=problem.to_internal(point))
+    return _gamma_beta(problem, point, jets=True)
 
 
 def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
@@ -450,26 +410,18 @@ def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
 
 
 def choose_pair(problem: HypersurfaceProblem, point=None):
-    """First distinguished pair (scanned in index order) with D != 0.
+    """First distinguished pair (scanned in index order) with D != 0,
+    symbolically or at ``point``.
 
-    At a point, rho's gradient and mu are evaluated once and each pair's
-    D = rho_a mu_b - rho_b mu_a is read off them; without a point each
-    pair's symbolic D is formed in turn.
+    rho's gradient and mu are formed once and each pair's
+    D = rho_a mu_b - rho_b mu_a is read off them.
     """
-    pairs = combinations(range(1, problem.two_n + 1), 2)
-    if point is not None:
-        _, grad, alpha = _point_values(problem, point)
-        mu = _times_alpha(grad, alpha)
-        for i1, i2 in pairs:
-            if grad[i1 - 1] * mu[i2 - 1] - grad[i2 - 1] * mu[i1 - 1] != 0:
-                return (i1, i2)
-        raise SingularD("D = 0 at the point for every distinguished pair")
-    last_error = None
-    for pair in pairs:
-        try:
-            compute_gamma_beta(problem.with_pair(pair))
-            return pair
-        except (SingularD, IdenticallySingularD) as exc:
-            last_error = exc
-    raise IdenticallySingularD(
-        "D vanishes identically for every distinguished pair") from last_error
+    grad, alpha = _inputs(problem, point)
+    mu = _times_alpha(grad, alpha)
+    for a, b in combinations(range(problem.two_n), 2):
+        if grad[a] * mu[b] - grad[b] * mu[a] != 0:
+            return (a + 1, b + 1)
+    if point is None:
+        raise IdenticallySingularD(
+            "D vanishes identically for every distinguished pair")
+    raise SingularD("D = 0 at the point for every distinguished pair")

@@ -2,15 +2,13 @@
 
 Rank and nullspace questions here are yes/no algebraic properties, so
 everything is decided by exact elimination with exact zero tests; there
-are no thresholds.  Rational matrices additionally get a fraction-free
-Bareiss determinant (integer arithmetic after clearing denominators).
-Entries only need +, -, *, / and == 0, so RationalFunction matrices work
-through the same code paths (giving ranks at the generic point).
+are no thresholds.  Entries only need +, -, *, / and == 0, so
+RationalFunction matrices work through the same code paths (giving ranks
+at the generic point).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def _echelon(rows, ncols):
@@ -107,52 +105,13 @@ def solve_particular(matrix, rhs):
 
 
 def det(matrix):
-    """Exact determinant; Bareiss on rational input, division method otherwise."""
+    """Exact determinant by elimination; integer entries give a Fraction."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    if all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
-        return _det_bareiss(matrix)
-    return _det_division(matrix)
-
-
-def _det_bareiss(matrix):
-    n = len(matrix)
-    scale = Fraction(1)
-    rows = []
-    for row in matrix:
-        l = 1
-        for x in row:
-            d = Fraction(x).denominator
-            l = l * d // gcd(l, d)
-        scale = scale / l
-        rows.append([int(Fraction(x) * l) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return Fraction(0)
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * scale * rows[n - 1][n - 1]
-
-
-def _det_division(matrix):
-    rows = [list(row) for row in matrix]
-    n = len(rows)
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
     sign = 1
     out = None
     for c in range(n):

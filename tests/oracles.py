@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from diskeds.errors import SingularD
+from diskeds.errors import IdenticallySingularD, SingularD
 from diskeds.expr import Polynomial, RationalFunction
 from diskeds.geometry import HypersurfaceProblem, compute_gamma_beta, structure_from_entries
 from diskeds.linalg import nullity, nullspace, solve_particular
@@ -76,17 +76,20 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
             tuple(grads(row) for row in gb.beta_full))
 
 
-def choose_pair_by_builds(problem: HypersurfaceProblem, point):
-    """The fallback pair scan by a full pointwise gamma/beta build per
-    candidate pair: the first pair, in index order, whose build succeeds."""
+def choose_pair_by_builds(problem: HypersurfaceProblem, point=None):
+    """The fallback pair scan by a full gamma/beta build per candidate pair,
+    symbolic without a point: the first pair, in index order, whose build
+    succeeds."""
     two_n = problem.two_n
     for i1 in range(1, two_n + 1):
         for i2 in range(i1 + 1, two_n + 1):
             try:
                 compute_gamma_beta(problem.with_pair((i1, i2)), point)
                 return (i1, i2)
-            except SingularD:
+            except (SingularD, IdenticallySingularD):
                 continue
+    if point is None:
+        raise IdenticallySingularD("D vanishes identically for every distinguished pair")
     raise SingularD("D = 0 at the point for every distinguished pair")
 
 

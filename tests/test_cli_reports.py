@@ -280,6 +280,17 @@ def test_order_flag_controls_prolongation_depth():
     assert json.loads(out)["results"]["dims"] == [4, 4]
 
 
+@pytest.mark.parametrize("command", ["involutivity", "all"])
+def test_negative_order_exit_2(command, capsys):
+    assert cli.main([command, "hyperquadric", "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SchemaViolation: --order must be nonnegative")
+    # --order 0 is accepted and asks for no prolongation dimensions
+    assert cli.main(["involutivity", "hyperquadric", "--order", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dims"] == []
+
+
 def test_jets_probe_selection():
     rc, out, _ = run_cli("jets", "cusp", "--stratum", "generic",
                          "--probe", "P_origin")
@@ -311,12 +322,33 @@ def test_pair_fallback_reports_coordinate_mapping(tmp_path):
     assert sorted(pair + res["reduced_coordinates"]) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("command", ["complex-forms", "dim6", "all"])
+@pytest.mark.parametrize("command", ["complex-forms", "dim6"])
 def test_identically_singular_D_exit_2(command):
     rc, out, err = run_cli(command, "flat")
     assert rc == 2 and out == b""
     assert err.startswith(b"IdenticallySingularD: ")
     assert b"Traceback" not in err
+
+
+def test_all_flat_reports_dim6_not_applicable():
+    # dim6 hard-wires the pair (1, 2), where D vanishes identically on flat;
+    # the other sections still run
+    rc, out, err = run_cli("all", "flat")
+    assert rc == 0 and err == b""
+    results = json.loads(out)["results"]
+    assert sorted(results) == ["dim6", "involutivity", "jets[base]", "torsion"]
+    assert results["dim6"] == {"not_applicable": "IdenticallySingularD: D vanishes "
+                               "identically for this distinguished pair"}
+    assert results["involutivity"]["dims"] == [4, 4, 4, 4]
+    assert results["torsion"]["absorbable"] is True
+
+
+def test_all_cross_check_failure_still_exit_3(monkeypatch, capsys):
+    def boom(*a, **k):
+        raise CrossCheckMismatch("synthetic")
+    monkeypatch.setattr(cli, "cmd_dim6", boom)
+    assert cli.main(["all", "hyperquadric"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 # hyperquadric with rho_1 = rho_2 = 0 at P0: D = -(rho_1^2 + rho_2^2)
@@ -339,6 +371,20 @@ def test_D_zero_at_the_jet_only_exit_2(command, tmp_path):
     assert rc == 2 and out == b""
     assert err.startswith(b"SingularD: ")
     assert b"Traceback" not in err
+
+
+def test_all_marks_each_section_singular_at_the_point(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_AT_JET))
+    assert cli.main(["all", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {
+        "involutivity": {"not_applicable": "SingularD: D = 0 at this point; "
+                         "try another distinguished pair"},
+        "torsion": {"not_applicable": "SingularD: D = 0 at this point; "
+                    "try another distinguished pair"},
+        "dim6": {"not_applicable": "SingularD: rho_1^2 + rho_2^2 = 0 at the point"},
+    }
 
 
 def test_torsion_command_builds_structure_equations_once(monkeypatch, capsys):

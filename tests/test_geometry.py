@@ -148,7 +148,7 @@ def test_make_jet_surface_enforcement():
     with pytest.raises(DimensionMismatch):
         prob.make_jet((1, 1, 1, 0, 0, 0), (0, 0, 0, 0))
     jet = prob.make_jet((1, 1, 1, 0, 0, 0), (0, 0, 0, 0), allow_off_surface=True)
-    assert jet.off_surface
+    assert prob.rho.evaluate(jet.f) != 0
 
 
 def test_resubstitution_invariants_random():
@@ -210,7 +210,10 @@ def test_relabeling_coherence():
 
     perm = [2, 0, 3, 1]  # new position i holds old coordinate perm[i]
     rho_p = permute_polynomial(rho, perm)
-    A_p = prob.structure.permuted(perm)
+    A_p = structure_from_entries(2, [[RationalFunction(
+        permute_polynomial(prob.structure.entries[j][i].num, perm),
+        permute_polynomial(prob.structure.entries[j][i].den, perm))
+        for i in perm] for j in perm])
     new_pos = {old: new for new, old in enumerate(perm)}
     prob_p = HypersurfaceProblem(rho_p, A_p,
                                  (new_pos[0] + 1, new_pos[1] + 1))
@@ -306,6 +309,34 @@ def test_one_pass_pair_scan_on_flat_and_when_no_pair_works():
                                         for i in range(4)])
     prob = HypersurfaceProblem(parse_expression("f1 + f2^2 - f3 + f4", vs), scalar, (1, 2))
     assert _scan_both_ways(prob, (1, 1, 1, -1)) is None
+
+
+@pytest.mark.parametrize("make", [random_constant_structure, random_polynomial_structure])
+def test_symbolic_pair_scan_equals_per_pair_builds(make):
+    # rho free of f1, f2 makes D vanish identically for (1, 2); zeroing
+    # alpha's first two columns too makes it vanish for every pair that
+    # holds 1 or 2, and alpha = 2 I for every pair
+    rng = random.Random(70 + (make is random_polynomial_structure))
+    for case in range(6):
+        A, vs = make(rng, 2)
+        zero = RationalFunction.from_const(vs, 0)
+        if case % 3 == 1:
+            A = structure_from_entries(2, [[zero if i < 2 else e for i, e in enumerate(row)]
+                                           for row in A.entries])
+        if case % 3 == 2:
+            two = RationalFunction.from_const(vs, 2)
+            A = structure_from_entries(2, [[two if i == j else zero for j in range(4)]
+                                           for i in range(4)])
+        rho = random_polynomial(rng, vs[2:], 3, 6).extend_to(vs) + parse_expression("f3", vs)
+        prob = HypersurfaceProblem(rho, A, (1, 2))
+        try:
+            want = choose_pair_by_builds(prob)
+        except IdenticallySingularD as exc:
+            with pytest.raises(IdenticallySingularD) as got:
+                choose_pair(prob)
+            assert str(got.value) == str(exc)
+            continue
+        assert choose_pair(prob) == want != (1, 2)
 
 
 def _rho_grad_alpha_squared(grad, alpha, zero):

@@ -1,7 +1,8 @@
 """Exact linear algebra: rank, nullspace, determinant, solving."""
 from fractions import Fraction
+from itertools import combinations, permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskeds.expr import Polynomial, RationalFunction
 from diskeds.linalg import (
@@ -58,12 +59,33 @@ sq = st.integers(1, 4).flatmap(
         min_size=n, max_size=n))
 
 
-@given(sq)
-@settings(max_examples=60, deadline=None)
-def test_bareiss_det_matches_division_free(m):
-    m = [[Fraction(x) for x in row] for row in m]
-    from diskeds.linalg import _det_bareiss, _det_division
-    assert _det_bareiss(m) == _det_division(m)
+def leibniz_det(m):
+    """Sum over permutations of signed products of entries."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        term = Fraction((-1) ** inversions)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+entry = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5))
+square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(square)
+@example([])
+@example([[2, 1], [1, 3]])
+@example([[0, 1], [1, 0]])
+@settings(max_examples=80, deadline=None)
+def test_det_matches_leibniz_expansion(m):
+    # int and Fraction entries, orders 0..4; the result is always a Fraction
+    d = det(m)
+    assert type(d) is Fraction
+    assert d == leibniz_det(m)
 
 
 @given(sq)

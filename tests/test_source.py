@@ -3,6 +3,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "diskeds"
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 
 
 def test_no_assert_statements_in_the_package():
@@ -12,4 +13,26 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_floats_in_the_package():
+    # exact arithmetic only: no float literal, no float(...) call, no
+    # import of math (its functions return floats) and from math only its
+    # integer functions
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: float literal")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "math" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math" and any(
+                    alias.name not in INTEGER_MATH for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: from math import")
     assert found == []
