@@ -47,9 +47,11 @@ from .integral_element import (
 )
 from .jets import (
     JetConstraintSystem,
+    Linearization,
     StratumReport,
     involution_loop,
     levi_form,
+    linearize,
     make_system,
     prolong_constraints,
     reduce_redundant,

@@ -19,7 +19,7 @@ from .errors import (
 from .geometry import choose_pair, compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
-from .jets import involution_loop
+from .jets import involution_loop, linearize
 from .reports import (
     LoadedProblem,
     Report,
@@ -209,11 +209,17 @@ def cmd_jets(lp: LoadedProblem, opts) -> dict:
         raise SchemaViolation(f"stratum {sname!r} declares no probes")
     selected = sorted(probes) if opts.probe is None else [
         _pick(probes, opts.probe, "probes")]
-    chains = {}
+    chains, base_dims = {}, {}
     for pname in sorted(probes):
-        chains[pname] = involution_loop(system, probes[pname],
-                                        max_rounds=opts.rounds)
-    base_dims = {pname: chains[pname].dims[0] for pname in chains}
+        if pname in selected:
+            chains[pname] = involution_loop(system, probes[pname],
+                                            max_rounds=opts.rounds)
+            base_dims[pname] = chains[pname].dims[0]
+        else:
+            # only the base tableau, for the locally-constant check
+            lin = linearize(system, probes[pname])
+            lin.satisfied()
+            base_dims[pname] = lin.tableau[0]
     min_dim = min(base_dims.values())
     out_probes = {}
     for pname in selected:

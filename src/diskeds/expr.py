@@ -29,6 +29,7 @@ from .errors import (
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
     NotComplexifiedMode,
+    SchemaViolation,
     UnknownVariable,
 )
 from .exact import (
@@ -558,6 +559,8 @@ class _Parser:
 
 def parse_expression(text, variables, complexified=False) -> Polynomial:
     """Parse ``text`` into the expanded canonical polynomial."""
+    if not isinstance(text, str):
+        raise SchemaViolation(f"an expression must be a string, got {text!r}")
     return _Parser(_tokenize(text), variables, complexified).parse()
 
 

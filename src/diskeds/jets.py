@@ -9,9 +9,10 @@ by z_l -> w_l, w_l^(j) -> w_l^(j+1) and kills every barred variable
 system adds D_t g, D_tb g and D_t D_tb g for every equality and re-closes
 under conjugation.
 
-At a probe point (exact values for all current jet variables) the tableau
-is the kernel of the Jacobian of the equalities with respect to the
-top-order variables.  When no equality structurally couples barred and
+Each (system, probe) is linearized once; the probe check, the tableau,
+the torsion test and the redundancy reduction read that one table.  The
+tableau is the kernel of the Jacobian of the equalities with respect to
+the top-order variables.  When no equality structurally couples barred and
 unbarred top variables the system splits into conjugate halves and the
 complex dimension (half the kernel dimension) is reported; mixed systems
 report the full kernel dimension, which equals the real dimension of the
@@ -22,6 +23,7 @@ top variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -65,35 +67,35 @@ def _is_barred(name: str) -> bool:
     return name.startswith(("zb", "wb"))
 
 
-def _dt_image(name: str, table):
-    """D_t on generators; None means zero."""
-    if _is_barred(name):
-        return None
+def _next_jet(name: str, table):
+    """z_l -> w_l and w_l^(k) -> w_l^(k+1); barred names map to barred names."""
+    w = "wb" if _is_barred(name) else "w"
+    base = name[len(w):]
     if name.startswith("z"):
-        target = "w" + name[1:]
+        target = w + base
+    elif "_" in base:
+        l, k = base.split("_", 1)
+        target = f"{w}{l}_{int(k) + 1}"
     else:
-        base = name[1:]
-        if "_" in base:
-            l, k = base.split("_", 1)
-            target = f"w{l}_{int(k) + 1}"
-        else:
-            target = f"w{base}_1"
+        target = f"{w}{base}_1"
     if target not in table:
         raise NotComplexifiedMode(f"table lacks {target}; extend the jet order first")
     return Polynomial.var(table, target)
 
 
+def _derivation(p: Polynomial, barred: bool) -> Polynomial:
+    return p.derive({v: _next_jet(v, p.vars) for v in p.used_variables()
+                     if _is_barred(v) == barred})
+
+
 def d_t(p: Polynomial) -> Polynomial:
-    images = {}
-    for v in p.used_variables():
-        img = _dt_image(v, p.vars)
-        if img is not None:
-            images[v] = img
-    return p.derive(images)
+    """D_t: z_l -> w_l, w_l^(k) -> w_l^(k+1); barred generators go to zero."""
+    return _derivation(p, barred=False)
 
 
 def d_tbar(p: Polynomial) -> Polynomial:
-    return conjugate_involution(d_t(conjugate_involution(p)))
+    """D_tb: zb_l -> wb_l, wb_l^(k) -> wb_l^(k+1); unbarred generators go to zero."""
+    return _derivation(p, barred=True)
 
 
 # ----------------------------------------------------------------------
@@ -134,13 +136,9 @@ def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSys
         raise DimensionMismatch("declared order below the highest jet present")
     table = jet_table(n, order)
     eqs = [p.extend_to(table) for p in eqs]
-    ops = []
-    for o in openings:
-        if isinstance(o, Opening):
-            ops.append(Opening(o.poly.extend_to(table), o.sign))
-        else:
-            ops.append(Opening(o.extend_to(table), "nonzero"))
-    return JetConstraintSystem(n, order, _normalize(eqs), tuple(ops))
+    ops = tuple(Opening(o.poly.extend_to(table), o.sign) if isinstance(o, Opening)
+                else Opening(o.extend_to(table)) for o in openings)
+    return JetConstraintSystem(n, order, _normalize(eqs), ops)
 
 
 def _normalize(eqs):
@@ -178,30 +176,16 @@ def substitute_vanishing(system: JetConstraintSystem) -> JetConstraintSystem:
     """Propagate bare-variable equalities (c*v = 0) through the system."""
     eqs = list(system.equalities)
     while True:
-        zero_vars = set()
-        for p in eqs:
-            if len(p.terms) == 1:
-                exps, _ = next(iter(p.terms.items()))
-                if sum(exps) == 1:
-                    zero_vars.add(p.vars[exps.index(1)])
-        if not zero_vars:
-            break
-        changed = False
-        new_eqs = []
-        for p in eqs:
-            if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1:
-                new_eqs.append(p)
-                continue
-            q = Polynomial(p.vars, {e: c for e, c in p.terms.items()
-                                    if not any(e[i] and p.vars[i] in zero_vars
-                                               for i in range(len(p.vars)))})
-            if q.terms != p.terms:
-                changed = True
-            new_eqs.append(q)
+        bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
+        zero = {p.vars[next(iter(p.terms)).index(1)] for p in bare}
+        new_eqs = [p if p in bare else
+                   Polynomial(p.vars, {e: c for e, c in p.terms.items()
+                                       if not any(k and v in zero
+                                                  for k, v in zip(e, p.vars))})
+                   for p in eqs]
+        if new_eqs == eqs:
+            return replace(system, equalities=_normalize(eqs))
         eqs = new_eqs
-        if not changed:
-            break
-    return replace(system, equalities=_normalize(eqs))
 
 
 # ----------------------------------------------------------------------
@@ -233,30 +217,8 @@ def probe_from_values(n: int, order: int, z_values, w_jets) -> dict:
     return probe
 
 
-def _point_for(p: Polynomial, probe: dict):
-    return [probe[v] for v in p.vars]
-
-
 def probe_satisfies(system: JetConstraintSystem, probe: dict, strict=True):
-    for p in system.equalities:
-        if p.evaluate(_point_for(p, probe)) != 0:
-            if strict:
-                raise ProbeViolatesStratum(
-                    f"probe violates equality {print_polynomial(p)}")
-            return False
-    for o in system.openings:
-        val = o.poly.evaluate(_point_for(o.poly, probe))
-        real = require_real(val)
-        ok = real != 0 and (o.sign == "nonzero"
-                            or (o.sign == "+" and real > 0)
-                            or (o.sign == "-" and real < 0))
-        if not ok:
-            if strict:
-                raise ProbeViolatesStratum(
-                    f"probe violates opening {print_polynomial(o.poly)} "
-                    f"(value {real}, required sign {o.sign})")
-            return False
-    return True
+    return linearize(system, probe).satisfied(strict)
 
 
 def extend_probe(system: JetConstraintSystem, probe: dict) -> dict:
@@ -269,45 +231,93 @@ def extend_probe(system: JetConstraintSystem, probe: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
+# one linearization per (system, probe)
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """Per equality of a system at one probe: its value, its gradient in the
+    top-order jets, whether a monomial of degree >= 2 in them survives
+    freezing the lower jets, and whether it involves a top jet at all.
+    Where the top jets are zero, value and gradient are the affine part."""
+    system: JetConstraintSystem
+    probe: dict
+    values: tuple
+    gradients: tuple
+    nonlinear: tuple
+    uses_top: tuple
+    mixed: bool        # some monomial couples plain and barred top jets
+
+    def satisfied(self, strict=True) -> bool:
+        """Equalities vanish and openings hold; ``strict`` raises instead."""
+        for p, value in zip(self.system.equalities, self.values):
+            if value != 0:
+                if strict:
+                    raise ProbeViolatesStratum(
+                        f"probe violates equality {print_polynomial(p)}")
+                return False
+        for o in self.system.openings:
+            val = o.poly.evaluate([self.probe[v] for v in o.poly.vars])
+            real = require_real(val)
+            ok = real != 0 and (o.sign == "nonzero"
+                                or (o.sign == "+" and real > 0)
+                                or (o.sign == "-" and real < 0))
+            if not ok:
+                if strict:
+                    raise ProbeViolatesStratum(
+                        f"probe violates opening {print_polynomial(o.poly)} "
+                        f"(value {real}, required sign {o.sign})")
+                return False
+        return True
+
+    @cached_property
+    def tableau(self):
+        return tableau_at_probe(self)
+
+
+def _power(point, exps):
+    out = 1
+    for x, e in zip(point, exps):
+        if e:
+            out = out * x ** e
+    return out
+
+
+def linearize(system: JetConstraintSystem, probe: dict) -> Linearization:
+    """One pass over the monomials of every equality at the probe."""
+    table, n = system.table, system.n
+    cut = len(table) - 2 * n    # the top-order jets close the table
+    low = [probe[v] for v in table[:cut]]
+    x = [probe[v] for v in table[cut:]]
+    values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
+    for p in system.equalities:
+        if p.vars != table:
+            raise CrossCheckMismatch("equality is not over the system's jet table")
+        frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
+        for exps, c in p.terms.items():
+            frozen[exps[cut:]] = frozen.get(exps[cut:], 0) + c * _power(low, exps)
+        live = [(e, c) for e, c in frozen.items() if c != 0]
+        values.append(normalize_scalar(sum(c * _power(x, e) for e, c in live)))
+        gradients.append(tuple(normalize_scalar(sum(
+            c * e[j] * _power(x, e[:j] + (e[j] - 1,) + e[j + 1:])
+            for e, c in live if e[j])) for j in range(2 * n)))
+        nonlinear.append(any(sum(e) >= 2 for e, _ in live))
+        uses_top.append(any(any(e) for e in frozen))
+        mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)
+    return Linearization(system, probe, tuple(values), tuple(gradients),
+                         tuple(nonlinear), tuple(uses_top), mixed)
+
+
+# ----------------------------------------------------------------------
 # tableau and torsion at a probe
 
 
-def top_variables(system: JetConstraintSystem):
-    plain = [v for v in system.table
-             if var_jet_order(v) == system.order and not _is_barred(v)]
-    barred = [v for v in system.table
-              if var_jet_order(v) == system.order and _is_barred(v)]
-    return plain, barred
-
-
-def _structurally_mixed(p: Polynomial, top_plain, top_barred) -> bool:
-    """Does some monomial contain both an unbarred and a barred top variable?"""
-    pi = [i for i, v in enumerate(p.vars) if v in top_plain]
-    bi = [i for i, v in enumerate(p.vars) if v in top_barred]
-    for exps in p.terms:
-        if any(exps[i] for i in pi) and any(exps[i] for i in bi):
-            return True
-    return False
-
-
-def tableau_at_probe(system: JetConstraintSystem, probe: dict):
+def tableau_at_probe(lin: Linearization):
     """(dimension, complex_split, jacobian rank) of the top-order tableau."""
-    plain, barred = top_variables(system)
-    tops = plain + barred
-    rows = []
-    mixed = False
-    for p in system.equalities:
-        used = p.used_variables()
-        if not used & set(tops):
-            continue
-        if _structurally_mixed(p, set(plain), set(barred)):
-            mixed = True
-        point = _point_for(p, probe)
-        row = [p.differentiate(v).evaluate(point) for v in tops]
-        rows.append(row)
+    rows = [g for g, used in zip(lin.gradients, lin.uses_top) if used]
     rank = mat_rank(rows) if rows else 0
-    null = len(tops) - rank
-    if not mixed:
+    null = 2 * lin.system.n - rank
+    if not lin.mixed:
         if null % 2:
             raise CrossCheckMismatch(
                 "unmixed top-order kernel does not split into conjugate halves")
@@ -315,82 +325,59 @@ def tableau_at_probe(system: JetConstraintSystem, probe: dict):
     return null, False, rank
 
 
-def _affine_parts(system: JetConstraintSystem, probe: dict):
-    """Each equality with the lower jets frozen at the probe, read as an
-    affine form in the top-order jets (table order).
-
-    Returns one (coefficients, constant, nonlinear) triple per equality;
-    ``nonlinear`` flags a frozen monomial of degree >= 2 in the top jets.
-    """
-    lower = {v: probe[v] for v in system.table
-             if var_jet_order(v) < system.order}
-    parts = []
-    for p in system.equalities:
-        q = p.partial_evaluate(lower)
-        lin = [Fraction(0)] * len(q.vars)
-        nonlinear = False
-        for exps, c in q.terms.items():
-            deg = sum(exps)
-            if deg == 1:
-                lin[exps.index(1)] = c
-            elif deg >= 2:
-                nonlinear = True
-        parts.append((lin, q.constant_term(), nonlinear))
-    return parts
-
-
 def torsion_at_probe(system: JetConstraintSystem, probe: dict):
     """Solvability of the prolonged system in the next-order jets.
 
-    Returns (torsion_free, prolonged system, extension probe or None,
-    nonlinear_alert list).
+    Returns (torsion_free, zero, extension, nonlinear): the prolonged
+    system linearized at the probe extended by zero top jets (the affine
+    parts the test solves) and at an exact extension that satisfies it, or
+    None; ``nonlinear`` counts the equalities nonlinear in the top jets.
     """
     prolonged = prolong_constraints(system)
-    new_vars = [v for v in prolonged.table if var_jet_order(v) == prolonged.order]
+    zero = linearize(prolonged, extend_probe(prolonged, probe))
     rows, rhs = [], []
-    nonlinear = []
-    for p, (lin, const, higher) in zip(prolonged.equalities,
-                                       _affine_parts(prolonged, probe)):
-        if higher:
-            nonlinear.append(p)
-        if any(x != 0 for x in lin) or const != 0:
-            rows.append(lin)
-            rhs.append(-const)
+    for grad, value in zip(zero.gradients, zero.values):
+        if value != 0 or any(x != 0 for x in grad):
+            rows.append(grad)
+            rhs.append(-value)
     solution = solve_particular(rows, rhs) if rows else []
     torsion_free = solution is not None
     extension = None
     if torsion_free:
-        ext = extend_probe(prolonged, probe)
-        if not probe_satisfies(prolonged, ext, strict=False):
+        extension = zero
+        if not zero.satisfied(strict=False):
+            extension = None
             if solution:
-                for v, val in zip(new_vars, solution):
+                ext = dict(zero.probe)
+                for v, val in zip(prolonged.table[-2 * prolonged.n:], solution):
                     ext[v] = normalize_scalar(val)
-                    cj = conjugate_name(v)
-                    ext[cj] = scalar_conj(normalize_scalar(val))
-            if not probe_satisfies(prolonged, ext, strict=False):
-                ext = None
-        extension = ext
-    return torsion_free, prolonged, extension, nonlinear
+                    ext[conjugate_name(v)] = scalar_conj(normalize_scalar(val))
+                candidate = linearize(prolonged, ext)
+                if candidate.satisfied(strict=False):
+                    extension = candidate
+    return torsion_free, zero, extension, sum(zero.nonlinear)
 
 
-def reduce_redundant(system: JetConstraintSystem, probe: dict):
-    """Drop top-order equalities whose affine part at the probe lies in the
-    span of the retained ones (nonlinear-in-top equalities are kept).
+def reduce_redundant(lin: Linearization):
+    """Drop top-order equalities whose affine part lies in the span of the
+    retained ones (nonlinear-in-top equalities are kept).
 
-    Returns (reduced system, dropped list).
+    ``lin`` linearizes the system at a probe whose top jets are zero, so it
+    holds the affine parts.  Returns (reduced system, dropped list).
     """
-    top = {v for v in system.table if var_jet_order(v) == system.order}
+    system = lin.system
+    if any(lin.probe[v] != 0 for v in system.table[-2 * system.n:]):
+        raise CrossCheckMismatch("affine parts need a probe with zero top jets")
     eqs = system.equalities
-    parts = _affine_parts(system, probe)
+    parts = [list(g) + [v] for g, v in zip(lin.gradients, lin.values)]
     retained = list(range(len(eqs)))
     dropped = []
     for idx in reversed(range(len(eqs))):
-        lin, const, higher = parts[idx]
-        if higher or not eqs[idx].used_variables() & top:
+        if lin.nonlinear[idx] or not lin.uses_top[idx]:
             continue
-        base = [parts[j][0] + [parts[j][1]] for j in retained
-                if j != idx and not parts[j][2]]
-        if in_row_span(base, lin + [const], len(top) + 1):
+        base = [parts[j] for j in retained
+                if j != idx and not lin.nonlinear[j]]
+        if in_row_span(base, parts[idx], len(parts[idx])):
             dropped.append(eqs[idx])
             retained.remove(idx)
     # keep conjugation closure: a dropped equality whose conjugate survived
@@ -412,8 +399,7 @@ class StratumReport:
     redundant_dropped: tuple
     verdict: str            # involutive_at_order_q | continue | blocked
     warnings: tuple
-    next_system: JetConstraintSystem
-    next_probe: dict
+    next: Linearization     # the reduced system at the extended probe; None if blocked
     trivial_velocities: bool
 
 
@@ -424,46 +410,43 @@ def _velocities_pinned(system: JetConstraintSystem) -> bool:
     for p in system.equalities:
         if p.degree() != 1 or p.constant_term() != 0:
             continue
-        used = p.used_variables()
-        if not used or not all(v in wvars for v in used):
+        coeffs = {p.vars[e.index(1)]: c for e, c in p.terms.items()}
+        if not all(v in wvars for v in coeffs):
             continue
-        rows.append([p.differentiate(v).constant_term() for v in wvars])
+        rows.append([coeffs.get(v, Fraction(0)) for v in wvars])
     return bool(rows) and mat_rank(rows) == system.n
 
 
-def stratum_analyze(system: JetConstraintSystem, probe: dict) -> StratumReport:
-    probe_satisfies(system, probe)
-    dim_now, split_now, _ = tableau_at_probe(system, probe)
-    torsion_free, prolonged, ext, nonlinear = torsion_at_probe(system, probe)
+def stratum_analyze(lin: Linearization) -> StratumReport:
+    """One round of the involution loop at ``lin.system`` and ``lin.probe``."""
+    lin.satisfied(strict=True)
+    dim_now, split_now, _ = lin.tableau
+    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin.system, lin.probe)
     warnings = []
     if nonlinear:
         warnings.append(
-            f"{len(nonlinear)} prolonged equalities are nonlinear in the top jets; "
+            f"{nonlinear} prolonged equalities are nonlinear in the top jets; "
             "their affine parts drive the torsion test")
+    following, dropped = None, []
     if ext is None:
         warnings.append("no exact extension of the probe to the prolonged system")
         verdict = "blocked"
-        reduced, dropped = prolonged, []
         dim_next = -1
     else:
-        reduced, dropped = reduce_redundant(prolonged, ext)
+        reduced, dropped = reduce_redundant(zero)
         reduced = substitute_vanishing(reduced)
-        dim_next, _, _ = tableau_at_probe(prolonged, ext)
-        dim_reduced, _, _ = tableau_at_probe(reduced, ext)
+        following = (ext if reduced == ext.system
+                     else linearize(reduced, ext.probe))
+        dim_next = ext.tableau[0]
+        dim_reduced = following.tableau[0]
         if dim_reduced != dim_next:
             warnings.append(
                 f"redundancy reduction changed the next tableau dimension "
                 f"({dim_next} -> {dim_reduced}); reporting the unreduced value")
-        if not torsion_free:
-            verdict = "blocked"
-        elif dim_next == dim_now:
-            verdict = "involutive_at_order_q"
-        else:
-            verdict = "continue"
+        verdict = "involutive_at_order_q" if dim_next == dim_now else "continue"
     return StratumReport(torsion_free, dim_now, split_now, dim_next,
-                         tuple(dropped), verdict,
-                         tuple(warnings), reduced, ext if ext else probe,
-                         _velocities_pinned(reduced if ext else system))
+                         tuple(dropped), verdict, tuple(warnings), following,
+                         _velocities_pinned((following or lin).system))
 
 
 @dataclass(frozen=True)
@@ -480,12 +463,11 @@ def involution_loop(initial: JetConstraintSystem, probe: dict,
         max_rounds = max(2 * initial.n - 2, 1)
     if max_rounds < 1:
         raise DimensionMismatch("max_rounds must be >= 1")
-    system = initial
-    current = dict(probe)
+    lin = linearize(initial, dict(probe))
     reports = []
     verdict = "rounds_exhausted"
     for _ in range(max_rounds):
-        rep = stratum_analyze(system, current)
+        rep = stratum_analyze(lin)
         reports.append(rep)
         if rep.verdict == "involutive_at_order_q":
             verdict = "involutive"
@@ -493,8 +475,7 @@ def involution_loop(initial: JetConstraintSystem, probe: dict,
         if rep.verdict == "blocked":
             verdict = "blocked"
             break
-        system = rep.next_system
-        current = rep.next_probe
+        lin = rep.next
     dims = [r.tableau_dim for r in reports]
     if reports and reports[-1].verdict == "involutive_at_order_q":
         dims.append(reports[-1].next_dim)
@@ -618,12 +599,8 @@ def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> dict:
     ``components`` are univariate Polynomials in the table ('t',); jets are
     exact derivatives at t0 (w^(k)_l = z_l^{(k+1)}(t0)).
     """
-    z_values = []
-    jets = []
     derivs = [list(components)]
-    for k in range(order):
+    for _ in range(order):
         derivs.append([q.differentiate("t") for q in derivs[-1]])
-    z_values = [q.evaluate((t0,)) for q in derivs[0]]
-    for k in range(1, order + 1):
-        jets.append([q.evaluate((t0,)) for q in derivs[k]])
-    return probe_from_values(n, order, z_values, jets)
+    values = [[q.evaluate((t0,)) for q in d] for d in derivs]
+    return probe_from_values(n, order, values[0], values[1:])

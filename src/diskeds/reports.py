@@ -123,8 +123,13 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         else:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
         structure_warnings = structure.warnings
-        pair = tuple(doc.get("distinguished_pair") or (1, 2))
-        problem = HypersurfaceProblem(rho, structure, pair)
+        pair = doc.get("distinguished_pair")
+        pair = [1, 2] if pair is None else pair
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
+                and all(type(i) is int and 1 <= i <= two_n for i in pair)):
+            raise SchemaViolation(f"distinguished_pair must be two distinct "
+                                  f"integers in 1..{two_n}, got {pair!r}")
+        problem = HypersurfaceProblem(rho, structure, tuple(pair))
 
     points = {}
     for pname, vec in (doc.get("points") or {}).items():
@@ -174,8 +179,11 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                 odoc = {"expr": odoc, "sign": "nonzero"}
             op = parse_expression(_field(odoc, "expr", f"strata.{sname}.openings[{k}]"),
                                   big, complexified=True)
-            openings.append(Opening(_shrink(op, small),
-                                    odoc.get("sign", "nonzero")))
+            sign = odoc.get("sign", "nonzero")
+            if sign not in ("+", "-", "nonzero"):
+                raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
+                                      f"\"+\", \"-\" or \"nonzero\", got {sign!r}")
+            openings.append(Opening(_shrink(op, small), sign))
         system = make_system(n, [_shrink(p, small) for p in parsed],
                              openings, order=max_order)
         probes = {}

@@ -294,7 +294,7 @@ def test_criterion_9_builtin_regressions():
     system, probes = lp.strata["vertex"]
     t7 = involution_loop(system, probes["R0"], max_rounds=3)
     assert t7.verdict == "involutive"
-    final = t7.reports[-1].next_system
+    final = t7.reports[-1].next.system
     low = sorted(print_polynomial(p) for p in final.equalities
                  if all(var_jet_order(v) <= 1 for v in p.used_variables()))
     assert low == ["w1", "w2", "w3", "wb1", "wb2", "wb3",

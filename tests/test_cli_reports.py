@@ -481,3 +481,72 @@ def test_jet_commands_build_first_jets_once_and_no_pointwise(command, monkeypatc
     counts = _count_gamma_beta_builds(monkeypatch)
     assert cli.main([command, "hyperquadric"]) == 0
     assert counts == {"pointwise": 0, "first_jets": 1}
+
+
+def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaViolation: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("pair", [
+    [1], [1, None], [1, 2, 3], [], [2, 2], [0, 2], [1, 5], [True, 2],
+    ["1", "2"], "12", 5, {"1": 2},
+], ids=["one", "null", "three", "empty", "equal", "zero", "above_2n", "bool",
+        "strings", "string", "number", "object"])
+def test_bad_distinguished_pair_is_schema_violation(pair, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["distinguished_pair"] = pair
+    err = _schema_exit_2(doc, tmp_path, capsys)
+    assert "distinguished_pair must be two distinct integers in 1..4" in err
+
+
+def test_declared_distinguished_pair_in_any_order_loads():
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["distinguished_pair"] = [2, 1]
+    assert build_problem(doc).problem.pair == (2, 1)
+
+
+@pytest.mark.parametrize("sign", ["?", "", "positive", 1, None])
+def test_unknown_opening_sign_is_schema_violation(sign, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["openings"][0]["sign"] = sign
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert "strata.S.openings[0].sign must be" in err
+
+
+@pytest.mark.parametrize("field", [
+    ("rho",), ("structure", "a"), ("structure", "A", 0, 0),
+    ("strata", "S", "equalities", 0), ("strata", "S", "openings", 0, "expr"),
+], ids=lambda field: ".".join(map(str, field)))
+@pytest.mark.parametrize("value", [5, ["f1"], None], ids=["int", "list", "null"])
+def test_non_string_expression_is_schema_violation(field, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    err = _schema_exit_2(doc, tmp_path, capsys)
+    assert "an expression must be a string" in err
+
+
+def test_jets_probe_runs_one_involution_loop(monkeypatch, capsys):
+    # the other probes only get the probe check and their base tableau,
+    # which the locally-constant warning compares against
+    calls = []
+    real = cli.involution_loop
+
+    def counting(system, probe, max_rounds=None):
+        calls.append(probe)
+        return real(system, probe, max_rounds=max_rounds)
+
+    monkeypatch.setattr(cli, "involution_loop", counting)
+    assert cli.main(["jets", "cusp", "--stratum", "generic",
+                     "--probe", "P_origin"]) == 0
+    assert len(calls) == 1
+    warnings = json.loads(capsys.readouterr().out)["results"]["probes"][
+        "P_origin"]["warnings"]
+    assert any("dimension 2 here vs 1 at other probes" in w for w in warnings)

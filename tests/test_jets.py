@@ -1,4 +1,5 @@
 """Jet prolongation, strata, involution loops, Levi form, conversions."""
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from diskeds.errors import ProbeViolatesStratum
 from diskeds.exact import gaussian
 from diskeds.expr import Polynomial, conjugate_involution, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
+from diskeds import jets
 from diskeds.jets import (
     complexify,
     curve_probe,
@@ -18,6 +20,7 @@ from diskeds.jets import (
     jet_table,
     jet_to_probe,
     levi_form,
+    linearize,
     make_system,
     probe_from_values,
     probe_satisfies,
@@ -107,53 +110,107 @@ def test_reduce_redundant_marks_square_norm_rows():
     P = prolong_constraints(system)
     from diskeds.jets import extend_probe
     ext = extend_probe(P, probe)
-    reduced, dropped = reduce_redundant(P, ext)
+    reduced, dropped = reduce_redundant(linearize(P, ext))
     sq = cx("w1_1*wb1_1 - w2_1*wb2_1", order=P.order)
     assert sq in set(reduced.equalities)
     P2 = prolong_constraints(P)
     ext2 = extend_probe(P2, ext)
-    reduced2, dropped2 = reduce_redundant(P2, ext2)
+    reduced2, dropped2 = reduce_redundant(linearize(P2, ext2))
     mixed_row = cx("w1_2*wb1_1 - w2_2*wb2_1", order=P2.order)
     assert mixed_row in set(dropped2)
 
 
 def test_stratum_dims_fixtures():
     system, probes = _stratum("hyperquadric", "nonzero_velocity")
-    rep = stratum_analyze(system, probes["Q0"])
+    rep = stratum_analyze(linearize(system, probes["Q0"]))
     assert rep.tableau_dim == 3 and not rep.complex_split
     assert rep.torsion_free
     assert rep.next_dim == 2
     assert rep.verdict == "continue"
 
     system, probes = _stratum("cusp", "generic")
-    rep_gen = stratum_analyze(system, probes["P_generic"])
+    rep_gen = stratum_analyze(linearize(system, probes["P_generic"]))
     assert rep_gen.tableau_dim == 1 and rep_gen.complex_split
     assert rep_gen.torsion_free and rep_gen.verdict == "involutive_at_order_q"
-    rep_org = stratum_analyze(system, probes["P_origin"])
+    rep_org = stratum_analyze(linearize(system, probes["P_origin"]))
     assert rep_org.tableau_dim == 2
     assert not rep_org.torsion_free
 
 
 def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch):
-    # the torsion test and the redundancy reduction each linearize every
-    # prolonged equality once at the probe; neither re-freezes per candidate
+    # the torsion test and the redundancy reduction share one linearization
+    # of the prolonged system; with the reduced system's linearization for
+    # the next tableau, a step freezes at most twice as many equalities as
+    # the prolonged system has, and never through partial_evaluate
     calls = []
-    original = Polynomial.partial_evaluate
+    original = jets.linearize
 
-    def counting(self, assignment):
-        calls.append(self)
-        return original(self, assignment)
+    def counting(system, probe):
+        calls.append(system)
+        return original(system, probe)
 
     for name, sname, pname in [("hyperquadric", "nonzero_velocity", "Q0"),
                                ("cusp", "generic", "P_generic"),
                                ("cusp", "vertex", "R0")]:
         system, probes = _stratum(name, sname)
+        lin = linearize(system, probes[pname])
         calls.clear()
-        monkeypatch.setattr(Polynomial, "partial_evaluate", counting)
-        stratum_analyze(system, probes[pname])
-        monkeypatch.setattr(Polynomial, "partial_evaluate", original)
+        monkeypatch.setattr(jets, "linearize", counting)
+        monkeypatch.setattr(Polynomial, "partial_evaluate", None)
+        stratum_analyze(lin)
+        monkeypatch.undo()
         prolonged = prolong_constraints(system)
-        assert 0 < len(calls) <= 2 * len(prolonged.equalities)
+        assert prolonged in calls
+        frozen = sum(len(s.equalities) for s in calls)
+        assert frozen <= 2 * len(prolonged.equalities)
+
+
+def test_involution_loop_reads_each_system_probe_pair_once(monkeypatch):
+    # one linearization and one tableau per (system, probe) over a whole
+    # loop, the reduced system's tableau carried into the next round; D_tb
+    # derives the barred generators directly, with no conjugation
+    linearized, tableaux, in_dtbar, conjugated, dtbar_calls = [], [], [], [], []
+
+    def key(system, probe):
+        return system, tuple(sorted((v, str(x)) for v, x in probe.items()))
+
+    def counting_linearize(system, probe, original=jets.linearize):
+        linearized.append(key(system, probe))
+        return original(system, probe)
+
+    def counting_tableau(lin, original=jets.tableau_at_probe):
+        tableaux.append(key(lin.system, lin.probe))
+        return original(lin)
+
+    def tracking_dtbar(p, original=jets.d_tbar):
+        dtbar_calls.append(p)
+        in_dtbar.append(p)
+        try:
+            return original(p)
+        finally:
+            in_dtbar.pop()
+
+    def counting_conjugation(p, original=jets.conjugate_involution):
+        if in_dtbar:
+            conjugated.append(p)
+        return original(p)
+
+    monkeypatch.setattr(jets, "d_tbar", tracking_dtbar)
+    monkeypatch.setattr(jets, "conjugate_involution", counting_conjugation)
+    monkeypatch.setattr(jets, "linearize", counting_linearize)
+    monkeypatch.setattr(jets, "tableau_at_probe", counting_tableau)
+    for name, sname in [("hyperquadric", "nonzero_velocity"), ("cusp", "generic"),
+                        ("cusp", "vertex"), ("flat", "base")]:
+        system, probes = _stratum(name, sname)
+        for probe in probes.values():
+            linearized.clear()
+            tableaux.clear()
+            chain = involution_loop(system, probe, max_rounds=5)
+            assert len(set(linearized)) == len(linearized)
+            assert len(set(tableaux)) == len(tableaux)
+            # each round reads its base tableau; a settled round the next one
+            assert len(tableaux) >= chain.rounds
+    assert dtbar_calls and not conjugated
 
 
 def test_tableau_dim_bounded_by_2n_minus_2():
@@ -162,7 +219,7 @@ def test_tableau_dim_bounded_by_2n_minus_2():
                         ("flat", "base")]:
         system, probes = _stratum(name, sname)
         for probe in probes.values():
-            rep = stratum_analyze(system, probe)
+            rep = stratum_analyze(linearize(system, probe))
             assert rep.tableau_dim <= 2 * system.n - 2
 
 
@@ -188,7 +245,7 @@ def test_involution_loop_cusp_vertex_collapse():
     chain = involution_loop(system, probes["R0"], max_rounds=4)
     assert chain.verdict == "involutive"
     assert chain.reports[-1].trivial_velocities
-    final = chain.reports[-1].next_system
+    final = chain.reports[-1].next.system
     low = sorted(print_polynomial(p) for p in final.equalities
                  if all(var_jet_order(v) <= 1 for v in p.used_variables()))
     assert low == ["w1", "w2", "w3", "wb1", "wb2", "wb3",
@@ -199,11 +256,11 @@ def test_probe_validation():
     system, probes = _stratum("hyperquadric", "nonzero_velocity")
     bad = probe_from_values(3, 1, [1, 1, 1], [[1, 1, 0]])  # rho != 0
     with pytest.raises(ProbeViolatesStratum):
-        stratum_analyze(system, bad)
+        stratum_analyze(linearize(system, bad))
     # opening violation: w = 0
     zero_w = probe_from_values(3, 1, [1, 1, 0], [[0, 0, 0]])
     with pytest.raises(ProbeViolatesStratum):
-        stratum_analyze(system, zero_w)
+        stratum_analyze(linearize(system, zero_w))
 
 
 def test_substitute_vanishing_collapses():
@@ -346,7 +403,40 @@ def test_small_dimension_flat_model():
     w2 = parse_expression("w2", table, complexified=True)
     system = make_system(n, [rho, w2])
     probe = probe_from_values(n, 1, [1, 0], [[1, 0]])
-    rep = stratum_analyze(system, probe)
+    rep = stratum_analyze(linearize(system, probe))
     assert rep.tableau_dim == 1 and rep.complex_split
     assert rep.torsion_free
     assert rep.verdict == "involutive_at_order_q"
+
+
+def _hyperquadric_type_stratum(n):
+    """2 Re z_n + sum_k s_k |z_k|^2 with signs + - + ..., its velocity
+    equation and its Levi-null condition, probed at z = w = (1, 1, 0, ...)."""
+    signs = ["+" if k % 2 else "-" for k in range(1, n)]
+
+    def terms(fmt):
+        return "".join(f" {s} {fmt.format(k=k)}" for k, s in enumerate(signs, 1))
+
+    ones = [["1", "0"]] * 2 + [["0", "0"]] * (n - 2)
+    return {
+        "dimension_2n": 2 * n,
+        "strata": {"levi_null": {
+            "equalities": [f"z{n} + zb{n}" + terms("z{k}*zb{k}"),
+                           f"w{n}" + terms("w{k}*zb{k}"),
+                           terms("w{k}*wb{k}").lstrip(" +")],
+            "openings": [{"expr": " + ".join(f"w{k}*wb{k}" for k in range(1, n)),
+                          "sign": "+"}],
+            "probes": {"P": {"z": ones, "w": ones}},
+        }},
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_jets_hyperquadric_type_above_n3(n, tmp_path, capsys):
+    from diskeds import cli
+    path = tmp_path / f"hyperquadric{n}.json"
+    path.write_text(json.dumps(_hyperquadric_type_stratum(n)))
+    assert cli.main(["jets", str(path)]) == 0
+    probe = json.loads(capsys.readouterr().out)["results"]["probes"]["P"]
+    assert probe["dims"] == [2 * n - 3, 2 * n - 4, 2 * n - 4]
+    assert probe["verdict"] == "involutive"
