@@ -24,8 +24,6 @@ from .involutivity import (
     DVectors,
     TableauReport,
     compute_D_vectors,
-    involutivity_order,
-    prolongation_dims,
     tableau_report,
 )
 from .torsion import (
@@ -50,7 +48,6 @@ from .jets import (
     Linearization,
     StratumReport,
     involution_loop,
-    levi_form,
     linearize,
     make_system,
     prolong_constraints,

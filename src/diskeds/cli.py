@@ -24,7 +24,6 @@ from .reports import (
     LoadedProblem,
     Report,
     _field,
-    _rat_vector,
     build_problem,
     emit_report,
     load_problem,
@@ -37,10 +36,6 @@ from .torsion import (
     structure_equation_coefficients,
     torsion_absorbable,
 )
-
-COMMANDS = ("involutivity", "torsion", "complex-forms", "dim6",
-            "pseudo-ellipsoid", "integral-element", "jets", "all")
-
 
 def _pick(named: dict, requested, what):
     if not named:
@@ -142,13 +137,11 @@ def cmd_dim6(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
-    pe = lp.pseudo_ellipsoid
+    pe = _field(lp.doc, "pseudo_ellipsoid", "", "object", required=False)
     if not pe:
         raise SchemaViolation("the problem has no pseudo_ellipsoid block")
-    if not isinstance(pe, dict):
-        raise SchemaViolation("pseudo_ellipsoid must be an object")
-    alphas, ks = (_rat_vector(_field(pe, key, "pseudo_ellipsoid"),
-                              f"pseudo_ellipsoid.{key}") for key in ("alphas", "ks"))
+    alphas, ks = (_field(pe, key, "pseudo_ellipsoid", "rationals")
+                  for key in ("alphas", "ks"))
     if any(k.denominator != 1 for k in ks):
         raise SchemaViolation("pseudo_ellipsoid.ks must be integers")
     pname = _pick(lp.points, opts.point, "points")
@@ -289,6 +282,7 @@ _DISPATCH = {
     "jets": cmd_jets,
     "all": cmd_all,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(command: str, problem_source: str, opts) -> Report:
@@ -327,14 +321,14 @@ def build_parser():
 def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
     try:
-        report = run_command(opts.command, opts.problem, opts)
+        out = emit_report(run_command(opts.command, opts.problem, opts), opts.fmt)
     except CrossCheckMismatch as exc:
         sys.stderr.write(f"internal cross-check failure: {exc}\n")
         return 3
     except DiskEdsError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    sys.stdout.buffer.write(emit_report(report, opts.fmt))
+    sys.stdout.buffer.write(out)
     return 0
 
 

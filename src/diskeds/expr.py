@@ -310,56 +310,6 @@ class Polynomial:
         return FirstJet(self.evaluate(point),
                         tuple(self.differentiate(v).evaluate(point) for v in self.vars))
 
-    def partial_evaluate(self, assignment):
-        """Substitute scalars for a subset of variables; table shrinks."""
-        keep = [i for i, v in enumerate(self.vars) if v not in assignment]
-        new_vars = tuple(self.vars[i] for i in keep)
-        res = {}
-        for exps, c in self.terms.items():
-            acc = c
-            for i, v in enumerate(self.vars):
-                if v in assignment and exps[i]:
-                    acc = acc * assignment[v] ** exps[i]
-            if acc == 0:
-                continue
-            e = tuple(exps[i] for i in keep)
-            s = res.get(e, 0) + acc
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return Polynomial(new_vars, res)
-
-    def substitute(self, mapping, target_vars):
-        """Full substitution var -> Polynomial over ``target_vars``."""
-        target_vars = tuple(target_vars)
-        one = Polynomial.const(target_vars, 1)
-        images = []
-        for name in self.vars:
-            img = mapping.get(name)
-            if img is None:
-                img = Polynomial.var(target_vars, name)
-            images.append(img)
-        out = Polynomial.zero(target_vars)
-        cache = [dict() for _ in images]
-
-        def power(i, e):
-            if e == 0:
-                return one
-            got = cache[i].get(e)
-            if got is None:
-                got = images[i] ** e
-                cache[i][e] = got
-            return got
-
-        for exps, c in self.terms.items():
-            acc = Polynomial.const(target_vars, c)
-            for i, e in enumerate(exps):
-                if e:
-                    acc = acc * power(i, e)
-            out = out + acc
-        return out
-
     def extend_to(self, new_vars):
         """Reinterpret over a larger table containing the current one."""
         new_vars = tuple(new_vars)

@@ -191,7 +191,6 @@ class GammaBetaData:
     table in symbolic mode."""
 
     problem: HypersurfaceProblem
-    symbolic: bool
     sigma: tuple            # internal 1-based -> original 1-based
     internal_vars: tuple
     alpha: tuple            # evaluated/symbolic structure entries, internal order
@@ -238,7 +237,6 @@ class GammaBetaData:
                        + self.alpha[i][j + 2])
                 if lhs != rhs:
                     raise CrossCheckMismatch("beta definition failed")
-        return True
 
 
 def _times_alpha(row, alpha):
@@ -338,7 +336,7 @@ def _gamma_beta(problem: HypersurfaceProblem, point, jets) -> GammaBetaData:
         lift = lambda x: FirstJet.lift(x, zero_grad)
     vec = lambda row: tuple(map(lift, row))
     mat = lambda rows: tuple(map(vec, rows))
-    return GammaBetaData(problem, point is None, problem.sigma(),
+    return GammaBetaData(problem, problem.sigma(),
                          problem.to_internal(problem.rho.vars), mat(alpha),
                          vec(grad), vec(mu), None if jets else _mu2(mu, alpha),
                          lift(D), vec(gamma1), vec(gamma2), mat(beta_full))

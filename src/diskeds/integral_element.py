@@ -2,7 +2,7 @@
 
 A candidate tangent plane is spanned by two vectors with x-components
 a^1, a^2 and reduced-jet components c^1, c^2; the line E_1 is generated by
-alpha*e_1 + beta*e_2, optionally perturbed by (eps_x, eps_theta, eps_p).
+alpha*e_1 + beta*e_2, optionally perturbed by (eps_x, eps_p).
 With the abbreviations
 
     A_1 = alpha a^1_1 + beta a^2_1 + eps_1      (and A_2 likewise)
@@ -54,7 +54,6 @@ class FlagSpec:
     alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(0)
     eps_x: tuple = None
-    eps_theta: tuple = None
     eps_p: tuple = None
 
     def resolved(self, two_n):
@@ -63,11 +62,10 @@ class FlagSpec:
         c1 = tuple(Fraction(x) for x in self.c1)
         c2 = tuple(Fraction(x) for x in self.c2)
         ex = tuple(Fraction(x) for x in (self.eps_x or (0, 0)))
-        et = tuple(Fraction(x) for x in (self.eps_theta or _zeros(two_n)))
         ep = tuple(Fraction(x) for x in (self.eps_p or _zeros(two_n - 2)))
         if len(a1) != 2 or len(a2) != 2 or len(c1) != two_n - 2 or len(c2) != two_n - 2:
             raise InadmissibleFlag("flag component lengths do not match the problem")
-        if len(ex) != 2 or len(et) != two_n or len(ep) != two_n - 2:
+        if len(ex) != 2 or len(ep) != two_n - 2:
             raise InadmissibleFlag("perturbation lengths do not match the problem")
         if self.alpha == 0 and self.beta == 0:
             raise InadmissibleFlag("(alpha, beta) = (0, 0)")
@@ -77,7 +75,7 @@ class FlagSpec:
         C = tuple(al * c1[i] + be * c2[i] + ep[i] for i in range(two_n - 2))
         if A1 == 0 and A2 == 0 and all(x == 0 for x in C):
             raise InadmissibleFlag("E_1 generator is zero")
-        return A1, A2, C, et
+        return A1, A2, C
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def build_polar_maps(problem: HypersurfaceProblem, jet: FirstJetPoint,
     it is built here otherwise."""
     two_n = problem.two_n
     m = two_n - 2
-    A1, A2, C, _ = flag.resolved(two_n)
+    A1, A2, C = flag.resolved(two_n)
     if rows is None:
         rows = _dtheta_row_data(problem, jet)
     x_degenerate = A1 == 0 and A2 == 0
@@ -245,8 +243,7 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     samples = []
     for label, ex, pat in _EPS_SAMPLES:
         eflag = FlagSpec(flag.a1, flag.a2, flag.c1, flag.c2, flag.alpha, flag.beta,
-                         eps_x=ex, eps_theta=None,
-                         eps_p=_sample_eps_p(two_n, pat) if pat else None)
+                         eps_x=ex, eps_p=_sample_eps_p(two_n, pat) if pat else None)
         try:
             eps_ps = build_polar_maps(problem, jet, eflag, rows)
         except InadmissibleFlag:
@@ -337,49 +334,3 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
         if verdict.regular:
             return SearchResult(flag, verdict, index, attempted)
     return SearchResult(None, None, -1, attempted)
-
-
-def perturbed_polar_matrix(problem: HypersurfaceProblem, jet: FirstJetPoint, flag: FlagSpec):
-    """Full polar-space system for a perturbed line, unknowns
-    (v_1, v_2, v_theta_1..v_theta_2n, v_p3..v_p2n)."""
-    two_n = problem.two_n
-    m = two_n - 2
-    A1, A2, C, et = flag.resolved(two_n)
-    dim = 2 + two_n + m
-    vth = lambda k: 2 + k          # 0-based theta slot k = 0..2n-1
-    vp = lambda i: 2 + two_n + i   # 0-based reduced-jet slot i = 0..m-1
-    rows = []
-    for k in range(two_n):
-        for i in range(2):
-            row = [Fraction(0)] * dim
-            row[vth(k)] = (A1, A2)[i]
-            row[i] = row[i] - et[k]
-            rows.append(row)
-        for ip in range(two_n):
-            row = [Fraction(0)] * dim
-            row[vth(k)] = row[vth(k)] + et[ip]
-            row[vth(ip)] = row[vth(ip)] - et[k]
-            rows.append(row)
-        for i in range(m):
-            row = [Fraction(0)] * dim
-            row[vth(k)] = row[vth(k)] + C[i]
-            row[vp(i)] = row[vp(i)] - et[k]
-            rows.append(row)
-    for x2c, xic, xlc in _dtheta_row_data(problem, jet):
-        row = [Fraction(0)] * dim
-        # X_2 = A1 v_2 - A2 v_1 ; X_i = C_i v_1 - A1 v_p_i ;
-        # X_{2n-2+i} = C_i v_2 - A2 v_p_i
-        row[1] += x2c * A1
-        row[0] -= x2c * A2
-        for i in range(m):
-            row[0] += xic[i] * C[i]
-            row[vp(i)] -= xic[i] * A1
-            row[1] += xlc[i] * C[i]
-            row[vp(i)] -= xlc[i] * A2
-        rows.append(row)
-    return rows, dim
-
-
-def perturbed_polar_nullity(problem, jet, flag) -> int:
-    rows, dim = perturbed_polar_matrix(problem, jet, flag)
-    return nullity(rows, dim)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossCheckMismatch
-from .geometry import GammaBetaData, HypersurfaceProblem, compute_gamma_beta
+from .geometry import GammaBetaData
 from .linalg import mat_rank, row_times_matrix
 
 
@@ -56,16 +56,13 @@ def compute_D_vectors(gb: GammaBetaData) -> DVectors:
     D2sq = gb.D * gb.D
     D0 = tuple(-b / D2sq for b in bracket)
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
-    if not gb.symbolic and r1 == 0 and r2 == 0:
+    if r1 == 0 and r2 == 0:
         # D = rho_1 mu_2 - rho_2 mu_1 != 0 forces a nonzero rho-pair, which
         # is what lets the two kernel rows collapse onto the single D0 row
         raise CrossCheckMismatch("rho_1 = rho_2 = 0 at a point with D != 0")
     D1 = tuple(r2 * x for x in D0)
     D2 = tuple(-r1 * x for x in D0)
-    if gb.symbolic:
-        _cross_check_sampled(gb, D0)
-    else:
-        _cross_check_exact(gb, D1, D2)
+    _cross_check_exact(gb, D1, D2)
     return DVectors(D0, D1, D2)
 
 
@@ -80,70 +77,13 @@ def _cross_check_exact(gb, D1, D2):
                     "closed-form obstruction row disagrees with gamma*beta - beta_k")
 
 
-def _cross_check_sampled(gb, D0):
-    """Symbolic mode: run the exact cross-check at deterministic points
-    where the denominators do not vanish (full symbolic cross-products are
-    needlessly expensive)."""
-    from fractions import Fraction
-    two_n = gb.two_n
-    hits = 0
-    for s in range(1, 40):
-        pt = tuple(Fraction(((s * (i + 3) ** 2 + i + s) % 11) - 5, 1 + (s + i) % 3)
-                   for i in range(two_n))
-        try:
-            if gb.D.evaluate(pt) == 0:
-                continue
-            g1 = [g.evaluate(pt) for g in gb.gamma1]
-            g2 = [g.evaluate(pt) for g in gb.gamma2]
-            beta = [[e.evaluate(pt) for e in row] for row in gb.beta_full]
-            d0 = [x.evaluate(pt) for x in D0]
-            r = [g.evaluate(pt) for g in gb.rho_grad[:2]]
-        except ZeroDivisionError:
-            continue
-        m = two_n - 2
-        for i in range(m):
-            want1 = sum(g1[j] * beta[j + 2][i] for j in range(m)) - beta[0][i]
-            want2 = sum(g2[j] * beta[j + 2][i] for j in range(m)) - beta[1][i]
-            if want1 != r[1] * d0[i] or want2 != -r[0] * d0[i]:
-                raise CrossCheckMismatch(
-                    "closed-form obstruction row disagrees with gamma*beta - beta_k")
-        hits += 1
-        if hits >= 3:
-            return
-    raise CrossCheckMismatch("no valid sample point for the symbolic cross-check")
-
-
 @dataclass(frozen=True)
 class TableauReport:
-    n: int
     dim_A: int
     dims: tuple       # dim A^(q) for q = 1..Q
     q0: int
     involutive_from: int
     involutive_at_0: bool
-    symbolic: bool = False
-
-
-def _normalize_row(row):
-    """Scale a symbolic row by its first nonzero entry (rank-neutral);
-    keeps rational-function growth flat along Krylov iterations."""
-    for x in row:
-        if x != 0:
-            return [y / x for y in row]
-    return row
-
-
-def _krylov_rows(D0, beta, count, symbolic=False):
-    rows = []
-    row = list(D0)
-    if symbolic:
-        row = _normalize_row(row)
-    for _ in range(count):
-        rows.append(row)
-        row = row_times_matrix(row, beta)
-        if symbolic:
-            row = _normalize_row(row)
-    return rows
 
 
 def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
@@ -158,22 +98,10 @@ def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
     m = gb.two_n - 2
     if Q is None:
         Q = m
-    d = mat_rank(_krylov_rows(dv.D0, gb.beta, m, symbolic=gb.symbolic))
+    rows = [list(dv.D0)]
+    while len(rows) < m:
+        rows.append(row_times_matrix(rows[-1], gb.beta))
+    d = mat_rank(rows)
     dims = [m - min(q, d) for q in range(1, max(Q, m) + 1)][:Q]
     at0 = all(x == 0 for x in dv.D0)
-    return TableauReport(gb.problem.n, m, tuple(dims), d, d, at0,
-                         symbolic=gb.symbolic)
-
-
-def prolongation_dims(problem: HypersurfaceProblem, f_point=None, Q=None) -> TableauReport:
-    """dim A^(q) for q = 1..Q plus the involutivity order.
-
-    ``f_point`` None runs the symbolic (generic-point) mode.
-    """
-    gb = compute_gamma_beta(problem, f_point)
-    return tableau_report(gb, compute_D_vectors(gb), Q)
-
-
-def involutivity_order(problem: HypersurfaceProblem, f_point=None) -> int:
-    """rank(D0, D0 beta, ..., D0 beta^{2n-3}); A^(q) is involutive for q >= this."""
-    return prolongation_dims(problem, f_point).q0
+    return TableauReport(m, tuple(dims), d, d, at0)

@@ -33,9 +33,8 @@ from .errors import (
     ProbeViolatesStratum,
     SchemaViolation,
 )
-from .exact import gaussian, normalize_scalar, require_real, scalar_conj
+from .exact import normalize_scalar, require_real, scalar_conj
 from .expr import Polynomial, conjugate_involution, conjugate_name, print_polynomial
-from .geometry import HypersurfaceProblem, StructureMatrix
 from .linalg import in_row_span, mat_rank, solve_particular
 
 
@@ -136,8 +135,7 @@ def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSys
         raise DimensionMismatch("declared order below the highest jet present")
     table = jet_table(n, order)
     eqs = [p.extend_to(table) for p in eqs]
-    ops = tuple(Opening(o.poly.extend_to(table), o.sign) if isinstance(o, Opening)
-                else Opening(o.extend_to(table)) for o in openings)
+    ops = tuple(Opening(o.poly.extend_to(table), o.sign) for o in openings)
     return JetConstraintSystem(n, order, _normalize(eqs), ops)
 
 
@@ -215,10 +213,6 @@ def probe_from_values(n: int, order: int, z_values, w_jets) -> dict:
     if set(probe) != set(table):
         raise CrossCheckMismatch("probe variables differ from the jet table")
     return probe
-
-
-def probe_satisfies(system: JetConstraintSystem, probe: dict, strict=True):
-    return linearize(system, probe).satisfied(strict)
 
 
 def extend_probe(system: JetConstraintSystem, probe: dict) -> dict:
@@ -482,125 +476,3 @@ def involution_loop(initial: JetConstraintSystem, probe: dict,
     if any(b > a for a, b in zip(dims, dims[1:])):
         raise CrossCheckMismatch("tableau dimensions must be non-increasing")
     return InvolutionChain(tuple(reports), tuple(dims), verdict, len(reports))
-
-
-# ----------------------------------------------------------------------
-# Levi form
-
-
-def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
-    """D^2 rho(p,p) + Drho(DJ(Jp)(p)) + Drho(J(DJ(p)(p))) + D^2 rho(Jp,Jp).
-
-    ``rho`` is a real-mode polynomial (complexified input is converted);
-    for constant J the two DJ terms vanish.  Returns (value, warnings).
-    """
-    if any(conjugate_name(v) for v in rho.vars):
-        rho = realify(rho)
-    two_n = len(rho.vars)
-    f_point = tuple(Fraction(x) for x in f_point)
-    p = tuple(Fraction(x) for x in p)
-    if len(f_point) != two_n or len(p) != two_n:
-        raise DimensionMismatch("point / vector length mismatch")
-    warnings = []
-    Jval = [[require_real(e.evaluate(f_point)) for e in row] for row in J.entries]
-    ident = [[sum(Jval[r][k] * Jval[k][s] for k in range(two_n))
-              for s in range(two_n)] for r in range(two_n)]
-    if any(ident[r][s] != (-1 if r == s else 0)
-           for r in range(two_n) for s in range(two_n)):
-        warnings.append("J^2 != -I at the point")
-    grad = [rho.differentiate(v).evaluate(f_point) for v in rho.vars]
-    hess = [[rho.differentiate(a).differentiate(b).evaluate(f_point)
-             for b in rho.vars] for a in rho.vars]
-    Jp = [sum(Jval[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
-
-    def dj_matrix(v):
-        out = []
-        for r in range(two_n):
-            row = []
-            for s in range(two_n):
-                g = J.entries[r][s].first_jet(f_point).grad
-                row.append(sum(require_real(g[l]) * v[l] for l in range(two_n)))
-            out.append(row)
-        return out
-
-    quad = lambda a, b: sum(hess[i][j] * a[i] * b[j]
-                            for i in range(two_n) for j in range(two_n))
-    dj_jp = dj_matrix(Jp)
-    dj_p = dj_matrix(p)
-    vec1 = [sum(dj_jp[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
-    inner = [sum(dj_p[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
-    vec2 = [sum(Jval[r][s] * inner[s] for s in range(two_n)) for r in range(two_n)]
-    value = (quad(p, p) + quad(Jp, Jp)
-             + sum(grad[r] * vec1[r] for r in range(two_n))
-             + sum(grad[r] * vec2[r] for r in range(two_n)))
-    return value, tuple(warnings)
-
-
-# ----------------------------------------------------------------------
-# real <-> complexified conversions
-
-
-def complexify(rho: Polynomial) -> Polynomial:
-    """Real 2n-variable polynomial to the z/zb coordinates."""
-    two_n = len(rho.vars)
-    if two_n % 2:
-        raise DimensionMismatch("need an even number of variables")
-    n = two_n // 2
-    table = jet_table(n, 1)
-    half = Fraction(1, 2)
-    mapping = {}
-    for l in range(1, n + 1):
-        z = Polynomial.var(table, f"z{l}")
-        zb = Polynomial.var(table, f"zb{l}")
-        mapping[rho.vars[2 * l - 2]] = (z + zb).scale(half)
-        mapping[rho.vars[2 * l - 1]] = (zb - z).scale(gaussian("1/2") * gaussian(0, 1))
-    return rho.substitute(mapping, table)
-
-
-def realify(p: Polynomial, variables=None) -> Polynomial:
-    """Inverse of complexify; errors if jets are present or coefficients
-    fail to be real."""
-    names = {v for v in p.used_variables()}
-    if any(var_jet_order(v) > 0 for v in names):
-        raise NotComplexifiedMode("cannot realify jet variables")
-    n = max([int(v[2:] if v.startswith("zb") else v[1:]) for v in names] + [1])
-    if variables is None:
-        variables = tuple(f"f{i}" for i in range(1, 2 * n + 1))
-    if len(variables) < 2 * n:
-        raise DimensionMismatch("target table too small")
-    znames = tuple([f"z{l}" for l in range(1, n + 1)]
-                   + [f"zb{l}" for l in range(1, n + 1)])
-    keep = [p.vars.index(v) for v in znames]
-    p = Polynomial(znames, {tuple(e[i] for i in keep): c
-                            for e, c in p.terms.items()})
-    mapping = {}
-    for l in range(1, n + 1):
-        x = Polynomial.var(variables, variables[2 * l - 2])
-        y = Polynomial.var(variables, variables[2 * l - 1])
-        mapping[f"z{l}"] = x + y.scale(gaussian(0, 1))
-        mapping[f"zb{l}"] = x - y.scale(gaussian(0, 1))
-    out = p.substitute(mapping, variables)
-    return Polynomial(out.vars, {e: require_real(c) for e, c in out.terms.items()})
-
-
-def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> dict:
-    """Complexified probe from a real first jet (standard complex pairing)."""
-    from .geometry import full_jet as _fj
-    fj = _fj(problem, jet)
-    n = problem.n
-    z = [gaussian(jet.f[2 * l - 2], jet.f[2 * l - 1]) for l in range(1, n + 1)]
-    w = [gaussian(fj.p1[2 * l - 2], fj.p1[2 * l - 1]) for l in range(1, n + 1)]
-    return probe_from_values(n, order, z, [w])
-
-
-def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> dict:
-    """Probe carried by a polynomial disk t -> (z_1(t), .., z_n(t)).
-
-    ``components`` are univariate Polynomials in the table ('t',); jets are
-    exact derivatives at t0 (w^(k)_l = z_l^{(k+1)}(t0)).
-    """
-    derivs = [list(components)]
-    for _ in range(order):
-        derivs.append([q.differentiate("t") for q in derivs[-1]])
-    values = [[q.evaluate((t0,)) for q in d] for d in derivs]
-    return probe_from_values(n, order, values[0], values[1:])

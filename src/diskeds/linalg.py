@@ -44,39 +44,6 @@ def mat_rank(matrix) -> int:
     return len(_echelon(rows, len(rows[0])))
 
 
-def nullspace(matrix, ncols=None):
-    """Basis of the right kernel, free variables set to one in turn."""
-    rows = [list(row) for row in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    pivots = _echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = 0
-            for c in range(pc + 1, ncols):
-                if v[c] != 0 and rows[r][c] != 0:
-                    s = s + rows[r][c] * v[c]
-            if s != 0:
-                v[pc] = -s / rows[r][pc]
-        basis.append(v)
-    return basis
-
-
 def nullity(matrix, ncols) -> int:
     rows = [list(row) for row in matrix if any(x != 0 for x in row)]
     if not rows:

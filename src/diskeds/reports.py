@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaViolation
-from .exact import GaussianRational, gaussian, rat, scalar_str
-from .expr import Polynomial, parse_expression, print_polynomial
+from .errors import CrossCheckMismatch, SchemaViolation
+from .exact import gaussian, rat
+from .expr import Polynomial, parse_expression
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -25,7 +25,7 @@ from .geometry import (
     make_structure_from_pair,
     structure_from_entries,
 )
-from .jets import Opening, jet_table, make_system, probe_from_values
+from .jets import Opening, jet_table, make_system, probe_from_values, var_jet_order
 
 
 def _reject_float(text):
@@ -53,19 +53,22 @@ def problem_digest(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _field(doc, key, path, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise SchemaViolation(f"missing field {path}.{key}")
-        return default
-    return doc[key]
+# JSON kind -> (Python type, what a value of that kind is)
+_KINDS = {"object": (dict, "an object"), "list": (list, "a list"),
+          "string": (str, "a string"), "integer": (int, "an integer"),
+          "rationals": (list, "a list of exact rationals")}
 
 
-def _rat_vector(values, path):
-    if not isinstance(values, list):
-        raise SchemaViolation(f"{path} must be a list of exact rationals")
+def _typed(value, path, kind):
+    """``value`` itself when it has the JSON ``kind``; "rationals" gives the
+    parsed tuple.  Raises SchemaViolation naming ``path`` otherwise."""
+    cls, what = _KINDS[kind]
+    if not isinstance(value, cls) or isinstance(value, bool):
+        raise SchemaViolation(f"{path} must be {what}")
+    if kind != "rationals":
+        return value
     out = []
-    for i, v in enumerate(values):
+    for i, v in enumerate(value):
         try:
             out.append(rat(v))
         except SchemaViolation as exc:
@@ -73,28 +76,38 @@ def _rat_vector(values, path):
     return tuple(out)
 
 
+def _field(parent, key, path, kind, required=True, default=None):
+    """``parent[key]`` checked by :func:`_typed` in an object ``parent``; an
+    absent (or optional null) field is ``default`` or a missing-field error.
+    ``kind`` None leaves the check to the value's parser (expressions)."""
+    _typed(parent, path, "object")
+    where = f"{path}.{key}" if path else key
+    if key not in parent or (parent[key] is None and not required):
+        if required:
+            raise SchemaViolation(f"missing field {where}")
+        return default
+    return parent[key] if kind is None else _typed(parent[key], where, kind)
+
+
 @dataclass
 class LoadedProblem:
     doc: dict
-    name: str
     digest: str
     two_n: int
-    coordinates: tuple
     problem: HypersurfaceProblem   # None for complexified-only files
     points: dict
     jets: dict                     # name -> FirstJetPoint
     flags: dict
     strata: dict                   # name -> (JetConstraintSystem, {probe name -> dict})
-    pseudo_ellipsoid: dict
     structure_warnings: tuple
 
 
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
-    two_n = _field(doc, "dimension_2n", name)
-    if not isinstance(two_n, int) or two_n < 4 or two_n % 2:
+    two_n = _field(doc, "dimension_2n", name, "integer")
+    if two_n < 4 or two_n % 2:
         raise SchemaViolation("dimension_2n must be an even integer >= 4")
     n = two_n // 2
-    coords = tuple(_field(doc, "coordinates", name, required=False)
+    coords = tuple(_field(doc, "coordinates", name, "list", required=False)
                    or default_coordinates(two_n))
     if len(coords) != two_n:
         raise SchemaViolation("coordinates must list dimension_2n names")
@@ -103,23 +116,22 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
     structure_warnings = ()
     if "rho" in doc:
         rho = parse_expression(doc["rho"], coords)
-        sdoc = _field(doc, "structure", name, required=False,
+        spath = f"{name}.structure"
+        sdoc = _field(doc, "structure", name, "object", required=False,
                       default={"kind": "complex_standard"})
-        kind = _field(sdoc, "kind", f"{name}.structure")
+        kind = _field(sdoc, "kind", spath, "string")
+        matrix = lambda key: [
+            [RationalFunction(parse_expression(e, coords))
+             for e in _typed(row, f"{spath}.{key}[{i}]", "list")]
+            for i, row in enumerate(_field(sdoc, key, spath, "list"))]
         if kind == "complex_standard":
             structure = complex_standard(n, coords)
         elif kind == "matrix":
-            entries = [[RationalFunction(parse_expression(e, coords))
-                        for e in row]
-                       for row in _field(sdoc, "entries", f"{name}.structure")]
-            structure = structure_from_entries(n, entries)
+            structure = structure_from_entries(n, matrix("entries"))
         elif kind == "pair":
-            spath = f"{name}.structure"
-            a = RationalFunction(parse_expression(_field(sdoc, "a", spath), coords))
-            b = RationalFunction(parse_expression(_field(sdoc, "b", spath), coords))
-            A = [[RationalFunction(parse_expression(e, coords)) for e in row]
-                 for row in _field(sdoc, "A", spath)]
-            structure = make_structure_from_pair(a, b, A, n)
+            a = RationalFunction(parse_expression(_field(sdoc, "a", spath, None), coords))
+            b = RationalFunction(parse_expression(_field(sdoc, "b", spath, None), coords))
+            structure = make_structure_from_pair(a, b, matrix("A"), n)
         else:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
         structure_warnings = structure.warnings
@@ -131,19 +143,21 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                                   f"integers in 1..{two_n}, got {pair!r}")
         problem = HypersurfaceProblem(rho, structure, tuple(pair))
 
+    points_doc = _field(doc, "points", "", "object", required=False, default={})
     points = {}
-    for pname, vec in (doc.get("points") or {}).items():
-        points[pname] = _rat_vector(vec, f"points.{pname}")
-        if len(vec) != two_n:
+    for pname in points_doc:
+        points[pname] = _field(points_doc, pname, "points", "rationals")
+        if len(points[pname]) != two_n:
             raise SchemaViolation(f"points.{pname} must have {two_n} entries")
 
     jets = {}
-    for jname, jdoc in (doc.get("jets") or {}).items():
-        pname = _field(jdoc, "point", f"jets.{jname}")
+    for jname, jdoc in _field(doc, "jets", "", "object", required=False,
+                              default={}).items():
+        jpath = f"jets.{jname}"
+        pname = _field(jdoc, "point", jpath, "string")
         if pname not in points:
             raise SchemaViolation(f"jets.{jname}.point: unknown point {pname!r}")
-        p_red = _rat_vector(_field(jdoc, "p_reduced", f"jets.{jname}"),
-                            f"jets.{jname}.p_reduced")
+        p_red = _field(jdoc, "p_reduced", jpath, "rationals")
         if problem is None:
             raise SchemaViolation("jets need a rho/structure block")
         jets[jname] = problem.make_jet(
@@ -151,33 +165,38 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             allow_off_surface=bool(jdoc.get("allow_off_surface")))
 
     flags = {}
-    for fname, fdoc in (doc.get("flags") or {}).items():
+    for fname, fdoc in _field(doc, "flags", "", "object", required=False,
+                              default={}).items():
         from .integral_element import FlagSpec
         flags[fname] = FlagSpec(
-            *(_rat_vector(_field(fdoc, key, f"flags.{fname}"), f"flags.{fname}.{key}")
+            *(_field(fdoc, key, f"flags.{fname}", "rationals")
               for key in ("a1", "a2", "c1", "c2")),
             rat(fdoc.get("alpha", "1")),
             rat(fdoc.get("beta", "0")),
         )
 
     strata = {}
-    for sname, sdoc in (doc.get("strata") or {}).items():
-        eq_exprs = _field(sdoc, "equalities", f"strata.{sname}")
-        probe_docs = sdoc.get("probes") or {}
+    for sname, sdoc in _field(doc, "strata", "", "object", required=False,
+                              default={}).items():
+        spath = f"strata.{sname}"
+        eq_exprs = _field(sdoc, "equalities", spath, "list")
+        probe_docs = _field(sdoc, "probes", spath, "object", required=False, default={})
         # parse over a generous table, then shrink to the real max order
-        probe_orders = [len([k for k in pdoc if k == "w" or k.startswith("w_")])
-                        for pdoc in probe_docs.values()]
+        probe_orders = [len([k for k in _typed(pdoc, f"{spath}.probes.{pname}", "object")
+                             if k == "w" or k.startswith("w_")])
+                        for pname, pdoc in probe_docs.items()]
         big = jet_table(n, max([4] + probe_orders))
         parsed = [parse_expression(expr, big, complexified=True)
                   for expr in eq_exprs]
-        max_order = max([1] + [_order_of(v) for p in parsed
+        max_order = max([1] + [var_jet_order(v) for p in parsed
                                for v in p.used_variables()])
         small = jet_table(n, max_order)
         openings = []
-        for k, odoc in enumerate(sdoc.get("openings") or []):
+        for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
+                                        required=False, default=[])):
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
-            op = parse_expression(_field(odoc, "expr", f"strata.{sname}.openings[{k}]"),
+            op = parse_expression(_field(odoc, "expr", f"{spath}.openings[{k}]", None),
                                   big, complexified=True)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
@@ -188,29 +207,24 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                              openings, order=max_order)
         probes = {}
         for pname, pdoc in probe_docs.items():
-            z_vals = [_gauss(v, f"strata.{sname}.probes.{pname}.z")
-                      for v in _field(pdoc, "z", f"strata.{sname}.probes.{pname}")]
+            ppath = f"{spath}.probes.{pname}"
+            z_vals = [_gauss(v, f"{ppath}.z") for v in _field(pdoc, "z", ppath, "list")]
             w_jets = []
             k = 0
             while True:
                 key = "w" if k == 0 else f"w_{k}"
                 if key not in pdoc:
                     break
-                w_jets.append([_gauss(v, f"...{key}") for v in pdoc[key]])
+                w_jets.append([_gauss(v, f"{ppath}.{key}")
+                               for v in _field(pdoc, key, ppath, "list")])
                 k += 1
             while len(w_jets) < max_order:
                 w_jets.append([Fraction(0)] * n)
             probes[pname] = probe_from_values(n, max_order, z_vals, w_jets)
         strata[sname] = (system, probes)
 
-    return LoadedProblem(doc, name, problem_digest(doc), two_n, coords, problem,
-                         points, jets, flags, strata,
-                         doc.get("pseudo_ellipsoid") or {}, structure_warnings)
-
-
-def _order_of(name):
-    from .jets import var_jet_order
-    return var_jet_order(name)
+    return LoadedProblem(doc, problem_digest(doc), two_n, problem, points, jets,
+                         flags, strata, structure_warnings)
 
 
 def _shrink(p: Polynomial, small):
@@ -235,30 +249,18 @@ def _gauss(value, path):
 
 def jsonable(value):
     """Exact canonical JSON form: rationals as strings, no floats ever."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, GaussianRational):
-        return scalar_str(value)
-    if isinstance(value, Polynomial):
-        return print_polynomial(value)
-    if isinstance(value, RationalFunction):
-        return repr(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, float):
         raise SchemaViolation("internal error: a float reached the report layer")
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: jsonable(getattr(value, k))
-                for k in value.__dataclass_fields__}
-    return str(value)
+    raise CrossCheckMismatch(
+        f"a {type(value).__name__} reached the report layer")
 
 
 @dataclass

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SingularD, WrongDimension
 from .exact import rat
-from .expr import Polynomial, RationalFunction
+from .expr import Polynomial
 from .geometry import (
     FirstJetPoint,
     GammaBetaData,
@@ -118,19 +118,6 @@ def structure_equation_coefficients(problem: HypersurfaceProblem,
         for k in range(two_n):
             A_coeffs[(k + 1, j + 3, 2)] = -bv[k][j]
     return StructureEquationData(A_coeffs, c_matrices, c_values, first_jet_values(gb))
-
-
-def structure_coefficient_forms(problem: HypersurfaceProblem):
-    """Symbolic torsion quadratic-form matrices (RationalFunction entries)."""
-    gb = compute_gamma_beta(problem)
-    fvars = gb.internal_vars
-    grads = lambda rows: [[[e.differentiate(v) for v in fvars] for e in row]
-                          for row in rows]
-    raw = _raw_torsion_matrices((gb.gamma1, gb.gamma2),
-                                grads((gb.gamma1, gb.gamma2)), gb.beta_full,
-                                grads(gb.beta_full),
-                                RationalFunction.from_const(fvars, 0))
-    return gb, raw
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +260,6 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
     return _symmetrize(raw1), _symmetrize(raw2)
 
 
-def evaluate_form(matrix, p):
-    return sum(matrix[a][b] * p[a] * p[b]
-               for a in range(len(matrix)) for b in range(len(matrix)))
-
-
 def form_definiteness(matrix) -> str:
     """'positive_definite' | 'negative_definite' | 'not_definite' via
     exact leading principal minors."""
@@ -329,39 +311,6 @@ def dim6_definiteness(rho: Polynomial, f_point) -> Dim6Report:
     return Dim6Report(delta1, delta2, sign(delta1), sign(delta2), d1, d2, verdict)
 
 
-def dim6_completed_square(B_values: dict, variables=("p3", "p4", "p5", "p6")):
-    """The completed-square forms of the two dimension-6 torsion quadratics.
-
-    ``B_values`` maps ('lower'|'upper', j, k) to rationals; the leading
-    blocks require B^{2,2} != 0 (for c1) and B_{2,2} != 0 (for c2).
-    Returns (c1, c2) as Polynomials for symbolic comparison with the
-    bilinear expansion.
-    """
-    P = {v: Polynomial.var(variables, v) for v in variables}
-    Bl = {k: rat(v) for k, v in B_values.items() if k[0] == "lower"}
-    Bu = {k: rat(v) for k, v in B_values.items() if k[0] == "upper"}
-    bu22, bu33 = Bu[("upper", 2, 2)], Bu[("upper", 3, 3)]
-    bl22, bl33 = Bl[("lower", 2, 2)], Bl[("lower", 3, 3)]
-    bu23, bu32 = Bu[("upper", 2, 3)], Bu[("upper", 3, 2)]
-    bl23, bl32 = Bl[("lower", 2, 3)], Bl[("lower", 3, 2)]
-    if bu22 == 0 or bl22 == 0:
-        raise WrongDimension("completed-square branch needs B_{2,2}, B^{2,2} nonzero")
-    p3, p4, p5, p6 = P["p3"], P["p4"], P["p5"], P["p6"]
-    e1 = (bu23 + bu32) / (2 * bu22)
-    f1 = (bl23 - bl32) / (2 * bu22)
-    sq1 = p3 + p5.scale(e1) - p6.scale(f1)
-    sq2 = p4 + p6.scale(e1) + p5.scale(f1)
-    rem1 = (4 * bu22 * bu33 - (bu23 + bu32) ** 2 - (bl23 - bl32) ** 2) / (4 * bu22)
-    c1 = (sq1 * sq1 + sq2 * sq2).scale(bu22) + (p5 * p5 + p6 * p6).scale(rem1)
-    e2 = (bl23 + bl32) / (2 * bl22)
-    f2 = (bu23 - bu32) / (2 * bl22)
-    sq3 = p3 + p5.scale(e2) + p6.scale(f2)
-    sq4 = p4 + p6.scale(e2) - p5.scale(f2)
-    rem2 = (-4 * bl22 * bl33 + (bl23 + bl32) ** 2 + (bu23 - bu32) ** 2) / (4 * bl22)
-    c2 = (sq3 * sq3 + sq4 * sq4).scale(-bl22) + (p5 * p5 + p6 * p6).scale(rem2)
-    return c1, c2
-
-
 # ----------------------------------------------------------------------
 # pseudo-ellipsoids
 
@@ -374,14 +323,6 @@ class PseudoEllipsoidReport:
     holds: bool
     rho_value: Fraction
     off_surface: bool
-
-
-def pseudo_ellipsoid_rho(alphas, ks) -> Polynomial:
-    variables = tuple(f"y{i}" for i in range(1, 7))
-    p = Polynomial.zero(variables)
-    for i in range(6):
-        p = p + Polynomial.var(variables, variables[i]) ** (2 * ks[i]) * rat(alphas[i])
-    return p
 
 
 def pseudo_ellipsoid_check(alphas, ks, y_point) -> PseudoEllipsoidReport:

@@ -7,16 +7,25 @@ tables by symbolic differentiation, first-prolongation dimension by
 brute-force solution of the degree-2 jet membership system, the
 reduced jet by directly solving the 2x2 elimination system, and the
 distinguished-pair scan by one full gamma/beta build per candidate.
+
+The second half holds reference implementations that no CLI command runs
+but tests compare the runtime against, such as the Levi form.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from diskeds.errors import IdenticallySingularD, SingularD
-from diskeds.expr import Polynomial, RationalFunction
-from diskeds.geometry import HypersurfaceProblem, compute_gamma_beta, structure_from_entries
-from diskeds.linalg import nullity, nullspace, solve_particular
+from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
+                            NotComplexifiedMode, SingularD, WrongDimension)
+from diskeds.exact import gaussian, rat, require_real
+from diskeds.expr import Polynomial, RationalFunction, conjugate_name
+from diskeds.geometry import (FirstJetPoint, HypersurfaceProblem, StructureMatrix,
+                              compute_gamma_beta, full_jet, structure_from_entries)
+from diskeds.integral_element import FlagSpec, _dtheta_row_data
+from diskeds.jets import jet_table, probe_from_values, var_jet_order
+from diskeds.linalg import _echelon, nullity, solve_particular
+from diskeds.torsion import _raw_torsion_matrices
 
 
 def dtheta_torsion_oracle(problem: HypersurfaceProblem):
@@ -195,7 +204,7 @@ def on_surface_point(rng, problem, tries=500):
             if dk.is_zero() or any(e[k] for e in dk.terms):
                 continue  # var absent or nonlinear
             rest = {v: x for v, x in zip(rho.vars, pt) if v != var}
-            num = rho.partial_evaluate(rest)  # c0 + slope*var
+            num = partial_evaluate(rho, rest)  # c0 + slope*var
             slope = dk.evaluate(pt)
             c0 = num.constant_term()
             if slope == 0:
@@ -211,3 +220,312 @@ def on_surface_point(rng, problem, tries=500):
         else:
             continue
     raise AssertionError("no on-surface chart point found")
+
+
+# ----------------------------------------------------------------------
+# reference implementations that no CLI command runs
+
+
+def partial_evaluate(p: Polynomial, assignment):
+    """Substitute scalars for a subset of variables; table shrinks."""
+    keep = [i for i, v in enumerate(p.vars) if v not in assignment]
+    new_vars = tuple(p.vars[i] for i in keep)
+    res = {}
+    for exps, c in p.terms.items():
+        acc = c
+        for i, v in enumerate(p.vars):
+            if v in assignment and exps[i]:
+                acc = acc * assignment[v] ** exps[i]
+        if acc == 0:
+            continue
+        e = tuple(exps[i] for i in keep)
+        s = res.get(e, 0) + acc
+        if s == 0:
+            res.pop(e, None)
+        else:
+            res[e] = s
+    return Polynomial(new_vars, res)
+
+def substitute(p: Polynomial, mapping, target_vars):
+    """Full substitution var -> Polynomial over ``target_vars``."""
+    target_vars = tuple(target_vars)
+    one = Polynomial.const(target_vars, 1)
+    images = []
+    for name in p.vars:
+        img = mapping.get(name)
+        if img is None:
+            img = Polynomial.var(target_vars, name)
+        images.append(img)
+    out = Polynomial.zero(target_vars)
+    cache = [dict() for _ in images]
+
+    def power(i, e):
+        if e == 0:
+            return one
+        got = cache[i].get(e)
+        if got is None:
+            got = images[i] ** e
+            cache[i][e] = got
+        return got
+
+    for exps, c in p.terms.items():
+        acc = Polynomial.const(target_vars, c)
+        for i, e in enumerate(exps):
+            if e:
+                acc = acc * power(i, e)
+        out = out + acc
+    return out
+
+
+def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
+    """D^2 rho(p,p) + Drho(DJ(Jp)(p)) + Drho(J(DJ(p)(p))) + D^2 rho(Jp,Jp).
+
+    ``rho`` is a real-mode polynomial (complexified input is converted);
+    for constant J the two DJ terms vanish.  Returns (value, warnings).
+    """
+    if any(conjugate_name(v) for v in rho.vars):
+        rho = realify(rho)
+    two_n = len(rho.vars)
+    f_point = tuple(Fraction(x) for x in f_point)
+    p = tuple(Fraction(x) for x in p)
+    if len(f_point) != two_n or len(p) != two_n:
+        raise DimensionMismatch("point / vector length mismatch")
+    warnings = []
+    Jval = [[require_real(e.evaluate(f_point)) for e in row] for row in J.entries]
+    ident = [[sum(Jval[r][k] * Jval[k][s] for k in range(two_n))
+              for s in range(two_n)] for r in range(two_n)]
+    if any(ident[r][s] != (-1 if r == s else 0)
+           for r in range(two_n) for s in range(two_n)):
+        warnings.append("J^2 != -I at the point")
+    grad = [rho.differentiate(v).evaluate(f_point) for v in rho.vars]
+    hess = [[rho.differentiate(a).differentiate(b).evaluate(f_point)
+             for b in rho.vars] for a in rho.vars]
+    Jp = [sum(Jval[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
+
+    def dj_matrix(v):
+        out = []
+        for r in range(two_n):
+            row = []
+            for s in range(two_n):
+                g = J.entries[r][s].first_jet(f_point).grad
+                row.append(sum(require_real(g[l]) * v[l] for l in range(two_n)))
+            out.append(row)
+        return out
+
+    quad = lambda a, b: sum(hess[i][j] * a[i] * b[j]
+                            for i in range(two_n) for j in range(two_n))
+    dj_jp = dj_matrix(Jp)
+    dj_p = dj_matrix(p)
+    vec1 = [sum(dj_jp[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
+    inner = [sum(dj_p[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
+    vec2 = [sum(Jval[r][s] * inner[s] for s in range(two_n)) for r in range(two_n)]
+    value = (quad(p, p) + quad(Jp, Jp)
+             + sum(grad[r] * vec1[r] for r in range(two_n))
+             + sum(grad[r] * vec2[r] for r in range(two_n)))
+    return value, tuple(warnings)
+
+
+def complexify(rho: Polynomial) -> Polynomial:
+    """Real 2n-variable polynomial to the z/zb coordinates."""
+    two_n = len(rho.vars)
+    if two_n % 2:
+        raise DimensionMismatch("need an even number of variables")
+    n = two_n // 2
+    table = jet_table(n, 1)
+    half = Fraction(1, 2)
+    mapping = {}
+    for l in range(1, n + 1):
+        z = Polynomial.var(table, f"z{l}")
+        zb = Polynomial.var(table, f"zb{l}")
+        mapping[rho.vars[2 * l - 2]] = (z + zb).scale(half)
+        mapping[rho.vars[2 * l - 1]] = (zb - z).scale(gaussian("1/2") * gaussian(0, 1))
+    return substitute(rho, mapping, table)
+
+
+def realify(p: Polynomial, variables=None) -> Polynomial:
+    """Inverse of complexify; errors if jets are present or coefficients
+    fail to be real."""
+    names = {v for v in p.used_variables()}
+    if any(var_jet_order(v) > 0 for v in names):
+        raise NotComplexifiedMode("cannot realify jet variables")
+    n = max([int(v[2:] if v.startswith("zb") else v[1:]) for v in names] + [1])
+    if variables is None:
+        variables = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+    if len(variables) < 2 * n:
+        raise DimensionMismatch("target table too small")
+    znames = tuple([f"z{l}" for l in range(1, n + 1)]
+                   + [f"zb{l}" for l in range(1, n + 1)])
+    keep = [p.vars.index(v) for v in znames]
+    p = Polynomial(znames, {tuple(e[i] for i in keep): c
+                            for e, c in p.terms.items()})
+    mapping = {}
+    for l in range(1, n + 1):
+        x = Polynomial.var(variables, variables[2 * l - 2])
+        y = Polynomial.var(variables, variables[2 * l - 1])
+        mapping[f"z{l}"] = x + y.scale(gaussian(0, 1))
+        mapping[f"zb{l}"] = x - y.scale(gaussian(0, 1))
+    out = substitute(p, mapping, variables)
+    return Polynomial(out.vars, {e: require_real(c) for e, c in out.terms.items()})
+
+
+def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> dict:
+    """Complexified probe from a real first jet (standard complex pairing)."""
+    fj = full_jet(problem, jet)
+    n = problem.n
+    z = [gaussian(jet.f[2 * l - 2], jet.f[2 * l - 1]) for l in range(1, n + 1)]
+    w = [gaussian(fj.p1[2 * l - 2], fj.p1[2 * l - 1]) for l in range(1, n + 1)]
+    return probe_from_values(n, order, z, [w])
+
+
+def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> dict:
+    """Probe carried by a polynomial disk t -> (z_1(t), .., z_n(t)).
+
+    ``components`` are univariate Polynomials in the table ('t',); jets are
+    exact derivatives at t0 (w^(k)_l = z_l^{(k+1)}(t0)).
+    """
+    derivs = [list(components)]
+    for _ in range(order):
+        derivs.append([q.differentiate("t") for q in derivs[-1]])
+    values = [[q.evaluate((t0,)) for q in d] for d in derivs]
+    return probe_from_values(n, order, values[0], values[1:])
+
+
+def perturbed_polar_matrix(problem: HypersurfaceProblem, jet: FirstJetPoint,
+                           flag: FlagSpec, eps_theta):
+    """Full polar-space system for a line perturbed by ``eps_theta`` (2n
+    entries) besides the flag's own eps_x and eps_p, unknowns
+    (v_1, v_2, v_theta_1..v_theta_2n, v_p3..v_p2n)."""
+    two_n = problem.two_n
+    m = two_n - 2
+    A1, A2, C = flag.resolved(two_n)
+    et = tuple(Fraction(x) for x in eps_theta)
+    dim = 2 + two_n + m
+    vth = lambda k: 2 + k          # 0-based theta slot k = 0..2n-1
+    vp = lambda i: 2 + two_n + i   # 0-based reduced-jet slot i = 0..m-1
+    rows = []
+    for k in range(two_n):
+        for i in range(2):
+            row = [Fraction(0)] * dim
+            row[vth(k)] = (A1, A2)[i]
+            row[i] = row[i] - et[k]
+            rows.append(row)
+        for ip in range(two_n):
+            row = [Fraction(0)] * dim
+            row[vth(k)] = row[vth(k)] + et[ip]
+            row[vth(ip)] = row[vth(ip)] - et[k]
+            rows.append(row)
+        for i in range(m):
+            row = [Fraction(0)] * dim
+            row[vth(k)] = row[vth(k)] + C[i]
+            row[vp(i)] = row[vp(i)] - et[k]
+            rows.append(row)
+    for x2c, xic, xlc in _dtheta_row_data(problem, jet):
+        row = [Fraction(0)] * dim
+        # X_2 = A1 v_2 - A2 v_1 ; X_i = C_i v_1 - A1 v_p_i ;
+        # X_{2n-2+i} = C_i v_2 - A2 v_p_i
+        row[1] += x2c * A1
+        row[0] -= x2c * A2
+        for i in range(m):
+            row[0] += xic[i] * C[i]
+            row[vp(i)] -= xic[i] * A1
+            row[1] += xlc[i] * C[i]
+            row[vp(i)] -= xlc[i] * A2
+        rows.append(row)
+    return rows, dim
+
+
+def perturbed_polar_nullity(problem, jet, flag, eps_theta) -> int:
+    rows, dim = perturbed_polar_matrix(problem, jet, flag, eps_theta)
+    return nullity(rows, dim)
+
+
+def structure_coefficient_forms(problem: HypersurfaceProblem):
+    """Symbolic torsion quadratic-form matrices (RationalFunction entries)."""
+    gb = compute_gamma_beta(problem)
+    fvars = gb.internal_vars
+    grads = lambda rows: [[[e.differentiate(v) for v in fvars] for e in row]
+                          for row in rows]
+    raw = _raw_torsion_matrices((gb.gamma1, gb.gamma2),
+                                grads((gb.gamma1, gb.gamma2)), gb.beta_full,
+                                grads(gb.beta_full),
+                                RationalFunction.from_const(fvars, 0))
+    return gb, raw
+
+
+def evaluate_form(matrix, p):
+    return sum(matrix[a][b] * p[a] * p[b]
+               for a in range(len(matrix)) for b in range(len(matrix)))
+
+
+def dim6_completed_square(B_values: dict, variables=("p3", "p4", "p5", "p6")):
+    """The completed-square forms of the two dimension-6 torsion quadratics.
+
+    ``B_values`` maps ('lower'|'upper', j, k) to rationals; the leading
+    blocks require B^{2,2} != 0 (for c1) and B_{2,2} != 0 (for c2).
+    Returns (c1, c2) as Polynomials for symbolic comparison with the
+    bilinear expansion.
+    """
+    P = {v: Polynomial.var(variables, v) for v in variables}
+    Bl = {k: rat(v) for k, v in B_values.items() if k[0] == "lower"}
+    Bu = {k: rat(v) for k, v in B_values.items() if k[0] == "upper"}
+    bu22, bu33 = Bu[("upper", 2, 2)], Bu[("upper", 3, 3)]
+    bl22, bl33 = Bl[("lower", 2, 2)], Bl[("lower", 3, 3)]
+    bu23, bu32 = Bu[("upper", 2, 3)], Bu[("upper", 3, 2)]
+    bl23, bl32 = Bl[("lower", 2, 3)], Bl[("lower", 3, 2)]
+    if bu22 == 0 or bl22 == 0:
+        raise WrongDimension("completed-square branch needs B_{2,2}, B^{2,2} nonzero")
+    p3, p4, p5, p6 = P["p3"], P["p4"], P["p5"], P["p6"]
+    e1 = (bu23 + bu32) / (2 * bu22)
+    f1 = (bl23 - bl32) / (2 * bu22)
+    sq1 = p3 + p5.scale(e1) - p6.scale(f1)
+    sq2 = p4 + p6.scale(e1) + p5.scale(f1)
+    rem1 = (4 * bu22 * bu33 - (bu23 + bu32) ** 2 - (bl23 - bl32) ** 2) / (4 * bu22)
+    c1 = (sq1 * sq1 + sq2 * sq2).scale(bu22) + (p5 * p5 + p6 * p6).scale(rem1)
+    e2 = (bl23 + bl32) / (2 * bl22)
+    f2 = (bu23 - bu32) / (2 * bl22)
+    sq3 = p3 + p5.scale(e2) + p6.scale(f2)
+    sq4 = p4 + p6.scale(e2) - p5.scale(f2)
+    rem2 = (-4 * bl22 * bl33 + (bl23 + bl32) ** 2 + (bu23 - bu32) ** 2) / (4 * bl22)
+    c2 = (sq3 * sq3 + sq4 * sq4).scale(-bl22) + (p5 * p5 + p6 * p6).scale(rem2)
+    return c1, c2
+
+
+def pseudo_ellipsoid_rho(alphas, ks) -> Polynomial:
+    variables = tuple(f"y{i}" for i in range(1, 7))
+    p = Polynomial.zero(variables)
+    for i in range(6):
+        p = p + Polynomial.var(variables, variables[i]) ** (2 * ks[i]) * rat(alphas[i])
+    return p
+
+
+def nullspace(matrix, ncols=None):
+    """Basis of the right kernel, free variables set to one in turn."""
+    rows = [list(row) for row in matrix]
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    if not rows:
+        basis = []
+        for j in range(ncols):
+            v = [Fraction(0)] * ncols
+            v[j] = Fraction(1)
+            basis.append(v)
+        return basis
+    pivots = _echelon(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = 0
+            for c in range(pc + 1, ncols):
+                if v[c] != 0 and rows[r][c] != 0:
+                    s = s + rows[r][c] * v[c]
+            if s != 0:
+                v[pc] = -s / rows[r][pc]
+        basis.append(v)
+    return basis

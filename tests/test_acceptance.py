@@ -17,24 +17,27 @@ from diskeds.geometry import (
     compute_gamma_beta,
     structure_from_entries,
 )
-from diskeds.involutivity import compute_D_vectors, prolongation_dims
-from diskeds.integral_element import FlagSpec, perturbed_polar_nullity, build_polar_maps
-from diskeds.jets import involution_loop, levi_form, prolong_constraints, curve_probe, probe_satisfies, var_jet_order
+from diskeds.involutivity import compute_D_vectors, tableau_report
+from diskeds.integral_element import FlagSpec, build_polar_maps
+from diskeds.jets import involution_loop, linearize, prolong_constraints, var_jet_order
 from diskeds.linalg import mat_mul, mat_rank, nullity
 from diskeds.reports import build_problem, load_problem
 from diskeds.torsion import (
     complex_B_coefficients,
-    dim6_completed_square,
-    evaluate_form,
     pseudo_ellipsoid_check,
     quadratics_from_B,
-    structure_coefficient_forms,
     structure_equation_coefficients,
 )
 from oracles import (
+    curve_probe,
+    dim6_completed_square,
+    evaluate_form,
+    levi_form,
     on_chart_point,
+    perturbed_polar_nullity,
     random_constant_structure,
     random_polynomial,
+    structure_coefficient_forms,
 )
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
@@ -144,7 +147,7 @@ def test_criterion_4_involutivity_equivalence():
             continue
         gb = compute_gamma_beta(prob, pt)
         dv = compute_D_vectors(gb)
-        rep = prolongation_dims(prob, pt, Q=2 * prob.n)
+        rep = tableau_report(gb, dv, Q=2 * prob.n)
         m = prob.two_n - 2
         assert (all(x == 0 for x in dv.D0)) == (rep.dims[0] == m)
         assert rep.involutive_at_0 == (rep.dims[0] == m)
@@ -261,8 +264,8 @@ def test_criterion_8_polar_structural_facts():
         assert all(x == 0 for row in RF for x in row)
         et = [Fraction(0)] * 6
         et[rng.randrange(6)] = Fraction(1, rng.randint(2, 7))
-        eflag = FlagSpec((1, 0), (0, 1), c1, c2, eps_theta=tuple(et))
-        assert perturbed_polar_nullity(prob, jet, eflag) == 1
+        eflag = FlagSpec((1, 0), (0, 1), c1, c2)
+        assert perturbed_polar_nullity(prob, jet, eflag, tuple(et)) == 1
     _ok(8, "rank F = 2n-1, dim Ker F = 1, R F = 0, and the perturbed "
            "polar system has solution dimension 1 with theta "
            "perturbations (20 flags)")
@@ -327,8 +330,8 @@ def test_criterion_10_flat_sanity():
     t = Polynomial.var(("t",), "t")
     comps = [t, Polynomial.zero(("t",)), Polynomial.zero(("t",))]
     for t0 in (Fraction(0), Fraction(1, 3)):
-        assert probe_satisfies(S, curve_probe(3, S.order, comps, t0),
-                               strict=False)
+        assert linearize(S, curve_probe(3, S.order, comps, t0)).satisfied(
+            strict=False)
     _ok(10, "flat model: Levi form identically zero (polarization basis), "
             "involutive at round 1, the disk t -> (t,0,0) satisfies all "
             "constraints through order 3")

@@ -1,12 +1,18 @@
 """Problem ingestion, report emission, CLI dispatch and exit codes."""
+import contextlib
+import functools
+import io
 import json
+import operator
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
-from diskeds.reports import build_problem, emit_report, load_problem
+from diskeds.reports import build_problem, emit_report, jsonable, load_problem
 from diskeds import cli
 
 
@@ -550,3 +556,69 @@ def test_jets_probe_runs_one_involution_loop(monkeypatch, capsys):
     warnings = json.loads(capsys.readouterr().out)["results"]["probes"][
         "P_origin"]["warnings"]
     assert any("dimension 2 here vs 1 at other probes" in w for w in warnings)
+
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("points",), [], "points must be an object"),
+    (("jets", "J"), 7, "jets.J must be an object"),
+    (("jets", "J", "point"), ["P"], "jets.J.point must be a string"),
+    (("strata", "S", "equalities"), "z1", "strata.S.equalities must be a list"),
+    (("strata", "S", "probes", "Q"), True, "strata.S.probes.Q must be an object"),
+    (("strata", "S", "probes", "Q", "w", 0), [], "strata.S.probes.Q.w: complex values"),
+    (("structure", "A", 1), 0, "structure.A[1] must be a list"),
+    (("dimension_2n",), "4", "dimension_2n must be an integer"),
+], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_wrong_json_type_names_its_path(field, value, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["jets"] = {"J": {"point": "P", "p_reduced": ["1", "0"]}}
+    doc["strata"]["S"]["probes"] = {"Q": {"z": ["0", "0"], "w": ["1", "0"]}}
+    *keys, last = field
+    functools.reduce(operator.getitem, keys, doc)[last] = value
+    assert message in _schema_exit_2(doc, tmp_path, capsys, command="jets")
+
+
+def test_report_values_of_unexpected_type_are_a_cross_check_failure():
+    # nothing is turned into text silently; a float stays an input error
+    with pytest.raises(CrossCheckMismatch):
+        jsonable({"value": object()})
+    with pytest.raises(SchemaViolation):
+        jsonable([0.5])
+
+
+# wrong-typed values, junk expressions and rationals, a deleted key; no
+# mutation changes a size
+DELETE = object()
+MUTATIONS = (None, True, 0, -1, 7, "", "x", "1/0", "f1^", "f7", "zb9", "(",
+             [], {}, [1], [["1", "0"]], DELETE)
+
+
+def _paths(obj, prefix=()):
+    """Every key and list index path into a JSON document."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    return [path for key, value in items
+            for path in [prefix + (key,)] + _paths(value, prefix + (key,))]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_builtin_documents_never_raise(data, tmp_path_factory):
+    # the exit-code contract holds on every input: one or two mutations of
+    # a builtin document end in 0, 2 or 3, never in an uncaught exception
+    name = data.draw(st.sampled_from(sorted(BUILTIN_PROBLEMS)))
+    doc = json.loads(json.dumps(BUILTIN_PROBLEMS[name]))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *keys, last = data.draw(st.sampled_from(_paths(doc)))
+        value = data.draw(st.sampled_from(MUTATIONS))
+        parent = functools.reduce(operator.getitem, keys, doc)
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = json.loads(json.dumps(value))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(cli.COMMANDS))
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([command, str(path)]) in (0, 2, 3)

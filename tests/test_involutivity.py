@@ -10,9 +10,7 @@ from diskeds.geometry import (
 )
 from diskeds.involutivity import (
     compute_D_vectors,
-    involutivity_order,
     obstruction_bracket,
-    prolongation_dims,
     tableau_report,
 )
 from diskeds import linalg
@@ -152,7 +150,7 @@ def test_n2_generic_dims_and_brute_force_oracle():
         dv = compute_D_vectors(gb)
         if all(x == 0 for x in dv.D0):
             continue
-        rep = prolongation_dims(prob, (1, 1, 1, 1))
+        rep = tableau_report(gb, dv)
         assert rep.dim_A == 2
         assert rep.dims[0] == 1          # one independent obstruction row
         assert rep.dims[0] == brute_force_dim_A1(gb)
@@ -167,11 +165,10 @@ def test_complex_case_report():
     rho = parse_expression("f5 + f1^2 + f2^2 - f3^2 - f4^2", vs)
     prob = HypersurfaceProblem(rho, complex_standard(3, vs), (1, 2))
     pt = (1, 0, 1, 0, 0, 0)
-    rep = prolongation_dims(prob, pt)
+    gb = compute_gamma_beta(prob, pt)
+    rep = tableau_report(gb, compute_D_vectors(gb))
     assert rep.dims == (4, 4, 4, 4)
     assert rep.involutive_at_0 and rep.q0 == 0 and rep.involutive_from == 0
-    assert involutivity_order(prob, pt) == 0
-    gb = compute_gamma_beta(prob, pt)
     assert brute_force_dim_A1(gb) == 4
 
 
@@ -187,7 +184,8 @@ def test_dims_non_increasing_and_stabilize():
             pt = on_chart_point(rng, prob)
         except AssertionError:
             continue
-        rep = prolongation_dims(prob, pt, Q=2 * n + 2)
+        gb = compute_gamma_beta(prob, pt)
+        rep = tableau_report(gb, compute_D_vectors(gb), Q=2 * n + 2)
         dims = rep.dims
         assert all(a >= b for a, b in zip(dims, dims[1:]))
         for q in range(1, len(dims)):
@@ -218,30 +216,6 @@ def test_rank_stabilization_long_krylov():
         for _ in range(4 * n):
             rows.append(row_times_matrix(rows[-1], gb.beta))
         assert mat_rank(rows[:2 * n - 2]) == mat_rank(rows)
-        done += 1
-
-
-def test_symbolic_and_pointwise_dims_agree():
-    rng = random.Random(17)
-    done = 0
-    while done < 3:
-        A, vs = random_constant_structure(rng, 2)
-        rho = random_polynomial(rng, vs, 3, 6)
-        prob = HypersurfaceProblem(rho, A, (1, 2))
-        try:
-            sym = prolongation_dims(prob, None)
-        except Exception:
-            continue
-        agreed = 0
-        for _ in range(20):
-            try:
-                pt = on_chart_point(rng, prob)
-                pw = prolongation_dims(prob, pt)
-            except Exception:
-                continue
-            if pw.dims == sym.dims:
-                agreed += 1
-        assert agreed > 0  # generic agreement; special points may drop rank
         done += 1
 
 
@@ -277,7 +251,7 @@ def test_involutive_from_matches_span_condition():
             continue
         gb = compute_gamma_beta(prob, pt)
         dv = compute_D_vectors(gb)
-        rep = prolongation_dims(prob, pt)
+        rep = tableau_report(gb, dv)
         rows = [list(dv.D0)]
         for _ in range(2 * n):
             rows.append(row_times_matrix(rows[-1], gb.beta))
@@ -330,7 +304,8 @@ def test_tableau_report_is_one_elimination(monkeypatch):
 
 def test_almost_complex_reduction_vanishes_symbolically():
     # the reduction matrix b(aI - A)/(1 + a^2) with A^2 = -I kills the
-    # obstruction identically, not just at sampled points
+    # obstruction identically, not just at sampled points: the bracket is
+    # the zero rational function, so D0 = -bracket / D^2 is too
     from diskeds.expr import Polynomial, RationalFunction, parse_expression
     from diskeds.geometry import make_structure_from_pair
     vs = tuple(f"f{i}" for i in range(1, 5))
@@ -347,5 +322,4 @@ def test_almost_complex_reduction_vanishes_symbolically():
     rho = parse_expression("f3 + f1*f2 + f4^2", vs)
     prob = HypersurfaceProblem(rho, S, (1, 2))
     gb = compute_gamma_beta(prob)
-    dv = compute_D_vectors(gb)
-    assert all(x.is_zero() for x in dv.D0)
+    assert all(x.is_zero() for x in obstruction_bracket(gb))

@@ -12,26 +12,21 @@ from diskeds.expr import Polynomial, conjugate_involution, parse_expression, pri
 from diskeds.geometry import complex_standard
 from diskeds import jets
 from diskeds.jets import (
-    complexify,
-    curve_probe,
     d_t,
     d_tbar,
     involution_loop,
     jet_table,
-    jet_to_probe,
-    levi_form,
     linearize,
     make_system,
     probe_from_values,
-    probe_satisfies,
     prolong_constraints,
-    realify,
     reduce_redundant,
     stratum_analyze,
     substitute_vanishing,
     var_jet_order,
 )
 from diskeds.reports import build_problem, load_problem
+from oracles import complexify, curve_probe, jet_to_probe, levi_form, realify
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -141,7 +136,7 @@ def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch)
     # the torsion test and the redundancy reduction share one linearization
     # of the prolonged system; with the reduced system's linearization for
     # the next tableau, a step freezes at most twice as many equalities as
-    # the prolonged system has, and never through partial_evaluate
+    # the prolonged system has
     calls = []
     original = jets.linearize
 
@@ -156,7 +151,6 @@ def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch)
         lin = linearize(system, probes[pname])
         calls.clear()
         monkeypatch.setattr(jets, "linearize", counting)
-        monkeypatch.setattr(Polynomial, "partial_evaluate", None)
         stratum_analyze(lin)
         monkeypatch.undo()
         prolonged = prolong_constraints(system)
@@ -351,7 +345,7 @@ def test_jet_to_probe_matches_stratum():
     system, probes = lp.strata["nonzero_velocity"]
     jet = lp.jets["J0"]
     probe = jet_to_probe(lp.problem, jet)
-    assert probe_satisfies(system, probe, strict=False)
+    assert linearize(system, probe).satisfied(strict=False)
     assert probe == probes["Q0"]
 
 
@@ -364,8 +358,8 @@ def test_flat_disk_satisfies_prolonged_system():
     t = Polynomial.var(("t",), "t")
     comps = [t, Polynomial.zero(("t",)), Polynomial.zero(("t",))]
     for t0 in (Fraction(0), Fraction(1, 2), Fraction(-2, 3)):
-        assert probe_satisfies(S, curve_probe(3, S.order, comps, t0),
-                               strict=False)
+        assert linearize(S, curve_probe(3, S.order, comps, t0)).satisfied(
+            strict=False)
 
 
 def test_cusp_escape_curve_on_t6_closure():
@@ -377,8 +371,8 @@ def test_cusp_escape_curve_on_t6_closure():
     t = Polynomial.var(("t",), "t")
     comps = [t ** 3, t ** 2, Polynomial.const(("t",), gaussian(0, 1))]
     for t0 in (Fraction(1, 3), Fraction(-1, 2)):
-        assert probe_satisfies(P, curve_probe(3, P.order, comps, t0),
-                               strict=False)
+        assert linearize(P, curve_probe(3, P.order, comps, t0)).satisfied(
+            strict=False)
 
 
 def test_involution_loop_rounds_exhausted_is_a_value():

@@ -36,3 +36,30 @@ def test_no_floats_in_the_package():
                     alias.name not in INTEGER_MATH for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}: from math import")
     assert found == []
+
+
+
+def test_every_top_level_definition_is_reachable_from_the_cli():
+    # the package holds only what the CLI runs; reference oracles live in
+    # tests/oracles.py.  A function or class outside __init__ is reachable
+    # when cli.main or a module-level statement other than an import names
+    # it, directly or through a reachable definition.
+    refs, todo = {}, ["main"]
+    for path in sorted(SRC.glob("[!_]*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = [sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs[(path.stem, node.name)] = names
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo += names
+    reached = set()
+    while todo:
+        name = todo.pop()
+        for key, names in refs.items():
+            if key[1] == name and key not in reached:
+                reached.add(key)
+                todo += names
+    unreachable = sorted(f"{mod}.{name}" for mod, name in set(refs) - reached)
+    assert not unreachable, ", ".join(unreachable)

@@ -16,25 +16,25 @@ from diskeds.involutivity import compute_D_vectors
 from diskeds.torsion import (
     _coefficient_tables,
     complex_B_coefficients,
-    dim6_completed_square,
     dim6_definiteness,
-    evaluate_form,
     form_definiteness,
     pseudo_ellipsoid_check,
-    pseudo_ellipsoid_rho,
     quadratics_from_B,
-    structure_coefficient_forms,
     structure_equation_coefficients,
     torsion_absorbable,
 )
 from oracles import (
     coefficient_tables_symbolic,
+    dim6_completed_square,
     dtheta_torsion_oracle,
+    evaluate_form,
     on_chart_point,
     on_surface_point,
+    pseudo_ellipsoid_rho,
     random_constant_structure,
     random_polynomial,
     random_polynomial_structure,
+    structure_coefficient_forms,
 )
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
