@@ -9,7 +9,6 @@ part normalize back down to Fraction so term dictionaries stay canonical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealCoefficients, SchemaViolation
@@ -39,19 +38,25 @@ def rat(value) -> Fraction:
     raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    The constructor coerces both parts to Fraction; arithmetic builds its
+    results with :func:`_gaussian_parts` from parts that are Fractions
+    already.  An int or Fraction operand acts on the two parts directly.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian_parts(self.re, -self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -69,66 +74,83 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian_parts(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussianRational):
+            return _gaussian_parts(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian_parts(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            return _gaussian_parts(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian_parts(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian_parts(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussianRational):
+            return _gaussian_parts(self.re * other.re - self.im * other.im,
+                                   self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian_parts(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        if isinstance(other, GaussianRational):
+            norm = other.re * other.re + other.im * other.im
+            if norm == 0:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _gaussian_parts(
+                (self.re * other.re + self.im * other.im) / norm,
+                (self.im * other.re - self.re * other.im) / norm)
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _gaussian_parts(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return _lift(other) / self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        norm = self.re * self.re + self.im * self.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return _gaussian_parts(other * self.re / norm, -other * self.im / norm)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = GaussianRational(1, 0)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return GaussianRational(1, 0) if out is None else out
 
+
+_new_object = object.__new__
+
+
+def _gaussian_parts(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from two Fractions, taken as they are."""
+    g = _new_object(GaussianRational)
+    g.re = re
+    g.im = im
+    return g
 
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
@@ -211,14 +233,6 @@ class FirstJet:
         if q == 0:
             return Fraction(0)
         return FirstJet(q, tuple(-q * b / v for b in self.grad))
-
-
-def _lift(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    return NotImplemented
 
 
 def normalize_scalar(value):

@@ -359,15 +359,27 @@ def conjugate_name(name):
     return None
 
 
+_SWAPS = {}   # variable table -> index of each variable's conjugate partner
+
+
+def _conjugate_swap(variables):
+    """The conjugation permutation of a table, parsed once per table."""
+    swap = _SWAPS.get(variables)
+    if swap is None:
+        swap = []
+        for name in variables:
+            other = conjugate_name(name)
+            if other is None or other not in variables:
+                raise NotComplexifiedMode(
+                    f"variable {name!r} has no conjugate partner in the table")
+            swap.append(variables.index(other))
+        swap = _SWAPS[variables] = tuple(swap)
+    return swap
+
+
 def conjugate_involution(p: Polynomial) -> Polynomial:
     """Swap z<->zb, w<->wb (same jet suffix) and conjugate coefficients."""
-    swapped = []
-    for name in p.vars:
-        other = conjugate_name(name)
-        if other is None or other not in p.vars:
-            raise NotComplexifiedMode(
-                f"variable {name!r} has no conjugate partner in the table")
-        swapped.append(p.vars.index(other))
+    swapped = _conjugate_swap(p.vars)
     res = {}
     for exps, c in p.terms.items():
         e = [0] * len(p.vars)

@@ -25,7 +25,7 @@ and only re-indexed into a chart's internal order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,14 +58,10 @@ def _permute_ratfn(r: RationalFunction, order) -> RationalFunction:
                             permute_polynomial(r.den, order))
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
-    """The matrix relating the two disk-direction derivatives, p_2 = A p_1."""
-
-    n: int
-    entries: tuple  # 2n x 2n tuple of tuples of RationalFunction
-    kind: str = "general"
-    warnings: tuple = ()
+# The matrix relating the two disk-direction derivatives, p_2 = A p_1;
+# ``entries`` is a 2n x 2n tuple of tuples of RationalFunction.
+StructureMatrix = namedtuple("StructureMatrix", "n entries kind warnings",
+                             defaults=("general", ()))
 
 
 def complex_standard(n: int, variables=None) -> StructureMatrix:
@@ -124,26 +120,23 @@ def make_structure_from_pair(a: RationalFunction, b: RationalFunction,
     return StructureMatrix(n, tuple(rows), "from_pair", tuple(warnings))
 
 
-@dataclass(frozen=True)
-class FirstJetPoint:
-    f: tuple          # base point, user coordinate order
-    p_reduced: tuple  # p^3_1..p^{2n}_1 in relabeled coordinates
+# f: base point, user coordinate order; p_reduced: p^3_1..p^{2n}_1 in
+# relabeled coordinates
+FirstJetPoint = namedtuple("FirstJetPoint", "f p_reduced")
 
 
-@dataclass(frozen=True)
-class HypersurfaceProblem:
-    rho: Polynomial
-    structure: StructureMatrix
-    pair: tuple = (1, 2)
+class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        two_n = 2 * self.structure.n
-        if len(self.rho.vars) != two_n:
+    def __new__(cls, rho: Polynomial, structure: StructureMatrix, pair=(1, 2)):
+        two_n = 2 * structure.n
+        if len(rho.vars) != two_n:
             raise DimensionMismatch(
-                f"rho has {len(self.rho.vars)} variables, expected {two_n}")
-        i1, i2 = self.pair
+                f"rho has {len(rho.vars)} variables, expected {two_n}")
+        i1, i2 = pair
         if i1 == i2 or not (1 <= i1 <= two_n and 1 <= i2 <= two_n):
-            raise DimensionMismatch(f"bad distinguished pair {self.pair}")
+            raise DimensionMismatch(f"bad distinguished pair {pair}")
+        return super().__new__(cls, rho, structure, pair)
 
     @property
     def n(self):
@@ -184,23 +177,19 @@ class HypersurfaceProblem:
         return FirstJetPoint(f, p_reduced)
 
 
-@dataclass(frozen=True)
-class GammaBetaData:
+class GammaBetaData(namedtuple("GammaBetaData", "problem sigma internal_vars alpha "
+                               "rho_grad mu mu2 D gamma1 gamma2 beta_full")):
     """Reduced first-jet data; entries are Fractions in pointwise mode,
     FirstJets in first-jet mode and RationalFunctions over the internal
-    table in symbolic mode."""
+    table in symbolic mode.
 
-    problem: HypersurfaceProblem
-    sigma: tuple            # internal 1-based -> original 1-based
-    internal_vars: tuple
-    alpha: tuple            # evaluated/symbolic structure entries, internal order
-    rho_grad: tuple         # length 2n
-    mu: tuple               # length 2n
-    mu2: tuple              # length 2n
-    D: object
-    gamma1: tuple           # length 2n-2, internal j = 3..2n
-    gamma2: tuple
-    beta_full: tuple        # 2n rows x (2n-2) cols, internal order
+    ``sigma`` maps internal 1-based to original 1-based indices; ``alpha``
+    holds the structure entries in internal order; ``rho_grad``, ``mu`` and
+    ``mu2`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
+    j = 3..2n); ``beta_full`` has 2n rows and 2n-2 columns, internal order.
+    """
+
+    __slots__ = ()
 
     @property
     def two_n(self):
@@ -369,18 +358,14 @@ def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
     values = lambda row: tuple(x.value for x in row)
     alpha = tuple(values(row) for row in gb.alpha)
     mu = values(gb.mu)
-    return replace(gb, alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
-                   mu2=_mu2(mu, alpha), D=gb.D.value, gamma1=values(gb.gamma1),
-                   gamma2=values(gb.gamma2),
-                   beta_full=tuple(values(row) for row in gb.beta_full))
+    return gb._replace(alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
+                       mu2=_mu2(mu, alpha), D=gb.D.value, gamma1=values(gb.gamma1),
+                       gamma2=values(gb.gamma2),
+                       beta_full=tuple(values(row) for row in gb.beta_full))
 
 
-@dataclass(frozen=True)
-class FullJet:
-    p11: Fraction
-    p21: Fraction
-    p1: tuple  # user coordinate order
-    p2: tuple  # user coordinate order
+# p1 and p2 in user coordinate order
+FullJet = namedtuple("FullJet", "p11 p21 p1 p2")
 
 
 def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,

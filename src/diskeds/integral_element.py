@@ -31,7 +31,7 @@ rank, which is what Cartan-Kahler consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import random
 
@@ -45,16 +45,9 @@ def _zeros(k):
     return tuple(Fraction(0) for _ in range(k))
 
 
-@dataclass(frozen=True)
-class FlagSpec:
-    a1: tuple
-    a2: tuple
-    c1: tuple
-    c2: tuple
-    alpha: Fraction = Fraction(1)
-    beta: Fraction = Fraction(0)
-    eps_x: tuple = None
-    eps_p: tuple = None
+class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta eps_x eps_p",
+                          defaults=(Fraction(1), Fraction(0), None, None))):
+    __slots__ = ()
 
     def resolved(self, two_n):
         a1 = tuple(Fraction(x) for x in self.a1)
@@ -78,16 +71,9 @@ class FlagSpec:
         return A1, A2, C
 
 
-@dataclass(frozen=True)
-class PolarSystem:
-    F: tuple        # (4n-3) x 2n
-    G: tuple        # (2n-1) x (4n-3)
-    R: tuple        # (2n-2) x (4n-3)
-    square: tuple   # (4n-3) x (4n-3): G stacked over R
-    A1: Fraction
-    A2: Fraction
-    C: tuple
-    x_degenerate: bool
+# F: (4n-3) x 2n; G: (2n-1) x (4n-3); R: (2n-2) x (4n-3); square:
+# (4n-3) x (4n-3), G stacked over R
+PolarSystem = namedtuple("PolarSystem", "F G R square A1 A2 C x_degenerate")
 
 
 def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint):
@@ -168,18 +154,13 @@ def build_polar_maps(problem: HypersurfaceProblem, jet: FirstJetPoint,
     return PolarSystem(F, G, R, square, A1, A2, C, x_degenerate)
 
 
-@dataclass(frozen=True)
-class KahlerVerdict:
-    determinant: Fraction
-    regular: bool
-    verdict: str        # kahler_regular | not_an_integral_element |
-                        # degenerate_independence |
-                        # inconclusive_for_this_flag |
-                        # inconclusive_degenerate_chart
-    dim_ker_gf: int
-    eps_samples: tuple  # ((label, det_nonzero, dim_ker_gf), ...)
-    is_integral: bool = True
-    independence: bool = True
+# verdict: kahler_regular | not_an_integral_element |
+# degenerate_independence | inconclusive_for_this_flag |
+# inconclusive_degenerate_chart; eps_samples: ((label, det_nonzero,
+# dim_ker_gf), ...)
+KahlerVerdict = namedtuple("KahlerVerdict", "determinant regular verdict dim_ker_gf "
+                           "eps_samples is_integral independence",
+                           defaults=(True, True))
 
 
 def _pair_X(flag: FlagSpec, two_n):
@@ -265,12 +246,7 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
                          tuple(samples), integral, independence)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    flag: FlagSpec
-    verdict: KahlerVerdict
-    candidate_index: int
-    attempted: int
+SearchResult = namedtuple("SearchResult", "flag verdict candidate_index attempted")
 
 
 def integral_flag_from_c1(problem: HypersurfaceProblem, rows, c1) -> FlagSpec:

@@ -22,18 +22,16 @@ rows stay proportional to D0, which is all the prolongation theory uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CrossCheckMismatch
 from .geometry import GammaBetaData
 from .linalg import mat_rank, row_times_matrix
 
 
-@dataclass(frozen=True)
-class DVectors:
-    D0: tuple
-    D1: tuple  # +rho_2 * D0 == gamma^1 beta - beta_1
-    D2: tuple  # -rho_1 * D0 == gamma^2 beta - beta_2
+# D1 = +rho_2 * D0 == gamma^1 beta - beta_1
+# D2 = -rho_1 * D0 == gamma^2 beta - beta_2
+DVectors = namedtuple("DVectors", "D0 D1 D2")
 
 
 def obstruction_bracket(gb: GammaBetaData):
@@ -77,13 +75,9 @@ def _cross_check_exact(gb, D1, D2):
                     "closed-form obstruction row disagrees with gamma*beta - beta_k")
 
 
-@dataclass(frozen=True)
-class TableauReport:
-    dim_A: int
-    dims: tuple       # dim A^(q) for q = 1..Q
-    q0: int
-    involutive_from: int
-    involutive_at_0: bool
+# dims: dim A^(q) for q = 1..Q
+TableauReport = namedtuple("TableauReport",
+                           "dim_A dims q0 involutive_from involutive_at_0")
 
 
 def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:

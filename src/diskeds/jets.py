@@ -22,7 +22,7 @@ top variables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import normalize_scalar, require_real, scalar_conj
 from .expr import Polynomial, conjugate_involution, conjugate_name, print_polynomial
-from .linalg import in_row_span, mat_rank, solve_particular
+from .linalg import greedy_basis, mat_rank, solve_particular
 
 
 # ----------------------------------------------------------------------
@@ -108,18 +108,16 @@ def _monic(p: Polynomial) -> Polynomial:
     return p if lead == 1 else p.scale(1 / lead)
 
 
-@dataclass(frozen=True)
-class Opening:
-    poly: Polynomial
-    sign: str = "nonzero"   # "+", "-", or "nonzero"
+# sign: "+", "-", or "nonzero"
+Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))
 
 
-@dataclass(frozen=True)
-class JetConstraintSystem:
-    n: int
-    order: int
-    equalities: tuple   # monic, deduplicated, conjugation-closed
-    openings: tuple     # Opening instances
+class JetConstraintSystem(namedtuple("JetConstraintSystem",
+                                     "n order equalities openings")):
+    """``equalities`` are monic, deduplicated and conjugation-closed;
+    ``openings`` are Opening instances."""
+
+    __slots__ = ()
 
     @property
     def table(self):
@@ -182,7 +180,7 @@ def substitute_vanishing(system: JetConstraintSystem) -> JetConstraintSystem:
                                                   for k, v in zip(e, p.vars))})
                    for p in eqs]
         if new_eqs == eqs:
-            return replace(system, equalities=_normalize(eqs))
+            return system._replace(equalities=_normalize(eqs))
         eqs = new_eqs
 
 
@@ -228,19 +226,14 @@ def extend_probe(system: JetConstraintSystem, probe: dict) -> dict:
 # one linearization per (system, probe)
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(namedtuple("Linearization", "system probe values gradients "
+                               "nonlinear uses_top mixed")):
     """Per equality of a system at one probe: its value, its gradient in the
     top-order jets, whether a monomial of degree >= 2 in them survives
     freezing the lower jets, and whether it involves a top jet at all.
-    Where the top jets are zero, value and gradient are the affine part."""
-    system: JetConstraintSystem
-    probe: dict
-    values: tuple
-    gradients: tuple
-    nonlinear: tuple
-    uses_top: tuple
-    mixed: bool        # some monomial couples plain and barred top jets
+    Where the top jets are zero, value and gradient are the affine part.
+    ``mixed``: some monomial couples plain and barred top jets.  Instances
+    keep a ``__dict__`` for the cached tableau."""
 
     def satisfied(self, strict=True) -> bool:
         """Equalities vanish and openings hold; ``strict`` raises instead."""
@@ -357,44 +350,39 @@ def reduce_redundant(lin: Linearization):
     retained ones (nonlinear-in-top equalities are kept).
 
     ``lin`` linearizes the system at a probe whose top jets are zero, so it
-    holds the affine parts.  Returns (reduced system, dropped list).
+    holds the affine parts.  The reduction is greedy deletion from the last
+    equality down; it keeps exactly what greedy insertion from the first
+    one keeps once the equalities free of top jets (always kept) are in, so
+    one incremental elimination decides every candidate.  Returns (reduced
+    system, dropped list), the dropped equalities in descending index.
     """
     system = lin.system
     if any(lin.probe[v] != 0 for v in system.table[-2 * system.n:]):
         raise CrossCheckMismatch("affine parts need a probe with zero top jets")
     eqs = system.equalities
     parts = [list(g) + [v] for g, v in zip(lin.gradients, lin.values)]
-    retained = list(range(len(eqs)))
-    dropped = []
-    for idx in reversed(range(len(eqs))):
-        if lin.nonlinear[idx] or not lin.uses_top[idx]:
-            continue
-        base = [parts[j] for j in retained
-                if j != idx and not lin.nonlinear[j]]
-        if in_row_span(base, parts[idx], len(parts[idx])):
-            dropped.append(eqs[idx])
-            retained.remove(idx)
+    candidates = [j for j in range(len(eqs))
+                  if lin.uses_top[j] and not lin.nonlinear[j]]
+    free = [parts[j] for j in range(len(eqs)) if not lin.uses_top[j]]
+    kept = {candidates[k] for k in greedy_basis(free, [parts[j] for j in candidates])}
+    dropped = [j for j in reversed(candidates) if j not in kept]
     # keep conjugation closure: a dropped equality whose conjugate survived
     # is harmless (the conjugate was independently tested), but _normalize
     # would re-add it, so rebuild without closure re-insertion
-    return replace(system, equalities=tuple(eqs[j] for j in retained)), dropped
+    return (system._replace(equalities=tuple(eq for j, eq in enumerate(eqs)
+                                             if j not in dropped)),
+            [eqs[j] for j in dropped])
 
 
 # ----------------------------------------------------------------------
 # stratum analysis and the involution loop
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    torsion_free: bool
-    tableau_dim: int
-    complex_split: bool
-    next_dim: int
-    redundant_dropped: tuple
-    verdict: str            # involutive_at_order_q | continue | blocked
-    warnings: tuple
-    next: Linearization     # the reduced system at the extended probe; None if blocked
-    trivial_velocities: bool
+# verdict: involutive_at_order_q | continue | blocked; next: the
+# Linearization of the reduced system at the extended probe, None if blocked
+StratumReport = namedtuple("StratumReport", "torsion_free tableau_dim complex_split "
+                           "next_dim redundant_dropped verdict warnings next "
+                           "trivial_velocities")
 
 
 def _velocities_pinned(system: JetConstraintSystem) -> bool:
@@ -443,12 +431,8 @@ def stratum_analyze(lin: Linearization) -> StratumReport:
                          _velocities_pinned((following or lin).system))
 
 
-@dataclass(frozen=True)
-class InvolutionChain:
-    reports: tuple
-    dims: tuple
-    verdict: str      # involutive | blocked | rounds_exhausted
-    rounds: int
+# verdict: involutive | blocked | rounds_exhausted
+InvolutionChain = namedtuple("InvolutionChain", "reports dims verdict rounds")
 
 
 def involution_loop(initial: JetConstraintSystem, probe: dict,

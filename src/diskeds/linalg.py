@@ -101,14 +101,31 @@ def det(matrix):
     return out if sign > 0 else -out
 
 
-def in_row_span(rows, candidate, ncols) -> bool:
-    """Exact membership of ``candidate`` in the row span of ``rows``."""
-    base = [list(r) for r in rows if any(x != 0 for x in r)]
-    if all(x == 0 for x in candidate):
-        return True
-    r0 = len(_echelon([list(r) for r in base], ncols)) if base else 0
-    r1 = len(_echelon(base + [list(candidate)], ncols))
-    return r1 == r0
+def greedy_basis(base, rows):
+    """Indices of the ``rows`` that forward greedy insertion keeps: row i
+    is kept when it lies outside the span of ``base`` and of the rows kept
+    before it.
+
+    One incremental elimination: each row is reduced against the echelon
+    basis built so far and joins it exactly when it adds a pivot.
+    """
+    echelon = []    # (pivot column, row), ascending pivot columns
+
+    def adds_pivot(row):
+        for c, b in echelon:
+            if row[c] != 0:
+                factor = row[c] / b[c]
+                row = [x - factor * y for x, y in zip(row, b)]
+        for c, x in enumerate(row):
+            if x != 0:
+                at = sum(1 for pc, _ in echelon if pc < c)
+                echelon.insert(at, (c, row))
+                return True
+        return False
+
+    for row in base:
+        adds_pivot(row)
+    return [i for i, row in enumerate(rows) if adds_pivot(row)]
 
 
 def mat_mul(a, b):

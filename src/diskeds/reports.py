@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SchemaViolation
@@ -89,17 +89,11 @@ def _field(parent, key, path, kind, required=True, default=None):
     return parent[key] if kind is None else _typed(parent[key], where, kind)
 
 
-@dataclass
-class LoadedProblem:
-    doc: dict
-    digest: str
-    two_n: int
-    problem: HypersurfaceProblem   # None for complexified-only files
-    points: dict
-    jets: dict                     # name -> FirstJetPoint
-    flags: dict
-    strata: dict                   # name -> (JetConstraintSystem, {probe name -> dict})
-    structure_warnings: tuple
+# problem: a HypersurfaceProblem, None for complexified-only files; jets:
+# name -> FirstJetPoint; strata: name -> (JetConstraintSystem,
+# {probe name -> dict})
+LoadedProblem = namedtuple("LoadedProblem", "doc digest two_n problem points jets "
+                           "flags strata structure_warnings")
 
 
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
@@ -255,7 +249,7 @@ def jsonable(value):
         return str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):   # not a record, which subclasses tuple
         return [jsonable(v) for v in value]
     if isinstance(value, float):
         raise SchemaViolation("internal error: a float reached the report layer")
@@ -263,14 +257,8 @@ def jsonable(value):
         f"a {type(value).__name__} reached the report layer")
 
 
-@dataclass
-class Report:
-    command: str
-    problem: str
-    digest: str
-    options: dict
-    results: dict
-    warnings: list
+class Report(namedtuple("Report", "command problem digest options results warnings")):
+    __slots__ = ()
 
     def to_obj(self):
         return {

@@ -26,7 +26,7 @@ condition) are implemented against the same exact substrate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SingularD, WrongDimension
@@ -49,14 +49,11 @@ from .linalg import det, solve_particular
 # general structure equations
 
 
-@dataclass(frozen=True)
-class StructureEquationData:
-    """Structure-equation coefficient table and torsion forms at a jet."""
-
-    A_coeffs: dict          # (k, j, i) -> value, k=1..2n, j=3..2n, i=1,2
-    c_matrices: tuple       # 2n symmetric (2n-2)x(2n-2) Fraction matrices
-    c_values: tuple         # c^k_{1,2} evaluated at the jet (length 2n)
-    point_data: GammaBetaData  # pointwise gamma/beta at the base point
+# Torsion forms at a jet: c_matrices holds the 2n symmetric (2n-2)x(2n-2)
+# Fraction matrices, c_values the c^k_{1,2} at the jet (length 2n) and
+# point_data the pointwise GammaBetaData at the base point.
+StructureEquationData = namedtuple("StructureEquationData",
+                                   "c_matrices c_values point_data")
 
 
 def _symmetrize(raw):
@@ -109,28 +106,18 @@ def structure_equation_coefficients(problem: HypersurfaceProblem,
     c_values = tuple(
         sum(raw[k][j][jp] * p[j] * p[jp] for j in range(m) for jp in range(m))
         for k in range(two_n))
-    A_coeffs = {}
-    for j in range(m):
-        A_coeffs[(1, j + 3, 1)] = -g1v[j]
-        A_coeffs[(2, j + 3, 1)] = -g2v[j]
-        for i in range(2, two_n):
-            A_coeffs[(i + 1, j + 3, 1)] = Fraction(-1) if i == j + 2 else Fraction(0)
-        for k in range(two_n):
-            A_coeffs[(k + 1, j + 3, 2)] = -bv[k][j]
-    return StructureEquationData(A_coeffs, c_matrices, c_values, first_jet_values(gb))
+    return StructureEquationData(c_matrices, c_values, first_jet_values(gb))
 
 
 # ----------------------------------------------------------------------
 # absorbability
 
 
-@dataclass(frozen=True)
-class TorsionVerdict:
-    case: str                # "D0_zero" | "D0_nonzero"
-    residual_1: Fraction
-    residual_2: Fraction
-    absorbable: bool
-    witness_v: tuple = None  # one solution of D0 v = residual, minimal support
+# case is "D0_zero" or "D0_nonzero"; witness_v is one solution of
+# D0 v = residual with minimal support, or None
+TorsionVerdict = namedtuple("TorsionVerdict",
+                            "case residual_1 residual_2 absorbable witness_v",
+                            defaults=(None,))
 
 
 def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
@@ -169,15 +156,11 @@ def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
 # complex case closed forms
 
 
-@dataclass(frozen=True)
-class ComplexTorsionData:
-    n: int
-    gamma1: tuple        # symbolic or evaluated, indices j = 3..2n
-    gamma2: tuple
-    B_lower: dict        # (j, k) -> value, j,k = 2..n
-    B_upper: dict
-    c1: tuple            # symmetric quadratic-form matrices in p^3..p^{2n}
-    c2: tuple
+# gamma1, gamma2: symbolic or evaluated, indices j = 3..2n; B_lower,
+# B_upper: (j, k) -> value, j,k = 2..n; c1, c2: symmetric quadratic-form
+# matrices in p^3..p^{2n}
+ComplexTorsionData = namedtuple("ComplexTorsionData",
+                                "n gamma1 gamma2 B_lower B_upper c1 c2")
 
 
 def _complex_problem(rho: Polynomial) -> HypersurfaceProblem:
@@ -276,15 +259,9 @@ def form_definiteness(matrix) -> str:
 # dimension 6
 
 
-@dataclass(frozen=True)
-class Dim6Report:
-    delta1: Fraction
-    delta2: Fraction
-    sign1: int
-    sign2: int
-    c1_definiteness: str
-    c2_definiteness: str
-    verdict: str   # necessary_condition_holds | necessary_condition_violated
+# verdict: necessary_condition_holds | necessary_condition_violated
+Dim6Report = namedtuple("Dim6Report", "delta1 delta2 sign1 sign2 c1_definiteness "
+                        "c2_definiteness verdict")
 
 
 def dim6_definiteness(rho: Polynomial, f_point) -> Dim6Report:
@@ -315,14 +292,8 @@ def dim6_definiteness(rho: Polynomial, f_point) -> Dim6Report:
 # pseudo-ellipsoids
 
 
-@dataclass(frozen=True)
-class PseudoEllipsoidReport:
-    v: tuple
-    w: tuple
-    L: Fraction
-    holds: bool
-    rho_value: Fraction
-    off_surface: bool
+PseudoEllipsoidReport = namedtuple("PseudoEllipsoidReport",
+                                   "v w L holds rho_value off_surface")
 
 
 def pseudo_ellipsoid_check(alphas, ks, y_point) -> PseudoEllipsoidReport:

@@ -529,3 +529,33 @@ def nullspace(matrix, ncols=None):
                 v[pc] = -s / rows[r][pc]
         basis.append(v)
     return basis
+
+
+def in_row_span(rows, candidate, ncols) -> bool:
+    """Exact membership of ``candidate`` in the row span of ``rows``."""
+    base = [list(r) for r in rows if any(x != 0 for x in r)]
+    if all(x == 0 for x in candidate):
+        return True
+    r0 = len(_echelon([list(r) for r in base], ncols)) if base else 0
+    r1 = len(_echelon(base + [list(candidate)], ncols))
+    return r1 == r0
+
+
+def reduce_redundant_by_span(lin):
+    """jets.reduce_redundant as reverse greedy deletion: from the last
+    equality down, drop each linear top-order one whose affine part lies in
+    the span of the other retained linear ones (two eliminations each).
+    Returns (retained equalities, dropped equalities in descending index)."""
+    eqs = lin.system.equalities
+    parts = [list(g) + [v] for g, v in zip(lin.gradients, lin.values)]
+    retained = list(range(len(eqs)))
+    dropped = []
+    for idx in reversed(range(len(eqs))):
+        if lin.nonlinear[idx] or not lin.uses_top[idx]:
+            continue
+        base = [parts[j] for j in retained
+                if j != idx and not lin.nonlinear[j]]
+        if in_row_span(base, parts[idx], len(parts[idx])):
+            dropped.append(eqs[idx])
+            retained.remove(idx)
+    return tuple(eqs[j] for j in retained), dropped

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
+from diskeds.geometry import FirstJetPoint
 from diskeds.reports import build_problem, emit_report, jsonable, load_problem
 from diskeds import cli
 
@@ -584,6 +585,9 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
         jsonable({"value": object()})
     with pytest.raises(SchemaViolation):
         jsonable([0.5])
+    # a record is a tuple subclass, not a list
+    with pytest.raises(CrossCheckMismatch):
+        jsonable({"value": FirstJetPoint((0, 0, 0, 0), (1, 0))})
 
 
 # wrong-typed values, junk expressions and rationals, a deleted key; no

@@ -252,3 +252,39 @@ def test_first_jet_constant_operand_matches_lifted_jet(x, c):
                     op(*args)
                 continue
             assert _value_and_grad(op(*args)) == _value_and_grad(want)
+
+
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@given(gaussians, st.one_of(st.integers(-4, 4), rationals))
+@settings(max_examples=150, deadline=None)
+def test_gaussian_real_operand_matches_lifted_gaussian(z, c):
+    lifted = GaussianRational(c, 0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args, lifted_args in (((z, c), (z, lifted)), ((c, z), (lifted, z))):
+            try:
+                want = op(*lifted_args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(*args)
+                continue
+            got = op(*args)
+            assert (got.re, got.im) == (want.re, want.im)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+@given(gaussians, st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_gaussian_power_is_repeated_product(z, k):
+    want = GaussianRational(1, 0)
+    for _ in range(k):
+        want = want * z
+    assert z ** k == want
+
+
+def test_gaussian_repr_and_coercion():
+    z = GaussianRational(Fraction(1, 2), 1)
+    assert repr(z) == "GaussianRational(re=Fraction(1, 2), im=Fraction(1, 1))"
+    assert type(z.im) is Fraction
+    assert z == gaussian("1/2", "1") and hash(z) == hash(gaussian("1/2", "1"))

@@ -17,6 +17,7 @@ from diskeds import linalg
 from diskeds.linalg import mat_rank, nullity, row_times_matrix
 from oracles import (
     brute_force_dim_A1,
+    in_row_span,
     on_chart_point,
     random_constant_structure,
     random_polynomial,
@@ -238,7 +239,6 @@ def test_involutive_from_matches_span_condition():
     # the reported order is the first q with D0 beta^{q-1} in the span of
     # the lower Krylov rows
     rng = random.Random(19)
-    from diskeds.linalg import in_row_span
     done = 0
     while done < 5:
         n = rng.choice((2, 3))

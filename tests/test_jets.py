@@ -25,8 +25,11 @@ from diskeds.jets import (
     substitute_vanishing,
     var_jet_order,
 )
+from diskeds import expr
+from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
-from oracles import complexify, curve_probe, jet_to_probe, levi_form, realify
+from oracles import (complexify, curve_probe, jet_to_probe, levi_form, realify,
+                     reduce_redundant_by_span)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -113,6 +116,64 @@ def test_reduce_redundant_marks_square_norm_rows():
     reduced2, dropped2 = reduce_redundant(linearize(P2, ext2))
     mixed_row = cx("w1_2*wb1_1 - w2_2*wb2_1", order=P2.order)
     assert mixed_row in set(dropped2)
+
+
+def _random_stratum(rng):
+    """A random n = 2 system of order 2, some rows linear in the top jets
+    (w_1, wb_1), some nonlinear, some free of them, some sums of others,
+    and a probe with zero top jets."""
+    table = jet_table(2, 2)
+    low, top = table[:-4], table[-4:]
+    var = lambda name: Polynomial.var(table, name)
+    coeff = lambda: gaussian(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    def row():
+        p = Polynomial.const(table, coeff())
+        for _ in range(rng.randint(1, 3)):
+            m = var(rng.choice(top))
+            if rng.random() < 0.4:
+                m = m * var(rng.choice(low))
+            if rng.random() < 0.1:
+                m = m * var(rng.choice(top))
+            p = p + m * coeff()
+        return p
+
+    eqs = [row() for _ in range(rng.randint(1, 4))]
+    eqs += [var(rng.choice(low)) * coeff() + coeff() for _ in range(rng.randint(0, 2))]
+    eqs += [eqs[rng.randrange(len(eqs))] * coeff() + eqs[rng.randrange(len(eqs))]
+            for _ in range(rng.randint(0, 3))]
+    small = lambda: gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+    probe = probe_from_values(2, 2, [small(), small()],
+                              [[small(), small()], [0, 0]])
+    return make_system(2, eqs, order=2), probe
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_reduce_redundant_matches_reverse_deletion(seed):
+    # one forward elimination keeps what per-candidate reverse deletion keeps
+    system, probe = _random_stratum(random.Random(seed))
+    lin = linearize(system, probe)
+    reduced, dropped = reduce_redundant(lin)
+    retained, want_dropped = reduce_redundant_by_span(lin)
+    assert reduced.equalities == retained
+    assert dropped == want_dropped
+
+
+def test_jets_run_parses_each_conjugation_table_once(monkeypatch, capsys):
+    # conjugation is an index permutation built once per variable table
+    parsed = []
+
+    def counting(name, original=expr.conjugate_name):
+        parsed.append(name)
+        return original(name)
+
+    monkeypatch.setattr(expr, "_SWAPS", {})
+    monkeypatch.setattr(expr, "conjugate_name", counting)
+    assert main(["jets", "hyperquadric"]) == 0
+    tables = list(expr._SWAPS)
+    assert len(tables) >= 2
+    assert sorted(parsed) == sorted(name for table in tables for name in table)
 
 
 def test_stratum_dims_fixtures():

@@ -7,12 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from diskeds.expr import Polynomial, RationalFunction
 from diskeds.linalg import (
     det,
-    in_row_span,
     mat_rank,
     nullity,
     solve_particular,
 )
-from oracles import nullspace
+from oracles import in_row_span, nullspace
 
 
 def test_rank_and_nullspace_basics():

@@ -1,6 +1,8 @@
 """Source-level rules for the package."""
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "diskeds"
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
@@ -39,19 +41,51 @@ def test_no_floats_in_the_package():
 
 
 
-def test_every_top_level_definition_is_reachable_from_the_cli():
-    # the package holds only what the CLI runs; reference oracles live in
-    # tests/oracles.py.  A function or class outside __init__ is reachable
-    # when cli.main or a module-level statement other than an import names
-    # it, directly or through a reachable definition.
+def test_no_dataclasses_in_the_package():
+    # records are namedtuples: defining dataclasses costs most of the import
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import diskeds.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _unreachable(sources):
+    """Top-level definitions of the modules in ``sources`` (stem -> text)
+    that cli.main cannot reach by name.  A function, a class or a
+    module-level ``Name = namedtuple(...)`` record is reachable when main
+    or a module-level statement other than an import or a definition names
+    it, directly or through a reachable definition."""
     refs, todo = {}, ["main"]
-    for path in sorted(SRC.glob("[!_]*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for stem, text in sources.items():
+        for node in ast.parse(text).body:
             names = [sub.id if isinstance(sub, ast.Name) else sub.attr
                      for sub in ast.walk(node)
                      if isinstance(sub, (ast.Name, ast.Attribute))]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                refs[(path.stem, node.name)] = names
+                refs[(stem, node.name)] = names
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.targets[0], ast.Name)
+                  and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Name)
+                  and node.value.func.id == "namedtuple"):
+                refs[(stem, node.targets[0].id)] = names
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 todo += names
     reached = set()
@@ -61,5 +95,25 @@ def test_every_top_level_definition_is_reachable_from_the_cli():
             if key[1] == name and key not in reached:
                 reached.add(key)
                 todo += names
-    unreachable = sorted(f"{mod}.{name}" for mod, name in set(refs) - reached)
+    return sorted(f"{mod}.{name}" for mod, name in set(refs) - reached)
+
+
+def test_every_top_level_definition_is_reachable_from_the_cli():
+    # the package holds only what the CLI runs; reference oracles live in
+    # tests/oracles.py
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("[!_]*.py"))}
+    unreachable = _unreachable(sources)
     assert not unreachable, ", ".join(unreachable)
+
+
+def test_the_reachability_rule_covers_records():
+    # a namedtuple record counts as a definition, so an unused one is found
+    source = (
+        "from collections import namedtuple\n"
+        "Used = namedtuple('Used', 'a b')\n"
+        "Unused = namedtuple('Unused', 'a b')\n"
+        "class Sub(namedtuple('Sub', 'a')):\n"
+        "    pass\n"
+        "def main():\n"
+        "    return Used(1, 2)\n")
+    assert _unreachable({"cli": source}) == ["cli.Sub", "cli.Unused"]

@@ -160,24 +160,6 @@ def test_pointwise_complex_B_equals_symbolic_at_the_point(n):
         checked += 1
 
 
-def test_a_coefficient_table():
-    rng = random.Random(22)
-    A, vs = random_constant_structure(rng, 2)
-    rho = parse_expression("f1 + f2^2 + f3*f4", vs)
-    prob = HypersurfaceProblem(rho, A, (1, 2))
-    pt = on_surface_point(rng, prob)
-    jet = prob.make_jet(pt, (1, 2))
-    sed = structure_equation_coefficients(prob, jet)
-    gb = compute_gamma_beta(prob, pt)
-    for j in range(3, 5):
-        assert sed.A_coeffs[(1, j, 1)] == -gb.gamma1[j - 3]
-        assert sed.A_coeffs[(2, j, 1)] == -gb.gamma2[j - 3]
-        for i in range(3, 5):
-            assert sed.A_coeffs[(i, j, 1)] == (-1 if i == j else 0)
-        for k in range(1, 5):
-            assert sed.A_coeffs[(k, j, 2)] == -gb.beta_full[k - 1][j - 3]
-
-
 def test_constant_structure_linear_rho_zero_torsion():
     rng = random.Random(23)
     A, vs = random_constant_structure(rng, 2)
