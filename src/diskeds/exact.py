@@ -169,6 +169,11 @@ class FirstJet:
     zero gradient): it shifts the value or scales the gradient, multiplying
     by 0 gives the constant 0, and adding 0 or multiplying or dividing by 1
     returns the jet itself.  So constant inputs cost no gradient arithmetic.
+    Likewise each rule skips a gradient component whose terms have an
+    exact zero factor, so a sparse gradient costs only its nonzero entries.
+
+    A FirstJet is always truthy: a jet whose value is 0 can still have a
+    nonzero gradient, so it is never taken for the constant 0.
     """
 
     __slots__ = ("value", "grad")
@@ -184,36 +189,36 @@ class FirstJet:
 
     def __add__(self, other):
         if not isinstance(other, FirstJet):
-            return self if other == 0 else FirstJet(self.value + other, self.grad)
-        return FirstJet(self.value + other.value,
-                        tuple(a + b for a, b in zip(self.grad, other.grad)))
+            return self if not other else FirstJet(self.value + other, self.grad)
+        return FirstJet(self.value + other.value, _added(self.grad, other.grad))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, FirstJet):
-            return self if other == 0 else FirstJet(self.value - other, self.grad)
+            return self if not other else FirstJet(self.value - other, self.grad)
         return FirstJet(self.value - other.value,
-                        tuple(a - b for a, b in zip(self.grad, other.grad)))
+                        tuple((a - b if a else -b) if b else a
+                              for a, b in zip(self.grad, other.grad)))
 
     def __rsub__(self, other):
-        if other == 0:
+        if not other:
             return -self
-        return FirstJet(other - self.value, tuple(-a for a in self.grad))
+        return FirstJet(other - self.value, _negated(self.grad))
 
     def __neg__(self):
-        return FirstJet(-self.value, tuple(-a for a in self.grad))
+        return FirstJet(-self.value, _negated(self.grad))
 
     def __mul__(self, other):
         if not isinstance(other, FirstJet):
-            if other == 0:
+            if not other:
                 return Fraction(0)
             if other == 1:
                 return self
-            return FirstJet(self.value * other, tuple(a * other for a in self.grad))
+            return FirstJet(self.value * other, _scaled(self.grad, other))
         u, v = self.value, other.value
-        return FirstJet(u * v, tuple(u * b + v * a
-                                     for a, b in zip(self.grad, other.grad)))
+        # d(uv) = u dv + v du
+        return FirstJet(u * v, _added(_scaled(other.grad, u), _scaled(self.grad, v)))
 
     __rmul__ = __mul__
 
@@ -221,18 +226,37 @@ class FirstJet:
         if not isinstance(other, FirstJet):
             if other == 1:
                 return self
-            return FirstJet(self.value / other, tuple(a / other for a in self.grad))
+            return FirstJet(self.value / other,
+                            tuple(a / other if a else a for a in self.grad))
         v = other.value
         q = self.value / v
-        return FirstJet(q, tuple((a - q * b) / v
-                                 for a, b in zip(self.grad, other.grad)))
+        # d(u/v) = (du - q dv) / v
+        return FirstJet(q, tuple(a / v if a else a
+                                 for a in _added(self.grad, _scaled(other.grad, -q))))
 
     def __rtruediv__(self, other):
         v = self.value
         q = other / v
         if q == 0:
             return Fraction(0)
-        return FirstJet(q, tuple(-q * b / v for b in self.grad))
+        return FirstJet(q, tuple(-q * b / v if b else b for b in self.grad))
+
+
+# Gradient kernels: a component with an exact zero factor costs nothing.
+
+def _added(grad, other):
+    return tuple(a + b if a and b else a or b for a, b in zip(grad, other))
+
+
+def _scaled(grad, c):
+    """c * grad; all zeros, as c itself, for c = 0."""
+    if not c:
+        return tuple(c for _ in grad)
+    return tuple(c * a if a else a for a in grad)
+
+
+def _negated(grad):
+    return tuple(-a if a else a for a in grad)
 
 
 def normalize_scalar(value):

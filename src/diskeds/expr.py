@@ -46,6 +46,18 @@ def _gradlex_key(exps):
     return (sum(exps), exps)
 
 
+def _accumulate(terms, exps, c):
+    """terms[exps] += c, starting from c itself and dropping a sum that
+    cancels to zero."""
+    s = terms.get(exps)
+    if s is not None:
+        c = s + c
+        if c == 0:
+            del terms[exps]
+            return
+    terms[exps] = c
+
+
 class Polynomial:
     """Sparse exact polynomial over a fixed ordered variable table."""
 
@@ -157,11 +169,7 @@ class Polynomial:
             return NotImplemented
         res = dict(self.terms)
         for exps, c in other.terms.items():
-            s = res.get(exps, 0) + c
-            if s == 0:
-                res.pop(exps, None)
-            else:
-                res[exps] = s
+            _accumulate(res, exps, c)
         return Polynomial(self.vars, res)
 
     __radd__ = __add__
@@ -189,12 +197,7 @@ class Polynomial:
         res = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, 0) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
+                _accumulate(res, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.vars, res)
 
     __rmul__ = __mul__
@@ -265,17 +268,10 @@ class Polynomial:
         i = self.vars.index(name)
         res = {}
         for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            k = e[i]
-            e[i] = k - 1
-            e = tuple(e)
-            s = res.get(e, 0) + c * k
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
+            k = exps[i]
+            if k:
+                # distinct monomials have distinct derivatives: no sums here
+                res[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
         return Polynomial(self.vars, res)
 
     def derive(self, images):
@@ -296,14 +292,17 @@ class Polynomial:
         if len(point) != len(self.vars):
             raise DimensionMismatch(
                 f"point of length {len(point)} vs {len(self.vars)} variables")
-        out = 0
+        out = None
         for exps, c in self.terms.items():
             acc = c
             for x, e in zip(point, exps):
                 if e:
+                    if not x:
+                        break   # a zero coordinate: the monomial contributes nothing
                     acc = acc * x ** e
-            out = out + acc
-        return normalize_scalar(out)
+            else:
+                out = acc if out is None else out + acc
+        return normalize_scalar(0 if out is None else out)
 
     def first_jet(self, point) -> FirstJet:
         """Value and gradient at a point."""
@@ -718,7 +717,8 @@ class RationalFunction:
         d = self.den.evaluate(point)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return normalize_scalar(self.num.evaluate(point) / d)
+        n = self.num.evaluate(point)
+        return normalize_scalar(n / d) if n else n
 
     def first_jet(self, point) -> FirstJet:
         """Value and gradient at a point (ZeroDivisionError at a pole)."""

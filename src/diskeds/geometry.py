@@ -38,6 +38,7 @@ from .errors import (
 )
 from .exact import FirstJet
 from .expr import Polynomial, RationalFunction
+from .linalg import dot, dot_plus
 
 
 def default_coordinates(two_n: int):
@@ -209,55 +210,49 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem sigma internal_vars alp
 
     def self_check(self):
         """Re-substitution identities of the defining 2x2 system, exact."""
-        r1, r2 = self.rho_grad[0], self.rho_grad[1]
-        m1, m2 = self.mu[0], self.mu[1]
-        for j in range(self.two_n - 2):
-            rj = self.rho_grad[j + 2]
-            mj = self.mu[j + 2]
-            if r1 * self.gamma1[j] + r2 * self.gamma2[j] + rj != 0:
+        rho12, mu12 = self.rho_grad[:2], self.mu[:2]
+        for j, gammas in enumerate(zip(self.gamma1, self.gamma2)):
+            if dot_plus(rho12, gammas, self.rho_grad[j + 2]) != 0:
                 raise CrossCheckMismatch("rho re-substitution failed")
-            if m1 * self.gamma1[j] + m2 * self.gamma2[j] + mj != 0:
+            if dot_plus(mu12, gammas, self.mu[j + 2]) != 0:
                 raise CrossCheckMismatch("mu re-substitution failed")
-        for i in range(self.two_n):
-            for j in range(self.two_n - 2):
-                lhs = self.beta_full[i][j]
-                rhs = (self.alpha[i][0] * self.gamma1[j]
-                       + self.alpha[i][1] * self.gamma2[j]
-                       + self.alpha[i][j + 2])
-                if lhs != rhs:
+        for alpha_i, beta_i in zip(self.alpha, self.beta_full):
+            for j, gammas in enumerate(zip(self.gamma1, self.gamma2)):
+                if beta_i[j] != dot_plus(alpha_i[:2], gammas, alpha_i[j + 2]):
                     raise CrossCheckMismatch("beta definition failed")
 
 
-def _times_alpha(row, alpha):
+def _times_alpha(row, alpha, zero):
     """(row alpha)_i = sum_j row_j alpha_{j,i}."""
-    two_n = len(row)
-    return tuple(sum(row[j] * alpha[j][i] for j in range(two_n))
-                 for i in range(two_n))
+    return tuple(dot(row, column, zero) for column in zip(*alpha))
 
 
-def _mu_and_D(grad, alpha):
+def _mu_and_D(grad, alpha, zero):
     """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
-    mu = _times_alpha(grad, alpha)
+    mu = _times_alpha(grad, alpha, zero)
     return mu, grad[0] * mu[1] - grad[1] * mu[0]
 
 
-def _mu2(mu, alpha):
+def _mu2(mu, alpha, zero):
     """mu2 = rho_grad alpha^2, formed as mu alpha: (2n)^2 products instead
     of the (2n)^3 of alpha^2."""
-    return _times_alpha(mu, alpha)
+    return _times_alpha(mu, alpha, zero)
 
 
-def _gammas_and_betas(grad, mu, D, alpha):
+def _gammas_and_betas(grad, mu, D, alpha, zero):
     """gamma^1, gamma^2 (j = 3..2n) and all 2n rows of beta_full."""
     two_n = len(grad)
-    gamma1 = tuple((grad[j] * mu[1] - grad[1] * mu[j]) / (-D)
+    minus_D = -D
+    minus_mu = tuple(-x if x else x for x in mu)
+    over = lambda num: num / minus_D if num else num
+    gamma1 = tuple(over(dot((grad[j], grad[1]), (mu[1], minus_mu[j]), zero))
                    for j in range(2, two_n))
-    gamma2 = tuple((grad[0] * mu[j] - grad[j] * mu[0]) / (-D)
+    gamma2 = tuple(over(dot((grad[0], grad[j]), (mu[j], minus_mu[0]), zero))
                    for j in range(2, two_n))
-    beta_full = tuple(
-        tuple(alpha[i][0] * gamma1[j] + alpha[i][1] * gamma2[j] + alpha[i][j + 2]
-              for j in range(two_n - 2))
-        for i in range(two_n))
+    gammas = tuple(zip(gamma1, gamma2))
+    beta_full = tuple(tuple(dot_plus(row[:2], gammas[j], row[j + 2])
+                            for j in range(two_n - 2))
+                      for row in alpha)
     return gamma1, gamma2, beta_full
 
 
@@ -273,12 +268,14 @@ def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
     """rho's first derivatives and the structure entries, user order, as
     the scalars of one mode: RationalFunctions without a point, values at
     the point, or with ``jets`` first jets there (a constant stays a
-    Fraction, so it costs no gradient arithmetic)."""
+    Fraction, so it costs no gradient arithmetic); last, the zero of that
+    mode's scalars."""
     rho = problem.rho
     derivs = tuple(rho.differentiate(v) for v in rho.vars)
     entries = problem.structure.entries
     if point is None:
-        return tuple(RationalFunction(d) for d in derivs), entries
+        return (tuple(RationalFunction(d) for d in derivs), entries,
+                RationalFunction.from_const(rho.vars, 0))
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
@@ -287,7 +284,7 @@ def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
     else:
         scalar = lambda e: e.evaluate(point)
     return (tuple(scalar(d) for d in derivs),
-            tuple(tuple(scalar(e) for e in row) for row in entries))
+            tuple(tuple(scalar(e) for e in row) for row in entries), Fraction(0))
 
 
 def _reindex(x, order):
@@ -302,23 +299,24 @@ def _reindex(x, order):
 def _chart_order(problem: HypersurfaceProblem, point=None, jets=False):
     """:func:`_inputs` re-indexed into the chart's internal order (pair
     first), the variables of gradients and rational functions included."""
-    grad, alpha = _inputs(problem, point, jets)
+    grad, alpha, zero = _inputs(problem, point, jets)
     order = problem.internal_order()
     return (tuple(_reindex(grad[i], order) for i in order),
-            tuple(tuple(_reindex(alpha[j][i], order) for i in order) for j in order))
+            tuple(tuple(_reindex(alpha[j][i], order) for i in order) for j in order),
+            _reindex(zero, order))
 
 
 def _gamma_beta(problem: HypersurfaceProblem, point, jets) -> GammaBetaData:
     """The one gamma/beta builder behind all three modes."""
-    grad, alpha = _chart_order(problem, point, jets)
-    mu, D = _mu_and_D(grad, alpha)
+    grad, alpha, zero = _chart_order(problem, point, jets)
+    mu, D = _mu_and_D(grad, alpha, zero)
     if (D.value if isinstance(D, FirstJet) else D) == 0:
         # first-jet mode forms the symbolic D only here, to tell the errors apart
         if point is None or (jets and _mu_and_D(*_chart_order(problem))[1].is_zero()):
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha)
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
     lift = lambda x: x
     if jets:
         zero_grad = (Fraction(0),) * problem.two_n
@@ -327,7 +325,7 @@ def _gamma_beta(problem: HypersurfaceProblem, point, jets) -> GammaBetaData:
     mat = lambda rows: tuple(map(vec, rows))
     return GammaBetaData(problem, problem.sigma(),
                          problem.to_internal(problem.rho.vars), mat(alpha),
-                         vec(grad), vec(mu), None if jets else _mu2(mu, alpha),
+                         vec(grad), vec(mu), None if jets else _mu2(mu, alpha, zero),
                          lift(D), vec(gamma1), vec(gamma2), mat(beta_full))
 
 
@@ -359,8 +357,8 @@ def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
     alpha = tuple(values(row) for row in gb.alpha)
     mu = values(gb.mu)
     return gb._replace(alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
-                       mu2=_mu2(mu, alpha), D=gb.D.value, gamma1=values(gb.gamma1),
-                       gamma2=values(gb.gamma2),
+                       mu2=_mu2(mu, alpha, Fraction(0)), D=gb.D.value,
+                       gamma1=values(gb.gamma1), gamma2=values(gb.gamma2),
                        beta_full=tuple(values(row) for row in gb.beta_full))
 
 
@@ -378,11 +376,11 @@ def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
         gb = compute_gamma_beta(problem, jet.f)
     two_n = problem.two_n
     p_red = tuple(Fraction(x) for x in jet.p_reduced)
-    p11 = sum(g * p for g, p in zip(gb.gamma1, p_red))
-    p21 = sum(g * p for g, p in zip(gb.gamma2, p_red))
+    zero = Fraction(0)
+    p11 = dot(gb.gamma1, p_red, zero)
+    p21 = dot(gb.gamma2, p_red, zero)
     p1_int = (p11, p21) + p_red
-    p2_int = tuple(sum(gb.alpha[j][i] * p1_int[i] for i in range(two_n))
-                   for j in range(two_n))
+    p2_int = tuple(dot(row, p1_int, zero) for row in gb.alpha)
     order = problem.internal_order()
     p1 = [Fraction(0)] * two_n
     p2 = [Fraction(0)] * two_n
@@ -399,10 +397,11 @@ def choose_pair(problem: HypersurfaceProblem, point=None):
     rho's gradient and mu are formed once and each pair's
     D = rho_a mu_b - rho_b mu_a is read off them.
     """
-    grad, alpha = _inputs(problem, point)
-    mu = _times_alpha(grad, alpha)
+    grad, alpha, zero = _inputs(problem, point)
+    mu = _times_alpha(grad, alpha, zero)
+    product = lambda x, y: x * y if x and y else zero
     for a, b in combinations(range(problem.two_n), 2):
-        if grad[a] * mu[b] - grad[b] * mu[a] != 0:
+        if product(grad[a], mu[b]) != product(grad[b], mu[a]):
             return (a + 1, b + 1)
     if point is None:
         raise IdenticallySingularD(

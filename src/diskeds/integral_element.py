@@ -35,10 +35,11 @@ from collections import namedtuple
 from fractions import Fraction
 import random
 
-from .errors import InadmissibleFlag
-from .geometry import FirstJetPoint, HypersurfaceProblem, first_jet_values, full_jet
-from .linalg import det, mat_mul, nullity
-from .torsion import _coefficient_tables
+from .errors import CrossCheckMismatch, InadmissibleFlag
+from .geometry import FirstJetPoint, HypersurfaceProblem, full_jet
+from .linalg import det, dot, dot_plus, mat_mul, nullity
+from .torsion import (_coefficient_tables, structure_equation_coefficients,
+                      torsion_absorbable)
 
 
 def _zeros(k):
@@ -63,9 +64,9 @@ class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta eps_x eps_p",
         if self.alpha == 0 and self.beta == 0:
             raise InadmissibleFlag("(alpha, beta) = (0, 0)")
         al, be = Fraction(self.alpha), Fraction(self.beta)
-        A1 = al * a1[0] + be * a2[0] + ex[0]
-        A2 = al * a1[1] + be * a2[1] + ex[1]
-        C = tuple(al * c1[i] + be * c2[i] + ep[i] for i in range(two_n - 2))
+        A1 = dot_plus((al, be), (a1[0], a2[0]), ex[0])
+        A2 = dot_plus((al, be), (a1[1], a2[1]), ex[1])
+        C = tuple(dot_plus((al, be), pair, e) for pair, e in zip(zip(c1, c2), ep))
         if A1 == 0 and A2 == 0 and all(x == 0 for x in C):
             raise InadmissibleFlag("E_1 generator is zero")
         return A1, A2, C
@@ -76,42 +77,49 @@ class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta eps_x eps_p",
 PolarSystem = namedtuple("PolarSystem", "F G R square A1 A2 C x_degenerate")
 
 
-def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint):
-    """gamma/beta values and their x-derivative contractions at the jet."""
+# The rows of G at a jet (see build_polar_maps) and the TorsionVerdict
+# there, both read from one set of coefficient tables.
+DthetaRows = namedtuple("DthetaRows", "rows torsion")
+
+
+def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint) -> DthetaRows:
+    """gamma/beta values and their x-derivative contractions at the jet,
+    with the jet's torsion verdict from the same coefficient tables."""
+    tables = _coefficient_tables(problem, jet.f)
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = tables
+    sed = structure_equation_coefficients(problem, jet, tables)
+    fj = full_jet(problem, jet, sed.point_data)
     order = problem.internal_order()
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
-    fj = full_jet(problem, jet, first_jet_values(gb))
-    two_n = problem.two_n
     p1_int = tuple(fj.p1[i] for i in order)
     p2_int = tuple(fj.p2[i] for i in order)
-
-    def ddx(grad, direction):
-        return sum(grad[l] * direction[l] for l in range(two_n))
-
-    m = two_n - 2
+    zero = Fraction(0)
     p = tuple(Fraction(x) for x in jet.p_reduced)
+    live = [i for i, x in enumerate(p) if x]
+    # sum_i q(i) p^i, with q(i) formed only where p^i != 0
+    along_p = lambda q: dot((p[i] for i in live), map(q, live), zero)
     # Y_1 row data: sum_i (dgamma^2_i/dx_2 - dbeta_{2,i}/dx_1) p^i on X_2,
     # then -gamma^2_i on X_i and -beta_{2,i} on X_{2n-2+i}
-    y1_x2 = sum((ddx(g2d[i], p2_int) - ddx(bd[1][i], p1_int)) * p[i] for i in range(m))
-    rows = [(y1_x2, tuple(-x for x in g2v), tuple(-x for x in bv[1]))]
+    x2 = along_p(lambda i: dot(g2d[i], p2_int, zero) - dot(bd[1][i], p1_int, zero))
+    rows = [(x2, tuple(-x for x in g2v), tuple(-x for x in bv[1]))]
     # Y_j rows, j = 3..2n: sum_i dbeta_{j,i}/dx_1 p^i on X_2, +1 on X_j,
     # +beta_{j,i} on X_{2n-2+i}
-    for j in range(2, two_n):
-        x2 = sum(ddx(bd[j][i], p1_int) * p[i] for i in range(m))
-        unit = tuple(Fraction(1) if i == j - 2 else Fraction(0) for i in range(m))
+    m = len(p)
+    for j in range(2, problem.two_n):
+        x2 = along_p(lambda i: dot(bd[j][i], p1_int, zero))
+        unit = tuple(Fraction(1) if i == j - 2 else zero for i in range(m))
         rows.append((x2, unit, tuple(bv[j])))
-    return rows
+    return DthetaRows(rows, torsion_absorbable(problem, jet, sed))
 
 
 def build_polar_maps(problem: HypersurfaceProblem, jet: FirstJetPoint,
                      flag: FlagSpec, rows=None) -> PolarSystem:
-    """``rows`` is _dtheta_row_data(problem, jet) when the caller has it;
-    it is built here otherwise."""
+    """``rows`` is _dtheta_row_data(problem, jet).rows when the caller has
+    them; they are built here otherwise."""
     two_n = problem.two_n
     m = two_n - 2
     A1, A2, C = flag.resolved(two_n)
     if rows is None:
-        rows = _dtheta_row_data(problem, jet)
+        rows = _dtheta_row_data(problem, jet).rows
     x_degenerate = A1 == 0 and A2 == 0
     nx = 4 * problem.n - 3
 
@@ -163,23 +171,25 @@ KahlerVerdict = namedtuple("KahlerVerdict", "determinant regular verdict dim_ker
                            defaults=(True, True))
 
 
-def _pair_X(flag: FlagSpec, two_n):
+def _pair_X(flag: FlagSpec):
     """X-coordinates of the plane spanned by the two flag generators."""
     a1 = tuple(Fraction(x) for x in flag.a1)
     a2 = tuple(Fraction(x) for x in flag.a2)
     c1 = tuple(Fraction(x) for x in flag.c1)
     c2 = tuple(Fraction(x) for x in flag.c2)
-    m = two_n - 2
-    X = [a1[0] * a2[1] - a1[1] * a2[0]]
-    X += [c1[j] * a2[0] - c2[j] * a1[0] for j in range(m)]
-    X += [c1[j] * a2[1] - c2[j] * a1[1] for j in range(m)]
+    zero = Fraction(0)
+    # X_2 = a^1_1 a^2_2 - a^1_2 a^2_1, then c^1_j a^2_k - c^2_j a^1_k, k = 1, 2
+    X = [dot(a1, (a2[1], -a2[0]), zero)]
+    for k in range(2):
+        weights = (a2[k], -a1[k])
+        X += [dot(c, weights, zero) for c in zip(c1, c2)]
     return X
 
 
-def _is_integral_plane(ps: PolarSystem, flag: FlagSpec, two_n):
+def _is_integral_plane(ps: PolarSystem, flag: FlagSpec):
     """E annihilates every d(theta^k): the 2-plane is an integral element."""
-    X = _pair_X(flag, two_n)
-    return all(sum(row[i] * X[i] for i in range(len(X))) == 0 for row in ps.G)
+    X = _pair_X(flag)
+    return all(dot(row, X, Fraction(0)) == 0 for row in ps.G)
 
 
 _EPS_SAMPLES = (
@@ -197,7 +207,7 @@ def _sample_eps_p(two_n, pattern):
 
 
 def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                      flag: FlagSpec, rows=None) -> KahlerVerdict:
+                      flag: FlagSpec, dtheta: DthetaRows = None) -> KahlerVerdict:
     """Flag test for the sufficiency theorem.
 
     The certificate requires the spanned plane E to be an integral element
@@ -209,18 +219,23 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     extends to *no* integral plane (dim H(D') = 1), so on an integral flag
     itself the determinant always vanishes -- E lies in the polar space.
     The d(theta) rows do not depend on the flag: they are built once
-    (or taken from ``rows``) and shared with the epsilon samples.
+    (or taken from ``dtheta``) and shared with the epsilon samples.
+
+    An integral element exists over a jet only where its torsion is
+    absorbable, so a certificate at a jet whose torsion (read from the
+    same coefficient tables) is not absorbable raises CrossCheckMismatch.
     """
     two_n = problem.two_n
-    if rows is None:
+    if dtheta is None:
         flag.resolved(two_n)  # an inadmissible flag is reported before a singular jet
-        rows = _dtheta_row_data(problem, jet)
+        dtheta = _dtheta_row_data(problem, jet)
+    rows = dtheta.rows
     ps = build_polar_maps(problem, jet, flag, rows)
     d = det([list(r) for r in ps.square])
     gf = mat_mul([list(r) for r in ps.G], [list(r) for r in ps.F])
     dim_ker = nullity(gf, two_n)
-    integral = _is_integral_plane(ps, flag, two_n)
-    independence = _pair_X(flag, two_n)[0] != 0
+    integral = _is_integral_plane(ps, flag)
+    independence = _pair_X(flag)[0] != 0
     samples = []
     for label, ex, pat in _EPS_SAMPLES:
         eflag = FlagSpec(flag.a1, flag.a2, flag.c1, flag.c2, flag.alpha, flag.beta,
@@ -242,6 +257,8 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
         verdict = "kahler_regular"
     else:
         verdict = "inconclusive_for_this_flag"
+    if verdict == "kahler_regular" and not dtheta.torsion.absorbable:
+        raise CrossCheckMismatch("flag certified at a jet whose torsion is not absorbable")
     return KahlerVerdict(d, verdict == "kahler_regular", verdict, dim_ker,
                          tuple(samples), integral, independence)
 
@@ -249,27 +266,26 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
 SearchResult = namedtuple("SearchResult", "flag verdict candidate_index attempted")
 
 
-def integral_flag_from_c1(problem: HypersurfaceProblem, rows, c1) -> FlagSpec:
+def integral_flag_from_c1(problem: HypersurfaceProblem, dtheta: DthetaRows,
+                          c1) -> FlagSpec:
     """Integral-element flag with x-parts e_1, e_2 and prescribed c^1, at
-    the jet whose _dtheta_row_data are ``rows``.
+    the jet whose _dtheta_row_data is ``dtheta``; None when there is none.
 
-    The rows d(theta^j) = 0 (j >= 3) determine c^2 uniquely; the remaining
-    d(theta^2) row is then a consistency condition equivalent to torsion
-    absorbability at the jet.  Returns None when it fails.
+    An integral element exists over a jet only where the jet's torsion is
+    absorbable: for D0 = 0 both residuals must vanish.  The d(theta^2) row
+    alone does not test that where rho_1 = 0, so the torsion verdict is
+    read first.  Then the rows d(theta^j) = 0 (j >= 3) determine c^2
+    uniquely and the d(theta^2) row is a consistency condition.
     """
-    two_n = problem.two_n
-    m = two_n - 2
+    if not dtheta.torsion.absorbable:
+        return None
+    rows = dtheta.rows
     c1 = tuple(Fraction(x) for x in c1)
     # rows[1:]: X_2 coeff q_j, own X_j coeff 1, X_{2n-2+i} coeffs beta_{j,i}
-    c2 = []
-    for j, (q, unit, betarow) in enumerate(rows[1:]):
-        c2.append(q + sum(betarow[i] * c1[i] for i in range(m)))
-    flag = FlagSpec((1, 0), (0, 1), c1, tuple(c2))
-    X = _pair_X(flag, two_n)
-    y1 = rows[0]
-    val = y1[0] * X[0] + sum(y1[1][i] * X[1 + i] for i in range(m)) \
-        + sum(y1[2][i] * X[1 + m + i] for i in range(m))
-    if val != 0:
+    c2 = tuple(dot_plus(betarow, c1, q) for q, _, betarow in rows[1:])
+    flag = FlagSpec((1, 0), (0, 1), c1, c2)
+    x2, xi, xlast = rows[0]
+    if dot((x2,) + xi + xlast, _pair_X(flag), Fraction(0)) != 0:
         return None
     return flag
 
@@ -294,17 +310,17 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
     d(theta) rows depend on the jet only, so every candidate shares them."""
     if trials < 1:
         raise InadmissibleFlag("trials must be >= 1")
-    rows = _dtheta_row_data(problem, jet)
+    dtheta = _dtheta_row_data(problem, jet)
     attempted = 0
     for index, c1 in enumerate(_candidate_c1(problem.two_n, trials, seed)):
         if attempted >= trials:
             break
         attempted += 1
-        flag = integral_flag_from_c1(problem, rows, c1)
+        flag = integral_flag_from_c1(problem, dtheta, c1)
         if flag is None:
             continue
         try:
-            verdict = kahler_regularity(problem, jet, flag, rows)
+            verdict = kahler_regularity(problem, jet, flag, dtheta)
         except InadmissibleFlag:
             continue
         if verdict.regular:

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .errors import CrossCheckMismatch
 from .geometry import GammaBetaData
-from .linalg import mat_rank, row_times_matrix
+from .linalg import dot, mat_rank, row_times_matrix
 
 
 # D1 = +rho_2 * D0 == gamma^1 beta - beta_1
@@ -37,39 +37,42 @@ DVectors = namedtuple("DVectors", "D0 D1 D2")
 def obstruction_bracket(gb: GammaBetaData):
     """The unnormalized bracket -D^2 * D0_i (scales by beta^3 under
     alpha*I + beta*A substitutions, unlike the normalized rows)."""
+    zero = 0 * gb.D
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     m1, m2 = gb.mu[0], gb.mu[1]
     s1, s2 = gb.mu2[0], gb.mu2[1]
+    # the 2x2 minors of (mu, mu2): columns 1, 2 once, column j against each
+    minus_s1 = -s1
+    m12 = dot((m2, m1), (s1, -s2), zero)
     out = []
-    for j in range(2, gb.two_n):
-        rj, mj, sj = gb.rho_grad[j], gb.mu[j], gb.mu2[j]
-        out.append(r1 * (mj * s2 - m2 * sj)
-                   + r2 * (m1 * sj - mj * s1)
-                   + rj * (m2 * s1 - m1 * s2))
+    for rj, mj, sj in zip(gb.rho_grad[2:], gb.mu[2:], gb.mu2[2:]):
+        out.append(dot((r1, r2, rj), (dot((mj, m2), (s2, -sj), zero),
+                                      dot((m1, mj), (sj, minus_s1), zero), m12), zero))
     return tuple(out)
 
 
 def compute_D_vectors(gb: GammaBetaData) -> DVectors:
     bracket = obstruction_bracket(gb)
     D2sq = gb.D * gb.D
-    D0 = tuple(-b / D2sq for b in bracket)
+    D0 = tuple(-b / D2sq if b else b for b in bracket)
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     if r1 == 0 and r2 == 0:
         # D = rho_1 mu_2 - rho_2 mu_1 != 0 forces a nonzero rho-pair, which
         # is what lets the two kernel rows collapse onto the single D0 row
         raise CrossCheckMismatch("rho_1 = rho_2 = 0 at a point with D != 0")
-    D1 = tuple(r2 * x for x in D0)
-    D2 = tuple(-r1 * x for x in D0)
+    D1 = tuple(r2 * x if x else x for x in D0)
+    D2 = tuple(-r1 * x if x else x for x in D0)
     _cross_check_exact(gb, D1, D2)
     return DVectors(D0, D1, D2)
 
 
 def _cross_check_exact(gb, D1, D2):
     """Definitional rows gamma^k beta - beta_k, entrywise exact."""
+    zero = 0 * gb.D
+    beta_columns = tuple(zip(*gb.beta))
     for row, gamma, want in ((D2, gb.gamma2, gb.beta2), (D1, gb.gamma1, gb.beta1)):
-        for i in range(gb.two_n - 2):
-            direct = sum(gamma[j] * gb.beta[j][i] for j in range(gb.two_n - 2))
-            direct = direct - want[i]
+        for i, column in enumerate(beta_columns):
+            direct = dot(gamma, column, zero) - want[i]
             if direct != row[i]:
                 raise CrossCheckMismatch(
                     "closed-form obstruction row disagrees with gamma*beta - beta_k")

@@ -263,11 +263,25 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
 
 
 def _power(point, exps):
+    """prod_i point_i^exps_i; 0 as soon as a factor with exps_i > 0 is 0."""
     out = 1
     for x, e in zip(point, exps):
         if e:
+            if not x:
+                return 0
             out = out * x ** e
     return out
+
+
+def _sum_at(point, monomials):
+    """sum c * point^e over the (e, c) pairs, as a canonical scalar; a
+    monomial with a vanishing factor costs nothing."""
+    out = None
+    for e, c in monomials:
+        w = _power(point, e)
+        if w:
+            out = c * w if out is None else out + c * w
+    return normalize_scalar(0 if out is None else out)
 
 
 def linearize(system: JetConstraintSystem, probe: dict) -> Linearization:
@@ -282,12 +296,15 @@ def linearize(system: JetConstraintSystem, probe: dict) -> Linearization:
             raise CrossCheckMismatch("equality is not over the system's jet table")
         frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
         for exps, c in p.terms.items():
-            frozen[exps[cut:]] = frozen.get(exps[cut:], 0) + c * _power(low, exps)
+            key, w = exps[cut:], _power(low, exps)
+            s = frozen.get(key, 0)   # every key is kept, for uses_top and mixed
+            frozen[key] = (s + c * w if s else c * w) if w else s
         live = [(e, c) for e, c in frozen.items() if c != 0]
-        values.append(normalize_scalar(sum(c * _power(x, e) for e, c in live)))
-        gradients.append(tuple(normalize_scalar(sum(
-            c * e[j] * _power(x, e[:j] + (e[j] - 1,) + e[j + 1:])
-            for e, c in live if e[j])) for j in range(2 * n)))
+        values.append(_sum_at(x, live))
+        gradients.append(tuple(
+            _sum_at(x, ((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                        for e, c in live if e[j]))
+            for j in range(2 * n)))
         nonlinear.append(any(sum(e) >= 2 for e, _ in live))
         uses_top.append(any(any(e) for e in frozen))
         mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)

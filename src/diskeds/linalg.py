@@ -5,10 +5,41 @@ everything is decided by exact elimination with exact zero tests; there
 are no thresholds.  Entries only need +, -, *, / and == 0, so
 RationalFunction matrices work through the same code paths (giving ranks
 at the generic point).
+
+Exact zeros are skipped, never approximated: :func:`dot` leaves out a
+product with a zero factor and :func:`_row_minus` leaves an entry alone
+where the pivot row is zero, so the mostly-zero tables of a constant
+structure cost only their nonzero terms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def dot(xs, ys, zero):
+    """sum_k xs[k] * ys[k] over any exact scalar, skipping every pair with
+    an exact zero factor; ``zero`` (the caller's zero, of its scalar type)
+    when every pair is skipped."""
+    out = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            out = x * y if out is None else out + x * y
+    return zero if out is None else out
+
+
+def dot_plus(xs, ys, c):
+    """dot(xs, ys) + c over any exact scalar, skipping exact zero terms;
+    ``c`` itself when every product is skipped."""
+    s = dot(xs, ys, None)
+    if s is None:
+        return c
+    return s + c if c else s
+
+
+def _row_minus(row, factor, pivot):
+    """row - factor * pivot, leaving an entry alone where pivot is zero."""
+    return [(a - factor * b if a else -(factor * b)) if b else a
+            for a, b in zip(row, pivot)]
 
 
 def _echelon(rows, ncols):
@@ -28,8 +59,7 @@ def _echelon(rows, ncols):
         pv = rows[r][c]
         for i in range(r + 1, nrows):
             if rows[i][c] != 0:
-                factor = rows[i][c] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -96,8 +126,7 @@ def det(matrix):
         out = pv if out is None else out * pv
         for i in range(c + 1, n):
             if rows[i][c] != 0:
-                factor = rows[i][c] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[c])
     return out if sign > 0 else -out
 
 
@@ -114,8 +143,7 @@ def greedy_basis(base, rows):
     def adds_pivot(row):
         for c, b in echelon:
             if row[c] != 0:
-                factor = row[c] / b[c]
-                row = [x - factor * y for x, y in zip(row, b)]
+                row = _row_minus(row, row[c] / b[c], b)
         for c, x in enumerate(row):
             if x != 0:
                 at = sum(1 for pc, _ in echelon if pc < c)
@@ -131,10 +159,11 @@ def greedy_basis(base, rows):
 def mat_mul(a, b):
     if not a or not b:
         return []
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+    zero = 0 * a[0][0]
+    cols = tuple(zip(*b))
+    return [[dot(row, col, zero) for col in cols] for row in a]
 
 
 def row_times_matrix(row, matrix):
-    return [sum(row[k] * matrix[k][j] for k in range(len(row)))
-            for j in range(len(matrix[0]))]
+    zero = 0 * row[0]
+    return [dot(row, col, zero) for col in zip(*matrix)]

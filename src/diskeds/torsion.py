@@ -42,25 +42,28 @@ from .geometry import (
     gamma_beta_first_jets,
 )
 from .involutivity import compute_D_vectors
-from .linalg import det, solve_particular
+from .linalg import det, dot, dot_plus, solve_particular
 
 
 # ----------------------------------------------------------------------
 # general structure equations
 
 
-# Torsion forms at a jet: c_matrices holds the 2n symmetric (2n-2)x(2n-2)
-# Fraction matrices, c_values the c^k_{1,2} at the jet (length 2n) and
-# point_data the pointwise GammaBetaData at the base point.
-StructureEquationData = namedtuple("StructureEquationData",
-                                   "c_matrices c_values point_data")
+# Torsion forms at a jet: c_values holds the c^k_{1,2} at the jet (length
+# 2n) and point_data the pointwise GammaBetaData at the base point.
+StructureEquationData = namedtuple("StructureEquationData", "c_values point_data")
 
 
 def _symmetrize(raw):
-    m = len(raw)
+    """(raw + raw^T) / 2; an entry whose two halves are zero stays as it is."""
     half = Fraction(1, 2)
-    return tuple(tuple((raw[a][b] + raw[b][a]) * half for b in range(m))
-                 for a in range(m))
+
+    def entry(x, y):
+        s = x + y if x and y else x or y
+        return s * half if s else s
+
+    return tuple(tuple(entry(x, y) for x, y in zip(row, column))
+                 for row, column in zip(raw, zip(*raw)))
 
 
 def _coefficient_tables(problem: HypersurfaceProblem, point):
@@ -78,35 +81,42 @@ def _coefficient_tables(problem: HypersurfaceProblem, point):
 def _raw_torsion_matrices(gammas, gamma_grads, beta_full, beta_grads, zero):
     """The 2n unsymmetrized torsion matrices from gamma^1, gamma^2 and
     beta_full and their f-gradients (internal order), over any exact
-    scalar; ``zero`` of that scalar starts the contracted sums."""
+    scalar; ``zero`` is that scalar's zero, the value of a contracted sum
+    whose every term has a zero factor."""
     two_n = len(beta_full)
     m = two_n - 2
+    gamma_pairs = tuple(zip(*gammas))
+    beta_columns = tuple(zip(*beta_full))
 
     def contracted(i, j, jp):
         # dbeta_{i,j}/df contracted with the gammas
         grad = beta_grads[i][j]
-        return grad[0] * gammas[0][jp] + grad[1] * gammas[1][jp] + grad[jp + 2]
+        return dot_plus(grad[:2], gamma_pairs[jp], grad[jp + 2])
 
-    raw = [[[sum((gamma_grads[k][j][mm] * beta_full[mm][jp]
-                  for mm in range(two_n)), zero) - contracted(k, j, jp)
-             for jp in range(m)] for j in range(m)] for k in range(2)]
-    raw += [[[-contracted(i, j, jp) for jp in range(m)] for j in range(m)]
-            for i in range(2, two_n)]
-    return raw
+    def entry(k, j, jp):
+        c = contracted(k, j, jp)
+        if k >= 2:
+            return -c if c else c
+        s = dot(gamma_grads[k][j], beta_columns[jp], zero)
+        return s - c if c else s
+
+    return [[[entry(k, j, jp) for jp in range(m)] for j in range(m)]
+            for k in range(two_n)]
 
 
-def structure_equation_coefficients(problem: HypersurfaceProblem,
-                                    jet: FirstJetPoint) -> StructureEquationData:
-    two_n = problem.two_n
-    m = two_n - 2
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, jet.f)
-    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
-    c_matrices = tuple(_symmetrize(mat) for mat in raw)
+def structure_equation_coefficients(problem: HypersurfaceProblem, jet: FirstJetPoint,
+                                    tables=None) -> StructureEquationData:
+    """``tables`` is _coefficient_tables(problem, jet.f) when the caller has
+    them; they are built here otherwise."""
+    if tables is None:
+        tables = _coefficient_tables(problem, jet.f)
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = tables
+    zero = Fraction(0)
+    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, zero)
     p = tuple(Fraction(x) for x in jet.p_reduced)
-    c_values = tuple(
-        sum(raw[k][j][jp] * p[j] * p[jp] for j in range(m) for jp in range(m))
-        for k in range(two_n))
-    return StructureEquationData(c_matrices, c_values, first_jet_values(gb))
+    # c^k = p^T raw_k p
+    c_values = tuple(dot(p, [dot(row, p, zero) for row in mat], zero) for mat in raw)
+    return StructureEquationData(c_values, first_jet_values(gb))
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +139,9 @@ def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
     gb = sed.point_data
     dv = compute_D_vectors(gb)
     m = problem.two_n - 2
-    res1 = sed.c_values[0] - sum(gb.gamma1[i] * sed.c_values[i + 2] for i in range(m))
-    res2 = sed.c_values[1] - sum(gb.gamma2[i] * sed.c_values[i + 2] for i in range(m))
+    c_rest = sed.c_values[2:]
+    res1 = sed.c_values[0] - dot(gb.gamma1, c_rest, Fraction(0))
+    res2 = sed.c_values[1] - dot(gb.gamma2, c_rest, Fraction(0))
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     if all(x == 0 for x in dv.D0):
         absorbable = res1 == 0 and res2 == 0
@@ -176,8 +187,8 @@ def _p_operator(which, k, gamma1, gamma2, partial):
     g1_2k = gamma1[2 * k - 3]   # index j=2k -> tuple slot 2k-3
     g2_2k = gamma2[2 * k - 3]
     if which == 1:
-        return g2_2k * partial(0) - g1_2k * partial(1) + partial(2 * k - 2)
-    return g1_2k * partial(0) + g2_2k * partial(1) + partial(2 * k - 1)
+        return dot_plus((g2_2k, -g1_2k), (partial(0), partial(1)), partial(2 * k - 2))
+    return dot_plus((g1_2k, g2_2k), (partial(0), partial(1)), partial(2 * k - 1))
 
 
 def complex_B_coefficients(rho: Polynomial, f_point=None) -> ComplexTorsionData:
@@ -220,26 +231,22 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
     """Assemble the two torsion quadratic forms as symmetric matrices over
     the reduced jet variables p^3..p^{2n} (slot a <-> p^{a+3})."""
     m = 2 * n - 2
-    zero = B_lower[(2, 2)] * 0
-    raw1 = [[zero for _ in range(m)] for _ in range(m)]
-    raw2 = [[zero for _ in range(m)] for _ in range(m)]
+    raw1 = [[None] * m for _ in range(m)]
+    raw2 = [[None] * m for _ in range(m)]
+    # each (j, k) fills its own 2x2 block of both matrices
     for j in range(2, n + 1):
         a, b = 2 * j - 4, 2 * j - 3     # p^{2j-1}, p^{2j}
         for k in range(2, n + 1):
             c, d = 2 * k - 4, 2 * k - 3
             up = B_upper[(j, k)]
             low = B_lower[(j, k)]
+            minus_up = -up if up else up
+            minus_low = -low if low else low
             # c1: [p^{2j-1}p^{2k-1} + p^{2j}p^{2k}] B^{j,k}
             #     + [p^{2j}p^{2k-1} - p^{2j-1}p^{2k}] B_{j,k}
-            raw1[a][c] = raw1[a][c] + up
-            raw1[b][d] = raw1[b][d] + up
-            raw1[b][c] = raw1[b][c] + low
-            raw1[a][d] = raw1[a][d] - low
+            raw1[a][c], raw1[b][d], raw1[b][c], raw1[a][d] = up, up, low, minus_low
             # c2: -[..] B_{j,k} + [..] B^{j,k}
-            raw2[a][c] = raw2[a][c] - low
-            raw2[b][d] = raw2[b][d] - low
-            raw2[b][c] = raw2[b][c] + up
-            raw2[a][d] = raw2[a][d] - up
+            raw2[a][c], raw2[b][d], raw2[b][c], raw2[a][d] = minus_low, minus_low, up, minus_up
     return _symmetrize(raw1), _symmetrize(raw2)
 
 

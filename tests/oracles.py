@@ -25,7 +25,7 @@ from diskeds.geometry import (FirstJetPoint, HypersurfaceProblem, StructureMatri
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import jet_table, probe_from_values, var_jet_order
 from diskeds.linalg import _echelon, nullity, solve_particular
-from diskeds.torsion import _raw_torsion_matrices
+from diskeds.torsion import _coefficient_tables, _raw_torsion_matrices
 
 
 def dtheta_torsion_oracle(problem: HypersurfaceProblem):
@@ -419,7 +419,7 @@ def perturbed_polar_matrix(problem: HypersurfaceProblem, jet: FirstJetPoint,
             row[vth(k)] = row[vth(k)] + C[i]
             row[vp(i)] = row[vp(i)] - et[k]
             rows.append(row)
-    for x2c, xic, xlc in _dtheta_row_data(problem, jet):
+    for x2c, xic, xlc in _dtheta_row_data(problem, jet).rows:
         row = [Fraction(0)] * dim
         # X_2 = A1 v_2 - A2 v_1 ; X_i = C_i v_1 - A1 v_p_i ;
         # X_{2n-2+i} = C_i v_2 - A2 v_p_i
@@ -450,6 +450,17 @@ def structure_coefficient_forms(problem: HypersurfaceProblem):
                                 grads(gb.beta_full),
                                 RationalFunction.from_const(fvars, 0))
     return gb, raw
+
+
+def torsion_form_matrices(problem: HypersurfaceProblem, point):
+    """The 2n symmetric torsion quadratic-form matrices at a point: the
+    pipeline's raw torsion matrices from the first-jet coefficient tables,
+    symmetrized entry by entry."""
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, point)
+    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
+    m = problem.two_n - 2
+    return [[[(mat[a][b] + mat[b][a]) / 2 for b in range(m)] for a in range(m)]
+            for mat in raw]
 
 
 def evaluate_form(matrix, p):

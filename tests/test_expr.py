@@ -254,6 +254,49 @@ def test_first_jet_constant_operand_matches_lifted_jet(x, c):
             assert _value_and_grad(op(*args)) == _value_and_grad(want)
 
 
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def sparse_first_jets(draw):
+    return FirstJet(draw(sparse_rationals), tuple(draw(sparse_rationals) for _ in range(3)))
+
+
+def _dense_rule(op, x, y):
+    """The sum, product or quotient rule on every component, none skipped."""
+    (u, du), (v, dv) = _value_and_grad(x), _value_and_grad(y)
+    if op is operator.add:
+        return u + v, tuple(a + b for a, b in zip(du, dv))
+    if op is operator.sub:
+        return u - v, tuple(a - b for a, b in zip(du, dv))
+    if op is operator.mul:
+        return u * v, tuple(u * b + v * a for a, b in zip(du, dv))
+    return u / v, tuple((a * v - u * b) / (v * v) for a, b in zip(du, dv))
+
+
+@given(sparse_first_jets(), st.one_of(sparse_first_jets(), sparse_rationals))
+@settings(max_examples=200, deadline=None)
+def test_first_jet_rules_on_sparse_gradients(x, y):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args in ((x, y), (y, x)):
+            try:
+                want = _dense_rule(op, *args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(*args)
+                continue
+            value, grad = _value_and_grad(op(*args))
+            assert (value, grad) == want
+            assert all(type(g) is Fraction for g in grad)
+    assert _value_and_grad(-x) == (-x.value, tuple(-a for a in x.grad))
+
+
+def test_first_jet_is_truthy_at_a_zero_value():
+    # a zero value does not make a jet the constant 0: its gradient may not vanish
+    assert FirstJet(Fraction(0), (Fraction(0), Fraction(1), Fraction(0)))
+    assert FirstJet(Fraction(0), ZERO3)
+
+
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
 

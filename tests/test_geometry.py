@@ -355,10 +355,10 @@ def test_mu2_is_rho_grad_times_alpha_squared():
         pt = on_chart_point(rng, prob)
         sym = compute_gamma_beta(prob)
         zero = RationalFunction.from_const(sym.internal_vars, 0)
-        assert _mu2(sym.mu, sym.alpha) == sym.mu2
+        assert _mu2(sym.mu, sym.alpha, zero) == sym.mu2
         assert sym.mu2 == _rho_grad_alpha_squared(sym.rho_grad, sym.alpha, zero)
         pw = compute_gamma_beta(prob, pt)
-        assert _mu2(pw.mu, pw.alpha) == pw.mu2
+        assert _mu2(pw.mu, pw.alpha, Fraction(0)) == pw.mu2
         assert pw.mu2 == _rho_grad_alpha_squared(pw.rho_grad, pw.alpha, Fraction(0))
 
 

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diskeds.errors import InadmissibleFlag
+from diskeds.errors import (CrossCheckMismatch, IdenticallySingularD, InadmissibleFlag,
+                            SingularD)
 from diskeds.expr import parse_expression
-from diskeds.geometry import HypersurfaceProblem, complex_standard
+from diskeds.geometry import HypersurfaceProblem, complex_standard, full_jet
 from diskeds.integral_element import (
     FlagSpec,
     build_polar_maps,
@@ -14,7 +16,9 @@ from diskeds.integral_element import (
     ordinary_element_search,
 )
 from diskeds.linalg import det, mat_mul, mat_rank, nullity
+from diskeds.torsion import torsion_absorbable
 from oracles import (
+    levi_form,
     nullspace,
     on_surface_point,
     perturbed_polar_nullity,
@@ -111,7 +115,7 @@ def test_generic_structure_certificate_fires():
                 jet = prob.make_jet(pt, pr)
                 if not torsion_absorbable(prob, jet).absorbable:
                     continue
-            except Exception:
+            except (SingularD, IdenticallySingularD):
                 break
             result = ordinary_element_search(prob, jet, trials=20, seed=0)
             if result.flag is None:
@@ -247,3 +251,61 @@ def test_search_builds_dtheta_rows_once_per_call(monkeypatch):
     missed = ordinary_element_search(prob, blocked, trials=6)
     assert missed.flag is None and missed.attempted == 6
     assert len(builds) == 2
+
+
+def _hyperquadric_type(n, signs):
+    """rho = 2 f_{2n-1} + sum_i s_i (f_{2i-1}^2 + f_{2i}^2), s_1 = 1."""
+    vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+    squares = " ".join(f"{'+' if s > 0 else '-'} f{2 * i + 1}^2 {'+' if s > 0 else '-'} "
+                       f"f{2 * i + 2}^2" for i, s in enumerate((1,) + signs))
+    rho = parse_expression(f"2*f{2 * n - 1} {squares}", vs)
+    return HypersurfaceProblem(rho, complex_standard(n, vs), (1, 2))
+
+
+@st.composite
+def rho1_zero_jets(draw):
+    """A hyperquadric-type problem, n = 2 or 3, and a random jet at a base
+    point with f1 = 0 (so rho_1 = 0) and f2 != 0 (so D != 0)."""
+    n = draw(st.sampled_from((2, 3)))
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n - 2))
+    prob = _hyperquadric_type(n, signs)
+    small = st.integers(-3, 3)
+    f = [0, draw(small.filter(bool))] + [draw(small) for _ in range(2 * n - 2)]
+    f[2 * n - 2] = 0
+    f[2 * n - 2] = -prob.rho.evaluate(f) / 2
+    return prob, prob.make_jet(f, tuple(draw(small) for _ in range(2 * n - 2)))
+
+
+@given(rho1_zero_jets())
+@example((_hyperquadric_type(3, (-1,)),
+          _hyperquadric_type(3, (-1,)).make_jet((0, 1, 1, 0, 0, 0), (1, 0, 0, 0))))
+@example((_hyperquadric_type(3, (-1,)),
+          _hyperquadric_type(3, (-1,)).make_jet((0, 1, 0, 0, Fraction(-1, 2), 0), (0,) * 4)))
+@settings(max_examples=40, deadline=None)
+def test_flag_certificate_implies_absorbable_torsion_where_rho1_vanishes(case):
+    # the d(theta^2) consistency row alone is vacuous where rho_1 = 0
+    prob, jet = case
+    verdict = torsion_absorbable(prob, jet)
+    result = ordinary_element_search(prob, jet)
+    if result.flag is not None:
+        assert verdict.absorbable
+    if prob.n == 3:
+        p1 = full_jet(prob, jet).p1
+        levi, _ = levi_form(prob.rho, prob.structure, jet.f, p1)
+        assert verdict.absorbable == (levi == 0)
+
+
+def test_certificate_at_a_non_absorbable_jet_is_a_cross_check_failure(monkeypatch):
+    import diskeds.integral_element as ie
+    prob, jet = _hyperquadric_jet()
+    real = ie._dtheta_row_data
+
+    def not_absorbable(problem, jet):
+        dtheta = real(problem, jet)
+        return dtheta._replace(torsion=dtheta.torsion._replace(absorbable=False))
+
+    monkeypatch.setattr(ie, "_dtheta_row_data", not_absorbable)
+    flag = ordinary_element_search(prob, jet).flag
+    assert flag is None
+    with pytest.raises(CrossCheckMismatch):
+        kahler_regularity(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4))

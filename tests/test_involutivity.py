@@ -1,6 +1,7 @@
 """Obstruction rows, prolongation dimensions, involutivity order."""
 import random
 
+from diskeds.errors import SingularD
 from diskeds.expr import RationalFunction, parse_expression
 from diskeds.geometry import (
     HypersurfaceProblem,
@@ -146,7 +147,7 @@ def test_n2_generic_dims_and_brute_force_oracle():
         prob = HypersurfaceProblem(rho, A, (1, 2))
         try:
             gb = compute_gamma_beta(prob, (1, 1, 1, 1))
-        except Exception:
+        except SingularD:
             continue
         dv = compute_D_vectors(gb)
         if all(x == 0 for x in dv.D0):

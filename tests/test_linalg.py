@@ -4,9 +4,13 @@ from itertools import combinations, permutations
 
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.expr import Polynomial, RationalFunction
+from diskeds.exact import FirstJet
+from diskeds.expr import Polynomial, RationalFunction, parse_expression
 from diskeds.linalg import (
+    _row_minus,
     det,
+    dot,
+    dot_plus,
     mat_rank,
     nullity,
     solve_particular,
@@ -95,3 +99,92 @@ def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m):
         assert all(sum(row[i] * v[i] for i in range(n)) == 0 for row in m)
     assert mat_rank(m) + len(nullspace(m)) == n
+
+
+# ----------------------------------------------------------------------
+# the zero-skipping kernels against the dense expressions
+
+XY = ("x", "y")
+RF_ZERO = RationalFunction.from_const(XY, 0)
+mostly_zero = lambda values: st.one_of(st.just(0), st.just(0), values)
+fractions_ = mostly_zero(st.fractions(min_value=-5, max_value=5)).map(Fraction)
+_rf = lambda num, den="1": RationalFunction(parse_expression(num, XY),
+                                            parse_expression(den, XY))
+ratfns = st.sampled_from([RF_ZERO, RF_ZERO, RF_ZERO, _rf("1"), _rf("-2"), _rf("x"),
+                          _rf("x - y"), _rf("x*y + 1"), _rf("1", "x + 2"),
+                          _rf("x - 1", "y^2 + 1")])
+
+
+# a FirstJet with a sparse gradient, or the constant 0 a jet product may
+# collapse to
+jets = st.one_of(st.just(Fraction(0)), st.builds(
+    FirstJet, fractions_, st.tuples(fractions_, fractions_, fractions_)))
+ZERO3 = (Fraction(0),) * 3
+
+
+def _jet_view(x):
+    x = FirstJet.lift(x, ZERO3)
+    return x.value, x.grad
+
+
+def _pairs(values):
+    return st.lists(st.tuples(values, values), max_size=6)
+
+
+@given(_pairs(fractions_))
+@example([])
+@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))])
+@settings(max_examples=150, deadline=None)
+def test_dot_over_fractions_is_the_dense_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    zero = Fraction(0)
+    got = dot(xs, ys, zero)
+    assert type(got) is Fraction and got == sum((x * y for x, y in pairs), zero)
+    if all(not (x and y) for x, y in pairs):
+        assert got is zero
+    c = Fraction(7, 3)
+    assert dot_plus(xs, ys, c) == got + c
+    assert dot_plus(xs, ys, zero) == got
+
+
+@given(_pairs(ratfns))
+@example([(RF_ZERO, RationalFunction.from_const(XY, 5))])
+@settings(max_examples=60, deadline=None)
+def test_dot_over_rational_functions_is_the_dense_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = dot(xs, ys, RF_ZERO)
+    assert isinstance(got, RationalFunction) and got.vars == XY
+    assert got == sum((x * y for x, y in pairs), RF_ZERO)
+    if all(not (x and y) for x, y in pairs):
+        assert got is RF_ZERO
+
+
+@given(_pairs(jets))
+@settings(max_examples=150, deadline=None)
+def test_dot_over_first_jets_is_the_dense_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    zero = Fraction(0)
+    got = dot(xs, ys, zero)
+    assert _jet_view(got) == _jet_view(sum((x * y for x, y in pairs), zero))
+    if not pairs or all(not isinstance(x, FirstJet) and not x for x, _ in pairs):
+        assert got is zero
+
+
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.lists(fractions_, min_size=k, max_size=k),
+    st.lists(fractions_, min_size=k, max_size=k))), fractions_)
+@settings(max_examples=150, deadline=None)
+def test_row_update_is_the_dense_row_update(rows, factor):
+    row, pivot = rows
+    got = _row_minus(row, factor, pivot)
+    assert got == [a - factor * b for a, b in zip(row, pivot)]
+    assert all(type(x) is Fraction for x in got)
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(
+    st.lists(ratfns, min_size=k, max_size=k), st.lists(ratfns, min_size=k, max_size=k))))
+@settings(max_examples=60, deadline=None)
+def test_row_update_over_rational_functions(rows):
+    row, pivot = rows
+    factor = RationalFunction(Polynomial.var(XY, "x"))
+    assert _row_minus(row, factor, pivot) == [a - factor * b for a, b in zip(row, pivot)]
