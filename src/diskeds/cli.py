@@ -16,6 +16,7 @@ from .errors import (
     SchemaViolation,
     SingularD,
 )
+from .expr import print_polynomial
 from .geometry import choose_pair, compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
@@ -228,7 +229,7 @@ def cmd_jets(lp: LoadedProblem, opts) -> dict:
             "rounds": chain.rounds,
             "torsion_free": [r.torsion_free for r in chain.reports],
             "complex_split": [r.complex_split for r in chain.reports],
-            "redundant_dropped": [[str(p) for p in r.redundant_dropped]
+            "redundant_dropped": [[print_polynomial(p) for p in r.redundant_dropped]
                                   for r in chain.reports],
             "trivial_velocities": chain.reports[-1].trivial_velocities,
             "warnings": warnings,
