@@ -266,8 +266,7 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
 SearchResult = namedtuple("SearchResult", "flag verdict candidate_index attempted")
 
 
-def integral_flag_from_c1(problem: HypersurfaceProblem, dtheta: DthetaRows,
-                          c1) -> FlagSpec:
+def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     """Integral-element flag with x-parts e_1, e_2 and prescribed c^1, at
     the jet whose _dtheta_row_data is ``dtheta``; None when there is none.
 
@@ -316,7 +315,7 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
         if attempted >= trials:
             break
         attempted += 1
-        flag = integral_flag_from_c1(problem, dtheta, c1)
+        flag = integral_flag_from_c1(dtheta, c1)
         if flag is None:
             continue
         try:
