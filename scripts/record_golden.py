@@ -3,8 +3,12 @@
 
 Runs ``diskeds.cli.main`` in-process on every builtin x applicable command
 in json and text format, plus ``jets`` on every stratum with ``--rounds``
-1..3, and writes each invocation's stdout to ``tests/golden/<case>.out``
-and its argv, exit code and stderr to ``tests/golden/index.json``.
+1..3, plus the jet and point commands on the documents under
+``tests/golden/docs/`` (n = 4 and 5, and a non-constant structure), and
+writes each invocation's stdout to ``tests/golden/<case>.out`` and its
+argv, exit code and stderr to ``tests/golden/index.json``.  Reports echo
+the problem path, so the documents are named relative to the repository
+root, and the runs are made from there.
 ``tests/test_golden.py`` compares the program against these files byte for
 byte.  Re-record only for an intended behaviour change, and say so in
 CHANGES.md:
@@ -19,7 +23,8 @@ from pathlib import Path
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.cli import main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 APPLICABLE = {
     # every command whose inputs the builtin declares
@@ -28,6 +33,15 @@ APPLICABLE = {
     "hyperquadric": ("involutivity", "torsion", "complex-forms", "dim6",
                      "integral-element", "jets", "all"),
     "cusp": ("involutivity", "complex-forms", "dim6", "jets", "all"),
+}
+
+# document stem -> extra runs beyond the four commands, as argv tails
+DOCS = {
+    "n5_hyperquadric": (),
+    "n4_hyperquadric": (("integral-element", "--jet", "J1"),
+                        ("integral-element", "--flag", "F")),
+    "n3_matrix": (("torsion", "--jet", "J1"), ("integral-element", "--jet", "J1"),
+                  ("integral-element", "--flag", "F")),
 }
 
 
@@ -42,6 +56,13 @@ def cases():
                     yield (f"jets-{name}-{stratum}-r{rounds}-{fmt}",
                            ["jets", name, "--stratum", stratum,
                             "--rounds", str(rounds), "--format", fmt])
+    for stem, extra in DOCS.items():
+        path = f"tests/golden/docs/{stem}.json"
+        for command in ("involutivity", "torsion", "complex-forms", "integral-element"):
+            yield f"{command}-{stem}-json", [command, path, "--format", "json"]
+        for command, *options in extra:
+            yield (f"{command}-{stem}-{'-'.join(o.lstrip('-') for o in options)}-json",
+                   [command, path, *options, "--format", "json"])
 
 
 def run(argv):
@@ -57,7 +78,8 @@ def record():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     index = {}
     for case, argv in cases():
-        code, stdout, stderr = run(argv)
+        with contextlib.chdir(ROOT):
+            code, stdout, stderr = run(argv)
         (GOLDEN / f"{case}.out").write_bytes(stdout)
         index[case] = {"argv": argv, "exit": code, "stderr": stderr}
     (GOLDEN / "index.json").write_text(

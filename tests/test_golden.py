@@ -12,20 +12,27 @@ import pytest
 
 from diskeds.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 62
+    assert len(INDEX) == 79
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
             assert f"jets-{name}-{fmt}" in INDEX
+    # beyond the n = 3 builtins: n = 4, 5 and a non-constant structure
+    for stem in ("n5_hyperquadric", "n4_hyperquadric", "n3_matrix"):
+        for command in ("involutivity", "torsion", "complex-forms", "integral-element"):
+            assert f"{command}-{stem}-json" in INDEX
 
 
 @pytest.mark.parametrize("case", sorted(INDEX))
-def test_golden_report(case):
+def test_golden_report(case, monkeypatch):
+    # document paths are relative to the repository root, as recorded
+    monkeypatch.chdir(ROOT)
     expected = INDEX[case]
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
