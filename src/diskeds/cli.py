@@ -111,7 +111,7 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
     problem = lp.problem
     if problem is None or problem.structure.kind != "complex_standard":
         raise SchemaViolation("complex-forms needs a complex_standard problem")
-    data = complex_B_coefficients(problem.rho, point)
+    data = complex_B_coefficients(problem, point)
     d1 = form_definiteness(data.c1)
     d2 = form_definiteness(data.c2)
     return {
@@ -131,7 +131,7 @@ def cmd_dim6(lp: LoadedProblem, opts) -> dict:
     point = lp.points[pname]
     if lp.problem is None:
         raise SchemaViolation("dim6 needs a rho block")
-    rep = dim6_definiteness(lp.problem.rho, point)
+    rep = dim6_definiteness(lp.problem, point)
     return {"point": pname, **{k: getattr(rep, k) for k in
                                ("delta1", "delta2", "sign1", "sign2",
                                 "c1_definiteness", "c2_definiteness", "verdict")}}

@@ -58,6 +58,25 @@ def _accumulate(terms, exps, c):
     terms[exps] = c
 
 
+def _monomial_partial(c, support, orders):
+    """The partial derivative of c * prod x_i^e_i at a point, ``support``
+    listing (i, e_i, x_i) for every e_i > 0 and ``orders`` the order of
+    differentiation by support slot; None when it is 0 there."""
+    acc = c
+    scale = 1
+    for slot, (_, e, x) in enumerate(support):
+        k = orders.get(slot, 0)
+        if k > e:
+            return None
+        for t in range(k):
+            scale *= e - t
+        if e > k:
+            if not x:
+                return None
+            acc = acc * (x if e - k == 1 else x ** (e - k))
+    return acc if scale == 1 else acc * scale
+
+
 class Polynomial:
     """Sparse exact polynomial over a fixed ordered variable table."""
 
@@ -304,10 +323,38 @@ class Polynomial:
                 out = acc if out is None else out + acc
         return normalize_scalar(0 if out is None else out)
 
+    def derivatives_at(self, point, second=False):
+        """The gradient at a point and, with ``second``, the Hessian rows
+        (else None), from one pass over the monomials.  A monomial adds to
+        a derivative only where no factor with an exact zero value is
+        left in it."""
+        nv = len(self.vars)
+        grad = [None] * nv
+        hessian = [[None] * nv for _ in range(nv)] if second else None
+
+        def add(row, i, term):
+            if term is not None:
+                row[i] = term if row[i] is None else row[i] + term
+
+        for exps, c in self.terms.items():
+            support = [(i, e, point[i]) for i, e in enumerate(exps) if e]
+            for a, (i, e, _) in enumerate(support):
+                add(grad, i, _monomial_partial(c, support, {a: 1}))
+                if not second:
+                    continue
+                for b in range(a, len(support)):
+                    orders = {a: 2} if b == a else {a: 1, b: 1}
+                    term = _monomial_partial(c, support, orders)
+                    add(hessian[i], support[b][0], term)
+                    if b != a:
+                        add(hessian[support[b][0]], i, term)
+        zero = Fraction(0)
+        finish = lambda row: tuple(zero if x is None else normalize_scalar(x) for x in row)
+        return finish(grad), (tuple(map(finish, hessian)) if second else None)
+
     def first_jet(self, point) -> FirstJet:
         """Value and gradient at a point."""
-        return FirstJet(self.evaluate(point),
-                        tuple(self.differentiate(v).evaluate(point) for v in self.vars))
+        return FirstJet(self.evaluate(point), self.derivatives_at(point)[0])
 
     def extend_to(self, new_vars):
         """Reinterpret over a larger table containing the current one."""

@@ -17,11 +17,15 @@ and then beta_{i,j} = alpha_{i,1} gamma^1_j + alpha_{i,2} gamma^2_j
 + alpha_{i,j}.  The formulas are written once and evaluated over three
 exact scalars: rational functions of f (symbolic mode, the reference the
 tests differentiate), rationals (pointwise mode, feeding rank tests) and
-exact first jets (value and gradient at a point, feeding torsion and the
-polar maps).  All modes agree wherever they are defined.  One builder runs
-them all: the modes differ only in how each input (a first derivative of
-rho or a structure entry) becomes a scalar, taken once in user coordinates
-and only re-indexed into a chart's internal order.
+exact first jets (value and derivatives at a point).  A first jet's
+tangent holds the derivatives along chosen directions: the coordinate
+axes give the full gradient (the complex closed forms), and the full
+first jet's p1 and p2 give the two derivatives that torsion and the polar
+maps contract with.  All modes agree wherever they are defined.  One
+builder runs them all: the modes differ only in how each input (a first
+derivative of rho or a structure entry) becomes a scalar, read once in
+user coordinates and then re-indexed into a chart's internal order or
+projected onto the directions.
 """
 from __future__ import annotations
 
@@ -66,13 +70,14 @@ StructureMatrix = namedtuple("StructureMatrix", "n entries kind warnings",
 
 
 def complex_standard(n: int, variables=None) -> StructureMatrix:
-    """alpha_{2i-1,2i} = -1, alpha_{2i,2i-1} = 1, zero elsewhere."""
+    """alpha_{2i-1,2i} = -1, alpha_{2i,2i-1} = 1, zero elsewhere; the
+    three distinct entries are built once and shared."""
     variables = tuple(variables) if variables else default_coordinates(2 * n)
-    zero = RationalFunction.from_const(variables, 0)
+    zero, minus_one, one = (RationalFunction.from_const(variables, c) for c in (0, -1, 1))
     rows = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, n + 1):
-        rows[2 * i - 2][2 * i - 1] = RationalFunction.from_const(variables, -1)
-        rows[2 * i - 1][2 * i - 2] = RationalFunction.from_const(variables, 1)
+    for i in range(n):
+        rows[2 * i][2 * i + 1] = minus_one
+        rows[2 * i + 1][2 * i] = one
     return StructureMatrix(n, tuple(tuple(r) for r in rows), "complex_standard")
 
 
@@ -257,34 +262,33 @@ def _gammas_and_betas(grad, mu, D, alpha, zero):
 
 
 def _is_constant(e):
-    """A first derivative of rho (Polynomial) or a structure entry
-    (RationalFunction) that does not depend on f."""
-    if isinstance(e, RationalFunction):
-        return e.num.degree() == 0 and e.den.degree() == 0
-    return e.degree() == 0
+    """A structure entry (RationalFunction) that does not depend on f."""
+    return e.num.degree() == 0 and e.den.degree() == 0
 
 
 def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
     """rho's first derivatives and the structure entries, user order, as
     the scalars of one mode: RationalFunctions without a point, values at
-    the point, or with ``jets`` first jets there (a constant stays a
-    Fraction, so it costs no gradient arithmetic); last, the zero of that
-    mode's scalars."""
+    the point, or with ``jets`` first jets there with gradients in user
+    order (an input with a zero gradient stays a Fraction, so it costs no
+    gradient arithmetic); last, the zero of that mode's scalars.  At a
+    point rho's gradient, and with ``jets`` its Hessian rows, come from one
+    pass over its monomials, and a constant entry is read off its
+    numerator (a RationalFunction's denominator is monic)."""
     rho = problem.rho
-    derivs = tuple(rho.differentiate(v) for v in rho.vars)
     entries = problem.structure.entries
     if point is None:
-        return (tuple(RationalFunction(d) for d in derivs), entries,
-                RationalFunction.from_const(rho.vars, 0))
+        return (tuple(RationalFunction(rho.differentiate(v)) for v in rho.vars),
+                entries, RationalFunction.from_const(rho.vars, 0))
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
+    grad, hessian = rho.derivatives_at(point, second=jets)
     if jets:
-        scalar = lambda e: e.evaluate(point) if _is_constant(e) else e.first_jet(point)
-    else:
-        scalar = lambda e: e.evaluate(point)
-    return (tuple(scalar(d) for d in derivs),
-            tuple(tuple(scalar(e) for e in row) for row in entries), Fraction(0))
+        grad = tuple(FirstJet(g, h) if any(h) else g for g, h in zip(grad, hessian))
+    read = lambda e: e.first_jet(point) if jets else e.evaluate(point)
+    scalar = lambda e: e.num.constant_term() if _is_constant(e) else read(e)
+    return grad, tuple(tuple(map(scalar, row)) for row in entries), Fraction(0)
 
 
 def _reindex(x, order):
@@ -296,36 +300,65 @@ def _reindex(x, order):
     return x
 
 
-def _chart_order(problem: HypersurfaceProblem, point=None, jets=False):
-    """:func:`_inputs` re-indexed into the chart's internal order (pair
-    first), the variables of gradients and rational functions included."""
-    grad, alpha, zero = _inputs(problem, point, jets)
+def _value(x):
+    """A first jet's value; any other scalar as it is."""
+    return x.value if isinstance(x, FirstJet) else x
+
+
+def _along(directions):
+    """The scalar map that turns a first jet's user-order gradient into
+    its derivatives along ``directions`` (user order); a jet whose
+    derivatives all vanish becomes its value."""
+    zero = Fraction(0)
+
+    def scalar(x):
+        if not isinstance(x, FirstJet):
+            return x
+        tangent = tuple(dot(x.grad, d, zero) for d in directions)
+        return FirstJet(x.value, tangent) if any(tangent) else x.value
+
+    return scalar
+
+
+def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
+    """``inputs`` (from :func:`_inputs`) re-indexed into the chart's
+    internal order (pair first), each input taken through ``scalar``: by
+    default :func:`_reindex`, so gradients are taken along the internal
+    coordinate axes and rational functions over the internal variables."""
+    grad, alpha, zero = inputs
     order = problem.internal_order()
-    return (tuple(_reindex(grad[i], order) for i in order),
-            tuple(tuple(_reindex(alpha[j][i], order) for i in order) for j in order),
-            _reindex(zero, order))
+    if scalar is None:
+        scalar = lambda x: _reindex(x, order)
+    return (tuple(scalar(grad[i]) for i in order),
+            tuple(tuple(scalar(alpha[j][i]) for i in order) for j in order),
+            scalar(zero))
 
 
-def _gamma_beta(problem: HypersurfaceProblem, point, jets) -> GammaBetaData:
-    """The one gamma/beta builder behind all three modes."""
-    grad, alpha, zero = _chart_order(problem, point, jets)
+def _gamma_beta(problem: HypersurfaceProblem, inputs, zero_grad=None,
+                jet_mode=False) -> GammaBetaData:
+    """The one gamma/beta builder behind every mode, over chart-ordered
+    ``inputs``.  With ``zero_grad`` every entry is lifted to a first jet,
+    a constant one with that tangent, and mu2 is left as None.  Where D
+    vanishes at a point, a first-jet mode (``jet_mode``) forms the
+    symbolic D to tell an identically vanishing D apart."""
+    grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
-    if (D.value if isinstance(D, FirstJet) else D) == 0:
-        # first-jet mode forms the symbolic D only here, to tell the errors apart
-        if point is None or (jets and _mu_and_D(*_chart_order(problem))[1].is_zero()):
+    if _value(D) == 0:
+        symbolic = isinstance(zero, RationalFunction)
+        if symbolic or (jet_mode and _mu_and_D(*_chart_order(problem, _inputs(problem)))[1]
+                        .is_zero()):
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
     gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
     lift = lambda x: x
-    if jets:
-        zero_grad = (Fraction(0),) * problem.two_n
+    if zero_grad is not None:
         lift = lambda x: FirstJet.lift(x, zero_grad)
     vec = lambda row: tuple(map(lift, row))
     mat = lambda rows: tuple(map(vec, rows))
     return GammaBetaData(problem, problem.sigma(),
-                         problem.to_internal(problem.rho.vars), mat(alpha),
-                         vec(grad), vec(mu), None if jets else _mu2(mu, alpha, zero),
+                         problem.to_internal(problem.rho.vars), mat(alpha), vec(grad),
+                         vec(mu), None if zero_grad is not None else _mu2(mu, alpha, zero),
                          lift(D), vec(gamma1), vec(gamma2), mat(beta_full))
 
 
@@ -335,31 +368,36 @@ def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaDat
     ``point`` is given in the user's coordinate order.  Raises
     IdenticallySingularD (symbolic) or SingularD (pointwise) when D = 0.
     """
-    return _gamma_beta(problem, point, jets=False)
+    return _gamma_beta(problem, _chart_order(problem, _inputs(problem, point)))
 
 
 def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     """Pointwise mode over exact first jets: every entry is a FirstJet
     holding its value and its gradient in the internal f-variables.
 
-    ``mu2`` is left as None (:func:`first_jet_values` forms it from the
-    values).  Raises IdenticallySingularD when D vanishes identically and
-    SingularD when it vanishes at the point only.
+    ``mu2`` is left as None.  Raises IdenticallySingularD when D vanishes
+    identically and SingularD when it vanishes at the point only.
     """
-    return _gamma_beta(problem, point, jets=True)
+    inputs = _chart_order(problem, _inputs(problem, point, jets=True))
+    return _gamma_beta(problem, inputs, (Fraction(0),) * problem.two_n, jet_mode=True)
 
 
-def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
-    """The pointwise data that first-jet data ``gb`` holds: every entry's
-    value, with mu2 formed from the values.  Equals compute_gamma_beta at
-    the same point, without evaluating anything again."""
-    values = lambda row: tuple(x.value for x in row)
-    alpha = tuple(values(row) for row in gb.alpha)
-    mu = values(gb.mu)
-    return gb._replace(alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
-                       mu2=_mu2(mu, alpha, Fraction(0)), D=gb.D.value,
-                       gamma1=values(gb.gamma1), gamma2=values(gb.gamma2),
-                       beta_full=tuple(values(row) for row in gb.beta_full))
+def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
+    """(pointwise data at ``jet.f``, first-jet data along the jet), from
+    one reading of the inputs.
+
+    The first jets carry, in place of a gradient, the derivatives along
+    the jet's p1 and p2 (user order): two numbers per entry instead of
+    2n.  They need p1 and p2, hence the pointwise gammas, first.  Raises
+    as :func:`gamma_beta_first_jets`.
+    """
+    inputs = _inputs(problem, jet.f, jets=True)
+    gb = _gamma_beta(problem, _chart_order(problem, inputs, _value), jet_mode=True)
+    fj = full_jet(problem, jet, gb)
+    zero = Fraction(0)
+    along = _gamma_beta(problem, _chart_order(problem, inputs, _along((fj.p1, fj.p2))),
+                        (zero, zero))
+    return gb, along
 
 
 # p1 and p2 in user coordinate order

@@ -19,7 +19,8 @@ cutting out Im(F), and G collects the structure-equation evaluations of
 d(theta^k), k = 2..2n, on the X coordinates.  The x-derivatives inside G
 are resolved by the chain rule through the full first jet: df/dx_1 = p_1
 and df/dx_2 = A p_1 (this is the only reading that makes the coefficients
-well-defined at a point).
+well-defined at a point).  So G's X_2 column is the torsion coefficients
+themselves, (c^2, -c^3, .., -c^{2n}).
 
 Ker(g o f) is the polar space H(D') of the (perturbed) line, so the
 stacked square system's determinant is nonzero exactly when the line
@@ -36,10 +37,9 @@ from fractions import Fraction
 import random
 
 from .errors import CrossCheckMismatch, InadmissibleFlag
-from .geometry import FirstJetPoint, HypersurfaceProblem, full_jet
+from .geometry import FirstJetPoint, HypersurfaceProblem
 from .linalg import det, dot, dot_plus, mat_mul, nullity
-from .torsion import (_coefficient_tables, structure_equation_coefficients,
-                      torsion_absorbable)
+from .torsion import structure_equation_coefficients, torsion_absorbable
 
 
 def _zeros(k):
@@ -83,31 +83,20 @@ DthetaRows = namedtuple("DthetaRows", "rows torsion")
 
 
 def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint) -> DthetaRows:
-    """gamma/beta values and their x-derivative contractions at the jet,
-    with the jet's torsion verdict from the same coefficient tables."""
-    tables = _coefficient_tables(problem, jet.f)
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = tables
-    sed = structure_equation_coefficients(problem, jet, tables)
-    fj = full_jet(problem, jet, sed.point_data)
-    order = problem.internal_order()
-    p1_int = tuple(fj.p1[i] for i in order)
-    p2_int = tuple(fj.p2[i] for i in order)
-    zero = Fraction(0)
-    p = tuple(Fraction(x) for x in jet.p_reduced)
-    live = [i for i, x in enumerate(p) if x]
-    # sum_i q(i) p^i, with q(i) formed only where p^i != 0
-    along_p = lambda q: dot((p[i] for i in live), map(q, live), zero)
-    # Y_1 row data: sum_i (dgamma^2_i/dx_2 - dbeta_{2,i}/dx_1) p^i on X_2,
-    # then -gamma^2_i on X_i and -beta_{2,i} on X_{2n-2+i}
-    x2 = along_p(lambda i: dot(g2d[i], p2_int, zero) - dot(bd[1][i], p1_int, zero))
-    rows = [(x2, tuple(-x for x in g2v), tuple(-x for x in bv[1]))]
-    # Y_j rows, j = 3..2n: sum_i dbeta_{j,i}/dx_1 p^i on X_2, +1 on X_j,
-    # +beta_{j,i} on X_{2n-2+i}
-    m = len(p)
+    """The rows of G at the jet, read from its torsion coefficients c^k
+    and the pointwise gamma/beta values, with the jet's torsion verdict
+    from the same coefficients."""
+    sed = structure_equation_coefficients(problem, jet)
+    gb, c = sed.point_data, sed.c_values
+    # Y_1 = d(theta^2): c^2 on X_2, -gamma^2_i on X_i, -beta_{2,i} on
+    # X_{2n-2+i}
+    rows = [(c[1], tuple(-x for x in gb.gamma2), tuple(-x for x in gb.beta2))]
+    # Y_j = -d(theta^j), j = 3..2n: -c^j on X_2, +1 on X_j, +beta_{j,i} on
+    # X_{2n-2+i}
+    m = problem.two_n - 2
     for j in range(2, problem.two_n):
-        x2 = along_p(lambda i: dot(bd[j][i], p1_int, zero))
-        unit = tuple(Fraction(1) if i == j - 2 else zero for i in range(m))
-        rows.append((x2, unit, tuple(bv[j])))
+        unit = tuple(Fraction(1) if i == j - 2 else Fraction(0) for i in range(m))
+        rows.append((-c[j], unit, gb.beta_full[j]))
     return DthetaRows(rows, torsion_absorbable(problem, jet, sed))
 
 

@@ -130,6 +130,22 @@ def det(matrix):
     return out if sign > 0 else -out
 
 
+def leading_pivots(matrix):
+    """The pivots of forward elimination of a square matrix without row
+    exchanges, up to and including the first zero one.  While no pivot is
+    zero, the k-th leading principal minor is the product of the first k
+    pivots; the first zero pivot is where that minor is 0."""
+    rows = [list(row) for row in matrix]
+    for k, pivot_row in enumerate(rows):
+        pv = pivot_row[k]
+        yield pv
+        if pv == 0:
+            return
+        for i in range(k + 1, len(rows)):
+            if rows[i][k] != 0:
+                rows[i] = _row_minus(rows[i], rows[i][k] / pv, pivot_row)
+
+
 def greedy_basis(base, rows):
     """Indices of the ``rows`` that forward greedy insertion keeps: row i
     is kept when it lies outside the span of ``base`` and of the rows kept

@@ -12,7 +12,18 @@ the coefficient of p^j p^j' is
                   + dbeta_k,j/df_j' )
 
 (the contracted first sum and the df_j' reading are fixed against an
-independent exterior-derivative expansion in the test suite).  Torsion is
+independent exterior-derivative expansion in the test suite).  Only the
+values at one jet are needed, and summed against p^j' the bracket is the
+derivative along the full first jet p1 = (p^1_1, p^2_1, p^3..p^2n) and the
+first sum the derivative along p2 = beta_full p = A p1.  So with
+D_v e = grad(e) . v,
+
+  c^k = sum_j p^j (D_{p2} gamma^k_j - D_{p1} beta_{k,j})    k = 1, 2
+  c^k = - sum_j p^j D_{p1} beta_{k,j}                        k >= 3,
+
+read from first jets whose tangents are those two derivatives: O(n^2)
+work where the 2n matrices cost O(n^3).  The matrices themselves are a
+test oracle.  Torsion is
 absorbable when the two-row system D1 v = residual_1, D2 v = residual_2
 is solvable: for D0 = 0 both residuals must vanish; otherwise, since
 D1 = rho_2 D0 and D2 = -rho_1 D0 exactly, the single cross condition
@@ -22,7 +33,11 @@ test and the closed form are evaluated and must agree.
 The complex-case closed forms (first-order differential operators P^1_k,
 P^2_k acting on the gammas, the B coefficient tables, the two quadratic
 forms, the dimension-6 discriminants and the pseudo-ellipsoid product
-condition) are implemented against the same exact substrate.
+condition) are implemented against the same exact substrate.  A form is
+definite by the signs of its leading principal minors; one forward
+elimination without row exchanges gives them all, the k-th minor being
+the product of the first k pivots, and its first zero pivot makes that
+minor 0, so the form is not definite.
 """
 from __future__ import annotations
 
@@ -31,18 +46,16 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SingularD, WrongDimension
 from .exact import rat
-from .expr import Polynomial
 from .geometry import (
     FirstJetPoint,
-    GammaBetaData,
     HypersurfaceProblem,
     complex_standard,
     compute_gamma_beta,
-    first_jet_values,
+    gamma_beta_along_jet,
     gamma_beta_first_jets,
 )
 from .involutivity import compute_D_vectors
-from .linalg import det, dot, dot_plus, solve_particular
+from .linalg import dot, dot_plus, leading_pivots, solve_particular
 
 
 # ----------------------------------------------------------------------
@@ -66,57 +79,28 @@ def _symmetrize(raw):
                  for row, column in zip(raw, zip(*raw)))
 
 
-def _coefficient_tables(problem: HypersurfaceProblem, point):
-    """Values and f-gradients of gamma and beta_full at the point (user
-    order), read from the exact first jets; also returns those jets."""
-    gb = gamma_beta_first_jets(problem, point)
-    values = lambda jets: tuple(x.value for x in jets)
-    grads = lambda jets: tuple(x.grad for x in jets)
-    return (gb, (values(gb.gamma1), grads(gb.gamma1)),
-            (values(gb.gamma2), grads(gb.gamma2)),
-            tuple(values(row) for row in gb.beta_full),
-            tuple(grads(row) for row in gb.beta_full))
+def _coefficient_tables(problem: HypersurfaceProblem, jet: FirstJetPoint):
+    """The pointwise GammaBetaData at the jet's base point; the derivatives
+    along p2 of gamma^1 and gamma^2; and those along p1 of every beta_full
+    row (internal order), read from the first jets along (p1, p2)."""
+    gb, along = gamma_beta_along_jet(problem, jet)
+    derivatives = lambda row, d: tuple(x.grad[d] for x in row)
+    return (gb, (derivatives(along.gamma1, 1), derivatives(along.gamma2, 1)),
+            tuple(derivatives(row, 0) for row in along.beta_full))
 
 
-def _raw_torsion_matrices(gammas, gamma_grads, beta_full, beta_grads, zero):
-    """The 2n unsymmetrized torsion matrices from gamma^1, gamma^2 and
-    beta_full and their f-gradients (internal order), over any exact
-    scalar; ``zero`` is that scalar's zero, the value of a contracted sum
-    whose every term has a zero factor."""
-    two_n = len(beta_full)
-    m = two_n - 2
-    gamma_pairs = tuple(zip(*gammas))
-    beta_columns = tuple(zip(*beta_full))
-
-    def contracted(i, j, jp):
-        # dbeta_{i,j}/df contracted with the gammas
-        grad = beta_grads[i][j]
-        return dot_plus(grad[:2], gamma_pairs[jp], grad[jp + 2])
-
-    def entry(k, j, jp):
-        c = contracted(k, j, jp)
-        if k >= 2:
-            return -c if c else c
-        s = dot(gamma_grads[k][j], beta_columns[jp], zero)
-        return s - c if c else s
-
-    return [[[entry(k, j, jp) for jp in range(m)] for j in range(m)]
-            for k in range(two_n)]
-
-
-def structure_equation_coefficients(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                                    tables=None) -> StructureEquationData:
-    """``tables`` is _coefficient_tables(problem, jet.f) when the caller has
-    them; they are built here otherwise."""
-    if tables is None:
-        tables = _coefficient_tables(problem, jet.f)
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = tables
+def structure_equation_coefficients(problem: HypersurfaceProblem,
+                                    jet: FirstJetPoint) -> StructureEquationData:
+    gb, gammas_p2, betas_p1 = _coefficient_tables(problem, jet)
     zero = Fraction(0)
-    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, zero)
-    p = tuple(Fraction(x) for x in jet.p_reduced)
-    # c^k = p^T raw_k p
-    c_values = tuple(dot(p, [dot(row, p, zero) for row in mat], zero) for mat in raw)
-    return StructureEquationData(c_values, first_jet_values(gb))
+    p = jet.p_reduced
+    # sum_j p^j D_{p1} beta_{k,j} and sum_j p^j D_{p2} gamma^k_j; c^k as in
+    # the module docstring
+    b = [dot(p, row, zero) for row in betas_p1]
+    g = [dot(p, row, zero) for row in gammas_p2]
+    c_values = tuple([gk - bk if bk else gk for gk, bk in zip(g, b)]
+                     + [-bk if bk else bk for bk in b[2:]])
+    return StructureEquationData(c_values, gb)
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +158,17 @@ ComplexTorsionData = namedtuple("ComplexTorsionData",
                                 "n gamma1 gamma2 B_lower B_upper c1 c2")
 
 
-def _complex_problem(rho: Polynomial) -> HypersurfaceProblem:
+def _complex_problem(source) -> HypersurfaceProblem:
+    """The complex_standard problem at the pair (1, 2) for ``source``, a
+    rho Polynomial or a loaded problem, whose structure is reused when it
+    is complex_standard."""
+    rho = source.rho if isinstance(source, HypersurfaceProblem) else source
     two_n = len(rho.vars)
     if two_n % 2 or two_n < 4:
         raise WrongDimension(f"need an even number >= 4 of variables, got {two_n}")
+    if isinstance(source, HypersurfaceProblem) and \
+            source.structure.kind == "complex_standard":
+        return source.with_pair((1, 2))
     return HypersurfaceProblem(rho, complex_standard(two_n // 2, rho.vars), (1, 2))
 
 
@@ -191,14 +182,17 @@ def _p_operator(which, k, gamma1, gamma2, partial):
     return dot_plus((g1_2k, g2_2k), (partial(0), partial(1)), partial(2 * k - 1))
 
 
-def complex_B_coefficients(rho: Polynomial, f_point=None) -> ComplexTorsionData:
+def complex_B_coefficients(source, f_point=None) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
-    B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n.
+    B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n,
+    under the standard structure at the pair (1, 2); ``source`` is rho or
+    a loaded problem (see :func:`_complex_problem`).
 
     Without a point the gammas are symbolic and so is every entry; at a
-    point the entries are exact rationals read from the gammas' first jets.
+    point the entries are exact rationals read from the gammas' first jets
+    along the coordinate axes, the directions the P operators take.
     """
-    problem = _complex_problem(rho)
+    problem = _complex_problem(source)
     n = problem.n
     if f_point is None:
         gb = compute_gamma_beta(problem)
@@ -252,14 +246,15 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
 
 def form_definiteness(matrix) -> str:
     """'positive_definite' | 'negative_definite' | 'not_definite' via
-    exact leading principal minors."""
-    m = len(matrix)
-    minors = [det([row[:k] for row in matrix[:k]]) for k in range(1, m + 1)]
-    if all(x > 0 for x in minors):
-        return "positive_definite"
-    if all((x < 0 if k % 2 == 0 else x > 0) for k, x in enumerate(minors)):
-        return "negative_definite"
-    return "not_definite"
+    exact leading principal minors, read from the pivots of one
+    elimination: all minors are positive exactly when every pivot is, and
+    they alternate from negative exactly when every pivot is negative."""
+    signs = set()
+    for pivot in leading_pivots(matrix):
+        signs.add((pivot > 0) - (pivot < 0))
+        if 0 in signs or len(signs) > 1:
+            return "not_definite"
+    return "negative_definite" if signs == {-1} else "positive_definite"
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +266,12 @@ Dim6Report = namedtuple("Dim6Report", "delta1 delta2 sign1 sign2 c1_definiteness
                         "c2_definiteness verdict")
 
 
-def dim6_definiteness(rho: Polynomial, f_point) -> Dim6Report:
+def dim6_definiteness(source, f_point) -> Dim6Report:
+    """``source`` is rho or a loaded problem, as for complex_B_coefficients."""
+    rho = source.rho if isinstance(source, HypersurfaceProblem) else source
     if len(rho.vars) != 6:
         raise WrongDimension("the dimension-6 test needs exactly 6 variables")
-    data = complex_B_coefficients(rho, f_point)
+    data = complex_B_coefficients(source, f_point)
     Bl, Bu = data.B_lower, data.B_upper
     delta1 = (4 * Bl[(2, 2)] * Bl[(3, 3)]
               - (Bl[(2, 3)] + Bl[(3, 2)]) ** 2

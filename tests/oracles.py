@@ -9,7 +9,9 @@ reduced jet by directly solving the 2x2 elimination system, and the
 distinguished-pair scan by one full gamma/beta build per candidate.
 
 The second half holds reference implementations that no CLI command runs
-but tests compare the runtime against, such as the Levi form.
+but tests compare the runtime against, such as the Levi form, the 2n
+torsion quadratic-form matrices built on full gradients, and definiteness
+by one determinant per leading minor.
 """
 from __future__ import annotations
 
@@ -20,12 +22,12 @@ from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
                             NotComplexifiedMode, SingularD, WrongDimension)
 from diskeds.exact import gaussian, rat, require_real
 from diskeds.expr import Polynomial, RationalFunction, conjugate_name
-from diskeds.geometry import (FirstJetPoint, HypersurfaceProblem, StructureMatrix,
-                              compute_gamma_beta, full_jet, structure_from_entries)
+from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
+                              StructureMatrix, _mu2, compute_gamma_beta, full_jet,
+                              gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import jet_table, probe_from_values, var_jet_order
-from diskeds.linalg import _echelon, nullity, solve_particular
-from diskeds.torsion import _coefficient_tables, _raw_torsion_matrices
+from diskeds.linalg import _echelon, det, dot, dot_plus, nullity, solve_particular
 
 
 def dtheta_torsion_oracle(problem: HypersurfaceProblem):
@@ -66,7 +68,7 @@ def dtheta_torsion_oracle(problem: HypersurfaceProblem):
 def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
     """Values and f-gradients of gamma and beta_full at a point (user order),
     by building the symbolic gamma/beta, differentiating each entry and
-    evaluating it; same layout as ``torsion._coefficient_tables``."""
+    evaluating it; same layout as :func:`coefficient_tables_full`."""
     gb = compute_gamma_beta(problem)
     pt_int = tuple(Fraction(point[i]) for i in problem.internal_order())
     if gb.D.evaluate(pt_int) == 0:
@@ -83,6 +85,94 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
             (values(gb.gamma2), grads(gb.gamma2)),
             tuple(values(row) for row in gb.beta_full),
             tuple(grads(row) for row in gb.beta_full))
+
+
+def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
+    """The pointwise data that first-jet data ``gb`` holds: every entry's
+    value, with mu2 formed from the values.  Equals compute_gamma_beta at
+    the same point, without evaluating anything again."""
+    values = lambda row: tuple(x.value for x in row)
+    alpha = tuple(values(row) for row in gb.alpha)
+    mu = values(gb.mu)
+    return gb._replace(alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
+                       mu2=_mu2(mu, alpha, Fraction(0)), D=gb.D.value,
+                       gamma1=values(gb.gamma1), gamma2=values(gb.gamma2),
+                       beta_full=tuple(values(row) for row in gb.beta_full))
+
+
+def coefficient_tables_full(problem: HypersurfaceProblem, point):
+    """Values and f-gradients of gamma and beta_full at the point (user
+    order), read from the exact first jets; also returns those jets."""
+    gb = gamma_beta_first_jets(problem, point)
+    values = lambda jets: tuple(x.value for x in jets)
+    grads = lambda jets: tuple(x.grad for x in jets)
+    return (gb, (values(gb.gamma1), grads(gb.gamma1)),
+            (values(gb.gamma2), grads(gb.gamma2)),
+            tuple(values(row) for row in gb.beta_full),
+            tuple(grads(row) for row in gb.beta_full))
+
+
+def raw_torsion_matrices(gammas, gamma_grads, beta_full, beta_grads, zero):
+    """The 2n unsymmetrized torsion matrices from gamma^1, gamma^2 and
+    beta_full and their f-gradients (internal order), over any exact
+    scalar; ``zero`` is that scalar's zero, the value of a contracted sum
+    whose every term has a zero factor.  c^k at a jet is p^T raw_k p."""
+    two_n = len(beta_full)
+    m = two_n - 2
+    gamma_pairs = tuple(zip(*gammas))
+    beta_columns = tuple(zip(*beta_full))
+
+    def contracted(i, j, jp):
+        # dbeta_{i,j}/df contracted with the gammas
+        grad = beta_grads[i][j]
+        return dot_plus(grad[:2], gamma_pairs[jp], grad[jp + 2])
+
+    def entry(k, j, jp):
+        c = contracted(k, j, jp)
+        if k >= 2:
+            return -c if c else c
+        s = dot(gamma_grads[k][j], beta_columns[jp], zero)
+        return s - c if c else s
+
+    return [[[entry(k, j, jp) for jp in range(m)] for j in range(m)]
+            for k in range(two_n)]
+
+
+def torsion_values_from_matrices(problem: HypersurfaceProblem, jet: FirstJetPoint):
+    """c^k = p^T raw_k p at the jet, from the full-gradient tables."""
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
+    raw = raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
+    p = tuple(Fraction(x) for x in jet.p_reduced)
+    zero = Fraction(0)
+    return tuple(dot(p, [dot(row, p, zero) for row in mat], zero) for mat in raw)
+
+
+def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
+    """G's X_2 column at the jet contracted from the full-gradient tables:
+    sum_i p^i (D_{p2} gamma^2_i - D_{p1} beta_{2,i}) for d(theta^2), then
+    sum_i p^i D_{p1} beta_{j,i} for j = 3..2n, with D_v e = grad(e) . v."""
+    gb, _, (g2v, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
+    fj = full_jet(problem, jet)
+    order = problem.internal_order()
+    p1 = tuple(fj.p1[i] for i in order)
+    p2 = tuple(fj.p2[i] for i in order)
+    p = tuple(Fraction(x) for x in jet.p_reduced)
+    along = lambda grads, v: [sum(g[a] * v[a] for a in range(len(v))) for g in grads]
+    column = [sum(pi * (x - y) for pi, x, y in zip(p, along(g2d, p2), along(bd[1], p1)))]
+    column += [sum(pi * x for pi, x in zip(p, along(bd[j], p1)))
+               for j in range(2, problem.two_n)]
+    return column
+
+
+def definiteness_by_minors(matrix) -> str:
+    """form_definiteness with one determinant per leading principal minor."""
+    m = len(matrix)
+    minors = [det([row[:k] for row in matrix[:k]]) for k in range(1, m + 1)]
+    if all(x > 0 for x in minors):
+        return "positive_definite"
+    if all((x < 0 if k % 2 == 0 else x > 0) for k, x in enumerate(minors)):
+        return "negative_definite"
+    return "not_definite"
 
 
 def choose_pair_by_builds(problem: HypersurfaceProblem, point=None):
@@ -445,7 +535,7 @@ def structure_coefficient_forms(problem: HypersurfaceProblem):
     fvars = gb.internal_vars
     grads = lambda rows: [[[e.differentiate(v) for v in fvars] for e in row]
                           for row in rows]
-    raw = _raw_torsion_matrices((gb.gamma1, gb.gamma2),
+    raw = raw_torsion_matrices((gb.gamma1, gb.gamma2),
                                 grads((gb.gamma1, gb.gamma2)), gb.beta_full,
                                 grads(gb.beta_full),
                                 RationalFunction.from_const(fvars, 0))
@@ -456,8 +546,8 @@ def torsion_form_matrices(problem: HypersurfaceProblem, point):
     """The 2n symmetric torsion quadratic-form matrices at a point: the
     pipeline's raw torsion matrices from the first-jet coefficient tables,
     symmetrized entry by entry."""
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = _coefficient_tables(problem, point)
-    raw = _raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
+    gb, (g1v, g1d), (g2v, g2d), bv, bd = coefficient_tables_full(problem, point)
+    raw = raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
     m = problem.two_n - 2
     return [[[(mat[a][b] + mat[b][a]) / 2 for b in range(m)] for a in range(m)]
             for mat in raw]

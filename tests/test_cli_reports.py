@@ -452,25 +452,34 @@ def test_missing_field_is_schema_violation(field, tmp_path, capsys):
 
 
 def _count_gamma_beta_builds(monkeypatch):
-    """Count pointwise and first-jet gamma/beta builds, wherever called."""
+    """Count pointwise, full-gradient first-jet and along-the-jet
+    gamma/beta builds, wherever called, and the passes that read
+    derivatives off a polynomial's monomials."""
     from diskeds import geometry, involutivity, torsion
-    real_pointwise = geometry.compute_gamma_beta
-    real_first_jets = geometry.gamma_beta_first_jets
-    counts = {"pointwise": 0, "first_jets": 0}
+    from diskeds.expr import Polynomial
+    counts = {"pointwise": 0, "first_jets": 0, "along_jet": 0,
+              "derivative_passes": 0, "differentiate": 0}
 
-    def pointwise(problem, point=None):
-        counts["pointwise"] += point is not None
-        return real_pointwise(problem, point)
+    def counting(key, real, counts_call=lambda *args, **kwargs: True):
+        def wrapper(*args, **kwargs):
+            counts[key] += counts_call(*args, **kwargs)
+            return real(*args, **kwargs)
+        return wrapper
 
-    def first_jets(problem, point):
-        counts["first_jets"] += 1
-        return real_first_jets(problem, point)
-
+    wrappers = {
+        "compute_gamma_beta": counting("pointwise", geometry.compute_gamma_beta,
+                                       lambda problem, point=None: point is not None),
+        "gamma_beta_first_jets": counting("first_jets", geometry.gamma_beta_first_jets),
+        "gamma_beta_along_jet": counting("along_jet", geometry.gamma_beta_along_jet),
+    }
     for module in (geometry, involutivity, torsion, cli):
-        if hasattr(module, "compute_gamma_beta"):
-            monkeypatch.setattr(module, "compute_gamma_beta", pointwise)
-        if hasattr(module, "gamma_beta_first_jets"):
-            monkeypatch.setattr(module, "gamma_beta_first_jets", first_jets)
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(Polynomial, "derivatives_at",
+                        counting("derivative_passes", Polynomial.derivatives_at))
+    monkeypatch.setattr(Polynomial, "differentiate",
+                        counting("differentiate", Polynomial.differentiate))
     return counts
 
 
@@ -479,15 +488,19 @@ def test_involutivity_builds_gamma_beta_once(builtin, monkeypatch, capsys):
     # cusp names no distinguished pair, so the fallback scan runs first
     counts = _count_gamma_beta_builds(monkeypatch)
     assert cli.main(["involutivity", builtin]) == 0
-    assert counts == {"pointwise": 1, "first_jets": 0}
+    assert (counts["pointwise"], counts["first_jets"], counts["along_jet"]) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("command", ["torsion", "integral-element"])
 def test_jet_commands_build_first_jets_once_and_no_pointwise(command, monkeypatch,
                                                              capsys):
+    # one build along the jet gives the pointwise data and the first jets
+    # along p1, p2, from one pass over rho's monomials and no symbolic
+    # derivative
     counts = _count_gamma_beta_builds(monkeypatch)
     assert cli.main([command, "hyperquadric"]) == 0
-    assert counts == {"pointwise": 0, "first_jets": 1}
+    assert counts == {"pointwise": 0, "first_jets": 0, "along_jet": 1,
+                      "derivative_passes": 1, "differentiate": 0}
 
 
 # n = 5, rho = 2 f9 + f1^2 + f2^2 - f3^2 - f4^2 + f5^2 + f6^2 - f7^2 - f8^2:
@@ -523,6 +536,33 @@ def test_exact_zeros_cost_no_multiplication(command, tmp_path, monkeypatch, caps
     assert cli.main([command, str(path)]) == 0
     assert products["all"] > 100
     assert products["zero"] * 10 <= products["all"]
+
+
+def _fraction_products(argv, monkeypatch):
+    from fractions import Fraction
+    products = [0]
+
+    def counting(real):
+        def mul(a, b):
+            products[0] += 1
+            return real(a, b)
+        return mul
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
+        patch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
+        assert cli.main(argv) == 0
+    return products[0]
+
+
+@pytest.mark.parametrize("command", ["torsion", "integral-element"])
+def test_torsion_along_the_jet_is_quadratic_work(command, tmp_path, monkeypatch, capsys):
+    # the 2n quadratic-form matrices on full gradients took 977 (torsion)
+    # and 1,067 (integral-element) Fraction products here; the
+    # derivatives along p1 and p2 take about half
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps(N5_HYPERQUADRIC))
+    assert 100 < _fraction_products([command, str(path)], monkeypatch) <= 600
 
 
 def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):

@@ -201,6 +201,19 @@ def test_evaluate_is_homomorphism(p, q, pt):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
 
 
+@given(polys(), st.tuples(*[st.sampled_from((0, 0, 1, -2, Fraction(3, 2)))] * 3))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_derivatives_equal_differentiate_then_evaluate(p, pt):
+    # zero coordinates included: a monomial with a zero factor left out of
+    # a derivative contributes nothing to it
+    grad, hessian = p.derivatives_at(pt, second=True)
+    assert grad == tuple(p.differentiate(v).evaluate(pt) for v in V3)
+    assert hessian == tuple(tuple(p.differentiate(a).differentiate(b).evaluate(pt)
+                                  for b in V3) for a in V3)
+    assert p.derivatives_at(pt) == (grad, None)
+    assert all(type(x) is Fraction for x in grad + sum(hessian, ()))
+
+
 @st.composite
 def cx_polys(draw):
     terms = {}

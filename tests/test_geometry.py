@@ -12,7 +12,6 @@ from diskeds.geometry import (
     choose_pair,
     complex_standard,
     compute_gamma_beta,
-    first_jet_values,
     full_jet,
     gamma_beta_first_jets,
     make_structure_from_pair,
@@ -22,6 +21,7 @@ from diskeds.geometry import (
 from diskeds.reports import build_problem, load_problem
 from oracles import (
     choose_pair_by_builds,
+    first_jet_values,
     on_chart_point,
     random_constant_structure,
     random_polynomial,

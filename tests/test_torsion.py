@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diskeds.errors import IdenticallySingularD, SingularD, WrongDimension
 from diskeds.expr import Polynomial, RationalFunction, parse_expression
@@ -14,7 +15,6 @@ from diskeds.geometry import (
 )
 from diskeds.involutivity import compute_D_vectors
 from diskeds.torsion import (
-    _coefficient_tables,
     complex_B_coefficients,
     dim6_definiteness,
     form_definiteness,
@@ -24,9 +24,12 @@ from diskeds.torsion import (
     torsion_absorbable,
 )
 from oracles import (
+    coefficient_tables_full,
     coefficient_tables_symbolic,
+    definiteness_by_minors,
     dim6_completed_square,
     dtheta_torsion_oracle,
+    dtheta_x2_column_full,
     evaluate_form,
     on_chart_point,
     on_surface_point,
@@ -35,6 +38,7 @@ from oracles import (
     random_polynomial,
     random_polynomial_structure,
     structure_coefficient_forms,
+    torsion_values_from_matrices,
 )
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
@@ -129,12 +133,88 @@ def test_first_jet_tables_equal_symbolic_reference(n):
     cases = _first_jet_cases(rng, n)
     assert len(cases) >= 4
     for prob, pt in cases:
-        got = _coefficient_tables(prob, pt)
+        got = coefficient_tables_full(prob, pt)
         want = coefficient_tables_symbolic(prob, pt)
         assert got[1:] == want[1:]
         pt_int = tuple(Fraction(pt[i]) for i in prob.internal_order())
         assert [g.value for g in got[0].rho_grad] == \
             [r.evaluate(pt_int) for r in want[0].rho_grad]
+
+
+@st.composite
+def torsion_jets(draw):
+    """A problem, a chart point (D != 0) and a reduced jet, zero entries
+    included: constant and degree-1 matrix structures at n = 2, 3 and the
+    standard structure at n = 4, 5."""
+    n, make = draw(st.sampled_from([
+        (2, random_constant_structure), (3, random_constant_structure),
+        (2, random_polynomial_structure), (3, random_polynomial_structure),
+        (4, None), (5, None)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if make is None:
+        vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+        A = complex_standard(n, vs)
+    else:
+        A, vs = make(rng, n)
+    rho = random_polynomial(rng, vs, 3, 6) + Polynomial.var(vs, vs[0])
+    prob = HypersurfaceProblem(rho, A, (1, 2))
+    try:
+        pt = on_chart_point(rng, prob, tries=20)
+    except AssertionError:
+        pt = None
+    p = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 3))),
+                      min_size=2 * n - 2, max_size=2 * n - 2))
+    return prob, pt, p
+
+
+@given(torsion_jets())
+@example((HypersurfaceProblem(HYPERQUADRIC2, complex_standard(3, V6), (1, 2)),
+          (1, 0, 1, 0, 0, 0), [0, 0, 0, 0]))
+@settings(max_examples=40, deadline=None)
+def test_directional_torsion_equals_the_quadratic_forms(case):
+    # c^k read along p1 and p2 is p^T raw_k p of the full-gradient matrices,
+    # and G's X_2 column is (c^2, -c^3, .., -c^{2n})
+    from diskeds.integral_element import _dtheta_row_data
+    prob, pt, p = case
+    if pt is None:
+        return
+    jet = prob.make_jet(pt, p, allow_off_surface=True)
+    c = structure_equation_coefficients(prob, jet).c_values
+    assert c == torsion_values_from_matrices(prob, jet)
+    assert all(isinstance(x, Fraction) for x in c)
+    rows = _dtheta_row_data(prob, jet).rows
+    assert [x2 for x2, _, _ in rows] == dtheta_x2_column_full(prob, jet)
+
+
+def _symmetric(entries, m):
+    it = iter(entries)
+    rows = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            rows[a][b] = rows[b][a] = next(it)
+    return rows
+
+
+@st.composite
+def symmetric_matrices(draw):
+    m = draw(st.integers(1, 5))
+    values = st.sampled_from((0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)))
+    entries = draw(st.lists(values, min_size=m * (m + 1) // 2,
+                            max_size=m * (m + 1) // 2))
+    return _symmetric([Fraction(x) for x in entries], m)
+
+
+@given(symmetric_matrices())
+# leading minors 0 then nonzero: (0, -1); (1, 0, -1); (1, 0, 0)
+@example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+@example(_symmetric([Fraction(x) for x in (1, 1, 1, 1, 2, 1)], 3))
+@example(_symmetric([Fraction(x) for x in (1, 1, 0, 1, 0, 1)], 3))
+# definite both ways
+@example(_symmetric([Fraction(x) for x in (2, 1, 0, 2, 1, 2)], 3))
+@example(_symmetric([Fraction(x) for x in (-2, 1, 0, -2, 1, -2)], 3))
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_definiteness_equals_per_minor_determinants(matrix):
+    assert form_definiteness(matrix) == definiteness_by_minors(matrix)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
