@@ -16,11 +16,15 @@ the map F sends (v_1, v_2, v_{p^3}..v_{p^{2n}}) to the bilinear evaluations
 
 the rows of R are the relations C_i X_2 + A_2 X_i - A_1 X_{2n-2+i} = 0
 cutting out Im(F), and G collects the structure-equation evaluations of
-d(theta^k), k = 2..2n, on the X coordinates.  The x-derivatives inside G
+d(theta^k), k = 2..2n, on the X coordinates.  On the hypersurface
+sum_k rho_k theta^k = 0, so rho_1 d(theta^1) + rho_2 d(theta^2) is a
+combination of the d(theta^j), j >= 3: where rho_1 != 0 the d(theta^2)
+row completes them, but where rho_1 = 0 it is itself such a combination
+and d(theta^1) takes its place (D != 0 gives rho_2 != 0 there).  The x-derivatives inside G
 are resolved by the chain rule through the full first jet: df/dx_1 = p_1
 and df/dx_2 = A p_1 (this is the only reading that makes the coefficients
 well-defined at a point).  So G's X_2 column is the torsion coefficients
-themselves, (c^2, -c^3, .., -c^{2n}).
+themselves, (c^2, -c^3, .., -c^{2n}), with c^1 first where rho_1 = 0.
 
 Ker(g o f) is the polar space H(D') of the (perturbed) line, so the
 stacked square system's determinant is nonzero exactly when the line
@@ -88,9 +92,11 @@ def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint) -> Dtheta
     from the same coefficients."""
     sed = structure_equation_coefficients(problem, jet)
     gb, c = sed.point_data, sed.c_values
-    # Y_1 = d(theta^2): c^2 on X_2, -gamma^2_i on X_i, -beta_{2,i} on
-    # X_{2n-2+i}
-    rows = [(c[1], tuple(-x for x in gb.gamma2), tuple(-x for x in gb.beta2))]
+    # Y_1 = d(theta^k): c^k on X_2, -gamma^k_i on X_i, -beta_{k,i} on
+    # X_{2n-2+i}; k = 2, or k = 1 where rho_1 = 0 (see build_polar_maps)
+    k = 0 if gb.rho_grad[0] == 0 else 1
+    gamma_k = (gb.gamma1, gb.gamma2)[k]
+    rows = [(c[k], tuple(-x for x in gamma_k), tuple(-x for x in gb.beta_full[k]))]
     # Y_j = -d(theta^j), j = 3..2n: -c^j on X_2, +1 on X_j, +beta_{j,i} on
     # X_{2n-2+i}
     m = problem.two_n - 2
@@ -260,10 +266,10 @@ def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     the jet whose _dtheta_row_data is ``dtheta``; None when there is none.
 
     An integral element exists over a jet only where the jet's torsion is
-    absorbable: for D0 = 0 both residuals must vanish.  The d(theta^2) row
-    alone does not test that where rho_1 = 0, so the torsion verdict is
-    read first.  Then the rows d(theta^j) = 0 (j >= 3) determine c^2
-    uniquely and the d(theta^2) row is a consistency condition.
+    absorbable, so the torsion verdict is read first.  Then the rows
+    d(theta^j) = 0 (j >= 3) determine c^2 uniquely and the first row,
+    d(theta^2) or, where rho_1 = 0, d(theta^1), is a consistency
+    condition.
     """
     if not dtheta.torsion.absorbable:
         return None

@@ -149,16 +149,19 @@ def torsion_values_from_matrices(problem: HypersurfaceProblem, jet: FirstJetPoin
 
 def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
     """G's X_2 column at the jet contracted from the full-gradient tables:
-    sum_i p^i (D_{p2} gamma^2_i - D_{p1} beta_{2,i}) for d(theta^2), then
-    sum_i p^i D_{p1} beta_{j,i} for j = 3..2n, with D_v e = grad(e) . v."""
-    gb, _, (g2v, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
+    sum_i p^i (D_{p2} gamma^k_i - D_{p1} beta_{k,i}) for d(theta^k), k = 2
+    or, where rho_1 = 0, k = 1; then sum_i p^i D_{p1} beta_{j,i} for
+    j = 3..2n, with D_v e = grad(e) . v."""
+    gb, (_, g1d), (_, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
+    k = 0 if gb.rho_grad[0].value == 0 else 1
     fj = full_jet(problem, jet)
     order = problem.internal_order()
     p1 = tuple(fj.p1[i] for i in order)
     p2 = tuple(fj.p2[i] for i in order)
     p = tuple(Fraction(x) for x in jet.p_reduced)
     along = lambda grads, v: [sum(g[a] * v[a] for a in range(len(v))) for g in grads]
-    column = [sum(pi * (x - y) for pi, x, y in zip(p, along(g2d, p2), along(bd[1], p1)))]
+    column = [sum(pi * (x - y) for pi, x, y in
+                  zip(p, along((g1d, g2d)[k], p2), along(bd[k], p1)))]
     column += [sum(pi * x for pi, x in zip(p, along(bd[j], p1)))
                for j in range(2, problem.two_n)]
     return column

@@ -96,13 +96,18 @@ def test_polar_dimension_one_with_theta_perturbation():
         assert perturbed_polar_nullity(prob, jet, flag, tuple(et)) == 1
 
 
-def test_generic_structure_certificate_fires():
-    # generic non-integrable structures with absorbable-torsion jets admit
-    # integral flags whose polar dimension 2 is epsilon-stable
-    from diskeds.torsion import torsion_absorbable
+def test_generic_structure_certificates_annihilate_every_dtheta():
+    # generic constant structures (D0 != 0) on a fixed set of seeded
+    # problems and jets, zero velocity included.  Once G takes d(theta^1)
+    # where rho_1 = 0, the search certifies none of them (the d(theta^2)
+    # row alone let non-integral planes through there); every certificate
+    # it does find must be an epsilon-stable integral element that also
+    # annihilates d(theta^1)
+    from diskeds.integral_element import _pair_X
+    from diskeds.torsion import structure_equation_coefficients
     rng = random.Random(42)
-    fired = 0
-    while fired < 2:
+    searches = 0
+    for _ in range(12):
         A, vs = random_constant_structure(rng, 2)
         rho = random_polynomial(rng, vs, 3, 6)
         prob = HypersurfaceProblem(rho, A, (1, 2))
@@ -110,13 +115,14 @@ def test_generic_structure_certificate_fires():
             pt = on_surface_point(rng, prob)
         except AssertionError:
             continue
-        for pr in [(1, 2), (2, -1)]:
+        for pr in [(1, 2), (2, -1), (0, 0)]:
             try:
                 jet = prob.make_jet(pt, pr)
                 if not torsion_absorbable(prob, jet).absorbable:
                     continue
             except (SingularD, IdenticallySingularD):
                 break
+            searches += 1
             result = ordinary_element_search(prob, jet, trials=20, seed=0)
             if result.flag is None:
                 continue
@@ -128,8 +134,13 @@ def test_generic_structure_certificate_fires():
             # E lies inside the polar space of E_1, so the Cramer
             # determinant vanishes on the certified flag itself
             assert v.determinant == 0
-            fired += 1
-            break
+            # d(theta^1) = (c^1, -gamma^1, -beta_1) on the X coordinates
+            sed = structure_equation_coefficients(prob, jet)
+            gb = sed.point_data
+            row = ((sed.c_values[0],) + tuple(-x for x in gb.gamma1)
+                   + tuple(-x for x in gb.beta1))
+            assert sum(a * b for a, b in zip(row, _pair_X(result.flag))) == 0
+    assert searches >= 20
 
 
 def test_verdict_scaling_invariance():
@@ -309,3 +320,27 @@ def test_certificate_at_a_non_absorbable_jet_is_a_cross_check_failure(monkeypatc
     assert flag is None
     with pytest.raises(CrossCheckMismatch):
         kahler_regularity(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4))
+
+
+def test_flag_where_rho1_vanishes_is_checked_against_dtheta1(tmp_path, capsys):
+    # c = (6, 0, ..): only d(theta^1) sees the torsion here, so the flag is
+    # not an integral element; with d(theta^2) as G's first row it was
+    # certified, and the torsion cross-check made the run exit 3
+    import json
+    from diskeds import cli
+    doc = {"dimension_2n": 6, "rho": "2*f5 + f1^2 + f2^2 - f3^2 - f4^2",
+           "structure": {"kind": "complex_standard"}, "distinguished_pair": [1, 2],
+           "points": {"P0": ["0", "1", "1", "0", "0", "0"]},
+           "jets": {"J0": {"point": "P0", "p_reduced": ["1", "2", "0", "1"]}},
+           "flags": {"F": {"a1": ["1", "0"], "a2": ["0", "1"],
+                           "c1": ["0", "0", "0", "0"], "c2": ["0", "0", "0", "0"]}}}
+    path = tmp_path / "rho1_zero.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["torsion", str(path)]) == 0
+    torsion = json.loads(capsys.readouterr().out)["results"]
+    assert torsion["c_values"] == ["6", "0", "0", "0", "0", "0"]
+    assert torsion["absorbable"] is False
+    assert cli.main(["integral-element", str(path), "--flag", "F"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["results"]["verdict"] == "not_an_integral_element"

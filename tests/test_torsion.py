@@ -170,10 +170,14 @@ def torsion_jets(draw):
 @given(torsion_jets())
 @example((HypersurfaceProblem(HYPERQUADRIC2, complex_standard(3, V6), (1, 2)),
           (1, 0, 1, 0, 0, 0), [0, 0, 0, 0]))
+# rho_1 = 0: G's first row is d(theta^1)
+@example((HypersurfaceProblem(HYPERQUADRIC2, complex_standard(3, V6), (1, 2)),
+          (0, 1, 1, 0, 0, 0), [1, 2, 0, 1]))
 @settings(max_examples=40, deadline=None)
 def test_directional_torsion_equals_the_quadratic_forms(case):
     # c^k read along p1 and p2 is p^T raw_k p of the full-gradient matrices,
-    # and G's X_2 column is (c^2, -c^3, .., -c^{2n})
+    # and G's X_2 column is (c^2, -c^3, .., -c^{2n}), c^1 first where
+    # rho_1 = 0
     from diskeds.integral_element import _dtheta_row_data
     prob, pt, p = case
     if pt is None:
