@@ -185,7 +185,9 @@ class FirstJet:
     @staticmethod
     def lift(x, zero_grad):
         """``x`` as a FirstJet; a constant gets ``zero_grad``."""
-        return x if isinstance(x, FirstJet) else FirstJet(Fraction(x), zero_grad)
+        if isinstance(x, FirstJet):
+            return x
+        return FirstJet(x if type(x) is Fraction else Fraction(x), zero_grad)
 
     def __add__(self, other):
         if not isinstance(other, FirstJet):

@@ -338,7 +338,7 @@ class Polynomial:
 
         for exps, c in self.terms.items():
             support = [(i, e, point[i]) for i, e in enumerate(exps) if e]
-            for a, (i, e, _) in enumerate(support):
+            for a, (i, _, _) in enumerate(support):
                 add(grad, i, _monomial_partial(c, support, {a: 1}))
                 if not second:
                     continue
