@@ -293,20 +293,6 @@ class Polynomial:
                 res[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
         return Polynomial(self.vars, res)
 
-    def derive(self, images):
-        """Formal derivation with prescribed generator images (product rule).
-
-        ``images`` maps variable names to Polynomials over the *same* table;
-        unmapped variables derive to zero.
-        """
-        out = Polynomial.zero(self.vars)
-        for name in self.vars:
-            img = images.get(name)
-            if img is None or img.is_zero():
-                continue
-            out = out + self.differentiate(name) * img
-        return out
-
     def evaluate(self, point):
         if len(point) != len(self.vars):
             raise DimensionMismatch(

@@ -9,6 +9,12 @@ by z_l -> w_l, w_l^(j) -> w_l^(j+1) and kills every barred variable
 system adds D_t g, D_tb g and D_t D_tb g for every equality and re-closes
 under conjugation.
 
+``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
+and is a prefix of ``jet_table(n, q + 1)``.  Generator i is barred when
+``i // n`` is odd, has jet order ``i // 2n``, goes to ``i + 2n`` under D_t
+(or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  The
+prolongation path reads these facts off indices and parses no name.
+
 Each (system, probe) is linearized once; the probe check, the tableau,
 the torsion test and the redundancy reduction read that one table.  The
 tableau is the kernel of the Jacobian of the equalities with respect to
@@ -34,7 +40,7 @@ from .errors import (
     SchemaViolation,
 )
 from .exact import normalize_scalar, require_real, scalar_conj
-from .expr import Polynomial, conjugate_involution, conjugate_name, print_polynomial
+from .expr import Polynomial, conjugate_involution, print_polynomial
 from .linalg import greedy_basis, mat_rank, solve_particular
 
 
@@ -62,29 +68,25 @@ def var_jet_order(name: str) -> int:
     return 1
 
 
-def _is_barred(name: str) -> bool:
-    return name.startswith(("zb", "wb"))
-
-
-def _next_jet(name: str, table):
-    """z_l -> w_l and w_l^(k) -> w_l^(k+1); barred names map to barred names."""
-    w = "wb" if _is_barred(name) else "w"
-    base = name[len(w):]
-    if name.startswith("z"):
-        target = w + base
-    elif "_" in base:
-        l, k = base.split("_", 1)
-        target = f"{w}{l}_{int(k) + 1}"
-    else:
-        target = f"{w}{base}_1"
-    if target not in table:
-        raise NotComplexifiedMode(f"table lacks {target}; extend the jet order first")
-    return Polynomial.var(table, target)
-
-
 def _derivation(p: Polynomial, barred: bool) -> Polynomial:
-    return p.derive({v: _next_jet(v, p.vars) for v in p.used_variables()
-                     if _is_barred(v) == barred})
+    """The product rule on the table layout: each exponent e_i of a
+    generator of the derived kind moves one unit to slot i + 2n, times e_i."""
+    if "zb1" not in p.vars:
+        raise NotComplexifiedMode("D_t acts on polynomials over a jet table")
+    n, res = p.vars.index("zb1"), {}
+    for exps, c in p.terms.items():
+        for i, e in enumerate(exps):
+            if e and (i // n) % 2 == barred:
+                if i + 2 * n >= len(exps):
+                    raise NotComplexifiedMode(f"{p.vars[i]} has no successor in "
+                                              "the table; extend the jet order first")
+                out = list(exps)
+                out[i] -= 1
+                out[i + 2 * n] += 1
+                out = tuple(out)
+                s = res.get(out)
+                res[out] = c * e if s is None else s + c * e
+    return Polynomial(p.vars, res)
 
 
 def d_t(p: Polynomial) -> Polynomial:
@@ -124,16 +126,26 @@ class JetConstraintSystem(namedtuple("JetConstraintSystem",
         return jet_table(self.n, self.order)
 
 
+def _widen(p: Polynomial, table) -> Polynomial:
+    """``p`` over ``table``, a jet table of the same n that its own table is
+    a prefix of: every exponent tuple gains trailing zeros."""
+    pad = (0,) * (len(table) - len(p.vars))
+    return Polynomial(table, {e + pad: c for e, c in p.terms.items()})
+
+
 def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSystem:
+    """Over ``jet_table(n, order)``, which the tables of ``equalities`` and
+    ``openings`` are prefixes of; ``order`` defaults to their highest jet."""
     eqs = list(equalities)
-    needed = max([var_jet_order(v) for p in eqs for v in p.used_variables()] + [1])
+    needed = max([1] + [i // (2 * n) for p in eqs for e in p.terms
+                        for i, k in enumerate(e) if k])
     if order is None:
         order = needed
     elif order < needed:
         raise DimensionMismatch("declared order below the highest jet present")
     table = jet_table(n, order)
-    eqs = [p.extend_to(table) for p in eqs]
-    ops = tuple(Opening(o.poly.extend_to(table), o.sign) for o in openings)
+    eqs = [_widen(p, table) for p in eqs]
+    ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in openings)
     return JetConstraintSystem(n, order, _normalize(eqs), ops)
 
 
@@ -156,14 +168,14 @@ def _normalize(eqs):
 def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
     """Add D_t g, D_tb g and D_t D_tb g for every equality; order + 1."""
     table = jet_table(system.n, system.order + 1)
-    eqs = [p.extend_to(table) for p in system.equalities]
+    eqs = [_widen(p, table) for p in system.equalities]
     derived = []
     for p in eqs:
         dt = d_t(p)
         dtb = d_tbar(p)
         dtdtb = d_tbar(dt)
         derived += [q for q in (dt, dtb, dtdtb) if not q.is_zero()]
-    ops = tuple(Opening(o.poly.extend_to(table), o.sign) for o in system.openings)
+    ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in system.openings)
     return JetConstraintSystem(system.n, system.order + 1,
                                _normalize(eqs + derived), ops)
 
@@ -173,11 +185,10 @@ def substitute_vanishing(system: JetConstraintSystem) -> JetConstraintSystem:
     eqs = list(system.equalities)
     while True:
         bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
-        zero = {p.vars[next(iter(p.terms)).index(1)] for p in bare}
+        zero = {next(iter(p.terms)).index(1) for p in bare}
         new_eqs = [p if p in bare else
                    Polynomial(p.vars, {e: c for e, c in p.terms.items()
-                                       if not any(k and v in zero
-                                                  for k, v in zip(e, p.vars))})
+                                       if not any(e[i] for i in zero)})
                    for p in eqs]
         if new_eqs == eqs:
             return system._replace(equalities=_normalize(eqs))
@@ -353,9 +364,11 @@ def torsion_at_probe(system: JetConstraintSystem, probe: dict):
             extension = None
             if solution:
                 ext = dict(zero.probe)
-                for v, val in zip(prolonged.table[-2 * prolonged.n:], solution):
-                    ext[v] = normalize_scalar(val)
-                    ext[conjugate_name(v)] = scalar_conj(normalize_scalar(val))
+                n = prolonged.n
+                top = prolonged.table[-2 * n:]
+                for j, val in enumerate(solution):
+                    ext[top[j]] = normalize_scalar(val)
+                    ext[top[j + n if j < n else j - n]] = scalar_conj(normalize_scalar(val))
                 candidate = linearize(prolonged, ext)
                 if candidate.satisfied(strict=False):
                     extension = candidate
@@ -404,15 +417,15 @@ StratumReport = namedtuple("StratumReport", "torsion_free tableau_dim complex_sp
 
 def _velocities_pinned(system: JetConstraintSystem) -> bool:
     """All first-order velocities forced to zero by linear equalities."""
-    wvars = [f"w{l}" for l in range(1, system.n + 1)]
+    w = range(2 * system.n, 3 * system.n)   # the indices of w1..wn
     rows = []
     for p in system.equalities:
         if p.degree() != 1 or p.constant_term() != 0:
             continue
-        coeffs = {p.vars[e.index(1)]: c for e, c in p.terms.items()}
-        if not all(v in wvars for v in coeffs):
+        coeffs = {e.index(1): c for e, c in p.terms.items()}
+        if not all(i in w for i in coeffs):
             continue
-        rows.append([coeffs.get(v, Fraction(0)) for v in wvars])
+        rows.append([coeffs.get(i, Fraction(0)) for i in w])
     return bool(rows) and mat_rank(rows) == system.n
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diskeds.errors import ProbeViolatesStratum
+from diskeds.builtins import BUILTIN_PROBLEMS
+from diskeds.errors import NotComplexifiedMode, ProbeViolatesStratum
 from diskeds.exact import gaussian
 from diskeds.expr import Polynomial, conjugate_involution, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
@@ -79,6 +80,48 @@ def test_dt_dtbar_commute(p):
 @settings(max_examples=40, deadline=None)
 def test_conjugation_intertwines_derivations(p):
     assert conjugate_involution(d_t(p)) == d_tbar(conjugate_involution(p))
+
+
+def _next_name(name):
+    """z_l -> w_l, w_l -> w_l_1, w_l_k -> w_l_(k+1), bars kept: D_t and D_tb
+    on generators, read off the names."""
+    kind = name[:2] if name[1] == "b" else name[:1]
+    w, rest = ("wb" if kind.endswith("b") else "w"), name[len(kind):]
+    if kind[0] == "z":
+        return w + rest
+    l, _, k = rest.partition("_")
+    return f"{w}{l}_{int(k or 0) + 1}"
+
+
+@st.composite
+def jet_polys(draw):
+    """A random polynomial over jet_table(n, q), n = 1..3, q = 1..3."""
+    table = jet_table(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [0] * len(table)
+        for i in draw(st.lists(st.integers(0, len(table) - 1), max_size=3)):
+            exps[i] += 1
+        terms[tuple(exps)] = gaussian(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return Polynomial(table, terms)
+
+
+@given(jet_polys(), st.booleans())
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_derivations_are_the_product_rule(p, barred):
+    # the exponent shift on the table layout equals sum_v dp/dv * next(v)
+    # over the generators v of the derived kind, and a top-order generator,
+    # which has no successor in the table, is an error
+    derive = d_tbar if barred else d_t
+    kind = [v for v in p.used_variables() if (v[1] == "b") == barred]
+    if any(_next_name(v) not in p.vars for v in kind):
+        with pytest.raises(NotComplexifiedMode):
+            derive(p)
+        return
+    want = Polynomial.zero(p.vars)
+    for v in kind:
+        want = want + p.differentiate(v) * Polynomial.var(p.vars, _next_name(v))
+    assert derive(p) == want
 
 
 def _stratum(name, sname):
@@ -174,6 +217,27 @@ def test_jets_run_parses_each_conjugation_table_once(monkeypatch, capsys):
     tables = list(expr._SWAPS)
     assert len(tables) >= 2
     assert sorted(parsed) == sorted(name for table in tables for name in table)
+
+
+def test_prolongation_looks_up_no_variable(monkeypatch):
+    # D_t and D_tb shift exponents and widening to the next order appends
+    # zeros, so prolonging builds no variable and re-indexes no table
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    systems = [system for name in sorted(BUILTIN_PROBLEMS)
+               for system, _ in build_problem(load_problem(name), name).strata.values()]
+    monkeypatch.setattr(Polynomial, "var", staticmethod(counting("var", Polynomial.var)))
+    monkeypatch.setattr(Polynomial, "extend_to",
+                        counting("extend_to", Polynomial.extend_to))
+    for system in systems:
+        prolong_constraints(prolong_constraints(system))
+    assert len(systems) == 4 and calls == []
 
 
 def test_stratum_dims_fixtures():
