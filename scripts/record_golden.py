@@ -4,9 +4,10 @@
 Runs ``diskeds.cli.main`` in-process on every builtin x applicable command
 in json and text format, plus ``jets`` on every stratum with ``--rounds``
 1..3, plus the jet and point commands on the documents under
-``tests/golden/docs/`` (n = 4 and 5, and a non-constant structure), and
-writes each invocation's stdout to ``tests/golden/<case>.out`` and its
-argv, exit code and stderr to ``tests/golden/index.json``.  Reports echo
+``tests/golden/docs/`` (n = 4 and 5, and a non-constant structure, which
+``dim6`` rejects in both formats), and writes each invocation's stdout to
+``tests/golden/<case>.out`` and its argv, exit code and stderr to
+``tests/golden/index.json``.  Reports echo
 the problem path, so the documents are named relative to the repository
 root, and the runs are made from there.
 ``tests/test_golden.py`` compares the program against these files byte for
@@ -63,6 +64,11 @@ def cases():
         for command, *options in extra:
             yield (f"{command}-{stem}-{'-'.join(o.lstrip('-') for o in options)}-json",
                    [command, path, *options, "--format", "json"])
+    # dim6 is written for complex_standard, so it rejects the matrix
+    # structure (exit 2)
+    for fmt in ("json", "text"):
+        yield (f"dim6-n3_matrix-{fmt}",
+               ["dim6", "tests/golden/docs/n3_matrix.json", "--format", fmt])
 
 
 def run(argv):

@@ -59,6 +59,14 @@ def _reasoned_problem(lp: LoadedProblem, point=None):
     return problem
 
 
+def _complex_standard(lp: LoadedProblem, command):
+    """``lp.problem`` when it carries the standard structure that the closed
+    forms of ``command`` are written for."""
+    if lp.problem is None or lp.problem.structure.kind != "complex_standard":
+        raise SchemaViolation(f"{command} needs a complex_standard problem")
+    return lp.problem
+
+
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     if opts.order is not None and opts.order < 0:
         raise SchemaViolation(f"--order must be nonnegative, got {opts.order}")
@@ -108,10 +116,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
 def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
     pname = _pick(lp.points, opts.point, "points")
     point = lp.points[pname]
-    problem = lp.problem
-    if problem is None or problem.structure.kind != "complex_standard":
-        raise SchemaViolation("complex-forms needs a complex_standard problem")
-    data = complex_B_coefficients(problem, point)
+    data = complex_B_coefficients(_complex_standard(lp, "complex-forms"), point)
     d1 = form_definiteness(data.c1)
     d2 = form_definiteness(data.c2)
     return {
@@ -129,9 +134,7 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
 def cmd_dim6(lp: LoadedProblem, opts) -> dict:
     pname = _pick(lp.points, opts.point, "points")
     point = lp.points[pname]
-    if lp.problem is None:
-        raise SchemaViolation("dim6 needs a rho block")
-    rep = dim6_definiteness(lp.problem, point)
+    rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)
     return {"point": pname, **{k: getattr(rep, k) for k in
                                ("delta1", "delta2", "sign1", "sign2",
                                 "c1_definiteness", "c2_definiteness", "verdict")}}
