@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CrossCheckMismatch, SchemaViolation
+from .errors import CrossCheckMismatch, MalformedSyntax, SchemaViolation
 from .exact import gaussian, rat
-from .expr import Polynomial, parse_expression
+from .expr import _tokenize, parse_expression
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -175,30 +176,27 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         spath = f"strata.{sname}"
         eq_exprs = _field(sdoc, "equalities", spath, "list")
         probe_docs = _field(sdoc, "probes", spath, "object", required=False, default={})
-        # parse over a generous table, then shrink to the real max order
-        probe_orders = [len([k for k in _typed(pdoc, f"{spath}.probes.{pname}", "object")
-                             if k == "w" or k.startswith("w_")])
-                        for pname, pdoc in probe_docs.items()]
-        big = jet_table(n, max([4] + probe_orders))
-        parsed = [parse_expression(expr, big, complexified=True)
+        order = max([1] + [_jet_order(expr) for expr in eq_exprs])
+        table = jet_table(n, order)
+        parsed = [parse_expression(expr, table, complexified=True)
                   for expr in eq_exprs]
-        max_order = max([1] + [var_jet_order(v) for p in parsed
-                               for v in p.used_variables()])
-        small = jet_table(n, max_order)
         openings = []
         for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
                                         required=False, default=[])):
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
-            op = parse_expression(_field(odoc, "expr", f"{spath}.openings[{k}]", None),
-                                  big, complexified=True)
+            opath = f"{spath}.openings[{k}]"
+            text = _field(odoc, "expr", opath, None)
+            if _jet_order(text) > order:
+                raise SchemaViolation(
+                    f"{opath} uses a jet above the stratum's order {order}")
+            op = parse_expression(text, table, complexified=True)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
                                       f"\"+\", \"-\" or \"nonzero\", got {sign!r}")
-            openings.append(Opening(_shrink(op, small), sign))
-        system = make_system(n, [_shrink(p, small) for p in parsed],
-                             openings, order=max_order)
+            openings.append(Opening(op, sign))
+        system = make_system(n, parsed, openings, order=order)
         probes = {}
         for pname, pdoc in probe_docs.items():
             ppath = f"{spath}.probes.{pname}"
@@ -212,21 +210,29 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                 w_jets.append([_gauss(v, f"{ppath}.{key}")
                                for v in _field(pdoc, key, ppath, "list")])
                 k += 1
-            while len(w_jets) < max_order:
+            while len(w_jets) < order:
                 w_jets.append([Fraction(0)] * n)
-            probes[pname] = probe_from_values(n, max_order, z_vals, w_jets)
+            probes[pname] = probe_from_values(n, order, z_vals, w_jets)
         strata[sname] = (system, probes)
 
     return LoadedProblem(doc, problem_digest(doc), two_n, problem, points, jets,
                          flags, strata, structure_warnings)
 
 
-def _shrink(p: Polynomial, small):
-    if any(v not in small for v in p.used_variables()):
-        raise SchemaViolation("equality uses a jet above the declared order")
-    keep = [p.vars.index(v) for v in small]
-    return Polynomial(small, {tuple(e[i] for i in keep): c
-                              for e, c in p.terms.items()})
+# a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at
+# most two digits, so strata read jets up to order 100
+_JET_NAME = re.compile(r"[zw]b?[0-9]+(?:_[0-9]{1,2})?")
+
+
+def _jet_order(text) -> int:
+    """The highest jet order among the jet-shaped names of an expression;
+    0 for a text its parser rejects anyway (not a string, or no tokens)."""
+    try:
+        tokens = _tokenize(text) if isinstance(text, str) else ()
+    except MalformedSyntax:
+        return 0
+    return max([0] + [var_jet_order(name) for kind, name, _ in tokens
+                      if kind == "NAME" and _JET_NAME.fullmatch(name)])
 
 
 def _gauss(value, path):

@@ -600,6 +600,38 @@ def test_unknown_opening_sign_is_schema_violation(sign, tmp_path, capsys):
     assert "strata.S.openings[0].sign must be" in err
 
 
+def test_stratum_reads_jets_of_any_order_its_equalities_name(tmp_path, capsys):
+    # the parse table comes from the equalities' jet names, whatever the
+    # probes declare
+    doc = {"dimension_2n": 4, "strata": {"S": {
+        "equalities": ["w1_4 - z1*w2_4", "z2 + zb2"],
+        "openings": [{"expr": "w1*wb1", "sign": "+"}],
+        "probes": {"Q": {"z": ["0", "0"], "w": ["1", "0"]}}}}}
+    assert build_problem(doc).strata["S"][0].order == 5
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jets", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["probes"]["Q"][
+        "verdict"] == "involutive"
+
+
+def test_opening_above_the_stratum_order_names_the_opening(tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["openings"].append("w1_1*wb1_1 + w1*wb1")
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
+
+
+def test_jet_suffix_of_three_digits_is_an_unknown_variable(tmp_path, capsys):
+    # strata read jets up to order 100; the parse table never grows past it
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["equalities"].append("w1_100")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jets", str(path)]) == 2
+    assert "UnknownVariable: unknown variable 'w1_100'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [
     ("rho",), ("structure", "a"), ("structure", "A", 0, 0),
     ("strata", "S", "equalities", 0), ("strata", "S", "openings", 0, "expr"),
