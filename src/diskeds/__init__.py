@@ -4,7 +4,6 @@ from .exact import GaussianRational, Rational, gaussian, rat
 from .expr import (
     Polynomial,
     RationalFunction,
-    conjugate_involution,
     parse_expression,
     print_polynomial,
 )
@@ -47,6 +46,7 @@ from .jets import (
     JetConstraintSystem,
     Linearization,
     StratumReport,
+    conjugate_involution,
     involution_loop,
     linearize,
     make_system,

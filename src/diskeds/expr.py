@@ -28,7 +28,6 @@ from .errors import (
     DivisionByZeroFunction,
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
-    NotComplexifiedMode,
     SchemaViolation,
     UnknownVariable,
 )
@@ -37,7 +36,6 @@ from .exact import (
     GaussianRational,
     I_UNIT,
     normalize_scalar,
-    scalar_conj,
     scalar_str,
 )
 
@@ -375,50 +373,6 @@ class Polynomial:
         for d in dens:
             l = l * d // gcd(l, d)
         return Fraction(g, l)
-
-
-# ----------------------------------------------------------------------
-# conjugation for complexified tables
-
-
-def conjugate_name(name):
-    """z1 <-> zb1, w2_3 <-> wb2_3; None when the name is not complexified."""
-    for plain, barred in (("z", "zb"), ("w", "wb")):
-        if name.startswith(barred) and name[len(barred):] and name[len(barred)].isdigit():
-            return plain + name[len(barred):]
-        if name.startswith(plain) and name[len(plain):] and name[len(plain)].isdigit():
-            return barred + name[len(plain):]
-    return None
-
-
-_SWAPS = {}   # variable table -> index of each variable's conjugate partner
-
-
-def _conjugate_swap(variables):
-    """The conjugation permutation of a table, parsed once per table."""
-    swap = _SWAPS.get(variables)
-    if swap is None:
-        swap = []
-        for name in variables:
-            other = conjugate_name(name)
-            if other is None or other not in variables:
-                raise NotComplexifiedMode(
-                    f"variable {name!r} has no conjugate partner in the table")
-            swap.append(variables.index(other))
-        swap = _SWAPS[variables] = tuple(swap)
-    return swap
-
-
-def conjugate_involution(p: Polynomial) -> Polynomial:
-    """Swap z<->zb, w<->wb (same jet suffix) and conjugate coefficients."""
-    swapped = _conjugate_swap(p.vars)
-    res = {}
-    for exps, c in p.terms.items():
-        e = [0] * len(p.vars)
-        for i, k in enumerate(exps):
-            e[swapped[i]] = k
-        res[tuple(e)] = scalar_conj(c)
-    return Polynomial(p.vars, res)
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,10 @@ under conjugation.
 ``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
 and is a prefix of ``jet_table(n, q + 1)``.  Generator i is barred when
 ``i // n`` is odd, has jet order ``i // 2n``, goes to ``i + 2n`` under D_t
-(or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  The
-prolongation path reads these facts off indices and parses no name.
+(or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  A
+probe is a tuple of values in the same order.  Derivation, conjugation,
+widening and probes read these facts off indices; no name is parsed
+after a problem is loaded.
 
 Each (system, probe) is linearized once; the probe check, the tableau,
 the torsion test and the redundancy reduction read that one table.  The
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     CrossCheckMismatch,
@@ -40,7 +43,7 @@ from .errors import (
     SchemaViolation,
 )
 from .exact import normalize_scalar, require_real, scalar_conj
-from .expr import Polynomial, conjugate_involution, print_polynomial
+from .expr import Polynomial, print_polynomial
 from .linalg import greedy_basis, mat_rank, solve_particular
 
 
@@ -58,22 +61,19 @@ def jet_table(n: int, max_order: int):
     return tuple(names)
 
 
-def var_jet_order(name: str) -> int:
-    base = name[2:] if name.startswith(("zb", "wb")) else name[1:]
-    kind = name[:2] if name.startswith(("zb", "wb")) else name[0]
-    if kind in ("z", "zb"):
-        return 0
-    if "_" in base:
-        return int(base.split("_", 1)[1]) + 1
-    return 1
+def _block(table) -> int:
+    """n for ``table``, a jet table: the index of zb1, where the first
+    barred block starts."""
+    n = table.index("zb1") if "zb1" in table else 0
+    if not n or len(table) % (2 * n):
+        raise NotComplexifiedMode("expected a polynomial over a jet table")
+    return n
 
 
 def _derivation(p: Polynomial, barred: bool) -> Polynomial:
     """The product rule on the table layout: each exponent e_i of a
     generator of the derived kind moves one unit to slot i + 2n, times e_i."""
-    if "zb1" not in p.vars:
-        raise NotComplexifiedMode("D_t acts on polynomials over a jet table")
-    n, res = p.vars.index("zb1"), {}
+    n, res = _block(p.vars), {}
     for exps, c in p.terms.items():
         for i, e in enumerate(exps):
             if e and (i // n) % 2 == barred:
@@ -87,6 +87,14 @@ def _derivation(p: Polynomial, barred: bool) -> Polynomial:
                 s = res.get(out)
                 res[out] = c * e if s is None else s + c * e
     return Polynomial(p.vars, res)
+
+
+def conjugate_involution(p: Polynomial) -> Polynomial:
+    """Swap each generator with its partner i + n or i - n (z <-> zb,
+    w_k <-> wb_k) and conjugate the coefficients."""
+    n = _block(p.vars)
+    swap = itemgetter(*[i - n if (i // n) % 2 else i + n for i in range(len(p.vars))])
+    return Polynomial(p.vars, {swap(exps): scalar_conj(c) for exps, c in p.terms.items()})
 
 
 def d_t(p: Polynomial) -> Polynomial:
@@ -199,38 +207,28 @@ def substitute_vanishing(system: JetConstraintSystem) -> JetConstraintSystem:
 # probes
 
 
-def probe_from_values(n: int, order: int, z_values, w_jets) -> dict:
-    """Probe dict from complex values; conjugates are derived, never given.
+def probe_from_values(n: int, order: int, z_values, w_jets) -> tuple:
+    """A probe: one value per generator of ``jet_table(n, order)``, in its
+    order, from complex values; conjugates are derived, never given.
 
     ``w_jets[k]`` lists the n values of w^(k); missing higher jets are zero.
     """
-    table = jet_table(n, order)
-    probe = {}
-    if len(z_values) != n:
-        raise SchemaViolation("need n values for z")
-    for l, val in enumerate(z_values, start=1):
-        probe[f"z{l}"] = normalize_scalar(val)
-        probe[f"zb{l}"] = scalar_conj(normalize_scalar(val))
-    for k in range(order):
-        suffix = "" if k == 0 else f"_{k}"
-        vals = w_jets[k] if k < len(w_jets) else [Fraction(0)] * n
-        if len(vals) != n:
-            raise SchemaViolation("need n values for each w jet")
-        for l, val in enumerate(vals, start=1):
-            probe[f"w{l}{suffix}"] = normalize_scalar(val)
-            probe[f"wb{l}{suffix}"] = scalar_conj(normalize_scalar(val))
-    if set(probe) != set(table):
-        raise CrossCheckMismatch("probe variables differ from the jet table")
+    blocks = [z_values] + [w_jets[k] if k < len(w_jets) else [0] * n
+                           for k in range(order)]
+    probe = ()
+    for k, values in enumerate(blocks):
+        if len(values) != n:
+            raise SchemaViolation("need n values for z" if k == 0
+                                  else "need n values for each w jet")
+        values = tuple(map(normalize_scalar, values))
+        probe += values + tuple(map(scalar_conj, values))
     return probe
 
 
-def extend_probe(system: JetConstraintSystem, probe: dict) -> dict:
-    """Values for variables the probe lacks (new jet orders), zero defaults."""
-    out = dict(probe)
-    for v in system.table:
-        if v not in out:
-            out[v] = Fraction(0)
-    return out
+def extend_probe(system: JetConstraintSystem, probe: tuple) -> tuple:
+    """``probe`` over the system's table, which its own table is a prefix
+    of: the new jet orders are zero."""
+    return probe + (Fraction(0),) * (len(system.table) - len(probe))
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +253,7 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
                         f"probe violates equality {print_polynomial(p)}")
                 return False
         for o in self.system.openings:
-            val = o.poly.evaluate([self.probe[v] for v in o.poly.vars])
-            real = require_real(val)
+            real = require_real(o.poly.evaluate(self.probe))
             ok = real != 0 and (o.sign == "nonzero"
                                 or (o.sign == "+" and real > 0)
                                 or (o.sign == "-" and real < 0))
@@ -295,12 +292,14 @@ def _sum_at(point, monomials):
     return normalize_scalar(0 if out is None else out)
 
 
-def linearize(system: JetConstraintSystem, probe: dict) -> Linearization:
+def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
     """One pass over the monomials of every equality at the probe."""
     table, n = system.table, system.n
+    if len(probe) != len(table):
+        raise DimensionMismatch(f"probe of {len(probe)} values for a table of "
+                                f"{len(table)} jets")
     cut = len(table) - 2 * n    # the top-order jets close the table
-    low = [probe[v] for v in table[:cut]]
-    x = [probe[v] for v in table[cut:]]
+    low, x = probe[:cut], probe[cut:]
     values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
     for p in system.equalities:
         if p.vars != table:
@@ -340,7 +339,7 @@ def tableau_at_probe(lin: Linearization):
     return null, False, rank
 
 
-def torsion_at_probe(system: JetConstraintSystem, probe: dict):
+def torsion_at_probe(system: JetConstraintSystem, probe: tuple):
     """Solvability of the prolonged system in the next-order jets.
 
     Returns (torsion_free, zero, extension, nonlinear): the prolonged
@@ -363,13 +362,13 @@ def torsion_at_probe(system: JetConstraintSystem, probe: dict):
         if not zero.satisfied(strict=False):
             extension = None
             if solution:
-                ext = dict(zero.probe)
+                ext = list(zero.probe)
                 n = prolonged.n
-                top = prolonged.table[-2 * n:]
+                cut = len(ext) - 2 * n
                 for j, val in enumerate(solution):
-                    ext[top[j]] = normalize_scalar(val)
-                    ext[top[j + n if j < n else j - n]] = scalar_conj(normalize_scalar(val))
-                candidate = linearize(prolonged, ext)
+                    ext[cut + j] = val = normalize_scalar(val)
+                    ext[cut + (j + n if j < n else j - n)] = scalar_conj(val)
+                candidate = linearize(prolonged, tuple(ext))
                 if candidate.satisfied(strict=False):
                     extension = candidate
     return torsion_free, zero, extension, sum(zero.nonlinear)
@@ -387,7 +386,7 @@ def reduce_redundant(lin: Linearization):
     system, dropped list), the dropped equalities in descending index.
     """
     system = lin.system
-    if any(lin.probe[v] != 0 for v in system.table[-2 * system.n:]):
+    if any(x != 0 for x in lin.probe[-2 * system.n:]):
         raise CrossCheckMismatch("affine parts need a probe with zero top jets")
     eqs = system.equalities
     parts = [list(g) + [v] for g, v in zip(lin.gradients, lin.values)]
@@ -465,13 +464,13 @@ def stratum_analyze(lin: Linearization) -> StratumReport:
 InvolutionChain = namedtuple("InvolutionChain", "reports dims verdict rounds")
 
 
-def involution_loop(initial: JetConstraintSystem, probe: dict,
+def involution_loop(initial: JetConstraintSystem, probe: tuple,
                     max_rounds: int = None) -> InvolutionChain:
     if max_rounds is None:
         max_rounds = max(2 * initial.n - 2, 1)
     if max_rounds < 1:
         raise DimensionMismatch("max_rounds must be >= 1")
-    lin = linearize(initial, dict(probe))
+    lin = linearize(initial, probe)
     reports = []
     verdict = "rounds_exhausted"
     for _ in range(max_rounds):

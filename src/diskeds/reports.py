@@ -26,7 +26,7 @@ from .geometry import (
     make_structure_from_pair,
     structure_from_entries,
 )
-from .jets import Opening, jet_table, make_system, probe_from_values, var_jet_order
+from .jets import Opening, jet_table, make_system, probe_from_values
 
 
 def _reject_float(text):
@@ -220,8 +220,9 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
 
 # a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at
-# most two digits, so strata read jets up to order 100
-_JET_NAME = re.compile(r"[zw]b?[0-9]+(?:_[0-9]{1,2})?")
+# most two digits, so strata read jets up to order 100; z is order 0, w
+# order 1 and w_k order k + 1
+_JET_NAME = re.compile(r"([zw])b?[0-9]+(?:_([0-9]{1,2}))?")
 
 
 def _jet_order(text) -> int:
@@ -231,8 +232,8 @@ def _jet_order(text) -> int:
         tokens = _tokenize(text) if isinstance(text, str) else ()
     except MalformedSyntax:
         return 0
-    return max([0] + [var_jet_order(name) for kind, name, _ in tokens
-                      if kind == "NAME" and _JET_NAME.fullmatch(name)])
+    names = [_JET_NAME.fullmatch(name) for kind, name, _ in tokens if kind == "NAME"]
+    return max([0] + [int(m[2] or 0) + 1 for m in names if m and m[1] == "w"])
 
 
 def _gauss(value, path):

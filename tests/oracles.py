@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
                             NotComplexifiedMode, SingularD, WrongDimension)
-from diskeds.exact import gaussian, rat, require_real
-from diskeds.expr import Polynomial, RationalFunction, conjugate_name
+from diskeds.exact import gaussian, rat, require_real, scalar_conj
+from diskeds.expr import Polynomial, RationalFunction
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               StructureMatrix, _mu2, compute_gamma_beta, full_jet,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
-from diskeds.jets import jet_table, probe_from_values, var_jet_order
+from diskeds.jets import jet_table, probe_from_values
 from diskeds.linalg import _echelon, det, dot, dot_plus, nullity, solve_particular
 
 
@@ -418,6 +418,45 @@ def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
     return value, tuple(warnings)
 
 
+def conjugate_name(name):
+    """z1 <-> zb1, w2_3 <-> wb2_3; None when the name is not complexified."""
+    for plain, barred in (("z", "zb"), ("w", "wb")):
+        if name.startswith(barred) and name[len(barred):] and name[len(barred)].isdigit():
+            return plain + name[len(barred):]
+        if name.startswith(plain) and name[len(plain):] and name[len(plain)].isdigit():
+            return barred + name[len(plain):]
+    return None
+
+
+def var_jet_order(name: str) -> int:
+    """0 for z/zb, 1 for w/wb, k + 1 for w_k/wb_k, read off the name."""
+    base = name[2:] if name.startswith(("zb", "wb")) else name[1:]
+    if name[0] == "z":
+        return 0
+    if "_" in base:
+        return int(base.split("_", 1)[1]) + 1
+    return 1
+
+
+def conjugate_by_name(p: Polynomial) -> Polynomial:
+    """jets.conjugate_involution with each variable's partner found by its
+    name: swap z<->zb, w<->wb (same jet suffix), conjugate coefficients."""
+    swap = []
+    for name in p.vars:
+        other = conjugate_name(name)
+        if other is None or other not in p.vars:
+            raise NotComplexifiedMode(
+                f"variable {name!r} has no conjugate partner in the table")
+        swap.append(p.vars.index(other))
+    res = {}
+    for exps, c in p.terms.items():
+        e = [0] * len(p.vars)
+        for i, k in enumerate(exps):
+            e[swap[i]] = k
+        res[tuple(e)] = scalar_conj(c)
+    return Polynomial(p.vars, res)
+
+
 def complexify(rho: Polynomial) -> Polynomial:
     """Real 2n-variable polynomial to the z/zb coordinates."""
     two_n = len(rho.vars)
@@ -461,7 +500,7 @@ def realify(p: Polynomial, variables=None) -> Polynomial:
     return Polynomial(out.vars, {e: require_real(c) for e, c in out.terms.items()})
 
 
-def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> dict:
+def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> tuple:
     """Complexified probe from a real first jet (standard complex pairing)."""
     fj = full_jet(problem, jet)
     n = problem.n
@@ -470,7 +509,7 @@ def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> dict:
     return probe_from_values(n, order, z, [w])
 
 
-def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> dict:
+def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> tuple:
     """Probe carried by a polynomial disk t -> (z_1(t), .., z_n(t)).
 
     ``components`` are univariate Polynomials in the table ('t',); jets are

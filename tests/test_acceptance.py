@@ -20,7 +20,7 @@ from diskeds.geometry import (
 )
 from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import FlagSpec, build_polar_maps
-from diskeds.jets import involution_loop, linearize, prolong_constraints, var_jet_order
+from diskeds.jets import involution_loop, linearize, prolong_constraints
 from diskeds.linalg import mat_mul, mat_rank, nullity
 from diskeds.reports import build_problem, load_problem
 from diskeds.torsion import (
@@ -39,6 +39,7 @@ from oracles import (
     random_polynomial,
     structure_coefficient_forms,
     torsion_form_matrices,
+    var_jet_order,
 )
 
 V6 = tuple(f"f{i}" for i in range(1, 7))

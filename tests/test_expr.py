@@ -14,13 +14,8 @@ from diskeds.errors import (
     UnknownVariable,
 )
 from diskeds.exact import FirstJet, GaussianRational, gaussian
-from diskeds.expr import (
-    Polynomial,
-    RationalFunction,
-    conjugate_involution,
-    parse_expression,
-    print_polynomial,
-)
+from diskeds.expr import Polynomial, RationalFunction, parse_expression, print_polynomial
+from diskeds.jets import conjugate_involution
 
 F2 = ("f1", "f2")
 CX = ("z1", "z2", "zb1", "zb2", "w1", "w2", "wb1", "wb2")
