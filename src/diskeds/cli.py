@@ -70,6 +70,9 @@ def _complex_standard(lp: LoadedProblem, command):
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     if opts.order is not None and opts.order < 0:
         raise SchemaViolation(f"--order must be nonnegative, got {opts.order}")
+    if opts.order is not None and opts.order > lp.two_n - 2:
+        raise SchemaViolation(f"--order must be at most 2n-2 = {lp.two_n - 2}, where "
+                              f"dim A^(q) is constant, got {opts.order}")
     pname = _pick(lp.points, opts.point, "points")
     point = lp.points[pname]
     problem = _reasoned_problem(lp, point)

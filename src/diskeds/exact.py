@@ -182,13 +182,6 @@ class FirstJet:
         self.value = value
         self.grad = grad
 
-    @staticmethod
-    def lift(x, zero_grad):
-        """``x`` as a FirstJet; a constant gets ``zero_grad``."""
-        if isinstance(x, FirstJet):
-            return x
-        return FirstJet(x if type(x) is Fraction else Fraction(x), zero_grad)
-
     def __add__(self, other):
         if not isinstance(other, FirstJet):
             return self if not other else FirstJet(self.value + other, self.grad)

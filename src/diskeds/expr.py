@@ -135,14 +135,6 @@ class Polynomial:
         z = (0,) * len(self.vars)
         return self.terms.get(z, Fraction(0))
 
-    def used_variables(self):
-        used = set()
-        for exps in self.terms:
-            for name, e in zip(self.vars, exps):
-                if e:
-                    used.add(name)
-        return used
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -340,22 +332,6 @@ class Polynomial:
         """Value and gradient at a point."""
         return FirstJet(self.evaluate(point), self.derivatives_at(point)[0])
 
-    def extend_to(self, new_vars):
-        """Reinterpret over a larger table containing the current one."""
-        new_vars = tuple(new_vars)
-        idx = []
-        for name in self.vars:
-            if name not in new_vars:
-                raise UnknownVariable(f"{name!r} missing from extended table")
-            idx.append(new_vars.index(name))
-        res = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(new_vars)
-            for i, k in zip(idx, exps):
-                e[i] = k
-            res[tuple(e)] = c
-        return Polynomial(new_vars, res)
-
     def content(self):
         """Positive rational content of the coefficients (real parts included)."""
         nums, dens = [], []
@@ -382,7 +358,10 @@ class Polynomial:
 _OPS = set("+-*^()/")
 
 
-def _tokenize(text):
+def tokenize(text):
+    """The (kind, value, byte offset) tokens of an expression string."""
+    if not isinstance(text, str):
+        raise SchemaViolation(f"an expression must be a string, got {text!r}")
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -505,11 +484,15 @@ class _Parser:
         raise MalformedSyntax(f"unexpected token {value!r}", off)
 
 
+def parse_tokens(tokens, variables, complexified=False) -> Polynomial:
+    """Parse the tokens of an expression into the expanded canonical
+    polynomial."""
+    return _Parser(tokens, variables, complexified).parse()
+
+
 def parse_expression(text, variables, complexified=False) -> Polynomial:
     """Parse ``text`` into the expanded canonical polynomial."""
-    if not isinstance(text, str):
-        raise SchemaViolation(f"an expression must be a string, got {text!r}")
-    return _Parser(_tokenize(text), variables, complexified).parse()
+    return parse_tokens(tokenize(text), variables, complexified)
 
 
 # ----------------------------------------------------------------------
@@ -695,10 +678,6 @@ class RationalFunction:
             self.num.differentiate(name) * self.den
             - self.num * self.den.differentiate(name),
             self.den * self.den)
-
-    def extend_to(self, new_vars):
-        return RationalFunction(self.num.extend_to(new_vars),
-                                self.den.extend_to(new_vars))
 
     def evaluate(self, point):
         d = self.den.evaluate(point)

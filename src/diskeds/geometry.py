@@ -184,14 +184,14 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
 
 
 class GammaBetaData(namedtuple("GammaBetaData", "problem sigma internal_vars alpha "
-                               "rho_grad mu mu2 D gamma1 gamma2 beta_full")):
+                               "rho_grad mu D gamma1 gamma2 beta_full")):
     """Reduced first-jet data; entries are Fractions in pointwise mode,
-    FirstJets in first-jet mode and RationalFunctions over the internal
-    table in symbolic mode.
+    FirstJets in first-jet mode (a Fraction where the tangent is zero) and
+    RationalFunctions over the internal table in symbolic mode.
 
     ``sigma`` maps internal 1-based to original 1-based indices; ``alpha``
-    holds the structure entries in internal order; ``rho_grad``, ``mu`` and
-    ``mu2`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
+    holds the structure entries in internal order; ``rho_grad`` and ``mu``
+    have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
     j = 3..2n); ``beta_full`` has 2n rows and 2n-2 columns, internal order.
     """
 
@@ -305,6 +305,11 @@ def _value(x):
     return x.value if isinstance(x, FirstJet) else x
 
 
+def _tangent(x, i):
+    """Component i of a first jet's tangent; 0 for a constant."""
+    return x.grad[i] if isinstance(x, FirstJet) else Fraction(0)
+
+
 def _along(directions):
     """The scalar map that turns a first jet's user-order gradient into
     its derivatives along ``directions`` (user order); a jet whose
@@ -334,13 +339,11 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
             scalar(zero))
 
 
-def _gamma_beta(problem: HypersurfaceProblem, inputs, zero_grad=None,
-                jet_mode=False) -> GammaBetaData:
+def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBetaData:
     """The one gamma/beta builder behind every mode, over chart-ordered
-    ``inputs``.  With ``zero_grad`` every entry is lifted to a first jet,
-    a constant one with that tangent, and mu2 is left as None.  Where D
-    vanishes at a point, a first-jet mode (``jet_mode``) forms the
-    symbolic D to tell an identically vanishing D apart."""
+    ``inputs``.  Where D vanishes at a point, a first-jet mode
+    (``jet_mode``) forms the symbolic D to tell an identically vanishing D
+    apart."""
     grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
@@ -351,15 +354,8 @@ def _gamma_beta(problem: HypersurfaceProblem, inputs, zero_grad=None,
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
     gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
-    lift = lambda x: x
-    if zero_grad is not None:
-        lift = lambda x: FirstJet.lift(x, zero_grad)
-    vec = lambda row: tuple(map(lift, row))
-    mat = lambda rows: tuple(map(vec, rows))
-    return GammaBetaData(problem, problem.sigma(),
-                         problem.to_internal(problem.rho.vars), mat(alpha), vec(grad),
-                         vec(mu), None if zero_grad is not None else _mu2(mu, alpha, zero),
-                         lift(D), vec(gamma1), vec(gamma2), mat(beta_full))
+    return GammaBetaData(problem, problem.sigma(), problem.to_internal(problem.rho.vars),
+                         alpha, grad, mu, D, gamma1, gamma2, beta_full)
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaData:
@@ -373,13 +369,15 @@ def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaDat
 
 def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     """Pointwise mode over exact first jets: every entry is a FirstJet
-    holding its value and its gradient in the internal f-variables.
+    holding its value and its gradient in the internal f-variables, or its
+    value where that gradient is zero (read through :func:`_value` and
+    :func:`_tangent`).
 
-    ``mu2`` is left as None.  Raises IdenticallySingularD when D vanishes
-    identically and SingularD when it vanishes at the point only.
+    Raises IdenticallySingularD when D vanishes identically and SingularD
+    when it vanishes at the point only.
     """
     inputs = _chart_order(problem, _inputs(problem, point, jets=True))
-    return _gamma_beta(problem, inputs, (Fraction(0),) * problem.two_n, jet_mode=True)
+    return _gamma_beta(problem, inputs, jet_mode=True)
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
@@ -394,9 +392,7 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     inputs = _inputs(problem, jet.f, jets=True)
     gb = _gamma_beta(problem, _chart_order(problem, inputs, _value), jet_mode=True)
     fj = full_jet(problem, jet, gb)
-    zero = Fraction(0)
-    along = _gamma_beta(problem, _chart_order(problem, inputs, _along((fj.p1, fj.p2))),
-                        (zero, zero))
+    along = _gamma_beta(problem, _chart_order(problem, inputs, _along((fj.p1, fj.p2))))
     return gb, along
 
 

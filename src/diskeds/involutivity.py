@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CrossCheckMismatch
-from .geometry import GammaBetaData
+from .geometry import GammaBetaData, _mu2
 from .linalg import dot, mat_rank, row_times_matrix
 
 
@@ -40,12 +40,13 @@ def obstruction_bracket(gb: GammaBetaData):
     zero = 0 * gb.D
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     m1, m2 = gb.mu[0], gb.mu[1]
-    s1, s2 = gb.mu2[0], gb.mu2[1]
+    mu2 = _mu2(gb.mu, gb.alpha, zero)
+    s1, s2 = mu2[0], mu2[1]
     # the 2x2 minors of (mu, mu2): columns 1, 2 once, column j against each
     minus_s1 = -s1
     m12 = dot((m2, m1), (s1, -s2), zero)
     out = []
-    for rj, mj, sj in zip(gb.rho_grad[2:], gb.mu[2:], gb.mu2[2:]):
+    for rj, mj, sj in zip(gb.rho_grad[2:], gb.mu[2:], mu2[2:]):
         out.append(dot((r1, r2, rj), (dot((mj, m2), (s2, -sj), zero),
                                       dot((m1, mj), (sj, minus_s1), zero), m12), zero))
     return tuple(out)
@@ -99,6 +100,6 @@ def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
     while len(rows) < m:
         rows.append(row_times_matrix(rows[-1], gb.beta))
     d = mat_rank(rows)
-    dims = [m - min(q, d) for q in range(1, max(Q, m) + 1)][:Q]
+    dims = [m - min(q, d) for q in range(1, Q + 1)]
     at0 = all(x == 0 for x in dv.D0)
     return TableauReport(m, tuple(dims), d, d, at0)

@@ -14,9 +14,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CrossCheckMismatch, MalformedSyntax, SchemaViolation
+from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
 from .exact import gaussian, rat
-from .expr import _tokenize, parse_expression
+from .expr import parse_expression, parse_tokens, tokenize
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -176,21 +176,21 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         spath = f"strata.{sname}"
         eq_exprs = _field(sdoc, "equalities", spath, "list")
         probe_docs = _field(sdoc, "probes", spath, "object", required=False, default={})
-        order = max([1] + [_jet_order(expr) for expr in eq_exprs])
+        lexed = [_tokens(text) for text in eq_exprs]
+        order = max([1] + [_jet_order(tokens) for tokens in lexed])
         table = jet_table(n, order)
-        parsed = [parse_expression(expr, table, complexified=True)
-                  for expr in eq_exprs]
+        parsed = [_parse(tokens, table) for tokens in lexed]
         openings = []
         for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
                                         required=False, default=[])):
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
             opath = f"{spath}.openings[{k}]"
-            text = _field(odoc, "expr", opath, None)
-            if _jet_order(text) > order:
+            tokens = _tokens(_field(odoc, "expr", opath, None))
+            if _jet_order(tokens) > order:
                 raise SchemaViolation(
                     f"{opath} uses a jet above the stratum's order {order}")
-            op = parse_expression(text, table, complexified=True)
+            op = _parse(tokens, table)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
@@ -201,22 +201,35 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         for pname, pdoc in probe_docs.items():
             ppath = f"{spath}.probes.{pname}"
             z_vals = [_gauss(v, f"{ppath}.z") for v in _field(pdoc, "z", ppath, "list")]
-            w_jets = []
-            k = 0
-            while True:
-                key = "w" if k == 0 else f"w_{k}"
-                if key not in pdoc:
-                    break
+            w_jets, key = [], "w"
+            while key in pdoc:
+                if len(w_jets) == order:
+                    raise SchemaViolation(
+                        f"{ppath}.{key} is above the stratum's order {order}")
                 w_jets.append([_gauss(v, f"{ppath}.{key}")
                                for v in _field(pdoc, key, ppath, "list")])
-                k += 1
-            while len(w_jets) < order:
-                w_jets.append([Fraction(0)] * n)
+                key = f"w_{len(w_jets)}"
             probes[pname] = probe_from_values(n, order, z_vals, w_jets)
         strata[sname] = (system, probes)
 
     return LoadedProblem(doc, problem_digest(doc), two_n, problem, points, jets,
                          flags, strata, structure_warnings)
+
+
+def _tokens(text):
+    """The tokens of an expression, or the error tokenizing it raised, kept
+    to raise when the expression's turn to parse comes."""
+    try:
+        return tokenize(text)
+    except DiskEdsError as exc:
+        return exc
+
+
+def _parse(tokens, table):
+    """The complexified polynomial over ``table`` of :func:`_tokens`' result."""
+    if isinstance(tokens, DiskEdsError):
+        raise tokens
+    return parse_tokens(tokens, table, complexified=True)
 
 
 # a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at
@@ -225,12 +238,10 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 _JET_NAME = re.compile(r"([zw])b?[0-9]+(?:_([0-9]{1,2}))?")
 
 
-def _jet_order(text) -> int:
-    """The highest jet order among the jet-shaped names of an expression;
-    0 for a text its parser rejects anyway (not a string, or no tokens)."""
-    try:
-        tokens = _tokenize(text) if isinstance(text, str) else ()
-    except MalformedSyntax:
+def _jet_order(tokens) -> int:
+    """The highest jet order among the jet-shaped names of an expression's
+    tokens; 0 for a text that did not tokenize (its parse raises)."""
+    if isinstance(tokens, DiskEdsError):
         return 0
     names = [_JET_NAME.fullmatch(name) for kind, name, _ in tokens if kind == "NAME"]
     return max([0] + [int(m[2] or 0) + 1 for m in names if m and m[1] == "w"])

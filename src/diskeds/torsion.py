@@ -51,6 +51,8 @@ from .geometry import (
     HypersurfaceProblem,
     complex_standard,
     compute_gamma_beta,
+    _tangent,
+    _value,
     gamma_beta_along_jet,
     gamma_beta_first_jets,
 )
@@ -84,7 +86,7 @@ def _coefficient_tables(problem: HypersurfaceProblem, jet: FirstJetPoint):
     along p2 of gamma^1 and gamma^2; and those along p1 of every beta_full
     row (internal order), read from the first jets along (p1, p2)."""
     gb, along = gamma_beta_along_jet(problem, jet)
-    derivatives = lambda row, d: tuple(x.grad[d] for x in row)
+    derivatives = lambda row, d: tuple(_tangent(x, d) for x in row)
     return (gb, (derivatives(along.gamma1, 1), derivatives(along.gamma2, 1)),
             tuple(derivatives(row, 0) for row in along.beta_full))
 
@@ -205,9 +207,9 @@ def complex_B_coefficients(source, f_point=None) -> ComplexTorsionData:
         except SingularD:
             # D = -(rho_1^2 + rho_2^2) for the standard structure
             raise SingularD("rho_1^2 + rho_2^2 = 0 at the point") from None
-        gamma1 = tuple(g.value for g in gb.gamma1)
-        gamma2 = tuple(g.value for g in gb.gamma2)
-        partials = lambda target: target.grad.__getitem__
+        gamma1 = tuple(map(_value, gb.gamma1))
+        gamma2 = tuple(map(_value, gb.gamma2))
+        partials = lambda target: (lambda i: _tangent(target, i))
     P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
                                              partials(target))
     B_lower, B_upper = {}, {}

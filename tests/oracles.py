@@ -23,7 +23,7 @@ from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
 from diskeds.exact import gaussian, rat, require_real, scalar_conj
 from diskeds.expr import Polynomial, RationalFunction
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
-                              StructureMatrix, _mu2, compute_gamma_beta, full_jet,
+                              StructureMatrix, _tangent, _value, compute_gamma_beta, full_jet,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import jet_table, probe_from_values
@@ -42,7 +42,7 @@ def dtheta_torsion_oracle(problem: HypersurfaceProblem):
     m = two_n - 2
     fvars = gb.internal_vars
     joint = fvars + tuple(f"p{j}" for j in range(3, two_n + 1))
-    lift = lambda r: r.extend_to(joint)
+    lift = lambda r: extend_to(r, joint)
     zero = RationalFunction.from_const(joint, 0)
     pvar = [RationalFunction(Polynomial.var(joint, f"p{j}"))
             for j in range(3, two_n + 1)]
@@ -89,13 +89,11 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
 
 def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
     """The pointwise data that first-jet data ``gb`` holds: every entry's
-    value, with mu2 formed from the values.  Equals compute_gamma_beta at
-    the same point, without evaluating anything again."""
-    values = lambda row: tuple(x.value for x in row)
-    alpha = tuple(values(row) for row in gb.alpha)
-    mu = values(gb.mu)
-    return gb._replace(alpha=alpha, rho_grad=values(gb.rho_grad), mu=mu,
-                       mu2=_mu2(mu, alpha, Fraction(0)), D=gb.D.value,
+    value.  Equals compute_gamma_beta at the same point, without
+    evaluating anything again."""
+    values = lambda row: tuple(map(_value, row))
+    return gb._replace(alpha=tuple(values(row) for row in gb.alpha),
+                       rho_grad=values(gb.rho_grad), mu=values(gb.mu), D=_value(gb.D),
                        gamma1=values(gb.gamma1), gamma2=values(gb.gamma2),
                        beta_full=tuple(values(row) for row in gb.beta_full))
 
@@ -104,8 +102,9 @@ def coefficient_tables_full(problem: HypersurfaceProblem, point):
     """Values and f-gradients of gamma and beta_full at the point (user
     order), read from the exact first jets; also returns those jets."""
     gb = gamma_beta_first_jets(problem, point)
-    values = lambda jets: tuple(x.value for x in jets)
-    grads = lambda jets: tuple(x.grad for x in jets)
+    values = lambda jets: tuple(map(_value, jets))
+    grads = lambda jets: tuple(tuple(_tangent(x, i) for i in range(problem.two_n))
+                               for x in jets)
     return (gb, (values(gb.gamma1), grads(gb.gamma1)),
             (values(gb.gamma2), grads(gb.gamma2)),
             tuple(values(row) for row in gb.beta_full),
@@ -153,7 +152,7 @@ def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
     or, where rho_1 = 0, k = 1; then sum_i p^i D_{p1} beta_{j,i} for
     j = 3..2n, with D_v e = grad(e) . v."""
     gb, (_, g1d), (_, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
-    k = 0 if gb.rho_grad[0].value == 0 else 1
+    k = 0 if _value(gb.rho_grad[0]) == 0 else 1
     fj = full_jet(problem, jet)
     order = problem.internal_order()
     p1 = tuple(fj.p1[i] for i in order)
@@ -319,6 +318,27 @@ def on_surface_point(rng, problem, tries=500):
 # reference implementations that no CLI command runs
 
 
+def extend_to(x, new_vars):
+    """A Polynomial or RationalFunction over a larger table that contains
+    its own, each variable keeping its name."""
+    if isinstance(x, RationalFunction):
+        return RationalFunction(extend_to(x.num, new_vars), extend_to(x.den, new_vars))
+    new_vars = tuple(new_vars)
+    idx = [new_vars.index(name) for name in x.vars]
+    res = {}
+    for exps, c in x.terms.items():
+        e = [0] * len(new_vars)
+        for i, k in zip(idx, exps):
+            e[i] = k
+        res[tuple(e)] = c
+    return Polynomial(new_vars, res)
+
+
+def used_variables(p: Polynomial):
+    """The names of the variables that occur in ``p``."""
+    return {name for exps in p.terms for name, e in zip(p.vars, exps) if e}
+
+
 def partial_evaluate(p: Polynomial, assignment):
     """Substitute scalars for a subset of variables; table shrinks."""
     keep = [i for i, v in enumerate(p.vars) if v not in assignment]
@@ -477,7 +497,7 @@ def complexify(rho: Polynomial) -> Polynomial:
 def realify(p: Polynomial, variables=None) -> Polynomial:
     """Inverse of complexify; errors if jets are present or coefficients
     fail to be real."""
-    names = {v for v in p.used_variables()}
+    names = used_variables(p)
     if any(var_jet_order(v) > 0 for v in names):
         raise NotComplexifiedMode("cannot realify jet variables")
     n = max([int(v[2:] if v.startswith("zb") else v[1:]) for v in names] + [1])

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
 from diskeds.geometry import FirstJetPoint
+from diskeds.jets import jet_table
 from diskeds.reports import build_problem, emit_report, jsonable, load_problem
-from diskeds import cli
+from diskeds import cli, reports
 
 
 def run_cli(*args):
@@ -592,6 +593,22 @@ def test_declared_distinguished_pair_in_any_order_loads():
     assert build_problem(doc).problem.pair == (2, 1)
 
 
+@pytest.mark.parametrize("command", ["involutivity", "all"])
+def test_order_up_to_2n_minus_2_is_the_whole_report(command, capsys):
+    # dim A^(q) is constant from q0 <= 2n - 2 on, so 2n - 2 is the default
+    # and the largest order; one more is bad input, not a longer list
+    assert cli.main([command, "hyperquadric"]) == 0
+    default = json.loads(capsys.readouterr().out)["results"]
+    assert cli.main([command, "hyperquadric", "--order", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == default
+    assert cli.main([command, "hyperquadric", "--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "SchemaViolation: --order must be at most 2n-2 = 4, where dim A^(q) is "
+        "constant, got 5")
+
+
 @pytest.mark.parametrize("sign", ["?", "", "positive", 1, None])
 def test_unknown_opening_sign_is_schema_violation(sign, tmp_path, capsys):
     doc = json.loads(json.dumps(SCHEMA_DOC))
@@ -620,6 +637,53 @@ def test_opening_above_the_stratum_order_names_the_opening(tmp_path, capsys):
     doc["strata"]["S"]["openings"].append("w1_1*wb1_1 + w1*wb1")
     err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
     assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
+
+
+def test_probe_jet_above_the_stratum_order_names_the_probe(tmp_path, capsys):
+    # a declared jet level the stratum has no variables for is bad input,
+    # not values to drop
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["probes"] = {"Q": {"z": ["0", "0"], "w": ["1", "0"],
+                                          "w_1": ["2", "0"]}}
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert "strata.S.probes.Q.w_1 is above the stratum's order 1" in err
+    # the same level is read once an equality names it
+    doc["strata"]["S"]["equalities"].append("w1_1 - 2")
+    probe = build_problem(doc).strata["S"][1]["Q"]
+    assert probe[jet_table(2, 2).index("w1_1")] == 2
+
+
+def test_each_stratum_expression_is_tokenized_once(monkeypatch):
+    calls = []
+    real = reports.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(reports, "tokenize", counting)
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    del doc["rho"]
+    build_problem(doc)
+    assert calls == ["z2 + zb2 + z1*zb1", "w1*wb1"]
+
+
+@pytest.mark.parametrize("equalities, error", [
+    (["f9", "z1 $"], "UnknownVariable: unknown variable 'f9'"),
+    (["z1 $", "f9"], "MalformedSyntax: unexpected character '$'"),
+    ([5, "z1 $"], "SchemaViolation: an expression must be a string, got 5"),
+    (["z1 + w1_1 $", "w1_1 +"], "MalformedSyntax: unexpected character '$'"),
+    (["z1 +", "z1 $"], "MalformedSyntax: unexpected token None"),
+])
+def test_first_bad_equality_in_order_is_the_error(equalities, error, tmp_path, capsys):
+    # an equality that does not tokenize keeps its error for its turn to
+    # parse, so the first bad equality in document order is reported
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["equalities"] = equalities
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jets", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(error)
 
 
 def test_jet_suffix_of_three_digits_is_an_unknown_variable(tmp_path, capsys):

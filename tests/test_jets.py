@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
-from diskeds.errors import NotComplexifiedMode, ProbeViolatesStratum
+from diskeds.errors import DimensionMismatch, NotComplexifiedMode, ProbeViolatesStratum
 from diskeds.exact import gaussian
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
@@ -28,8 +28,9 @@ from diskeds.jets import (
 )
 from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
-from oracles import (complexify, conjugate_by_name, curve_probe, jet_to_probe, levi_form,
-                     realify, reduce_redundant_by_span, var_jet_order)
+from oracles import (complexify, conjugate_by_name, curve_probe, extend_to, jet_to_probe,
+                     levi_form, realify, reduce_redundant_by_span, used_variables,
+                     var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -66,7 +67,7 @@ def cx_polys3(draw):
         coeff = gaussian(draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
         if coeff:
             terms[exps] = coeff
-    return Polynomial(table, terms).extend_to(big)
+    return extend_to(Polynomial(table, terms), big)
 
 
 @given(cx_polys3())
@@ -112,7 +113,7 @@ def test_derivations_are_the_product_rule(p, barred):
     # over the generators v of the derived kind, and a top-order generator,
     # which has no successor in the table, is an error
     derive = d_tbar if barred else d_t
-    kind = [v for v in p.used_variables() if (v[1] == "b") == barred]
+    kind = [v for v in used_variables(p) if (v[1] == "b") == barred]
     if any(_next_name(v) not in p.vars for v in kind):
         with pytest.raises(NotComplexifiedMode):
             derive(p)
@@ -214,7 +215,7 @@ def test_conjugation_on_the_layout_matches_the_name_based_reference(p):
 
 def test_prolongation_looks_up_no_variable(monkeypatch):
     # D_t and D_tb shift exponents and widening to the next order appends
-    # zeros, so prolonging builds no variable and re-indexes no table
+    # zeros, so prolonging builds no variable and differentiates by no name
     calls = []
 
     def counting(name, real):
@@ -226,8 +227,8 @@ def test_prolongation_looks_up_no_variable(monkeypatch):
     systems = [system for name in sorted(BUILTIN_PROBLEMS)
                for system, _ in build_problem(load_problem(name), name).strata.values()]
     monkeypatch.setattr(Polynomial, "var", staticmethod(counting("var", Polynomial.var)))
-    monkeypatch.setattr(Polynomial, "extend_to",
-                        counting("extend_to", Polynomial.extend_to))
+    monkeypatch.setattr(Polynomial, "differentiate",
+                        counting("differentiate", Polynomial.differentiate))
     for system in systems:
         prolong_constraints(prolong_constraints(system))
     assert len(systems) == 4 and calls == []
@@ -359,7 +360,7 @@ def test_involution_loop_cusp_vertex_collapse():
     assert chain.reports[-1].trivial_velocities
     final = chain.reports[-1].next.system
     low = sorted(print_polynomial(p) for p in final.equalities
-                 if all(var_jet_order(v) <= 1 for v in p.used_variables()))
+                 if all(var_jet_order(v) <= 1 for v in used_variables(p)))
     assert low == ["w1", "w2", "w3", "wb1", "wb2", "wb3",
                    "z1", "z2", "z3 + zb3", "zb1", "zb2"]
 
@@ -373,6 +374,16 @@ def test_probe_validation():
     zero_w = probe_from_values(3, 1, [1, 1, 0], [[0, 0, 0]])
     with pytest.raises(ProbeViolatesStratum):
         stratum_analyze(linearize(system, zero_w))
+
+
+def test_linearize_rejects_a_probe_over_another_table():
+    # a probe is a tuple over the system's jet table, so its length is the
+    # table's
+    system, probes = _stratum("hyperquadric", "nonzero_velocity")
+    with pytest.raises(DimensionMismatch):
+        linearize(system, probes["Q0"][:-1])
+    with pytest.raises(DimensionMismatch):
+        linearize(prolong_constraints(system), probes["Q0"])
 
 
 def test_substitute_vanishing_collapses():

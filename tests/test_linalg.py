@@ -123,8 +123,7 @@ ZERO3 = (Fraction(0),) * 3
 
 
 def _jet_view(x):
-    x = FirstJet.lift(x, ZERO3)
-    return x.value, x.grad
+    return (x.value, x.grad) if isinstance(x, FirstJet) else (Fraction(x), ZERO3)
 
 
 def _pairs(values):

@@ -66,33 +66,46 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def _names(node):
+    """The names ``node`` uses: a bare name as it is, an attribute as
+    ``.name``."""
+    return [sub.id if isinstance(sub, ast.Name) else "." + sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))]
+
+
 def _unreachable(sources):
-    """Top-level definitions of the modules in ``sources`` (stem -> text)
-    that cli.main cannot reach by name.  A function, a class or a
-    module-level ``Name = namedtuple(...)`` record is reachable when main
-    or a module-level statement other than an import or a definition names
-    it, directly or through a reachable definition."""
-    refs, todo = {}, ["main"]
+    """Definitions in the modules of ``sources`` (stem -> text) that cli.main
+    cannot reach by name.  A top-level function, a class, a module-level
+    ``Name = namedtuple(...)`` record and a non-dunder method of a class are
+    definitions.  One is reachable when main or a module-level statement
+    other than an import or a definition names it, directly or through a
+    reachable definition; a method is named by an attribute of its name.  A
+    class's own statements, its dunder methods among them, come with it."""
+    refs, todo = {}, ["main"]   # (stem, name) -> (names that match it, names it uses)
     for stem, text in sources.items():
         for node in ast.parse(text).body:
-            names = [sub.id if isinstance(sub, ast.Name) else sub.attr
-                     for sub in ast.walk(node)
-                     if isinstance(sub, (ast.Name, ast.Attribute))]
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                refs[(stem, node.name)] = names
-            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
-                  and isinstance(node.targets[0], ast.Name)
-                  and isinstance(node.value, ast.Call)
-                  and isinstance(node.value.func, ast.Name)
-                  and node.value.func.id == "namedtuple"):
-                refs[(stem, node.targets[0].id)] = names
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                for m in methods:
+                    refs[(stem, f"{node.name}.{m.name}")] = ({"." + m.name}, _names(m))
+                node.body = [m for m in node.body if m not in methods]
+                refs[(stem, node.name)] = ({node.name, "." + node.name}, _names(node))
+            elif isinstance(node, ast.FunctionDef) or (
+                    isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "namedtuple"):
+                name = node.name if isinstance(node, ast.FunctionDef) else node.targets[0].id
+                refs[(stem, name)] = ({name, "." + name}, _names(node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                todo += names
+                todo += _names(node)
     reached = set()
     while todo:
         name = todo.pop()
-        for key, names in refs.items():
-            if key[1] == name and key not in reached:
+        for key, (matches, names) in refs.items():
+            if name in matches and key not in reached:
                 reached.add(key)
                 todo += names
     return sorted(f"{mod}.{name}" for mod, name in set(refs) - reached)
@@ -107,13 +120,25 @@ def test_every_top_level_definition_is_reachable_from_the_cli():
 
 
 def test_the_reachability_rule_covers_records():
-    # a namedtuple record counts as a definition, so an unused one is found
+    # a namedtuple record counts as a definition, so an unused one is found;
+    # so does a method that no reachable code names as an attribute, while
+    # dunder methods come with their class
     source = (
         "from collections import namedtuple\n"
         "Used = namedtuple('Used', 'a b')\n"
         "Unused = namedtuple('Unused', 'a b')\n"
         "class Sub(namedtuple('Sub', 'a')):\n"
         "    pass\n"
+        "class Tool:\n"
+        "    def __len__(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return 2\n"
+        "def unused():\n"
+        "    return 3\n"
         "def main():\n"
-        "    return Used(1, 2)\n")
-    assert _unreachable({"cli": source}) == ["cli.Sub", "cli.Unused"]
+        "    return Used(1, 2), len(Tool())\n")
+    assert _unreachable({"cli": source}) == [
+        "cli.Sub", "cli.Tool.unused", "cli.Unused", "cli.unused"]
