@@ -5,7 +5,8 @@ Runs ``diskeds.cli.main`` in-process on every builtin x applicable command
 in json and text format, plus ``jets`` on every stratum with ``--rounds``
 1..3, plus the jet and point commands on the documents under
 ``tests/golden/docs/`` (n = 4 and 5, and a non-constant structure, which
-``dim6`` rejects in both formats), and writes each invocation's stdout to
+``dim6`` rejects in both formats), plus ``jets`` with ``--rounds`` 1..3 on
+the Levi-null strata at n = 4 and 5, and writes each invocation's stdout to
 ``tests/golden/<case>.out`` and its argv, exit code and stderr to
 ``tests/golden/index.json``.  Reports echo
 the problem path, so the documents are named relative to the repository
@@ -64,6 +65,13 @@ def cases():
         for command, *options in extra:
             yield (f"{command}-{stem}-{'-'.join(o.lstrip('-') for o in options)}-json",
                    [command, path, *options, "--format", "json"])
+    # hyperquadric-type Levi-null strata above n = 3, each with a real probe
+    # and a non-real one
+    for stem in ("n4_levi_null", "n5_levi_null"):
+        for rounds in (1, 2, 3):
+            yield (f"jets-{stem}-r{rounds}-json",
+                   ["jets", f"tests/golden/docs/{stem}.json", "--rounds", str(rounds),
+                    "--format", "json"])
     # dim6 is written for complex_standard, so it rejects the matrix
     # structure (exit 2)
     for fmt in ("json", "text"):

@@ -18,7 +18,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 81
+    assert len(INDEX) == 87
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
@@ -27,6 +27,9 @@ def test_golden_set_covers_every_builtin_command():
     for stem in ("n5_hyperquadric", "n4_hyperquadric", "n3_matrix"):
         for command in ("involutivity", "torsion", "complex-forms", "integral-element"):
             assert f"{command}-{stem}-json" in INDEX
+    for stem in ("n4_levi_null", "n5_levi_null"):
+        for rounds in (1, 2, 3):
+            assert f"jets-{stem}-r{rounds}-json" in INDEX
     assert INDEX["dim6-n3_matrix-json"]["exit"] == INDEX["dim6-n3_matrix-text"]["exit"] == 2
 
 
