@@ -210,10 +210,11 @@ def cmd_jets(lp: LoadedProblem, opts) -> dict:
     selected = sorted(probes) if opts.probe is None else [
         _pick(probes, opts.probe, "probes")]
     chains, base_dims = {}, {}
+    prolongations = {}   # system -> its prolongation, shared by the probes
     for pname in sorted(probes):
         if pname in selected:
-            chains[pname] = involution_loop(system, probes[pname],
-                                            max_rounds=opts.rounds)
+            chains[pname] = involution_loop(system, probes[pname], max_rounds=opts.rounds,
+                                            prolongations=prolongations)
             base_dims[pname] = chains[pname].dims[0]
         else:
             # only the base tableau, for the locally-constant check
@@ -279,23 +280,30 @@ def cmd_all(lp: LoadedProblem, opts) -> dict:
     return out
 
 
+# command -> (function, the options without a default that it reads)
 _DISPATCH = {
-    "involutivity": cmd_involutivity,
-    "torsion": cmd_torsion,
-    "complex-forms": cmd_complex_forms,
-    "dim6": cmd_dim6,
-    "pseudo-ellipsoid": cmd_pseudo_ellipsoid,
-    "integral-element": cmd_integral_element,
-    "jets": cmd_jets,
-    "all": cmd_all,
+    "involutivity": (cmd_involutivity, ("point", "order")),
+    "torsion": (cmd_torsion, ("jet",)),
+    "complex-forms": (cmd_complex_forms, ("point",)),
+    "dim6": (cmd_dim6, ("point",)),
+    "pseudo-ellipsoid": (cmd_pseudo_ellipsoid, ("point",)),
+    "integral-element": (cmd_integral_element, ("jet", "flag")),
+    "jets": (cmd_jets, ("stratum", "probe", "rounds")),
+    # every stratum, so not --stratum
+    "all": (cmd_all, ("point", "jet", "order", "probe", "rounds")),
 }
 COMMANDS = tuple(_DISPATCH)
+_OPTIONAL = ("point", "jet", "order", "stratum", "probe", "rounds", "flag")
 
 
 def run_command(command: str, problem_source: str, opts) -> Report:
+    run, reads = _DISPATCH[command]
+    for name in _OPTIONAL:
+        if getattr(opts, name, None) is not None and name not in reads:
+            raise SchemaViolation(f"--{name} is not read by {command}")
     doc = load_problem(problem_source)
     lp = build_problem(doc, name=problem_source)
-    results = _DISPATCH[command](lp, opts)
+    results = run(lp, opts)
     warnings = list(lp.structure_warnings)
     return Report(command, problem_source, lp.digest,
                   {k: getattr(opts, k) for k in

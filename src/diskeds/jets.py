@@ -5,9 +5,11 @@ Strata are user-declared systems of polynomial equalities and open
 z1..zn, zb1..zbn, w1..wn, wb1..wbn, w1_1.., where wl_k stands for the
 k-th derivative of wl along the disk parameter.  The derivation D_t acts
 by z_l -> w_l, w_l^(j) -> w_l^(j+1) and kills every barred variable
-(holomorphy of the sought disk); D_tb is its conjugate.  Prolonging a
-system adds D_t g, D_tb g and D_t D_tb g for every equality and re-closes
-under conjugation.
+(holomorphy of the sought disk); D_tb is its conjugate.  A system is
+closed under conjugation, and carries each equality's conjugate partner by
+index.  Prolonging adds D_t g, D_tb g and D_t D_tb g for every equality g;
+their partners come from g's, since conj(D_t g) = D_tb(conj g) and
+conj(D_t D_tb g) = D_t D_tb(conj g), so closure needs no conjugation.
 
 ``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
 and is a prefix of ``jet_table(n, q + 1)``.  Generator i is barred when
@@ -26,7 +28,8 @@ complex dimension (half the kernel dimension) is reported; mixed systems
 report the full kernel dimension, which equals the real dimension of the
 real solution space.  Torsion-freeness at the probe is solvability of the
 prolonged equalities, lower jets frozen, as an affine system in the new
-top variables.
+top variables; there the top jets are zero, so value and gradient are the
+constant and linear coefficients of each frozen equality.
 """
 from __future__ import annotations
 
@@ -123,9 +126,11 @@ Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))
 
 
 class JetConstraintSystem(namedtuple("JetConstraintSystem",
-                                     "n order equalities openings")):
+                                     "n order equalities openings partners")):
     """``equalities`` are monic, deduplicated and conjugation-closed;
-    ``openings`` are Opening instances."""
+    ``partners[k]`` is the index of equality k's monic conjugate among them
+    (a redundancy reduction's output is the one system that is not closed:
+    see :func:`reduce_redundant`); ``openings`` are Opening instances."""
 
     __slots__ = ()
 
@@ -143,7 +148,8 @@ def _widen(p: Polynomial, table) -> Polynomial:
 
 def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSystem:
     """Over ``jet_table(n, order)``, which the tables of ``equalities`` and
-    ``openings`` are prefixes of; ``order`` defaults to their highest jet."""
+    ``openings`` are prefixes of; ``order`` defaults to their highest jet.
+    The only conjugation a system needs happens here, at load."""
     eqs = list(equalities)
     needed = max([1] + [i // (2 * n) for p in eqs for e in p.terms
                         for i, k in enumerate(e) if k])
@@ -152,55 +158,78 @@ def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSys
     elif order < needed:
         raise DimensionMismatch("declared order below the highest jet present")
     table = jet_table(n, order)
-    eqs = [_widen(p, table) for p in eqs]
+    eqs = [_monic(_widen(p, table)) for p in eqs]
     ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in openings)
-    return JetConstraintSystem(n, order, _normalize(eqs), ops)
+    eqs, partners = _close(eqs, [_monic(conjugate_involution(p)) for p in eqs])
+    return JetConstraintSystem(n, order, eqs, ops, partners)
 
 
-def _normalize(eqs):
-    out, seen = [], set()
-    queue = [_monic(p) for p in eqs]
-    for p in queue:
+def _close(eqs, conjugates):
+    """(equalities, partners) of the closed system spanned by the monic
+    ``eqs``, ``conjugates[k]`` the monic conjugate of ``eqs[k]``: each
+    nonzero equality in turn, unless already present, then its conjugate,
+    unless already present."""
+    out, index, partner_of = [], {}, []
+    for p, q in zip(eqs, conjugates):
         if p.is_zero():
             continue
-        if p not in seen:
-            out.append(p)
-            seen.add(p)
-        q = _monic(conjugate_involution(p))
-        if not q.is_zero() and q not in seen:
-            out.append(q)
-            seen.add(q)
-    return tuple(out)
+        for a, b in ((p, q), (q, p)):
+            if a not in index:
+                index[a] = len(out)
+                out.append(a)
+                partner_of.append(b)
+    return tuple(out), tuple(index[b] for b in partner_of)
 
 
 def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
-    """Add D_t g, D_tb g and D_t D_tb g for every equality; order + 1."""
+    """Add D_t g, D_tb g and D_t D_tb g for every equality; order + 1.  The
+    partner of D_t g is D_tb of g's partner, and D_t D_tb g's is D_t D_tb of
+    it."""
     table = jet_table(system.n, system.order + 1)
     eqs = [_widen(p, table) for p in system.equalities]
     derived = []
     for p in eqs:
         dt = d_t(p)
-        dtb = d_tbar(p)
-        dtdtb = d_tbar(dt)
-        derived += [q for q in (dt, dtb, dtdtb) if not q.is_zero()]
+        derived.append((_monic(dt), _monic(d_tbar(p)), _monic(d_tbar(dt))))
+    conjugates = [eqs[j] for j in system.partners]
+    for j in system.partners:
+        dt, dtb, dtdtb = derived[j]
+        conjugates += [dtb, dt, dtdtb]
+    eqs, partners = _close(eqs + [q for triple in derived for q in triple], conjugates)
     ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in system.openings)
-    return JetConstraintSystem(system.n, system.order + 1,
-                               _normalize(eqs + derived), ops)
+    return JetConstraintSystem(system.n, system.order + 1, eqs, ops, partners)
 
 
-def substitute_vanishing(system: JetConstraintSystem) -> JetConstraintSystem:
-    """Propagate bare-variable equalities (c*v = 0) through the system."""
-    eqs = list(system.equalities)
+def substitute_vanishing(system: JetConstraintSystem, cut=()) -> JetConstraintSystem:
+    """Propagate bare-variable equalities (c*v = 0) through the system, then
+    close it again: an equality whose conjugate is missing gets it back,
+    right after itself.
+
+    ``cut`` lists the equalities a redundancy reduction dropped from a
+    closed system; ``partners`` then index into ``equalities + cut``.  The
+    substitution runs on each conjugate alongside, over the conjugate
+    variables, so it stays the conjugate of its equality."""
+    n, eqs = system.n, list(system.equalities)
+    everything = eqs + list(cut)
+    conjugates = [everything[j] for j in system.partners]
     while True:
         bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
         zero = {next(iter(p.terms)).index(1) for p in bare}
-        new_eqs = [p if p in bare else
-                   Polynomial(p.vars, {e: c for e, c in p.terms.items()
-                                       if not any(e[i] for i in zero)})
-                   for p in eqs]
+        new_eqs = [p if p in bare else _without(p, zero) for p in eqs]
         if new_eqs == eqs:
-            return system._replace(equalities=_normalize(eqs))
+            eqs, partners = _close([_monic(p) for p in eqs],
+                                   [_monic(q) for q in conjugates])
+            return system._replace(equalities=eqs, partners=partners)
+        mirror = {i - n if (i // n) % 2 else i + n for i in zero}
+        conjugates = [q if p in bare else _without(q, mirror)
+                      for p, q in zip(eqs, conjugates)]
         eqs = new_eqs
+
+
+def _without(p: Polynomial, slots) -> Polynomial:
+    """``p`` with every term that involves a generator in ``slots`` removed."""
+    return Polynomial(p.vars, {e: c for e, c in p.terms.items()
+                               if not any(e[i] for i in slots)})
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +329,9 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
                                 f"{len(table)} jets")
     cut = len(table) - 2 * n    # the top-order jets close the table
     low, x = probe[:cut], probe[cut:]
+    top_zero = not any(x)
+    constant = (0,) * (2 * n)
+    units = [constant[:j] + (1,) + constant[j + 1:] for j in range(2 * n)]
     values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
     for p in system.equalities:
         if p.vars != table:
@@ -310,11 +342,15 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
             s = frozen.get(key, 0)   # every key is kept, for uses_top and mixed
             frozen[key] = (s + c * w if s else c * w) if w else s
         live = [(e, c) for e, c in frozen.items() if c != 0]
-        values.append(_sum_at(x, live))
-        gradients.append(tuple(
-            _sum_at(x, ((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
-                        for e, c in live if e[j]))
-            for j in range(2 * n)))
+        if top_zero:   # the constant and linear coefficients
+            values.append(normalize_scalar(frozen.get(constant, 0)))
+            gradients.append(tuple(normalize_scalar(frozen.get(u, 0)) for u in units))
+        else:
+            values.append(_sum_at(x, live))
+            gradients.append(tuple(
+                _sum_at(x, ((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                            for e, c in live if e[j]))
+                for j in range(2 * n)))
         nonlinear.append(any(sum(e) >= 2 for e, _ in live))
         uses_top.append(any(any(e) for e in frozen))
         mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)
@@ -339,15 +375,21 @@ def tableau_at_probe(lin: Linearization):
     return null, False, rank
 
 
-def torsion_at_probe(system: JetConstraintSystem, probe: tuple):
+def torsion_at_probe(system: JetConstraintSystem, probe: tuple, prolongations=None):
     """Solvability of the prolonged system in the next-order jets.
 
     Returns (torsion_free, zero, extension, nonlinear): the prolonged
     system linearized at the probe extended by zero top jets (the affine
     parts the test solves) and at an exact extension that satisfies it, or
     None; ``nonlinear`` counts the equalities nonlinear in the top jets.
+    ``prolongations`` maps systems to their prolongations; a caller that
+    owns it shares each prolongation between the probes of one system.
     """
-    prolonged = prolong_constraints(system)
+    if prolongations is None:
+        prolongations = {}
+    if system not in prolongations:
+        prolongations[system] = prolong_constraints(system)
+    prolonged = prolongations[system]
     zero = linearize(prolonged, extend_probe(prolonged, probe))
     rows, rhs = [], []
     for grad, value in zip(zero.gradients, zero.values):
@@ -395,11 +437,13 @@ def reduce_redundant(lin: Linearization):
     free = [parts[j] for j in range(len(eqs)) if not lin.uses_top[j]]
     kept = {candidates[k] for k in greedy_basis(free, [parts[j] for j in candidates])}
     dropped = [j for j in reversed(candidates) if j not in kept]
-    # keep conjugation closure: a dropped equality whose conjugate survived
-    # is harmless (the conjugate was independently tested), but _normalize
-    # would re-add it, so rebuild without closure re-insertion
-    return (system._replace(equalities=tuple(eq for j, eq in enumerate(eqs)
-                                             if j not in dropped)),
+    # the reduced system is not closed: substitute_vanishing(reduced, dropped)
+    # gives a dropped equality whose conjugate was retained back, so the
+    # partners index into the retained equalities followed by the dropped ones
+    retained = sorted(set(range(len(eqs))).difference(dropped))
+    where = {j: k for k, j in enumerate(retained + dropped)}
+    return (system._replace(equalities=tuple(eqs[j] for j in retained),
+                            partners=tuple(where[system.partners[j]] for j in retained)),
             [eqs[j] for j in dropped])
 
 
@@ -428,11 +472,13 @@ def _velocities_pinned(system: JetConstraintSystem) -> bool:
     return bool(rows) and mat_rank(rows) == system.n
 
 
-def stratum_analyze(lin: Linearization) -> StratumReport:
-    """One round of the involution loop at ``lin.system`` and ``lin.probe``."""
+def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
+    """One round of the involution loop at ``lin.system`` and ``lin.probe``;
+    ``prolongations`` as for :func:`torsion_at_probe`."""
     lin.satisfied(strict=True)
     dim_now, split_now, _ = lin.tableau
-    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin.system, lin.probe)
+    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin.system, lin.probe,
+                                                          prolongations)
     warnings = []
     if nonlinear:
         warnings.append(
@@ -445,7 +491,7 @@ def stratum_analyze(lin: Linearization) -> StratumReport:
         dim_next = -1
     else:
         reduced, dropped = reduce_redundant(zero)
-        reduced = substitute_vanishing(reduced)
+        reduced = substitute_vanishing(reduced, dropped)
         following = (ext if reduced == ext.system
                      else linearize(reduced, ext.probe))
         dim_next = ext.tableau[0]
@@ -465,7 +511,10 @@ InvolutionChain = namedtuple("InvolutionChain", "reports dims verdict rounds")
 
 
 def involution_loop(initial: JetConstraintSystem, probe: tuple,
-                    max_rounds: int = None) -> InvolutionChain:
+                    max_rounds: int = None, prolongations=None) -> InvolutionChain:
+    """Rounds of :func:`stratum_analyze` until involutive or blocked; pass one
+    ``prolongations`` dict to the loops over the probes of one system to
+    prolong each system they meet once."""
     if max_rounds is None:
         max_rounds = max(2 * initial.n - 2, 1)
     if max_rounds < 1:
@@ -474,7 +523,7 @@ def involution_loop(initial: JetConstraintSystem, probe: tuple,
     reports = []
     verdict = "rounds_exhausted"
     for _ in range(max_rounds):
-        rep = stratum_analyze(lin)
+        rep = stratum_analyze(lin, prolongations)
         reports.append(rep)
         if rep.verdict == "involutive_at_order_q":
             verdict = "involutive"

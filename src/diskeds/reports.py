@@ -209,6 +209,10 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                 w_jets.append([_gauss(v, f"{ppath}.{key}")
                                for v in _field(pdoc, key, ppath, "list")])
                 key = f"w_{len(w_jets)}"
+            read = {f"w_{k}" for k in range(1, len(w_jets))}
+            for extra in pdoc:
+                if re.fullmatch(r"w_[1-9][0-9]*", extra) and extra not in read:
+                    raise SchemaViolation(f"{ppath}.{extra} is given but {key} is missing")
             probes[pname] = probe_from_values(n, order, z_vals, w_jets)
         strata[sname] = (system, probes)
 

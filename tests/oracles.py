@@ -26,7 +26,7 @@ from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               StructureMatrix, _tangent, _value, compute_gamma_beta, full_jet,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
-from diskeds.jets import jet_table, probe_from_values
+from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
 from diskeds.linalg import _echelon, det, dot, dot_plus, nullity, solve_particular
 
 
@@ -722,3 +722,54 @@ def reduce_redundant_by_span(lin):
             dropped.append(eqs[idx])
             retained.remove(idx)
     return tuple(eqs[j] for j in retained), dropped
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    if p.is_zero():
+        return p
+    lead = p.leading()[1]
+    return p if lead == 1 else p.scale(1 / lead)
+
+
+def close_by_conjugation(eqs):
+    """Conjugation closure by conjugating: each equality made monic, kept
+    unless already present, then followed by its monic conjugate unless
+    already present; zeros dropped."""
+    out, seen = [], set()
+    for p in map(_monic, eqs):
+        if p.is_zero():
+            continue
+        for q in (p, _monic(conjugate_by_name(p))):
+            if q not in seen:
+                out.append(q)
+                seen.add(q)
+    return tuple(out)
+
+
+def prolong_by_conjugation(system):
+    """The equalities of jets.prolong_constraints(system), re-closed by
+    conjugating every one: the system's, then D_t g, D_tb g and D_t D_tb g
+    for each of them."""
+    table = jet_table(system.n, system.order + 1)
+    eqs = [extend_to(p, table) for p in system.equalities]
+    derived = []
+    for p in eqs:
+        dt = d_t(p)
+        derived += [q for q in (dt, d_tbar(p), d_tbar(dt)) if not q.is_zero()]
+    return close_by_conjugation(eqs + derived)
+
+
+def substitute_vanishing_by_conjugation(equalities):
+    """The equalities of jets.substitute_vanishing: bare-variable equalities
+    (c*v = 0) propagated to a fixed point, then closed by conjugating."""
+    eqs = list(equalities)
+    while True:
+        bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
+        zero = {next(iter(p.terms)).index(1) for p in bare}
+        new_eqs = [p if p in bare else
+                   Polynomial(p.vars, {e: c for e, c in p.terms.items()
+                                       if not any(e[i] for i in zero)})
+                   for p in eqs]
+        if new_eqs == eqs:
+            return close_by_conjugation(eqs)
+        eqs = new_eqs

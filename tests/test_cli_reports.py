@@ -288,6 +288,39 @@ def test_order_flag_controls_prolongation_depth():
     assert json.loads(out)["results"]["dims"] == [4, 4]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["torsion", "hyperquadric", "--order", "99"], "--order is not read by torsion"),
+    (["complex-forms", "hyperquadric", "--stratum", "nope", "--rounds", "7"],
+     "--stratum is not read by complex-forms"),
+    (["all", "hyperquadric", "--stratum", "nonzero_velocity"],
+     "--stratum is not read by all"),
+    (["jets", "hyperquadric", "--order", "2"], "--order is not read by jets"),
+    (["integral-element", "hyperquadric", "--point", "P0"],
+     "--point is not read by integral-element"),
+    (["involutivity", "hyperquadric", "--flag", "F"], "--flag is not read by involutivity"),
+])
+def test_an_option_the_command_does_not_read_exits_2(argv, message, capsys):
+    # an unread option would otherwise be echoed under options as if it
+    # had shaped the report
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SchemaViolation: {message}\n"
+
+
+def test_each_command_takes_the_options_it_reads(capsys):
+    # all reads what its sections read; --trials and --seed stay accepted
+    for argv in (["all", "hyperquadric", "--point", "P0", "--jet", "J1", "--order", "2",
+                  "--rounds", "1"],
+                 ["torsion", "hyperquadric", "--jet", "J1", "--trials", "3", "--seed", "4"],
+                 ["jets", "cusp", "--stratum", "generic", "--probe", "P_origin",
+                  "--rounds", "1"]):
+        assert cli.main(argv) == 0
+        options = json.loads(capsys.readouterr().out)["options"]
+        assert all(f"--{key}" in argv for key in options
+                   if key not in ("seed", "trials"))
+
+
 @pytest.mark.parametrize("command", ["involutivity", "all"])
 def test_negative_order_exit_2(command, capsys):
     assert cli.main([command, "hyperquadric", "--order", "-1"]) == 2
@@ -639,6 +672,19 @@ def test_opening_above_the_stratum_order_names_the_opening(tmp_path, capsys):
     assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
 
 
+def test_probe_jet_level_after_a_gap_names_the_missing_level(tmp_path, capsys):
+    # w_2 without w_1 is not read as absent: the level that is missing is
+    # named, where the gap once dropped w_2 and the probe then failed the
+    # equality it was meant to satisfy
+    doc = {"dimension_2n": 4, "strata": {"S": {
+        "equalities": ["w1_2 - 5"],
+        "probes": {"Q": {"z": ["0", "0"], "w": ["0", "0"], "w_2": ["5", "0"]}}}}}
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert "strata.S.probes.Q.w_2 is given but w_1 is missing" in err
+    doc["strata"]["S"]["probes"]["Q"]["w_1"] = ["0", "0"]
+    assert build_problem(doc).strata["S"][1]["Q"][-4] == 5
+
+
 def test_probe_jet_above_the_stratum_order_names_the_probe(tmp_path, capsys):
     # a declared jet level the stratum has no variables for is bad input,
     # not values to drop
@@ -717,9 +763,9 @@ def test_jets_probe_runs_one_involution_loop(monkeypatch, capsys):
     calls = []
     real = cli.involution_loop
 
-    def counting(system, probe, max_rounds=None):
+    def counting(system, probe, **options):
         calls.append(probe)
-        return real(system, probe, max_rounds=max_rounds)
+        return real(system, probe, **options)
 
     monkeypatch.setattr(cli, "involution_loop", counting)
     assert cli.main(["jets", "cusp", "--stratum", "generic",

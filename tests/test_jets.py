@@ -16,6 +16,7 @@ from diskeds.jets import (
     conjugate_involution,
     d_t,
     d_tbar,
+    extend_probe,
     involution_loop,
     jet_table,
     linearize,
@@ -29,8 +30,8 @@ from diskeds.jets import (
 from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
 from oracles import (complexify, conjugate_by_name, curve_probe, extend_to, jet_to_probe,
-                     levi_form, realify, reduce_redundant_by_span, used_variables,
-                     var_jet_order)
+                     levi_form, prolong_by_conjugation, realify, reduce_redundant_by_span,
+                     substitute_vanishing_by_conjugation, used_variables, var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -149,7 +150,6 @@ def test_reduce_redundant_marks_square_norm_rows():
     system, probes = _stratum("hyperquadric", "nonzero_velocity")
     probe = probes["Q0"]
     P = prolong_constraints(system)
-    from diskeds.jets import extend_probe
     ext = extend_probe(P, probe)
     reduced, dropped = reduce_redundant(linearize(P, ext))
     sq = cx("w1_1*wb1_1 - w2_1*wb2_1", order=P.order)
@@ -232,6 +232,127 @@ def test_prolongation_looks_up_no_variable(monkeypatch):
     for system in systems:
         prolong_constraints(prolong_constraints(system))
     assert len(systems) == 4 and calls == []
+
+
+def _random_closed_system(rng):
+    """A random system over jet_table(n, q), n = 1..3 and q = 1..2, closed by
+    make_system: Gaussian coefficients, bare variables, a conjugate given
+    twice and a self-conjugate row, and a probe of the system's table."""
+    n, q = rng.randint(1, 3), rng.randint(1, 2)
+    table = jet_table(n, q)
+    coeff = lambda: gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+
+    def row():
+        p = Polynomial.const(table, coeff())
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(table)
+            for _ in range(rng.randint(1, 2)):
+                exps[rng.randrange(len(table))] += 1
+            p = p + Polynomial(table, {tuple(exps): coeff()})
+        return p
+
+    eqs = [row() for _ in range(rng.randint(1, 3))]
+    eqs += [Polynomial.var(table, rng.choice(table)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        eqs.append(conjugate_involution(eqs[0]).scale(coeff() or 1))
+    if rng.random() < 0.5:
+        eqs.append(eqs[-1] + conjugate_involution(eqs[-1]))
+    probe = probe_from_values(n, q, [coeff() for _ in range(n)],
+                              [[coeff() for _ in range(n)] for _ in range(q)])
+    return make_system(n, eqs, order=q), probe
+
+
+def _assert_partners(system):
+    assert len(system.partners) == len(system.equalities)
+    for eq, j in zip(system.equalities, system.partners):
+        assert jets._monic(conjugate_involution(eq)) == system.equalities[j]
+
+
+def _prolong_like_the_reference(system):
+    _assert_partners(system)
+    prolonged = prolong_constraints(system)
+    assert prolonged.equalities == prolong_by_conjugation(system)
+    _assert_partners(prolonged)
+    return prolonged
+
+
+def _substitute_like_the_reference(lin):
+    reduced, dropped = reduce_redundant(lin)
+    out = substitute_vanishing(reduced, dropped)
+    assert out.equalities == substitute_vanishing_by_conjugation(reduced.equalities)
+    _assert_partners(out)
+    return out
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+def test_prolongation_by_partner_index_matches_closing_by_conjugation(seed):
+    # the partners of D_t g, D_tb g and D_t D_tb g come from g's; the order
+    # is the one conjugating every prolonged equality gives, and so is the
+    # re-closure after a redundancy reduction
+    system, probe = _random_closed_system(random.Random(seed))
+    prolonged = _prolong_like_the_reference(system)
+    _substitute_like_the_reference(linearize(prolonged, extend_probe(prolonged, probe)))
+
+
+def test_prolongation_matches_closing_by_conjugation_on_builtin_strata():
+    # three rounds of prolongation, reduction and substitution per probe
+    for name in sorted(BUILTIN_PROBLEMS):
+        for initial, probes in build_problem(load_problem(name), name).strata.values():
+            for probe in probes.values():
+                system = initial
+                for _ in range(3):
+                    prolonged = _prolong_like_the_reference(system)
+                    probe = extend_probe(prolonged, probe)
+                    system = _substitute_like_the_reference(linearize(prolonged, probe))
+
+
+def test_prolonging_and_substituting_conjugate_nothing(monkeypatch):
+    # closure is carried by index: only loading a system conjugates
+    strata = [stratum for name in sorted(BUILTIN_PROBLEMS)
+              for stratum in build_problem(load_problem(name), name).strata.values()]
+    calls = []
+
+    def counting(p, original=jets.conjugate_involution):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(jets, "conjugate_involution", counting)
+    for system, probes in strata:
+        substitute_vanishing(prolong_constraints(prolong_constraints(system)))
+        for probe in probes.values():
+            involution_loop(system, probe, max_rounds=3)
+    assert len(strata) == 4 and calls == []
+
+
+def test_jets_prolongs_each_system_once_per_command(monkeypatch, capsys):
+    # the two probes of hyperquadric share the prolongation of its stratum
+    initial = _stratum("hyperquadric", "nonzero_velocity")[0]
+    prolonged = []
+
+    def counting(system, original=jets.prolong_constraints):
+        prolonged.append(system)
+        return original(system)
+
+    monkeypatch.setattr(jets, "prolong_constraints", counting)
+    assert main(["jets", "hyperquadric"]) == 0
+    assert prolonged.count(initial) == 1
+    assert len(set(prolonged)) == len(prolonged)
+
+
+def test_no_prolongation_outlives_a_command(monkeypatch, capsys):
+    # the shared prolongations belong to one command: a second run in the
+    # same process derives as much as the first
+    counts = []
+    for _ in range(2):
+        calls = []
+        for name in ("d_t", "d_tbar"):
+            monkeypatch.setattr(jets, name, lambda p, f=getattr(jets, name):
+                                calls.append(p) or f(p))
+        assert main(["jets", "hyperquadric"]) == 0
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_stratum_dims_fixtures():
