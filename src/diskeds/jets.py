@@ -301,13 +301,15 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
 
 def _power(point, exps):
     """prod_i point_i^exps_i; 0 as soon as a factor with exps_i > 0 is 0."""
-    out = 1
+    out = None
     for x, e in zip(point, exps):
         if e:
             if not x:
                 return 0
-            out = out * x ** e
-    return out
+            if e > 1:
+                x = x ** e
+            out = x if out is None else out * x
+    return 1 if out is None else out
 
 
 def _sum_at(point, monomials):
@@ -328,7 +330,9 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
         raise DimensionMismatch(f"probe of {len(probe)} values for a table of "
                                 f"{len(table)} jets")
     cut = len(table) - 2 * n    # the top-order jets close the table
-    low, x = probe[:cut], probe[cut:]
+    # an integral value freezes as an int, which multiplies natively
+    low, x = [v.numerator if type(v) is Fraction and v.denominator == 1 else v
+              for v in probe[:cut]], probe[cut:]
     top_zero = not any(x)
     constant = (0,) * (2 * n)
     units = [constant[:j] + (1,) + constant[j + 1:] for j in range(2 * n)]
