@@ -441,9 +441,9 @@ def reduce_redundant(lin: Linearization):
     free = [parts[j] for j in range(len(eqs)) if not lin.uses_top[j]]
     kept = {candidates[k] for k in greedy_basis(free, [parts[j] for j in candidates])}
     dropped = [j for j in reversed(candidates) if j not in kept]
-    # the reduced system is not closed: substitute_vanishing(reduced, dropped)
-    # gives a dropped equality whose conjugate was retained back, so the
-    # partners index into the retained equalities followed by the dropped ones
+    # the reduced system is not closed, and substitute_vanishing(reduced,
+    # dropped) puts back each dropped equality whose conjugate was retained,
+    # so the partners index into the retained equalities, then the dropped
     retained = sorted(set(range(len(eqs))).difference(dropped))
     where = {j: k for k, j in enumerate(retained + dropped)}
     return (system._replace(equalities=tuple(eqs[j] for j in retained),
