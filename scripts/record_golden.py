@@ -4,8 +4,9 @@
 Runs ``diskeds.cli.main`` in-process on every builtin x applicable command
 in json and text format, plus ``jets`` on every stratum with ``--rounds``
 1..3, plus the jet and point commands on the documents under
-``tests/golden/docs/`` (n = 4 and 5, and a non-constant structure, which
-``dim6`` rejects in both formats), plus ``jets`` with ``--rounds`` 1..3 on
+``tests/golden/docs/`` (n = 4 and 5, a non-constant structure, which
+``dim6`` rejects in both formats, a structure of kind ``pair``, and flags
+on every branch of the Cramer determinant), plus ``jets`` with ``--rounds`` 1..3 on
 the Levi-null strata at n = 4 and 5, and writes each invocation's stdout to
 ``tests/golden/<case>.out`` and its argv, exit code and stderr to
 ``tests/golden/index.json``.  Reports echo
@@ -44,6 +45,13 @@ DOCS = {
                         ("integral-element", "--flag", "F")),
     "n3_matrix": (("torsion", "--jet", "J1"), ("integral-element", "--jet", "J1"),
                   ("integral-element", "--flag", "F")),
+    # one flag per branch of the Cramer determinant: A_1 = 0 != A_2, both
+    # nonzero with (alpha, beta) != (1, 0), A_1 = A_2 = 0, zero generator
+    "n3_ball_flags": tuple(("integral-element", "--flag", name)
+                           for name in ("A1_zero", "mixed", "x_degenerate", "zero")),
+    # a structure of kind "pair"; flag F (A_1 = 0) certifies at J1, G at J0
+    "n3_pair": (("torsion", "--jet", "J1"), ("integral-element", "--flag", "G"),
+                ("integral-element", "--jet", "J1", "--flag", "F")),
 }
 
 
