@@ -37,8 +37,6 @@ from .torsion import (
 )
 from .integral_element import (
     FlagSpec,
-    PolarSystem,
-    build_polar_maps,
     kahler_regularity,
     ordinary_element_search,
 )

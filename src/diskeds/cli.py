@@ -289,8 +289,8 @@ _DISPATCH = {
     "pseudo-ellipsoid": (cmd_pseudo_ellipsoid, ("point",)),
     "integral-element": (cmd_integral_element, ("jet", "flag")),
     "jets": (cmd_jets, ("stratum", "probe", "rounds")),
-    # every stratum, so not --stratum
-    "all": (cmd_all, ("point", "jet", "order", "probe", "rounds")),
+    # every stratum and every probe, so neither --stratum nor --probe
+    "all": (cmd_all, ("point", "jet", "order", "rounds")),
 }
 COMMANDS = tuple(_DISPATCH)
 _OPTIONAL = ("point", "jet", "order", "stratum", "probe", "rounds", "flag")

@@ -254,14 +254,14 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise NegativeOrNonIntegerExponent(f"bad exponent {k!r}")
-        out = Polynomial.const(self.vars, 1)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Polynomial.const(self.vars, 1) if out is None else out
 
     def scale(self, c):
         c = normalize_scalar(c)

@@ -172,14 +172,6 @@ def greedy_basis(base, rows):
     return [i for i, row in enumerate(rows) if adds_pivot(row)]
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    zero = 0 * a[0][0]
-    cols = tuple(zip(*b))
-    return [[dot(row, col, zero) for col in cols] for row in a]
-
-
 def row_times_matrix(row, matrix):
     zero = 0 * row[0]
     return [dot(row, col, zero) for col in zip(*matrix)]

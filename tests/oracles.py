@@ -10,12 +10,14 @@ distinguished-pair scan by one full gamma/beta build per candidate.
 
 The second half holds reference implementations that no CLI command runs
 but tests compare the runtime against, such as the Levi form, the 2n
-torsion quadratic-form matrices built on full gradients, and definiteness
-by one determinant per leading minor.
+torsion quadratic-form matrices built on full gradients, definiteness
+by one determinant per leading minor, and the explicit polar maps of a
+line with their stacked square.
 """
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
@@ -542,10 +544,58 @@ def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> tuple:
     return probe_from_values(n, order, values[0], values[1:])
 
 
+def mat_mul(a, b):
+    if not a or not b:
+        return []
+    zero = 0 * a[0][0]
+    cols = tuple(zip(*b))
+    return [[dot(row, col, zero) for col in cols] for row in a]
+
+
+PolarMaps = namedtuple("PolarMaps", "F G R square")
+
+
+def explicit_polar_maps(rows, A1, A2, C) -> PolarMaps:
+    """The polar maps of the line (A_1, A_2, C) written out as matrices on
+    the X coordinates (X_2, X_3..X_{2n}, X_{2n+1}..X_{4n-2}), with G's rows
+    the d(theta) rows ``rows`` of _dtheta_row_data.
+
+    F ((4n-3) x 2n) sends (v_1, v_2, v_p3..v_p2n) to the X coordinates of
+    the plane it spans with the line: X_2 = A_1 v_2 - A_2 v_1,
+    X_i = C_i v_1 - A_1 v_p_i, X_{2n-2+i} = C_i v_2 - A_2 v_p_i.  R
+    ((2n-2) x (4n-3)) holds the relations C_i X_2 + A_2 X_i - A_1 X_{2n-2+i}
+    = 0 cutting out Im F, and ``square`` is G stacked over R.  The runtime
+    reads G F and det(square) off the rows in closed form
+    (``integral_element.polar_matrix`` and ``cramer_determinant``).
+    """
+    m = len(C)
+    two_n = m + 2
+    nx = 2 * m + 1
+    F = []
+    row = [Fraction(0)] * two_n
+    row[0], row[1] = -A2, A1
+    F.append(row)
+    for i in range(m):
+        row = [Fraction(0)] * two_n
+        row[0], row[2 + i] = C[i], -A1
+        F.append(row)
+    for i in range(m):
+        row = [Fraction(0)] * two_n
+        row[1], row[2 + i] = C[i], -A2
+        F.append(row)
+    R = []
+    for i in range(m):
+        row = [Fraction(0)] * nx
+        row[0], row[1 + i], row[1 + m + i] = C[i], A2, -A1
+        R.append(row)
+    G = [[x2, *xi, *xlast] for x2, xi, xlast in rows]
+    return PolarMaps(F, G, R, G + R)
+
+
 def perturbed_polar_matrix(problem: HypersurfaceProblem, jet: FirstJetPoint,
                            flag: FlagSpec, eps_theta):
-    """Full polar-space system for a line perturbed by ``eps_theta`` (2n
-    entries) besides the flag's own eps_x and eps_p, unknowns
+    """Full polar-space system for the flag's line E_1 perturbed by
+    ``eps_theta`` (2n entries) in the theta directions, unknowns
     (v_1, v_2, v_theta_1..v_theta_2n, v_p3..v_p2n)."""
     two_n = problem.two_n
     m = two_n - 2

@@ -298,6 +298,7 @@ def test_order_flag_controls_prolongation_depth():
     (["integral-element", "hyperquadric", "--point", "P0"],
      "--point is not read by integral-element"),
     (["involutivity", "hyperquadric", "--flag", "F"], "--flag is not read by involutivity"),
+    (["all", "hyperquadric", "--probe", "Q0"], "--probe is not read by all"),
 ])
 def test_an_option_the_command_does_not_read_exits_2(argv, message, capsys):
     # an unread option would otherwise be echoed under options as if it
@@ -306,6 +307,17 @@ def test_an_option_the_command_does_not_read_exits_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"SchemaViolation: {message}\n"
+
+
+def test_all_runs_every_probe_of_every_stratum(capsys):
+    # a probe belongs to one stratum, so --probe could never name a probe
+    # of each of cusp's two strata; all runs them all instead
+    assert cli.main(["all", "cusp", "--probe", "P_origin"]) == 2
+    assert capsys.readouterr().err == "SchemaViolation: --probe is not read by all\n"
+    assert cli.main(["all", "cusp"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert sorted(results["jets[generic]"]["probes"]) == ["P_generic", "P_origin"]
+    assert sorted(results["jets[vertex]"]["probes"]) == ["R0"]
 
 
 def test_each_command_takes_the_options_it_reads(capsys):

@@ -338,3 +338,30 @@ def test_gaussian_repr_and_coercion():
     assert repr(z) == "GaussianRational(re=Fraction(1, 2), im=Fraction(1, 1))"
     assert type(z.im) is Fraction
     assert z == gaussian("1/2", "1") and hash(z) == hash(gaussian("1/2", "1"))
+
+
+@given(polys(maxdeg=2), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_power_is_repeated_product(p, k):
+    want = Polynomial.const(V3, 1)
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_polynomial_power_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply from the base itself: p**2 is one product, and no
+    # square is taken after the last bit
+    p = parse_expression("f1 + 2*f2 - f3", V3)
+    products = []
+    real = Polynomial.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for k, want in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        products.clear()
+        p ** k
+        assert len(products) == want, k

@@ -11,14 +11,19 @@ from diskeds.expr import parse_expression
 from diskeds.geometry import HypersurfaceProblem, complex_standard, full_jet
 from diskeds.integral_element import (
     FlagSpec,
-    build_polar_maps,
+    _dtheta_row_data,
+    cramer_determinant,
+    integral_flag_from_c1,
     kahler_regularity,
     ordinary_element_search,
+    polar_matrix,
 )
-from diskeds.linalg import det, mat_mul, mat_rank, nullity
+from diskeds.linalg import det, mat_rank, nullity
 from diskeds.torsion import torsion_absorbable
 from oracles import (
+    explicit_polar_maps,
     levi_form,
+    mat_mul,
     nullspace,
     on_surface_point,
     perturbed_polar_nullity,
@@ -35,26 +40,39 @@ def _hyperquadric_jet():
     return prob, prob.make_jet((1, 0, 1, 0, 0, 0), (1, 0, 0, 0))
 
 
-def _generic_problem(seed):
-    rng = random.Random(seed)
+def _generic_point(rng, n):
+    """A seeded constant structure with a random cubic rho and a point on
+    it where D != 0."""
     while True:
-        A, vs = random_constant_structure(rng, 2)
+        A, vs = random_constant_structure(rng, n)
         rho = random_polynomial(rng, vs, 3, 6)
         prob = HypersurfaceProblem(rho, A, (1, 2))
         try:
-            pt = on_surface_point(rng, prob)
+            return prob, on_surface_point(rng, prob)
         except AssertionError:
             continue
-        return prob, prob.make_jet(pt, (1, 2)), rng
+
+
+def _generic_problem(seed):
+    rng = random.Random(seed)
+    prob, pt = _generic_point(rng, 2)
+    return prob, prob.make_jet(pt, (1, 2)), rng
+
+
+def _explicit_maps(prob, jet, flag):
+    A1, A2, C = flag.resolved(prob.two_n)
+    return explicit_polar_maps(_dtheta_row_data(prob, jet).rows, A1, A2, C)
 
 
 def test_degenerate_flag_rejected():
     prob, jet = _hyperquadric_jet()
     with pytest.raises(InadmissibleFlag):
-        build_polar_maps(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4,
-                                             alpha=0, beta=0))
+        kahler_regularity(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4,
+                                              alpha=0, beta=0))
     with pytest.raises(InadmissibleFlag):
-        build_polar_maps(prob, jet, FlagSpec((0, 0), (0, 0), (0,) * 4, (0,) * 4))
+        kahler_regularity(prob, jet, FlagSpec((0, 0), (0, 0), (0,) * 4, (0,) * 4))
+    with pytest.raises(InadmissibleFlag):
+        kahler_regularity(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 3, (0,) * 4))
     with pytest.raises(InadmissibleFlag):
         ordinary_element_search(prob, jet, trials=0)
 
@@ -67,15 +85,15 @@ def test_structural_facts_random_flags():
         c2 = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
         flag = FlagSpec((1, 0), (0, 1), c1, c2, Fraction(1),
                         Fraction(rng.randint(0, 2)))
-        ps = build_polar_maps(prob, jet, flag)
-        F = [list(r) for r in ps.F]
+        F, _, R, _ = _explicit_maps(prob, jet, flag)
         assert mat_rank(F) == 5          # 2n - 1
         assert nullity(F, 6) == 1        # dim Ker f = 1
-        RF = mat_mul([list(r) for r in ps.R], F)
+        RF = mat_mul(R, F)
         assert all(x == 0 for row in RF for x in row)
         # the kernel is spanned by the E_1 generator itself
         ker = nullspace(F, 6)
-        gen = [ps.A1, ps.A2, *ps.C]
+        A1, A2, C = flag.resolved(6)
+        gen = [A1, A2, *C]
         scale = None
         for a, b in zip(ker[0], gen):
             if b != 0:
@@ -155,16 +173,6 @@ def test_verdict_scaling_invariance():
     assert v1.verdict == v2.verdict
 
 
-def test_eps_zero_reproduces_plain_flag():
-    prob, jet = _hyperquadric_jet()
-    flag = FlagSpec((1, 0), (0, 1), (1, 2, 0, 0), (0, 0, 1, 0))
-    explicit = FlagSpec((1, 0), (0, 1), (1, 2, 0, 0), (0, 0, 1, 0),
-                        eps_x=(0, 0), eps_p=(0,) * 4)
-    a = build_polar_maps(prob, jet, flag)
-    b = build_polar_maps(prob, jet, explicit)
-    assert a.F == b.F and a.G == b.G and a.R == b.R
-
-
 def test_hyperquadric_stratum_jet_certified():
     # the canonical flag on the stratum jet is integral with epsilon-stable
     # polar dimension 2: a disk germ is certified, consistent with the
@@ -207,17 +215,17 @@ def test_zero_jet_block_pattern():
     lin = parse_expression("f5 + f1 - f3", vs)
     prob = HypersurfaceProblem(lin, complex_standard(3, vs), (1, 2))
     jet = prob.make_jet((0, 0, 0, 0, 0, 0), (0, 0, 0, 0))
-    ps = build_polar_maps(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4))
-    assert all(row[0] == 0 for row in ps.G)
+    maps = _explicit_maps(prob, jet, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4))
+    assert all(row[0] == 0 for row in maps.G)
     # cofactor expansion along the X_2 column passes only through R rows
-    square = [list(r) for r in ps.square]
+    square = maps.square
     n = len(square)
     full = det(square)
     expansion = Fraction(0)
     for r in range(n):
         if square[r][0] == 0:
             continue
-        assert r >= len(ps.G)  # an R row
+        assert r >= len(maps.G)  # an R row
         minor = [row[1:] for i, row in enumerate(square) if i != r]
         expansion += (-1) ** r * square[r][0] * det(minor)
     assert expansion == full
@@ -237,10 +245,12 @@ def test_search_is_deterministic():
 def test_x_degenerate_flag_reported():
     prob, jet = _hyperquadric_jet()
     flag = FlagSpec((0, 0), (0, 0), (1, 0, 0, 0), (0, 1, 0, 0))
-    ps = build_polar_maps(prob, jet, flag)
-    assert ps.x_degenerate
+    A1, A2, C = flag.resolved(6)
+    assert A1 == A2 == 0 and C == (1, 0, 0, 0)
     v = kahler_regularity(prob, jet, flag)
     assert v.verdict == "inconclusive_degenerate_chart"
+    # every relation is a multiple of X_2, so the stacked square is singular
+    assert v.determinant == 0 == det(_explicit_maps(prob, jet, flag).square)
 
 
 def test_search_builds_dtheta_rows_once_per_call(monkeypatch):
@@ -344,3 +354,88 @@ def test_flag_where_rho1_vanishes_is_checked_against_dtheta1(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert json.loads(out.out)["results"]["verdict"] == "not_an_integral_element"
+
+
+@st.composite
+def polar_cases(draw):
+    """A problem at n = 2..5 (hyperquadric type, or at n = 2, 3 a seeded
+    constant structure with a random cubic rho), a jet on it and a flag
+    with any (alpha, beta) whose small x-parts often make A_1, or A_1 and
+    A_2, vanish."""
+    n = draw(st.integers(2, 5))
+    small = st.integers(-2, 2)
+    if n <= 3 and draw(st.booleans()):
+        prob, f = _generic_point(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    else:
+        prob = _hyperquadric_type(n, tuple(draw(st.sampled_from((1, -1)))
+                                           for _ in range(n - 2)))
+        f = [draw(small), draw(small.filter(bool))] + [draw(small) for _ in range(2 * n - 2)]
+        f[2 * n - 2] = 0
+        f[2 * n - 2] = -prob.rho.evaluate(f) / 2
+    m = 2 * n - 2
+    # zero velocity carries no torsion, so integral planes exist there
+    velocity = st.just((0,) * m) | st.tuples(*(small,) * m)
+    jet = prob.make_jet(f, draw(velocity))
+    ratio = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    unit = st.integers(-1, 1)
+    a1, a2 = (tuple(draw(unit) for _ in range(2)) for _ in range(2))
+    c1, c2 = (tuple(draw(ratio) for _ in range(m)) for _ in range(2))
+    alpha, beta = draw(st.tuples(small, small).filter(any))
+    if draw(st.booleans()):
+        # the integral plane over e_1, e_2 with this c^1, where there is one
+        found = integral_flag_from_c1(_dtheta_row_data(prob, jet), c1)
+        if found is not None:
+            a1, a2, c1, c2 = found[:4]
+    return prob, jet, FlagSpec(a1, a2, c1, c2, alpha, beta)
+
+
+def _explicit_verdict_facts(rows, A1, A2, C, two_n):
+    """(determinant, dim_ker_gf, eps_samples) from the explicit maps, with
+    the perturbations added to the line."""
+    def facts(A1, A2, C):
+        maps = explicit_polar_maps(rows, A1, A2, C)
+        return det(maps.square), nullity(mat_mul(maps.G, maps.F), two_n)
+
+    m = len(C)
+    alt = tuple(Fraction(1 if i % 2 == 0 else -1, 19) for i in range(m))
+    unit = (Fraction(1, 11),) + (Fraction(0),) * (m - 1)
+    samples = []
+    for label, ex, ep in (("eps_x", (Fraction(1, 7), Fraction(-1, 9)), (0,) * m),
+                          ("eps_p", (0, 0), unit),
+                          ("eps_both", (Fraction(1, 13), Fraction(1, 17)), alt)):
+        line = (A1 + ex[0], A2 + ex[1], tuple(c + e for c, e in zip(C, ep)))
+        if any(line[:2]) or any(line[2]):
+            ed, edim = facts(*line)
+            samples.append((label, ed != 0, edim))
+    return (*facts(A1, A2, C), tuple(samples))
+
+
+HQ3 = _hyperquadric_type(3, (-1,))
+HQ3_J0 = HQ3.make_jet((1, 0, 1, 0, 0, 0), (1, 0, 0, 0))
+
+
+@given(polar_cases())
+@example((HQ3, HQ3.make_jet((1, 0, 1, 0, 0, 0), (1, 2, 0, -1)),
+          FlagSpec((1, 0), (0, 1), (1, 2, 0, 0), (0, 0, 1, -1), 0, 1)))  # A_1 = 0 != A_2
+@example((HQ3, HQ3_J0, FlagSpec((1, 1), (1, 1), (1, 0, 0, 0), (0, 1, 0, 0),
+                                1, -1)))                                  # A_1 = A_2 = 0
+@example((HQ3, HQ3_J0, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4,
+                                0, 1)))                                   # certified, A_1 = 0
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+def test_closed_form_polar_matrix_and_determinant_match_the_explicit_maps(case):
+    prob, jet, flag = case
+    two_n = prob.two_n
+    try:
+        A1, A2, C = flag.resolved(two_n)
+    except InadmissibleFlag:
+        return
+    rows = _dtheta_row_data(prob, jet).rows
+    maps = explicit_polar_maps(rows, A1, A2, C)
+    P = polar_matrix(rows, A1, A2, C)
+    GF = mat_mul(maps.G, maps.F)
+    assert [list(row) for row in P] == GF
+    assert cramer_determinant(P, A1, A2) == det(maps.square)
+    assert nullity(P, two_n) == nullity(GF, two_n)
+    v = kahler_regularity(prob, jet, flag)
+    assert (v.determinant, v.dim_ker_gf, v.eps_samples) == \
+        _explicit_verdict_facts(rows, A1, A2, C, two_n)
