@@ -333,8 +333,14 @@ def build_parser():
     return ap
 
 
+_PARSER = None   # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    opts = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    opts = _PARSER.parse_args(argv)
     try:
         out = emit_report(run_command(opts.command, opts.problem, opts), opts.fmt)
     except CrossCheckMismatch as exc:

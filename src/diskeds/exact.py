@@ -15,7 +15,8 @@ from .errors import NotRealCoefficients, SchemaViolation
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
+# an optional sign, digits and an optional '/' and digits; no spaces, '_' or '.'
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rat(value) -> Fraction:
@@ -28,13 +29,18 @@ def rat(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        s = value.strip()
-        if not _RATIONAL_RE.match(s):
+        m = _RATIONAL_RE.fullmatch(value.strip())
+        if m is None:
             raise SchemaViolation(f"not an exact rational: {value!r}")
         try:
-            return Fraction(s)
-        except ZeroDivisionError as exc:
-            raise SchemaViolation(f"zero denominator: {value!r}") from exc
+            num = int(m[1])
+            den = 1 if m[2] is None else int(m[2])
+        except ValueError:   # more digits than int() converts
+            raise SchemaViolation(
+                f"not an exact rational: {len(value)} characters is too long") from None
+        if den == 0:
+            raise SchemaViolation(f"zero denominator: {value!r}")
+        return Fraction(num) if den == 1 else Fraction(num, den)
     raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
 
 

@@ -14,7 +14,8 @@ canonical printer) is:
     atom     := INT ['/' INT] | NAME | 'i' | '(' expr ')'
 
 Exponents must be plain non-negative integers; '/' only forms rational
-literals; 'i' is the imaginary unit in complexified mode only.  Term order
+literals; 'i' is the imaginary unit in complexified mode only; parentheses
+and unary minuses nest at most ``MAX_NESTING`` levels.  Term order
 is graded lexicographic on the table order, so printing (and hashing) is
 deterministic and files round-trip.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add as _add
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +42,9 @@ from .exact import (
 )
 
 
+_ONE = Fraction(1)
+
+
 def _gradlex_key(exps):
     return (sum(exps), exps)
 
@@ -54,6 +59,89 @@ def _accumulate(terms, exps, c):
             del terms[exps]
             return
     terms[exps] = c
+
+
+def _product(a, b):
+    """The term table of the product of the term tables ``a`` and ``b``:
+    one product for two monomials, raw integers for two large rational
+    tables."""
+    if len(a) == 1 and len(b) == 1:
+        (e1, c1), = a.items()
+        (e2, c2), = b.items()
+        # a parsed variable's coefficient is the shared 1, multiplied by nothing
+        c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+        return {tuple(map(_add, e1, e2)): c}
+    if len(a) > 8 and len(b) > 8:
+        fast = _integer_product(a, b)
+        if fast is not None:
+            return fast
+    res = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
+    return res
+
+
+def _power(terms, k, nvars):
+    """The term table of ``terms`` to the power k >= 0: square only while
+    bits of k remain."""
+    out, base = None, terms
+    while k:
+        if k & 1:
+            out = base if out is None else _product(out, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return {(0,) * nvars: _ONE} if out is None else out
+
+
+def _content(terms):
+    """Positive rational content of rational coefficients."""
+    g, l = 0, 1
+    for c in terms.values():
+        g = gcd(g, c.numerator)
+        l = l * c.denominator // gcd(l, c.denominator)
+    return Fraction(g, l)
+
+
+def _integer_product(a, b):
+    """Large products: clear contents and multiply raw integers (one
+    Fraction rescale at the end).  Rational coefficients only, else None."""
+    if not all(isinstance(c, Fraction) for c in a.values()):
+        return None
+    if not all(isinstance(c, Fraction) for c in b.values()):
+        return None
+    ca, cb = _content(a), _content(b)
+    # pack exponent tuples into one integer so products add keys
+    nv = len(next(iter(a)))
+    maxdeg = max(max(e) for e in a) + max(max(e) for e in b)
+    shift = max(maxdeg + 1, 2).bit_length()
+
+    def pack(e):
+        out = 0
+        for x in e:
+            out = (out << shift) | x
+        return out
+
+    mask = (1 << shift) - 1
+
+    def unpack(key):
+        e = [0] * nv
+        for i in range(nv - 1, -1, -1):
+            e[i] = key & mask
+            key >>= shift
+        return tuple(e)
+
+    A = [(pack(e), int(c / ca)) for e, c in a.items()]
+    B = [(pack(e), int(c / cb)) for e, c in b.items()]
+    res = {}
+    get = res.get
+    for e1, c1 in A:
+        for e2, c2 in B:
+            e = e1 + e2
+            res[e] = get(e, 0) + c1 * c2
+    scale = ca * cb
+    return {unpack(e): c * scale for e, c in res.items() if c}
 
 
 def _monomial_partial(c, support, orders):
@@ -86,7 +174,8 @@ class Polynomial:
         if terms:
             nvars = len(self.vars)
             for exps, coeff in terms.items():
-                coeff = normalize_scalar(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = normalize_scalar(coeff)
                 if len(exps) != nvars:
                     raise DimensionMismatch(
                         f"exponent vector {exps} does not match table of length {nvars}")
@@ -106,15 +195,6 @@ class Polynomial:
         value = normalize_scalar(value)
         z = (0,) * len(tuple(variables))
         return cls(variables, {z: value})
-
-    @classmethod
-    def var(cls, variables, name):
-        variables = tuple(variables)
-        if name not in variables:
-            raise UnknownVariable(f"unknown variable {name!r}")
-        i = variables.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
 
     # -- basic queries ------------------------------------------------
 
@@ -199,69 +279,14 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if len(self.terms) > 8 and len(other.terms) > 8:
-            fast = self._mul_integer_fast(other)
-            if fast is not None:
-                return fast
-        res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(res, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Polynomial(self.vars, res)
+        return Polynomial(self.vars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def _mul_integer_fast(self, other):
-        """Large products: clear contents and multiply raw integers (one
-        Fraction rescale at the end).  Rational coefficients only."""
-        if not all(isinstance(c, Fraction) for c in self.terms.values()):
-            return None
-        if not all(isinstance(c, Fraction) for c in other.terms.values()):
-            return None
-        ca, cb = self.content(), other.content()
-        # pack exponent tuples into one integer so products add keys
-        nv = len(self.vars)
-        maxdeg = max(max(e) for e in self.terms) + max(max(e) for e in other.terms)
-        shift = max(maxdeg + 1, 2).bit_length()
-
-        def pack(e):
-            out = 0
-            for x in e:
-                out = (out << shift) | x
-            return out
-
-        mask = (1 << shift) - 1
-
-        def unpack(key):
-            e = [0] * nv
-            for i in range(nv - 1, -1, -1):
-                e[i] = key & mask
-                key >>= shift
-            return tuple(e)
-
-        A = [(pack(e), int(c / ca)) for e, c in self.terms.items()]
-        B = [(pack(e), int(c / cb)) for e, c in other.terms.items()]
-        res = {}
-        get = res.get
-        for e1, c1 in A:
-            for e2, c2 in B:
-                e = e1 + e2
-                res[e] = get(e, 0) + c1 * c2
-        scale = ca * cb
-        return Polynomial(self.vars,
-                          {unpack(e): c * scale for e, c in res.items() if c})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise NegativeOrNonIntegerExponent(f"bad exponent {k!r}")
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Polynomial.const(self.vars, 1) if out is None else out
+        return Polynomial(self.vars, _power(self.terms, k, len(self.vars)))
 
     def scale(self, c):
         c = normalize_scalar(c)
@@ -332,24 +357,6 @@ class Polynomial:
         """Value and gradient at a point."""
         return FirstJet(self.evaluate(point), self.derivatives_at(point)[0])
 
-    def content(self):
-        """Positive rational content of the coefficients (real parts included)."""
-        nums, dens = [], []
-        for c in self.terms.values():
-            for part in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,)):
-                if part:
-                    nums.append(abs(part.numerator))
-                    dens.append(part.denominator)
-        if not nums:
-            return Fraction(1)
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // gcd(l, d)
-        return Fraction(g, l)
-
 
 # ----------------------------------------------------------------------
 # parser
@@ -379,7 +386,10 @@ def tokenize(text):
                 j += 1
             if j < n and text[j] == ".":
                 raise MalformedSyntax("floating point literals are not allowed", j)
-            tokens.append(("INT", int(text[i:j]), i))
+            try:
+                tokens.append(("INT", int(text[i:j]), i))
+            except ValueError:   # a digit int() does not read, or too many digits
+                raise MalformedSyntax("unreadable integer literal", i) from None
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -394,11 +404,31 @@ def tokenize(text):
     return tokens
 
 
+# unary minuses and parentheses an expression may nest
+MAX_NESTING = 100
+
+
+def unit_exponents(variables):
+    """name -> the exponent tuple of that variable alone, the first slot
+    for a name the table repeats."""
+    nvars = len(variables)
+    units = {}
+    for i, name in enumerate(variables):
+        units.setdefault(name, (0,) * i + (1,) + (0,) * (nvars - i - 1))
+    return units
+
+
 class _Parser:
-    def __init__(self, tokens, variables, complexified):
+    """Recursive descent over term tables {exponent tuple: coefficient};
+    only :meth:`parse` builds a Polynomial."""
+
+    def __init__(self, tokens, variables, complexified, units):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.vars = tuple(variables)
+        self.units = unit_exponents(self.vars) if units is None else units
+        self.zero = (0,) * len(self.vars)
         self.complexified = complexified
 
     def peek(self):
@@ -415,37 +445,46 @@ class _Parser:
             raise MalformedSyntax(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MalformedSyntax(
+                f"expression nested deeper than {MAX_NESTING} levels", tok[2])
+
     def parse(self):
-        p = self.expr()
+        terms = self.expr()
         tok = self.peek()
         if tok[0] != "END":
             raise MalformedSyntax(f"trailing input {tok[1]!r}", tok[2])
-        return p
+        return Polynomial(self.vars, terms)
 
     def expr(self):
-        p = self.term()
+        # the running sum is a table this parse built, so it is updated in place
+        terms = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            for exps, c in self.term().items():
+                _accumulate(terms, exps, c if op == "+" else -c)
+        return terms
 
     def term(self):
-        p = self.factor()
+        terms = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            p = p * self.factor()
-        return p
+            terms = _product(terms, self.factor())
+        return terms
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.take()
-            return -self.factor()
-        p = self.atom()
+            self.nest(self.take())
+            terms = {e: -c for e, c in self.factor().items()}
+            self.depth -= 1
+            return terms
+        terms = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            p = p ** self.exponent()
-        return p
+            terms = _power(terms, self.exponent(), len(self.vars))
+        return terms
 
     def exponent(self):
         tok = self.peek()
@@ -469,30 +508,34 @@ class _Parser:
                 den = self.expect("INT")
                 if den[1] == 0:
                     raise MalformedSyntax("zero denominator", den[2])
-                return Polynomial.const(self.vars, Fraction(value, den[1]))
-            return Polynomial.const(self.vars, Fraction(value))
+                return {self.zero: Fraction(value, den[1])} if value else {}
+            return {self.zero: Fraction(value)} if value else {}
         if kind == "NAME":
-            if value == "i" and self.complexified and "i" not in self.vars:
-                return Polynomial.const(self.vars, I_UNIT)
-            if value not in self.vars:
+            unit = self.units.get(value)
+            if unit is None:
+                if value == "i" and self.complexified:
+                    return {self.zero: I_UNIT}
                 raise UnknownVariable(f"unknown variable {value!r} at byte {off}")
-            return Polynomial.var(self.vars, value)
+            return {unit: _ONE}
         if kind == "(":
-            p = self.expr()
+            self.nest(tok)
+            terms = self.expr()
             self.expect(")")
-            return p
+            self.depth -= 1
+            return terms
         raise MalformedSyntax(f"unexpected token {value!r}", off)
 
 
-def parse_tokens(tokens, variables, complexified=False) -> Polynomial:
+def parse_tokens(tokens, variables, complexified=False, units=None) -> Polynomial:
     """Parse the tokens of an expression into the expanded canonical
-    polynomial."""
-    return _Parser(tokens, variables, complexified).parse()
+    polynomial; ``units`` is :func:`unit_exponents` of ``variables``, to
+    build once for many expressions over one table."""
+    return _Parser(tokens, variables, complexified, units).parse()
 
 
-def parse_expression(text, variables, complexified=False) -> Polynomial:
+def parse_expression(text, variables, complexified=False, units=None) -> Polynomial:
     """Parse ``text`` into the expanded canonical polynomial."""
-    return parse_tokens(tokenize(text), variables, complexified)
+    return parse_tokens(tokenize(text), variables, complexified, units)
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +594,10 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial = None):
         if den is None:
-            den = Polynomial.const(num.vars, 1)
+            # over 1 the monomial shift, the scaling and num == den change nothing
+            self.num = num
+            self.den = Polynomial.const(num.vars, 1)
+            return
         if num.vars != den.vars:
             raise DimensionMismatch("numerator and denominator tables differ")
         if den.is_zero():

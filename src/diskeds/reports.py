@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
 from .exact import gaussian, rat
-from .expr import parse_expression, parse_tokens, tokenize
+from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -102,30 +102,33 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
     if two_n < 4 or two_n % 2:
         raise SchemaViolation("dimension_2n must be an even integer >= 4")
     n = two_n // 2
-    coords = tuple(_field(doc, "coordinates", name, "list", required=False)
-                   or default_coordinates(two_n))
+    coords = _field(doc, "coordinates", name, "list", required=False)
+    coords = default_coordinates(two_n) if coords is None else tuple(coords)
     if len(coords) != two_n:
         raise SchemaViolation("coordinates must list dimension_2n names")
+    if not all(type(c) is str for c in coords) or len(set(coords)) != two_n:
+        raise SchemaViolation("coordinates must be dimension_2n distinct names")
 
     problem = None
     structure_warnings = ()
     if "rho" in doc:
-        rho = parse_expression(doc["rho"], coords)
+        units = unit_exponents(coords)
+        parse = lambda text: parse_expression(text, coords, units=units)
+        rho = parse(doc["rho"])
         spath = f"{name}.structure"
         sdoc = _field(doc, "structure", name, "object", required=False,
                       default={"kind": "complex_standard"})
         kind = _field(sdoc, "kind", spath, "string")
         matrix = lambda key: [
-            [RationalFunction(parse_expression(e, coords))
-             for e in _typed(row, f"{spath}.{key}[{i}]", "list")]
+            [RationalFunction(parse(e)) for e in _typed(row, f"{spath}.{key}[{i}]", "list")]
             for i, row in enumerate(_field(sdoc, key, spath, "list"))]
         if kind == "complex_standard":
             structure = complex_standard(n, coords)
         elif kind == "matrix":
             structure = structure_from_entries(n, matrix("entries"))
         elif kind == "pair":
-            a = RationalFunction(parse_expression(_field(sdoc, "a", spath, None), coords))
-            b = RationalFunction(parse_expression(_field(sdoc, "b", spath, None), coords))
+            a = RationalFunction(parse(_field(sdoc, "a", spath, None)))
+            b = RationalFunction(parse(_field(sdoc, "b", spath, None)))
             structure = make_structure_from_pair(a, b, matrix("A"), n)
         else:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
@@ -179,7 +182,8 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         lexed = [_tokens(text) for text in eq_exprs]
         order = max([1] + [_jet_order(tokens) for tokens in lexed])
         table = jet_table(n, order)
-        parsed = [_parse(tokens, table) for tokens in lexed]
+        units = unit_exponents(table)
+        parsed = [_parse(tokens, table, units) for tokens in lexed]
         openings = []
         for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
                                         required=False, default=[])):
@@ -190,7 +194,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             if _jet_order(tokens) > order:
                 raise SchemaViolation(
                     f"{opath} uses a jet above the stratum's order {order}")
-            op = _parse(tokens, table)
+            op = _parse(tokens, table, units)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
@@ -229,11 +233,12 @@ def _tokens(text):
         return exc
 
 
-def _parse(tokens, table):
-    """The complexified polynomial over ``table`` of :func:`_tokens`' result."""
+def _parse(tokens, table, units):
+    """The complexified polynomial over ``table`` (whose unit exponents are
+    ``units``) of :func:`_tokens`' result."""
     if isinstance(tokens, DiskEdsError):
         raise tokens
-    return parse_tokens(tokens, table, complexified=True)
+    return parse_tokens(tokens, table, complexified=True, units=units)
 
 
 # a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at

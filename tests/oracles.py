@@ -12,18 +12,23 @@ The second half holds reference implementations that no CLI command runs
 but tests compare the runtime against, such as the Levi form, the 2n
 torsion quadratic-form matrices built on full gradients, definiteness
 by one determinant per leading minor, and the explicit polar maps of a
-line with their stacked square.
+line with their stacked square.  The last section keeps the expression
+parser that built every term as a Polynomial and ``rat`` on
+``Fraction(str)``, which the runtime's term-table parser and split-text
+``rat`` are checked against.
 """
 from __future__ import annotations
 
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
-from diskeds.errors import (DimensionMismatch, IdenticallySingularD,
-                            NotComplexifiedMode, SingularD, WrongDimension)
-from diskeds.exact import gaussian, rat, require_real, scalar_conj
-from diskeds.expr import Polynomial, RationalFunction
+from diskeds.errors import (DimensionMismatch, IdenticallySingularD, MalformedSyntax,
+                            NegativeOrNonIntegerExponent, NotComplexifiedMode,
+                            SchemaViolation, SingularD, UnknownVariable, WrongDimension)
+from diskeds.exact import I_UNIT, gaussian, rat, require_real, scalar_conj
+from diskeds.expr import Polynomial, RationalFunction, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               StructureMatrix, _tangent, _value, compute_gamma_beta, full_jet,
                               gamma_beta_first_jets, structure_from_entries)
@@ -46,7 +51,7 @@ def dtheta_torsion_oracle(problem: HypersurfaceProblem):
     joint = fvars + tuple(f"p{j}" for j in range(3, two_n + 1))
     lift = lambda r: extend_to(r, joint)
     zero = RationalFunction.from_const(joint, 0)
-    pvar = [RationalFunction(Polynomial.var(joint, f"p{j}"))
+    pvar = [RationalFunction(var(joint, f"p{j}"))
             for j in range(3, two_n + 1)]
     g1 = [lift(r) for r in gb.gamma1]
     g2 = [lift(r) for r in gb.gamma2]
@@ -264,7 +269,7 @@ def random_polynomial_structure(rng, n, lo=-2, hi=2):
     def entry():
         p = Polynomial.const(vs, rng.randint(lo, hi))
         if rng.random() < 0.4:
-            p = p + Polynomial.var(vs, vs[rng.randrange(2 * n)]).scale(rng.randint(-2, 2))
+            p = p + var(vs, vs[rng.randrange(2 * n)]).scale(rng.randint(-2, 2))
         return RationalFunction(p)
 
     ent = [[entry() for _ in range(2 * n)] for _ in range(2 * n)]
@@ -369,7 +374,7 @@ def substitute(p: Polynomial, mapping, target_vars):
     for name in p.vars:
         img = mapping.get(name)
         if img is None:
-            img = Polynomial.var(target_vars, name)
+            img = var(target_vars, name)
         images.append(img)
     out = Polynomial.zero(target_vars)
     cache = [dict() for _ in images]
@@ -489,8 +494,8 @@ def complexify(rho: Polynomial) -> Polynomial:
     half = Fraction(1, 2)
     mapping = {}
     for l in range(1, n + 1):
-        z = Polynomial.var(table, f"z{l}")
-        zb = Polynomial.var(table, f"zb{l}")
+        z = var(table, f"z{l}")
+        zb = var(table, f"zb{l}")
         mapping[rho.vars[2 * l - 2]] = (z + zb).scale(half)
         mapping[rho.vars[2 * l - 1]] = (zb - z).scale(gaussian("1/2") * gaussian(0, 1))
     return substitute(rho, mapping, table)
@@ -514,8 +519,8 @@ def realify(p: Polynomial, variables=None) -> Polynomial:
                             for e, c in p.terms.items()})
     mapping = {}
     for l in range(1, n + 1):
-        x = Polynomial.var(variables, variables[2 * l - 2])
-        y = Polynomial.var(variables, variables[2 * l - 1])
+        x = var(variables, variables[2 * l - 2])
+        y = var(variables, variables[2 * l - 1])
         mapping[f"z{l}"] = x + y.scale(gaussian(0, 1))
         mapping[f"zb{l}"] = x - y.scale(gaussian(0, 1))
     out = substitute(p, mapping, variables)
@@ -678,7 +683,7 @@ def dim6_completed_square(B_values: dict, variables=("p3", "p4", "p5", "p6")):
     Returns (c1, c2) as Polynomials for symbolic comparison with the
     bilinear expansion.
     """
-    P = {v: Polynomial.var(variables, v) for v in variables}
+    P = {v: var(variables, v) for v in variables}
     Bl = {k: rat(v) for k, v in B_values.items() if k[0] == "lower"}
     Bu = {k: rat(v) for k, v in B_values.items() if k[0] == "upper"}
     bu22, bu33 = Bu[("upper", 2, 2)], Bu[("upper", 3, 3)]
@@ -707,7 +712,7 @@ def pseudo_ellipsoid_rho(alphas, ks) -> Polynomial:
     variables = tuple(f"y{i}" for i in range(1, 7))
     p = Polynomial.zero(variables)
     for i in range(6):
-        p = p + Polynomial.var(variables, variables[i]) ** (2 * ks[i]) * rat(alphas[i])
+        p = p + var(variables, variables[i]) ** (2 * ks[i]) * rat(alphas[i])
     return p
 
 
@@ -823,3 +828,134 @@ def substitute_vanishing_by_conjugation(equalities):
         if new_eqs == eqs:
             return close_by_conjugation(eqs)
         eqs = new_eqs
+
+
+# ----------------------------------------------------------------------
+# reference front end
+
+
+def var(variables, name) -> Polynomial:
+    """The polynomial ``name`` over ``variables``."""
+    variables = tuple(variables)
+    if name not in variables:
+        raise UnknownVariable(f"unknown variable {name!r}")
+    i = variables.index(name)
+    exps = tuple(1 if j == i else 0 for j in range(len(variables)))
+    return Polynomial(variables, {exps: Fraction(1)})
+
+
+class ReferenceParser:
+    """The grammar of ``diskeds.expr`` by Polynomial arithmetic: every atom
+    is a Polynomial and every operator a Polynomial operation."""
+
+    def __init__(self, tokens, variables, complexified):
+        self.tokens = tokens
+        self.pos = 0
+        self.vars = tuple(variables)
+        self.complexified = complexified
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok[0] != kind:
+            raise MalformedSyntax(f"expected {kind}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        p = self.expr()
+        tok = self.peek()
+        if tok[0] != "END":
+            raise MalformedSyntax(f"trailing input {tok[1]!r}", tok[2])
+        return p
+
+    def expr(self):
+        p = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            q = self.term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    def term(self):
+        p = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            p = p * self.factor()
+        return p
+
+    def factor(self):
+        if self.peek()[0] == "-":
+            self.take()
+            return -self.factor()
+        p = self.atom()
+        if self.peek()[0] == "^":
+            self.take()
+            p = p ** self.exponent()
+        return p
+
+    def exponent(self):
+        tok = self.peek()
+        if tok[0] == "-":
+            raise NegativeOrNonIntegerExponent(
+                f"negative exponent at byte {tok[2]}")
+        tok = self.take()
+        if tok[0] != "INT":
+            raise MalformedSyntax(f"expected integer exponent, found {tok[1]!r}", tok[2])
+        if self.peek()[0] == "/" and self.tokens[self.pos + 1][0] == "INT":
+            raise NegativeOrNonIntegerExponent(
+                f"fractional exponent at byte {self.peek()[2]}")
+        return tok[1]
+
+    def atom(self):
+        tok = self.take()
+        kind, value, off = tok
+        if kind == "INT":
+            if self.peek()[0] == "/":
+                self.take()
+                den = self.expect("INT")
+                if den[1] == 0:
+                    raise MalformedSyntax("zero denominator", den[2])
+                return Polynomial.const(self.vars, Fraction(value, den[1]))
+            return Polynomial.const(self.vars, Fraction(value))
+        if kind == "NAME":
+            if value == "i" and self.complexified and "i" not in self.vars:
+                return Polynomial.const(self.vars, I_UNIT)
+            if value not in self.vars:
+                raise UnknownVariable(f"unknown variable {value!r} at byte {off}")
+            return var(self.vars, value)
+        if kind == "(":
+            p = self.expr()
+            self.expect(")")
+            return p
+        raise MalformedSyntax(f"unexpected token {value!r}", off)
+
+
+def parse_expression_reference(text, variables, complexified=False) -> Polynomial:
+    return ReferenceParser(tokenize(text), variables, complexified).parse()
+
+
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
+
+
+def rat_reference(value) -> Fraction:
+    """``diskeds.exact.rat`` by ``Fraction(str)`` after the regex check."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        s = value.strip()
+        if not _REFERENCE_RATIONAL_RE.match(s):
+            raise SchemaViolation(f"not an exact rational: {value!r}")
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as exc:
+            raise SchemaViolation(f"zero denominator: {value!r}") from exc
+    raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")

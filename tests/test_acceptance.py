@@ -29,6 +29,7 @@ from diskeds.torsion import (
     quadratics_from_B,
 )
 from oracles import (
+    var,
     curve_probe,
     dim6_completed_square,
     evaluate_form,
@@ -199,7 +200,7 @@ def test_criterion_5_complex_torsion_structure():
 def test_criterion_6_dim6_completed_square():
     rng = random.Random(106)
     P4 = ("p3", "p4", "p5", "p6")
-    p = [Polynomial.var(P4, v) for v in P4]
+    p = [var(P4, v) for v in P4]
     done = 0
     while done < 20:
         B = {}
@@ -331,7 +332,7 @@ def test_criterion_10_flat_sanity():
     S = system
     for _ in range(3):
         S = prolong_constraints(S)
-    t = Polynomial.var(("t",), "t")
+    t = var(("t",), "t")
     comps = [t, Polynomial.zero(("t",)), Polynomial.zero(("t",))]
     for t0 in (Fraction(0), Fraction(1, 3)):
         assert linearize(S, curve_probe(3, S.order, comps, t0)).satisfied(

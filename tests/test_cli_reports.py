@@ -620,6 +620,88 @@ def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):
     return err
 
 
+DEEP_PARENTHESES = "(" * 3000 + "f1" + ")" * 3000
+DEEP_MINUSES = "-" * 3000 + "f1"
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENTHESES, DEEP_MINUSES], ids=["parentheses", "minuses"])
+@pytest.mark.parametrize("where", ["rho", "equality"])
+def test_deep_nesting_exits_2_naming_the_offset(where, text, tmp_path, capsys):
+    # past MAX_NESTING levels the expression is malformed, never a RecursionError
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    if where == "rho":
+        doc["rho"] = text
+    else:
+        doc["strata"]["S"]["equalities"].append(text.replace("f1", "z1"))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["involutivity", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "MalformedSyntax: expression nested deeper than 100 levels (at byte 100)\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("3 / 4", "not an exact rational: '3 / 4'"),
+    ("1" * 5000, "not an exact rational: 5000 characters is too long"),
+], ids=["spaces", "long"])
+def test_unreadable_rational_exits_2(value, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["points"]["P"][3] = value
+    err = _schema_exit_2(doc, tmp_path, capsys)
+    assert err == f"SchemaViolation: points.P[3]: {message}\n"
+
+
+@pytest.mark.parametrize("coordinates, message", [
+    (["f1", "f1", "f3", "f4"], "coordinates must be dimension_2n distinct names"),
+    ([1, 2, 3, 4], "coordinates must be dimension_2n distinct names"),
+    (["f1", "f2", "f3", None], "coordinates must be dimension_2n distinct names"),
+    ([], "coordinates must list dimension_2n names"),
+    (["f1", "f2", "f3"], "coordinates must list dimension_2n names"),
+], ids=["repeated", "numbers", "null", "empty", "short"])
+def test_coordinates_must_be_distinct_names(coordinates, message, tmp_path, capsys):
+    # an empty list is a list of the wrong length, not an absent field
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["coordinates"] = coordinates
+    err = _schema_exit_2(doc, tmp_path, capsys)
+    assert err == f"SchemaViolation: {message}\n"
+
+
+def test_declared_coordinates_name_the_variables(tmp_path, capsys):
+    # renaming every coordinate in the table and in the expressions changes
+    # nothing but the echoed document
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["coordinates"] = ["x", "y", "u", "v"]
+    doc["rho"] = "v + x^2 + y*u"
+    doc["structure"]["a"] = "x"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["involutivity", str(path)]) == 0
+    renamed = json.loads(capsys.readouterr().out)["results"]
+    path.write_text(json.dumps(SCHEMA_DOC))
+    assert cli.main(["involutivity", str(path)]) == 0
+    assert renamed == json.loads(capsys.readouterr().out)["results"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the argparse parser is built on the first call and reused; a call
+    # argparse rejects leaves it working and keeps no option of its own
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert cli.main(["dim6", "hyperquadric"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dim6", "hyperquadric", "--seed", "7", "--format", "xml"])
+    assert exc.value.code == 2 and "invalid choice: 'xml'" in capsys.readouterr().err
+    assert cli.main(["dim6", "hyperquadric"]) == 0
+    assert json.loads(capsys.readouterr().out) == first
+    assert first["options"] == {"seed": 0, "trials": 25}
+    assert cli.main(["dim6", "hyperquadric", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("diskeds dim6 on hyperquadric\n")
+    assert built == [1]
+
+
 @pytest.mark.parametrize("pair", [
     [1], [1, None], [1, 2, 3], [], [2, 2], [0, 2], [1, 5], [True, 2],
     ["1", "2"], "12", 5, {"1": 2},
@@ -819,11 +901,11 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
         jsonable({"value": FirstJetPoint((0, 0, 0, 0), (1, 0))})
 
 
-# wrong-typed values, junk expressions and rationals, a deleted key; no
-# mutation changes a size
+# wrong-typed values, junk expressions and rationals, expressions nested
+# past the parser's bound, a deleted key; no mutation changes a size
 DELETE = object()
 MUTATIONS = (None, True, 0, -1, 7, "", "x", "1/0", "f1^", "f7", "zb9", "(",
-             [], {}, [1], [["1", "0"]], DELETE)
+             DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE)
 
 
 def _paths(obj, prefix=()):

@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskeds.errors import (
+    DiskEdsError,
     DivisionByZeroFunction,
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
     NotComplexifiedMode,
     UnknownVariable,
 )
-from diskeds.exact import FirstJet, GaussianRational, gaussian
+from diskeds.exact import FirstJet, GaussianRational, gaussian, rat
 from diskeds.expr import Polynomial, RationalFunction, parse_expression, print_polynomial
+from diskeds import expr
 from diskeds.jets import conjugate_involution
+from diskeds.reports import build_problem, load_problem
+
+from oracles import parse_expression_reference, rat_reference, var
 
 F2 = ("f1", "f2")
 CX = ("z1", "z2", "zb1", "zb2", "w1", "w2", "wb1", "wb2")
@@ -79,8 +84,8 @@ def test_differentiate_power_rule():
 
 def test_differentiate_pseudo_ellipsoid_gradient():
     ys = tuple(f"y{i}" for i in range(1, 7))
-    p = Polynomial.var(ys, "y3") ** 4  # alpha3 = 1, k3 = 2
-    assert p.differentiate("y3") == Polynomial.var(ys, "y3").__pow__(3).scale(4)
+    p = var(ys, "y3") ** 4  # alpha3 = 1, k3 = 2
+    assert p.differentiate("y3") == var(ys, "y3").__pow__(3).scale(4)
 
 
 def test_evaluate_examples():
@@ -105,8 +110,8 @@ def test_conjugate_involution_examples():
 
 def test_ratfn_common_denominator():
     vs = ("f1", "f2")
-    f1 = RationalFunction(Polynomial.var(vs, "f1"))
-    f2 = RationalFunction(Polynomial.var(vs, "f2"))
+    f1 = RationalFunction(var(vs, "f1"))
+    f2 = RationalFunction(var(vs, "f2"))
     s = 1 / f1 + 1 / f2
     assert s == RationalFunction(parse_expression("f1 + f2", vs),
                                  parse_expression("f1*f2", vs))
@@ -351,17 +356,160 @@ def test_polynomial_power_is_repeated_product(p, k):
 
 def test_polynomial_power_squares_only_while_bits_remain(monkeypatch):
     # square-and-multiply from the base itself: p**2 is one product, and no
-    # square is taken after the last bit
+    # square is taken after the last bit; Polynomial powers and the parser's
+    # '^' share the term-table product
     p = parse_expression("f1 + 2*f2 - f3", V3)
     products = []
-    real = Polynomial.__mul__
+    real = expr._product
 
-    def counting(self, other):
-        products.append(other)
-        return real(self, other)
+    def counting(a, b):
+        products.append(b)
+        return real(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(expr, "_product", counting)
     for k, want in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
         products.clear()
         p ** k
         assert len(products) == want, k
+        products.clear()
+        parse_expression(f"(f1 + f2 - f3)^{k}", V3)
+        assert len(products) == want, k
+
+
+_BOUND = expr.MAX_NESTING
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 3000 + "f1" + ")" * 3000, _BOUND),
+    ("-" * 3000 + "f1", _BOUND),
+    ("f2 + " + "-(" * _BOUND + "f1" + ")" * _BOUND, len("f2 + ") + _BOUND),
+], ids=["parentheses", "unary_minus", "mixed"])
+def test_nesting_beyond_the_bound_names_the_deepest_level(text, offset):
+    # parentheses and unary minuses count alike; the offset is the token
+    # that opens the first level past the bound
+    with pytest.raises(MalformedSyntax) as exc:
+        parse_expression(text, F2)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"expression nested deeper than {_BOUND} levels (at byte {offset})"
+
+
+@pytest.mark.parametrize("text", ["f1 + " + "1" * 5000, "f1 + ²"], ids=["long", "superscript"])
+def test_unreadable_integer_literal_is_malformed(text):
+    # str.isdigit accepts both, int() reads neither
+    with pytest.raises(MalformedSyntax) as exc:
+        parse_expression(text, F2)
+    assert str(exc.value) == "unreadable integer literal (at byte 5)"
+
+
+def test_nesting_up_to_the_bound_parses():
+    half = _BOUND // 2
+    assert parse_expression("(" * _BOUND + "f1" + ")" * _BOUND, F2) == var(F2, "f1")
+    assert parse_expression("-(" * half + "f1" + ")" * half, F2) == var(F2, "f1")
+    assert parse_expression("(" * _BOUND + "f1)" + "*(f2" + ")" * _BOUND, F2) == \
+        parse_expression("f1*f2", F2)
+
+
+# expressions of the grammar over a few atoms, with junk tokens spliced in
+_REAL_ATOMS = ("f1", "f2", "f3", "g")
+_COMPLEX_ATOMS = ("z1", "zb1", "w1", "i")
+_JUNK = ("^", "/", "(", ")", "*", "+", "-", "^-1", "^1/2", "2.5", "#", "1/0", "f1 f2")
+
+
+def _expressions(atoms):
+    leaf = st.one_of(st.integers(0, 12).map(str),
+                     st.tuples(st.integers(0, 9), st.integers(0, 4)).map(
+                         lambda t: f"{t[0]}/{t[1]}"),
+                     st.sampled_from(atoms))
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from((" + ", " - ", "*", "-")), inner).map("".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(atoms), st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+    ), max_leaves=10)
+
+
+@st.composite
+def _parser_inputs(draw):
+    complexified = draw(st.booleans())
+    table = (("z1", "zb1", "w1", "wb1") if complexified else ("f1", "f2", "f3"))
+    if draw(st.integers(0, 5)) == 0:
+        table += ("i",)
+    text = draw(_expressions(_COMPLEX_ATOMS if complexified else _REAL_ATOMS))
+    if complexified and draw(st.booleans()):
+        text = f"{draw(st.sampled_from(('i', '2*i', '(1 - i)')))}*({text})"
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+    return text, table, complexified
+
+
+def _parse_outcome(parse, text, table, complexified):
+    try:
+        p = parse(text, table, complexified)
+    except DiskEdsError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return p.vars, p.terms, {e: type(c) for e, c in p.terms.items()}
+
+
+@given(_parser_inputs())
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+def test_term_table_parser_matches_the_polynomial_parser(case):
+    # same table, terms and coefficient types, or the same error; and the
+    # printed polynomial parses back to itself
+    text, table, complexified = case
+    got = _parse_outcome(parse_expression, text, table, complexified)
+    assert got == _parse_outcome(parse_expression_reference, text, table, complexified)
+    if not isinstance(got[0], type):
+        p = parse_expression(text, table, complexified)
+        assert parse_expression(print_polynomial(p), table, complexified) == p
+
+
+def test_loading_cusp_builds_one_polynomial_per_parsed_expression(monkeypatch):
+    doc = load_problem("cusp")
+    expressions = 1 + sum(len(sdoc["equalities"]) + len(sdoc["openings"])
+                          for sdoc in doc["strata"].values())
+    parsing, built, parsed = [], [], []
+    real_init, real_parse = Polynomial.__init__, expr._Parser.parse
+
+    def init(self, *args, **kwargs):
+        built.extend(parsing)
+        real_init(self, *args, **kwargs)
+
+    def parse(self):
+        parsed.append(self)
+        parsing.append(self)
+        try:
+            return real_parse(self)
+        finally:
+            parsing.pop()
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(expr._Parser, "parse", parse)
+    build_problem(doc, "cusp")
+    assert expressions == 10 and len(parsed) == expressions
+    assert built == parsed
+
+
+_RATIONAL_TEXTS = ("3", "-3", "+3", " 7 ", "3/4", "-3/4", "+3/4", "3 / 4", "3/ 4", "3 /4",
+                   "3/0", "0/5", "-0", "0.5", "1_0", "1/2_0", "", " ", "+-3", "--3", "3/-4",
+                   "/4", "3/", "1e3", "٣/4", "²", "0x10", "\t12\n", "12/8", "1" * 5000,
+                   "1/" + "1" * 5000)
+
+
+@given(st.one_of(st.sampled_from(_RATIONAL_TEXTS),
+                 st.text(alphabet="0123456789+-/ ._", max_size=8),
+                 st.integers(-10**30, 10**30), st.booleans(),
+                 st.fractions(), st.floats(allow_nan=False)))
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+def test_rat_matches_the_fraction_string_reference(value):
+    # the same inputs are accepted, with equal values; the reference's
+    # ValueError on spaces around '/' is a rejection the runtime names
+    try:
+        want = rat_reference(value)
+    except (DiskEdsError, ValueError):
+        with pytest.raises(DiskEdsError):
+            rat(value)
+        return
+    got = rat(value)
+    assert got == want and type(got) is Fraction

@@ -17,6 +17,7 @@ from diskeds.involutivity import (
 from diskeds import linalg
 from diskeds.linalg import mat_rank, nullity, row_times_matrix
 from oracles import (
+    var,
     brute_force_dim_A1,
     in_row_span,
     on_chart_point,
@@ -316,8 +317,8 @@ def test_almost_complex_reduction_vanishes_symbolically():
     for i in range(2):
         A[2 * i][2 * i + 1] = -one
         A[2 * i + 1][2 * i] = one
-    a = RationalFunction(Polynomial.var(vs, "f1"))
-    b = RationalFunction(Polynomial.var(vs, "f2")) + 1
+    a = RationalFunction(var(vs, "f1"))
+    b = RationalFunction(var(vs, "f2")) + 1
     S = make_structure_from_pair(a, b, A, 2)
     assert S.warnings == ()
     rho = parse_expression("f3 + f1*f2 + f4^2", vs)

@@ -11,7 +11,7 @@ from diskeds.errors import DimensionMismatch, NotComplexifiedMode, ProbeViolates
 from diskeds.exact import gaussian
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
-from diskeds import jets
+from diskeds import expr, jets
 from diskeds.jets import (
     conjugate_involution,
     d_t,
@@ -31,7 +31,8 @@ from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
 from oracles import (complexify, conjugate_by_name, curve_probe, extend_to, jet_to_probe,
                      levi_form, prolong_by_conjugation, realify, reduce_redundant_by_span,
-                     substitute_vanishing_by_conjugation, used_variables, var_jet_order)
+                     substitute_vanishing_by_conjugation, used_variables, var,
+                     var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -121,7 +122,7 @@ def test_derivations_are_the_product_rule(p, barred):
         return
     want = Polynomial.zero(p.vars)
     for v in kind:
-        want = want + p.differentiate(v) * Polynomial.var(p.vars, _next_name(v))
+        want = want + p.differentiate(v) * var(p.vars, _next_name(v))
     assert derive(p) == want
 
 
@@ -167,22 +168,22 @@ def _random_stratum(rng):
     and a probe with zero top jets."""
     table = jet_table(2, 2)
     low, top = table[:-4], table[-4:]
-    var = lambda name: Polynomial.var(table, name)
+    unit = lambda name: var(table, name)
     coeff = lambda: gaussian(rng.randint(-2, 2), rng.randint(-1, 1))
 
     def row():
         p = Polynomial.const(table, coeff())
         for _ in range(rng.randint(1, 3)):
-            m = var(rng.choice(top))
+            m = unit(rng.choice(top))
             if rng.random() < 0.4:
-                m = m * var(rng.choice(low))
+                m = m * unit(rng.choice(low))
             if rng.random() < 0.1:
-                m = m * var(rng.choice(top))
+                m = m * unit(rng.choice(top))
             p = p + m * coeff()
         return p
 
     eqs = [row() for _ in range(rng.randint(1, 4))]
-    eqs += [var(rng.choice(low)) * coeff() + coeff() for _ in range(rng.randint(0, 2))]
+    eqs += [unit(rng.choice(low)) * coeff() + coeff() for _ in range(rng.randint(0, 2))]
     eqs += [eqs[rng.randrange(len(eqs))] * coeff() + eqs[rng.randrange(len(eqs))]
             for _ in range(rng.randint(0, 3))]
     small = lambda: gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
@@ -215,7 +216,8 @@ def test_conjugation_on_the_layout_matches_the_name_based_reference(p):
 
 def test_prolongation_looks_up_no_variable(monkeypatch):
     # D_t and D_tb shift exponents and widening to the next order appends
-    # zeros, so prolonging builds no variable and differentiates by no name
+    # zeros, so prolonging builds no variable table's unit exponents and
+    # differentiates by no name
     calls = []
 
     def counting(name, real):
@@ -226,7 +228,7 @@ def test_prolongation_looks_up_no_variable(monkeypatch):
 
     systems = [system for name in sorted(BUILTIN_PROBLEMS)
                for system, _ in build_problem(load_problem(name), name).strata.values()]
-    monkeypatch.setattr(Polynomial, "var", staticmethod(counting("var", Polynomial.var)))
+    monkeypatch.setattr(expr, "unit_exponents", counting("units", expr.unit_exponents))
     monkeypatch.setattr(Polynomial, "differentiate",
                         counting("differentiate", Polynomial.differentiate))
     for system in systems:
@@ -252,7 +254,7 @@ def _random_closed_system(rng):
         return p
 
     eqs = [row() for _ in range(rng.randint(1, 3))]
-    eqs += [Polynomial.var(table, rng.choice(table)) for _ in range(rng.randint(0, 2))]
+    eqs += [var(table, rng.choice(table)) for _ in range(rng.randint(0, 2))]
     if rng.random() < 0.5:
         eqs.append(conjugate_involution(eqs[0]).scale(coeff() or 1))
     if rng.random() < 0.5:
@@ -570,7 +572,7 @@ def test_nonconstant_J_levi_form_terms():
     from diskeds.geometry import structure_from_entries
     from diskeds.expr import RationalFunction
     one = RationalFunction.from_const(V6, 1)
-    f1 = RationalFunction(Polynomial.var(V6, "f1"))
+    f1 = RationalFunction(var(V6, "f1"))
     rows = [[one * 0 for _ in range(6)] for _ in range(6)]
     for i in range(3):
         rows[2 * i][2 * i + 1] = -one - f1 * f1 if i == 0 else -one
@@ -605,7 +607,7 @@ def test_flat_disk_satisfies_prolonged_system():
     S = system
     for _ in range(3):
         S = prolong_constraints(S)
-    t = Polynomial.var(("t",), "t")
+    t = var(("t",), "t")
     comps = [t, Polynomial.zero(("t",)), Polynomial.zero(("t",))]
     for t0 in (Fraction(0), Fraction(1, 2), Fraction(-2, 3)):
         assert linearize(S, curve_probe(3, S.order, comps, t0)).satisfied(
@@ -618,7 +620,7 @@ def test_cusp_escape_curve_on_t6_closure():
     lp = build_problem(load_problem("cusp"), "cusp")
     system, _ = lp.strata["generic"]
     P = prolong_constraints(system)
-    t = Polynomial.var(("t",), "t")
+    t = var(("t",), "t")
     comps = [t ** 3, t ** 2, Polynomial.const(("t",), gaussian(0, 1))]
     for t0 in (Fraction(1, 3), Fraction(-1, 2)):
         assert linearize(P, curve_probe(3, P.order, comps, t0)).satisfied(

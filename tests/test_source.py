@@ -66,6 +66,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_builds_no_argument_parser():
+    # main builds its parser on the first call, so the import time stays put
+    code = ("import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []; "
+            "real = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or real(self, *a, **k); "
+            "import diskeds.cli; print(len(built), diskeds.cli._PARSER)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0 None"
+
+
 def _names(node):
     """The names ``node`` uses: a bare name as it is, an attribute as
     ``.name``."""

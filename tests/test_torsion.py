@@ -25,6 +25,7 @@ from diskeds.torsion import (
     torsion_absorbable,
 )
 from oracles import (
+    var,
     coefficient_tables_full,
     coefficient_tables_symbolic,
     definiteness_by_minors,
@@ -120,7 +121,7 @@ def _first_jet_cases(rng, n):
             continue
     # rho free of f1, f2 makes D vanish identically at the pair (1, 2)
     A, vs = random_polynomial_structure(rng, n)
-    rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + Polynomial.var(vs, vs[-1])
+    rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + var(vs, vs[-1])
     pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vs)
     prob = HypersurfaceProblem(rho, A, (1, 2))
     prob = prob.with_pair(choose_pair(prob, pt))
@@ -158,7 +159,7 @@ def torsion_jets(draw):
         A = complex_standard(n, vs)
     else:
         A, vs = make(rng, n)
-    rho = random_polynomial(rng, vs, 3, 6) + Polynomial.var(vs, vs[0])
+    rho = random_polynomial(rng, vs, 3, 6) + var(vs, vs[0])
     prob = HypersurfaceProblem(rho, A, (1, 2))
     try:
         pt = on_chart_point(rng, prob, tries=20)
@@ -229,7 +230,7 @@ def test_pointwise_complex_B_equals_symbolic_at_the_point(n):
     vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
     checked = 0
     while checked < 2:
-        rho = random_polynomial(rng, vs, 3, 5) + Polynomial.var(vs, vs[0])
+        rho = random_polynomial(rng, vs, 3, 5) + var(vs, vs[0])
         pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in vs)
         symbolic = complex_B_coefficients(rho)
         try:
@@ -429,7 +430,7 @@ def test_dim6_completed_square_reproduces_bilinear_form():
         Bl = {(j, k): B[("lower", j, k)] for j in (2, 3) for k in (2, 3)}
         Bu = {(j, k): B[("upper", j, k)] for j in (2, 3) for k in (2, 3)}
         m1, m2 = quadratics_from_B(3, Bl, Bu)
-        p = [Polynomial.var(P4, v) for v in P4]
+        p = [var(P4, v) for v in P4]
         bil1 = sum(p[a] * p[b] * m1[a][b] for a in range(4) for b in range(4))
         bil2 = sum(p[a] * p[b] * m2[a][b] for a in range(4) for b in range(4))
         assert c1_sq == bil1
