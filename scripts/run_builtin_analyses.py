@@ -35,7 +35,7 @@ def analyze(name, seed):
               f"involutive at order 0: {rep.involutive_at_0}")
         if lp.two_n == 6 and problem.structure.kind == "complex_standard":
             try:
-                d6 = dim6_definiteness(problem.rho, point)
+                d6 = dim6_definiteness(problem, point)
                 print(f"  dimension-6 discriminants: {d6.delta1}, {d6.delta2} "
                       f"-> {d6.verdict}")
             except (SingularD, IdenticallySingularD):

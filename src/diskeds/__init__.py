@@ -3,7 +3,6 @@
 from .exact import GaussianRational, Rational, gaussian, rat
 from .expr import (
     Polynomial,
-    RationalFunction,
     parse_expression,
     print_polynomial,
 )

@@ -23,10 +23,6 @@ class DimensionMismatch(DiskEdsError):
     pass
 
 
-class DivisionByZeroFunction(DiskEdsError):
-    pass
-
-
 class NotComplexifiedMode(DiskEdsError):
     pass
 

@@ -282,24 +282,50 @@ def scalar_conj(value):
 def require_real(value) -> Fraction:
     if isinstance(value, GaussianRational):
         if value.im != 0:
-            raise NotRealCoefficients(f"value {value} has nonzero imaginary part")
+            raise NotRealCoefficients(
+                f"value {scalar_str(value)} has nonzero imaginary part")
         return value.re
     return Fraction(value)
 
 
 def gaussian(re, im=0) -> GaussianRational:
-    return GaussianRational(rat(re), rat(im))
+    """The Gaussian rational re + i im, each part read once by :func:`rat`."""
+    return _gaussian_parts(rat(re), rat(im))
+
+
+# str() turns an int of up to _PIECE_DIGITS digits into text under any
+# setting of CPython's int-to-str digit limit (its least value is 640)
+_PIECE_DIGITS = 500
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of an int n >= 0 of any size: halves split off
+    by one divmod each, and str() only on pieces under _PIECE."""
+    if n < _PIECE:
+        return str(n)
+    k = n.bit_length() * 3 // 20   # about half the digits (log10 2 > 0.3)
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def rational_str(x: Fraction) -> str:
+    """str(x) of a rational of any size, 'p' or 'p/q'.  It never changes
+    the process-wide digit limit (sys.set_int_max_str_digits)."""
+    num, den = x.numerator, x.denominator
+    text = "-" + _digits(-num) if num < 0 else _digits(num)
+    return text if den == 1 else f"{text}/{_digits(den)}"
 
 
 def scalar_str(value) -> str:
     """Grammar-compatible rendering; complex values use the literal 'i'."""
     value = normalize_scalar(value)
     if isinstance(value, Fraction):
-        return str(value)
+        return rational_str(value)
     re, im = value.re, value.im
-    im_part = "i" if im == 1 else ("-i" if im == -1 else f"{im}*i")
+    im_part = "i" if im == 1 else ("-i" if im == -1 else f"{rational_str(im)}*i")
     if re == 0:
         return im_part
     sign = "+" if im > 0 else "-"
     mag = im_part.lstrip("-")
-    return f"({re}{sign}{mag})"
+    return f"({rational_str(re)}{sign}{mag})"

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials and rational functions.
+"""Exact multivariate polynomials.
 
 Sparse representation: a polynomial owns an ordered variable table and a
 term map from exponent tuples to nonzero coefficients (Fraction in real
@@ -27,7 +27,6 @@ from operator import add as _add
 
 from .errors import (
     DimensionMismatch,
-    DivisionByZeroFunction,
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
     SchemaViolation,
@@ -38,6 +37,7 @@ from .exact import (
     GaussianRational,
     I_UNIT,
     normalize_scalar,
+    rational_str,
     scalar_str,
 )
 
@@ -567,7 +567,7 @@ def print_polynomial(p: Polynomial) -> str:
             body = scalar_str(GaussianRational(0, abs(c.im)))
         else:
             sign = c < 0
-            body = str(abs(c))
+            body = rational_str(abs(c))
         if mono:
             body = mono if body == "1" else (f"{body}*{mono}" if body != "i" else f"i*{mono}")
         pieces.append((sign, body))
@@ -576,163 +576,3 @@ def print_polynomial(p: Polynomial) -> str:
     for sign, body in pieces[1:]:
         out += (" - " if sign else " + ") + body
     return out
-
-
-# ----------------------------------------------------------------------
-# rational functions
-
-
-class RationalFunction:
-    """Quotient of polynomials; equality by cross-multiplication.
-
-    Only scalar content and common monomial factors are cancelled (no
-    multivariate gcd); the denominator is normalized to gradlex-leading
-    coefficient 1 so representations are deterministic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = None):
-        if den is None:
-            # over 1 the monomial shift, the scaling and num == den change nothing
-            self.num = num
-            self.den = Polynomial.const(num.vars, 1)
-            return
-        if num.vars != den.vars:
-            raise DimensionMismatch("numerator and denominator tables differ")
-        if den.is_zero():
-            raise DivisionByZeroFunction("zero denominator polynomial")
-        if num.is_zero():
-            den = Polynomial.const(num.vars, 1)
-        else:
-            nmin = [min(e[i] for e in num.terms) for i in range(len(num.vars))]
-            dmin = [min(e[i] for e in den.terms) for i in range(len(num.vars))]
-            shift = tuple(min(a, b) for a, b in zip(nmin, dmin))
-            if any(shift):
-                num = Polynomial(num.vars,
-                                 {tuple(a - s for a, s in zip(e, shift)): c
-                                  for e, c in num.terms.items()})
-                den = Polynomial(den.vars,
-                                 {tuple(a - s for a, s in zip(e, shift)): c
-                                  for e, c in den.terms.items()})
-        lead = den.leading()[1] if not den.is_zero() else 1
-        if lead != 1:
-            inv = 1 / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if num == den:
-            num = Polynomial.const(num.vars, 1)
-            den = Polynomial.const(num.vars, 1)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_const(cls, variables, value):
-        return cls(Polynomial.const(variables, value))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if self.vars != other.vars:
-                raise DimensionMismatch("mixed variable tables")
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RationalFunction.from_const(self.vars, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise DivisionByZeroFunction("division by the zero function")
-        if self.den == other.den:
-            return RationalFunction(self.num, other.num)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise NegativeOrNonIntegerExponent(f"bad exponent {k!r}")
-        if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction(self.num ** k, self.den ** k)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den == 1:
-            return f"RationalFunction({print_polynomial(self.num)!r})"
-        return (f"RationalFunction({print_polynomial(self.num)!r} / "
-                f"{print_polynomial(self.den)!r})")
-
-    def differentiate(self, name):
-        return RationalFunction(
-            self.num.differentiate(name) * self.den
-            - self.num * self.den.differentiate(name),
-            self.den * self.den)
-
-    def evaluate(self, point):
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        n = self.num.evaluate(point)
-        return normalize_scalar(n / d) if n else n
-
-    def first_jet(self, point) -> FirstJet:
-        """Value and gradient at a point (ZeroDivisionError at a pole)."""
-        return self.num.first_jet(point) / self.den.first_jet(point)
-

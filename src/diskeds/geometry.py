@@ -1,10 +1,15 @@
 """Problem setup and the reduced first-jet relations.
 
 A problem is a polynomial defining function rho on R^{2n}, a 2n x 2n
-structure matrix of rational functions, and a distinguished coordinate
-pair playing the elimination roles 1 and 2.  Internally coordinates are
-relabeled so the distinguished pair sits in positions 1,2; every report
-carries the permutation back to user coordinates.
+structure matrix, and a distinguished coordinate pair playing the
+elimination roles 1 and 2.  Internally coordinates are relabeled so the
+distinguished pair sits in positions 1,2; every report carries the
+permutation back to user coordinates.
+
+A structure matrix holds polynomial numerators N over one polynomial
+denominator q, alpha_{j,i} = N_{j,i} / q: q = 1 for the standard and the
+matrix structures, q = 1 + a^2 for a pair structure (so q >= 1 at every
+real point).  Only this module builds and reads that format.
 
 The core computation solves the 2x2 linear system obtained by
 differentiating rho(f(x)) = 0 along both disk directions:
@@ -14,18 +19,22 @@ differentiating rho(f(x)) = 0 along both disk directions:
     D = rho_1 mu_2 - rho_2 mu_1,   mu_i = sum_j rho_j alpha_{j,i}
 
 and then beta_{i,j} = alpha_{i,1} gamma^1_j + alpha_{i,2} gamma^2_j
-+ alpha_{i,j}.  The formulas are written once and evaluated over three
-exact scalars: rational functions of f (symbolic mode, the reference the
-tests differentiate), rationals (pointwise mode, feeding rank tests) and
-exact first jets (value and derivatives at a point).  A first jet's
-tangent holds the derivatives along chosen directions: the coordinate
-axes give the full gradient (the complex closed forms), and the full
-first jet's p1 and p2 give the two derivatives that torsion and the polar
-maps contract with.  All modes agree wherever they are defined.  One
-builder runs them all: the modes differ only in how each input (a first
-derivative of rho or a structure entry) becomes a scalar, read once in
-user coordinates and then re-indexed into a chart's internal order or
-projected onto the directions.
++ alpha_{i,j}.  The formulas are written once and evaluated over two
+exact scalars: rationals (pointwise mode, feeding rank tests) and exact
+first jets (value and derivatives at a point); the test suite's oracles
+evaluate them over rational functions as the symbolic reference.  A first
+jet's tangent holds the derivatives along chosen directions: the
+coordinate axes give the full gradient (the complex closed forms), and
+the full first jet's p1 and p2 give the two derivatives that torsion and
+the polar maps contract with.  One builder runs both modes: they differ
+only in how each input (a first derivative of rho or a structure entry)
+becomes a scalar, read once in user coordinates and then re-indexed into
+a chart's internal order or projected onto the directions.
+
+Whether D vanishes identically, which only picks between the two D = 0
+errors, is decided on polynomials: with M = grad(rho) N = q mu, the
+polynomial rho_1 M_2 - rho_2 M_1 equals q D, so it is zero exactly when
+D is, and no division is needed.
 """
 from __future__ import annotations
 
@@ -40,8 +49,8 @@ from .errors import (
     SingularD,
     ZeroB,
 )
-from .exact import FirstJet
-from .expr import Polynomial, RationalFunction
+from .exact import FirstJet, rational_str
+from .expr import Polynomial
 from .linalg import dot, dot_plus
 
 
@@ -49,23 +58,10 @@ def default_coordinates(two_n: int):
     return tuple(f"f{i}" for i in range(1, two_n + 1))
 
 
-def permute_polynomial(p: Polynomial, order) -> Polynomial:
-    """Reorder the variable table; ``order`` lists old 0-based indices."""
-    new_vars = tuple(p.vars[i] for i in order)
-    res = {}
-    for exps, c in p.terms.items():
-        res[tuple(exps[i] for i in order)] = c
-    return Polynomial(new_vars, res)
-
-
-def _permute_ratfn(r: RationalFunction, order) -> RationalFunction:
-    return RationalFunction(permute_polynomial(r.num, order),
-                            permute_polynomial(r.den, order))
-
-
-# The matrix relating the two disk-direction derivatives, p_2 = A p_1;
-# ``entries`` is a 2n x 2n tuple of tuples of RationalFunction.
-StructureMatrix = namedtuple("StructureMatrix", "n entries kind warnings",
+# The matrix relating the two disk-direction derivatives, p_2 = A p_1:
+# A_{j,i} = numerators[j][i] / denominator, all Polynomials over the
+# coordinates (``numerators`` is a 2n x 2n tuple of tuples).
+StructureMatrix = namedtuple("StructureMatrix", "n numerators denominator kind warnings",
                              defaults=("general", ()))
 
 
@@ -73,24 +69,32 @@ def complex_standard(n: int, variables=None) -> StructureMatrix:
     """alpha_{2i-1,2i} = -1, alpha_{2i,2i-1} = 1, zero elsewhere; the
     three distinct entries are built once and shared."""
     variables = tuple(variables) if variables else default_coordinates(2 * n)
-    zero, minus_one, one = (RationalFunction.from_const(variables, c) for c in (0, -1, 1))
+    zero, minus_one, one = (Polynomial.const(variables, c) for c in (0, -1, 1))
     rows = [[zero] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         rows[2 * i][2 * i + 1] = minus_one
         rows[2 * i + 1][2 * i] = one
-    return StructureMatrix(n, tuple(tuple(r) for r in rows), "complex_standard")
+    return StructureMatrix(n, tuple(tuple(r) for r in rows), one, "complex_standard")
+
+
+def _square(entries, n, what):
+    """``entries`` as a tuple of 2n tuples of 2n entries."""
+    entries = tuple(tuple(row) for row in entries)
+    if len(entries) != 2 * n or any(len(row) != 2 * n for row in entries):
+        raise DimensionMismatch(f"{what} must be {2*n}x{2*n}")
+    return entries
 
 
 def structure_from_entries(n: int, entries) -> StructureMatrix:
-    entries = tuple(tuple(row) for row in entries)
-    if len(entries) != 2 * n or any(len(row) != 2 * n for row in entries):
-        raise DimensionMismatch(f"structure matrix must be {2*n}x{2*n}")
-    return StructureMatrix(n, entries, "general")
+    """The structure whose entries are the Polynomials ``entries``."""
+    entries = _square(entries, n, "structure matrix")
+    return StructureMatrix(n, entries, Polynomial.const(entries[0][0].vars, 1), "general")
 
 
-def make_structure_from_pair(a: RationalFunction, b: RationalFunction,
-                             A_entries, n: int) -> StructureMatrix:
-    """Almost-holomorphic reduction matrix b*(a*I - A)/(1 + a^2).
+def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
+                             n: int) -> StructureMatrix:
+    """Almost-holomorphic reduction matrix b*(a*I - A)/(1 + a^2), from
+    Polynomials a, b and A.
 
     A is the caller's candidate almost complex structure; A^2 = -I is
     checked exactly but a violation is only flagged as a warning since the
@@ -98,32 +102,16 @@ def make_structure_from_pair(a: RationalFunction, b: RationalFunction,
     """
     if b.is_zero():
         raise ZeroB("b is identically zero")
-    A_entries = tuple(tuple(row) for row in A_entries)
-    if len(A_entries) != 2 * n or any(len(row) != 2 * n for row in A_entries):
-        raise DimensionMismatch(f"A must be {2*n}x{2*n}")
-    variables = a.vars
-    denom = RationalFunction.from_const(variables, 1) + a * a
-    rows = []
-    for j in range(2 * n):
-        row = []
-        for i in range(2 * n):
-            diag = a if i == j else RationalFunction.from_const(variables, 0)
-            row.append(b * (diag - A_entries[j][i]) / denom)
-        rows.append(tuple(row))
-    warnings = []
+    A_entries = _square(A_entries, n, "A")
     m = 2 * n
-    for j in range(m):
-        for i in range(m):
-            s = sum((A_entries[j][k] * A_entries[k][i] for k in range(m)),
-                    RationalFunction.from_const(variables, 0))
-            expected = -1 if i == j else 0
-            if s != expected:
-                warnings.append("NotAlmostComplex")
-                break
-        else:
-            continue
-        break
-    return StructureMatrix(n, tuple(rows), "from_pair", tuple(warnings))
+    rows = tuple(tuple(b * (a - A_entries[j][i]) if i == j else b * -A_entries[j][i]
+                       for i in range(m)) for j in range(m))
+    zero = Polynomial.zero(a.vars)
+    warnings = ()
+    if any(sum((A_entries[j][k] * A_entries[k][i] for k in range(m)), zero)
+           != (-1 if i == j else 0) for j in range(m) for i in range(m)):
+        warnings = ("NotAlmostComplex",)
+    return StructureMatrix(n, rows, a * a + 1, "from_pair", warnings)
 
 
 # f: base point, user coordinate order; p_reduced: p^3_1..p^{2n}_1 in
@@ -162,10 +150,6 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
         """1-based map internal position -> original coordinate index."""
         return tuple(i + 1 for i in self.internal_order())
 
-    def to_internal(self, values):
-        """User-ordered values in internal order."""
-        return tuple(values[i] for i in self.internal_order())
-
     def with_pair(self, pair):
         return HypersurfaceProblem(self.rho, self.structure, tuple(pair))
 
@@ -179,15 +163,14 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
         value = self.rho.evaluate(f)
         if value != 0 and not allow_off_surface:
             raise DimensionMismatch(
-                f"point is off the hypersurface: rho = {value}")
+                f"point is off the hypersurface: rho = {rational_str(value)}")
         return FirstJetPoint(f, p_reduced)
 
 
-class GammaBetaData(namedtuple("GammaBetaData", "problem sigma internal_vars alpha "
+class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
                                "rho_grad mu D gamma1 gamma2 beta_full")):
-    """Reduced first-jet data; entries are Fractions in pointwise mode,
-    FirstJets in first-jet mode (a Fraction where the tangent is zero) and
-    RationalFunctions over the internal table in symbolic mode.
+    """Reduced first-jet data; entries are Fractions in pointwise mode and
+    FirstJets in first-jet mode (a Fraction where the tangent is zero).
 
     ``sigma`` maps internal 1-based to original 1-based indices; ``alpha``
     holds the structure entries in internal order; ``rho_grad`` and ``mu``
@@ -261,43 +244,45 @@ def _gammas_and_betas(grad, mu, D, alpha, zero):
     return gamma1, gamma2, beta_full
 
 
-def _is_constant(e):
-    """A structure entry (RationalFunction) that does not depend on f."""
-    return e.num.degree() == 0 and e.den.degree() == 0
-
-
 def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
     """rho's first derivatives and the structure entries, user order, as
-    the scalars of one mode: RationalFunctions without a point, values at
-    the point, or with ``jets`` first jets there with gradients in user
-    order (an input with a zero gradient stays a Fraction, so it costs no
-    gradient arithmetic); last, the zero of that mode's scalars.  At a
-    point rho's gradient, and with ``jets`` its Hessian rows, come from one
-    pass over its monomials, and a constant entry is read off its
-    numerator (a RationalFunction's denominator is monic)."""
+    the scalars of one mode, and last the zero of those scalars.
+
+    Without a point they are Polynomials: rho's gradient and the
+    structure's numerators N (alpha times the denominator q), which only
+    :func:`_pair_D_vanishes` reads.  At a point rho's gradient, and with
+    ``jets`` its Hessian rows, come from one pass over its monomials, and
+    each entry is N/q with q read once: values, or with ``jets`` first
+    jets with gradients in user order.  A derivative of rho with a zero
+    gradient and a constant entry stay Fractions, so they cost no gradient
+    arithmetic, and a zero entry costs nothing."""
     rho = problem.rho
-    entries = problem.structure.entries
+    numerators, q = problem.structure.numerators, problem.structure.denominator
     if point is None:
-        return (tuple(RationalFunction(rho.differentiate(v)) for v in rho.vars),
-                entries, RationalFunction.from_const(rho.vars, 0))
+        return tuple(map(rho.differentiate, rho.vars)), numerators, Polynomial.zero(rho.vars)
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
     grad, hessian = rho.derivatives_at(point, second=jets)
     if jets:
         grad = tuple(FirstJet(g, h) if any(h) else g for g, h in zip(grad, hessian))
-    read = lambda e: e.first_jet(point) if jets else e.evaluate(point)
-    scalar = lambda e: e.num.constant_term() if _is_constant(e) else read(e)
-    return grad, tuple(tuple(map(scalar, row)) for row in entries), Fraction(0)
+    read = lambda p: p.first_jet(point) if jets else p.evaluate(point)
+    constant = lambda p: p.degree() == 0
+    q = q.constant_term() if constant(q) else read(q)
+    zero = Fraction(0)
+
+    def entry(N):
+        if not N:
+            return zero
+        x = N.constant_term() if constant(N) else read(N)
+        return x if q == 1 else x / q
+
+    return grad, tuple(tuple(map(entry, row)) for row in numerators), zero
 
 
 def _reindex(x, order):
-    """One scalar over the chart's internal variable order."""
-    if isinstance(x, FirstJet):
-        return FirstJet(x.value, tuple(x.grad[i] for i in order))
-    if isinstance(x, RationalFunction):
-        return _permute_ratfn(x, order)
-    return x
+    """One scalar with its gradient over the chart's internal order."""
+    return FirstJet(x.value, tuple(x.grad[i] for i in order)) if isinstance(x, FirstJet) else x
 
 
 def _value(x):
@@ -329,7 +314,7 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
     """``inputs`` (from :func:`_inputs`) re-indexed into the chart's
     internal order (pair first), each input taken through ``scalar``: by
     default :func:`_reindex`, so gradients are taken along the internal
-    coordinate axes and rational functions over the internal variables."""
+    coordinate axes."""
     grad, alpha, zero = inputs
     order = problem.internal_order()
     if scalar is None:
@@ -339,30 +324,42 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
             scalar(zero))
 
 
+def _pair_D_vanishes(grad, mu, a, b, zero):
+    """Whether rho_a mu_b - rho_b mu_a (0-based user indices) is 0: D at
+    the pair (a, b) over values, or q D over the polynomial inputs, where
+    ``mu`` is M = grad(rho) N."""
+    product = lambda x, y: x * y if x and y else zero
+    return product(grad[a], mu[b]) == product(grad[b], mu[a])
+
+
+def _identically_singular(problem: HypersurfaceProblem) -> bool:
+    """Whether D vanishes identically at the problem's pair, decided on
+    the polynomial q D; only the pair's two columns of M are formed."""
+    grad, numerators, zero = _inputs(problem)
+    a, b = (i - 1 for i in problem.pair)
+    M = {i: dot(grad, [row[i] for row in numerators], zero) for i in (a, b)}
+    return _pair_D_vanishes(grad, M, a, b, zero)
+
+
 def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBetaData:
-    """The one gamma/beta builder behind every mode, over chart-ordered
-    ``inputs``.  Where D vanishes at a point, a first-jet mode
-    (``jet_mode``) forms the symbolic D to tell an identically vanishing D
-    apart."""
+    """The one gamma/beta builder behind both modes, over chart-ordered
+    ``inputs``.  Where D vanishes at the point, a first-jet mode
+    (``jet_mode``) tells an identically vanishing D apart."""
     grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
-        symbolic = isinstance(zero, RationalFunction)
-        if symbolic or (jet_mode and _mu_and_D(*_chart_order(problem, _inputs(problem)))[1]
-                        .is_zero()):
+        if jet_mode and _identically_singular(problem):
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
     gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
-    return GammaBetaData(problem, problem.sigma(), problem.to_internal(problem.rho.vars),
-                         alpha, grad, mu, D, gamma1, gamma2, beta_full)
+    return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
+                         gamma1, gamma2, beta_full)
 
 
-def compute_gamma_beta(problem: HypersurfaceProblem, point=None) -> GammaBetaData:
-    """Symbolic mode when ``point`` is None, else exact pointwise mode.
-
-    ``point`` is given in the user's coordinate order.  Raises
-    IdenticallySingularD (symbolic) or SingularD (pointwise) when D = 0.
+def compute_gamma_beta(problem: HypersurfaceProblem, point) -> GammaBetaData:
+    """Exact pointwise mode at ``point``, given in the user's coordinate
+    order.  Raises SingularD when D = 0 there.
     """
     return _gamma_beta(problem, _chart_order(problem, _inputs(problem, point)))
 
@@ -426,16 +423,15 @@ def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
 
 def choose_pair(problem: HypersurfaceProblem, point=None):
     """First distinguished pair (scanned in index order) with D != 0,
-    symbolically or at ``point``.
+    identically (on the polynomial inputs) or at ``point``.
 
-    rho's gradient and mu are formed once and each pair's
-    D = rho_a mu_b - rho_b mu_a is read off them.
+    rho's gradient and mu (M = q mu on the polynomial inputs) are formed
+    once and each pair's D = rho_a mu_b - rho_b mu_a is read off them.
     """
     grad, alpha, zero = _inputs(problem, point)
     mu = _times_alpha(grad, alpha, zero)
-    product = lambda x, y: x * y if x and y else zero
     for a, b in combinations(range(problem.two_n), 2):
-        if product(grad[a], mu[b]) != product(grad[b], mu[a]):
+        if not _pair_D_vanishes(grad, mu, a, b, zero):
             return (a + 1, b + 1)
     if point is None:
         raise IdenticallySingularD(

@@ -45,7 +45,7 @@ from .errors import (
     ProbeViolatesStratum,
     SchemaViolation,
 )
-from .exact import normalize_scalar, require_real, scalar_conj
+from .exact import normalize_scalar, rational_str, require_real, scalar_conj
 from .expr import Polynomial, print_polynomial
 from .linalg import greedy_basis, mat_rank, solve_particular
 
@@ -290,7 +290,7 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
                 if strict:
                     raise ProbeViolatesStratum(
                         f"probe violates opening {print_polynomial(o.poly)} "
-                        f"(value {real}, required sign {o.sign})")
+                        f"(value {rational_str(real)}, required sign {o.sign})")
                 return False
         return True
 

@@ -2,9 +2,9 @@
 
 Rank and nullspace questions here are yes/no algebraic properties, so
 everything is decided by exact elimination with exact zero tests; there
-are no thresholds.  Entries only need +, -, *, / and == 0, so
-RationalFunction matrices work through the same code paths (giving ranks
-at the generic point).
+are no thresholds.  Entries only need +, -, *, / and == 0: Fractions,
+first jets, and the test suite's rational functions (giving ranks at the
+generic point) all run through the same code paths.
 
 Exact zeros are skipped, never approximated: :func:`dot` leaves out a
 product with a zero factor and :func:`_row_minus` leaves an entry alone

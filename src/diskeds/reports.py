@@ -15,12 +15,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
-from .exact import gaussian, rat
+from .exact import gaussian, rat, rational_str
 from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
-    RationalFunction,
     complex_standard,
     default_coordinates,
     make_structure_from_pair,
@@ -47,6 +46,11 @@ def load_problem(source) -> dict:
             f"({', '.join(sorted(BUILTIN_PROBLEMS))}) nor a readable file")
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"invalid JSON in {source}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{source} is not UTF-8: {exc}") from None
+    except ValueError:   # int() refuses an integer literal past its digit limit
+        raise SchemaViolation(
+            f"invalid JSON in {source}: an integer literal has too many digits") from None
 
 
 def problem_digest(doc: dict) -> str:
@@ -120,15 +124,15 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                       default={"kind": "complex_standard"})
         kind = _field(sdoc, "kind", spath, "string")
         matrix = lambda key: [
-            [RationalFunction(parse(e)) for e in _typed(row, f"{spath}.{key}[{i}]", "list")]
+            [parse(e) for e in _typed(row, f"{spath}.{key}[{i}]", "list")]
             for i, row in enumerate(_field(sdoc, key, spath, "list"))]
         if kind == "complex_standard":
             structure = complex_standard(n, coords)
         elif kind == "matrix":
             structure = structure_from_entries(n, matrix("entries"))
         elif kind == "pair":
-            a = RationalFunction(parse(_field(sdoc, "a", spath, None)))
-            b = RationalFunction(parse(_field(sdoc, "b", spath, None)))
+            a = parse(_field(sdoc, "a", spath, None))
+            b = parse(_field(sdoc, "b", spath, None))
             structure = make_structure_from_pair(a, b, matrix("A"), n)
         else:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
@@ -260,8 +264,8 @@ def _gauss(value, path):
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise SchemaViolation(f"{path}: complex values are [re, im] pairs")
-        return gaussian(rat(value[0]), rat(value[1]))
-    return gaussian(rat(value), 0)
+        return gaussian(value[0], value[1])
+    return gaussian(value)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +277,7 @@ def jsonable(value):
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
-        return str(value)
+        return rational_str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if type(value) in (list, tuple):   # not a record, which subclasses tuple

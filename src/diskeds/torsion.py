@@ -50,7 +50,6 @@ from .geometry import (
     FirstJetPoint,
     HypersurfaceProblem,
     complex_standard,
-    compute_gamma_beta,
     _tangent,
     _value,
     gamma_beta_along_jet,
@@ -153,25 +152,22 @@ def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
 # complex case closed forms
 
 
-# gamma1, gamma2: symbolic or evaluated, indices j = 3..2n; B_lower,
+# gamma1, gamma2: values at the point, indices j = 3..2n; B_lower,
 # B_upper: (j, k) -> value, j,k = 2..n; c1, c2: symmetric quadratic-form
 # matrices in p^3..p^{2n}
 ComplexTorsionData = namedtuple("ComplexTorsionData",
                                 "n gamma1 gamma2 B_lower B_upper c1 c2")
 
 
-def _complex_problem(source) -> HypersurfaceProblem:
-    """The complex_standard problem at the pair (1, 2) for ``source``, a
-    rho Polynomial or a loaded problem, whose structure is reused when it
-    is complex_standard."""
-    rho = source.rho if isinstance(source, HypersurfaceProblem) else source
-    two_n = len(rho.vars)
-    if two_n % 2 or two_n < 4:
-        raise WrongDimension(f"need an even number >= 4 of variables, got {two_n}")
-    if isinstance(source, HypersurfaceProblem) and \
-            source.structure.kind == "complex_standard":
-        return source.with_pair((1, 2))
-    return HypersurfaceProblem(rho, complex_standard(two_n // 2, rho.vars), (1, 2))
+def _complex_problem(problem: HypersurfaceProblem) -> HypersurfaceProblem:
+    """``problem`` under the standard structure (its own when it has it) at
+    the pair (1, 2)."""
+    if problem.two_n < 4:
+        raise WrongDimension(f"need an even number >= 4 of variables, got {problem.two_n}")
+    if problem.structure.kind == "complex_standard":
+        return problem.with_pair((1, 2))
+    return HypersurfaceProblem(problem.rho, complex_standard(problem.n, problem.rho.vars),
+                               (1, 2))
 
 
 def _p_operator(which, k, gamma1, gamma2, partial):
@@ -184,43 +180,41 @@ def _p_operator(which, k, gamma1, gamma2, partial):
     return dot_plus((g1_2k, g2_2k), (partial(0), partial(1)), partial(2 * k - 1))
 
 
-def complex_B_coefficients(source, f_point=None) -> ComplexTorsionData:
+def complex_torsion(n, gammas, targets, partial) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
     B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n,
-    under the standard structure at the pair (1, 2); ``source`` is rho or
-    a loaded problem (see :func:`_complex_problem`).
-
-    Without a point the gammas are symbolic and so is every entry; at a
-    point the entries are exact rationals read from the gammas' first jets
-    along the coordinate axes, the directions the P operators take.
-    """
-    problem = _complex_problem(source)
-    n = problem.n
-    if f_point is None:
-        gb = compute_gamma_beta(problem)
-        gamma1, gamma2 = gb.gamma1, gb.gamma2
-        fvars = gb.internal_vars
-        partials = lambda target: (lambda i: target.differentiate(fvars[i]))
-    else:
-        try:
-            gb = gamma_beta_first_jets(problem, f_point)
-        except SingularD:
-            # D = -(rho_1^2 + rho_2^2) for the standard structure
-            raise SingularD("rho_1^2 + rho_2^2 = 0 at the point") from None
-        gamma1 = tuple(map(_value, gb.gamma1))
-        gamma2 = tuple(map(_value, gb.gamma2))
-        partials = lambda target: (lambda i: _tangent(target, i))
+    and the two quadratic forms, over any exact scalar: ``gammas`` are
+    the P operators' coefficients (gamma^1, gamma^2), ``targets`` the
+    entries (gamma^1, gamma^2) they differentiate and ``partial(target,
+    i)`` a target's derivative along the 0-based internal f-variable i."""
+    gamma1, gamma2 = gammas
     P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
-                                             partials(target))
+                                             lambda i: partial(target, i))
     B_lower, B_upper = {}, {}
     for j in range(2, n + 1):
-        g1_2j = gb.gamma1[2 * j - 3]
-        g2_2j = gb.gamma2[2 * j - 3]
+        g1_2j = targets[0][2 * j - 3]
+        g2_2j = targets[1][2 * j - 3]
         for k in range(2, n + 1):
             B_lower[(j, k)] = P(2, k, g1_2j) + P(1, k, g2_2j)
             B_upper[(j, k)] = P(2, k, g2_2j) - P(1, k, g1_2j)
     c1, c2 = quadratics_from_B(n, B_lower, B_upper)
     return ComplexTorsionData(n, gamma1, gamma2, B_lower, B_upper, c1, c2)
+
+
+def complex_B_coefficients(problem: HypersurfaceProblem, f_point) -> ComplexTorsionData:
+    """The complex closed forms (:func:`complex_torsion`) of ``problem``
+    under the standard structure at the pair (1, 2), at ``f_point``: exact
+    rationals read from the gammas' first jets along the coordinate axes,
+    the directions the P operators take.
+    """
+    problem = _complex_problem(problem)
+    try:
+        gb = gamma_beta_first_jets(problem, f_point)
+    except SingularD:
+        # D = -(rho_1^2 + rho_2^2) for the standard structure
+        raise SingularD("rho_1^2 + rho_2^2 = 0 at the point") from None
+    gammas = (tuple(map(_value, gb.gamma1)), tuple(map(_value, gb.gamma2)))
+    return complex_torsion(problem.n, gammas, (gb.gamma1, gb.gamma2), _tangent)
 
 
 def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
@@ -268,12 +262,11 @@ Dim6Report = namedtuple("Dim6Report", "delta1 delta2 sign1 sign2 c1_definiteness
                         "c2_definiteness verdict")
 
 
-def dim6_definiteness(source, f_point) -> Dim6Report:
-    """``source`` is rho or a loaded problem, as for complex_B_coefficients."""
-    rho = source.rho if isinstance(source, HypersurfaceProblem) else source
-    if len(rho.vars) != 6:
+def dim6_definiteness(problem: HypersurfaceProblem, f_point) -> Dim6Report:
+    """The dimension-6 discriminants of :func:`complex_B_coefficients`."""
+    if problem.two_n != 6:
         raise WrongDimension("the dimension-6 test needs exactly 6 variables")
-    data = complex_B_coefficients(source, f_point)
+    data = complex_B_coefficients(problem, f_point)
     Bl, Bu = data.B_lower, data.B_upper
     delta1 = (4 * Bl[(2, 2)] * Bl[(3, 3)]
               - (Bl[(2, 3)] + Bl[(3, 2)]) ** 2

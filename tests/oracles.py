@@ -1,6 +1,11 @@
 """Independent oracles the main pipeline is validated against.
 
-Everything here recomputes quantities from first definitions along a
+The first section is the symbolic reference: rational functions of f
+(``RationalFunction``), the gamma/beta data and the complex closed forms
+over them, built from the runtime's own formulas on RationalFunction(N, q)
+inputs.  The runtime itself only evaluates at points.
+
+Everything else here recomputes quantities from first definitions along a
 different code path than the library: torsion coefficients by expanding
 d(theta^k) over the joint (f, p) ring, the gamma/beta value and gradient
 tables by symbolic differentiation, first-prolongation dimension by
@@ -24,17 +29,248 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from diskeds.errors import (DimensionMismatch, IdenticallySingularD, MalformedSyntax,
-                            NegativeOrNonIntegerExponent, NotComplexifiedMode,
-                            SchemaViolation, SingularD, UnknownVariable, WrongDimension)
-from diskeds.exact import I_UNIT, gaussian, rat, require_real, scalar_conj
-from diskeds.expr import Polynomial, RationalFunction, tokenize
+from diskeds.errors import (DimensionMismatch, DiskEdsError, IdenticallySingularD,
+                            MalformedSyntax, NegativeOrNonIntegerExponent,
+                            NotComplexifiedMode, SchemaViolation, SingularD,
+                            UnknownVariable, WrongDimension)
+from diskeds.exact import (I_UNIT, FirstJet, GaussianRational, gaussian, normalize_scalar,
+                           rat, require_real, scalar_conj)
+from diskeds.expr import Polynomial, print_polynomial, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
-                              StructureMatrix, _tangent, _value, compute_gamma_beta, full_jet,
+                              StructureMatrix, _gammas_and_betas, _mu_and_D, _tangent,
+                              _value, complex_standard, compute_gamma_beta, full_jet,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
 from diskeds.linalg import _echelon, det, dot, dot_plus, nullity, solve_particular
+from diskeds.torsion import complex_torsion
+
+
+# ----------------------------------------------------------------------
+# the symbolic reference: gamma/beta over rational functions of f
+
+
+class DivisionByZeroFunction(DiskEdsError):
+    pass
+
+
+class RationalFunction:
+    """Quotient of polynomials; equality by cross-multiplication.
+
+    Only scalar content and common monomial factors are cancelled (no
+    multivariate gcd); the denominator is normalized to gradlex-leading
+    coefficient 1 so representations are deterministic.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Polynomial, den: Polynomial = None):
+        if den is None:
+            # over 1 the monomial shift, the scaling and num == den change nothing
+            self.num = num
+            self.den = Polynomial.const(num.vars, 1)
+            return
+        if num.vars != den.vars:
+            raise DimensionMismatch("numerator and denominator tables differ")
+        if den.is_zero():
+            raise DivisionByZeroFunction("zero denominator polynomial")
+        if num.is_zero():
+            den = Polynomial.const(num.vars, 1)
+        else:
+            nmin = [min(e[i] for e in num.terms) for i in range(len(num.vars))]
+            dmin = [min(e[i] for e in den.terms) for i in range(len(num.vars))]
+            shift = tuple(min(a, b) for a, b in zip(nmin, dmin))
+            if any(shift):
+                num = Polynomial(num.vars,
+                                 {tuple(a - s for a, s in zip(e, shift)): c
+                                  for e, c in num.terms.items()})
+                den = Polynomial(den.vars,
+                                 {tuple(a - s for a, s in zip(e, shift)): c
+                                  for e, c in den.terms.items()})
+        lead = den.leading()[1] if not den.is_zero() else 1
+        if lead != 1:
+            inv = 1 / lead
+            num = num.scale(inv)
+            den = den.scale(inv)
+        if num == den:
+            num = Polynomial.const(num.vars, 1)
+            den = Polynomial.const(num.vars, 1)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_const(cls, variables, value):
+        return cls(Polynomial.const(variables, value))
+
+    @property
+    def vars(self):
+        return self.num.vars
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, RationalFunction):
+            if self.vars != other.vars:
+                raise DimensionMismatch("mixed variable tables")
+            return other
+        if isinstance(other, Polynomial):
+            return RationalFunction(other)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return RationalFunction.from_const(self.vars, other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if other.num.is_zero():
+            raise DivisionByZeroFunction("division by the zero function")
+        if self.den == other.den:
+            return RationalFunction(self.num, other.num)
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise NegativeOrNonIntegerExponent(f"bad exponent {k!r}")
+        if k < 0:
+            return RationalFunction(self.den, self.num) ** (-k)
+        return RationalFunction(self.num ** k, self.den ** k)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if self.den == 1:
+            return f"RationalFunction({print_polynomial(self.num)!r})"
+        return (f"RationalFunction({print_polynomial(self.num)!r} / "
+                f"{print_polynomial(self.den)!r})")
+
+    def differentiate(self, name):
+        return RationalFunction(
+            self.num.differentiate(name) * self.den
+            - self.num * self.den.differentiate(name),
+            self.den * self.den)
+
+    def evaluate(self, point):
+        d = self.den.evaluate(point)
+        if d == 0:
+            raise ZeroDivisionError("denominator vanishes at the point")
+        n = self.num.evaluate(point)
+        return normalize_scalar(n / d) if n else n
+
+    def first_jet(self, point) -> FirstJet:
+        """Value and gradient at a point (ZeroDivisionError at a pole)."""
+        return self.num.first_jet(point) / self.den.first_jet(point)
+
+
+def permute_polynomial(p: Polynomial, order) -> Polynomial:
+    """Reorder the variable table; ``order`` lists old 0-based indices."""
+    new_vars = tuple(p.vars[i] for i in order)
+    res = {}
+    for exps, c in p.terms.items():
+        res[tuple(exps[i] for i in order)] = c
+    return Polynomial(new_vars, res)
+
+
+def structure_entries(structure: StructureMatrix):
+    """The structure's entries N/q as RationalFunctions, user order."""
+    q = structure.denominator
+    return tuple(tuple(RationalFunction(N, q) for N in row) for row in structure.numerators)
+
+
+def internal_vars(problem: HypersurfaceProblem):
+    """The coordinate names in the chart's internal order."""
+    return tuple(problem.rho.vars[i] for i in problem.internal_order())
+
+
+def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
+    """GammaBetaData over RationalFunctions of the internal f-variables,
+    from RationalFunction(N, q) inputs through geometry's own _mu_and_D
+    and _gammas_and_betas.  Raises IdenticallySingularD when D = 0."""
+    order = problem.internal_order()
+    rho = permute_polynomial(problem.rho, order)
+    grad = tuple(RationalFunction(rho.differentiate(v)) for v in rho.vars)
+    q = permute_polynomial(problem.structure.denominator, order)
+    N = problem.structure.numerators
+    alpha = tuple(tuple(RationalFunction(permute_polynomial(N[j][i], order), q)
+                        for i in order) for j in order)
+    zero = RationalFunction.from_const(rho.vars, 0)
+    mu, D = _mu_and_D(grad, alpha, zero)
+    if D.is_zero():
+        raise IdenticallySingularD("D vanishes identically for this distinguished pair")
+    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
+    return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
+                         gamma1, gamma2, beta_full)
+
+
+def complex_problem(rho: Polynomial) -> HypersurfaceProblem:
+    """The problem of a bare rho under the standard structure at the pair
+    (1, 2)."""
+    two_n = len(rho.vars)
+    if two_n % 2 or two_n < 4:
+        raise WrongDimension(f"need an even number >= 4 of variables, got {two_n}")
+    return HypersurfaceProblem(rho, complex_standard(two_n // 2, rho.vars), (1, 2))
+
+
+def symbolic_complex_B(rho: Polynomial):
+    """torsion.complex_B_coefficients of a bare rho over RationalFunctions:
+    every B and form entry as a function of f."""
+    problem = complex_problem(rho)
+    gb = symbolic_gamma_beta(problem)
+    fvars = internal_vars(problem)
+    gammas = (gb.gamma1, gb.gamma2)
+    return complex_torsion(problem.n, gammas, gammas,
+                           lambda target, i: target.differentiate(fvars[i]))
+
+
+# ----------------------------------------------------------------------
+# oracles along independent paths
 
 
 def dtheta_torsion_oracle(problem: HypersurfaceProblem):
@@ -44,10 +280,10 @@ def dtheta_torsion_oracle(problem: HypersurfaceProblem):
     structure equations theta^k = df_k - a_k dx1 - b_k dx2 and the df
     substitution, never the transcribed coefficient table.
     """
-    gb = compute_gamma_beta(problem)
+    gb = symbolic_gamma_beta(problem)
     two_n = problem.two_n
     m = two_n - 2
-    fvars = gb.internal_vars
+    fvars = internal_vars(problem)
     joint = fvars + tuple(f"p{j}" for j in range(3, two_n + 1))
     lift = lambda r: extend_to(r, joint)
     zero = RationalFunction.from_const(joint, 0)
@@ -76,7 +312,7 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
     """Values and f-gradients of gamma and beta_full at a point (user order),
     by building the symbolic gamma/beta, differentiating each entry and
     evaluating it; same layout as :func:`coefficient_tables_full`."""
-    gb = compute_gamma_beta(problem)
+    gb = symbolic_gamma_beta(problem)
     pt_int = tuple(Fraction(point[i]) for i in problem.internal_order())
     if gb.D.evaluate(pt_int) == 0:
         raise SingularD("D = 0 at this point; try another distinguished pair")
@@ -86,7 +322,7 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
 
     def grads(row):
         return tuple(tuple(r.differentiate(v).evaluate(pt_int)
-                           for v in gb.internal_vars) for r in row)
+                           for v in internal_vars(problem)) for r in row)
 
     return (gb, (values(gb.gamma1), grads(gb.gamma1)),
             (values(gb.gamma2), grads(gb.gamma2)),
@@ -189,10 +425,12 @@ def choose_pair_by_builds(problem: HypersurfaceProblem, point=None):
     symbolic without a point: the first pair, in index order, whose build
     succeeds."""
     two_n = problem.two_n
+    build = symbolic_gamma_beta if point is None else (
+        lambda candidate: compute_gamma_beta(candidate, point))
     for i1 in range(1, two_n + 1):
         for i2 in range(i1 + 1, two_n + 1):
             try:
-                compute_gamma_beta(problem.with_pair((i1, i2)), point)
+                build(problem.with_pair((i1, i2)))
                 return (i1, i2)
             except (SingularD, IdenticallySingularD):
                 continue
@@ -258,7 +496,7 @@ def random_polynomial(rng: random.Random, variables, degree, terms, lo=-4, hi=4)
 
 def random_constant_structure(rng, n, lo=-4, hi=4):
     vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
-    ent = [[RationalFunction(Polynomial.const(vs, rng.randint(lo, hi)))
+    ent = [[Polynomial.const(vs, rng.randint(lo, hi))
             for _ in range(2 * n)] for _ in range(2 * n)]
     return structure_from_entries(n, ent), vs
 
@@ -270,7 +508,7 @@ def random_polynomial_structure(rng, n, lo=-2, hi=2):
         p = Polynomial.const(vs, rng.randint(lo, hi))
         if rng.random() < 0.4:
             p = p + var(vs, vs[rng.randrange(2 * n)]).scale(rng.randint(-2, 2))
-        return RationalFunction(p)
+        return p
 
     ent = [[entry() for _ in range(2 * n)] for _ in range(2 * n)]
     return structure_from_entries(n, ent), vs
@@ -411,7 +649,8 @@ def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
     if len(f_point) != two_n or len(p) != two_n:
         raise DimensionMismatch("point / vector length mismatch")
     warnings = []
-    Jval = [[require_real(e.evaluate(f_point)) for e in row] for row in J.entries]
+    entries = structure_entries(J)
+    Jval = [[require_real(e.evaluate(f_point)) for e in row] for row in entries]
     ident = [[sum(Jval[r][k] * Jval[k][s] for k in range(two_n))
               for s in range(two_n)] for r in range(two_n)]
     if any(ident[r][s] != (-1 if r == s else 0)
@@ -427,7 +666,7 @@ def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
         for r in range(two_n):
             row = []
             for s in range(two_n):
-                g = J.entries[r][s].first_jet(f_point).grad
+                g = entries[r][s].first_jet(f_point).grad
                 row.append(sum(require_real(g[l]) * v[l] for l in range(two_n)))
             out.append(row)
         return out
@@ -648,8 +887,8 @@ def perturbed_polar_nullity(problem, jet, flag, eps_theta) -> int:
 
 def structure_coefficient_forms(problem: HypersurfaceProblem):
     """Symbolic torsion quadratic-form matrices (RationalFunction entries)."""
-    gb = compute_gamma_beta(problem)
-    fvars = gb.internal_vars
+    gb = symbolic_gamma_beta(problem)
+    fvars = internal_vars(problem)
     grads = lambda rows: [[[e.differentiate(v) for v in fvars] for e in row]
                           for row in rows]
     raw = raw_torsion_matrices((gb.gamma1, gb.gamma2),

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from diskeds.errors import IdenticallySingularD, SingularD
-from diskeds.expr import Polynomial, RationalFunction, parse_expression, print_polynomial
+from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import (
     HypersurfaceProblem,
     complex_standard,
@@ -79,17 +79,16 @@ def test_criterion_2_scaling_law():
         vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
         g = random_polynomial(rng, vs, 1, 2) + rng.randint(1, 3)
         h = random_polynomial(rng, vs, 1, 2) + rng.randint(1, 3)
-        zero = RationalFunction.from_const(vs, 0)
+        zero = Polynomial.zero(vs)
         rows = [[zero] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
-            rows[2 * i][2 * i + 1] = RationalFunction(g)
-            rows[2 * i + 1][2 * i] = RationalFunction(h)
+            rows[2 * i][2 * i + 1] = g
+            rows[2 * i + 1][2 * i] = h
         A = structure_from_entries(n, rows)  # A^2 = g*h*I
         alpha = random_polynomial(rng, vs, 1, 2)
         beta = random_polynomial(rng, vs, 1, 2) + 1
-        al, be = RationalFunction(alpha), RationalFunction(beta)
         S = structure_from_entries(n, [
-            [(al if i == j else zero) + be * A.entries[i][j]
+            [(alpha if i == j else zero) + beta * A.numerators[i][j]
              for j in range(2 * n)] for i in range(2 * n)])
         rho = random_polynomial(rng, vs, 3, 6)
         prob = HypersurfaceProblem(rho, S, (1, 2))
@@ -187,7 +186,7 @@ def test_criterion_5_complex_torsion_structure():
         except AssertionError:
             continue
         forms = torsion_form_matrices(prob, pt)
-        data = complex_B_coefficients(rho, pt)
+        data = complex_B_coefficients(prob, pt)
         for _ in range(50):
             p = tuple(Fraction(rng.randint(-5, 5)) for _ in range(2 * n - 2))
             assert evaluate_form(forms[0], p) == evaluate_form(data.c1, p)

@@ -6,6 +6,8 @@ import json
 import operator
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -916,13 +918,21 @@ def _paths(obj, prefix=()):
             for path in [prefix + (key,)] + _paths(value, prefix + (key,))]
 
 
+# the complex_standard builtins and the two documents with a matrix and a
+# pair structure
+DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+FUZZ_DOCUMENTS = {**BUILTIN_PROBLEMS, **{
+    stem: json.loads((DOCS / f"{stem}.json").read_text()) for stem in ("n3_matrix", "n3_pair")}}
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_builtin_documents_never_raise(data, tmp_path_factory):
     # the exit-code contract holds on every input: one or two mutations of
-    # a builtin document end in 0, 2 or 3, never in an uncaught exception
-    name = data.draw(st.sampled_from(sorted(BUILTIN_PROBLEMS)))
-    doc = json.loads(json.dumps(BUILTIN_PROBLEMS[name]))
+    # a builtin or structure document end in 0, 2 or 3, never in an
+    # uncaught exception
+    name = data.draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[name]))
     for _ in range(data.draw(st.integers(1, 2))):
         *keys, last = data.draw(st.sampled_from(_paths(doc)))
         value = data.draw(st.sampled_from(MUTATIONS))
@@ -937,3 +947,125 @@ def test_mutated_builtin_documents_never_raise(data, tmp_path_factory):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main([command, str(path)]) in (0, 2, 3)
+
+
+# ----------------------------------------------------------------------
+# CPython's int <-> str digit limit (4,300 digits by default)
+
+# rho's P0 literal 2^5000 has 1,506 digits; residual_2 at the jet has over 6,000
+BIG_VALUE_DOC = {
+    "dimension_2n": 4,
+    "rho": "f3 - f1^5000 + f2^2",
+    "distinguished_pair": [1, 2],
+    "points": {"P0": ["2", "0", str(2 ** 5000), "0"]},
+    "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}},
+}
+# rho = -3^10000, 4,772 digits, at the point
+BIG_OFF_SURFACE_DOC = {
+    "dimension_2n": 4,
+    "rho": "f3 - f1^10000 + f2^2",
+    "distinguished_pair": [1, 2],
+    "points": {"P0": ["3", "0", "0", "0"]},
+    "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}},
+}
+
+
+def _read_big_rational(text):
+    """The Fraction a decimal 'p' or 'p/q' names, read 1,000 digits at a
+    time so no single int() passes the digit limit."""
+    def digits(s):
+        value = 0
+        for k in range(0, len(s), 1000):
+            piece = s[k:k + 1000]
+            value = value * 10 ** len(piece) + int(piece)
+        return value
+
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition("/")
+    return Fraction(sign * digits(num), digits(den) if den else 1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["torsion", "all"])
+def test_results_past_the_digit_limit_are_emitted_exactly(command, fmt, tmp_path, capsys):
+    # the report writer prints any rational; at this jet it used to exit 1
+    from diskeds.torsion import torsion_absorbable
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_VALUE_DOC))
+    lp = build_problem(json.loads(json.dumps(BIG_VALUE_DOC)))
+    want = torsion_absorbable(lp.problem, lp.jets["J0"]).residual_2
+    assert max(abs(want.numerator), want.denominator) > 10 ** 4300
+    assert cli.main([command, str(path), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        got = (results if command == "torsion" else results["torsion"])["residual_2"]
+    else:
+        key = "results.residual_2 = " if command == "torsion" else \
+            "results.torsion.residual_2 = "
+        got, = [line[len(key):] for line in out.splitlines() if line.startswith(key)]
+    assert _read_big_rational(got) == want
+
+
+def test_pseudo_ellipsoid_past_the_digit_limit_is_emitted_exactly(tmp_path, capsys):
+    from diskeds.torsion import pseudo_ellipsoid_check
+    doc = {"dimension_2n": 6, "points": {"P0": ["2", "0", "0", "0", "0", "0"]},
+           "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": ["10000"] * 6}}
+    path = tmp_path / "pe.json"
+    path.write_text(json.dumps(doc))
+    want = pseudo_ellipsoid_check([1] * 6, [10000] * 6, [2, 0, 0, 0, 0, 0]).v[0]
+    assert want > 10 ** 4300
+    assert cli.main(["pseudo-ellipsoid", str(path)]) == 0
+    assert _read_big_rational(json.loads(capsys.readouterr().out)["results"]["v"][0]) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_off_surface_message_past_the_digit_limit_exits_2(fmt, tmp_path, capsys):
+    # the message names rho's value at the point, which used to raise
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(BIG_OFF_SURFACE_DOC))
+    assert cli.main(["torsion", str(path), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    prefix = "DimensionMismatch: point is off the hypersurface: rho = "
+    assert out == "" and err.startswith(prefix) and err.endswith("\n")
+    assert _read_big_rational(err[len(prefix):-1]) == -Fraction(3) ** 10000
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_json_integer_past_the_digit_limit_is_schema_violation(fmt, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"dimension_2n": ' + "4" * 5000 + "}")
+    assert cli.main(["torsion", str(path), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaViolation: invalid JSON") and "too many digits" in err
+
+
+def test_file_that_is_not_utf8_is_schema_violation(tmp_path, capsys):
+    # a decoding error is a ValueError too, but not a long integer
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension_2n": "\xff"}')
+    assert cli.main(["torsion", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaViolation: ") and "is not UTF-8" in err
+
+
+def test_loading_cusp_reads_each_probe_part_once(monkeypatch):
+    # a probe value's real and imaginary parts are read by rat once each
+    from diskeds import exact
+    calls = [0]
+    real_rat = exact.rat
+
+    def counting(value):
+        calls[0] += 1
+        return real_rat(value)
+
+    monkeypatch.setattr(exact, "rat", counting)
+    monkeypatch.setattr(reports, "rat", counting)
+    doc = load_problem("cusp")
+    parts = sum(len(value) for sdoc in doc["strata"].values()
+                for pdoc in sdoc["probes"].values()
+                for key in ("z", "w") for value in pdoc[key])
+    points = sum(len(point) for point in doc["points"].values())
+    build_problem(doc, "cusp")
+    assert parts == 36 and calls[0] == points + parts

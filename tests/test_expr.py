@@ -1,6 +1,7 @@
 """expr core: parsing, exact arithmetic, differentiation, rational functions."""
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,19 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 from diskeds.errors import (
     DiskEdsError,
-    DivisionByZeroFunction,
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
     NotComplexifiedMode,
     UnknownVariable,
 )
-from diskeds.exact import FirstJet, GaussianRational, gaussian, rat
-from diskeds.expr import Polynomial, RationalFunction, parse_expression, print_polynomial
+from diskeds.exact import FirstJet, GaussianRational, gaussian, rat, rational_str
+from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds import expr
 from diskeds.jets import conjugate_involution
 from diskeds.reports import build_problem, load_problem
 
-from oracles import parse_expression_reference, rat_reference, var
+from oracles import (
+    DivisionByZeroFunction,
+    RationalFunction,
+    parse_expression_reference,
+    rat_reference,
+    symbolic_gamma_beta,
+    var,
+)
 
 F2 = ("f1", "f2")
 CX = ("z1", "z2", "zb1", "zb2", "w1", "w2", "wb1", "wb2")
@@ -139,7 +146,7 @@ def test_gamma_symbolic_matches_pointwise():
     vs = tuple(f"f{i}" for i in range(1, 7))
     rho = parse_expression("f5 + f1^2 + f2^2 - f3^2 - f4^2", vs)
     prob = HypersurfaceProblem(rho, complex_standard(3, vs), (1, 2))
-    sym = compute_gamma_beta(prob)
+    sym = symbolic_gamma_beta(prob)
     rng = random.Random(0)
     hits = 0
     while hits < 20:
@@ -513,3 +520,22 @@ def test_rat_matches_the_fraction_string_reference(value):
         return
     got = rat(value)
     assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("digits", [1, 499, 500, 501, 640, 4300, 4301, 9000, 20000])
+def test_rational_str_is_str_at_any_size_under_any_digit_limit(digits, limit):
+    # str() is the reference, computed with the limit lifted; the writer
+    # runs under the least limit CPython allows and under its default
+    n = 7 * 10 ** (digits - 1) + 123456789 % 10 ** digits
+    values = [Fraction(n), Fraction(-n), Fraction(n, 3 ** (digits // 2) * 2 + 1),
+              Fraction(-1, n)]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(x) for x in values]
+        sys.set_int_max_str_digits(limit)
+        got = [rational_str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == want

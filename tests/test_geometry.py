@@ -1,33 +1,45 @@
 """Problem setup, gamma/beta elimination, jet completion, relabeling."""
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diskeds.errors import DimensionMismatch, IdenticallySingularD, SingularD, ZeroB
-from diskeds.expr import RationalFunction, parse_expression
+from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import (
     HypersurfaceProblem,
+    _identically_singular,
+    _inputs,
     _mu2,
+    _tangent,
+    _value,
     choose_pair,
     complex_standard,
     compute_gamma_beta,
     full_jet,
     gamma_beta_first_jets,
     make_structure_from_pair,
-    permute_polynomial,
     structure_from_entries,
 )
 from diskeds.reports import build_problem, load_problem
 from oracles import (
+    RationalFunction,
     choose_pair_by_builds,
     extend_to,
     first_jet_values,
+    internal_vars,
     on_chart_point,
+    permute_polynomial,
     random_constant_structure,
     random_polynomial,
     random_polynomial_structure,
     solve_A6_direct,
+    structure_entries,
+    symbolic_gamma_beta,
+    var,
 )
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
@@ -35,8 +47,8 @@ HYPERQUADRIC = parse_expression("f5 + f1^2 + f2^2 - f3^2 - f4^2", V6)
 
 
 def block_J(variables, n):
-    zero = RationalFunction.from_const(variables, 0)
-    one = RationalFunction.from_const(variables, 1)
+    zero = Polynomial.zero(variables)
+    one = Polynomial.const(variables, 1)
     rows = [[zero] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         rows[2 * i][2 * i + 1] = -one
@@ -46,23 +58,21 @@ def block_J(variables, n):
 
 def test_from_pair_reproduces_complex_standard():
     # a = 0, b = -1, A = block J: the reduction matrix equals A itself
-    a = RationalFunction.from_const(V6, 0)
-    b = RationalFunction.from_const(V6, -1)
+    a = Polynomial.zero(V6)
+    b = Polynomial.const(V6, -1)
     A = block_J(V6, 3)
     s = make_structure_from_pair(a, b, A, 3)
     assert s.kind == "from_pair"
     assert s.warnings == ()
-    std = complex_standard(3, V6)
-    assert all(s.entries[i][j] == std.entries[i][j]
-               for i in range(6) for j in range(6))
+    assert structure_entries(s) == structure_entries(complex_standard(3, V6))
 
 
 def test_from_pair_factorization_identity():
     # (aI + A)(aI - A) = (1 + a^2) I exactly when A^2 = -I
-    a = RationalFunction(parse_expression("f1", V6))
+    a = parse_expression("f1", V6)
     A = block_J(V6, 3)
-    one = RationalFunction.from_const(V6, 1)
-    zero = RationalFunction.from_const(V6, 0)
+    one = Polynomial.const(V6, 1)
+    zero = Polynomial.zero(V6)
     for i in range(6):
         for j in range(6):
             lhs = sum((
@@ -74,16 +84,14 @@ def test_from_pair_factorization_identity():
 
 def test_from_pair_zero_b():
     with pytest.raises(ZeroB):
-        make_structure_from_pair(RationalFunction.from_const(V6, 0),
-                                 RationalFunction.from_const(V6, 0),
+        make_structure_from_pair(Polynomial.zero(V6), Polynomial.zero(V6),
                                  block_J(V6, 3), 3)
 
 
 def test_from_pair_not_almost_complex_is_warning():
     A = block_J(V6, 3)
-    A[0][1] = RationalFunction.from_const(V6, -2)  # break A^2 = -I
-    s = make_structure_from_pair(RationalFunction.from_const(V6, 0),
-                                 RationalFunction.from_const(V6, -1), A, 3)
+    A[0][1] = Polynomial.const(V6, -2)  # break A^2 = -I
+    s = make_structure_from_pair(Polynomial.zero(V6), Polynomial.const(V6, -1), A, 3)
     assert "NotAlmostComplex" in s.warnings
 
 
@@ -99,8 +107,8 @@ def test_hyperquadric_gamma_fixture():
 
 def test_identity_structure_is_singular():
     vs = tuple(f"f{i}" for i in range(1, 5))
-    one = RationalFunction.from_const(vs, 1)
-    zero = RationalFunction.from_const(vs, 0)
+    one = Polynomial.const(vs, 1)
+    zero = Polynomial.zero(vs)
     ident = structure_from_entries(2, [[one if i == j else zero
                                         for j in range(4)] for i in range(4)])
     rho = parse_expression("f1 + f2 + f3 + f4", vs)
@@ -108,7 +116,9 @@ def test_identity_structure_is_singular():
     with pytest.raises(SingularD):
         compute_gamma_beta(prob, (1, 1, 1, -3))
     with pytest.raises(IdenticallySingularD):
-        compute_gamma_beta(prob)
+        gamma_beta_first_jets(prob, (1, 1, 1, -3))
+    with pytest.raises(IdenticallySingularD):
+        symbolic_gamma_beta(prob)
     with pytest.raises(IdenticallySingularD):
         choose_pair(prob)
 
@@ -119,7 +129,7 @@ def test_constant_data_gives_constant_gamma_beta():
     A, _ = random_constant_structure(rng, 2)
     rho = parse_expression("f1 + 2*f2 - f3 + 5*f4", vs)
     prob = HypersurfaceProblem(rho, A, (1, 2))
-    gb = compute_gamma_beta(prob)
+    gb = symbolic_gamma_beta(prob)
     for r in list(gb.gamma1) + list(gb.gamma2):
         assert r.num.degree() == 0 and r.den.degree() == 0
 
@@ -211,9 +221,8 @@ def test_relabeling_coherence():
 
     perm = [2, 0, 3, 1]  # new position i holds old coordinate perm[i]
     rho_p = permute_polynomial(rho, perm)
-    A_p = structure_from_entries(2, [[RationalFunction(
-        permute_polynomial(prob.structure.entries[j][i].num, perm),
-        permute_polynomial(prob.structure.entries[j][i].den, perm))
+    A_p = structure_from_entries(2, [[
+        permute_polynomial(prob.structure.numerators[j][i], perm)
         for i in perm] for j in perm])
     new_pos = {old: new for new, old in enumerate(perm)}
     prob_p = HypersurfaceProblem(rho_p, A_p,
@@ -225,7 +234,7 @@ def test_relabeling_coherence():
     assert gb.gamma1 == gb_p.gamma1 and gb.gamma2 == gb_p.gamma2
     assert gb.beta_full == gb_p.beta_full
     # sigma maps back to the coordinates' new names
-    assert tuple(gb_p.internal_vars) == tuple(gb.internal_vars)
+    assert internal_vars(prob_p) == internal_vars(prob)
 
 
 def test_symbolic_pointwise_agreement():
@@ -233,7 +242,7 @@ def test_symbolic_pointwise_agreement():
     A, vs = random_constant_structure(rng, 2)
     rho = random_polynomial(rng, vs, 3, 6)
     prob = HypersurfaceProblem(rho, A, (1, 2))
-    sym = compute_gamma_beta(prob)
+    sym = symbolic_gamma_beta(prob)
     for _ in range(5):
         pt = on_chart_point(rng, prob)
         pw = compute_gamma_beta(prob, pt)
@@ -283,9 +292,9 @@ def test_one_pass_pair_scan_equals_per_pair_builds(make, n):
     for case in range(8):
         A, vs = make(rng, n)
         if case % 2:
-            zero = RationalFunction.from_const(vs, 0)
+            zero = Polynomial.zero(vs)
             A = structure_from_entries(n, [[zero if i < 2 else e for i, e in enumerate(row)]
-                                           for row in A.entries])
+                                           for row in A.numerators])
         rho = (extend_to(random_polynomial(rng, vs[2:], 3, 6), vs)
                + parse_expression("f1^2 - f2^2", vs))
         pt = (0, 0) + tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -304,8 +313,8 @@ def test_one_pass_pair_scan_on_flat_and_when_no_pair_works():
     assert _scan_both_ways(lp.problem, point) == choose_pair(lp.problem, point)
     # alpha = 2 I: mu = 2 rho_grad, so D = 0 for every pair at every point
     vs = tuple(f"f{i}" for i in range(1, 5))
-    two = RationalFunction.from_const(vs, 2)
-    zero = RationalFunction.from_const(vs, 0)
+    two = Polynomial.const(vs, 2)
+    zero = Polynomial.zero(vs)
     scalar = structure_from_entries(2, [[two if i == j else zero for j in range(4)]
                                         for i in range(4)])
     prob = HypersurfaceProblem(parse_expression("f1 + f2^2 - f3 + f4", vs), scalar, (1, 2))
@@ -320,12 +329,12 @@ def test_symbolic_pair_scan_equals_per_pair_builds(make):
     rng = random.Random(70 + (make is random_polynomial_structure))
     for case in range(6):
         A, vs = make(rng, 2)
-        zero = RationalFunction.from_const(vs, 0)
+        zero = Polynomial.zero(vs)
         if case % 3 == 1:
             A = structure_from_entries(2, [[zero if i < 2 else e for i, e in enumerate(row)]
-                                           for row in A.entries])
+                                           for row in A.numerators])
         if case % 3 == 2:
-            two = RationalFunction.from_const(vs, 2)
+            two = Polynomial.const(vs, 2)
             A = structure_from_entries(2, [[two if i == j else zero for j in range(4)]
                                            for i in range(4)])
         rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + parse_expression("f3", vs)
@@ -354,8 +363,8 @@ def test_mu2_is_rho_grad_times_alpha_squared():
         A, vs = make(rng, 2)
         prob = HypersurfaceProblem(random_polynomial(rng, vs, 3, 6), A, (1, 2))
         pt = on_chart_point(rng, prob)
-        sym = compute_gamma_beta(prob)
-        zero = RationalFunction.from_const(sym.internal_vars, 0)
+        sym = symbolic_gamma_beta(prob)
+        zero = RationalFunction.from_const(internal_vars(prob), 0)
         assert _mu2(sym.mu, sym.alpha, zero) == \
             _rho_grad_alpha_squared(sym.rho_grad, sym.alpha, zero)
         pw = compute_gamma_beta(prob, pt)
@@ -373,3 +382,89 @@ def test_first_jet_values_equal_the_pointwise_build(n):
         pt = on_chart_point(rng, prob)
         assert first_jet_values(gamma_beta_first_jets(prob, pt)) == \
             compute_gamma_beta(prob, pt)
+
+
+# ----------------------------------------------------------------------
+# the structure format (numerators over one denominator) against the
+# RationalFunction oracle
+
+DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+
+
+@st.composite
+def structure_documents(draw):
+    """A problem document under a complex_standard, matrix or pair
+    structure at n = 2, 3, with no distinguished pair.  D vanishes
+    identically at (1, 2) when rho has no f1, f2 terms; a pair structure's
+    A is J or a random constant matrix, and its denominator 1 + a^2 is a
+    constant when a is."""
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["complex_standard", "matrix", "pair"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+    if draw(st.booleans()):
+        rho = random_polynomial(rng, vs, 3, 5)
+    else:
+        rho = extend_to(random_polynomial(rng, vs[2:], 3, 5), vs)
+    rho = rho + var(vs, vs[-1])
+    text = print_polynomial
+    structure = {"kind": kind}
+    if kind == "matrix":
+        A, _ = random_polynomial_structure(rng, n)
+        structure["entries"] = [[text(e) for e in row] for row in A.numerators]
+    elif kind == "pair":
+        constant_a = draw(st.booleans())
+        a = random_polynomial(rng, vs, 0 if constant_a else 1, 2)
+        b = random_polynomial(rng, vs, 1, 2) + rng.choice((1, -2))
+        if b.is_zero():
+            b = b + 1
+        J = complex_standard(n, vs).numerators
+        A = J if draw(st.booleans()) else random_constant_structure(rng, n)[0].numerators
+        structure.update(a=text(a), b=text(b), A=[[text(e) for e in row] for row in A])
+    return {"dimension_2n": 2 * n, "rho": text(rho), "structure": structure,
+            "points": {f"P{k}": [str(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                                 for _ in vs] for k in range(2)}}
+
+
+def _symbolically_singular(problem):
+    try:
+        symbolic_gamma_beta(problem)
+    except IdenticallySingularD:
+        return True
+    return False
+
+
+@given(structure_documents())
+@example(load_problem("flat"))
+@example(json.loads((DOCS / "n3_matrix.json").read_text()))
+@example(json.loads((DOCS / "n3_pair.json").read_text()))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_structure_format_agrees_with_the_rational_function_oracle(doc):
+    prob = build_problem(doc).problem
+    two_n = prob.two_n
+    # D = 0 identically, decided on q D, at the pairs (1, 2) and (1, 3)
+    for pair in ((1, 2), (1, 3)):
+        candidate = prob.with_pair(pair)
+        assert _identically_singular(candidate) == _symbolically_singular(candidate)
+    try:
+        want = choose_pair_by_builds(prob)
+    except IdenticallySingularD as exc:
+        with pytest.raises(IdenticallySingularD) as got:
+            choose_pair(prob)
+        assert str(got.value) == str(exc)
+    else:
+        assert choose_pair(prob) == want
+    # each input at a point, entry by entry: values, then first jets
+    entries = structure_entries(prob.structure)
+    rho_grad = [prob.rho.differentiate(v) for v in prob.rho.vars]
+    jet_view = lambda x: (_value(x), tuple(_tangent(x, i) for i in range(two_n)))
+    for point in doc["points"].values():
+        pt = tuple(map(Fraction, point))
+        grad, alpha, _ = _inputs(prob, pt)
+        assert grad == tuple(g.evaluate(pt) for g in rho_grad)
+        assert alpha == tuple(tuple(e.evaluate(pt) for e in row) for row in entries)
+        grad, alpha, _ = _inputs(prob, pt, jets=True)
+        assert list(map(jet_view, grad)) == \
+            [(j.value, j.grad) for j in (g.first_jet(pt) for g in rho_grad)]
+        assert [list(map(jet_view, row)) for row in alpha] == \
+            [[(j.value, j.grad) for j in (e.first_jet(pt) for e in row)] for row in entries]

@@ -2,7 +2,7 @@
 import random
 
 from diskeds.errors import SingularD
-from diskeds.expr import RationalFunction, parse_expression
+from diskeds.expr import Polynomial, parse_expression
 from diskeds.geometry import (
     HypersurfaceProblem,
     complex_standard,
@@ -23,6 +23,7 @@ from oracles import (
     on_chart_point,
     random_constant_structure,
     random_polynomial,
+    symbolic_gamma_beta,
 )
 
 
@@ -42,11 +43,8 @@ def test_complex_case_D0_vanishes():
 
 
 def _scaled_structure(rng, n, base, alpha_poly, beta_poly):
-    vs = base.entries[0][0].vars
-    al = RationalFunction(alpha_poly)
-    be = RationalFunction(beta_poly)
-    zero = RationalFunction.from_const(vs, 0)
-    ent = [[(al if i == j else zero) + be * base.entries[i][j]
+    zero = Polynomial.zero(alpha_poly.vars)
+    ent = [[(alpha_poly if i == j else zero) + beta_poly * base.numerators[i][j]
             for j in range(2 * n)] for i in range(2 * n)]
     return structure_from_entries(n, ent)
 
@@ -55,11 +53,11 @@ def _lambda_structure(rng, n, vs):
     """Block matrix with A^2 = g*h * I for polynomial g, h."""
     g = random_polynomial(rng, vs, 1, 2) + 1
     h = random_polynomial(rng, vs, 1, 2) + 1
-    zero = RationalFunction.from_const(vs, 0)
+    zero = Polynomial.zero(vs)
     rows = [[zero] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        rows[2 * i][2 * i + 1] = RationalFunction(g)
-        rows[2 * i + 1][2 * i] = RationalFunction(h)
+        rows[2 * i][2 * i + 1] = g
+        rows[2 * i + 1][2 * i] = h
     return structure_from_entries(n, rows)
 
 
@@ -308,20 +306,19 @@ def test_almost_complex_reduction_vanishes_symbolically():
     # the reduction matrix b(aI - A)/(1 + a^2) with A^2 = -I kills the
     # obstruction identically, not just at sampled points: the bracket is
     # the zero rational function, so D0 = -bracket / D^2 is too
-    from diskeds.expr import Polynomial, RationalFunction, parse_expression
     from diskeds.geometry import make_structure_from_pair
     vs = tuple(f"f{i}" for i in range(1, 5))
-    zero = RationalFunction.from_const(vs, 0)
-    one = RationalFunction.from_const(vs, 1)
+    zero = Polynomial.zero(vs)
+    one = Polynomial.const(vs, 1)
     A = [[zero] * 4 for _ in range(4)]
     for i in range(2):
         A[2 * i][2 * i + 1] = -one
         A[2 * i + 1][2 * i] = one
-    a = RationalFunction(var(vs, "f1"))
-    b = RationalFunction(var(vs, "f2")) + 1
+    a = var(vs, "f1")
+    b = var(vs, "f2") + 1
     S = make_structure_from_pair(a, b, A, 2)
     assert S.warnings == ()
     rho = parse_expression("f3 + f1*f2 + f4^2", vs)
     prob = HypersurfaceProblem(rho, S, (1, 2))
-    gb = compute_gamma_beta(prob)
+    gb = symbolic_gamma_beta(prob)
     assert all(x.is_zero() for x in obstruction_bracket(gb))

@@ -540,7 +540,7 @@ def test_levi_form_constant_J_is_hessian_trace():
     from oracles import random_polynomial
     rho = random_polynomial(rng, V6, 3, 8)
     f0 = tuple(Fraction(rng.randint(-2, 2)) for _ in range(6))
-    Jm = [[e.evaluate(f0) for e in row] for row in J.entries]
+    Jm = [[e.evaluate(f0) for e in row] for row in J.numerators]
     hess = [[rho.differentiate(a).differentiate(b).evaluate(f0)
              for b in V6] for a in V6]
     for _ in range(5):
@@ -570,9 +570,9 @@ def test_nonconstant_J_levi_form_terms():
     # J with polynomial entries and J^2 = -I at the point: DJ terms enter;
     # a wrong J produces the warning
     from diskeds.geometry import structure_from_entries
-    from diskeds.expr import RationalFunction
-    one = RationalFunction.from_const(V6, 1)
-    f1 = RationalFunction(var(V6, "f1"))
+    from diskeds.expr import Polynomial
+    one = Polynomial.const(V6, 1)
+    f1 = var(V6, "f1")
     rows = [[one * 0 for _ in range(6)] for _ in range(6)]
     for i in range(3):
         rows[2 * i][2 * i + 1] = -one - f1 * f1 if i == 0 else -one

@@ -18,3 +18,6 @@ def test_run_builtin_analyses_is_deterministic():
     assert runs[0].stdout == runs[1].stdout
     for name in ("flat", "hyperquadric", "cusp"):
         assert f"== {name} ==".encode() in runs[0].stdout
+    # what the script prints is pinned, byte for byte
+    golden = ROOT / "tests" / "golden" / "scripts" / "run_builtin_analyses.out"
+    assert runs[0].stdout == golden.read_bytes()

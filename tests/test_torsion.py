@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diskeds.errors import IdenticallySingularD, SingularD, WrongDimension
-from diskeds.expr import Polynomial, RationalFunction, parse_expression
+from diskeds.expr import Polynomial, parse_expression
 from diskeds.geometry import (
     HypersurfaceProblem,
     _value,
@@ -25,8 +25,10 @@ from diskeds.torsion import (
     torsion_absorbable,
 )
 from oracles import (
+    RationalFunction,
     var,
     coefficient_tables_full,
+    complex_problem,
     coefficient_tables_symbolic,
     definiteness_by_minors,
     dim6_completed_square,
@@ -41,6 +43,8 @@ from oracles import (
     random_polynomial,
     random_polynomial_structure,
     structure_coefficient_forms,
+    symbolic_complex_B,
+    symbolic_gamma_beta,
     torsion_values_from_matrices,
 )
 
@@ -93,7 +97,7 @@ def test_coefficient_pipeline_vs_dtheta_oracle_n2():
         A, _ = random_polynomial_structure(rng, 2)
         prob = HypersurfaceProblem(rho, A, (1, 2))
         try:
-            compute_gamma_beta(prob)
+            symbolic_gamma_beta(prob)
         except IdenticallySingularD:
             continue
         _oracle_matches_pipeline(prob)
@@ -232,9 +236,9 @@ def test_pointwise_complex_B_equals_symbolic_at_the_point(n):
     while checked < 2:
         rho = random_polynomial(rng, vs, 3, 5) + var(vs, vs[0])
         pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in vs)
-        symbolic = complex_B_coefficients(rho)
+        symbolic = symbolic_complex_B(rho)
         try:
-            pointwise = complex_B_coefficients(rho, pt)
+            pointwise = complex_B_coefficients(complex_problem(rho), pt)
         except SingularD:
             continue
         for key in symbolic.B_lower:
@@ -298,7 +302,7 @@ def test_closed_form_quadratics_equal_pipeline_at_random_jets():
             pt = on_surface_point(rng, prob)
         except AssertionError:
             continue
-        data = complex_B_coefficients(rho, pt)
+        data = complex_B_coefficients(prob, pt)
         for _ in range(10):
             pr = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
             jet = prob.make_jet(pt, pr)
@@ -338,7 +342,7 @@ def test_pseudo_ellipsoid_closed_forms_symbolic():
     for alphas, ks in [((1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)),
                        ((1, 2, -1, 3, 1, -2), (1, 2, 1, 1, 2, 1))]:
         rho = pseudo_ellipsoid_rho(alphas, ks)
-        data = complex_B_coefficients(rho)
+        data = symbolic_complex_B(rho)
         ys = rho.vars
         v = [RationalFunction(rho.differentiate(y)) for y in ys]
         w = [RationalFunction(rho.differentiate(y).differentiate(y)) for y in ys]
@@ -371,7 +375,7 @@ def test_pseudo_ellipsoid_flat_linear_all_B_zero():
     # linear rho (with a nonsingular 1,2-chart: rho_1^2 + rho_2^2 != 0)
     # has constant gammas, so every B vanishes
     rho = parse_expression("f1 + f5", V6)
-    data = complex_B_coefficients(rho)
+    data = symbolic_complex_B(rho)
     assert all(v.is_zero() for v in data.B_lower.values())
     assert all(v.is_zero() for v in data.B_upper.values())
 
@@ -405,7 +409,7 @@ def test_pseudo_ellipsoid_inequality_lines_are_multiples_of_L():
         if D == 0:
             continue
         rho = pseudo_ellipsoid_rho(alphas, ks)
-        data = complex_B_coefficients(rho, y)
+        data = complex_B_coefficients(complex_problem(rho), y)
         Bl, Bu = data.B_lower, data.B_upper
         delta1 = (4 * Bl[(2, 2)] * Bl[(3, 3)] - (Bl[(2, 3)] + Bl[(3, 2)]) ** 2
                   - (Bu[(2, 3)] - Bu[(3, 2)]) ** 2)
@@ -439,26 +443,27 @@ def test_dim6_completed_square_reproduces_bilinear_form():
 
 def test_dim6_fixtures():
     # ball-like: strictly plurisubharmonic, definite forms, violated
-    ball = parse_expression("2*f5 + f1^2 + f2^2 + f3^2 + f4^2", V6)
+    ball = complex_problem(parse_expression("2*f5 + f1^2 + f2^2 + f3^2 + f4^2", V6))
     bp = (1, 0, 0, 0, 0, 0)  # chart needs rho_1^2 + rho_2^2 != 0
     rep = dim6_definiteness(ball, bp)
     assert rep.verdict == "necessary_condition_violated"
     assert form_definiteness(complex_B_coefficients(ball, bp).c2) != "not_definite"
     # hyperquadric signature (1,1): both discriminants <= 0, holds
-    rep2 = dim6_definiteness(HYPERQUADRIC2, (1, 0, 1, 0, 0, 0))
+    rep2 = dim6_definiteness(complex_problem(HYPERQUADRIC2), (1, 0, 1, 0, 0, 0))
     assert rep2.verdict == "necessary_condition_holds"
     assert rep2.delta1 <= 0 and rep2.delta2 <= 0
     # flat: all B zero, degenerate, holds
-    rep3 = dim6_definiteness(parse_expression("f1 + f5", V6), (0, 0, 0, 0, 0, 0))
+    rep3 = dim6_definiteness(complex_problem(parse_expression("f1 + f5", V6)),
+                             (0, 0, 0, 0, 0, 0))
     assert rep3.delta1 == 0 and rep3.delta2 == 0
     assert rep3.verdict == "necessary_condition_holds"
     with pytest.raises(WrongDimension):
-        dim6_definiteness(parse_expression("f1", ("f1", "f2", "f3", "f4")),
+        dim6_definiteness(complex_problem(parse_expression("f1", ("f1", "f2", "f3", "f4"))),
                           (0, 0, 0, 0))
 
 
 def test_points_only_conclusion_for_definite_forms():
-    ball = parse_expression("2*f5 + f1^2 + f2^2 + f3^2 + f4^2", V6)
+    ball = complex_problem(parse_expression("2*f5 + f1^2 + f2^2 + f3^2 + f4^2", V6))
     data = complex_B_coefficients(ball, (1, 0, 0, 0, 0, 0))
     assert form_definiteness(data.c2) != "not_definite"
     # a definite form annihilates only the zero jet
@@ -471,7 +476,7 @@ def test_points_only_conclusion_for_definite_forms():
 
 def test_complex_torsion_quadratics_entry_point():
     pt = (1, 0, 1, 0, 0, 0)
-    data = complex_B_coefficients(HYPERQUADRIC2, pt)
+    data = complex_B_coefficients(complex_problem(HYPERQUADRIC2), pt)
     assert (data.c1, data.c2) == quadratics_from_B(3, data.B_lower, data.B_upper)
     for c in (data.c1, data.c2):
         assert all(c[a][b] == c[b][a] for a in range(4) for b in range(4))
