@@ -7,7 +7,9 @@ in json and text format, plus ``jets`` on every stratum with ``--rounds``
 ``tests/golden/docs/`` (n = 4 and 5, a non-constant structure, which
 ``dim6`` rejects in both formats, a structure of kind ``pair``, and flags
 on every branch of the Cramer determinant), plus ``jets`` with ``--rounds`` 1..3 on
-the Levi-null strata at n = 4 and 5, and writes each invocation's stdout to
+the Levi-null strata at n = 4 and 5, plus ``jets`` on a stratum whose probes
+extend by nonzero top jets, ``jets --probe`` on the cusp and
+``pseudo-ellipsoid`` on a document of its own, and writes each invocation's stdout to
 ``tests/golden/<case>.out`` and its argv, exit code and stderr to
 ``tests/golden/index.json``.  Reports echo
 the problem path, so the documents are named relative to the repository
@@ -85,6 +87,19 @@ def cases():
     for fmt in ("json", "text"):
         yield (f"dim6-n3_matrix-{fmt}",
                ["dim6", "tests/golden/docs/n3_matrix.json", "--format", fmt])
+    # a probe extended by nonzero top jets (n2_extension), the base tableau
+    # of probes jets does not select, and pseudo-ellipsoid at a point where
+    # the condition holds on the surface and one off it where it is violated
+    for fmt in ("json", "text"):
+        yield (f"jets-n2_extension-{fmt}",
+               ["jets", "tests/golden/docs/n2_extension.json", "--format", fmt])
+        yield (f"jets-cusp-generic-probe-P_origin-{fmt}",
+               ["jets", "cusp", "--stratum", "generic", "--probe", "P_origin",
+                "--format", fmt])
+        for point in ("Y0", "Y1"):
+            yield (f"pseudo-ellipsoid-pseudo_ellipsoid-point-{point}-{fmt}",
+                   ["pseudo-ellipsoid", "tests/golden/docs/pseudo_ellipsoid.json",
+                    "--point", point, "--format", fmt])
 
 
 def run(argv):

@@ -59,7 +59,10 @@ class GaussianRational:
         self.im = Fraction(im)
 
     def __repr__(self):
-        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+        # Fraction's own repr, written by the digit writer at any size
+        re, im = (f"Fraction({rational_str(x.numerator)}, {_digits(x.denominator)})"
+                  for x in (self.re, self.im))
+        return f"GaussianRational(re={re}, im={im})"
 
     def conjugate(self) -> "GaussianRational":
         return _gaussian_parts(self.re, -self.im)

@@ -38,7 +38,11 @@ det(P without its v_1 column) / A_1.  Where A_1 = 0 != A_2, clearing X_2
 with the X_i columns gives -det(P without its v_2 column) / A_2 the same
 way, and where A_1 = A_2 = 0 every relation is a multiple of X_2, so the
 determinant is 0.  It is nonzero exactly when the line extends to no
-integral plane (dim H(l) = 1).
+integral plane (dim H(l) = 1): l lies in ker P with v_1 entry A_1 != 0
+(v_2 entry A_2 where A_1 = 0), so P without that column is singular
+exactly when the nullity is at least 2, and where A_1 = A_2 = 0 the v_p
+columns of P vanish, so the nullity is at least 2n-2 >= 2.  One forward
+elimination of P with that column moved last thus gives both.
 
 A flag certifies a disk germ when E is an integral element with the
 independence form, H(E_1) = E (one extension, dim 2), and that polar
@@ -54,7 +58,7 @@ import random
 
 from .errors import CrossCheckMismatch, InadmissibleFlag
 from .geometry import FirstJetPoint, HypersurfaceProblem
-from .linalg import det, dot, dot_plus, nullity
+from .linalg import _echelon, dot, dot_plus
 from .torsion import structure_equation_coefficients, torsion_absorbable
 
 
@@ -116,21 +120,29 @@ def polar_matrix(rows, A1, A2, C):
             for x2, xi, xlast in rows]
 
 
-def cramer_determinant(P, A1, A2):
-    """The determinant of the d(theta) rows stacked over the relations
-    cutting out the planes through l, read off P = polar_matrix(.., l)
-    (see the module docstring)."""
-    if A1:
-        return det([row[1:] for row in P]) / A1
-    if A2:
-        return -det([row[:1] + row[2:] for row in P]) / A2
-    return Fraction(0)
+def polar_nullity_and_determinant(P, A1, A2):
+    """(dim H(l), the Cramer determinant of l) for l = (A_1, A_2, C) and
+    P = polar_matrix(.., l), both from one forward elimination of P with
+    the column the determinant leaves out, v_1 or where A_1 = 0 v_2, moved
+    last (see the module docstring)."""
+    k = 0 if A1 else 1
+    rows = [[*row[:k], *row[k + 1:], row[k]] for row in P]
+    pivots, swaps = _echelon(rows, len(P[0]))
+    nullity = len(P[0]) - len(pivots)
+    if nullity != 1:
+        return nullity, Fraction(0)
+    # the first 2n-1 columns are the pivot columns: the square is upper
+    # triangular, and the v_2 reading carries a sign of its own
+    minor = rows[0][0]
+    for r in range(1, len(rows)):
+        minor = minor * rows[r][r]
+    return nullity, (-minor if (swaps + k) % 2 else minor) / (A2 if k else A1)
 
 
 # verdict: kahler_regular | not_an_integral_element |
 # degenerate_independence | inconclusive_for_this_flag |
-# inconclusive_degenerate_chart; eps_samples: ((label, det_nonzero,
-# dim_ker_gf), ...)
+# inconclusive_degenerate_chart; eps_samples: ((label, nullity == 1,
+# nullity), ...), nullity == 1 being exactly a nonzero Cramer determinant
 KahlerVerdict = namedtuple("KahlerVerdict", "determinant regular verdict dim_ker_gf "
                            "eps_samples is_integral independence",
                            defaults=(True, True))
@@ -179,20 +191,20 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     (dim H = 1), so on an integral flag itself the determinant always
     vanishes -- E lies in the polar space.  The d(theta) rows do not
     depend on the flag: they are built once (or taken from ``dtheta``)
-    and shared with the perturbed lines.
+    and shared with the perturbed lines.  Each of the four lines is read
+    by one elimination of its polar matrix.
 
     An integral element exists over a jet only where its torsion is
     absorbable, so a certificate at a jet whose torsion (read from the
     same coefficient tables) is not absorbable raises CrossCheckMismatch.
     """
-    two_n = problem.two_n
     # an inadmissible flag is reported before a singular jet
-    A1, A2, C = flag.resolved(two_n)
+    A1, A2, C = flag.resolved(problem.two_n)
     if dtheta is None:
         dtheta = _dtheta_row_data(problem, jet)
     rows = dtheta.rows
-    P = polar_matrix(rows, A1, A2, C)
-    dim_ker = nullity(P, two_n)
+    dim_ker, determinant = polar_nullity_and_determinant(
+        polar_matrix(rows, A1, A2, C), A1, A2)
     X = _pair_X(flag)
     integral = all(_annihilates(row, X) for row in rows)
     independence = X[0] != 0
@@ -200,8 +212,8 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     for label, eA1, eA2, eC in _eps_lines(A1, A2, C):
         if eA1 == 0 and eA2 == 0 and all(x == 0 for x in eC):
             continue
-        eP = polar_matrix(rows, eA1, eA2, eC)
-        samples.append((label, cramer_determinant(eP, eA1, eA2) != 0, nullity(eP, two_n)))
+        dim, _ = polar_nullity_and_determinant(polar_matrix(rows, eA1, eA2, eC), eA1, eA2)
+        samples.append((label, dim == 1, dim))
     if A1 == 0 and A2 == 0:
         verdict = "inconclusive_degenerate_chart"
     elif not integral:
@@ -214,7 +226,7 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
         verdict = "inconclusive_for_this_flag"
     if verdict == "kahler_regular" and not dtheta.torsion.absorbable:
         raise CrossCheckMismatch("flag certified at a jet whose torsion is not absorbable")
-    return KahlerVerdict(cramer_determinant(P, A1, A2), verdict == "kahler_regular",
+    return KahlerVerdict(determinant, verdict == "kahler_regular",
                          verdict, dim_ker, tuple(samples), integral, independence)
 
 
@@ -258,10 +270,14 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
                             trials: int = 25, seed: int = 0):
     """First Kahler-regular integral flag (coordinate c^1 candidates first,
     then seeded rationals); None result carries the attempt count.  The
-    d(theta) rows depend on the jet only, so every candidate shares them."""
+    d(theta) rows depend on the jet only, so every candidate shares them.
+    Where the jet's torsion is not absorbable no candidate is integral, so
+    none is built and all ``trials`` count as attempted."""
     if trials < 1:
         raise InadmissibleFlag("trials must be >= 1")
     dtheta = _dtheta_row_data(problem, jet)
+    if not dtheta.torsion.absorbable:
+        return SearchResult(None, None, -1, trials)
     attempted = 0
     for index, c1 in enumerate(_candidate_c1(problem.two_n, trials, seed)):
         if attempted >= trials:

@@ -43,8 +43,10 @@ def _row_minus(row, factor, pivot):
 
 
 def _echelon(rows, ncols):
-    """In-place forward elimination; returns list of pivot columns."""
+    """In-place forward elimination; returns the list of pivot columns and
+    the number of row exchanges (whose parity is the determinant's sign)."""
     pivots = []
+    swaps = 0
     r = 0
     nrows = len(rows)
     for c in range(ncols):
@@ -55,7 +57,9 @@ def _echelon(rows, ncols):
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            swaps += 1
         pv = rows[r][c]
         for i in range(r + 1, nrows):
             if rows[i][c] != 0:
@@ -64,21 +68,14 @@ def _echelon(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, swaps
 
 
 def mat_rank(matrix) -> int:
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
-    return len(_echelon(rows, len(rows[0])))
-
-
-def nullity(matrix, ncols) -> int:
-    rows = [list(row) for row in matrix if any(x != 0 for x in row)]
-    if not rows:
-        return ncols
-    return ncols - len(_echelon(rows, ncols))
+    return len(_echelon(rows, len(rows[0]))[0])
 
 
 def solve_particular(matrix, rhs):
@@ -87,7 +84,7 @@ def solve_particular(matrix, rhs):
     if not rows:
         return []
     ncols = len(matrix[0])
-    pivots = _echelon(rows, ncols + 1)
+    pivots, _ = _echelon(rows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
@@ -99,35 +96,6 @@ def solve_particular(matrix, rhs):
                 s = s - rows[r][c] * x[c]
         x[pc] = s / rows[r][pc]
     return x
-
-
-def det(matrix):
-    """Exact determinant by elimination; integer entries give a Fraction."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
-    sign = 1
-    out = None
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0 * rows[0][0]
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        out = pv if out is None else out * pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[c])
-    return out if sign > 0 else -out
 
 
 def leading_pivots(matrix):

@@ -101,10 +101,17 @@ LoadedProblem = namedtuple("LoadedProblem", "doc digest two_n problem points jet
                            "flags strata structure_warnings")
 
 
+# the largest dimension_2n a document may declare: every table is sized by
+# it before anything is parsed, so a larger one only exhausts memory
+MAX_DIMENSION_2N = 200
+
+
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
     two_n = _field(doc, "dimension_2n", name, "integer")
     if two_n < 4 or two_n % 2:
         raise SchemaViolation("dimension_2n must be an even integer >= 4")
+    if two_n > MAX_DIMENSION_2N:
+        raise SchemaViolation(f"dimension_2n must be at most {MAX_DIMENSION_2N}")
     n = two_n // 2
     coords = _field(doc, "coordinates", name, "list", required=False)
     coords = default_coordinates(two_n) if coords is None else tuple(coords)

@@ -16,8 +16,9 @@ distinguished-pair scan by one full gamma/beta build per candidate.
 The second half holds reference implementations that no CLI command runs
 but tests compare the runtime against, such as the Levi form, the 2n
 torsion quadratic-form matrices built on full gradients, definiteness
-by one determinant per leading minor, and the explicit polar maps of a
-line with their stacked square.  The last section keeps the expression
+by one determinant per leading minor, the explicit polar maps of a
+line with their stacked square, and ``det``, ``nullity`` and
+``cramer_determinant``, which eliminate a matrix once per quantity.  The last section keeps the expression
 parser that built every term as a Polynomial and ``rat`` on
 ``Fraction(str)``, which the runtime's term-table parser and split-text
 ``rat`` are checked against.
@@ -42,7 +43,7 @@ from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
-from diskeds.linalg import _echelon, det, dot, dot_plus, nullity, solve_particular
+from diskeds.linalg import _echelon, _row_minus, dot, dot_plus, solve_particular
 from diskeds.torsion import complex_torsion
 
 
@@ -809,8 +810,9 @@ def explicit_polar_maps(rows, A1, A2, C) -> PolarMaps:
     X_i = C_i v_1 - A_1 v_p_i, X_{2n-2+i} = C_i v_2 - A_2 v_p_i.  R
     ((2n-2) x (4n-3)) holds the relations C_i X_2 + A_2 X_i - A_1 X_{2n-2+i}
     = 0 cutting out Im F, and ``square`` is G stacked over R.  The runtime
-    reads G F and det(square) off the rows in closed form
-    (``integral_element.polar_matrix`` and ``cramer_determinant``).
+    reads G F off the rows in closed form (``integral_element.polar_matrix``)
+    and det(square) off the pivots of G F
+    (``integral_element.polar_nullity_and_determinant``).
     """
     m = len(C)
     two_n = m + 2
@@ -834,6 +836,17 @@ def explicit_polar_maps(rows, A1, A2, C) -> PolarMaps:
         R.append(row)
     G = [[x2, *xi, *xlast] for x2, xi, xlast in rows]
     return PolarMaps(F, G, R, G + R)
+
+
+def cramer_determinant(P, A1, A2):
+    """The determinant of the d(theta) rows stacked over the relations
+    cutting out the planes through l, read off P = polar_matrix(.., l)
+    (see the ``diskeds.integral_element`` module docstring)."""
+    if A1:
+        return det([row[1:] for row in P]) / A1
+    if A2:
+        return -det([row[:1] + row[2:] for row in P]) / A2
+    return Fraction(0)
 
 
 def perturbed_polar_matrix(problem: HypersurfaceProblem, jet: FirstJetPoint,
@@ -955,6 +968,42 @@ def pseudo_ellipsoid_rho(alphas, ks) -> Polynomial:
     return p
 
 
+def nullity(matrix, ncols) -> int:
+    rows = [list(row) for row in matrix if any(x != 0 for x in row)]
+    if not rows:
+        return ncols
+    return ncols - len(_echelon(rows, ncols)[0])
+
+
+def det(matrix):
+    """Exact determinant by elimination; integer entries give a Fraction."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
+    sign = 1
+    out = None
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return 0 * rows[0][0]
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        out = pv if out is None else out * pv
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[c])
+    return out if sign > 0 else -out
+
+
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel, free variables set to one in turn."""
     rows = [list(row) for row in matrix]
@@ -969,7 +1018,7 @@ def nullspace(matrix, ncols=None):
             v[j] = Fraction(1)
             basis.append(v)
         return basis
-    pivots = _echelon(rows, ncols)
+    pivots, _ = _echelon(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -993,8 +1042,8 @@ def in_row_span(rows, candidate, ncols) -> bool:
     base = [list(r) for r in rows if any(x != 0 for x in r)]
     if all(x == 0 for x in candidate):
         return True
-    r0 = len(_echelon([list(r) for r in base], ncols)) if base else 0
-    r1 = len(_echelon(base + [list(candidate)], ncols))
+    r0 = len(_echelon([list(r) for r in base], ncols)[0]) if base else 0
+    r1 = len(_echelon(base + [list(candidate)], ncols)[0])
     return r1 == r0
 
 

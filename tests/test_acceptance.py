@@ -21,7 +21,7 @@ from diskeds.geometry import (
 from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import involution_loop, linearize, prolong_constraints
-from diskeds.linalg import mat_rank, nullity
+from diskeds.linalg import mat_rank
 from diskeds.reports import build_problem, load_problem
 from diskeds.torsion import (
     complex_B_coefficients,
@@ -36,6 +36,7 @@ from oracles import (
     explicit_polar_maps,
     levi_form,
     mat_mul,
+    nullity,
     on_chart_point,
     perturbed_polar_nullity,
     random_constant_structure,

@@ -16,7 +16,8 @@ from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
 from diskeds.geometry import FirstJetPoint
 from diskeds.jets import jet_table
-from diskeds.reports import build_problem, emit_report, jsonable, load_problem
+from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
+                             load_problem)
 from diskeds import cli, reports
 
 
@@ -668,6 +669,35 @@ def test_coordinates_must_be_distinct_names(coordinates, message, tmp_path, caps
     assert err == f"SchemaViolation: {message}\n"
 
 
+@pytest.mark.parametrize("two_n, message", [
+    (2, "dimension_2n must be an even integer >= 4"),
+    (7, "dimension_2n must be an even integer >= 4"),
+    (MAX_DIMENSION_2N + 2, f"dimension_2n must be at most {MAX_DIMENSION_2N}"),
+    (10 ** 9, f"dimension_2n must be at most {MAX_DIMENSION_2N}"),
+], ids=["two", "odd", "past_maximum", "billion"])
+def test_dimension_out_of_range_exits_2_before_any_table(two_n, message, tmp_path,
+                                                         capsys, monkeypatch):
+    # nothing sized by dimension_2n is built before the bounds are checked
+    def sized(*args):
+        raise AssertionError("a table was sized before the dimension check")
+
+    monkeypatch.setattr(reports, "unit_exponents", sized)
+    monkeypatch.setattr(reports, "default_coordinates", sized)
+    doc = dict(json.loads(json.dumps(SCHEMA_DOC)), dimension_2n=two_n)
+    for fmt in ("json", "text"):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["involutivity", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"SchemaViolation: {message}\n"
+
+
+def test_the_maximum_dimension_loads():
+    loaded = build_problem({"dimension_2n": MAX_DIMENSION_2N,
+                            "rho": f"f{MAX_DIMENSION_2N} + f1^2"})
+    assert loaded.two_n == MAX_DIMENSION_2N
+    assert loaded.problem.rho.vars[-1] == f"f{MAX_DIMENSION_2N}"
+
+
 def test_declared_coordinates_name_the_variables(tmp_path, capsys):
     # renaming every coordinate in the table and in the expressions changes
     # nothing but the echoed document
@@ -904,9 +934,10 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
 
 
 # wrong-typed values, junk expressions and rationals, expressions nested
-# past the parser's bound, a deleted key; no mutation changes a size
+# past the parser's bound, a deleted key, and one large integer (past the
+# dimension bound, or a large coordinate or index)
 DELETE = object()
-MUTATIONS = (None, True, 0, -1, 7, "", "x", "1/0", "f1^", "f7", "zb9", "(",
+MUTATIONS = (None, True, 0, -1, 7, 10 ** 9, "", "x", "1/0", "f1^", "f7", "zb9", "(",
              DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE)
 
 

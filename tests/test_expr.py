@@ -352,6 +352,22 @@ def test_gaussian_repr_and_coercion():
     assert z == gaussian("1/2", "1") and hash(z) == hash(gaussian("1/2", "1"))
 
 
+def test_gaussian_repr_at_any_size():
+    # the parts read as Fraction's repr, computed with the digit limit
+    # lifted, while the repr itself runs under the default limit
+    values = [gaussian(10 ** 5000, 1), gaussian(Fraction(-3, 10 ** 5000), -(7 ** 6000)),
+              gaussian("-5/7", "0")]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [f"GaussianRational(re={z.re!r}, im={z.im!r})" for z in values]
+        sys.set_int_max_str_digits(4300)
+        got = [repr(z) for z in values]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == want
+
+
 @given(polys(maxdeg=2), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_polynomial_power_is_repeated_product(p, k):

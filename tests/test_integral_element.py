@@ -12,18 +12,22 @@ from diskeds.geometry import HypersurfaceProblem, complex_standard, full_jet
 from diskeds.integral_element import (
     FlagSpec,
     _dtheta_row_data,
-    cramer_determinant,
+    _eps_lines,
     integral_flag_from_c1,
     kahler_regularity,
     ordinary_element_search,
     polar_matrix,
+    polar_nullity_and_determinant,
 )
-from diskeds.linalg import det, mat_rank, nullity
+from diskeds.linalg import mat_rank
 from diskeds.torsion import torsion_absorbable
 from oracles import (
+    cramer_determinant,
+    det,
     explicit_polar_maps,
     levi_form,
     mat_mul,
+    nullity,
     nullspace,
     on_surface_point,
     perturbed_polar_nullity,
@@ -436,6 +440,79 @@ def test_closed_form_polar_matrix_and_determinant_match_the_explicit_maps(case):
     assert [list(row) for row in P] == GF
     assert cramer_determinant(P, A1, A2) == det(maps.square)
     assert nullity(P, two_n) == nullity(GF, two_n)
+    assert polar_nullity_and_determinant(P, A1, A2) == (
+        nullity(GF, two_n), det(maps.square))
     v = kahler_regularity(prob, jet, flag)
     assert (v.determinant, v.dim_ker_gf, v.eps_samples) == \
         _explicit_verdict_facts(rows, A1, A2, C, two_n)
+
+
+@given(polar_cases(), st.data())
+@example((HQ3, HQ3_J0, FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4,
+                                Fraction(-1, 7), 1)), None)  # eps_x has A_1 = 0
+@example((HQ3, HQ3.make_jet((1, 0, 1, 0, 0, 0), (1, 2, 0, -1)),
+          FlagSpec((1, 0), (0, 1), (1, 2, 0, 0), (0, 0, 1, -1), 1, 1)), None)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_one_elimination_reads_the_nullity_and_the_cramer_determinant(case, data):
+    # the one-elimination reading against the oracles' separate nullity and
+    # determinant, on the flag's line, its three perturbations (eps_x makes
+    # A_1 = 0 where A_1 = -1/7) and the same line moved onto A_1 = 0 != A_2
+    # and A_1 = A_2 = 0
+    prob, jet, flag = case
+    two_n = prob.two_n
+    try:
+        A1, A2, C = flag.resolved(two_n)
+    except InadmissibleFlag:
+        return
+    if data is not None:
+        A1 = data.draw(st.sampled_from((A1, Fraction(0), -Fraction(1, 7))))
+    rows = _dtheta_row_data(prob, jet).rows
+    zero = Fraction(0)
+    lines = [(A1, A2, C), (zero, A2 or Fraction(1), C), (zero, zero, C),
+             *(line[1:] for line in _eps_lines(A1, A2, C))]
+    for A1, A2, C in lines:
+        if not (A1 or A2 or any(C)):
+            continue
+        P = polar_matrix(rows, A1, A2, C)
+        dim, determinant = polar_nullity_and_determinant(P, A1, A2)
+        assert (dim, determinant) == (nullity(P, two_n), cramer_determinant(P, A1, A2))
+        assert (determinant != 0) == (dim == 1)
+
+
+def test_kahler_regularity_eliminates_each_line_once(monkeypatch):
+    # the flag's line and its three perturbations: one elimination each,
+    # and no other elimination routine of linalg runs
+    import diskeds.integral_element as ie
+    from diskeds import linalg
+    prob, jet = _hyperquadric_jet()
+    dtheta = _dtheta_row_data(prob, jet)
+    calls = []
+    for name, value in list(vars(ie).items()):
+        if getattr(value, "__module__", None) == linalg.__name__ and name not in (
+                "dot", "dot_plus"):
+            monkeypatch.setattr(ie, name, lambda *args, _f=value, _name=name:
+                                calls.append(_name) or _f(*args))
+    for flag in (FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4),
+                 FlagSpec((1, 0), (0, 1), (1, 2, 0, 0), (0, 0, 1, -1), 0, 1)):
+        calls.clear()
+        kahler_regularity(prob, jet, flag, dtheta)
+        assert calls == ["_echelon"] * 4
+
+
+@pytest.mark.parametrize("trials", [1, 6, 25])
+def test_search_at_a_non_absorbable_jet_builds_no_candidate(trials, monkeypatch):
+    # no integral element lies over the jet, so every trial counts as
+    # attempted without a candidate being drawn
+    import diskeds.integral_element as ie
+    prob, _ = _hyperquadric_jet()
+    blocked = prob.make_jet((1, 0, 1, 0, 0, 0), (0, 1, -1, 2))
+    assert not torsion_absorbable(prob, blocked).absorbable
+    built = []
+    real = ie.integral_flag_from_c1
+    monkeypatch.setattr(ie, "integral_flag_from_c1",
+                        lambda dtheta, c1: built.append(c1) or real(dtheta, c1))
+    result = ordinary_element_search(prob, blocked, trials=trials)
+    assert result == (None, None, -1, trials)
+    assert built == []
+    with pytest.raises(InadmissibleFlag):
+        ordinary_element_search(prob, blocked, trials=0)

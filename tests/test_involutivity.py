@@ -15,11 +15,12 @@ from diskeds.involutivity import (
     tableau_report,
 )
 from diskeds import linalg
-from diskeds.linalg import mat_rank, nullity, row_times_matrix
+from diskeds.linalg import mat_rank, row_times_matrix
 from oracles import (
     var,
     brute_force_dim_A1,
     in_row_span,
+    nullity,
     on_chart_point,
     random_constant_structure,
     random_polynomial,

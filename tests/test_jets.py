@@ -2,13 +2,14 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import DimensionMismatch, NotComplexifiedMode, ProbeViolatesStratum
-from diskeds.exact import gaussian
+from diskeds.exact import gaussian, scalar_conj
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
 from diskeds import expr, jets
@@ -26,6 +27,7 @@ from diskeds.jets import (
     reduce_redundant,
     stratum_analyze,
     substitute_vanishing,
+    torsion_at_probe,
 )
 from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
@@ -686,3 +688,18 @@ def test_jets_hyperquadric_type_above_n3(n, tmp_path, capsys):
     probe = json.loads(capsys.readouterr().out)["results"]["probes"]["P"]
     assert probe["dims"] == [2 * n - 3, 2 * n - 4, 2 * n - 4]
     assert probe["verdict"] == "involutive"
+
+
+def test_a_probe_extends_by_nonzero_top_jets():
+    # w2 = z1 w1 prolongs to w2_1 = w1^2 + z1 w1_1, which the probe
+    # extended by zero top jets misses wherever w1 != 0; the exact
+    # extension solves for the top jets and sets their conjugates
+    path = Path(__file__).resolve().parent / "golden" / "docs" / "n2_extension.json"
+    system, probes = build_problem(load_problem(str(path))).strata["extension"]
+    for probe in probes.values():
+        torsion_free, zero, extension, nonlinear = torsion_at_probe(system, probe)
+        assert torsion_free and nonlinear == 0
+        assert not zero.satisfied(strict=False)
+        assert extension.satisfied(strict=False)
+        top = extension.probe[len(probe):]
+        assert any(top) and top[2:] == tuple(scalar_conj(x) for x in top[:2])

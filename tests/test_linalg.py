@@ -8,14 +8,12 @@ from diskeds.exact import FirstJet
 from diskeds.expr import parse_expression
 from diskeds.linalg import (
     _row_minus,
-    det,
     dot,
     dot_plus,
     mat_rank,
-    nullity,
     solve_particular,
 )
-from oracles import RationalFunction, in_row_span, nullspace, var
+from oracles import RationalFunction, det, in_row_span, nullity, nullspace, var
 
 
 def test_rank_and_nullspace_basics():
