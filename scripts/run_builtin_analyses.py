@@ -15,7 +15,8 @@ from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import ordinary_element_search
 from diskeds.jets import involution_loop
 from diskeds.reports import build_problem, load_problem
-from diskeds.torsion import dim6_definiteness, torsion_absorbable
+from diskeds.torsion import (dim6_definiteness, structure_equation_coefficients,
+                             torsion_absorbable)
 
 
 def analyze(name, seed):
@@ -43,7 +44,7 @@ def analyze(name, seed):
                       "singular here (rho_1 = rho_2 = 0)")
         for jname in sorted(lp.jets):
             jet = lp.jets[jname]
-            tv = torsion_absorbable(problem, jet)
+            tv = torsion_absorbable(structure_equation_coefficients(problem, jet))
             print(f"  jet {jname}: torsion case {tv.case}, "
                   f"absorbable: {tv.absorbable}")
             sr = ordinary_element_search(problem, jet, trials=20, seed=seed)

@@ -49,8 +49,8 @@ def _pick(named: dict, requested, what):
     return requested
 
 
-def _reasoned_problem(lp: LoadedProblem, point=None):
-    """Apply the distinguished-pair fallback scan when needed."""
+def _reasoned_problem(lp: LoadedProblem, point):
+    """Apply the distinguished-pair fallback scan at ``point`` when needed."""
     problem = lp.problem
     if problem is None:
         raise SchemaViolation("this command needs a rho/structure block")
@@ -104,7 +104,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
     jet = lp.jets[jname]
     problem = _reasoned_problem(lp, jet.f)
     sed = structure_equation_coefficients(problem, jet)
-    verdict = torsion_absorbable(problem, jet, sed)
+    verdict = torsion_absorbable(sed)
     return {
         "jet": jname,
         "case": verdict.case,

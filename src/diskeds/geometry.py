@@ -244,22 +244,17 @@ def _gammas_and_betas(grad, mu, D, alpha, zero):
     return gamma1, gamma2, beta_full
 
 
-def _inputs(problem: HypersurfaceProblem, point=None, jets=False):
-    """rho's first derivatives and the structure entries, user order, as
-    the scalars of one mode, and last the zero of those scalars.
+def _inputs(problem: HypersurfaceProblem, point, jets=False):
+    """rho's first derivatives and the structure entries at a point, user
+    order, as the scalars of one mode, and last the zero of those scalars.
 
-    Without a point they are Polynomials: rho's gradient and the
-    structure's numerators N (alpha times the denominator q), which only
-    :func:`_pair_D_vanishes` reads.  At a point rho's gradient, and with
-    ``jets`` its Hessian rows, come from one pass over its monomials, and
-    each entry is N/q with q read once: values, or with ``jets`` first
-    jets with gradients in user order.  A derivative of rho with a zero
-    gradient and a constant entry stay Fractions, so they cost no gradient
-    arithmetic, and a zero entry costs nothing."""
+    rho's gradient, and with ``jets`` its Hessian rows, come from one pass
+    over its monomials, and each entry is N/q with q read once: values, or
+    with ``jets`` first jets with gradients in user order.  A derivative
+    of rho with a zero gradient and a constant entry stay Fractions, so
+    they cost no gradient arithmetic, and a zero entry costs nothing."""
     rho = problem.rho
     numerators, q = problem.structure.numerators, problem.structure.denominator
-    if point is None:
-        return tuple(map(rho.differentiate, rho.vars)), numerators, Polynomial.zero(rho.vars)
     point = tuple(Fraction(x) for x in point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
@@ -326,8 +321,8 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
 
 def _pair_D_vanishes(grad, mu, a, b, zero):
     """Whether rho_a mu_b - rho_b mu_a (0-based user indices) is 0: D at
-    the pair (a, b) over values, or q D over the polynomial inputs, where
-    ``mu`` is M = grad(rho) N."""
+    the pair (a, b) over values, or q D over polynomials, where ``mu`` is
+    M = grad(rho) N."""
     product = lambda x, y: x * y if x and y else zero
     return product(grad[a], mu[b]) == product(grad[b], mu[a])
 
@@ -335,7 +330,8 @@ def _pair_D_vanishes(grad, mu, a, b, zero):
 def _identically_singular(problem: HypersurfaceProblem) -> bool:
     """Whether D vanishes identically at the problem's pair, decided on
     the polynomial q D; only the pair's two columns of M are formed."""
-    grad, numerators, zero = _inputs(problem)
+    rho, numerators = problem.rho, problem.structure.numerators
+    grad, zero = tuple(map(rho.differentiate, rho.vars)), Polynomial.zero(rho.vars)
     a, b = (i - 1 for i in problem.pair)
     M = {i: dot(grad, [row[i] for row in numerators], zero) for i in (a, b)}
     return _pair_D_vanishes(grad, M, a, b, zero)
@@ -388,7 +384,7 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     """
     inputs = _inputs(problem, jet.f, jets=True)
     gb = _gamma_beta(problem, _chart_order(problem, inputs, _value), jet_mode=True)
-    fj = full_jet(problem, jet, gb)
+    fj = full_jet(jet, gb)
     along = _gamma_beta(problem, _chart_order(problem, inputs, _along((fj.p1, fj.p2))))
     return gb, along
 
@@ -397,22 +393,16 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
 FullJet = namedtuple("FullJet", "p11 p21 p1 p2")
 
 
-def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
-             gb: GammaBetaData = None) -> FullJet:
-    """Complete the reduced jet: p^1_1, p^2_1 from the gammas, then p_2 = A p_1.
-
-    ``gb`` is the pointwise gamma/beta data at ``jet.f`` when the caller
-    has it; it is built here otherwise."""
-    if gb is None:
-        gb = compute_gamma_beta(problem, jet.f)
-    two_n = problem.two_n
-    p_red = tuple(Fraction(x) for x in jet.p_reduced)
+def full_jet(jet: FirstJetPoint, gb: GammaBetaData) -> FullJet:
+    """Complete the reduced jet: p^1_1, p^2_1 from the gammas, then p_2 = A p_1;
+    ``gb`` is the pointwise gamma/beta data at ``jet.f``, in its chart."""
+    two_n, p_red = gb.two_n, jet.p_reduced
     zero = Fraction(0)
     p11 = dot(gb.gamma1, p_red, zero)
     p21 = dot(gb.gamma2, p_red, zero)
     p1_int = (p11, p21) + p_red
     p2_int = tuple(dot(row, p1_int, zero) for row in gb.alpha)
-    order = problem.internal_order()
+    order = gb.problem.internal_order()
     p1 = [Fraction(0)] * two_n
     p2 = [Fraction(0)] * two_n
     for k, orig in enumerate(order):
@@ -421,19 +411,16 @@ def full_jet(problem: HypersurfaceProblem, jet: FirstJetPoint,
     return FullJet(p11, p21, tuple(p1), tuple(p2))
 
 
-def choose_pair(problem: HypersurfaceProblem, point=None):
-    """First distinguished pair (scanned in index order) with D != 0,
-    identically (on the polynomial inputs) or at ``point``.
+def choose_pair(problem: HypersurfaceProblem, point):
+    """First distinguished pair (scanned in index order) with D != 0 at
+    ``point``.
 
-    rho's gradient and mu (M = q mu on the polynomial inputs) are formed
-    once and each pair's D = rho_a mu_b - rho_b mu_a is read off them.
+    rho's gradient and mu are formed once and each pair's
+    D = rho_a mu_b - rho_b mu_a is read off them.
     """
     grad, alpha, zero = _inputs(problem, point)
     mu = _times_alpha(grad, alpha, zero)
     for a, b in combinations(range(problem.two_n), 2):
         if not _pair_D_vanishes(grad, mu, a, b, zero):
             return (a + 1, b + 1)
-    if point is None:
-        raise IdenticallySingularD(
-            "D vanishes identically for every distinguished pair")
     raise SingularD("D = 0 at the point for every distinguished pair")

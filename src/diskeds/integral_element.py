@@ -62,21 +62,28 @@ from .linalg import _echelon, dot, dot_plus
 from .torsion import structure_equation_coefficients, torsion_absorbable
 
 
-class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta",
-                          defaults=(Fraction(1), Fraction(0)))):
+def _fractions(values):
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
+class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta")):
+    """The flag's generators a^1, a^2, c^1, c^2 and the weights (alpha,
+    beta) of E_1, as Fractions."""
+
     __slots__ = ()
+
+    def __new__(cls, a1, a2, c1, c2, alpha=1, beta=0):
+        return super().__new__(cls, *map(_fractions, (a1, a2, c1, c2)),
+                               *_fractions((alpha, beta)))
 
     def resolved(self, two_n):
         """The line E_1 as (A_1, A_2, C)."""
-        a1 = tuple(Fraction(x) for x in self.a1)
-        a2 = tuple(Fraction(x) for x in self.a2)
-        c1 = tuple(Fraction(x) for x in self.c1)
-        c2 = tuple(Fraction(x) for x in self.c2)
+        a1, a2, c1, c2 = self[:4]
         if len(a1) != 2 or len(a2) != 2 or len(c1) != two_n - 2 or len(c2) != two_n - 2:
             raise InadmissibleFlag("flag component lengths do not match the problem")
         if self.alpha == 0 and self.beta == 0:
             raise InadmissibleFlag("(alpha, beta) = (0, 0)")
-        weights = (Fraction(self.alpha), Fraction(self.beta))
+        weights = (self.alpha, self.beta)
         zero = Fraction(0)
         A1 = dot(weights, (a1[0], a2[0]), zero)
         A2 = dot(weights, (a1[1], a2[1]), zero)
@@ -108,7 +115,7 @@ def _dtheta_row_data(problem: HypersurfaceProblem, jet: FirstJetPoint) -> Dtheta
     for j in range(2, problem.two_n):
         unit = tuple(Fraction(1) if i == j - 2 else Fraction(0) for i in range(m))
         rows.append((-c[j], unit, gb.beta_full[j]))
-    return DthetaRows(rows, torsion_absorbable(problem, jet, sed))
+    return DthetaRows(rows, torsion_absorbable(sed))
 
 
 def polar_matrix(rows, A1, A2, C):
@@ -150,10 +157,7 @@ KahlerVerdict = namedtuple("KahlerVerdict", "determinant regular verdict dim_ker
 
 def _pair_X(flag: FlagSpec):
     """X-coordinates of the plane spanned by the two flag generators."""
-    a1 = tuple(Fraction(x) for x in flag.a1)
-    a2 = tuple(Fraction(x) for x in flag.a2)
-    c1 = tuple(Fraction(x) for x in flag.c1)
-    c2 = tuple(Fraction(x) for x in flag.c2)
+    a1, a2, c1, c2 = flag[:4]
     zero = Fraction(0)
     # X_2 = a^1_1 a^2_2 - a^1_2 a^2_1, then c^1_j a^2_k - c^2_j a^1_k, k = 1, 2
     X = [dot(a1, (a2[1], -a2[0]), zero)]
@@ -246,7 +250,6 @@ def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     if not dtheta.torsion.absorbable:
         return None
     rows = dtheta.rows
-    c1 = tuple(Fraction(x) for x in c1)
     # rows[1:]: X_2 coeff q_j, own X_j coeff 1, X_{2n-2+i} coeffs beta_{j,i}
     c2 = tuple(dot_plus(betarow, c1, q) for q, _, betarow in rows[1:])
     flag = FlagSpec((1, 0), (0, 1), c1, c2)

@@ -14,7 +14,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
+from .errors import CrossCheckMismatch, SchemaViolation
 from .exact import gaussian, rat, rational_str
 from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
@@ -185,27 +185,38 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         )
 
     strata = {}
+    tables = {}   # jet order -> (jet table, its unit exponents)
+
+    def parse(tokens, order):
+        if order not in tables:
+            table = jet_table(n, order)
+            tables[order] = table, unit_exponents(table)
+        table, units = tables[order]
+        return parse_tokens(tokens, table, complexified=True, units=units)
+
     for sname, sdoc in _field(doc, "strata", "", "object", required=False,
                               default={}).items():
         spath = f"strata.{sname}"
         eq_exprs = _field(sdoc, "equalities", spath, "list")
         probe_docs = _field(sdoc, "probes", spath, "object", required=False, default={})
-        lexed = [_tokens(text) for text in eq_exprs]
-        order = max([1] + [_jet_order(tokens) for tokens in lexed])
-        table = jet_table(n, order)
-        units = unit_exponents(table)
-        parsed = [_parse(tokens, table, units) for tokens in lexed]
+        # each equality over the table its own jets need; make_system widens
+        parsed, order = [], 1
+        for text in eq_exprs:
+            tokens = tokenize(text)
+            own = _jet_order(tokens)
+            parsed.append(parse(tokens, own))
+            order = max(order, own)
         openings = []
         for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
                                         required=False, default=[])):
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
             opath = f"{spath}.openings[{k}]"
-            tokens = _tokens(_field(odoc, "expr", opath, None))
+            tokens = tokenize(_field(odoc, "expr", opath, None))
             if _jet_order(tokens) > order:
                 raise SchemaViolation(
                     f"{opath} uses a jet above the stratum's order {order}")
-            op = _parse(tokens, table, units)
+            op = parse(tokens, order)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
@@ -235,23 +246,6 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                          flags, strata, structure_warnings)
 
 
-def _tokens(text):
-    """The tokens of an expression, or the error tokenizing it raised, kept
-    to raise when the expression's turn to parse comes."""
-    try:
-        return tokenize(text)
-    except DiskEdsError as exc:
-        return exc
-
-
-def _parse(tokens, table, units):
-    """The complexified polynomial over ``table`` (whose unit exponents are
-    ``units``) of :func:`_tokens`' result."""
-    if isinstance(tokens, DiskEdsError):
-        raise tokens
-    return parse_tokens(tokens, table, complexified=True, units=units)
-
-
 # a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at
 # most two digits, so strata read jets up to order 100; z is order 0, w
 # order 1 and w_k order k + 1
@@ -260,11 +254,9 @@ _JET_NAME = re.compile(r"([zw])b?[0-9]+(?:_([0-9]{1,2}))?")
 
 def _jet_order(tokens) -> int:
     """The highest jet order among the jet-shaped names of an expression's
-    tokens; 0 for a text that did not tokenize (its parse raises)."""
-    if isinstance(tokens, DiskEdsError):
-        return 0
+    tokens, and at least 1, the lowest order of a stratum."""
     names = [_JET_NAME.fullmatch(name) for kind, name, _ in tokens if kind == "NAME"]
-    return max([0] + [int(m[2] or 0) + 1 for m in names if m and m[1] == "w"])
+    return max([1] + [int(m[2] or 0) + 1 for m in names if m and m[1] == "w"])
 
 
 def _gauss(value, path):

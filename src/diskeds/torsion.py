@@ -115,15 +115,11 @@ TorsionVerdict = namedtuple("TorsionVerdict",
                             defaults=(None,))
 
 
-def torsion_absorbable(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                       sed: StructureEquationData = None) -> TorsionVerdict:
-    """``sed`` is the caller's structure_equation_coefficients(problem,
-    jet) when it has one already; it is built here otherwise."""
-    if sed is None:
-        sed = structure_equation_coefficients(problem, jet)
+def torsion_absorbable(sed: StructureEquationData) -> TorsionVerdict:
+    """The absorbability verdict of the torsion coefficients ``sed`` at a jet."""
     gb = sed.point_data
     dv = compute_D_vectors(gb)
-    m = problem.two_n - 2
+    m = gb.two_n - 2
     c_rest = sed.c_values[2:]
     res1 = sed.c_values[0] - dot(gb.gamma1, c_rest, Fraction(0))
     res2 = sed.c_values[1] - dot(gb.gamma2, c_rest, Fraction(0))

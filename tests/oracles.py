@@ -397,7 +397,7 @@ def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
     j = 3..2n, with D_v e = grad(e) . v."""
     gb, (_, g1d), (_, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
     k = 0 if _value(gb.rho_grad[0]) == 0 else 1
-    fj = full_jet(problem, jet)
+    fj = full_jet(jet, compute_gamma_beta(problem, jet.f))
     order = problem.internal_order()
     p1 = tuple(fj.p1[i] for i in order)
     p2 = tuple(fj.p2[i] for i in order)
@@ -769,7 +769,7 @@ def realify(p: Polynomial, variables=None) -> Polynomial:
 
 def jet_to_probe(problem: HypersurfaceProblem, jet, order: int = 1) -> tuple:
     """Complexified probe from a real first jet (standard complex pairing)."""
-    fj = full_jet(problem, jet)
+    fj = full_jet(jet, compute_gamma_beta(problem, jet.f))
     n = problem.n
     z = [gaussian(jet.f[2 * l - 2], jet.f[2 * l - 1]) for l in range(1, n + 1)]
     w = [gaussian(fj.p1[2 * l - 2], fj.p1[2 * l - 1]) for l in range(1, n + 1)]

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import CrossCheckMismatch, SchemaViolation
+from diskeds.expr import parse_expression
 from diskeds.geometry import FirstJetPoint
-from diskeds.jets import jet_table
+from diskeds.jets import Opening, jet_table, make_system
 from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
                              load_problem)
 from diskeds import cli, reports
@@ -858,6 +859,30 @@ def test_first_bad_equality_in_order_is_the_error(equalities, error, tmp_path, c
     assert capsys.readouterr().err.startswith(error)
 
 
+def test_an_opening_above_the_order_is_reported_before_its_parse_error(tmp_path, capsys):
+    # the opening tokenizes, names a jet of order 2 in an order-1 stratum,
+    # and would not parse: the order is checked first
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["openings"].append("w1_1 +")
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
+
+
+def test_equalities_of_different_orders_give_the_system_over_one_table():
+    # each expression is parsed over the table its own jets need, then
+    # widened: the system equals the one parsed over the stratum's table
+    eqs, opening = ["z1 + zb1 - 2", "w1_1*wb2_1 - z2", "z2*zb2"], "w1*wb1 + 1"
+    doc = {"dimension_2n": 4, "strata": {"S": {
+        "equalities": eqs, "openings": [{"expr": opening, "sign": "+"}]}}}
+    table = jet_table(2, 2)
+    parse = lambda text: parse_expression(text, table, complexified=True)
+    want = make_system(2, list(map(parse, eqs)), [Opening(parse(opening), "+")], order=2)
+    system = build_problem(doc).strata["S"][0]
+    assert system == want and system.order == 2
+    assert all(p.vars == table for p in system.equalities)
+    assert system.openings[0].poly.vars == table
+
+
 def test_jet_suffix_of_three_digits_is_an_unknown_variable(tmp_path, capsys):
     # strata read jets up to order 100; the parse table never grows past it
     doc = json.loads(json.dumps(SCHEMA_DOC))
@@ -1020,11 +1045,12 @@ def _read_big_rational(text):
 @pytest.mark.parametrize("command", ["torsion", "all"])
 def test_results_past_the_digit_limit_are_emitted_exactly(command, fmt, tmp_path, capsys):
     # the report writer prints any rational; at this jet it used to exit 1
-    from diskeds.torsion import torsion_absorbable
+    from diskeds.torsion import structure_equation_coefficients, torsion_absorbable
     path = tmp_path / "big.json"
     path.write_text(json.dumps(BIG_VALUE_DOC))
     lp = build_problem(json.loads(json.dumps(BIG_VALUE_DOC)))
-    want = torsion_absorbable(lp.problem, lp.jets["J0"]).residual_2
+    sed = structure_equation_coefficients(lp.problem, lp.jets["J0"])
+    want = torsion_absorbable(sed).residual_2
     assert max(abs(want.numerator), want.denominator) > 10 ** 4300
     assert cli.main([command, str(path), "--format", fmt]) == 0
     out, err = capsys.readouterr()

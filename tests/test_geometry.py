@@ -2,6 +2,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,7 @@ def test_identity_structure_is_singular():
     with pytest.raises(IdenticallySingularD):
         symbolic_gamma_beta(prob)
     with pytest.raises(IdenticallySingularD):
-        choose_pair(prob)
+        _first_pair_not_identically_singular(prob)
 
 
 def test_constant_data_gives_constant_gamma_beta():
@@ -137,7 +138,7 @@ def test_constant_data_gives_constant_gamma_beta():
 def test_full_jet_examples():
     prob = HypersurfaceProblem(HYPERQUADRIC, complex_standard(3, V6), (1, 2))
     jet0 = prob.make_jet((1, 0, 1, 0, 0, 0), (0, 0, 0, 0))
-    fj0 = full_jet(prob, jet0)
+    fj0 = full_jet(jet0, compute_gamma_beta(prob, jet0.f))
     assert fj0.p11 == 0 and fj0.p21 == 0
     assert all(x == 0 for x in fj0.p2)
 
@@ -145,7 +146,7 @@ def test_full_jet_examples():
     for _ in range(10):
         pr = tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
         jet = prob.make_jet((1, 0, 1, 0, 0, 0), pr)
-        fj = full_jet(prob, jet)
+        fj = full_jet(jet, compute_gamma_beta(prob, jet.f))
         # oracle: direct solve of the 2x2 elimination system
         p11, p21 = solve_A6_direct(prob, jet.f, pr)
         assert (fj.p11, fj.p21) == (p11, p21)
@@ -267,6 +268,29 @@ def test_choose_pair_scans_in_order():
     compute_gamma_beta(prob.with_pair(pair), pt).self_check()
 
 
+def _first_pair_not_identically_singular(prob):
+    """The first pair, in index order, at which D does not vanish
+    identically, decided on polynomials."""
+    for pair in combinations(range(1, prob.two_n + 1), 2):
+        if not _identically_singular(prob.with_pair(pair)):
+            return pair
+    raise IdenticallySingularD("D vanishes identically for every distinguished pair")
+
+
+def _identical_scan_both_ways(prob):
+    """The polynomial decision per pair and the symbolic per-pair build
+    oracle: same pair, or the same IdenticallySingularD message."""
+    try:
+        want = choose_pair_by_builds(prob)
+    except IdenticallySingularD as exc:
+        with pytest.raises(IdenticallySingularD) as got:
+            _first_pair_not_identically_singular(prob)
+        assert str(got.value) == str(exc)
+        return None
+    assert _first_pair_not_identically_singular(prob) == want
+    return want
+
+
 def _scan_both_ways(prob, pt):
     """choose_pair and the per-pair build oracle: same pair, or the same
     SingularD message."""
@@ -339,14 +363,7 @@ def test_symbolic_pair_scan_equals_per_pair_builds(make):
                                            for i in range(4)])
         rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + parse_expression("f3", vs)
         prob = HypersurfaceProblem(rho, A, (1, 2))
-        try:
-            want = choose_pair_by_builds(prob)
-        except IdenticallySingularD as exc:
-            with pytest.raises(IdenticallySingularD) as got:
-                choose_pair(prob)
-            assert str(got.value) == str(exc)
-            continue
-        assert choose_pair(prob) == want != (1, 2)
+        assert _identical_scan_both_ways(prob) != (1, 2)
 
 
 def _rho_grad_alpha_squared(grad, alpha, zero):
@@ -446,14 +463,7 @@ def test_structure_format_agrees_with_the_rational_function_oracle(doc):
     for pair in ((1, 2), (1, 3)):
         candidate = prob.with_pair(pair)
         assert _identically_singular(candidate) == _symbolically_singular(candidate)
-    try:
-        want = choose_pair_by_builds(prob)
-    except IdenticallySingularD as exc:
-        with pytest.raises(IdenticallySingularD) as got:
-            choose_pair(prob)
-        assert str(got.value) == str(exc)
-    else:
-        assert choose_pair(prob) == want
+    _identical_scan_both_ways(prob)
     # each input at a point, entry by entry: values, then first jets
     entries = structure_entries(prob.structure)
     rho_grad = [prob.rho.differentiate(v) for v in prob.rho.vars]

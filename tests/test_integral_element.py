@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from diskeds.errors import (CrossCheckMismatch, IdenticallySingularD, InadmissibleFlag,
                             SingularD)
 from diskeds.expr import parse_expression
-from diskeds.geometry import HypersurfaceProblem, complex_standard, full_jet
+from diskeds.geometry import (HypersurfaceProblem, complex_standard, compute_gamma_beta,
+                              full_jet)
 from diskeds.integral_element import (
     FlagSpec,
     _dtheta_row_data,
@@ -20,7 +21,7 @@ from diskeds.integral_element import (
     polar_nullity_and_determinant,
 )
 from diskeds.linalg import mat_rank
-from diskeds.torsion import torsion_absorbable
+from diskeds.torsion import structure_equation_coefficients, torsion_absorbable
 from oracles import (
     cramer_determinant,
     det,
@@ -126,7 +127,6 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
     # it does find must be an epsilon-stable integral element that also
     # annihilates d(theta^1)
     from diskeds.integral_element import _pair_X
-    from diskeds.torsion import structure_equation_coefficients
     rng = random.Random(42)
     searches = 0
     for _ in range(12):
@@ -140,7 +140,8 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
         for pr in [(1, 2), (2, -1), (0, 0)]:
             try:
                 jet = prob.make_jet(pt, pr)
-                if not torsion_absorbable(prob, jet).absorbable:
+                if not torsion_absorbable(structure_equation_coefficients(
+                        prob, jet)).absorbable:
                     continue
             except (SingularD, IdenticallySingularD):
                 break
@@ -310,12 +311,12 @@ def rho1_zero_jets(draw):
 def test_flag_certificate_implies_absorbable_torsion_where_rho1_vanishes(case):
     # the d(theta^2) consistency row alone is vacuous where rho_1 = 0
     prob, jet = case
-    verdict = torsion_absorbable(prob, jet)
+    verdict = torsion_absorbable(structure_equation_coefficients(prob, jet))
     result = ordinary_element_search(prob, jet)
     if result.flag is not None:
         assert verdict.absorbable
     if prob.n == 3:
-        p1 = full_jet(prob, jet).p1
+        p1 = full_jet(jet, compute_gamma_beta(prob, jet.f)).p1
         levi, _ = levi_form(prob.rho, prob.structure, jet.f, p1)
         assert verdict.absorbable == (levi == 0)
 
@@ -506,7 +507,7 @@ def test_search_at_a_non_absorbable_jet_builds_no_candidate(trials, monkeypatch)
     import diskeds.integral_element as ie
     prob, _ = _hyperquadric_jet()
     blocked = prob.make_jet((1, 0, 1, 0, 0, 0), (0, 1, -1, 2))
-    assert not torsion_absorbable(prob, blocked).absorbable
+    assert not torsion_absorbable(structure_equation_coefficients(prob, blocked)).absorbable
     built = []
     real = ie.integral_flag_from_c1
     monkeypatch.setattr(ie, "integral_flag_from_c1",

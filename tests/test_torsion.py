@@ -260,7 +260,7 @@ def test_constant_structure_linear_rho_zero_torsion():
     jet = prob.make_jet(pt, (3, -2))
     sed = structure_equation_coefficients(prob, jet)
     assert all(v == 0 for v in sed.c_values)
-    verdict = torsion_absorbable(prob, jet)
+    verdict = torsion_absorbable(sed)
     assert verdict.absorbable
     assert verdict.residual_1 == 0 and verdict.residual_2 == 0
 
@@ -286,7 +286,7 @@ def test_complex_verdict_reduces_to_c1_c2():
     for pr, expected in [((1, 0, 0, 0), True), ((0, 1, -1, 2), False)]:
         jet = prob.make_jet(pt, pr)
         sed = structure_equation_coefficients(prob, jet)
-        verdict = torsion_absorbable(prob, jet)
+        verdict = torsion_absorbable(sed)
         assert verdict.case == "D0_zero"
         assert verdict.absorbable == expected
         assert verdict.absorbable == (sed.c_values[0] == 0 and sed.c_values[1] == 0)
@@ -324,7 +324,7 @@ def test_absorbable_witness_solves_the_one_line_system():
             continue
         jet = prob.make_jet(pt, tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)))
         try:
-            verdict = torsion_absorbable(prob, jet)
+            verdict = torsion_absorbable(structure_equation_coefficients(prob, jet))
         except (SingularD, IdenticallySingularD):
             continue
         if verdict.case != "D0_nonzero" or not verdict.absorbable:
