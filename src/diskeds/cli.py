@@ -26,6 +26,7 @@ from .reports import (
     Report,
     _field,
     build_problem,
+    check_powers,
     emit_report,
     load_problem,
 )
@@ -152,6 +153,8 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
     if any(k.denominator != 1 for k in ks):
         raise SchemaViolation("pseudo_ellipsoid.ks must be integers")
     pname = _pick(lp.points, opts.point, "points")
+    # the highest power of y_i the check takes is y_i^(2 k_i)
+    check_powers([2 * k for k in ks], lp.points[pname], f"points.{pname}")
     rep = pseudo_ellipsoid_check(alphas, ks, lp.points[pname])
     return {
         "point": pname,
@@ -164,7 +167,14 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
     }
 
 
+# the most flag candidates --trials may ask for, 40 times the default; at
+# n = 2, where none certifies, each costs about 0.1 ms
+MAX_TRIALS = 1000
+
+
 def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
+    if opts.trials > MAX_TRIALS:
+        raise SchemaViolation(f"--trials must be at most {MAX_TRIALS}, got {opts.trials}")
     jname = _pick(lp.jets, opts.jet, "jets")
     jet = lp.jets[jname]
     problem = _reasoned_problem(lp, jet.f)

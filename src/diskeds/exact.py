@@ -291,6 +291,22 @@ def require_real(value) -> Fraction:
     return Fraction(value)
 
 
+# the most bits one power x^e of an exact input value may take, counted by
+# power_bits: exact arithmetic on values of 100,000 bits and more takes
+# seconds to minutes
+MAX_POWER_BITS = 2 ** 15
+
+
+def power_bits(x) -> int:
+    """The bits one factor of a power of ``x`` may add: floor(log2 H) for a
+    rational of height H = max(|p|, q), so 0 for 0 and +-1, and for a
+    Gaussian rational the bit lengths of its two parts' heights added."""
+    if isinstance(x, GaussianRational):
+        return power_bits(x.re) + power_bits(x.im) + 2
+    p, q = x.as_integer_ratio()
+    return (abs(p) | q).bit_length() - 1
+
+
 def gaussian(re, im=0) -> GaussianRational:
     """The Gaussian rational re + i im, each part read once by :func:`rat`."""
     return _gaussian_parts(rat(re), rat(im))

@@ -15,9 +15,10 @@ canonical printer) is:
 
 Exponents must be plain non-negative integers; '/' only forms rational
 literals; 'i' is the imaginary unit in complexified mode only; parentheses
-and unary minuses nest at most ``MAX_NESTING`` levels.  Term order
-is graded lexicographic on the table order, so printing (and hashing) is
-deterministic and files round-trip.
+and unary minuses nest at most ``MAX_NESTING`` levels.  Neither the
+expanded expression nor a partial product on the way to it may pass
+``MAX_TERMS`` terms.  Term order is graded lexicographic on the table
+order, so printing is deterministic and files round-trip.
 """
 from __future__ import annotations
 
@@ -33,10 +34,12 @@ from .errors import (
     UnknownVariable,
 )
 from .exact import (
+    MAX_POWER_BITS,
     FirstJet,
     GaussianRational,
     I_UNIT,
     normalize_scalar,
+    power_bits,
     rational_str,
     scalar_str,
 )
@@ -61,10 +64,14 @@ def _accumulate(terms, exps, c):
     terms[exps] = c
 
 
-def _product(a, b):
+def _too_many_terms(limit):
+    raise SchemaViolation(f"expression expands past {limit} terms")
+
+
+def _product(a, b, limit=None):
     """The term table of the product of the term tables ``a`` and ``b``:
     one product for two monomials, raw integers for two large rational
-    tables."""
+    tables.  With a ``limit``, a partial product of more terms raises."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -72,26 +79,28 @@ def _product(a, b):
         c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
         return {tuple(map(_add, e1, e2)): c}
     if len(a) > 8 and len(b) > 8:
-        fast = _integer_product(a, b)
+        fast = _integer_product(a, b, limit)
         if fast is not None:
             return fast
     res = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
+        if limit and len(res) > limit:
+            _too_many_terms(limit)
     return res
 
 
-def _power(terms, k, nvars):
+def _power(terms, k, nvars, limit=None):
     """The term table of ``terms`` to the power k >= 0: square only while
-    bits of k remain."""
+    bits of k remain; ``limit`` as for :func:`_product`."""
     out, base = None, terms
     while k:
         if k & 1:
-            out = base if out is None else _product(out, base)
+            out = base if out is None else _product(out, base, limit)
         k >>= 1
         if k:
-            base = _product(base, base)
+            base = _product(base, base, limit)
     return {(0,) * nvars: _ONE} if out is None else out
 
 
@@ -104,9 +113,10 @@ def _content(terms):
     return Fraction(g, l)
 
 
-def _integer_product(a, b):
+def _integer_product(a, b, limit):
     """Large products: clear contents and multiply raw integers (one
-    Fraction rescale at the end).  Rational coefficients only, else None."""
+    Fraction rescale at the end).  Rational coefficients only, else None;
+    ``limit`` as for :func:`_product`, counting cancelled terms too."""
     if not all(isinstance(c, Fraction) for c in a.values()):
         return None
     if not all(isinstance(c, Fraction) for c in b.values()):
@@ -140,6 +150,8 @@ def _integer_product(a, b):
         for e2, c2 in B:
             e = e1 + e2
             res[e] = get(e, 0) + c1 * c2
+        if limit and len(res) > limit:
+            _too_many_terms(limit)
     scale = ca * cb
     return {unpack(e): c * scale for e, c in res.items() if c}
 
@@ -202,9 +214,7 @@ class Polynomial:
         return not self.terms
 
     def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def leading(self):
         """Gradlex-leading (exps, coeff) pair; requires nonzero."""
@@ -230,8 +240,7 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.terms.items(), key=lambda kv: _gradlex_key(kv[0])))
-            self._hash = hash((self.vars, items))
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -406,6 +415,9 @@ def tokenize(text):
 
 # unary minuses and parentheses an expression may nest
 MAX_NESTING = 100
+# the most terms a table may reach while the parser expands an expression;
+# (1 + f1)^1999, at the bound with 2,000-bit coefficients, takes about 2 s
+MAX_TERMS = 2000
 
 
 def unit_exponents(variables):
@@ -456,6 +468,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "END":
             raise MalformedSyntax(f"trailing input {tok[1]!r}", tok[2])
+        if len(terms) > MAX_TERMS:   # a sum; products are bounded as they grow
+            _too_many_terms(MAX_TERMS)
         return Polynomial(self.vars, terms)
 
     def expr(self):
@@ -471,7 +485,7 @@ class _Parser:
         terms = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            terms = _product(terms, self.factor())
+            terms = _product(terms, self.factor(), MAX_TERMS)
         return terms
 
     def factor(self):
@@ -482,8 +496,14 @@ class _Parser:
             return terms
         terms = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            terms = _power(terms, self.exponent(), len(self.vars))
+            tok = self.take()
+            k = self.exponent()
+            if len(terms) == 1:   # one term: its coefficient's power grows unchecked
+                (_, c), = terms.items()
+                if c is not _ONE and k * power_bits(c) > MAX_POWER_BITS:
+                    raise SchemaViolation(f"a power at byte {tok[2]} passes "
+                                          f"{MAX_POWER_BITS} bits")
+            terms = _power(terms, k, len(self.vars), MAX_TERMS)
         return terms
 
     def exponent(self):

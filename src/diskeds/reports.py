@@ -13,9 +13,10 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from .errors import CrossCheckMismatch, SchemaViolation
-from .exact import gaussian, rat, rational_str
+from .exact import MAX_POWER_BITS, gaussian, power_bits, rat, rational_str
 from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
@@ -40,10 +41,11 @@ def load_problem(source) -> dict:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=_reject_float)
-    except FileNotFoundError:
+    except OSError as exc:   # missing, a directory, or not readable
         raise SchemaViolation(
             f"no such problem: {source!r} is neither a builtin "
-            f"({', '.join(sorted(BUILTIN_PROBLEMS))}) nor a readable file")
+            f"({', '.join(sorted(BUILTIN_PROBLEMS))}) nor a readable file "
+            f"({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"invalid JSON in {source}: {exc}")
     except UnicodeDecodeError as exc:
@@ -104,6 +106,27 @@ LoadedProblem = namedtuple("LoadedProblem", "doc digest two_n problem points jet
 # the largest dimension_2n a document may declare: every table is sized by
 # it before anything is parsed, so a larger one only exhausts memory
 MAX_DIMENSION_2N = 200
+# the most names a stratum's jet table 2n (q + 1) may hold: parsing over it
+# costs (2n (q + 1))^2 exponent entries, 32 MB at the bound
+MAX_JET_NAMES = 2000
+
+
+def check_powers(exponents, point, path):
+    """Raise SchemaViolation naming ``path`` where ``point[i]`` to the power
+    ``exponents[i]`` passes MAX_POWER_BITS (see :func:`exact.power_bits`)."""
+    for i, (e, x) in enumerate(zip(exponents, point)):
+        if e > 1 and e * power_bits(x) > MAX_POWER_BITS:
+            raise SchemaViolation(
+                f"{path}[{i}] to the power {e} passes {MAX_POWER_BITS} bits")
+
+
+def _top_exponents(polys, nvars):
+    """The highest exponent of each variable among the monomials of ``polys``."""
+    top = [0] * nvars
+    for p in polys:
+        for exps in p.terms:
+            top = list(map(max, top, exps))
+    return top
 
 
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
@@ -122,6 +145,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
     problem = None
     structure_warnings = ()
+    top = [0] * two_n   # each coordinate's highest exponent in rho and the structure
     if "rho" in doc:
         units = unit_exponents(coords)
         parse = lambda text: parse_expression(text, coords, units=units)
@@ -151,6 +175,8 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             raise SchemaViolation(f"distinguished_pair must be two distinct "
                                   f"integers in 1..{two_n}, got {pair!r}")
         problem = HypersurfaceProblem(rho, structure, tuple(pair))
+        top = _top_exponents([rho, structure.denominator,
+                              *chain.from_iterable(structure.numerators)], two_n)
 
     points_doc = _field(doc, "points", "", "object", required=False, default={})
     points = {}
@@ -158,6 +184,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         points[pname] = _field(points_doc, pname, "points", "rationals")
         if len(points[pname]) != two_n:
             raise SchemaViolation(f"points.{pname} must have {two_n} entries")
+        check_powers(top, points[pname], f"points.{pname}")
 
     jets = {}
     for jname, jdoc in _field(doc, "jets", "", "object", required=False,
@@ -204,6 +231,10 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         for text in eq_exprs:
             tokens = tokenize(text)
             own = _jet_order(tokens)
+            if two_n * (own + 1) > MAX_JET_NAMES:
+                raise SchemaViolation(
+                    f"{spath}: jets of order {own} need a table of {two_n * (own + 1)} "
+                    f"names, more than {MAX_JET_NAMES}")
             parsed.append(parse(tokens, own))
             order = max(order, own)
         openings = []

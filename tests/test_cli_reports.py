@@ -959,11 +959,14 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
 
 
 # wrong-typed values, junk expressions and rationals, expressions nested
-# past the parser's bound, a deleted key, and one large integer (past the
-# dimension bound, or a large coordinate or index)
+# past the parser's bound, a deleted key, one large integer (past the
+# dimension bound, or a large coordinate, index or pseudo-ellipsoid
+# exponent), and the size mutations: a large power of a sum, a large
+# exponent of a coordinate and of a constant, and a jet of order 100
 DELETE = object()
 MUTATIONS = (None, True, 0, -1, 7, 10 ** 9, "", "x", "1/0", "f1^", "f7", "zb9", "(",
-             DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE)
+             DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE,
+             "(f1 + f2 + f4)^200", "f4 - f1^100000000", "f4 - 3^100000", "w1_99")
 
 
 def _paths(obj, prefix=()):
@@ -974,11 +977,12 @@ def _paths(obj, prefix=()):
             for path in [prefix + (key,)] + _paths(value, prefix + (key,))]
 
 
-# the complex_standard builtins and the two documents with a matrix and a
-# pair structure
+# the complex_standard builtins, the two documents with a matrix and a
+# pair structure, and a pseudo-ellipsoid
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
 FUZZ_DOCUMENTS = {**BUILTIN_PROBLEMS, **{
-    stem: json.loads((DOCS / f"{stem}.json").read_text()) for stem in ("n3_matrix", "n3_pair")}}
+    stem: json.loads((DOCS / f"{stem}.json").read_text())
+    for stem in ("n3_matrix", "n3_pair", "pseudo_ellipsoid")}}
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -1126,3 +1130,113 @@ def test_loading_cusp_reads_each_probe_part_once(monkeypatch):
     points = sum(len(point) for point in doc["points"].values())
     build_problem(doc, "cusp")
     assert parts == 36 and calls[0] == points + parts
+
+
+# ----------------------------------------------------------------------
+# size limits: each exits 2 with a message naming it, never a traceback
+
+
+def _cli_exit_2(argv, fmt, capsys):
+    assert cli.main([*argv, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_directory_as_the_problem_exits_2(fmt, tmp_path, capsys):
+    err = _cli_exit_2(["involutivity", str(tmp_path)], fmt, capsys)
+    assert err.startswith(f"SchemaViolation: no such problem: {str(tmp_path)!r}")
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_stratum_jet_table_past_the_bound_exits_2(fmt, tmp_path, capsys):
+    doc = {"dimension_2n": MAX_DIMENSION_2N, "strata": {"S": {"equalities": ["z1", "w1_99"]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    err = _cli_exit_2(["jets", str(path)], fmt, capsys)
+    assert err == ("SchemaViolation: strata.S: jets of order 100 need a table of "
+                   f"20200 names, more than {reports.MAX_JET_NAMES}\n")
+
+
+def test_a_stratum_jet_table_at_the_bound_loads():
+    # 2n (q + 1) names: z, zb and q blocks of w jets
+    two_n = reports.MAX_JET_NAMES // 100
+    doc = {"dimension_2n": two_n, "strata": {"S": {"equalities": ["w1_98"]}}}
+    system = build_problem(doc).strata["S"][0]
+    assert system.order == 99 and len(system.table) == reports.MAX_JET_NAMES
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_trials_past_the_bound_exits_2(fmt, capsys):
+    err = _cli_exit_2(["integral-element", "hyperquadric", "--trials",
+                       str(cli.MAX_TRIALS + 1)], fmt, capsys)
+    assert err == (f"SchemaViolation: --trials must be at most {cli.MAX_TRIALS}, "
+                   f"got {cli.MAX_TRIALS + 1}\n")
+    for trials in (cli.MAX_TRIALS, 25, 5):
+        assert cli.main(["integral-element", "hyperquadric", "--trials", str(trials)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["found"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, doc", [
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - (f1 + f2 + f4)^200",
+                 "points": {"P0": ["0", "0", "0", "0"]}}),
+    ("jets", {"dimension_2n": 4, "strata": {"S": {"equalities": ["(z1 + z2 + w1)^200"]}}}),
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - (f1 + f2 + f4)^40*(f1 + f2 + f4)^40"}),
+], ids=["power", "stratum", "product"])
+def test_an_expansion_past_the_term_bound_exits_2(command, doc, fmt, tmp_path, capsys):
+    # (f1 + f2 + f4)^200 expands to 20,301 terms; the parser stops at the
+    # first partial product past the bound
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    err = _cli_exit_2([command, str(path)], fmt, capsys)
+    assert err == "SchemaViolation: expression expands past 2000 terms\n"
+
+
+def test_the_term_bound_holds_in_the_parser_only():
+    from diskeds.expr import MAX_TERMS
+    V4 = ("f1", "f2", "f3", "f4")
+    # 1,891 terms parse; a Polynomial product or power is not bounded
+    assert len(parse_expression("(f1 + f2 + f4)^60", V4).terms) == 1891 <= MAX_TERMS
+    p = parse_expression("f1 + f2 + f4", V4) ** 64
+    assert len(p.terms) == 2145 > MAX_TERMS
+    assert len((p * parse_expression("1 + f3", V4)).terms) == 2 * 2145
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, doc, message", [
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - f1^100000000",
+                 "points": {"P0": ["2", "0", "0", "0"]},
+                 "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}}},
+     "points.P0[0] to the power 100000000 passes 32768 bits"),
+    ("involutivity", {"dimension_2n": 4, "rho": "f3 + f1",
+                      "structure": {"kind": "matrix", "entries": [
+                          ["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                          ["0", "0", "0", "-1"], ["0", "0", "1", "f2^40000"]]},
+                      "points": {"P0": ["0", "3/2", "0", "0"]}},
+     "points.P0[1] to the power 40000 passes 32768 bits"),
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - 3^100000"},
+     "a power at byte 6 passes 32768 bits"),
+    ("pseudo-ellipsoid", {"dimension_2n": 6, "points": {"Y": ["2", "0", "0", "0", "0", "0"]},
+                          "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": [10 ** 9] * 6}},
+     "points.Y[0] to the power 2000000000 passes 32768 bits"),
+], ids=["coordinate", "structure", "constant", "pseudo_ellipsoid"])
+def test_an_exact_power_past_the_bit_bound_exits_2(command, doc, message, fmt, tmp_path,
+                                                   capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert _cli_exit_2([command, str(path)], fmt, capsys) == f"SchemaViolation: {message}\n"
+
+
+def test_powers_of_zero_and_one_have_no_bit_bound(tmp_path, capsys):
+    # 1^e and 0^e cost nothing, whatever e; the bound reads the coordinate
+    doc = {"dimension_2n": 4, "rho": "f3 - f1^100000000 + f2^100000000 + 1",
+           "distinguished_pair": [1, 2],
+           "points": {"P0": ["1", "0", "0", "0"]},
+           "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["torsion", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["absorbable"] in (True, False)
