@@ -291,7 +291,7 @@ def require_real(value) -> Fraction:
     return Fraction(value)
 
 
-# the most bits one power x^e of an exact input value may take, counted by
+# the most bits one power x^e of an exact value may take, counted by
 # power_bits: exact arithmetic on values of 100,000 bits and more takes
 # seconds to minutes
 MAX_POWER_BITS = 2 ** 15
@@ -305,6 +305,16 @@ def power_bits(x) -> int:
         return power_bits(x.re) + power_bits(x.im) + 2
     p, q = x.as_integer_ratio()
     return (abs(p) | q).bit_length() - 1
+
+
+def power(x, e: int):
+    """x ** e for an exact scalar x and an int e >= 0, the one place the
+    package raises an exact value to a power: SchemaViolation when
+    e * power_bits(x) passes MAX_POWER_BITS, so 0 and +-1 pass at any e."""
+    if e > 1 and e * power_bits(x) > MAX_POWER_BITS:
+        raise SchemaViolation(f"exact power x^{e} of a {power_bits(x)}-bit x "
+                              f"passes {MAX_POWER_BITS} bits")
+    return x ** e
 
 
 def gaussian(re, im=0) -> GaussianRational:

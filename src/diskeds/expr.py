@@ -34,12 +34,11 @@ from .errors import (
     UnknownVariable,
 )
 from .exact import (
-    MAX_POWER_BITS,
     FirstJet,
     GaussianRational,
     I_UNIT,
     normalize_scalar,
-    power_bits,
+    power,
     rational_str,
     scalar_str,
 )
@@ -171,7 +170,7 @@ def _monomial_partial(c, support, orders):
         if e > k:
             if not x:
                 return None
-            acc = acc * (x if e - k == 1 else x ** (e - k))
+            acc = acc * (x if e - k == 1 else power(x, e - k))
     return acc if scale == 1 else acc * scale
 
 
@@ -328,7 +327,7 @@ class Polynomial:
                 if e:
                     if not x:
                         break   # a zero coordinate: the monomial contributes nothing
-                    acc = acc * x ** e
+                    acc = acc * power(x, e)
             else:
                 out = acc if out is None else out + acc
         return normalize_scalar(0 if out is None else out)
@@ -496,13 +495,11 @@ class _Parser:
             return terms
         terms = self.atom()
         if self.peek()[0] == "^":
-            tok = self.take()
+            self.take()
             k = self.exponent()
-            if len(terms) == 1:   # one term: its coefficient's power grows unchecked
-                (_, c), = terms.items()
-                if c is not _ONE and k * power_bits(c) > MAX_POWER_BITS:
-                    raise SchemaViolation(f"a power at byte {tok[2]} passes "
-                                          f"{MAX_POWER_BITS} bits")
+            if len(terms) == 1:   # one term: scale its exponents, power its coefficient
+                (exps, c), = terms.items()
+                return {tuple(e * k for e in exps): c if c is _ONE else power(c, k)}
             terms = _power(terms, k, len(self.vars), MAX_TERMS)
         return terms
 

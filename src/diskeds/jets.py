@@ -45,7 +45,7 @@ from .errors import (
     ProbeViolatesStratum,
     SchemaViolation,
 )
-from .exact import normalize_scalar, rational_str, require_real, scalar_conj
+from .exact import normalize_scalar, power, rational_str, require_real, scalar_conj
 from .expr import Polynomial, print_polynomial
 from .linalg import greedy_basis, mat_rank, solve_particular
 
@@ -307,7 +307,7 @@ def _power(point, exps):
             if not x:
                 return 0
             if e > 1:
-                x = x ** e
+                x = power(x, e)
             out = x if out is None else out * x
     return 1 if out is None else out
 

@@ -13,10 +13,9 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
 
 from .errors import CrossCheckMismatch, SchemaViolation
-from .exact import MAX_POWER_BITS, gaussian, power_bits, rat, rational_str
+from .exact import gaussian, rat, rational_str
 from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
@@ -111,24 +110,6 @@ MAX_DIMENSION_2N = 200
 MAX_JET_NAMES = 2000
 
 
-def check_powers(exponents, point, path):
-    """Raise SchemaViolation naming ``path`` where ``point[i]`` to the power
-    ``exponents[i]`` passes MAX_POWER_BITS (see :func:`exact.power_bits`)."""
-    for i, (e, x) in enumerate(zip(exponents, point)):
-        if e > 1 and e * power_bits(x) > MAX_POWER_BITS:
-            raise SchemaViolation(
-                f"{path}[{i}] to the power {e} passes {MAX_POWER_BITS} bits")
-
-
-def _top_exponents(polys, nvars):
-    """The highest exponent of each variable among the monomials of ``polys``."""
-    top = [0] * nvars
-    for p in polys:
-        for exps in p.terms:
-            top = list(map(max, top, exps))
-    return top
-
-
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
     two_n = _field(doc, "dimension_2n", name, "integer")
     if two_n < 4 or two_n % 2:
@@ -145,7 +126,6 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
     problem = None
     structure_warnings = ()
-    top = [0] * two_n   # each coordinate's highest exponent in rho and the structure
     if "rho" in doc:
         units = unit_exponents(coords)
         parse = lambda text: parse_expression(text, coords, units=units)
@@ -175,8 +155,6 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             raise SchemaViolation(f"distinguished_pair must be two distinct "
                                   f"integers in 1..{two_n}, got {pair!r}")
         problem = HypersurfaceProblem(rho, structure, tuple(pair))
-        top = _top_exponents([rho, structure.denominator,
-                              *chain.from_iterable(structure.numerators)], two_n)
 
     points_doc = _field(doc, "points", "", "object", required=False, default={})
     points = {}
@@ -184,7 +162,6 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         points[pname] = _field(points_doc, pname, "points", "rationals")
         if len(points[pname]) != two_n:
             raise SchemaViolation(f"points.{pname} must have {two_n} entries")
-        check_powers(top, points[pname], f"points.{pname}")
 
     jets = {}
     for jname, jdoc in _field(doc, "jets", "", "object", required=False,

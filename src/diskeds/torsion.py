@@ -45,7 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SingularD, WrongDimension
-from .exact import rat
+from .exact import power, rat
 from .geometry import (
     FirstJetPoint,
     HypersurfaceProblem,
@@ -301,11 +301,11 @@ def pseudo_ellipsoid_check(alphas, ks, y_point) -> PseudoEllipsoidReport:
     y = tuple(rat(x) for x in y_point)
     if len(y) != 6:
         raise WrongDimension("need a 6-dimensional point")
-    v = tuple(2 * alphas[i] * ks[i] * y[i] ** (2 * ks[i] - 1) for i in range(6))
-    w = tuple(2 * ks[i] * (2 * ks[i] - 1) * alphas[i] * y[i] ** (2 * ks[i] - 2)
+    v = tuple(2 * alphas[i] * ks[i] * power(y[i], 2 * ks[i] - 1) for i in range(6))
+    w = tuple(2 * ks[i] * (2 * ks[i] - 1) * alphas[i] * power(y[i], 2 * ks[i] - 2)
               for i in range(6))
     L = ((v[0] ** 2 + v[1] ** 2) * (w[2] + w[3]) * (w[4] + w[5])
          + (v[2] ** 2 + v[3] ** 2) * (w[0] + w[1]) * (w[4] + w[5])
          + (v[4] ** 2 + v[5] ** 2) * (w[0] + w[1]) * (w[2] + w[3]))
-    rho_value = sum(alphas[i] * y[i] ** (2 * ks[i]) for i in range(6))
+    rho_value = sum(alphas[i] * power(y[i], 2 * ks[i]) for i in range(6))
     return PseudoEllipsoidReport(v, w, L, L <= 0, rho_value, rho_value != 0)

@@ -1210,18 +1210,18 @@ def test_the_term_bound_holds_in_the_parser_only():
     ("torsion", {"dimension_2n": 4, "rho": "f3 - f1^100000000",
                  "points": {"P0": ["2", "0", "0", "0"]},
                  "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}}},
-     "points.P0[0] to the power 100000000 passes 32768 bits"),
+     "exact power x^100000000 of a 1-bit x passes 32768 bits"),
     ("involutivity", {"dimension_2n": 4, "rho": "f3 + f1",
                       "structure": {"kind": "matrix", "entries": [
                           ["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                           ["0", "0", "0", "-1"], ["0", "0", "1", "f2^40000"]]},
                       "points": {"P0": ["0", "3/2", "0", "0"]}},
-     "points.P0[1] to the power 40000 passes 32768 bits"),
+     "exact power x^40000 of a 1-bit x passes 32768 bits"),
     ("torsion", {"dimension_2n": 4, "rho": "f3 - 3^100000"},
-     "a power at byte 6 passes 32768 bits"),
+     "exact power x^100000 of a 1-bit x passes 32768 bits"),
     ("pseudo-ellipsoid", {"dimension_2n": 6, "points": {"Y": ["2", "0", "0", "0", "0", "0"]},
                           "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": [10 ** 9] * 6}},
-     "points.Y[0] to the power 2000000000 passes 32768 bits"),
+     "exact power x^1999999999 of a 1-bit x passes 32768 bits"),
 ], ids=["coordinate", "structure", "constant", "pseudo_ellipsoid"])
 def test_an_exact_power_past_the_bit_bound_exits_2(command, doc, message, fmt, tmp_path,
                                                    capsys):
