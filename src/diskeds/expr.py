@@ -16,9 +16,10 @@ canonical printer) is:
 Exponents must be plain non-negative integers; '/' only forms rational
 literals; 'i' is the imaginary unit in complexified mode only; parentheses
 and unary minuses nest at most ``MAX_NESTING`` levels.  Neither the
-expanded expression nor a partial product on the way to it may pass
-``MAX_TERMS`` terms.  Term order is graded lexicographic on the table
-order, so printing is deterministic and files round-trip.
+expanded expression nor a sum or partial product on the way to it may pass
+``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients.
+Term order is graded lexicographic on the table order, so printing is
+deterministic and files round-trip.
 """
 from __future__ import annotations
 
@@ -67,27 +68,48 @@ def _too_many_terms(limit):
     raise SchemaViolation(f"expression expands past {limit} terms")
 
 
+def _bits(c):
+    """The bits of a coefficient's numerators and denominators."""
+    if isinstance(c, GaussianRational):
+        return _bits(c.re) + _bits(c.im)
+    p, q = c.as_integer_ratio()
+    return p.bit_length() + q.bit_length()
+
+
+def _bounded(terms, limit):
+    """``terms``, raising past ``limit`` terms or past MAX_COEFFICIENT_BITS
+    bits in all its coefficients together."""
+    if len(terms) > limit:
+        _too_many_terms(limit)
+    if sum(map(_bits, terms.values())) > MAX_COEFFICIENT_BITS:
+        raise SchemaViolation(
+            f"expression expands past {MAX_COEFFICIENT_BITS} coefficient bits")
+    return terms
+
+
 def _product(a, b, limit=None):
     """The term table of the product of the term tables ``a`` and ``b``:
     one product for two monomials, raw integers for two large rational
-    tables.  With a ``limit``, a partial product of more terms raises."""
+    tables.  With a ``limit``, a partial product of more terms raises, and
+    so does a product past :func:`_bounded`'s coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
-        # a parsed variable's coefficient is the shared 1, multiplied by nothing
-        c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
-        return {tuple(map(_add, e1, e2)): c}
-    if len(a) > 8 and len(b) > 8:
-        fast = _integer_product(a, b, limit)
-        if fast is not None:
-            return fast
-    res = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
-        if limit and len(res) > limit:
-            _too_many_terms(limit)
-    return res
+        # a parsed variable's coefficient is the shared 1, multiplied by
+        # nothing; the other factor is a table the parser bounded already
+        if c1 is _ONE or c2 is _ONE:
+            return {tuple(map(_add, e1, e2)): c2 if c1 is _ONE else c1}
+        res = {tuple(map(_add, e1, e2)): c1 * c2}
+    else:
+        res = _integer_product(a, b, limit) if len(a) > 8 and len(b) > 8 else None
+        if res is None:
+            res = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
+                if limit and len(res) > limit:
+                    _too_many_terms(limit)
+    return _bounded(res, limit) if limit else res
 
 
 def _power(terms, k, nvars, limit=None):
@@ -414,9 +436,11 @@ def tokenize(text):
 
 # unary minuses and parentheses an expression may nest
 MAX_NESTING = 100
-# the most terms a table may reach while the parser expands an expression;
-# (1 + f1)^1999, at the bound with 2,000-bit coefficients, takes about 2 s
+# the most terms a table may reach while the parser expands an expression
 MAX_TERMS = 2000
+# the most bits its coefficients may hold together: (f1 + f2 + f4)^60 holds
+# 126,546, and (1 + f1)^1999, 2,000 terms of 2,874,786 bits, takes 1.8 s
+MAX_COEFFICIENT_BITS = 2 ** 17
 
 
 def unit_exponents(variables):
@@ -467,8 +491,6 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "END":
             raise MalformedSyntax(f"trailing input {tok[1]!r}", tok[2])
-        if len(terms) > MAX_TERMS:   # a sum; products are bounded as they grow
-            _too_many_terms(MAX_TERMS)
         return Polynomial(self.vars, terms)
 
     def expr(self):
@@ -478,7 +500,7 @@ class _Parser:
             op = self.take()[0]
             for exps, c in self.term().items():
                 _accumulate(terms, exps, c if op == "+" else -c)
-        return terms
+        return _bounded(terms, MAX_TERMS)   # products are bounded as they grow
 
     def term(self):
         terms = self.factor()

@@ -6,6 +6,7 @@ import json
 import operator
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -961,12 +962,14 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
 # wrong-typed values, junk expressions and rationals, expressions nested
 # past the parser's bound, a deleted key, one large integer (past the
 # dimension bound, or a large coordinate, index or pseudo-ellipsoid
-# exponent), and the size mutations: a large power of a sum, a large
-# exponent of a coordinate and of a constant, and a jet of order 100
+# exponent), and the size mutations: a large power of a sum, in terms and
+# in coefficient bits, a large exponent of a coordinate and of a constant,
+# and a jet of order 100
 DELETE = object()
 MUTATIONS = (None, True, 0, -1, 7, 10 ** 9, "", "x", "1/0", "f1^", "f7", "zb9", "(",
              DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE,
-             "(f1 + f2 + f4)^200", "f4 - f1^100000000", "f4 - 3^100000", "w1_99")
+             "(f1 + f2 + f4)^200", "(1 + f1)^1999", "f4 - f1^100000000", "f4 - 3^100000",
+             "w1_99")
 
 
 def _paths(obj, prefix=()):
@@ -1203,6 +1206,44 @@ def test_the_term_bound_holds_in_the_parser_only():
     p = parse_expression("f1 + f2 + f4", V4) ** 64
     assert len(p.terms) == 2145 > MAX_TERMS
     assert len((p * parse_expression("1 + f3", V4)).terms) == 2 * 2145
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, doc", [
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - (1 + f1)^1999"}),
+    ("torsion", {"dimension_2n": 4,
+                 "rho": "f3 - (1 + f1)^1999 - (1 + f1)^1999 + (1 + f1)^1999"}),
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - (1 + f1)^420*(1 + f1)^420"}),
+    ("torsion", {"dimension_2n": 4, "rho": "f3 - f1*((1 + f1)^420 + (1 + f2)^420)"}),
+    ("jets", {"dimension_2n": 4, "strata": {"S": {"equalities": ["(1 + z1)^1999"]}}}),
+], ids=["power", "sum_of_powers", "product", "parenthesized_sum", "stratum"])
+def test_an_expansion_past_the_coefficient_bits_exits_2(command, doc, fmt, tmp_path,
+                                                         capsys):
+    # (1 + f1)^1999 holds 2,874,786 coefficient bits in 2,000 terms and
+    # took 1.8 s to parse, each more copy of it another 1.8 s
+    from diskeds.expr import MAX_COEFFICIENT_BITS
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    err = _cli_exit_2([command, str(path)], fmt, capsys)
+    assert time.perf_counter() - start < 1
+    assert err == ("SchemaViolation: expression expands past "
+                   f"{MAX_COEFFICIENT_BITS} coefficient bits\n")
+
+
+def test_the_coefficient_bit_bound_holds_in_the_parser_only():
+    from diskeds.expr import MAX_COEFFICIENT_BITS
+    V4 = ("f1", "f2", "f3", "f4")
+    bits = lambda p: sum(c.numerator.bit_length() + c.denominator.bit_length()
+                         for c in p.terms.values())
+    # (1 + f1)^428, 130,957 bits, parses as a power and as a product, and
+    # (1 + f1)^429 does not; a Polynomial power is not bounded
+    for text in ("(f1 + f2 + f4)^60", "(1 + f1)^428", "(1 + f1)^424*(1 + f1)^4"):
+        assert bits(parse_expression(text, V4)) <= MAX_COEFFICIENT_BITS
+    for text in ("(1 + f1)^429", "(1 + f1)^425*(1 + f1)^4"):
+        with pytest.raises(SchemaViolation):
+            parse_expression(text, V4)
+    assert bits(parse_expression("1 + f1", V4) ** 600) > MAX_COEFFICIENT_BITS
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
