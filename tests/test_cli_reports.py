@@ -963,13 +963,13 @@ def test_report_values_of_unexpected_type_are_a_cross_check_failure():
 # past the parser's bound, a deleted key, one large integer (past the
 # dimension bound, or a large coordinate, index or pseudo-ellipsoid
 # exponent), and the size mutations: a large power of a sum, in terms and
-# in coefficient bits, a large exponent of a coordinate and of a constant,
-# and a jet of order 100
+# in coefficient bits, a large exponent of a coordinate, of a constant and
+# in a stratum equality, and a jet of order 100
 DELETE = object()
 MUTATIONS = (None, True, 0, -1, 7, 10 ** 9, "", "x", "1/0", "f1^", "f7", "zb9", "(",
              DEEP_PARENTHESES, DEEP_MINUSES, [], {}, [1], [["1", "0"]], DELETE,
              "(f1 + f2 + f4)^200", "(1 + f1)^1999", "f4 - f1^100000000", "f4 - 3^100000",
-             "w1_99")
+             "z1^100000000", "w1_99")
 
 
 def _paths(obj, prefix=()):
@@ -1269,6 +1269,67 @@ def test_an_exact_power_past_the_bit_bound_exits_2(command, doc, message, fmt, t
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert _cli_exit_2([command, str(path)], fmt, capsys) == f"SchemaViolation: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("stratum, exponent", [
+    ({"equalities": ["z1^10000000 - z2"],
+      "probes": {"Q": {"z": ["3", "0"], "w": ["1", "0"]}}}, 10000000),
+    ({"equalities": ["z2"], "openings": [{"expr": "z1^100000000", "sign": "+"}],
+      "probes": {"Q": {"z": ["3", "0"], "w": ["1", "0"]}}}, 100000000),
+], ids=["equality", "opening"])
+def test_a_stratum_power_past_the_bit_bound_exits_2(stratum, exponent, fmt, tmp_path,
+                                                    capsys):
+    # the power is taken at the probe, which the loader does not evaluate;
+    # the equality ran 9.7 s before exiting 2 on the probe's violation
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4, "strata": {"S": stratum}}))
+    start = time.perf_counter()
+    err = _cli_exit_2(["jets", str(path)], fmt, capsys)
+    assert time.perf_counter() - start < 1
+    assert err == (f"SchemaViolation: exact power x^{exponent} of a 1-bit x "
+                   "passes 32768 bits\n")
+
+
+def test_exact_powers_at_the_bit_bound_exit_0(tmp_path, capsys):
+    # power_bits(3/5) = 2, so (3/5)^16384 takes exactly the 32,768 bits;
+    # 2^5000 and y^(2 k) with k = 10,000 at y = 2 stay within them
+    def run(command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, str(path)])
+        capsys.readouterr()
+        return code
+
+    def at_bound(e):
+        return {"dimension_2n": 4, "rho": f"f1^{e} - f2^{e} + f3",
+                "points": {"P0": ["3/5", "3/5", "0", "0"]},
+                "jets": {"J0": {"point": "P0", "p_reduced": ["1", "0"]}}}
+
+    assert run("torsion", at_bound(16384)) == 0
+    assert run("torsion", at_bound(16385)) == 2
+    assert run("torsion", BIG_VALUE_DOC) == 0
+    assert run("pseudo-ellipsoid", {
+        "dimension_2n": 6, "points": {"Y": ["2", "0", "0", "0", "0", "0"]},
+        "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": [10000] * 6}}) == 0
+
+
+def test_only_a_command_that_takes_the_power_exits_2(tmp_path, capsys):
+    # rho holds f1^100000000 at f1 = 2 and the document has no jets, so
+    # nothing evaluates rho at load; jets and pseudo-ellipsoid never do
+    doc = {"dimension_2n": 6, "rho": "f3 - f1^100000000",
+           "points": {"Y": ["2", "0", "0", "0", "0", "0"]},
+           "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": [1] * 6},
+           "strata": {"S": {"equalities": ["z2"],
+                            "probes": {"Q": {"z": ["0", "0", "0"], "w": ["1", "0", "0"]}}}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("jets", "pseudo-ellipsoid"):
+        assert cli.main([command, str(path)]) == 0
+        capsys.readouterr()
+    # rho's gradient takes 2^(10^8 - 1)
+    err = _cli_exit_2(["involutivity", str(path)], "json", capsys)
+    assert err == "SchemaViolation: exact power x^99999999 of a 1-bit x passes 32768 bits\n"
 
 
 def test_powers_of_zero_and_one_have_no_bit_bound(tmp_path, capsys):

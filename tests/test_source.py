@@ -40,6 +40,43 @@ def test_no_floats_in_the_package():
     assert found == []
 
 
+def _owned_nodes(body, owner=None):
+    """(owner, node) for every node under the statements ``body``: the
+    owner is the top-level function or assigned name a node lies in, or
+    ``Class.method`` inside a class."""
+    for stmt in body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from _owned_nodes(stmt.body, stmt.name)
+            continue
+        name = getattr(stmt, "name", None) or "/".join(
+            t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name))
+        name = f"{owner}.{name}" if owner else name
+        yield from ((name, node) for node in ast.walk(stmt))
+
+
+def test_exact_power_owns_every_computed_power():
+    # exact.power bounds the bits of each power the analysis takes; a '**'
+    # or pow() with an exponent that is not an integer literal anywhere
+    # else escapes that bound.  The digit writer's powers of 10 are sized
+    # by the value it writes, not by the input
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _owned_nodes(tree.body):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                exponent = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                exponent = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "pow" and len(node.args) >= 2):
+                exponent = node.args[1]
+            else:
+                continue
+            if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+                found.append(f"{path.name}:{owner}")
+    assert sorted(found) == ["exact.py:_PIECE", "exact.py:_digits", "exact.py:power"]
+
+
 
 def test_no_dataclasses_in_the_package():
     # records are namedtuples: defining dataclasses costs most of the import
