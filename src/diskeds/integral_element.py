@@ -155,25 +155,6 @@ KahlerVerdict = namedtuple("KahlerVerdict", "determinant regular verdict dim_ker
                            defaults=(True, True))
 
 
-def _pair_X(flag: FlagSpec):
-    """X-coordinates of the plane spanned by the two flag generators."""
-    a1, a2, c1, c2 = flag[:4]
-    zero = Fraction(0)
-    # X_2 = a^1_1 a^2_2 - a^1_2 a^2_1, then c^1_j a^2_k - c^2_j a^1_k, k = 1, 2
-    X = [dot(a1, (a2[1], -a2[0]), zero)]
-    for k in range(2):
-        weights = (a2[k], -a1[k])
-        X += [dot(c, weights, zero) for c in zip(c1, c2)]
-    return X
-
-
-def _annihilates(row, X):
-    """The d(theta) row (x2, xi, xlast) vanishes on the plane with X
-    coordinates X."""
-    x2, xi, xlast = row
-    return dot((x2,) + xi + xlast, X, Fraction(0)) == 0
-
-
 def _eps_lines(A1, A2, C):
     """The labelled deterministic perturbations of the line (A_1, A_2, C)."""
     yield "eps_x", A1 + Fraction(1, 7), A2 - Fraction(1, 9), C
@@ -207,11 +188,15 @@ def kahler_regularity(problem: HypersurfaceProblem, jet: FirstJetPoint,
     if dtheta is None:
         dtheta = _dtheta_row_data(problem, jet)
     rows = dtheta.rows
-    dim_ker, determinant = polar_nullity_and_determinant(
-        polar_matrix(rows, A1, A2, C), A1, A2)
-    X = _pair_X(flag)
-    integral = all(_annihilates(row, X) for row in rows)
-    independence = X[0] != 0
+    P = polar_matrix(rows, A1, A2, C)
+    dim_ker, determinant = polar_nullity_and_determinant(P, A1, A2)
+    # E is spanned by E_1 and the second generator (the first where
+    # alpha = 0), so the d(theta) rows vanish on E exactly where P(E_1)
+    # annihilates that generator
+    a1, a2, c1, c2 = flag[:4]
+    w = (*a2, *c2) if flag.alpha else (*a1, *c1)
+    integral = all(dot(row, w, Fraction(0)) == 0 for row in P)
+    independence = a1[0] * a2[1] != a1[1] * a2[0]
     samples = []
     for label, eA1, eA2, eC in _eps_lines(A1, A2, C):
         if eA1 == 0 and eA2 == 0 and all(x == 0 for x in eC):
@@ -253,7 +238,9 @@ def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     # rows[1:]: X_2 coeff q_j, own X_j coeff 1, X_{2n-2+i} coeffs beta_{j,i}
     c2 = tuple(dot_plus(betarow, c1, q) for q, _, betarow in rows[1:])
     flag = FlagSpec((1, 0), (0, 1), c1, c2)
-    return flag if _annihilates(rows[0], _pair_X(flag)) else None
+    # the first row vanishes on E where P(E_1) annihilates E's second generator
+    row, = polar_matrix(rows[:1], 1, 0, c1)
+    return flag if dot(row, (0, 1, *c2), Fraction(0)) == 0 else None
 
 
 def _candidate_c1(two_n, trials, seed):

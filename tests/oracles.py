@@ -797,6 +797,20 @@ def mat_mul(a, b):
     return [[dot(row, col, zero) for col in cols] for row in a]
 
 
+def pair_X(flag: FlagSpec):
+    """X coordinates of the plane spanned by the two flag generators, the
+    2 x 2 minors of the generators written out: the reference the runtime's
+    reading of integrality off P(E_1) is checked against."""
+    a1, a2, c1, c2 = flag[:4]
+    zero = Fraction(0)
+    # X_2 = a^1_1 a^2_2 - a^1_2 a^2_1, then c^1_j a^2_k - c^2_j a^1_k, k = 1, 2
+    X = [dot(a1, (a2[1], -a2[0]), zero)]
+    for k in range(2):
+        weights = (a2[k], -a1[k])
+        X += [dot(c, weights, zero) for c in zip(c1, c2)]
+    return X
+
+
 PolarMaps = namedtuple("PolarMaps", "F G R square")
 
 

@@ -20,7 +20,7 @@ from diskeds.integral_element import (
     polar_matrix,
     polar_nullity_and_determinant,
 )
-from diskeds.linalg import mat_rank
+from diskeds.linalg import dot, mat_rank
 from diskeds.torsion import structure_equation_coefficients, torsion_absorbable
 from oracles import (
     cramer_determinant,
@@ -31,6 +31,7 @@ from oracles import (
     nullity,
     nullspace,
     on_surface_point,
+    pair_X,
     perturbed_polar_nullity,
     random_constant_structure,
     random_polynomial,
@@ -126,7 +127,6 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
     # row alone let non-integral planes through there); every certificate
     # it does find must be an epsilon-stable integral element that also
     # annihilates d(theta^1)
-    from diskeds.integral_element import _pair_X
     rng = random.Random(42)
     searches = 0
     for _ in range(12):
@@ -162,7 +162,7 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
             gb = sed.point_data
             row = ((sed.c_values[0],) + tuple(-x for x in gb.gamma1)
                    + tuple(-x for x in gb.beta1))
-            assert sum(a * b for a, b in zip(row, _pair_X(result.flag))) == 0
+            assert sum(a * b for a, b in zip(row, pair_X(result.flag))) == 0
     assert searches >= 20
 
 
@@ -446,6 +446,10 @@ def test_closed_form_polar_matrix_and_determinant_match_the_explicit_maps(case):
     v = kahler_regularity(prob, jet, flag)
     assert (v.determinant, v.dim_ker_gf, v.eps_samples) == \
         _explicit_verdict_facts(rows, A1, A2, C, two_n)
+    # integrality read off P(E_1) against the d(theta) rows on E's X coordinates
+    X = pair_X(flag)
+    assert v.is_integral == all(dot(row, X, 0) == 0 for row in maps.G)
+    assert v.independence == (X[0] != 0)
 
 
 @given(polar_cases(), st.data())
