@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from diskeds.errors import IdenticallySingularD, SingularD
+from diskeds.exact import rational_str
 from diskeds.geometry import choose_pair, compute_gamma_beta
 from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import ordinary_element_search
@@ -31,14 +32,15 @@ def analyze(name, seed):
         gb = compute_gamma_beta(problem, point)
         dv = compute_D_vectors(gb)
         rep = tableau_report(gb, dv)
-        print(f"  point {pname}: D = {gb.D}, D0 = {list(dv.D0)}")
+        print(f"  point {pname}: D = {rational_str(gb.D)}, "
+              f"D0 = [{', '.join(map(rational_str, dv.D0))}]")
         print(f"  dims A^(q) = {list(rep.dims)}, q0 = {rep.q0}, "
               f"involutive at order 0: {rep.involutive_at_0}")
         if lp.two_n == 6 and problem.structure.kind == "complex_standard":
             try:
                 d6 = dim6_definiteness(problem, point)
-                print(f"  dimension-6 discriminants: {d6.delta1}, {d6.delta2} "
-                      f"-> {d6.verdict}")
+                print(f"  dimension-6 discriminants: {rational_str(d6.delta1)}, "
+                      f"{rational_str(d6.delta2)} -> {d6.verdict}")
             except (SingularD, IdenticallySingularD):
                 print("  dimension-6 test: the coordinate-pair chart is "
                       "singular here (rho_1 = rho_2 = 0)")
