@@ -521,7 +521,7 @@ class _Parser:
             k = self.exponent()
             if len(terms) == 1:   # one term: scale its exponents, power its coefficient
                 (exps, c), = terms.items()
-                return {tuple(e * k for e in exps): c if c is _ONE else power(c, k)}
+                return {tuple([e * k for e in exps]): c if c is _ONE else power(c, k)}
             terms = _power(terms, k, len(self.vars), MAX_TERMS)
         return terms
 
