@@ -5,15 +5,26 @@ denominator, reduced).  Complexified coefficients are ``GaussianRational``
 pairs of Fractions.  Scalars interoperate: every operation accepts int,
 Fraction or GaussianRational on either side, and values with zero imaginary
 part normalize back down to Fraction so term dictionaries stay canonical.
+
+The integer kernels live here too: :func:`sum_of_products` (under
+``linalg.dot``), :func:`row_minus` (the elimination row update) and the
+``FirstJet`` gradient rules.  A Fraction x Fraction term a/b * c/d is the
+integer pair (a c, b d); a kernel sums such pairs on one integer numerator
+over the lcm of their denominators and builds one ``Fraction`` per result,
+which the constructor reduces, so it is the canonical value that
+Fraction's operators reach term by term.  Operands of any other type (int,
+FirstJet, GaussianRational, a rational function) take their own operators.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotRealCoefficients, SchemaViolation
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 # an optional sign, digits and an optional '/' and digits; no spaces, '_' or '.'
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -194,16 +205,14 @@ class FirstJet:
     def __add__(self, other):
         if not isinstance(other, FirstJet):
             return self if not other else FirstJet(self.value + other, self.grad)
-        return FirstJet(self.value + other.value, _added(self.grad, other.grad))
+        return FirstJet(self.value + other.value, _combined(1, self.grad, 1, other.grad))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, FirstJet):
             return self if not other else FirstJet(self.value - other, self.grad)
-        return FirstJet(self.value - other.value,
-                        tuple((a - b if a else -b) if b else a
-                              for a, b in zip(self.grad, other.grad)))
+        return FirstJet(self.value - other.value, _combined(1, self.grad, -1, other.grad))
 
     def __rsub__(self, other):
         if not other:
@@ -222,7 +231,7 @@ class FirstJet:
             return FirstJet(self.value * other, _scaled(self.grad, other))
         u, v = self.value, other.value
         # d(uv) = u dv + v du
-        return FirstJet(u * v, _added(_scaled(other.grad, u), _scaled(self.grad, v)))
+        return FirstJet(u * v, _combined(u, other.grad, v, self.grad))
 
     __rmul__ = __mul__
 
@@ -235,32 +244,122 @@ class FirstJet:
         v = other.value
         q = self.value / v
         # d(u/v) = (du - q dv) / v
-        return FirstJet(q, tuple(a / v if a else a
-                                 for a in _added(self.grad, _scaled(other.grad, -q))))
+        return FirstJet(q, _combined(1 / v, self.grad, -q / v, other.grad))
 
     def __rtruediv__(self, other):
         v = self.value
         q = other / v
         if q == 0:
             return Fraction(0)
-        return FirstJet(q, tuple(-q * b / v if b else b for b in self.grad))
-
-
-# Gradient kernels: a component with an exact zero factor costs nothing.
-
-def _added(grad, other):
-    return tuple(a + b if a and b else a or b for a, b in zip(grad, other))
-
-
-def _scaled(grad, c):
-    """c * grad; all zeros, as c itself, for c = 0."""
-    if not c:
-        return tuple(c for _ in grad)
-    return tuple(c * a if a else a for a in grad)
+        # d(c/v) = -q dv / v
+        return FirstJet(q, _scaled(self.grad, -q / v))
 
 
 def _negated(grad):
     return tuple(-a if a else a for a in grad)
+
+
+# Integer kernels.  Each skips a term with an exact zero factor, testing
+# numerators first: a denominator is read only for a term that is kept.
+
+def _pair_sum(n1, d1, n2, d2):
+    """n1/d1 + n2/d2 as an integer pair over lcm(d1, d2)."""
+    if d1 == d2:
+        return n1 + n2, d1
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
+
+
+def _fraction(n, d):
+    """The canonical Fraction n/d of ints n and d > 0."""
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def sum_of_products(xs, ys):
+    """sum_k xs[k] * ys[k] over exact scalars with every term that has an
+    exact zero factor left out; None when every term is left out.
+
+    The Fraction x Fraction terms make one Fraction, from one numerator
+    over the lcm of their denominators b d; a pair of any other types is
+    multiplied and summed by its own operators, and that sum comes first.
+    """
+    num, den = 0, 0     # den = 0 until the first Fraction term
+    rest = None
+    for x, y in zip(xs, ys):
+        if type(x) is Fraction and type(y) is Fraction:
+            a = x.numerator
+            if a:
+                c = y.numerator
+                if c:
+                    d = x.denominator * y.denominator
+                    if d == den:
+                        num += a * c
+                    elif den:
+                        num, den = _pair_sum(num, den, a * c, d)
+                    else:
+                        num, den = a * c, d
+        elif x and y:
+            rest = x * y if rest is None else rest + x * y
+    if not den:
+        return rest
+    s = _fraction(num, den)
+    return s if rest is None else rest + s
+
+
+def row_minus(row, factor, pivot):
+    """row - factor * pivot, leaving an entry alone where pivot is zero.
+    Where factor and both entries are Fractions the new entry is one
+    Fraction from one integer pair; other entries take their operators."""
+    if type(factor) is not Fraction:
+        return [(a - factor * b if a else -(factor * b)) if b else a
+                for a, b in zip(row, pivot)]
+    fn, fd = -factor.numerator, factor.denominator
+    out = []
+    for a, b in zip(row, pivot):
+        if type(a) is Fraction and type(b) is Fraction:
+            bn = b.numerator
+            if bn:
+                n, d = fn * bn, fd * b.denominator
+                an = a.numerator
+                if an:
+                    n, d = _pair_sum(an, a.denominator, n, d)
+                a = _fraction(n, d)
+        elif b:
+            a = a - factor * b if a else -(factor * b)
+        out.append(a)
+    return out
+
+
+# The gradient kernels: FirstJet gradients hold Fractions, and the
+# coefficients u, v and c are ints or Fractions.
+
+def _combined(u, xs, v, ys):
+    """u xs + v ys, one Fraction per component from one integer pair."""
+    un, ud = u.numerator, u.denominator
+    vn, vd = v.numerator, v.denominator
+    unit = un == ud     # u = 1: a component of xs alone is kept as it is
+    out = []
+    for x, y in zip(xs, ys):
+        a, c = un * x.numerator, vn * y.numerator
+        if c:
+            d = vd * y.denominator
+            out.append(_fraction(*_pair_sum(a, ud * x.denominator, c, d)) if a
+                       else _fraction(c, d))
+        elif a:
+            out.append(x if unit else _fraction(a, ud * x.denominator))
+        else:
+            out.append(_ZERO)
+    return tuple(out)
+
+
+def _scaled(grad, c):
+    """c grad for c != 0."""
+    cn, cd = c.numerator, c.denominator
+    out = []
+    for x in grad:
+        a = x.numerator
+        out.append(_fraction(cn * a, cd * x.denominator) if a else x)
+    return tuple(out)
 
 
 def normalize_scalar(value):

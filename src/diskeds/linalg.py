@@ -7,39 +7,36 @@ first jets, and the test suite's rational functions (giving ranks at the
 generic point) all run through the same code paths.
 
 Exact zeros are skipped, never approximated: :func:`dot` leaves out a
-product with a zero factor and :func:`_row_minus` leaves an entry alone
+product with a zero factor and the row update leaves an entry alone
 where the pivot row is zero, so the mostly-zero tables of a constant
-structure cost only their nonzero terms.
+structure cost only their nonzero terms.  Both run on the integer
+kernels of :mod:`diskeds.exact` (``sum_of_products``, ``row_minus``):
+Fraction terms are summed on integer numerators and denominators and
+each result is one reduced Fraction, the same value and type the
+term-by-term Fraction operators give.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .exact import row_minus, sum_of_products
 
 
 def dot(xs, ys, zero):
     """sum_k xs[k] * ys[k] over any exact scalar, skipping every pair with
     an exact zero factor; ``zero`` (the caller's zero, of its scalar type)
     when every pair is skipped."""
-    out = None
-    for x, y in zip(xs, ys):
-        if x and y:
-            out = x * y if out is None else out + x * y
-    return zero if out is None else out
+    s = sum_of_products(xs, ys)
+    return zero if s is None else s
 
 
 def dot_plus(xs, ys, c):
     """dot(xs, ys) + c over any exact scalar, skipping exact zero terms;
     ``c`` itself when every product is skipped."""
-    s = dot(xs, ys, None)
+    s = sum_of_products(xs, ys)
     if s is None:
         return c
     return s + c if c else s
-
-
-def _row_minus(row, factor, pivot):
-    """row - factor * pivot, leaving an entry alone where pivot is zero."""
-    return [(a - factor * b if a else -(factor * b)) if b else a
-            for a, b in zip(row, pivot)]
 
 
 def _echelon(rows, ncols):
@@ -63,7 +60,7 @@ def _echelon(rows, ncols):
         pv = rows[r][c]
         for i in range(r + 1, nrows):
             if rows[i][c] != 0:
-                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[r])
+                rows[i] = row_minus(rows[i], rows[i][c] / pv, rows[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -111,7 +108,7 @@ def leading_pivots(matrix):
             return
         for i in range(k + 1, len(rows)):
             if rows[i][k] != 0:
-                rows[i] = _row_minus(rows[i], rows[i][k] / pv, pivot_row)
+                rows[i] = row_minus(rows[i], rows[i][k] / pv, pivot_row)
 
 
 def greedy_basis(base, rows):
@@ -127,7 +124,7 @@ def greedy_basis(base, rows):
     def adds_pivot(row):
         for c, b in echelon:
             if row[c] != 0:
-                row = _row_minus(row, row[c] / b[c], b)
+                row = row_minus(row, row[c] / b[c], b)
         for c, x in enumerate(row):
             if x != 0:
                 at = sum(1 for pc, _ in echelon if pc < c)

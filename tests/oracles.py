@@ -35,7 +35,7 @@ from diskeds.errors import (DimensionMismatch, DiskEdsError, IdenticallySingular
                             NotComplexifiedMode, SchemaViolation, SingularD,
                             UnknownVariable, WrongDimension)
 from diskeds.exact import (I_UNIT, FirstJet, GaussianRational, gaussian, normalize_scalar,
-                           rat, require_real, scalar_conj)
+                           rat, require_real, row_minus, scalar_conj)
 from diskeds.expr import Polynomial, print_polynomial, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               StructureMatrix, _gammas_and_betas, _mu_and_D, _tangent,
@@ -43,7 +43,7 @@ from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               gamma_beta_first_jets, structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
-from diskeds.linalg import _echelon, _row_minus, dot, dot_plus, solve_particular
+from diskeds.linalg import _echelon, dot, dot_plus, solve_particular
 from diskeds.torsion import complex_torsion
 
 
@@ -1014,7 +1014,7 @@ def det(matrix):
         out = pv if out is None else out * pv
         for i in range(c + 1, n):
             if rows[i][c] != 0:
-                rows[i] = _row_minus(rows[i], rows[i][c] / pv, rows[c])
+                rows[i] = row_minus(rows[i], rows[i][c] / pv, rows[c])
     return out if sign > 0 else -out
 
 

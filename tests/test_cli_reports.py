@@ -21,6 +21,7 @@ from diskeds.jets import Opening, jet_table, make_system
 from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
                              load_problem)
 from diskeds import cli, reports
+from operands import fraction_operands
 
 
 def run_cli(*args):
@@ -566,54 +567,36 @@ N5_HYPERQUADRIC = {
 }
 
 
+def _fraction_operands(argv):
+    """[operands, zero operands] that exact arithmetic takes in while the
+    CLI runs ``argv`` (see ``operands.py``)."""
+    with fraction_operands() as counts:
+        assert cli.main(argv) == 0
+    return counts
+
+
 @pytest.mark.parametrize("command", ["torsion", "involutivity"])
-def test_exact_zeros_cost_no_multiplication(command, tmp_path, monkeypatch, capsys):
+def test_exact_zeros_cost_no_multiplication(command, tmp_path, capsys):
     # dense contractions with this alpha multiply by an exact zero in about
-    # 80 % of their Fraction products; the kernels skip those terms
-    from fractions import Fraction
+    # 80 % of their Fraction products; the kernels skip those terms.  With
+    # a dot that skips none, 817 of 2,705 (torsion) and 1,472 of 2,662
+    # (involutivity) operands are zeros; with the skipping kernels, 2 of
+    # 1,129 and 7 of 552
     path = tmp_path / "n5.json"
     path.write_text(json.dumps(N5_HYPERQUADRIC))
-    products = {"all": 0, "zero": 0}
-
-    def counting(real):
-        def mul(a, b):
-            products["all"] += 1
-            products["zero"] += not a or not b
-            return real(a, b)
-        return mul
-
-    monkeypatch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
-    monkeypatch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
-    assert cli.main([command, str(path)]) == 0
-    assert products["all"] > 100
-    assert products["zero"] * 10 <= products["all"]
-
-
-def _fraction_products(argv, monkeypatch):
-    from fractions import Fraction
-    products = [0]
-
-    def counting(real):
-        def mul(a, b):
-            products[0] += 1
-            return real(a, b)
-        return mul
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
-        patch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
-        assert cli.main(argv) == 0
-    return products[0]
+    operands, zeros = _fraction_operands([command, str(path)])
+    assert operands > 100
+    assert zeros * 10 <= operands
 
 
 @pytest.mark.parametrize("command", ["torsion", "integral-element"])
-def test_torsion_along_the_jet_is_quadratic_work(command, tmp_path, monkeypatch, capsys):
-    # the 2n quadratic-form matrices on full gradients took 977 (torsion)
-    # and 1,067 (integral-element) Fraction products here; the
-    # derivatives along p1 and p2 take about half
+def test_torsion_along_the_jet_is_quadratic_work(command, tmp_path, capsys):
+    # the 2n quadratic-form matrices on full gradients took 2,661 (torsion)
+    # and 2,873 (integral-element) Fraction operands here, on the same
+    # kernels; the derivatives along p1 and p2 take 1,129, under half
     path = tmp_path / "n5.json"
     path.write_text(json.dumps(N5_HYPERQUADRIC))
-    assert 100 < _fraction_products([command, str(path)], monkeypatch) <= 600
+    assert 100 < _fraction_operands([command, str(path)])[0] <= 1450
 
 
 def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):

@@ -20,6 +20,7 @@ from diskeds import expr
 from diskeds.jets import conjugate_involution
 from diskeds.reports import build_problem, load_problem
 
+from operands import fraction_operands
 from oracles import (
     DivisionByZeroFunction,
     RationalFunction,
@@ -273,7 +274,14 @@ def test_first_jet_constant_operand_matches_lifted_jet(x, c):
             assert _value_and_grad(op(*args)) == _value_and_grad(want)
 
 
-sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+# zeros, negatives, equal and coprime denominators (6, 35, 77 and a
+# 4,000-bit one), and 4,000-bit numerators and denominators
+BIG = 2 ** 4000
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), rationals,
+    st.sampled_from([Fraction(1, 6), Fraction(-5, 6), Fraction(4, 35), Fraction(-9, 77),
+                     Fraction(3, BIG - 1)]),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
 
 
 @st.composite
@@ -293,7 +301,12 @@ def _dense_rule(op, x, y):
     return u / v, tuple((a * v - u * b) / (v * v) for a, b in zip(du, dv))
 
 
-@given(sparse_first_jets(), st.one_of(sparse_first_jets(), sparse_rationals))
+def _without_gradient(x):
+    return FirstJet(x.value, ()) if isinstance(x, FirstJet) else x
+
+
+@given(sparse_first_jets(),
+       st.one_of(sparse_first_jets(), sparse_rationals, st.integers(-3, 3)))
 @settings(max_examples=200, deadline=None)
 def test_first_jet_rules_on_sparse_gradients(x, y):
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
@@ -304,9 +317,16 @@ def test_first_jet_rules_on_sparse_gradients(x, y):
                 with pytest.raises(ZeroDivisionError):
                     op(*args)
                 continue
-            value, grad = _value_and_grad(op(*args))
+            with fraction_operands() as counts:
+                got = op(*args)
+            value, grad = _value_and_grad(got)
             assert (value, grad) == want
             assert all(type(g) is Fraction for g in grad)
+            # a zero gradient component costs nothing: the rule reads no
+            # more exact zeros than on the values alone
+            with fraction_operands() as values_only:
+                op(*map(_without_gradient, args))
+            assert counts[1] == values_only[1]
     assert _value_and_grad(-x) == (-x.value, tuple(-a for a in x.grad))
 
 

@@ -4,15 +4,15 @@ from itertools import combinations, permutations
 
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.exact import FirstJet
+from diskeds.exact import FirstJet, GaussianRational, row_minus
 from diskeds.expr import parse_expression
 from diskeds.linalg import (
-    _row_minus,
     dot,
     dot_plus,
     mat_rank,
     solve_particular,
 )
+from operands import fraction_operands
 from oracles import RationalFunction, det, in_row_span, nullity, nullspace, var
 
 
@@ -105,7 +105,16 @@ def test_nullspace_vectors_annihilate(m):
 XY = ("x", "y")
 RF_ZERO = RationalFunction.from_const(XY, 0)
 mostly_zero = lambda values: st.one_of(st.just(0), st.just(0), values)
-fractions_ = mostly_zero(st.fractions(min_value=-5, max_value=5)).map(Fraction)
+# zeros, negatives, equal and coprime denominators (6, 35, 77 and a
+# 4,000-bit one), and 4,000-bit numerators and denominators
+BIG = 2 ** 4000
+fractions_ = mostly_zero(st.one_of(
+    st.fractions(min_value=-5, max_value=5),
+    st.sampled_from([Fraction(1, 6), Fraction(-5, 6), Fraction(7, 6), Fraction(4, 35),
+                     Fraction(-9, 77), Fraction(3, BIG - 1)]),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))).map(Fraction)
+ints = st.integers(-3, 3)
+gaussians = st.builds(GaussianRational, fractions_, fractions_)
 _rf = lambda num, den="1": RationalFunction(parse_expression(num, XY),
                                             parse_expression(den, XY))
 ratfns = st.sampled_from([RF_ZERO, RF_ZERO, RF_ZERO, _rf("1"), _rf("-2"), _rf("x"),
@@ -128,15 +137,40 @@ def _pairs(values):
     return st.lists(st.tuples(values, values), max_size=6)
 
 
-@given(_pairs(fractions_))
+def _fold(pairs, zero):
+    """The kept terms x * y summed one by one by the scalars' operators."""
+    out = None
+    for x, y in pairs:
+        if x and y:
+            out = x * y if out is None else out + x * y
+    return zero if out is None else out
+
+
+def _zero_operands(f, *args):
+    """f(*args) and the exact zeros whose denominators it reads."""
+    with fraction_operands() as counts:
+        got = f(*args)
+    return got, counts[1]
+
+
+@given(st.one_of(_pairs(fractions_), _pairs(st.one_of(fractions_, ints, gaussians))))
 @example([])
 @example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))])
+@example([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(4, 35), Fraction(-9, 77)),
+          (Fraction(7, 6), Fraction(1, 6))])
+@example([(2, 3), (Fraction(1, 2), 0), (-1, 4)])
 @settings(max_examples=150, deadline=None)
 def test_dot_over_fractions_is_the_dense_sum(pairs):
+    # mixed with ints and Gaussian rationals, the sum has the value and the
+    # type of the term-by-term fold
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     zero = Fraction(0)
-    got = dot(xs, ys, zero)
-    assert type(got) is Fraction and got == sum((x * y for x, y in pairs), zero)
+    got, zeros_read = _zero_operands(dot, xs, ys, zero)
+    want = _fold(pairs, zero)
+    assert got == want and type(got) is type(want)
+    if all(type(x) is Fraction and type(y) is Fraction for x, y in pairs):
+        assert type(got) is Fraction and got == sum((x * y for x, y in pairs), zero)
+        assert zeros_read == 0
     if all(not (x and y) for x, y in pairs):
         assert got is zero
     c = Fraction(7, 3)
@@ -156,32 +190,45 @@ def test_dot_over_rational_functions_is_the_dense_sum(pairs):
         assert got is RF_ZERO
 
 
-@given(_pairs(jets))
+@given(_pairs(st.one_of(jets, fractions_, ints)))
 @settings(max_examples=150, deadline=None)
 def test_dot_over_first_jets_is_the_dense_sum(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     zero = Fraction(0)
     got = dot(xs, ys, zero)
     assert _jet_view(got) == _jet_view(sum((x * y for x, y in pairs), zero))
+    assert type(got) is type(_fold(pairs, zero))
     if not pairs or all(not isinstance(x, FirstJet) and not x for x, _ in pairs):
         assert got is zero
 
 
-@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
-    st.lists(fractions_, min_size=k, max_size=k),
-    st.lists(fractions_, min_size=k, max_size=k))), fractions_)
+def _rows(values, most=6):
+    return st.integers(0, most).flatmap(lambda k: st.tuples(
+        st.lists(values, min_size=k, max_size=k), st.lists(values, min_size=k, max_size=k)))
+
+
+mixed = st.one_of(fractions_, ints, gaussians)
+
+
+@given(st.one_of(st.tuples(_rows(fractions_), fractions_), st.tuples(_rows(mixed), mixed)))
 @settings(max_examples=150, deadline=None)
-def test_row_update_is_the_dense_row_update(rows, factor):
-    row, pivot = rows
-    got = _row_minus(row, factor, pivot)
+def test_row_update_is_the_dense_row_update(case):
+    # a zero entry of the pivot row leaves the entry alone, so each entry
+    # has the value and the type of the term-by-term update
+    (row, pivot), factor = case
+    got, zeros_read = _zero_operands(row_minus, row, factor, pivot)
+    want = [(a - factor * b if a else -(factor * b)) if b else a for a, b in zip(row, pivot)]
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
     assert got == [a - factor * b for a, b in zip(row, pivot)]
-    assert all(type(x) is Fraction for x in got)
+    if all(type(x) is Fraction for x in (*row, *pivot, factor)):
+        assert all(type(x) is Fraction for x in got)
+        # no exact zero of the rows is read; a zero factor is read once
+        assert zeros_read == (factor == 0)
 
 
-@given(st.integers(0, 4).flatmap(lambda k: st.tuples(
-    st.lists(ratfns, min_size=k, max_size=k), st.lists(ratfns, min_size=k, max_size=k))))
+@given(_rows(ratfns, 4))
 @settings(max_examples=60, deadline=None)
 def test_row_update_over_rational_functions(rows):
     row, pivot = rows
     factor = RationalFunction(var(XY, "x"))
-    assert _row_minus(row, factor, pivot) == [a - factor * b for a, b in zip(row, pivot)]
+    assert row_minus(row, factor, pivot) == [a - factor * b for a, b in zip(row, pivot)]
