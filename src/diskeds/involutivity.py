@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .errors import CrossCheckMismatch
 from .geometry import GammaBetaData, _mu2
-from .linalg import dot, mat_rank, row_times_matrix
+from .linalg import dot, dot_plus, mat_rank, row_times_matrix
 
 
 # D1 = +rho_2 * D0 == gamma^1 beta - beta_1
@@ -69,12 +69,10 @@ def compute_D_vectors(gb: GammaBetaData) -> DVectors:
 
 def _cross_check_exact(gb, D1, D2):
     """Definitional rows gamma^k beta - beta_k, entrywise exact."""
-    zero = 0 * gb.D
     beta_columns = tuple(zip(*gb.beta))
     for row, gamma, want in ((D2, gb.gamma2, gb.beta2), (D1, gb.gamma1, gb.beta1)):
         for i, column in enumerate(beta_columns):
-            direct = dot(gamma, column, zero) - want[i]
-            if direct != row[i]:
+            if dot_plus(gamma, column, -want[i]) != row[i]:
                 raise CrossCheckMismatch(
                     "closed-form obstruction row disagrees with gamma*beta - beta_k")
 

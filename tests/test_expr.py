@@ -337,9 +337,14 @@ def test_first_jet_is_truthy_at_a_zero_value():
 
 
 gaussians = st.builds(GaussianRational, rationals, rationals)
+# the part formulas, every product and sum taken
+DENSE_PARTS = {operator.add: lambda a, b, c, d: (a + c, b + d),
+               operator.sub: lambda a, b, c, d: (a - c, b - d),
+               operator.mul: lambda a, b, c, d: (a * c - b * d, a * d + b * c)}
 
 
-@given(gaussians, st.one_of(st.integers(-4, 4), rationals))
+@given(st.one_of(gaussians, st.builds(GaussianRational, sparse_rationals, sparse_rationals)),
+       st.one_of(st.integers(-4, 4), rationals, sparse_rationals))
 @settings(max_examples=150, deadline=None)
 def test_gaussian_real_operand_matches_lifted_gaussian(z, c):
     lifted = GaussianRational(c, 0)
@@ -354,6 +359,13 @@ def test_gaussian_real_operand_matches_lifted_gaussian(z, c):
             got = op(*args)
             assert (got.re, got.im) == (want.re, want.im)
             assert type(got.re) is Fraction and type(got.im) is Fraction
+            if op in DENSE_PARTS:
+                # exact-zero parts are skipped, never read
+                u, v = lifted_args
+                with fraction_operands() as counts:
+                    want = op(u, v)
+                assert (want.re, want.im) == DENSE_PARTS[op](u.re, u.im, v.re, v.im)
+                assert counts[1] == 0
 
 
 @given(gaussians, st.integers(0, 6))
