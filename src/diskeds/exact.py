@@ -414,9 +414,13 @@ MAX_POWER_BITS = 2 ** 15
 
 def power_bits(x) -> int:
     """The bits one factor of a power of ``x`` may add: floor(log2 H) for a
-    rational of height H = max(|p|, q), so 0 for 0 and +-1, and for a
-    Gaussian rational the bit lengths of its two parts' heights added."""
+    rational of height H = max(|p|, q), so 0 for 0 and +-1.  A Gaussian
+    rational with both parts nonzero adds its two parts' bits plus 2; one
+    with a zero part counts only the other part, since (b i)^e = b^e i^e,
+    so a power of +-i costs nothing."""
     if isinstance(x, GaussianRational):
+        if not x.re or not x.im:
+            return power_bits(x.re or x.im)
         return power_bits(x.re) + power_bits(x.im) + 2
     p, q = x.as_integer_ratio()
     return (abs(p) | q).bit_length() - 1

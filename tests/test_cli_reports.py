@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import operator
+import re
 import subprocess
 import sys
 import time
@@ -1320,6 +1321,28 @@ def test_exact_powers_at_the_bit_bound_exit_0(tmp_path, capsys):
     assert run("pseudo-ellipsoid", {
         "dimension_2n": 6, "points": {"Y": ["2", "0", "0", "0", "0", "0"]},
         "pseudo_ellipsoid": {"alphas": ["1"] * 6, "ks": [10000] * 6}}) == 0
+
+
+def test_a_gaussian_with_a_zero_part_counts_only_the_other(tmp_path, capsys):
+    # (b i)^e = b^e i^e does not grow past b^e: a power of +-i costs
+    # nothing and one of 2i takes 1 bit a factor, like 2^e; a Gaussian with
+    # both parts nonzero counts both parts' bits plus 2
+    table = jet_table(2, 1)
+    for text in ("z1 - i^20000", "z1 - (-i)^100000000", "z1 - (2*i)^32768",
+                 "z1 - (1+i)^16384"):
+        parse_expression(text, table, complexified=True)
+    for text, message in (("z1 - (2*i)^32769", "x^32769 of a 1-bit x"),
+                          ("z1 - (1+i)^16385", "x^16385 of a 2-bit x")):
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            parse_expression(text, table, complexified=True)
+    # a stratum holding i^20000 (= 1) loads and runs; it exited 2 when i
+    # counted 2 bits
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4, "strata": {"S": {
+        "equalities": ["z2 - i^20000"],
+        "probes": {"Q": {"z": ["3", "1"], "w": ["1", "0"]}}}}}))
+    assert cli.main(["jets", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_only_a_command_that_takes_the_power_exits_2(tmp_path, capsys):
