@@ -47,7 +47,7 @@ from .errors import (
 )
 from .exact import normalize_scalar, power, rational_str, require_real, scalar_conj
 from .expr import Polynomial, print_polynomial
-from .linalg import greedy_basis, mat_rank, solve_particular
+from .linalg import _echelon, mat_rank, solve_particular
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +369,7 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
 def tableau_at_probe(lin: Linearization):
     """(dimension, complex_split, jacobian rank) of the top-order tableau."""
     rows = [g for g, used in zip(lin.gradients, lin.uses_top) if used]
-    rank = mat_rank(rows) if rows else 0
+    rank = mat_rank(rows)
     null = 2 * lin.system.n - rank
     if not lin.mixed:
         if null % 2:
@@ -400,7 +400,7 @@ def torsion_at_probe(system: JetConstraintSystem, probe: tuple, prolongations=No
         if value != 0 or any(x != 0 for x in grad):
             rows.append(grad)
             rhs.append(-value)
-    solution = solve_particular(rows, rhs) if rows else []
+    solution = solve_particular(rows, rhs)
     torsion_free = solution is not None
     extension = None
     if torsion_free:
@@ -428,8 +428,10 @@ def reduce_redundant(lin: Linearization):
     holds the affine parts.  The reduction is greedy deletion from the last
     equality down; it keeps exactly what greedy insertion from the first
     one keeps once the equalities free of top jets (always kept) are in, so
-    one incremental elimination decides every candidate.  Returns (reduced
-    system, dropped list), the dropped equalities in descending index.
+    one ``_echelon`` of the transposed stack (free rows, then candidates)
+    decides every candidate: its pivot columns are the rows outside the
+    span of the rows before them.  Returns (reduced system, dropped list),
+    the dropped equalities in descending index.
     """
     system = lin.system
     if any(x != 0 for x in lin.probe[-2 * system.n:]):
@@ -439,7 +441,9 @@ def reduce_redundant(lin: Linearization):
     candidates = [j for j in range(len(eqs))
                   if lin.uses_top[j] and not lin.nonlinear[j]]
     free = [parts[j] for j in range(len(eqs)) if not lin.uses_top[j]]
-    kept = {candidates[k] for k in greedy_basis(free, [parts[j] for j in candidates])}
+    stack = free + [parts[j] for j in candidates]
+    pivots, _ = _echelon([list(col) for col in zip(*stack)], len(stack))
+    kept = {candidates[c - len(free)] for c in pivots if c >= len(free)}
     dropped = [j for j in reversed(candidates) if j not in kept]
     # the reduced system is not closed, and substitute_vanishing(reduced,
     # dropped) puts back each dropped equality whose conjugate was retained,

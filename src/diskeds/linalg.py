@@ -6,6 +6,10 @@ are no thresholds.  Entries only need +, -, *, / and == 0: Fractions,
 first jets, and the test suite's rational functions (giving ranks at the
 generic point) all run through the same code paths.
 
+:func:`_echelon` is the one elimination; its callers read the pivot list
+(rank, solving, the redundancy reduction), the swap count (the polar
+reading's determinant sign) or the diagonal (form definiteness) off it.
+
 Exact zeros are skipped, never approximated: :func:`dot` leaves out a
 product with a zero factor and the row update leaves an entry alone
 where the pivot row is zero, so the mostly-zero tables of a constant
@@ -93,48 +97,6 @@ def solve_particular(matrix, rhs):
                 s = s - rows[r][c] * x[c]
         x[pc] = s / rows[r][pc]
     return x
-
-
-def leading_pivots(matrix):
-    """The pivots of forward elimination of a square matrix without row
-    exchanges, up to and including the first zero one.  While no pivot is
-    zero, the k-th leading principal minor is the product of the first k
-    pivots; the first zero pivot is where that minor is 0."""
-    rows = [list(row) for row in matrix]
-    for k, pivot_row in enumerate(rows):
-        pv = pivot_row[k]
-        yield pv
-        if pv == 0:
-            return
-        for i in range(k + 1, len(rows)):
-            if rows[i][k] != 0:
-                rows[i] = row_minus(rows[i], rows[i][k] / pv, pivot_row)
-
-
-def greedy_basis(base, rows):
-    """Indices of the ``rows`` that forward greedy insertion keeps: row i
-    is kept when it lies outside the span of ``base`` and of the rows kept
-    before it.
-
-    One incremental elimination: each row is reduced against the echelon
-    basis built so far and joins it exactly when it adds a pivot.
-    """
-    echelon = []    # (pivot column, row), ascending pivot columns
-
-    def adds_pivot(row):
-        for c, b in echelon:
-            if row[c] != 0:
-                row = row_minus(row, row[c] / b[c], b)
-        for c, x in enumerate(row):
-            if x != 0:
-                at = sum(1 for pc, _ in echelon if pc < c)
-                echelon.insert(at, (c, row))
-                return True
-        return False
-
-    for row in base:
-        adds_pivot(row)
-    return [i for i, row in enumerate(rows) if adds_pivot(row)]
 
 
 def row_times_matrix(row, matrix):

@@ -62,15 +62,23 @@ def problem_digest(doc: dict) -> str:
 # JSON kind -> (Python type, what a value of that kind is)
 _KINDS = {"object": (dict, "an object"), "list": (list, "a list"),
           "string": (str, "a string"), "integer": (int, "an integer"),
+          "boolean": (bool, "true or false"),
+          "rational": ((int, str), "an exact rational 'p/q' string or integer"),
           "rationals": (list, "a list of exact rationals")}
 
 
 def _typed(value, path, kind):
-    """``value`` itself when it has the JSON ``kind``; "rationals" gives the
-    parsed tuple.  Raises SchemaViolation naming ``path`` otherwise."""
+    """``value`` itself when it has the JSON ``kind``; "rational" and
+    "rationals" give the parsed Fraction and tuple.  Raises SchemaViolation
+    naming ``path`` otherwise."""
     cls, what = _KINDS[kind]
-    if not isinstance(value, cls) or isinstance(value, bool):
+    if not isinstance(value, cls) or isinstance(value, bool) != (kind == "boolean"):
         raise SchemaViolation(f"{path} must be {what}")
+    if kind == "rational":
+        try:
+            return rat(value)
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}: {exc}")
     if kind != "rationals":
         return value
     out = []
@@ -175,17 +183,18 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             raise SchemaViolation("jets need a rho/structure block")
         jets[jname] = problem.make_jet(
             points[pname], p_red,
-            allow_off_surface=bool(jdoc.get("allow_off_surface")))
+            allow_off_surface=_field(jdoc, "allow_off_surface", jpath, "boolean",
+                                     required=False, default=False))
 
     flags = {}
     for fname, fdoc in _field(doc, "flags", "", "object", required=False,
                               default={}).items():
         from .integral_element import FlagSpec
+        fpath = f"flags.{fname}"
         flags[fname] = FlagSpec(
-            *(_field(fdoc, key, f"flags.{fname}", "rationals")
-              for key in ("a1", "a2", "c1", "c2")),
-            rat(fdoc.get("alpha", "1")),
-            rat(fdoc.get("beta", "0")),
+            *(_field(fdoc, key, fpath, "rationals") for key in ("a1", "a2", "c1", "c2")),
+            _field(fdoc, "alpha", fpath, "rational", required=False, default=Fraction(1)),
+            _field(fdoc, "beta", fpath, "rational", required=False, default=Fraction(0)),
         )
 
     strata = {}

@@ -34,10 +34,10 @@ The complex-case closed forms (first-order differential operators P^1_k,
 P^2_k acting on the gammas, the B coefficient tables, the two quadratic
 forms, the dimension-6 discriminants and the pseudo-ellipsoid product
 condition) are implemented against the same exact substrate.  A form is
-definite by the signs of its leading principal minors; one forward
-elimination without row exchanges gives them all, the k-th minor being
-the product of the first k pivots, and its first zero pivot makes that
-minor 0, so the form is not definite.
+definite by the signs of its leading principal minors, all read off one
+``linalg._echelon``: a row exchange or a missing pivot makes a minor 0;
+otherwise the pivots are the eliminated rows' diagonal and the k-th
+minor is the product of the first k of them.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from .geometry import (
     gamma_beta_first_jets,
 )
 from .involutivity import compute_D_vectors
-from .linalg import dot, dot_plus, leading_pivots, solve_particular
+from .linalg import _echelon, dot, dot_plus, solve_particular
 
 
 # ----------------------------------------------------------------------
@@ -238,15 +238,15 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
 
 def form_definiteness(matrix) -> str:
     """'positive_definite' | 'negative_definite' | 'not_definite' via
-    exact leading principal minors, read from the pivots of one
-    elimination: all minors are positive exactly when every pivot is, and
-    they alternate from negative exactly when every pivot is negative."""
-    signs = set()
-    for pivot in leading_pivots(matrix):
-        signs.add((pivot > 0) - (pivot < 0))
-        if 0 in signs or len(signs) > 1:
-            return "not_definite"
-    return "negative_definite" if signs == {-1} else "positive_definite"
+    exact leading principal minors, read from one elimination: all minors
+    are positive exactly when every diagonal pivot is, and they alternate
+    from negative exactly when every one is negative."""
+    rows = [list(row) for row in matrix]
+    pivots, swaps = _echelon(rows, len(rows))
+    positive = {rows[k][k] > 0 for k in pivots}
+    if swaps or len(pivots) < len(rows) or len(positive) > 1:
+        return "not_definite"
+    return "negative_definite" if positive == {False} else "positive_definite"
 
 
 # ----------------------------------------------------------------------

@@ -504,6 +504,57 @@ def test_missing_field_is_schema_violation(field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", [1], "flags.F.alpha must be an exact rational 'p/q' string or integer"),
+    ("beta", True, "flags.F.beta must be an exact rational 'p/q' string or integer"),
+    ("alpha", "0.5", "flags.F.alpha: not an exact rational: '0.5'"),
+    ("beta", "1/0", "flags.F.beta: zero denominator: '1/0'"),
+])
+def test_bad_flag_weight_names_its_field(key, value, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["flags"]["F"][key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["involutivity", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"SchemaViolation: {message}\n"
+
+
+@pytest.mark.parametrize("weights, want", [
+    ({}, (1, 0)), ({"alpha": None, "beta": None}, (1, 0)),
+    ({"alpha": "-3/2", "beta": 2}, (Fraction(-3, 2), 2)),
+])
+def test_flag_weights_read_as_exact_rationals(weights, want):
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["flags"]["F"].update(weights)
+    flag = build_problem(doc).flags["F"]
+    assert (flag.alpha, flag.beta) == want
+    assert all(type(x) is Fraction for x in (flag.alpha, flag.beta))
+
+
+@pytest.mark.parametrize("value, rc, message", [
+    ("absent", 2, "DimensionMismatch: point is off the hypersurface: rho = -1"),
+    (False, 2, "DimensionMismatch: point is off the hypersurface: rho = -1"),
+    ("false", 2, "SchemaViolation: jets.J.allow_off_surface must be true or false"),
+    (1, 2, "SchemaViolation: jets.J.allow_off_surface must be true or false"),
+    (True, 0, ""),
+])
+def test_allow_off_surface_is_a_json_boolean(value, rc, message, tmp_path, capsys):
+    # rho = -1 at P: only the JSON true skips the on-surface check
+    doc = {"dimension_2n": 4, "rho": "f4 + f1^2 + f2*f3",
+           "points": {"P": ["0", "0", "0", "-1"]},
+           "jets": {"J": {"point": "P", "p_reduced": ["1", "0"]}}}
+    if value != "absent":
+        doc["jets"]["J"]["allow_off_surface"] = value
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["torsion", str(path)]) == rc
+    out, err = capsys.readouterr()
+    assert err.strip() == message
+    if rc == 0:
+        assert json.loads(out)["results"]["jet"] == "J"
+
+
 def _count_gamma_beta_builds(monkeypatch):
     """Count pointwise, full-gradient first-jet and along-the-jet
     gamma/beta builds, wherever called, and the passes that read

@@ -164,6 +164,29 @@ def test_reduce_redundant_marks_square_norm_rows():
     assert mixed_row in set(dropped2)
 
 
+def test_definiteness_and_redundancy_each_run_one_echelon(monkeypatch):
+    # both read their answer off one linalg._echelon, patched where each
+    # module imports it
+    from diskeds import linalg, torsion
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return linalg._echelon(rows, ncols)
+
+    monkeypatch.setattr(torsion, "_echelon", counting)
+    monkeypatch.setattr(jets, "_echelon", counting)
+    form = [[Fraction(2), Fraction(1), Fraction(0)], [Fraction(1), Fraction(2), Fraction(1)],
+            [Fraction(0), Fraction(1), Fraction(-2)]]
+    assert torsion.form_definiteness(form) == "not_definite"
+    assert len(calls) == 1
+    system, probes = _stratum("hyperquadric", "nonzero_velocity")
+    P = prolong_constraints(system)
+    calls.clear()
+    reduce_redundant(linearize(P, extend_probe(P, probes["Q0"])))
+    assert len(calls) == 1
+
+
 def _random_stratum(rng):
     """A random n = 2 system of order 2, some rows linear in the top jets
     (w_1, wb_1), some nonlinear, some free of them, some sums of others,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from diskeds.exact import FirstJet, GaussianRational, row_minus
 from diskeds.expr import parse_expression
 from diskeds.linalg import (
+    _echelon,
     dot,
     dot_plus,
     mat_rank,
@@ -232,3 +233,51 @@ def test_row_update_over_rational_functions(rows):
     row, pivot = rows
     factor = RationalFunction(var(XY, "x"))
     assert row_minus(row, factor, pivot) == [a - factor * b for a, b in zip(row, pivot)]
+
+
+# ----------------------------------------------------------------------
+# pivot columns of a transposed stack, as jets.reduce_redundant reads them
+
+_few = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                        Fraction(1, 2)])
+_few_gaussians = st.builds(GaussianRational, _few, _few)
+
+
+@st.composite
+def stacks(draw):
+    """(ncols, rows, split) over Fractions or Gaussian rationals: rows from
+    few values, with zero rows and repeats of earlier rows put in, and a
+    split into free rows and candidates anywhere from none to all."""
+    values = draw(st.sampled_from([_few, _few_gaussians]))
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        row = list(rows[draw(st.integers(0, at - 1))]) if at and draw(st.booleans()) else (
+            [Fraction(0)] * ncols)
+        rows.insert(at, row)
+    return ncols, rows, draw(st.integers(0, len(rows)))
+
+
+_q = lambda *xs: [Fraction(x) for x in xs]
+
+
+@given(stacks())
+@example((3, [], 0))
+@example((2, [_q(1, 2), _q(0, 0), _q(1, 2), _q(2, 4), _q(0, 1)], 0))
+@example((2, [_q(1, 2), _q(0, 0), _q(1, 2), _q(2, 4), _q(0, 1)], 5))
+@example((2, [[GaussianRational(1, 1), Fraction(2)], [Fraction(0), Fraction(0)],
+              [GaussianRational(2, 2), Fraction(4)], [Fraction(1), GaussianRational(0, 1)]], 1))
+@settings(max_examples=200, deadline=None)
+def test_transposed_pivot_columns_are_the_rows_outside_the_earlier_span(case):
+    # column c of the transposed stack is a pivot exactly when row c lies
+    # outside the span of the rows before it, so the pivots past the free
+    # rows are what greedy insertion of the candidates keeps
+    ncols, stack, split = case
+    pivots, _ = _echelon([list(col) for col in zip(*stack)], len(stack))
+    assert pivots == [c for c in range(len(stack))
+                      if not in_row_span(stack[:c], stack[c], ncols)]
+    free, candidates = stack[:split], stack[split:]
+    assert [c - len(free) for c in pivots if c >= len(free)] == [
+        k for k in range(len(candidates))
+        if not in_row_span(free + candidates[:k], candidates[k], ncols)]

@@ -77,6 +77,19 @@ def test_exact_power_owns_every_computed_power():
     assert sorted(found) == ["exact.py:_PIECE", "exact.py:_digits", "exact.py:power"]
 
 
+def test_echelon_owns_every_row_update():
+    # one elimination in the package: a row_minus call anywhere else is a
+    # second elimination loop
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _owned_nodes(tree.body):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "row_minus":
+                found.append(f"{path.name}:{owner}")
+    assert sorted(set(found)) == ["linalg.py:_echelon"]
+
+
 
 def test_no_dataclasses_in_the_package():
     # records are namedtuples: defining dataclasses costs most of the import

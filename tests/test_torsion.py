@@ -223,6 +223,11 @@ def symmetric_matrices(draw):
 # definite both ways
 @example(_symmetric([Fraction(x) for x in (2, 1, 0, 2, 1, 2)], 3))
 @example(_symmetric([Fraction(x) for x in (-2, 1, 0, -2, 1, -2)], 3))
+# rank-deficient without a row exchange; a skipped first column; 2x2
+# negative definite
+@example(_symmetric([Fraction(x) for x in (1, 1, 1)], 2))
+@example(_symmetric([Fraction(x) for x in (0, 0, 1)], 2))
+@example(_symmetric([Fraction(x) for x in (-2, 1, -1)], 2))
 @settings(max_examples=300, deadline=None)
 def test_one_elimination_definiteness_equals_per_minor_determinants(matrix):
     assert form_definiteness(matrix) == definiteness_by_minors(matrix)
