@@ -177,6 +177,33 @@ def _integer_product(a, b, limit):
     return {unpack(e): c * scale for e, c in res.items() if c}
 
 
+def monomial(point, exps):
+    """prod_i point_i^exps_i, each power through exact.power; 0 as soon as
+    a factor with exps_i > 0 is 0."""
+    out = None
+    for x, e in zip(point, exps):
+        if e:
+            if not x:
+                return 0
+            if e > 1:
+                x = power(x, e)
+            out = x if out is None else out * x
+    return 1 if out is None else out
+
+
+def value_at(point, pairs):
+    """sum c * point^e over the (e, c) pairs, as a canonical scalar; a
+    monomial with a zero factor costs nothing."""
+    out = None
+    for e, c in pairs:
+        w = monomial(point, e)
+        if w:
+            if w != 1:
+                c = c * w
+            out = c if out is None else out + c
+    return normalize_scalar(0 if out is None else out)
+
+
 def _monomial_partial(c, support, orders):
     """The partial derivative of c * prod x_i^e_i at a point, ``support``
     listing (i, e_i, x_i) for every e_i > 0 and ``orders`` the order of
@@ -194,6 +221,36 @@ def _monomial_partial(c, support, orders):
                 return None
             acc = acc * (x if e - k == 1 else power(x, e - k))
     return acc if scale == 1 else acc * scale
+
+
+def partials_at(point, pairs, second=False):
+    """The gradient of sum c * x^e over the (e, c) pairs at a point and,
+    with ``second``, the Hessian rows (else None), as canonical scalars
+    from one pass over the pairs.  A monomial adds to a derivative only
+    where no factor with an exact zero value is left in it."""
+    nv = len(point)
+    grad = [None] * nv
+    hessian = [[None] * nv for _ in range(nv)] if second else None
+
+    def add(row, i, term):
+        if term is not None:
+            row[i] = term if row[i] is None else row[i] + term
+
+    for exps, c in pairs:
+        support = [(i, e, point[i]) for i, e in enumerate(exps) if e]
+        for a, (i, _, _) in enumerate(support):
+            add(grad, i, _monomial_partial(c, support, {a: 1}))
+            if not second:
+                continue
+            for b in range(a, len(support)):
+                orders = {a: 2} if b == a else {a: 1, b: 1}
+                term = _monomial_partial(c, support, orders)
+                add(hessian[i], support[b][0], term)
+                if b != a:
+                    add(hessian[support[b][0]], i, term)
+    zero = Fraction(0)
+    finish = lambda row: tuple(zero if x is None else normalize_scalar(x) for x in row)
+    return finish(grad), (tuple(map(finish, hessian)) if second else None)
 
 
 class Polynomial:
@@ -338,54 +395,25 @@ class Polynomial:
                 res[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
         return Polynomial(self.vars, res)
 
-    def evaluate(self, point):
+    def _terms_at(self, point):
+        """The (exps, coeff) pairs, read at a point of one value per variable."""
         if len(point) != len(self.vars):
             raise DimensionMismatch(
                 f"point of length {len(point)} vs {len(self.vars)} variables")
-        out = None
-        for exps, c in self.terms.items():
-            acc = c
-            for x, e in zip(point, exps):
-                if e:
-                    if not x:
-                        break   # a zero coordinate: the monomial contributes nothing
-                    acc = acc * power(x, e)
-            else:
-                out = acc if out is None else out + acc
-        return normalize_scalar(0 if out is None else out)
+        return self.terms.items()
+
+    def evaluate(self, point):
+        return value_at(point, self._terms_at(point))
 
     def derivatives_at(self, point, second=False):
         """The gradient at a point and, with ``second``, the Hessian rows
-        (else None), from one pass over the monomials.  A monomial adds to
-        a derivative only where no factor with an exact zero value is
-        left in it."""
-        nv = len(self.vars)
-        grad = [None] * nv
-        hessian = [[None] * nv for _ in range(nv)] if second else None
-
-        def add(row, i, term):
-            if term is not None:
-                row[i] = term if row[i] is None else row[i] + term
-
-        for exps, c in self.terms.items():
-            support = [(i, e, point[i]) for i, e in enumerate(exps) if e]
-            for a, (i, _, _) in enumerate(support):
-                add(grad, i, _monomial_partial(c, support, {a: 1}))
-                if not second:
-                    continue
-                for b in range(a, len(support)):
-                    orders = {a: 2} if b == a else {a: 1, b: 1}
-                    term = _monomial_partial(c, support, orders)
-                    add(hessian[i], support[b][0], term)
-                    if b != a:
-                        add(hessian[support[b][0]], i, term)
-        zero = Fraction(0)
-        finish = lambda row: tuple(zero if x is None else normalize_scalar(x) for x in row)
-        return finish(grad), (tuple(map(finish, hessian)) if second else None)
+        (else None): :func:`partials_at` of the terms."""
+        return partials_at(point, self._terms_at(point), second)
 
     def first_jet(self, point) -> FirstJet:
         """Value and gradient at a point."""
-        return FirstJet(self.evaluate(point), self.derivatives_at(point)[0])
+        pairs = self._terms_at(point)
+        return FirstJet(value_at(point, pairs), partials_at(point, pairs)[0])
 
 
 # ----------------------------------------------------------------------

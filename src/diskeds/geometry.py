@@ -51,7 +51,7 @@ from .errors import (
 )
 from .exact import FirstJet, rational_str
 from .expr import Polynomial
-from .linalg import dot, dot_plus
+from .linalg import dot, dot_plus, row_times_matrix
 
 
 def default_coordinates(two_n: int):
@@ -210,21 +210,10 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
                     raise CrossCheckMismatch("beta definition failed")
 
 
-def _times_alpha(row, alpha, zero):
-    """(row alpha)_i = sum_j row_j alpha_{j,i}."""
-    return tuple(dot(row, column, zero) for column in zip(*alpha))
-
-
 def _mu_and_D(grad, alpha, zero):
     """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
-    mu = _times_alpha(grad, alpha, zero)
+    mu = row_times_matrix(grad, alpha, zero)
     return mu, grad[0] * mu[1] - grad[1] * mu[0]
-
-
-def _mu2(mu, alpha, zero):
-    """mu2 = rho_grad alpha^2, formed as mu alpha: (2n)^2 products instead
-    of the (2n)^3 of alpha^2."""
-    return _times_alpha(mu, alpha, zero)
 
 
 def _gammas_and_betas(grad, mu, D, alpha, zero):
@@ -244,15 +233,20 @@ def _gammas_and_betas(grad, mu, D, alpha, zero):
     return gamma1, gamma2, beta_full
 
 
+def _settled(jet: FirstJet):
+    """``jet``, or its value where its tangent is zero, so that it costs no
+    gradient arithmetic."""
+    return jet if any(jet.grad) else jet.value
+
+
 def _inputs(problem: HypersurfaceProblem, point, jets=False):
     """rho's first derivatives and the structure entries at a point, user
     order, as the scalars of one mode, and last the zero of those scalars.
 
     rho's gradient, and with ``jets`` its Hessian rows, come from one pass
     over its monomials, and each entry is N/q with q read once: values, or
-    with ``jets`` first jets with gradients in user order.  A derivative
-    of rho with a zero gradient and a constant entry stay Fractions, so
-    they cost no gradient arithmetic, and a zero entry costs nothing."""
+    with ``jets`` first jets with gradients in user order, each
+    :func:`_settled`.  A zero entry costs nothing."""
     rho = problem.rho
     numerators, q = problem.structure.numerators, problem.structure.denominator
     point = tuple(Fraction(x) for x in point)
@@ -260,16 +254,15 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
         raise DimensionMismatch("point has wrong length")
     grad, hessian = rho.derivatives_at(point, second=jets)
     if jets:
-        grad = tuple(FirstJet(g, h) if any(h) else g for g, h in zip(grad, hessian))
-    read = lambda p: p.first_jet(point) if jets else p.evaluate(point)
-    constant = lambda p: p.degree() == 0
-    q = q.constant_term() if constant(q) else read(q)
+        grad = tuple(map(_settled, map(FirstJet, grad, hessian)))
+    read = (lambda p: _settled(p.first_jet(point))) if jets else (lambda p: p.evaluate(point))
+    q = read(q)
     zero = Fraction(0)
 
     def entry(N):
         if not N:
             return zero
-        x = N.constant_term() if constant(N) else read(N)
+        x = read(N)
         return x if q == 1 else x / q
 
     return grad, tuple(tuple(map(entry, row)) for row in numerators), zero
@@ -292,15 +285,14 @@ def _tangent(x, i):
 
 def _along(directions):
     """The scalar map that turns a first jet's user-order gradient into
-    its derivatives along ``directions`` (user order); a jet whose
-    derivatives all vanish becomes its value."""
+    its derivatives along ``directions`` (user order), through
+    :func:`_settled`."""
     zero = Fraction(0)
 
     def scalar(x):
         if not isinstance(x, FirstJet):
             return x
-        tangent = tuple(dot(x.grad, d, zero) for d in directions)
-        return FirstJet(x.value, tangent) if any(tangent) else x.value
+        return _settled(FirstJet(x.value, tuple(dot(x.grad, d, zero) for d in directions)))
 
     return scalar
 
@@ -419,7 +411,7 @@ def choose_pair(problem: HypersurfaceProblem, point):
     D = rho_a mu_b - rho_b mu_a is read off them.
     """
     grad, alpha, zero = _inputs(problem, point)
-    mu = _times_alpha(grad, alpha, zero)
+    mu = row_times_matrix(grad, alpha, zero)
     for a, b in combinations(range(problem.two_n), 2):
         if not _pair_D_vanishes(grad, mu, a, b, zero):
             return (a + 1, b + 1)

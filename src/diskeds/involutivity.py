@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CrossCheckMismatch
-from .geometry import GammaBetaData, _mu2
+from .geometry import GammaBetaData
 from .linalg import dot, dot_plus, mat_rank, row_times_matrix
 
 
@@ -40,7 +40,8 @@ def obstruction_bracket(gb: GammaBetaData):
     zero = 0 * gb.D
     r1, r2 = gb.rho_grad[0], gb.rho_grad[1]
     m1, m2 = gb.mu[0], gb.mu[1]
-    mu2 = _mu2(gb.mu, gb.alpha, zero)
+    # mu2 = rho_grad alpha^2, formed as mu alpha: (2n)^2 products, not (2n)^3
+    mu2 = row_times_matrix(gb.mu, gb.alpha, zero)
     s1, s2 = mu2[0], mu2[1]
     # the 2x2 minors of (mu, mu2): columns 1, 2 once, column j against each
     minus_s1 = -s1
@@ -94,9 +95,9 @@ def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
     m = gb.two_n - 2
     if Q is None:
         Q = m
-    rows = [list(dv.D0)]
+    rows, zero = [dv.D0], 0 * gb.D
     while len(rows) < m:
-        rows.append(row_times_matrix(rows[-1], gb.beta))
+        rows.append(row_times_matrix(rows[-1], gb.beta, zero))
     d = mat_rank(rows)
     dims = [m - min(q, d) for q in range(1, Q + 1)]
     at0 = all(x == 0 for x in dv.D0)

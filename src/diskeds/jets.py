@@ -28,8 +28,10 @@ complex dimension (half the kernel dimension) is reported; mixed systems
 report the full kernel dimension, which equals the real dimension of the
 real solution space.  Torsion-freeness at the probe is solvability of the
 prolonged equalities, lower jets frozen, as an affine system in the new
-top variables; there the top jets are zero, so value and gradient are the
-constant and linear coefficients of each frozen equality.
+top variables.  Freezing and reading use the package's one polynomial
+evaluator (``expr.monomial``, ``expr.value_at``, ``expr.partials_at``),
+which at zero top jets returns each frozen equality's constant and
+linear coefficients.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from .errors import (
     ProbeViolatesStratum,
     SchemaViolation,
 )
-from .exact import normalize_scalar, power, rational_str, require_real, scalar_conj
-from .expr import Polynomial, print_polynomial
+from .exact import normalize_scalar, rational_str, require_real, scalar_conj
+from .expr import Polynomial, monomial, partials_at, print_polynomial, value_at
 from .linalg import _echelon, mat_rank, solve_particular
 
 
@@ -299,32 +301,10 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
         return tableau_at_probe(self)
 
 
-def _power(point, exps):
-    """prod_i point_i^exps_i; 0 as soon as a factor with exps_i > 0 is 0."""
-    out = None
-    for x, e in zip(point, exps):
-        if e:
-            if not x:
-                return 0
-            if e > 1:
-                x = power(x, e)
-            out = x if out is None else out * x
-    return 1 if out is None else out
-
-
-def _sum_at(point, monomials):
-    """sum c * point^e over the (e, c) pairs, as a canonical scalar; a
-    monomial with a vanishing factor costs nothing."""
-    out = None
-    for e, c in monomials:
-        w = _power(point, e)
-        if w:
-            out = c * w if out is None else out + c * w
-    return normalize_scalar(0 if out is None else out)
-
-
 def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
-    """One pass over the monomials of every equality at the probe."""
+    """One pass over the monomials of every equality at the probe: the
+    lower jets freeze into each monomial's coefficient, and the value and
+    the gradient in the top jets are read off the frozen terms."""
     table, n = system.table, system.n
     if len(probe) != len(table):
         raise DimensionMismatch(f"probe of {len(probe)} values for a table of "
@@ -333,28 +313,18 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
     # an integral value freezes as an int, which multiplies natively
     low, x = [v.numerator if type(v) is Fraction and v.denominator == 1 else v
               for v in probe[:cut]], probe[cut:]
-    top_zero = not any(x)
-    constant = (0,) * (2 * n)
-    units = [constant[:j] + (1,) + constant[j + 1:] for j in range(2 * n)]
     values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
     for p in system.equalities:
         if p.vars != table:
             raise CrossCheckMismatch("equality is not over the system's jet table")
         frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
         for exps, c in p.terms.items():
-            key, w = exps[cut:], _power(low, exps)
+            key, w = exps[cut:], monomial(low, exps)
             s = frozen.get(key, 0)   # every key is kept, for uses_top and mixed
             frozen[key] = (s + c * w if s else c * w) if w else s
         live = [(e, c) for e, c in frozen.items() if c != 0]
-        if top_zero:   # the constant and linear coefficients
-            values.append(normalize_scalar(frozen.get(constant, 0)))
-            gradients.append(tuple(normalize_scalar(frozen.get(u, 0)) for u in units))
-        else:
-            values.append(_sum_at(x, live))
-            gradients.append(tuple(
-                _sum_at(x, ((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
-                            for e, c in live if e[j]))
-                for j in range(2 * n)))
+        values.append(value_at(x, live))
+        gradients.append(partials_at(x, live)[0])
         nonlinear.append(any(sum(e) >= 2 for e, _ in live))
         uses_top.append(any(any(e) for e in frozen))
         mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)

@@ -99,6 +99,7 @@ def solve_particular(matrix, rhs):
     return x
 
 
-def row_times_matrix(row, matrix):
-    zero = 0 * row[0]
-    return [dot(row, col, zero) for col in zip(*matrix)]
+def row_times_matrix(row, matrix, zero):
+    """(row matrix)_i = sum_j row_j matrix_{j,i} over any exact scalar, as
+    :func:`dot` with the caller's ``zero``."""
+    return tuple(dot(row, column, zero) for column in zip(*matrix))

@@ -240,7 +240,12 @@ def form_definiteness(matrix) -> str:
     """'positive_definite' | 'negative_definite' | 'not_definite' via
     exact leading principal minors, read from one elimination: all minors
     are positive exactly when every diagonal pivot is, and they alternate
-    from negative exactly when every one is negative."""
+    from negative exactly when every one is negative.  A definite
+    symmetric form has a nonzero diagonal of one sign, so any other
+    diagonal decides without the elimination."""
+    diagonal = [row[k] for k, row in enumerate(matrix)]
+    if not (all(d > 0 for d in diagonal) or all(d < 0 for d in diagonal)):
+        return "not_definite"
     rows = [list(row) for row in matrix]
     pivots, swaps = _echelon(rows, len(rows))
     positive = {rows[k][k] > 0 for k in pivots}

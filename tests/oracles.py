@@ -16,9 +16,11 @@ distinguished-pair scan by one full gamma/beta build per candidate.
 The second half holds reference implementations that no CLI command runs
 but tests compare the runtime against, such as the Levi form, the 2n
 torsion quadratic-form matrices built on full gradients, definiteness
-by one determinant per leading minor, the explicit polar maps of a
-line with their stacked square, and ``det``, ``nullity`` and
-``cramer_determinant``, which eliminate a matrix once per quantity.  The last section keeps the expression
+by one determinant per leading minor, the two-branch reading of a
+linearization (affine coefficients at zero top jets), the explicit
+polar maps of a line with their stacked square, and ``det``,
+``nullity`` and ``cramer_determinant``, which eliminate a matrix once
+per quantity.  The last section keeps the expression
 parser that built every term as a Polynomial and ``rat`` on
 ``Fraction(str)``, which the runtime's term-table parser and split-text
 ``rat`` are checked against.
@@ -1079,6 +1081,54 @@ def reduce_redundant_by_span(lin):
             dropped.append(eqs[idx])
             retained.remove(idx)
     return tuple(eqs[j] for j in retained), dropped
+
+
+def _monomial_at(point, exps):
+    """prod_i point_i ** exps_i over the slots ``point`` covers."""
+    out = 1
+    for x, e in zip(point, exps):
+        if e:
+            out = out * x ** e
+    return out
+
+
+def linearize_two_branch(system, probe):
+    """(values, gradients, nonlinear, uses_top, mixed) of jets.linearize,
+    read on two branches: with zero top jets, value and gradient are the
+    constant and linear coefficients of each frozen equality; otherwise
+    the frozen equality and its derived monomials are summed at the top
+    jets."""
+    n = system.n
+    cut = len(system.table) - 2 * n
+    low, x = probe[:cut], probe[cut:]
+    constant = (0,) * (2 * n)
+    units = [constant[:j] + (1,) + constant[j + 1:] for j in range(2 * n)]
+
+    def sum_at(monomials):
+        return normalize_scalar(sum((c * _monomial_at(x, e) for e, c in monomials),
+                                    Fraction(0)))
+
+    values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
+    for p in system.equalities:
+        frozen = {}
+        for exps, c in p.terms.items():
+            key = exps[cut:]
+            frozen[key] = frozen.get(key, 0) + c * _monomial_at(low, exps)
+        live = [(e, c) for e, c in frozen.items() if c != 0]
+        if not any(x):
+            values.append(normalize_scalar(frozen.get(constant, 0)))
+            gradients.append(tuple(normalize_scalar(frozen.get(u, 0)) for u in units))
+        else:
+            values.append(sum_at(live))
+            gradients.append(tuple(
+                sum_at([(e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                        for e, c in live if e[j]])
+                for j in range(2 * n)))
+        nonlinear.append(any(sum(e) >= 2 for e, _ in live))
+        uses_top.append(any(any(e) for e in frozen))
+        mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)
+    return (tuple(values), tuple(gradients), tuple(nonlinear), tuple(uses_top),
+            mixed)
 
 
 def _monic(p: Polynomial) -> Polynomial:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskeds.errors import (
+    DimensionMismatch,
     DiskEdsError,
     MalformedSyntax,
     NegativeOrNonIntegerExponent,
     NotComplexifiedMode,
+    SchemaViolation,
     UnknownVariable,
 )
 from diskeds.exact import FirstJet, GaussianRational, gaussian, rat, rational_str
@@ -209,17 +211,70 @@ def test_evaluate_is_homomorphism(p, q, pt):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
 
 
-@given(polys(), st.tuples(*[st.sampled_from((0, 0, 1, -2, Fraction(3, 2)))] * 3))
-@settings(max_examples=100, deadline=None)
+def _canonical(x):
+    return type(x) is Fraction or (type(x) is GaussianRational and x.im != 0)
+
+
+def _evaluated(p, pt):
+    """sum c * prod x ** e, term by term with Python's operators."""
+    out = Fraction(0)
+    for exps, c in p.terms.items():
+        for x, e in zip(pt, exps):
+            c = c * x ** e
+        out = out + c
+    return out
+
+
+@st.composite
+def gaussian_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in V3)
+        terms[exps] = gaussian(draw(st.integers(-5, 5)), draw(st.integers(-3, 3)))
+    return Polynomial(V3, terms)
+
+
+COORDINATES = (0, 0, 1, -2, Fraction(3, 2), gaussian(0, 1), gaussian(1, -2))
+
+
+@given(st.one_of(polys(), gaussian_polys()), st.tuples(*[st.sampled_from(COORDINATES)] * 3))
+@settings(max_examples=150, deadline=None)
 def test_one_pass_derivatives_equal_differentiate_then_evaluate(p, pt):
     # zero coordinates included: a monomial with a zero factor left out of
-    # a derivative contributes nothing to it
+    # a derivative contributes nothing to it; Fraction and Gaussian
+    # coefficients and coordinates, and every result a canonical scalar
     grad, hessian = p.derivatives_at(pt, second=True)
-    assert grad == tuple(p.differentiate(v).evaluate(pt) for v in V3)
-    assert hessian == tuple(tuple(p.differentiate(a).differentiate(b).evaluate(pt)
+    assert grad == tuple(_evaluated(p.differentiate(v), pt) for v in V3)
+    assert hessian == tuple(tuple(_evaluated(p.differentiate(a).differentiate(b), pt)
                                   for b in V3) for a in V3)
     assert p.derivatives_at(pt) == (grad, None)
-    assert all(type(x) is Fraction for x in grad + sum(hessian, ()))
+    value = p.evaluate(pt)
+    assert value == _evaluated(p, pt)
+    jet = p.first_jet(pt)
+    assert (jet.value, jet.grad) == (value, grad)
+    # the term-pair functions over any iterable of (exps, coeff) pairs
+    pairs = list(p.terms.items())
+    assert expr.value_at(pt, iter(pairs)) == value
+    assert expr.partials_at(pt, iter(pairs), second=True) == (grad, hessian)
+    assert all(map(_canonical, (value,) + grad + sum(hessian, ())))
+
+
+def test_every_reading_at_a_point_checks_its_length():
+    p = parse_expression("f1*f2 + f2^2", F2)
+    for point in ((1, 2, 99), (1,)):
+        for read in (p.evaluate, p.derivatives_at, p.first_jet):
+            with pytest.raises(DimensionMismatch, match=f"point of length {len(point)} vs 2"):
+                read(point)
+
+
+def test_monomial_stops_at_the_first_zero_factor():
+    # a zero coordinate ends the product before a later power is taken; an
+    # earlier power past the bit bound raises
+    assert expr.monomial((0, 2), (1, 10 ** 8)) == 0
+    assert expr.monomial((3, 2), (0, 0)) == 1
+    assert expr.monomial((Fraction(1, 2), 3), (2, 1)) == Fraction(3, 4)
+    with pytest.raises(SchemaViolation, match="x\\^100000000 of a 1-bit x"):
+        expr.monomial((2, 0), (10 ** 8, 1))
 
 
 @st.composite

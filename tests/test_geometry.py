@@ -14,7 +14,6 @@ from diskeds.geometry import (
     HypersurfaceProblem,
     _identically_singular,
     _inputs,
-    _mu2,
     _tangent,
     _value,
     choose_pair,
@@ -25,6 +24,7 @@ from diskeds.geometry import (
     make_structure_from_pair,
     structure_from_entries,
 )
+from diskeds.linalg import row_times_matrix
 from diskeds.reports import build_problem, load_problem
 from oracles import (
     RationalFunction,
@@ -382,10 +382,11 @@ def test_mu2_is_rho_grad_times_alpha_squared():
         pt = on_chart_point(rng, prob)
         sym = symbolic_gamma_beta(prob)
         zero = RationalFunction.from_const(internal_vars(prob), 0)
-        assert _mu2(sym.mu, sym.alpha, zero) == \
+        # mu2 is formed as mu alpha
+        assert row_times_matrix(sym.mu, sym.alpha, zero) == \
             _rho_grad_alpha_squared(sym.rho_grad, sym.alpha, zero)
         pw = compute_gamma_beta(prob, pt)
-        assert _mu2(pw.mu, pw.alpha, Fraction(0)) == \
+        assert row_times_matrix(pw.mu, pw.alpha, Fraction(0)) == \
             _rho_grad_alpha_squared(pw.rho_grad, pw.alpha, Fraction(0))
 
 

@@ -1,5 +1,6 @@
 """Obstruction rows, prolongation dimensions, involutivity order."""
 import random
+from fractions import Fraction
 
 from diskeds.errors import SingularD
 from diskeds.expr import Polynomial, parse_expression
@@ -216,7 +217,7 @@ def test_rank_stabilization_long_krylov():
         dv = compute_D_vectors(gb)
         rows = [list(dv.D0)]
         for _ in range(4 * n):
-            rows.append(row_times_matrix(rows[-1], gb.beta))
+            rows.append(row_times_matrix(rows[-1], gb.beta, Fraction(0)))
         assert mat_rank(rows[:2 * n - 2]) == mat_rank(rows)
         done += 1
 
@@ -255,7 +256,7 @@ def test_involutive_from_matches_span_condition():
         rep = tableau_report(gb, dv)
         rows = [list(dv.D0)]
         for _ in range(2 * n):
-            rows.append(row_times_matrix(rows[-1], gb.beta))
+            rows.append(row_times_matrix(rows[-1], gb.beta, Fraction(0)))
         m = 2 * n - 2
         first = None
         for q in range(0, 2 * n):
@@ -296,7 +297,7 @@ def test_tableau_report_is_one_elimination(monkeypatch):
         assert eliminations == [2 * n - 2]
         rows = [list(dv.D0)]
         for _ in range(2 * n + 1):
-            rows.append(row_times_matrix(rows[-1], gb.beta))
+            rows.append(row_times_matrix(rows[-1], gb.beta, Fraction(0)))
         m = 2 * n - 2
         assert rep.dims == tuple(nullity(rows[:q], m) for q in range(1, 2 * n + 3))
         assert rep.q0 == rep.involutive_from == m - rep.dims[-1]

@@ -32,9 +32,9 @@ from diskeds.jets import (
 from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
 from oracles import (complexify, conjugate_by_name, curve_probe, extend_to, jet_to_probe,
-                     levi_form, prolong_by_conjugation, realify, reduce_redundant_by_span,
-                     substitute_vanishing_by_conjugation, used_variables, var,
-                     var_jet_order)
+                     levi_form, linearize_two_branch, prolong_by_conjugation, realify,
+                     reduce_redundant_by_span, substitute_vanishing_by_conjugation,
+                     used_variables, var, var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -165,8 +165,8 @@ def test_reduce_redundant_marks_square_norm_rows():
 
 
 def test_definiteness_and_redundancy_each_run_one_echelon(monkeypatch):
-    # both read their answer off one linalg._echelon, patched where each
-    # module imports it
+    # both read their answer off at most one linalg._echelon, patched where
+    # each module imports it
     from diskeds import linalg, torsion
     calls = []
 
@@ -176,10 +176,18 @@ def test_definiteness_and_redundancy_each_run_one_echelon(monkeypatch):
 
     monkeypatch.setattr(torsion, "_echelon", counting)
     monkeypatch.setattr(jets, "_echelon", counting)
-    form = [[Fraction(2), Fraction(1), Fraction(0)], [Fraction(1), Fraction(2), Fraction(1)],
-            [Fraction(0), Fraction(1), Fraction(-2)]]
+    # a diagonal of one sign leaves the answer to the elimination
+    form = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
     assert torsion.form_definiteness(form) == "not_definite"
     assert len(calls) == 1
+    # a mixed or zero diagonal decides before it
+    for diagonal in ((2, 2, -2), (1, 0, 1)):
+        calls.clear()
+        form = [[Fraction(diagonal[0]), Fraction(1), Fraction(0)],
+                [Fraction(1), Fraction(diagonal[1]), Fraction(1)],
+                [Fraction(0), Fraction(1), Fraction(diagonal[2])]]
+        assert torsion.form_definiteness(form) == "not_definite"
+        assert calls == []
     system, probes = _stratum("hyperquadric", "nonzero_velocity")
     P = prolong_constraints(system)
     calls.clear()
@@ -227,6 +235,29 @@ def test_reduce_redundant_matches_reverse_deletion(seed):
     retained, want_dropped = reduce_redundant_by_span(lin)
     assert reduced.equalities == retained
     assert dropped == want_dropped
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+def test_linearize_matches_the_two_branch_reference(seed, prolonged, top_zero):
+    # one reading path: at zero top jets it gives the constant and linear
+    # coefficients of each frozen equality, elsewhere the sums at the top
+    # jets, with the reference's canonical types
+    rng = random.Random(seed)
+    system, probe = _random_stratum(rng)
+    if prolonged:
+        system = prolong_constraints(system)
+        probe = extend_probe(system, probe)
+    if not top_zero:
+        top = [gaussian(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
+        top[rng.randrange(2)] = gaussian(rng.choice((-1, 1, 2)), rng.randint(-2, 2))
+        # the top jets, one of them nonzero, and their conjugates
+        probe = probe[:-4] + probe_from_values(2, 1, top, [])[:4]
+    lin = linearize(system, probe)
+    want = linearize_two_branch(system, probe)
+    assert (lin.values, lin.gradients, lin.nonlinear, lin.uses_top, lin.mixed) == want
+    types = lambda values, gradients: [type(x) for x in values + sum(gradients, ())]
+    assert types(lin.values, lin.gradients) == types(*want[:2])
 
 
 @given(jet_polys())

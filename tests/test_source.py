@@ -90,6 +90,21 @@ def test_echelon_owns_every_row_update():
     assert sorted(set(found)) == ["linalg.py:_echelon"]
 
 
+def test_monomial_owns_every_power_at_a_point():
+    # one polynomial evaluator in the package: an exact.power call outside
+    # expr's monomial readers, the parser's literal powers and the
+    # pseudo-ellipsoid's closed form is a second evaluator
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _owned_nodes(tree.body):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "power":
+                found.append(f"{path.name}:{owner}")
+    assert sorted(set(found)) == ["expr.py:_Parser.factor", "expr.py:_monomial_partial",
+                                  "expr.py:monomial", "torsion.py:pseudo_ellipsoid_check"]
+
+
 
 def test_no_dataclasses_in_the_package():
     # records are namedtuples: defining dataclasses costs most of the import
