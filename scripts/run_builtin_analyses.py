@@ -11,7 +11,7 @@ import sys
 
 from diskeds.errors import IdenticallySingularD, SingularD
 from diskeds.exact import rational_str
-from diskeds.geometry import choose_pair, compute_gamma_beta
+from diskeds.geometry import compute_gamma_beta
 from diskeds.involutivity import compute_D_vectors, tableau_report
 from diskeds.integral_element import ordinary_element_search
 from diskeds.jets import involution_loop
@@ -27,8 +27,6 @@ def analyze(name, seed):
         pname = sorted(lp.points)[0]
         point = lp.points[pname]
         problem = lp.problem
-        if lp.doc.get("distinguished_pair") is None:
-            problem = problem.with_pair(choose_pair(problem, point))
         gb = compute_gamma_beta(problem, point)
         dv = compute_D_vectors(gb)
         rep = tableau_report(gb, dv)

@@ -11,7 +11,6 @@ from .geometry import (
     GammaBetaData,
     HypersurfaceProblem,
     StructureMatrix,
-    choose_pair,
     complex_standard,
     compute_gamma_beta,
     full_jet,

@@ -17,7 +17,7 @@ from .errors import (
     SingularD,
 )
 from .expr import print_polynomial
-from .geometry import choose_pair, compute_gamma_beta
+from .geometry import compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
 from .integral_element import kahler_regularity, ordinary_element_search
 from .jets import involution_loop, linearize
@@ -38,25 +38,22 @@ from .torsion import (
     torsion_absorbable,
 )
 
-def _pick(named: dict, requested, what):
+def _pick(named: dict, requested, one, many):
     if not named:
-        raise SchemaViolation(f"the problem declares no {what}")
+        raise SchemaViolation(f"the problem declares no {many}")
     if requested is None:
         return sorted(named)[0]
     if requested not in named:
-        raise SchemaViolation(f"unknown {what[:-1]} {requested!r}; "
+        raise SchemaViolation(f"unknown {one} {requested!r}; "
                               f"have {', '.join(sorted(named))}")
     return requested
 
 
-def _reasoned_problem(lp: LoadedProblem, point):
-    """Apply the distinguished-pair fallback scan at ``point`` when needed."""
-    problem = lp.problem
-    if problem is None:
+def _problem(lp: LoadedProblem):
+    """``lp.problem``; a document with no pair is charted by the builders."""
+    if lp.problem is None:
         raise SchemaViolation("this command needs a rho/structure block")
-    if lp.doc.get("distinguished_pair") is None:
-        problem = problem.with_pair(choose_pair(problem, point))
-    return problem
+    return lp.problem
 
 
 def _complex_standard(lp: LoadedProblem, command):
@@ -73,16 +70,15 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     if opts.order is not None and opts.order > lp.two_n - 2:
         raise SchemaViolation(f"--order must be at most 2n-2 = {lp.two_n - 2}, where "
                               f"dim A^(q) is constant, got {opts.order}")
-    pname = _pick(lp.points, opts.point, "points")
+    pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
-    problem = _reasoned_problem(lp, point)
-    gb = compute_gamma_beta(problem, point)
+    gb = compute_gamma_beta(_problem(lp), point)
     gb.self_check()
     dv = compute_D_vectors(gb)
     report = tableau_report(gb, dv, Q=opts.order)
     return {
         "point": pname,
-        "distinguished_pair": list(problem.pair),
+        "distinguished_pair": list(gb.problem.pair),
         # gamma/D0 entries follow the relabeled order; these are the
         # user-coordinate indices they refer to
         "reduced_coordinates": list(gb.sigma[2:]),
@@ -100,10 +96,9 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_torsion(lp: LoadedProblem, opts) -> dict:
-    jname = _pick(lp.jets, opts.jet, "jets")
+    jname = _pick(lp.jets, opts.jet, "jet", "jets")
     jet = lp.jets[jname]
-    problem = _reasoned_problem(lp, jet.f)
-    sed = structure_equation_coefficients(problem, jet)
+    sed = structure_equation_coefficients(_problem(lp), jet)
     verdict = torsion_absorbable(sed)
     return {
         "jet": jname,
@@ -117,7 +112,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
-    pname = _pick(lp.points, opts.point, "points")
+    pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     data = complex_B_coefficients(_complex_standard(lp, "complex-forms"), point)
     d1 = form_definiteness(data.c1)
@@ -135,7 +130,7 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_dim6(lp: LoadedProblem, opts) -> dict:
-    pname = _pick(lp.points, opts.point, "points")
+    pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)
     return {"point": pname, **{k: getattr(rep, k) for k in
@@ -151,7 +146,7 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
                   for key in ("alphas", "ks"))
     if any(k.denominator != 1 for k in ks):
         raise SchemaViolation("pseudo_ellipsoid.ks must be integers")
-    pname = _pick(lp.points, opts.point, "points")
+    pname = _pick(lp.points, opts.point, "point", "points")
     rep = pseudo_ellipsoid_check(alphas, ks, lp.points[pname])
     return {
         "point": pname,
@@ -172,9 +167,9 @@ MAX_TRIALS = 1000
 def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
     if opts.trials > MAX_TRIALS:
         raise SchemaViolation(f"--trials must be at most {MAX_TRIALS}, got {opts.trials}")
-    jname = _pick(lp.jets, opts.jet, "jets")
+    jname = _pick(lp.jets, opts.jet, "jet", "jets")
     jet = lp.jets[jname]
-    problem = _reasoned_problem(lp, jet.f)
+    problem = _problem(lp)
     if opts.flag is not None:
         flag = lp.flags.get(opts.flag)
         if flag is None:
@@ -210,12 +205,12 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_jets(lp: LoadedProblem, opts) -> dict:
-    sname = _pick(lp.strata, opts.stratum, "strata")
+    sname = _pick(lp.strata, opts.stratum, "stratum", "strata")
     system, probes = lp.strata[sname]
     if not probes:
         raise SchemaViolation(f"stratum {sname!r} declares no probes")
     selected = sorted(probes) if opts.probe is None else [
-        _pick(probes, opts.probe, "probes")]
+        _pick(probes, opts.probe, "probe", "probes")]
     chains, base_dims = {}, {}
     prolongations = {}   # system -> its prolongation, shared by the probes
     for pname in sorted(probes):

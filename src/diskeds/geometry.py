@@ -2,9 +2,10 @@
 
 A problem is a polynomial defining function rho on R^{2n}, a 2n x 2n
 structure matrix, and a distinguished coordinate pair playing the
-elimination roles 1 and 2.  Internally coordinates are relabeled so the
-distinguished pair sits in positions 1,2; every report carries the
-permutation back to user coordinates.
+elimination roles 1 and 2; with no pair, each builder charts at the
+first pair with D != 0 at its point.  Internally coordinates are
+relabeled so the distinguished pair sits in positions 1,2; every report
+carries the permutation back to user coordinates.
 
 A structure matrix holds polynomial numerators N over one polynomial
 denominator q, alpha_{j,i} = N_{j,i} / q: q = 1 for the standard and the
@@ -120,6 +121,8 @@ FirstJetPoint = namedtuple("FirstJetPoint", "f p_reduced")
 
 
 class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair")):
+    """``pair`` is 1-based, or None: the first pair with D != 0 at the builder's point."""
+
     __slots__ = ()
 
     def __new__(cls, rho: Polynomial, structure: StructureMatrix, pair=(1, 2)):
@@ -127,9 +130,10 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
         if len(rho.vars) != two_n:
             raise DimensionMismatch(
                 f"rho has {len(rho.vars)} variables, expected {two_n}")
-        i1, i2 = pair
-        if i1 == i2 or not (1 <= i1 <= two_n and 1 <= i2 <= two_n):
-            raise DimensionMismatch(f"bad distinguished pair {pair}")
+        if pair is not None:
+            i1, i2 = pair = tuple(pair)
+            if i1 == i2 or not (1 <= i1 <= two_n and 1 <= i2 <= two_n):
+                raise DimensionMismatch(f"bad distinguished pair {pair}")
         return super().__new__(cls, rho, structure, pair)
 
     @property
@@ -151,7 +155,7 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
         return tuple(i + 1 for i in self.internal_order())
 
     def with_pair(self, pair):
-        return HypersurfaceProblem(self.rho, self.structure, tuple(pair))
+        return HypersurfaceProblem(self.rho, self.structure, pair)
 
     def make_jet(self, f, p_reduced, allow_off_surface=False) -> FirstJetPoint:
         f = tuple(Fraction(x) for x in f)
@@ -298,17 +302,28 @@ def _along(directions):
 
 
 def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
-    """``inputs`` (from :func:`_inputs`) re-indexed into the chart's
-    internal order (pair first), each input taken through ``scalar``: by
-    default :func:`_reindex`, so gradients are taken along the internal
-    coordinate axes."""
+    """``problem`` charted and ``inputs`` (from :func:`_inputs`) re-indexed
+    into the chart's internal order (pair first), each input taken through
+    ``scalar``: by default :func:`_reindex`, so gradients are taken along
+    the internal coordinate axes.  A problem with no pair is charted at the
+    first pair, in index order, where D does not vanish at the inputs'
+    values, every D read off one mu."""
     grad, alpha, zero = inputs
+    if problem.pair is None:
+        values = tuple(map(_value, grad))
+        mu = row_times_matrix(values, tuple(tuple(map(_value, row)) for row in alpha), zero)
+        for a, b in combinations(range(len(grad)), 2):
+            if not _pair_D_vanishes(values, mu, a, b, zero):
+                problem = problem.with_pair((a + 1, b + 1))
+                break
+        else:
+            raise SingularD("D = 0 at the point for every distinguished pair")
     order = problem.internal_order()
     if scalar is None:
         scalar = lambda x: _reindex(x, order)
-    return (tuple(scalar(grad[i]) for i in order),
-            tuple(tuple(scalar(alpha[j][i]) for i in order) for j in order),
-            scalar(zero))
+    return problem, (tuple(scalar(grad[i]) for i in order),
+                     tuple(tuple(scalar(alpha[j][i]) for i in order) for j in order),
+                     scalar(zero))
 
 
 def _pair_D_vanishes(grad, mu, a, b, zero):
@@ -330,9 +345,9 @@ def _identically_singular(problem: HypersurfaceProblem) -> bool:
 
 
 def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBetaData:
-    """The one gamma/beta builder behind both modes, over chart-ordered
-    ``inputs``.  Where D vanishes at the point, a first-jet mode
-    (``jet_mode``) tells an identically vanishing D apart."""
+    """The one gamma/beta builder behind both modes, over a problem and
+    its inputs from :func:`_chart_order`.  Where D vanishes at the point,
+    a first-jet mode (``jet_mode``) tells an identically vanishing D apart."""
     grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
@@ -347,9 +362,10 @@ def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBe
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point) -> GammaBetaData:
     """Exact pointwise mode at ``point``, given in the user's coordinate
-    order.  Raises SingularD when D = 0 there.
+    order.  Raises SingularD when D = 0 there (at every pair, for a
+    problem that names none).
     """
-    return _gamma_beta(problem, _chart_order(problem, _inputs(problem, point)))
+    return _gamma_beta(*_chart_order(problem, _inputs(problem, point)))
 
 
 def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
@@ -361,8 +377,8 @@ def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     Raises IdenticallySingularD when D vanishes identically and SingularD
     when it vanishes at the point only.
     """
-    inputs = _chart_order(problem, _inputs(problem, point, jets=True))
-    return _gamma_beta(problem, inputs, jet_mode=True)
+    return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)),
+                       jet_mode=True)
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
@@ -375,9 +391,9 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     as :func:`gamma_beta_first_jets`.
     """
     inputs = _inputs(problem, jet.f, jets=True)
-    gb = _gamma_beta(problem, _chart_order(problem, inputs, _value), jet_mode=True)
+    gb = _gamma_beta(*_chart_order(problem, inputs, _value), jet_mode=True)
     fj = full_jet(jet, gb)
-    along = _gamma_beta(problem, _chart_order(problem, inputs, _along((fj.p1, fj.p2))))
+    along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
     return gb, along
 
 
@@ -401,18 +417,3 @@ def full_jet(jet: FirstJetPoint, gb: GammaBetaData) -> FullJet:
         p1[orig] = p1_int[k]
         p2[orig] = p2_int[k]
     return FullJet(p11, p21, tuple(p1), tuple(p2))
-
-
-def choose_pair(problem: HypersurfaceProblem, point):
-    """First distinguished pair (scanned in index order) with D != 0 at
-    ``point``.
-
-    rho's gradient and mu are formed once and each pair's
-    D = rho_a mu_b - rho_b mu_a is read off them.
-    """
-    grad, alpha, zero = _inputs(problem, point)
-    mu = row_times_matrix(grad, alpha, zero)
-    for a, b in combinations(range(problem.two_n), 2):
-        if not _pair_D_vanishes(grad, mu, a, b, zero):
-            return (a + 1, b + 1)
-    raise SingularD("D = 0 at the point for every distinguished pair")

@@ -157,12 +157,12 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             raise SchemaViolation(f"unknown structure kind {kind!r}")
         structure_warnings = structure.warnings
         pair = doc.get("distinguished_pair")
-        pair = [1, 2] if pair is None else pair
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
+        if pair is not None and not (
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
                 and all(type(i) is int and 1 <= i <= two_n for i in pair)):
             raise SchemaViolation(f"distinguished_pair must be two distinct "
                                   f"integers in 1..{two_n}, got {pair!r}")
-        problem = HypersurfaceProblem(rho, structure, tuple(pair))
+        problem = HypersurfaceProblem(rho, structure, pair)
 
     points_doc = _field(doc, "points", "", "object", required=False, default={})
     points = {}

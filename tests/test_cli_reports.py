@@ -433,6 +433,47 @@ def test_D_zero_at_the_jet_only_exit_2(command, tmp_path):
     assert b"Traceback" not in err
 
 
+# alpha = 2 I makes mu = 2 grad(rho), so D = 0 at every pair and every point
+NO_CHART = {
+    "dimension_2n": 4,
+    "rho": "f1 + f2^2 - f3 + f4",
+    "structure": {"kind": "matrix",
+                  "entries": [["2" if i == j else "0" for j in range(4)] for i in range(4)]},
+    "points": {"P": ["1", "1", "1", "-1"]},
+    "jets": {"J": {"point": "P", "p_reduced": ["1", "0"]}},
+    "flags": {"zero_weights": {"a1": ["1", "0"], "a2": ["0", "1"], "c1": ["0", "0"],
+                               "c2": ["0", "0"], "alpha": "0", "beta": "0"}},
+}
+
+
+@pytest.mark.parametrize("pair, singular", [
+    (None, "SingularD: D = 0 at the point for every distinguished pair"),
+    ([1, 2], "IdenticallySingularD: D vanishes identically for this distinguished pair"),
+], ids=["no_pair", "pair_1_2"])
+def test_an_inadmissible_flag_is_reported_before_a_singular_chart(pair, singular,
+                                                                  tmp_path, capsys):
+    # with a pair named or not: the flag is checked before any chart
+    doc = NO_CHART if pair is None else {**NO_CHART, "distinguished_pair": pair}
+    path = tmp_path / "no_chart.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["integral-element", str(path), "--flag", "zero_weights"]) == 2
+    assert capsys.readouterr().err == "InadmissibleFlag: (alpha, beta) = (0, 0)\n"
+    assert cli.main(["integral-element", str(path)]) == 2
+    assert capsys.readouterr().err == singular + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["involutivity", "hyperquadric", "--point", "nope"], "unknown point 'nope'; have P0"),
+    (["torsion", "hyperquadric", "--jet", "nope"], "unknown jet 'nope'; have J0, J1"),
+    (["jets", "hyperquadric", "--stratum", "nope"],
+     "unknown stratum 'nope'; have nonzero_velocity"),
+    (["jets", "hyperquadric", "--probe", "nope"], "unknown probe 'nope'; have Q0, Q1"),
+], ids=["point", "jet", "stratum", "probe"])
+def test_an_unknown_name_exits_2_naming_what_it_is(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"SchemaViolation: {message}\n"
+
+
 def test_all_marks_each_section_singular_at_the_point(tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(SINGULAR_AT_JET))
@@ -605,6 +646,31 @@ def test_jet_commands_build_first_jets_once_and_no_pointwise(command, monkeypatc
     assert cli.main([command, "hyperquadric"]) == 0
     assert counts == {"pointwise": 0, "first_jets": 0, "along_jet": 1,
                       "derivative_passes": 1, "differentiate": 0}
+
+
+def _no_pair_document(name):
+    """A document that names no distinguished pair: the builtin flat, the
+    builtin cusp with a jet at its point, or n3_matrix (degree-1 matrix
+    structure)."""
+    if name == "n3_matrix":
+        return json.loads((DOCS / "n3_matrix.json").read_text())
+    jets = {"J0": {"point": "P0", "p_reduced": ["1", "0", "0", "0"]}}
+    return {**BUILTIN_PROBLEMS[name], "jets": jets}
+
+
+@pytest.mark.parametrize("command", ["involutivity", "torsion", "integral-element"])
+@pytest.mark.parametrize("name", ["flat", "cusp", "n3_matrix"])
+def test_a_problem_with_no_pair_reads_its_point_once(command, name, tmp_path,
+                                                     monkeypatch, capsys):
+    # the builder charts the problem from the derivatives it reads, so
+    # picking the pair costs no second pass over rho's monomials
+    doc = _no_pair_document(name)
+    assert "distinguished_pair" not in doc
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    counts = _count_gamma_beta_builds(monkeypatch)
+    assert cli.main([command, str(path)]) == 0
+    assert counts["derivative_passes"] == 1
 
 
 # n = 5, rho = 2 f9 + f1^2 + f2^2 - f3^2 - f4^2 + f5^2 + f6^2 - f7^2 - f8^2:

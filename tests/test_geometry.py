@@ -16,7 +16,6 @@ from diskeds.geometry import (
     _inputs,
     _tangent,
     _value,
-    choose_pair,
     complex_standard,
     compute_gamma_beta,
     full_jet,
@@ -26,6 +25,7 @@ from diskeds.geometry import (
 )
 from diskeds.linalg import row_times_matrix
 from diskeds.reports import build_problem, load_problem
+from diskeds.torsion import structure_equation_coefficients
 from oracles import (
     RationalFunction,
     choose_pair_by_builds,
@@ -256,16 +256,17 @@ def test_symbolic_pointwise_agreement():
         assert sym.D.evaluate(pint) == pw.D
 
 
-def test_choose_pair_scans_in_order():
+def test_builders_scan_pairs_in_order():
     # hyperquadric at a point where the (1,2) chart is singular
     prob = HypersurfaceProblem(HYPERQUADRIC, complex_standard(3, V6), (1, 2))
     pt = (0, 0, 1, 0, 1, 0)  # rho = 0, rho_1 = rho_2 = 0 here
     assert HYPERQUADRIC.evaluate(pt) == 0
     with pytest.raises(SingularD):
         compute_gamma_beta(prob, pt)
-    pair = choose_pair(prob, pt)
-    assert pair == (3, 4)
-    compute_gamma_beta(prob.with_pair(pair), pt).self_check()
+    assert _scan_every_way(prob, pt) == (3, 4)
+    gb = compute_gamma_beta(prob.with_pair(None), pt)
+    gb.self_check()
+    assert gb.sigma == (3, 4, 1, 2, 5, 6)
 
 
 def _first_pair_not_identically_singular(prob):
@@ -291,17 +292,28 @@ def _identical_scan_both_ways(prob):
     return want
 
 
-def _scan_both_ways(prob, pt):
-    """choose_pair and the per-pair build oracle: same pair, or the same
-    SingularD message."""
+# the problem each builder charts ``prob`` at, at ``pt``: pointwise, and
+# in first-jet mode along a jet there
+CHARTED_BY = (
+    lambda prob, pt: compute_gamma_beta(prob, pt).problem,
+    lambda prob, pt: structure_equation_coefficients(prob, prob.make_jet(
+        pt, (1,) * (prob.two_n - 2), allow_off_surface=True)).point_data.problem,
+)
+
+
+def _scan_every_way(prob, pt):
+    """The per-pair build oracle and both builders' charts of ``prob``
+    with no pair: same pair, or the same SingularD message."""
+    prob = prob.with_pair(None)
     try:
         want = choose_pair_by_builds(prob, pt)
     except SingularD as exc:
-        with pytest.raises(SingularD) as got:
-            choose_pair(prob, pt)
-        assert str(got.value) == str(exc)
+        for charted in CHARTED_BY:
+            with pytest.raises(SingularD) as got:
+                charted(prob, pt)
+            assert str(got.value) == str(exc)
         return None
-    assert choose_pair(prob, pt) == want
+    assert [charted(prob, pt).pair for charted in CHARTED_BY] == [want] * len(CHARTED_BY)
     return want
 
 
@@ -326,7 +338,7 @@ def test_one_pass_pair_scan_equals_per_pair_builds(make, n):
         prob = HypersurfaceProblem(rho, A, (1, 2))
         with pytest.raises(SingularD):
             compute_gamma_beta(prob, pt)
-        found.append(_scan_both_ways(prob, pt))
+        found.append(_scan_every_way(prob, pt))
     pairs = [p for p in found if p is not None]
     assert pairs and any(p[0] >= 3 for p in pairs)
 
@@ -334,7 +346,8 @@ def test_one_pass_pair_scan_equals_per_pair_builds(make, n):
 def test_one_pass_pair_scan_on_flat_and_when_no_pair_works():
     lp = build_problem(load_problem("flat"), "flat")
     point = lp.points["P0"]
-    assert _scan_both_ways(lp.problem, point) == choose_pair(lp.problem, point)
+    assert lp.problem.pair is None
+    assert _scan_every_way(lp.problem, point) == (5, 6)
     # alpha = 2 I: mu = 2 rho_grad, so D = 0 for every pair at every point
     vs = tuple(f"f{i}" for i in range(1, 5))
     two = Polynomial.const(vs, 2)
@@ -342,7 +355,7 @@ def test_one_pass_pair_scan_on_flat_and_when_no_pair_works():
     scalar = structure_from_entries(2, [[two if i == j else zero for j in range(4)]
                                         for i in range(4)])
     prob = HypersurfaceProblem(parse_expression("f1 + f2^2 - f3 + f4", vs), scalar, (1, 2))
-    assert _scan_both_ways(prob, (1, 1, 1, -1)) is None
+    assert _scan_every_way(prob, (1, 1, 1, -1)) is None
 
 
 @pytest.mark.parametrize("make", [random_constant_structure, random_polynomial_structure])

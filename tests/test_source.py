@@ -105,6 +105,31 @@ def test_monomial_owns_every_power_at_a_point():
                                   "expr.py:monomial", "torsion.py:pseudo_ellipsoid_check"]
 
 
+def test_the_builders_own_the_chart_decision():
+    # one chart decision in the package: the builders chart a problem in
+    # geometry._chart_order and the complex closed forms fix the pair
+    # (1, 2); only the loader reads a document's pair.  A with_pair call or
+    # a read of "distinguished_pair" (a subscript, or a call's argument
+    # such as .get's) anywhere else takes that decision a second time
+    charts, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _owned_nodes(tree.body):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "attr", None) == "with_pair":
+                    charts.append(f"{path.name}:{owner}")
+                keys = node.args
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                keys = [node.slice]
+            else:
+                continue
+            if any(isinstance(key, ast.Constant) and key.value == "distinguished_pair"
+                   for key in keys):
+                reads.append(f"{path.name}:{owner}")
+    assert sorted(set(charts)) == ["geometry.py:_chart_order", "torsion.py:_complex_problem"]
+    assert sorted(set(reads)) == ["reports.py:build_problem"]
+
+
 
 def test_no_dataclasses_in_the_package():
     # records are namedtuples: defining dataclasses costs most of the import

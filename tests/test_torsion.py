@@ -10,7 +10,6 @@ from diskeds.expr import Polynomial, parse_expression
 from diskeds.geometry import (
     HypersurfaceProblem,
     _value,
-    choose_pair,
     complex_standard,
     compute_gamma_beta,
 )
@@ -27,6 +26,7 @@ from diskeds.torsion import (
 from oracles import (
     RationalFunction,
     var,
+    choose_pair_by_builds,
     coefficient_tables_full,
     complex_problem,
     coefficient_tables_symbolic,
@@ -114,7 +114,7 @@ def test_coefficient_pipeline_vs_dtheta_oracle_n3():
 
 def _first_jet_cases(rng, n):
     """(problem, point) pairs: constant and degree-1 polynomial structures
-    at pair (1, 2), plus one whose pair the fallback scan picks."""
+    at pair (1, 2), plus one that names no pair, which the builders chart."""
     cases = []
     for make in (random_constant_structure, random_polynomial_structure) * 2:
         A, vs = make(rng, n)
@@ -127,9 +127,8 @@ def _first_jet_cases(rng, n):
     A, vs = random_polynomial_structure(rng, n)
     rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + var(vs, vs[-1])
     pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vs)
-    prob = HypersurfaceProblem(rho, A, (1, 2))
-    prob = prob.with_pair(choose_pair(prob, pt))
-    assert prob.pair != (1, 2)
+    prob = HypersurfaceProblem(rho, A, None)
+    assert choose_pair_by_builds(prob, pt) != (1, 2)
     cases.append((prob, pt))
     return cases
 
@@ -141,9 +140,17 @@ def test_first_jet_tables_equal_symbolic_reference(n):
     assert len(cases) >= 4
     for prob, pt in cases:
         got = coefficient_tables_full(prob, pt)
-        want = coefficient_tables_symbolic(prob, pt)
+        charted = got[0].problem
+        if prob.pair is None:
+            # the full first jets, the pointwise build and the build along a
+            # jet chart where the per-pair build oracle does
+            jet = prob.make_jet(pt, (1,) * (prob.two_n - 2), allow_off_surface=True)
+            assert {charted, compute_gamma_beta(prob, pt).problem,
+                    structure_equation_coefficients(prob, jet).point_data.problem} == \
+                {prob.with_pair(choose_pair_by_builds(prob, pt))}
+        want = coefficient_tables_symbolic(charted, pt)
         assert got[1:] == want[1:]
-        pt_int = tuple(Fraction(pt[i]) for i in prob.internal_order())
+        pt_int = tuple(Fraction(pt[i]) for i in charted.internal_order())
         assert list(map(_value, got[0].rho_grad)) == \
             [r.evaluate(pt_int) for r in want[0].rho_grad]
 
