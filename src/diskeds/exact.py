@@ -291,35 +291,40 @@ def _fraction(n, d):
     return Fraction(n) if d == 1 else Fraction(n, d)
 
 
-def sum_of_products(xs, ys):
-    """sum_k xs[k] * ys[k] over exact scalars with every term that has an
-    exact zero factor left out; None when every term is left out.
+def sum_of_products(xs, ys, c=None):
+    """c + sum_k xs[k] * ys[k] over exact scalars with every term that has
+    an exact zero factor left out; None when every term is left out.
 
-    The Fraction x Fraction terms make one Fraction, from one numerator
-    over the lcm of their denominators b d; a pair of any other types is
-    multiplied and summed by its own operators, and that sum comes first.
+    The Fraction x Fraction terms and a Fraction c make one Fraction, from
+    one numerator over the lcm of their denominators; other pairs take
+    their own operators and their sum comes first, any other c last.
     """
+    cn = c.numerator if type(c) is Fraction else 0
     num, den = 0, 0     # den = 0 until the first Fraction term
     rest = None
     for x, y in zip(xs, ys):
         if type(x) is Fraction and type(y) is Fraction:
             a = x.numerator
             if a:
-                c = y.numerator
-                if c:
+                b = y.numerator
+                if b:
                     d = x.denominator * y.denominator
                     if d == den:
-                        num += a * c
+                        num += a * b
                     elif den:
-                        num, den = _pair_sum(num, den, a * c, d)
+                        num, den = _pair_sum(num, den, a * b, d)
+                    elif cn:
+                        num, den = _pair_sum(cn, c.denominator, a * b, d)
                     else:
-                        num, den = a * c, d
+                        num, den = a * b, d
         elif x and y:
             rest = x * y if rest is None else rest + x * y
-    if not den:
-        return rest
-    s = _fraction(num, den)
-    return s if rest is None else rest + s
+    if den:
+        s = _fraction(num, den)
+        rest = s if rest is None else rest + s
+        if cn:      # c is in the integer sum
+            return rest
+    return rest + c if c and rest is not None else rest
 
 
 def row_minus(row, factor, pivot):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -172,21 +173,25 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
 
 
 class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
-                               "rho_grad mu D gamma1 gamma2 beta_full")):
+                               "rho_grad mu D gamma1 gamma2")):
     """Reduced first-jet data; entries are Fractions in pointwise mode and
     FirstJets in first-jet mode (a Fraction where the tangent is zero).
 
     ``sigma`` maps internal 1-based to original 1-based indices; ``alpha``
     holds the structure entries in internal order; ``rho_grad`` and ``mu``
     have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
-    j = 3..2n); ``beta_full`` has 2n rows and 2n-2 columns, internal order.
+    j = 3..2n); ``beta_full``, 2n rows and 2n-2 columns, is formed on first read.
     """
-
-    __slots__ = ()
 
     @property
     def two_n(self):
         return 2 * self.problem.n
+
+    @cached_property
+    def beta_full(self):
+        gammas = tuple(enumerate(zip(self.gamma1, self.gamma2), 2))
+        return tuple(tuple(dot_plus(row[:2], g, row[j]) for j, g in gammas)
+                     for row in self.alpha)
 
     @property
     def beta(self):
@@ -220,8 +225,8 @@ def _mu_and_D(grad, alpha, zero):
     return mu, grad[0] * mu[1] - grad[1] * mu[0]
 
 
-def _gammas_and_betas(grad, mu, D, alpha, zero):
-    """gamma^1, gamma^2 (j = 3..2n) and all 2n rows of beta_full."""
+def _gammas(grad, mu, D, zero):
+    """gamma^1 and gamma^2, j = 3..2n."""
     two_n = len(grad)
     minus_D = -D
     minus_mu = tuple(-x if x else x for x in mu)
@@ -230,11 +235,7 @@ def _gammas_and_betas(grad, mu, D, alpha, zero):
                    for j in range(2, two_n))
     gamma2 = tuple(over(dot((grad[0], grad[j]), (mu[j], minus_mu[0]), zero))
                    for j in range(2, two_n))
-    gammas = tuple(zip(gamma1, gamma2))
-    beta_full = tuple(tuple(dot_plus(row[:2], gammas[j], row[j + 2])
-                            for j in range(two_n - 2))
-                      for row in alpha)
-    return gamma1, gamma2, beta_full
+    return gamma1, gamma2
 
 
 def _settled(jet: FirstJet):
@@ -355,9 +356,8 @@ def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBe
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
     return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
-                         gamma1, gamma2, beta_full)
+                         *_gammas(grad, mu, D, zero))
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point) -> GammaBetaData:
@@ -382,8 +382,8 @@ def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
-    """(pointwise data at ``jet.f``, first-jet data along the jet), from
-    one reading of the inputs.
+    """(pointwise data at ``jet.f``, its :func:`full_jet`, first-jet data
+    along the jet), from one reading of the inputs.
 
     The first jets carry, in place of a gradient, the derivatives along
     the jet's p1 and p2 (user order): two numbers per entry instead of
@@ -394,7 +394,7 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     gb = _gamma_beta(*_chart_order(problem, inputs, _value), jet_mode=True)
     fj = full_jet(jet, gb)
     along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
-    return gb, along
+    return gb, fj, along
 
 
 # p1 and p2 in user coordinate order
@@ -404,16 +404,11 @@ FullJet = namedtuple("FullJet", "p11 p21 p1 p2")
 def full_jet(jet: FirstJetPoint, gb: GammaBetaData) -> FullJet:
     """Complete the reduced jet: p^1_1, p^2_1 from the gammas, then p_2 = A p_1;
     ``gb`` is the pointwise gamma/beta data at ``jet.f``, in its chart."""
-    two_n, p_red = gb.two_n, jet.p_reduced
-    zero = Fraction(0)
+    p_red, zero = jet.p_reduced, Fraction(0)
     p11 = dot(gb.gamma1, p_red, zero)
     p21 = dot(gb.gamma2, p_red, zero)
     p1_int = (p11, p21) + p_red
     p2_int = tuple(dot(row, p1_int, zero) for row in gb.alpha)
     order = gb.problem.internal_order()
-    p1 = [Fraction(0)] * two_n
-    p2 = [Fraction(0)] * two_n
-    for k, orig in enumerate(order):
-        p1[orig] = p1_int[k]
-        p2[orig] = p2_int[k]
-    return FullJet(p11, p21, tuple(p1), tuple(p2))
+    user = lambda v: tuple(v[order.index(i)] for i in range(len(order)))
+    return FullJet(p11, p21, user(p1_int), user(p2_int))

@@ -35,12 +35,10 @@ def dot(xs, ys, zero):
 
 
 def dot_plus(xs, ys, c):
-    """dot(xs, ys) + c over any exact scalar, skipping exact zero terms;
-    ``c`` itself when every product is skipped."""
-    s = sum_of_products(xs, ys)
-    if s is None:
-        return c
-    return s + c if c else s
+    """dot(xs, ys) + c over any exact scalar, a Fraction c in the integer
+    sum, skipping exact zero terms; ``c`` itself when every product is skipped."""
+    s = sum_of_products(xs, ys, c)
+    return c if s is None else s
 
 
 def _echelon(rows, ncols):

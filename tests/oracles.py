@@ -40,9 +40,10 @@ from diskeds.exact import (I_UNIT, FirstJet, GaussianRational, gaussian, normali
                            rat, require_real, row_minus, scalar_conj)
 from diskeds.expr import Polynomial, print_polynomial, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
-                              StructureMatrix, _gammas_and_betas, _mu_and_D, _tangent,
+                              StructureMatrix, _gammas, _mu_and_D, _tangent,
                               _value, complex_standard, compute_gamma_beta, full_jet,
-                              gamma_beta_first_jets, structure_from_entries)
+                              gamma_beta_along_jet, gamma_beta_first_jets,
+                              structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
 from diskeds.linalg import _echelon, dot, dot_plus, solve_particular
@@ -235,7 +236,8 @@ def internal_vars(problem: HypersurfaceProblem):
 def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     """GammaBetaData over RationalFunctions of the internal f-variables,
     from RationalFunction(N, q) inputs through geometry's own _mu_and_D
-    and _gammas_and_betas.  Raises IdenticallySingularD when D = 0."""
+    and _gammas (beta_full forms on first read, over the same scalars).
+    Raises IdenticallySingularD when D = 0."""
     order = problem.internal_order()
     rho = permute_polynomial(problem.rho, order)
     grad = tuple(RationalFunction(rho.differentiate(v)) for v in rho.vars)
@@ -247,9 +249,8 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     mu, D = _mu_and_D(grad, alpha, zero)
     if D.is_zero():
         raise IdenticallySingularD("D vanishes identically for this distinguished pair")
-    gamma1, gamma2, beta_full = _gammas_and_betas(grad, mu, D, alpha, zero)
     return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
-                         gamma1, gamma2, beta_full)
+                         *_gammas(grad, mu, D, zero))
 
 
 def complex_problem(rho: Polynomial) -> HypersurfaceProblem:
@@ -336,12 +337,11 @@ def coefficient_tables_symbolic(problem: HypersurfaceProblem, point):
 def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
     """The pointwise data that first-jet data ``gb`` holds: every entry's
     value.  Equals compute_gamma_beta at the same point, without
-    evaluating anything again."""
+    evaluating anything again; its beta_full forms from those values."""
     values = lambda row: tuple(map(_value, row))
     return gb._replace(alpha=tuple(values(row) for row in gb.alpha),
                        rho_grad=values(gb.rho_grad), mu=values(gb.mu), D=_value(gb.D),
-                       gamma1=values(gb.gamma1), gamma2=values(gb.gamma2),
-                       beta_full=tuple(values(row) for row in gb.beta_full))
+                       gamma1=values(gb.gamma1), gamma2=values(gb.gamma2))
 
 
 def coefficient_tables_full(problem: HypersurfaceProblem, point):
@@ -390,6 +390,20 @@ def torsion_values_from_matrices(problem: HypersurfaceProblem, jet: FirstJetPoin
     p = tuple(Fraction(x) for x in jet.p_reduced)
     zero = Fraction(0)
     return tuple(dot(p, [dot(row, p, zero) for row in mat], zero) for mat in raw)
+
+
+def torsion_values_along_tables(problem: HypersurfaceProblem, jet: FirstJetPoint):
+    """c^k = sum_j p^j (D_{p2} gamma^k_j - D_{p1} beta_{k,j}), the gamma
+    term for k = 1, 2 only: the table sums that torsion's contracted
+    reading must equal, from the tangents along (p1, p2) of the
+    along-the-jet build's gammas and of its beta_full, which this read
+    forms over first jets."""
+    _, _, along = gamma_beta_along_jet(problem, jet)
+    p, zero = jet.p_reduced, Fraction(0)
+    along_p = lambda row, d: dot(p, [_tangent(x, d) for x in row], zero)
+    b = [along_p(row, 0) for row in along.beta_full]
+    g = [along_p(gamma, 1) for gamma in (along.gamma1, along.gamma2)]
+    return tuple([gk - bk for gk, bk in zip(g, b)] + [-bk for bk in b[2:]])
 
 
 def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):

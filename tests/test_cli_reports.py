@@ -685,6 +685,54 @@ N5_HYPERQUADRIC = {
 }
 
 
+def _count_beta_full_forms(monkeypatch):
+    """Count the GammaBetaData records whose beta_full forms, split into
+    those with a FirstJet entry and the pointwise ones."""
+    from diskeds.exact import FirstJet
+    from diskeds.geometry import GammaBetaData
+    counts = {"first_jets": 0, "pointwise": 0}
+    form = GammaBetaData.beta_full.func
+
+    def counting(gb):
+        entries = (*gb.rho_grad, *gb.mu, gb.D, *gb.gamma1, *gb.gamma2,
+                   *(x for row in gb.alpha for x in row))
+        jets = any(isinstance(x, FirstJet) for x in entries)
+        counts["first_jets" if jets else "pointwise"] += 1
+        return form(gb)
+
+    wrapper = functools.cached_property(counting)
+    wrapper.__set_name__(GammaBetaData, "beta_full")
+    monkeypatch.setattr(GammaBetaData, "beta_full", wrapper)
+    return counts
+
+
+# pointwise beta_full formations per command: involutivity and
+# integral-element read the rows, torsion's D vectors check against them
+# and the complex closed forms read gammas only
+BETA_FULL_FORMS = {"involutivity": 1, "torsion": 1, "integral-element": 1,
+                   "complex-forms": 0, "dim6": 0}
+
+
+@pytest.mark.parametrize("command", list(BETA_FULL_FORMS))
+@pytest.mark.parametrize("name", ["hyperquadric", "cusp", "n5", "n3_matrix"])
+def test_no_first_jet_build_forms_beta(command, name, tmp_path, monkeypatch, capsys):
+    # torsion contracts with p before differentiating, so no command forms
+    # beta over first jets, and a pointwise beta_full forms at most once
+    if name == "hyperquadric":
+        path = name
+    else:
+        doc = N5_HYPERQUADRIC if name == "n5" else _no_pair_document(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+    counts = _count_beta_full_forms(monkeypatch)
+    # the closed forms need the standard structure, dim6 also 2n = 6
+    applies = not (name == "n3_matrix" and command in ("complex-forms", "dim6")
+                   or name == "n5" and command == "dim6")
+    assert cli.main([command, str(path)]) == (0 if applies else 2)
+    want = BETA_FULL_FORMS[command] if applies else 0
+    assert counts == {"first_jets": 0, "pointwise": want}
+
+
 def _fraction_operands(argv):
     """[operands, zero operands] that exact arithmetic takes in while the
     CLI runs ``argv`` (see ``operands.py``)."""

@@ -411,8 +411,11 @@ def test_first_jet_values_equal_the_pointwise_build(n):
         prob = HypersurfaceProblem(random_polynomial(rng, vs, 3, 6), A, (1, 2))
         prob = prob.with_pair((1 + rng.randrange(2), 3 + rng.randrange(2 * n - 2)))
         pt = on_chart_point(rng, prob)
-        assert first_jet_values(gamma_beta_first_jets(prob, pt)) == \
-            compute_gamma_beta(prob, pt)
+        jets, pointwise = gamma_beta_first_jets(prob, pt), compute_gamma_beta(prob, pt)
+        assert first_jet_values(jets) == pointwise
+        # beta_full is no field of the record, so equality leaves it out
+        assert tuple(tuple(map(_value, row)) for row in jets.beta_full) == \
+            pointwise.beta_full
 
 
 # ----------------------------------------------------------------------

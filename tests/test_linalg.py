@@ -154,28 +154,42 @@ def _zero_operands(f, *args):
     return got, counts[1]
 
 
-@given(st.one_of(_pairs(fractions_), _pairs(st.one_of(fractions_, ints, gaussians))))
-@example([])
-@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))])
+@given(st.one_of(_pairs(fractions_), _pairs(st.one_of(fractions_, ints, gaussians))),
+       st.one_of(fractions_, jets))
+@example([], Fraction(7, 3))
+@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(7, 3))
 @example([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(4, 35), Fraction(-9, 77)),
-          (Fraction(7, 6), Fraction(1, 6))])
-@example([(2, 3), (Fraction(1, 2), 0), (-1, 4)])
+          (Fraction(7, 6), Fraction(1, 6))], Fraction(7, 3))
+@example([(2, 3), (Fraction(1, 2), 0), (-1, 4)], Fraction(7, 3))
+# dot_plus's c: every term skipped, c cancelling the sum to 0, c a FirstJet
+@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(-5, 9))
+@example([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(2), Fraction(1, 3))],
+         Fraction(-19, 36))
+@example([(Fraction(1, 2), Fraction(3)), (2, 4)],
+         FirstJet(Fraction(1), (Fraction(0), Fraction(2), Fraction(0))))
 @settings(max_examples=150, deadline=None)
-def test_dot_over_fractions_is_the_dense_sum(pairs):
+def test_dot_over_fractions_is_the_dense_sum(pairs, c):
     # mixed with ints and Gaussian rationals, the sum has the value and the
-    # type of the term-by-term fold
+    # type of the term-by-term fold, and so has the sum plus c
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     zero = Fraction(0)
     got, zeros_read = _zero_operands(dot, xs, ys, zero)
     want = _fold(pairs, zero)
     assert got == want and type(got) is type(want)
+    plus, plus_zeros_read = _zero_operands(dot_plus, xs, ys, c)
+    view = lambda x: (x.value, x.grad) if isinstance(x, FirstJet) else x
     if all(type(x) is Fraction and type(y) is Fraction for x, y in pairs):
         assert type(got) is Fraction and got == sum((x * y for x, y in pairs), zero)
         assert zeros_read == 0
+        if type(c) is Fraction:
+            assert plus_zeros_read == 0
     if all(not (x and y) for x, y in pairs):
         assert got is zero
-    c = Fraction(7, 3)
-    assert dot_plus(xs, ys, c) == got + c
+        assert plus is c
+    else:
+        # an exact-zero c is a skipped term too
+        want_plus = want + c if c else want
+        assert view(plus) == view(want_plus) and type(plus) is type(want_plus)
     assert dot_plus(xs, ys, zero) == got
 
 

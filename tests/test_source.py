@@ -131,6 +131,40 @@ def test_the_builders_own_the_chart_decision():
 
 
 
+LAYERS = SRC.parent.parent / "perfbench" / "layers.py"
+# SPECIAL names that no longer exist in the package, each to be mended or
+# dropped at the next benchmark change (ROADMAP item 1)
+STALE_SPECIAL = {("involutivity", "prolongation_dims"), ("involutivity", "involutivity_order"),
+                 ("linalg", "nullity"), ("linalg", "nullspace"), ("linalg", "det"),
+                 ("linalg", "in_row_span"), ("geometry", "choose_pair")}
+
+
+def _defined_names(path):
+    """The top-level functions and classes of a module, and ``Class.name``
+    for each function a class defines."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef)}
+    return names
+
+
+def test_the_benchmark_spans_name_package_functions():
+    # perfbench/layers.py times the functions its SPECIAL table names; one
+    # renamed or deleted in the package makes its per-layer metrics read 0
+    # with no error, so only the listed stale names may be missing
+    tree = ast.parse(LAYERS.read_text(), filename=str(LAYERS))
+    special, = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SPECIAL"]]
+    missing = {(module, name) for module, name in special
+               if name not in _defined_names(SRC / f"{module}.py")}
+    assert missing == STALE_SPECIAL
+
+
 def test_no_dataclasses_in_the_package():
     # records are namedtuples: defining dataclasses costs most of the import
     found = []

@@ -45,6 +45,7 @@ from oracles import (
     structure_coefficient_forms,
     symbolic_complex_B,
     symbolic_gamma_beta,
+    torsion_values_along_tables,
     torsion_values_from_matrices,
 )
 
@@ -202,6 +203,47 @@ def test_directional_torsion_equals_the_quadratic_forms(case):
     assert all(isinstance(x, Fraction) for x in c)
     rows = _dtheta_row_data(prob, jet).rows
     assert [x2 for x2, _, _ in rows] == dtheta_x2_column_full(prob, jet)
+
+
+@st.composite
+def contraction_cases(draw):
+    """A problem under a constant or degree-1 matrix structure at n = 2..4,
+    naming the pair (1, 2) or none, a point and a reduced jet, zero entries
+    included; where asked, rho is (f1 - a)^2 plus terms free of f1 and the
+    point has f1 = a, so rho_1 = 0 there."""
+    n = draw(st.integers(2, 4))
+    make = draw(st.sampled_from([random_constant_structure, random_polynomial_structure]))
+    pair = draw(st.sampled_from([(1, 2), None]))
+    rho_1_zero = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    A, vs = make(rng, n)
+    pt = tuple(Fraction(rng.randint(-3, 3)) for _ in vs)
+    if rho_1_zero:
+        shift = var(vs, vs[0]) - Polynomial.const(vs, pt[0])
+        rho = extend_to(random_polynomial(rng, vs[1:], 3, 6), vs) + shift * shift
+    else:
+        rho = random_polynomial(rng, vs, 3, 6) + var(vs, vs[0])
+    rho = rho + var(vs, vs[-1])
+    p = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 3))),
+                      min_size=2 * n - 2, max_size=2 * n - 2))
+    return HypersurfaceProblem(rho, A, pair), pt, p, rho_1_zero
+
+
+@given(contraction_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_contracted_torsion_equals_the_table_sums(case):
+    # c^k read as D_{p2} p^k_1 - D_{p1} (A p1)_k equals the sums over the
+    # gamma and beta_full tables along p1 and p2
+    prob, pt, p, rho_1_zero = case
+    jet = prob.make_jet(pt, p, allow_off_surface=True)
+    try:
+        sed = structure_equation_coefficients(prob, jet)
+    except (SingularD, IdenticallySingularD):
+        return
+    if rho_1_zero and sed.point_data.problem.pair[0] == 1:
+        assert sed.point_data.rho_grad[0] == 0
+    assert sed.c_values == torsion_values_along_tables(prob, jet)
+    assert all(type(x) is Fraction for x in sed.c_values)
 
 
 def _symmetric(entries, m):
