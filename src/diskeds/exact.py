@@ -10,18 +10,33 @@ The integer kernels live here too: :func:`sum_of_products` (under
 ``linalg.dot``), :func:`row_minus` (the elimination row update) and the
 ``FirstJet`` gradient rules.  A Fraction x Fraction term a/b * c/d is the
 integer pair (a c, b d); a kernel sums such pairs on one integer numerator
-over the lcm of their denominators and builds one ``Fraction`` per result,
-which the constructor reduces, so it is the canonical value that
-Fraction's operators reach term by term.  Operands of any other type (int,
-FirstJet, GaussianRational, a rational function) take their own operators.
+over the lcm of their denominators and makes each result one reduced
+Fraction with :func:`_fraction`: one gcd, both parts divided by it, and a
+write of Fraction's two slots.  That is exact: n/d with d > 0 divided
+through by g = gcd(n, d) is the one reduced form with a positive
+denominator, so it is the Fraction that ``Fraction(n, d)`` builds and
+Fraction's operators reach term by term, in value, parts, hash and type.
+The kernels read a Fraction's parts off the same slots; importing the
+module checks that Fraction keeps its parts in exactly those two slots and
+raises ImportError otherwise.  Operands of any other type (int, FirstJet,
+GaussianRational, a rational function) take their own operators.
 """
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 from .errors import NotRealCoefficients, SchemaViolation
+
+# the slots _fraction writes and the kernels read
+FRACTION_SLOTS = ("_numerator", "_denominator")
+if getattr(Fraction, "__slots__", None) != FRACTION_SLOTS:
+    raise ImportError(
+        f"diskeds needs fractions.Fraction laid out as the slots {FRACTION_SLOTS}; "
+        f"{sys.implementation.name} {sys.version.split()[0]} has "
+        f"{getattr(Fraction, '__slots__', None)!r}")
 
 Rational = Fraction
 _ZERO = Fraction(0)
@@ -276,7 +291,9 @@ def _negated(grad):
 
 
 # Integer kernels.  Each skips a term with an exact zero factor, testing
-# numerators first: a denominator is read only for a term that is kept.
+# numerators first: a denominator is read only for a term that is kept.  A
+# Fraction's parts are read off its slots; an int coefficient's through
+# its own numerator and denominator.
 
 def _pair_sum(n1, d1, n2, d2):
     """n1/d1 + n2/d2 as an integer pair over lcm(d1, d2)."""
@@ -287,8 +304,24 @@ def _pair_sum(n1, d1, n2, d2):
 
 
 def _fraction(n, d):
-    """The canonical Fraction n/d of ints n and d > 0."""
-    return Fraction(n) if d == 1 else Fraction(n, d)
+    """The canonical Fraction n/d of ints n and d > 0: one gcd (none for
+    d = 1) and a write of both slots, the Fraction ``Fraction(n, d)`` builds."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    x = _new_object(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _parts(c):
+    """(numerator, denominator) of an int or a Fraction coefficient."""
+    if type(c) is Fraction:
+        return c._numerator, c._denominator
+    return c.numerator, c.denominator
 
 
 def sum_of_products(xs, ys, c=None):
@@ -299,22 +332,22 @@ def sum_of_products(xs, ys, c=None):
     one numerator over the lcm of their denominators; other pairs take
     their own operators and their sum comes first, any other c last.
     """
-    cn = c.numerator if type(c) is Fraction else 0
+    cn = c._numerator if type(c) is Fraction else 0
     num, den = 0, 0     # den = 0 until the first Fraction term
     rest = None
     for x, y in zip(xs, ys):
         if type(x) is Fraction and type(y) is Fraction:
-            a = x.numerator
+            a = x._numerator
             if a:
-                b = y.numerator
+                b = y._numerator
                 if b:
-                    d = x.denominator * y.denominator
+                    d = x._denominator * y._denominator
                     if d == den:
                         num += a * b
                     elif den:
                         num, den = _pair_sum(num, den, a * b, d)
                     elif cn:
-                        num, den = _pair_sum(cn, c.denominator, a * b, d)
+                        num, den = _pair_sum(cn, c._denominator, a * b, d)
                     else:
                         num, den = a * b, d
         elif x and y:
@@ -334,16 +367,16 @@ def row_minus(row, factor, pivot):
     if type(factor) is not Fraction:
         return [(a - factor * b if a else -(factor * b)) if b else a
                 for a, b in zip(row, pivot)]
-    fn, fd = -factor.numerator, factor.denominator
+    fn, fd = -factor._numerator, factor._denominator
     out = []
     for a, b in zip(row, pivot):
         if type(a) is Fraction and type(b) is Fraction:
-            bn = b.numerator
+            bn = b._numerator
             if bn:
-                n, d = fn * bn, fd * b.denominator
-                an = a.numerator
+                n, d = fn * bn, fd * b._denominator
+                an = a._numerator
                 if an:
-                    n, d = _pair_sum(an, a.denominator, n, d)
+                    n, d = _pair_sum(an, a._denominator, n, d)
                 a = _fraction(n, d)
         elif b:
             a = a - factor * b if a else -(factor * b)
@@ -356,18 +389,18 @@ def row_minus(row, factor, pivot):
 
 def _combined(u, xs, v, ys):
     """u xs + v ys, one Fraction per component from one integer pair."""
-    un, ud = u.numerator, u.denominator
-    vn, vd = v.numerator, v.denominator
+    un, ud = _parts(u)
+    vn, vd = _parts(v)
     unit = un == ud     # u = 1: a component of xs alone is kept as it is
     out = []
     for x, y in zip(xs, ys):
-        a, c = un * x.numerator, vn * y.numerator
+        a, c = un * x._numerator, vn * y._numerator
         if c:
-            d = vd * y.denominator
-            out.append(_fraction(*_pair_sum(a, ud * x.denominator, c, d)) if a
+            d = vd * y._denominator
+            out.append(_fraction(*_pair_sum(a, ud * x._denominator, c, d)) if a
                        else _fraction(c, d))
         elif a:
-            out.append(x if unit else _fraction(a, ud * x.denominator))
+            out.append(x if unit else _fraction(a, ud * x._denominator))
         else:
             out.append(_ZERO)
     return tuple(out)
@@ -375,11 +408,11 @@ def _combined(u, xs, v, ys):
 
 def _scaled(grad, c):
     """c grad for c != 0."""
-    cn, cd = c.numerator, c.denominator
+    cn, cd = _parts(c)
     out = []
     for x in grad:
-        a = x.numerator
-        out.append(_fraction(cn * a, cd * x.denominator) if a else x)
+        a = x._numerator
+        out.append(_fraction(cn * a, cd * x._denominator) if a else x)
     return tuple(out)
 
 

@@ -411,9 +411,11 @@ class Polynomial:
         return partials_at(point, self._terms_at(point), second)
 
     def first_jet(self, point) -> FirstJet:
-        """Value and gradient at a point."""
+        """Value and gradient at a point; a constant's gradient is zero and
+        takes no pass over its terms."""
         pairs = self._terms_at(point)
-        return FirstJet(value_at(point, pairs), partials_at(point, pairs)[0])
+        grad = partials_at(point, pairs)[0] if self.degree() else (Fraction(0),) * len(point)
+        return FirstJet(value_at(point, pairs), grad)
 
 
 # ----------------------------------------------------------------------

@@ -206,17 +206,15 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
         return self.beta_full[1]
 
     def self_check(self):
-        """Re-substitution identities of the defining 2x2 system, exact."""
+        """Re-substitution identities of the defining 2x2 system, exact.
+        ``beta_full`` is checked against an independent reading by
+        ``involutivity``'s cross-check of the closed-form obstruction rows."""
         rho12, mu12 = self.rho_grad[:2], self.mu[:2]
         for j, gammas in enumerate(zip(self.gamma1, self.gamma2)):
             if dot_plus(rho12, gammas, self.rho_grad[j + 2]) != 0:
                 raise CrossCheckMismatch("rho re-substitution failed")
             if dot_plus(mu12, gammas, self.mu[j + 2]) != 0:
                 raise CrossCheckMismatch("mu re-substitution failed")
-        for alpha_i, beta_i in zip(self.alpha, self.beta_full):
-            for j, gammas in enumerate(zip(self.gamma1, self.gamma2)):
-                if beta_i[j] != dot_plus(alpha_i[:2], gammas, alpha_i[j + 2]):
-                    raise CrossCheckMismatch("beta definition failed")
 
 
 def _mu_and_D(grad, alpha, zero):

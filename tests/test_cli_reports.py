@@ -673,6 +673,26 @@ def test_a_problem_with_no_pair_reads_its_point_once(command, name, tmp_path,
     assert counts["derivative_passes"] == 1
 
 
+@pytest.mark.parametrize("command, name", [("torsion", "hyperquadric"),
+                                           ("complex-forms", "cusp")])
+def test_a_constant_structure_entry_costs_no_gradient_pass(command, name, monkeypatch,
+                                                           capsys):
+    # the standard structure's entries are constants, whose first jets have
+    # a zero gradient; only rho's derivatives take a pass over monomials
+    from diskeds import expr
+    constant = []
+    real = expr.partials_at
+
+    def counting(point, pairs, second=False):
+        pairs = list(pairs)
+        constant.append(not any(map(any, (exps for exps, _ in pairs))))
+        return real(point, pairs, second)
+
+    monkeypatch.setattr(expr, "partials_at", counting)
+    assert cli.main([command, name]) == 0
+    assert constant and not any(constant)
+
+
 # n = 5, rho = 2 f9 + f1^2 + f2^2 - f3^2 - f4^2 + f5^2 + f6^2 - f7^2 - f8^2:
 # the complex_standard alpha has 2n nonzero entries out of 4n^2
 N5_HYPERQUADRIC = {

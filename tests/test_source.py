@@ -77,6 +77,42 @@ def test_exact_power_owns_every_computed_power():
     assert sorted(found) == ["exact.py:_PIECE", "exact.py:_digits", "exact.py:power"]
 
 
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def _fraction_layout_uses(sources):
+    """name:owner for every use of Fraction's private layout in the modules
+    of ``sources`` (name -> text): an attribute or a string naming one of
+    its slots, or object.__new__."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
+            if isinstance(node, ast.Attribute):
+                used = node.attr in FRACTION_SLOTS or (
+                    node.attr == "__new__" and getattr(node.value, "id", None) == "object")
+            else:
+                used = isinstance(node, ast.Constant) and node.value in FRACTION_SLOTS
+            if used:
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_exact_owns_the_fraction_layout():
+    # exact checks at import that Fraction keeps its parts in the two slots
+    # its _fraction writes and its kernels read; a slot read or a Fraction
+    # made by object.__new__ anywhere else rests on a layout never checked
+    found = _fraction_layout_uses({path.name: path.read_text()
+                                   for path in sorted(SRC.glob("*.py"))})
+    assert "exact.py:_fraction" in found
+    assert [use for use in found if not use.startswith("exact.py:")] == []
+
+
+def test_the_fraction_layout_rule_finds_a_slot_read():
+    source = (SRC / "geometry.py").read_text() + (
+        "\n\ndef _denominator_of(x):\n    return x._denominator\n")
+    assert _fraction_layout_uses({"geometry.py": source}) == ["geometry.py:_denominator_of"]
+
+
 def test_echelon_owns_every_row_update():
     # one elimination in the package: a row_minus call anywhere else is a
     # second elimination loop
