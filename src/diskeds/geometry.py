@@ -35,7 +35,11 @@ a chart's internal order or projected onto the directions.
 Whether D vanishes identically, which only picks between the two D = 0
 errors, is decided on polynomials: with M = grad(rho) N = q mu, the
 polynomial rho_1 M_2 - rho_2 M_1 equals q D, so it is zero exactly when
-D is, and no division is needed.
+D is, and no division is needed.  It is zero where rho names neither
+coordinate of the pair; otherwise it is read at witness points first
+(the point plus each unit vector, then each unit vector), one nonzero
+value decides, and the products are formed only when every witness
+gives zero.
 """
 from __future__ import annotations
 
@@ -333,24 +337,38 @@ def _pair_D_vanishes(grad, mu, a, b, zero):
     return product(grad[a], mu[b]) == product(grad[b], mu[a])
 
 
-def _identically_singular(problem: HypersurfaceProblem) -> bool:
+def _identically_singular(problem: HypersurfaceProblem, point) -> bool:
     """Whether D vanishes identically at the problem's pair, decided on
-    the polynomial q D; only the pair's two columns of M are formed."""
+    the polynomial q D = rho_a M_b - rho_b M_a; only the pair's two columns
+    of M are read.  D vanishes identically where rho names neither x_a nor
+    x_b.  Otherwise q D is read first at the witnesses ``point`` + e_k, then e_k: a nonzero
+    value decides at once, and the polynomial is formed only when each is 0."""
     rho, numerators = problem.rho, problem.structure.numerators
-    grad, zero = tuple(map(rho.differentiate, rho.vars)), Polynomial.zero(rho.vars)
     a, b = (i - 1 for i in problem.pair)
+    if not any(e[a] or e[b] for e in rho.terms):
+        return True
+    point, zero = tuple(map(Fraction, point)), Fraction(0)
+    two_n = len(point)
+    units = [(0,) * k + (1,) + (0,) * (two_n - k - 1) for k in range(two_n)]
+    for w in [point[:k] + (point[k] + 1,) + point[k + 1:] for k in range(two_n)] + units:
+        grad = rho.derivatives_at(w)[0]
+        M = {i: dot(grad, [row[i].evaluate(w) for row in numerators], zero) for i in (a, b)}
+        if not _pair_D_vanishes(grad, M, a, b, zero):
+            return False
+    grad, zero = tuple(map(rho.differentiate, rho.vars)), Polynomial.zero(rho.vars)
     M = {i: dot(grad, [row[i] for row in numerators], zero) for i in (a, b)}
     return _pair_D_vanishes(grad, M, a, b, zero)
 
 
-def _gamma_beta(problem: HypersurfaceProblem, inputs, jet_mode=False) -> GammaBetaData:
+def _gamma_beta(problem: HypersurfaceProblem, inputs, point=None) -> GammaBetaData:
     """The one gamma/beta builder behind both modes, over a problem and
     its inputs from :func:`_chart_order`.  Where D vanishes at the point,
-    a first-jet mode (``jet_mode``) tells an identically vanishing D apart."""
+    a first-jet mode, which passes its ``point``, tells an identically
+    vanishing D apart."""
     grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
-        if jet_mode and _identically_singular(problem):
+        if point is not None and _identically_singular(problem, point):
             raise IdenticallySingularD(
                 "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
@@ -376,7 +394,7 @@ def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     when it vanishes at the point only.
     """
     return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)),
-                       jet_mode=True)
+                       point)
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
@@ -389,7 +407,7 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     as :func:`gamma_beta_first_jets`.
     """
     inputs = _inputs(problem, jet.f, jets=True)
-    gb = _gamma_beta(*_chart_order(problem, inputs, _value), jet_mode=True)
+    gb = _gamma_beta(*_chart_order(problem, inputs, _value), jet.f)
     fj = full_jet(jet, gb)
     along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
     return gb, fj, along

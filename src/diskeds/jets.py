@@ -20,7 +20,13 @@ widening and probes read these facts off indices; no name is parsed
 after a problem is loaded.
 
 Each (system, probe) is linearized once; the probe check, the tableau,
-the torsion test and the redundancy reduction read that one table.  The
+the torsion test and the redundancy reduction read that one table.  Each
+equality is frozen once per probe: a prolongation carries the system's
+equalities first and unchanged, so at the probe extended by zero top
+jets they keep the round's own values; an extension solved for nonzero
+top jets keeps the rows of the equalities free of top jets; and the
+reduced system keeps the extension's rows of the equalities the
+substitution left alone.  The
 tableau is the kernel of the Jacobian of the equalities with respect to
 the top-order variables.  When no equality structurally couples barred and
 unbarred top variables the system splits into conjugate halves and the
@@ -166,13 +172,15 @@ def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSys
     return JetConstraintSystem(n, order, eqs, ops, partners)
 
 
-def _close(eqs, conjugates):
+def _close(eqs, conjugates, kept=0):
     """(equalities, partners) of the closed system spanned by the monic
-    ``eqs``, ``conjugates[k]`` the monic conjugate of ``eqs[k]``: each
-    nonzero equality in turn, unless already present, then its conjugate,
-    unless already present."""
-    out, index, partner_of = [], {}, []
-    for p, q in zip(eqs, conjugates):
+    ``eqs``, ``conjugates[k]`` the monic conjugate of ``eqs[k]``: the first
+    ``kept`` equalities, distinct and closed among themselves, in place,
+    then each other nonzero equality in turn, unless already present, then
+    its conjugate, unless already present."""
+    out, partner_of = list(eqs[:kept]), list(conjugates[:kept])
+    index = {p: k for k, p in enumerate(out)}
+    for p, q in zip(eqs[kept:], conjugates[kept:]):
         if p.is_zero():
             continue
         for a, b in ((p, q), (q, p)):
@@ -186,7 +194,7 @@ def _close(eqs, conjugates):
 def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
     """Add D_t g, D_tb g and D_t D_tb g for every equality; order + 1.  The
     partner of D_t g is D_tb of g's partner, and D_t D_tb g's is D_t D_tb of
-    it."""
+    it.  The system's own equalities, widened, come first in their order."""
     table = jet_table(system.n, system.order + 1)
     eqs = [_widen(p, table) for p in system.equalities]
     derived = []
@@ -197,7 +205,8 @@ def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
     for j in system.partners:
         dt, dtb, dtdtb = derived[j]
         conjugates += [dtb, dt, dtdtb]
-    eqs, partners = _close(eqs + [q for triple in derived for q in triple], conjugates)
+    eqs, partners = _close(eqs + [q for triple in derived for q in triple], conjugates,
+                           kept=len(eqs))
     ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in system.openings)
     return JetConstraintSystem(system.n, system.order + 1, eqs, ops, partners)
 
@@ -263,17 +272,29 @@ def extend_probe(system: JetConstraintSystem, probe: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# one linearization per (system, probe)
+# one row per (equality, probe)
 
 
 class Linearization(namedtuple("Linearization", "system probe values gradients "
-                               "nonlinear uses_top mixed")):
+                               "nonlinear uses_top mixes")):
     """Per equality of a system at one probe: its value, its gradient in the
     top-order jets, whether a monomial of degree >= 2 in them survives
-    freezing the lower jets, and whether it involves a top jet at all.
+    freezing the lower jets, whether it involves a top jet at all, and
+    whether some monomial couples plain and barred top jets (``mixes``).
     Where the top jets are zero, value and gradient are the affine part.
-    ``mixed``: some monomial couples plain and barred top jets.  Instances
-    keep a ``__dict__`` for the cached tableau."""
+    Instances keep a ``__dict__`` for the cached tableau."""
+
+    @property
+    def mixed(self) -> bool:
+        """Some equality couples plain and barred top jets."""
+        return any(self.mixes)
+
+    @property
+    def rows(self):
+        """(value, gradient, nonlinear, uses_top, mixes) per equality, the
+        rows :func:`linearize` takes."""
+        return tuple(zip(self.values, self.gradients, self.nonlinear,
+                         self.uses_top, self.mixes))
 
     def satisfied(self, strict=True) -> bool:
         """Equalities vanish and openings hold; ``strict`` raises instead."""
@@ -301,10 +322,15 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
         return tableau_at_probe(self)
 
 
-def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
+def linearize(system: JetConstraintSystem, probe: tuple, rows=None) -> Linearization:
     """One pass over the monomials of every equality at the probe: the
     lower jets freeze into each monomial's coefficient, and the value and
-    the gradient in the top jets are read off the frozen terms."""
+    the gradient in the top jets are read off the frozen terms.
+
+    ``rows``, one per equality, holds a row already read where the
+    equality's generators had the values they have in ``probe`` (see
+    :attr:`Linearization.rows`), or None; only an equality without one is
+    frozen."""
     table, n = system.table, system.n
     if len(probe) != len(table):
         raise DimensionMismatch(f"probe of {len(probe)} values for a table of "
@@ -313,23 +339,23 @@ def linearize(system: JetConstraintSystem, probe: tuple) -> Linearization:
     # an integral value freezes as an int, which multiplies natively
     low, x = [v.numerator if type(v) is Fraction and v.denominator == 1 else v
               for v in probe[:cut]], probe[cut:]
-    values, gradients, nonlinear, uses_top, mixed = [], [], [], [], False
-    for p in system.equalities:
-        if p.vars != table:
-            raise CrossCheckMismatch("equality is not over the system's jet table")
-        frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
-        for exps, c in p.terms.items():
-            key, w = exps[cut:], monomial(low, exps)
-            s = frozen.get(key, 0)   # every key is kept, for uses_top and mixed
-            frozen[key] = (s + c * w if s else c * w) if w else s
-        live = [(e, c) for e, c in frozen.items() if c != 0]
-        values.append(value_at(x, live))
-        gradients.append(partials_at(x, live)[0])
-        nonlinear.append(any(sum(e) >= 2 for e, _ in live))
-        uses_top.append(any(any(e) for e in frozen))
-        mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)
-    return Linearization(system, probe, tuple(values), tuple(gradients),
-                         tuple(nonlinear), tuple(uses_top), mixed)
+    out = []
+    for k, p in enumerate(system.equalities):
+        row = rows[k] if rows else None
+        if row is None:
+            if p.vars != table:
+                raise CrossCheckMismatch("equality is not over the system's jet table")
+            frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
+            for exps, c in p.terms.items():
+                key, w = exps[cut:], monomial(low, exps)
+                s = frozen.get(key, 0)   # every key is kept, for uses_top and mixes
+                frozen[key] = (s + c * w if s else c * w) if w else s
+            live = [(e, c) for e, c in frozen.items() if c != 0]
+            row = (value_at(x, live), partials_at(x, live)[0],
+                   any(sum(e) >= 2 for e, _ in live), any(any(e) for e in frozen),
+                   any(any(e[:n]) and any(e[n:]) for e in frozen))
+        out.append(row)
+    return Linearization(system, probe, *(tuple(zip(*out)) or ((),) * 5))
 
 
 # ----------------------------------------------------------------------
@@ -349,22 +375,30 @@ def tableau_at_probe(lin: Linearization):
     return null, False, rank
 
 
-def torsion_at_probe(system: JetConstraintSystem, probe: tuple, prolongations=None):
-    """Solvability of the prolonged system in the next-order jets.
+def torsion_at_probe(lin: Linearization, prolongations=None):
+    """Solvability of ``lin.system``'s prolongation in the next-order jets
+    at ``lin.probe``.
 
     Returns (torsion_free, zero, extension, nonlinear): the prolonged
     system linearized at the probe extended by zero top jets (the affine
     parts the test solves) and at an exact extension that satisfies it, or
     None; ``nonlinear`` counts the equalities nonlinear in the top jets.
+    A carried equality names no new top jet, so its row at the zero
+    extension is its value in ``lin``, and the extension reads each
+    equality free of top jets off ``zero``.
     ``prolongations`` maps systems to their prolongations; a caller that
     owns it shares each prolongation between the probes of one system.
     """
+    system = lin.system
     if prolongations is None:
         prolongations = {}
     if system not in prolongations:
         prolongations[system] = prolong_constraints(system)
     prolonged = prolongations[system]
-    zero = linearize(prolonged, extend_probe(prolonged, probe))
+    flat = (Fraction(0),) * (2 * system.n)
+    carried = [(value, flat, False, False, False) for value in lin.values]
+    zero = linearize(prolonged, extend_probe(prolonged, lin.probe),
+                     carried + [None] * (len(prolonged.equalities) - len(carried)))
     rows, rhs = [], []
     for grad, value in zip(zero.gradients, zero.values):
         if value != 0 or any(x != 0 for x in grad):
@@ -384,7 +418,8 @@ def torsion_at_probe(system: JetConstraintSystem, probe: tuple, prolongations=No
                 for j, val in enumerate(solution):
                     ext[cut + j] = val = normalize_scalar(val)
                     ext[cut + (j + n if j < n else j - n)] = scalar_conj(val)
-                candidate = linearize(prolonged, tuple(ext))
+                candidate = linearize(prolonged, tuple(ext),
+                                      [None if row[3] else row for row in zero.rows])
                 if candidate.satisfied(strict=False):
                     extension = candidate
     return torsion_free, zero, extension, sum(zero.nonlinear)
@@ -455,8 +490,7 @@ def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
     ``prolongations`` as for :func:`torsion_at_probe`."""
     lin.satisfied(strict=True)
     dim_now, split_now, _ = lin.tableau
-    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin.system, lin.probe,
-                                                          prolongations)
+    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin, prolongations)
     warnings = []
     if nonlinear:
         warnings.append(
@@ -470,8 +504,13 @@ def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
     else:
         reduced, dropped = reduce_redundant(zero)
         reduced = substitute_vanishing(reduced, dropped)
-        following = (ext if reduced == ext.system
-                     else linearize(reduced, ext.probe))
+        if reduced == ext.system:
+            following = ext
+        else:
+            # an equality the substitution left alone keeps its row in ext
+            known = dict(zip(ext.system.equalities, ext.rows))
+            following = linearize(reduced, ext.probe,
+                                  [known.get(p) for p in reduced.equalities])
         dim_next = ext.tableau[0]
         dim_reduced = following.tableau[0]
         if dim_reduced != dim_next:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SchemaViolation
@@ -104,8 +105,8 @@ def _field(parent, key, path, kind, required=True, default=None):
 
 
 # problem: a HypersurfaceProblem, None for complexified-only files; jets:
-# name -> FirstJetPoint; strata: name -> (JetConstraintSystem,
-# {probe name -> dict})
+# name -> FirstJetPoint; strata: a _Strata, name -> (JetConstraintSystem,
+# {probe name -> probe tuple})
 LoadedProblem = namedtuple("LoadedProblem", "doc digest two_n problem points jets "
                            "flags strata structure_warnings")
 
@@ -116,6 +117,36 @@ MAX_DIMENSION_2N = 200
 # the most names a stratum's jet table 2n (q + 1) may hold: parsing over it
 # costs (2n (q + 1))^2 exponent entries, 32 MB at the bound
 MAX_JET_NAMES = 2000
+
+
+class _Strata(Mapping):
+    """name -> (JetConstraintSystem, {probe name -> probe}), each stratum
+    built on its first read from what the loader checked: the parsed
+    equalities and openings, the order and each probe's z values and w
+    jets.  Every check that can fail runs at load, so a build raises
+    nothing and a command that reads no stratum builds none."""
+
+    def __init__(self, n, checked):
+        self._n, self._checked, self._built = n, checked, {}
+
+    def __getitem__(self, name):
+        built = self._built.get(name)
+        if built is None:
+            parsed, openings, order, probes = self._checked[name]
+            built = self._built[name] = (
+                make_system(self._n, parsed, openings, order=order),
+                {pname: probe_from_values(self._n, order, z_vals, w_jets)
+                 for pname, (z_vals, w_jets) in probes.items()})
+        return built
+
+    def __contains__(self, name):
+        return name in self._checked
+
+    def __iter__(self):
+        return iter(self._checked)
+
+    def __len__(self):
+        return len(self._checked)
 
 
 def build_problem(doc: dict, name="problem") -> LoadedProblem:
@@ -197,7 +228,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             _field(fdoc, "beta", fpath, "rational", required=False, default=Fraction(0)),
         )
 
-    strata = {}
+    strata = {}   # name -> what _Strata builds it from
     tables = {}   # jet order -> (jet table, its unit exponents)
 
     def parse(tokens, order):
@@ -239,7 +270,6 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
                                       f"\"+\", \"-\" or \"nonzero\", got {sign!r}")
             openings.append(Opening(op, sign))
-        system = make_system(n, parsed, openings, order=order)
         probes = {}
         for pname, pdoc in probe_docs.items():
             ppath = f"{spath}.probes.{pname}"
@@ -256,11 +286,14 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             for extra in pdoc:
                 if re.fullmatch(r"w_[1-9][0-9]*", extra) and extra not in read:
                     raise SchemaViolation(f"{ppath}.{extra} is given but {key} is missing")
-            probes[pname] = probe_from_values(n, order, z_vals, w_jets)
-        strata[sname] = (system, probes)
+            if len(z_vals) != n or any(len(values) != n for values in w_jets):
+                raise SchemaViolation("need n values for z" if len(z_vals) != n
+                                      else "need n values for each w jet")
+            probes[pname] = z_vals, w_jets
+        strata[sname] = parsed, openings, order, probes
 
     return LoadedProblem(doc, problem_digest(doc), two_n, problem, points, jets,
-                         flags, strata, structure_warnings)
+                         flags, _Strata(n, strata), structure_warnings)
 
 
 # a jet-shaped name: z, zb, w or wb, a digit run, and a jet suffix of at

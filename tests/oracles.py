@@ -253,6 +253,17 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
                          *_gammas(grad, mu, D, zero))
 
 
+def identically_singular_by_products(problem: HypersurfaceProblem) -> bool:
+    """Whether D vanishes identically at the problem's pair, from the full
+    polynomial q D = rho_a M_b - rho_b M_a, M = grad(rho) N, with no
+    witness read first."""
+    rho, N = problem.rho, problem.structure.numerators
+    grad, zero = [rho.differentiate(v) for v in rho.vars], Polynomial.zero(rho.vars)
+    a, b = (i - 1 for i in problem.pair)
+    M = {i: dot(grad, [row[i] for row in N], zero) for i in (a, b)}
+    return (grad[a] * M[b] - grad[b] * M[a]).is_zero()
+
+
 def complex_problem(rho: Polynomial) -> HypersurfaceProblem:
     """The problem of a bare rho under the standard structure at the pair
     (1, 2)."""

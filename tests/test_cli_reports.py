@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
-from diskeds.errors import CrossCheckMismatch, SchemaViolation
-from diskeds.expr import parse_expression
+from diskeds.errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
+from diskeds.exact import gaussian
+from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import FirstJetPoint
 from diskeds.jets import Opening, jet_table, make_system
 from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
@@ -819,6 +820,16 @@ def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):
     return err
 
 
+def _same_exit_without_strata(doc, err, tmp_path, capsys):
+    """A stratum is checked at load, so the commands that read no stratum
+    exit 2 with the same message as jets."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("torsion", "involutivity"):
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().err == err
+
+
 DEEP_PARENTHESES = "(" * 3000 + "f1" + ")" * 3000
 DEEP_MINUSES = "-" * 3000 + "f1"
 
@@ -992,6 +1003,7 @@ def test_opening_above_the_stratum_order_names_the_opening(tmp_path, capsys):
     doc["strata"]["S"]["openings"].append("w1_1*wb1_1 + w1*wb1")
     err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
     assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
 
 
 def test_probe_jet_level_after_a_gap_names_the_missing_level(tmp_path, capsys):
@@ -1003,6 +1015,7 @@ def test_probe_jet_level_after_a_gap_names_the_missing_level(tmp_path, capsys):
         "probes": {"Q": {"z": ["0", "0"], "w": ["0", "0"], "w_2": ["5", "0"]}}}}}
     err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
     assert "strata.S.probes.Q.w_2 is given but w_1 is missing" in err
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
     doc["strata"]["S"]["probes"]["Q"]["w_1"] = ["0", "0"]
     assert build_problem(doc).strata["S"][1]["Q"][-4] == 5
 
@@ -1015,6 +1028,7 @@ def test_probe_jet_above_the_stratum_order_names_the_probe(tmp_path, capsys):
                                           "w_1": ["2", "0"]}}
     err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
     assert "strata.S.probes.Q.w_1 is above the stratum's order 1" in err
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
     # the same level is read once an equality names it
     doc["strata"]["S"]["equalities"].append("w1_1 - 2")
     probe = build_problem(doc).strata["S"][1]["Q"]
@@ -1051,7 +1065,9 @@ def test_first_bad_equality_in_order_is_the_error(equalities, error, tmp_path, c
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["jets", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(error)
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
 
 
 def test_an_opening_above_the_order_is_reported_before_its_parse_error(tmp_path, capsys):
@@ -1061,6 +1077,7 @@ def test_an_opening_above_the_order_is_reported_before_its_parse_error(tmp_path,
     doc["strata"]["S"]["openings"].append("w1_1 +")
     err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
     assert "strata.S.openings[1] uses a jet above the stratum's order 1" in err
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
 
 
 def test_equalities_of_different_orders_give_the_system_over_one_table():
@@ -1076,6 +1093,108 @@ def test_equalities_of_different_orders_give_the_system_over_one_table():
     assert system == want and system.order == 2
     assert all(p.vars == table for p in system.equalities)
     assert system.openings[0].poly.vars == table
+
+
+@pytest.mark.parametrize("probe, message", [
+    ({"z": ["0"], "w": ["1", "0"]}, "need n values for z"),
+    ({"z": ["0", "0", "0"], "w": ["1", "0"]}, "need n values for z"),
+    ({"z": ["0", "0"], "w": ["1"]}, "need n values for each w jet"),
+    ({"z": ["0", "0"], "w": ["1", "0"], "w_1": ["0", "0", "0"]},
+     "need n values for each w jet"),
+], ids=["z_short", "z_long", "w_short", "w_1_long"])
+def test_a_probe_with_a_wrong_count_exits_2_at_load(probe, message, tmp_path, capsys):
+    # the counts are checked with the probe's syntax, before any command
+    # reads the stratum
+    doc = json.loads(json.dumps(SCHEMA_DOC))
+    doc["strata"]["S"]["equalities"].append("w1_1 - w1_1")
+    doc["strata"]["S"]["probes"] = {"Q": probe}
+    err = _schema_exit_2(doc, tmp_path, capsys, command="jets")
+    assert err == f"SchemaViolation: {message}\n"
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["torsion", "hyperquadric"], []),
+    (["involutivity", "cusp"], []),
+    (["complex-forms", "flat"], []),
+    (["jets", "cusp", "--stratum", "vertex"], ["vertex"]),
+    (["all", "cusp"], ["generic", "vertex"]),
+])
+def test_a_stratum_is_built_on_its_first_read(argv, built, monkeypatch, capsys):
+    # a command builds the systems and probes of the strata it reads, and
+    # only those; loading checks them all
+    name = argv[1]
+    strata = build_problem(load_problem(name), name).strata
+    want = [strata[sname][0] for sname in built]
+    made = []
+    real = reports.make_system
+    monkeypatch.setattr(reports, "make_system",
+                        lambda *args, **kwargs: made.append(real(*args, **kwargs)) or made[-1])
+    cli.main(argv)
+    capsys.readouterr()
+    assert made == want
+
+
+@st.composite
+def stratum_documents(draw):
+    """A document of one or two strata at n = 2, 3: equalities printed from
+    random polynomials over jet tables of orders 1..3 (some naming a top
+    jet that cancels), openings up to one order above the stratum's, and
+    probes whose levels hold n, n - 1 or n + 1 values, up to one level
+    above the order, some after a missing level."""
+    n = draw(st.sampled_from([2, 3]))
+    strata = {}
+    for sname in ("S", "T")[:draw(st.integers(1, 2))]:
+        def poly(order):
+            table = jet_table(n, order)
+            p = Polynomial.const(table, gaussian(draw(st.integers(-2, 2)),
+                                                 draw(st.integers(-1, 1))))
+            for _ in range(draw(st.integers(1, 3))):
+                exps = [0] * len(table)
+                for _ in range(draw(st.integers(1, 2))):
+                    exps[draw(st.integers(0, len(table) - 1))] += 1
+                p = p + Polynomial(table, {tuple(exps): gaussian(draw(st.integers(1, 2)),
+                                                                 draw(st.integers(-1, 1)))})
+            text = print_polynomial(p)
+            if draw(st.booleans()):
+                top = f"w1_{order - 1}" if order > 1 else "w1"
+                text += f" + {top} - {top}"
+            return text
+
+        orders = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+        order = max([1] + orders)
+        sdoc = {"equalities": [poly(q) for q in orders],
+                "openings": [{"expr": poly(draw(st.integers(1, order + 1))),
+                              "sign": draw(st.sampled_from(["+", "-", "nonzero"]))}
+                             for _ in range(draw(st.integers(0, 1)))],
+                "probes": {}}
+        for pname in ("P", "Q")[:draw(st.integers(0, 2))]:
+            values = lambda: [[str(draw(st.integers(-2, 2))), str(draw(st.integers(-2, 2)))]
+                              for _ in range(n + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))]
+            pdoc = {"z": values()}
+            keys = ["w"] + [f"w_{k}" for k in range(1, order + 1)]
+            for key in keys[:draw(st.integers(0, order + 1))]:
+                pdoc[key] = values()
+            if draw(st.integers(0, 5)) == 0 and "w" in pdoc:
+                del pdoc["w"]
+            sdoc["probes"][pname] = pdoc
+        strata[sname] = sdoc
+    return {"dimension_2n": 2 * n, "strata": strata}
+
+
+@given(stratum_documents())
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_every_stratum_a_loaded_document_declares_builds(doc):
+    # every check that can fail runs at load, so building a stratum on its
+    # first read raises nothing: a document either exits 2 at load for
+    # every command or builds each of its strata
+    try:
+        lp = build_problem(doc)
+    except DiskEdsError:
+        return
+    for sname in sorted(lp.strata):
+        system, probes = lp.strata[sname]
+        assert all(len(probe) == len(system.table) for probe in probes.values())
 
 
 def test_jet_suffix_of_three_digits_is_an_unknown_variable(tmp_path, capsys):
@@ -1355,6 +1474,7 @@ def test_a_stratum_jet_table_past_the_bound_exits_2(fmt, tmp_path, capsys):
     err = _cli_exit_2(["jets", str(path)], fmt, capsys)
     assert err == ("SchemaViolation: strata.S: jets of order 100 need a table of "
                    f"20200 names, more than {reports.MAX_JET_NAMES}\n")
+    _same_exit_without_strata(doc, err, tmp_path, capsys)
 
 
 def test_a_stratum_jet_table_at_the_bound_loads():

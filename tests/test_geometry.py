@@ -31,6 +31,7 @@ from oracles import (
     choose_pair_by_builds,
     extend_to,
     first_jet_values,
+    identically_singular_by_products,
     internal_vars,
     on_chart_point,
     permute_polynomial,
@@ -271,9 +272,10 @@ def test_builders_scan_pairs_in_order():
 
 def _first_pair_not_identically_singular(prob):
     """The first pair, in index order, at which D does not vanish
-    identically, decided on polynomials."""
+    identically, decided on polynomials (witnesses around the origin)."""
+    origin = (0,) * prob.two_n
     for pair in combinations(range(1, prob.two_n + 1), 2):
-        if not _identically_singular(prob.with_pair(pair)):
+        if not _identically_singular(prob.with_pair(pair), origin):
             return pair
     raise IdenticallySingularD("D vanishes identically for every distinguished pair")
 
@@ -477,9 +479,10 @@ def test_structure_format_agrees_with_the_rational_function_oracle(doc):
     prob = build_problem(doc).problem
     two_n = prob.two_n
     # D = 0 identically, decided on q D, at the pairs (1, 2) and (1, 3)
+    first = tuple(map(Fraction, next(iter(doc["points"].values()))))
     for pair in ((1, 2), (1, 3)):
         candidate = prob.with_pair(pair)
-        assert _identically_singular(candidate) == _symbolically_singular(candidate)
+        assert _identically_singular(candidate, first) == _symbolically_singular(candidate)
     _identical_scan_both_ways(prob)
     # each input at a point, entry by entry: values, then first jets
     entries = structure_entries(prob.structure)
@@ -495,3 +498,52 @@ def test_structure_format_agrees_with_the_rational_function_oracle(doc):
             [(j.value, j.grad) for j in (g.first_jet(pt) for g in rho_grad)]
         assert [list(map(jet_view, row)) for row in alpha] == \
             [[(j.value, j.grad) for j in (e.first_jet(pt) for e in row)] for row in entries]
+
+
+@given(structure_documents())
+@example(load_problem("flat"))
+@example({"dimension_2n": 4, "rho": "f4 + f3^2 - f3*f4",
+          "points": {"P0": ["1", "2", "0", "0"], "P1": ["0", "0", "0", "0"]}})
+@example({"dimension_2n": 4, "rho": "f4 + f1^2 - f2*f3",
+          "structure": {"kind": "matrix", "entries": [
+              ["0", "0", "f2", "1"], ["0", "0", "1", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "f1"]]},
+          "points": {"P0": ["1", "1", "0", "0"]}})
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+def test_the_witness_decision_matches_the_full_product(doc):
+    # q D read at the point plus each e_k, then at each e_k, decides D != 0
+    # as the full product does.  Where D = 0 identically, rho free of f1
+    # and f2 (flat) decides at once for the pair (1, 2), and a structure
+    # whose first two columns are zero makes every witness give 0 first
+    prob = build_problem(doc).problem
+    for point in doc["points"].values():
+        pt = tuple(map(Fraction, point))
+        for pair in combinations(range(1, prob.two_n + 1), 2):
+            candidate = prob.with_pair(pair)
+            assert (_identically_singular(candidate, pt)
+                    == identically_singular_by_products(candidate))
+
+
+# D = 0 at the origin only: rho_1 = rho_2 = 0 there, and the full products
+# rho_a M_b and rho_b M_a over (f1 + f2 + f4)^59 took seconds
+SINGULAR_AT_THE_ORIGIN = {
+    "dimension_2n": 4, "rho": "f3 - (f1+f2+f4)^60", "distinguished_pair": [1, 2],
+    "points": {"O": ["0", "0", "0", "0"]},
+    "jets": {"J": {"point": "O", "p_reduced": ["1", "0"]}}}
+
+
+@pytest.mark.parametrize("command", ["torsion", "integral-element", "involutivity"])
+def test_a_witness_decides_a_D_that_vanishes_at_the_point_only(command, tmp_path,
+                                                              capsys, monkeypatch):
+    # the witness origin + e_1 gives q D != 0, so no polynomial is
+    # differentiated or multiplied and the exit is SingularD
+    from diskeds import cli
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(SINGULAR_AT_THE_ORIGIN))
+    differentiated = []
+    monkeypatch.setattr(Polynomial, "differentiate",
+                        lambda p, v: differentiated.append(v))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "SingularD: D = 0 at this point; try another distinguished pair\n")
+    assert differentiated == []

@@ -12,7 +12,7 @@ from diskeds.errors import DimensionMismatch, NotComplexifiedMode, ProbeViolates
 from diskeds.exact import gaussian, scalar_conj
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
-from diskeds import expr, jets
+from diskeds import cli, expr, jets
 from diskeds.jets import (
     conjugate_involution,
     d_t,
@@ -353,6 +353,91 @@ def test_prolongation_by_partner_index_matches_closing_by_conjugation(seed):
     _substitute_like_the_reference(linearize(prolonged, extend_probe(prolonged, probe)))
 
 
+def _same_rows(got, want):
+    """Two linearizations agree field by field, in value and in type."""
+    fields = lambda lin: (lin.values, lin.gradients, lin.nonlinear, lin.uses_top, lin.mixes)
+    types = lambda lin: [type(x) for x in lin.values + sum(lin.gradients, ())
+                         + lin.nonlinear + lin.uses_top + lin.mixes]
+    assert fields(got) == fields(want) and types(got) == types(want)
+    assert got.mixed == want.mixed
+
+
+def _with_top(system, probe, values):
+    """``probe`` with the top jets of ``system``'s table set to ``values``
+    (n of them) and their conjugates."""
+    return probe[:-2 * system.n] + probe_from_values(system.n, 1, values, [])[:2 * system.n]
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_rows_read_before_equal_rows_frozen_again(seed, prolonged, top_zero):
+    # each source of reused rows gives what freezing every equality gives:
+    # the round's own values for the carried equalities at the zero
+    # extension, the zero extension's rows free of top jets at a nonzero
+    # extension, and the extension's rows for the equalities a
+    # substitution left alone
+    rng = random.Random(seed)
+    coeff = lambda: gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+    system, probe = _random_closed_system(rng)
+    if prolonged:
+        system = prolong_constraints(system)
+        probe = extend_probe(system, probe)
+    if top_zero:
+        probe = _with_top(system, probe, [0] * system.n)
+    lin = linearize(system, probe)
+    _, zero, _, _ = torsion_at_probe(lin)
+    _same_rows(zero, linearize(zero.system, zero.probe))
+    P = zero.system
+    ext = _with_top(P, zero.probe, [coeff() for _ in range(P.n)])
+    _same_rows(linearize(P, ext, [None if row[3] else row for row in zero.rows]),
+               linearize(P, ext))
+    reduced = substitute_vanishing(*reduce_redundant(zero))
+    known = dict(zip(P.equalities, linearize(P, ext).rows))
+    _same_rows(linearize(reduced, ext, [known.get(p) for p in reduced.equalities]),
+               linearize(reduced, ext))
+
+
+def test_every_reused_row_on_the_builtin_strata_equals_a_fresh_freeze():
+    # the rounds of every loop on the builtins and on the extension
+    # document: the zero extension, an extension solved for nonzero top
+    # jets and the reduced system carried into the next round
+    path = Path(__file__).resolve().parent / "golden" / "docs" / "n2_extension.json"
+    problems = [build_problem(load_problem(name), name) for name in sorted(BUILTIN_PROBLEMS)]
+    checked = set()
+    for lp in problems + [build_problem(load_problem(str(path)))]:
+        for system, probes in lp.strata.values():
+            for probe in probes.values():
+                lin = linearize(system, probe)
+                for _ in range(3):
+                    _, zero, extension, _ = torsion_at_probe(lin)
+                    for got in (zero, extension):
+                        if got is not None:
+                            _same_rows(got, linearize(got.system, got.probe))
+                    if extension is not None and extension is not zero:
+                        checked.add("extension")
+                    if not lin.satisfied(strict=False) or extension is None:
+                        break
+                    lin = stratum_analyze(lin).next
+                    if lin is None:
+                        break
+                    checked.add("next")
+                    _same_rows(lin, linearize(lin.system, lin.probe))
+    assert checked == {"extension", "next"}
+
+
+@pytest.mark.parametrize("argv, monomials", [
+    (["jets", "hyperquadric"], 80), (["all", "cusp"], 116), (["jets", "cusp"], 80),
+])
+def test_each_equality_is_frozen_once_per_probe(argv, monomials, monkeypatch, capsys):
+    # the monomials frozen over a whole command; freezing every equality of
+    # every linearization froze 224, 194 and 130
+    frozen = []
+    _counting_freezes(monkeypatch, frozen)
+    assert main(argv) == 0
+    assert sum(len(p.terms) for p, _ in frozen) == monomials
+    assert len(set(frozen)) == len(frozen)
+
+
 def test_prolongation_matches_closing_by_conjugation_on_builtin_strata():
     # three rounds of prolongation, reduction and substitution per probe
     for name in sorted(BUILTIN_PROBLEMS):
@@ -430,45 +515,63 @@ def test_stratum_dims_fixtures():
     assert not rep_org.torsion_free
 
 
-def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch):
-    # the torsion test and the redundancy reduction share one linearization
-    # of the prolonged system; with the reduced system's linearization for
-    # the next tableau, a step freezes at most twice as many equalities as
-    # the prolonged system has
-    calls = []
+def _counting_freezes(monkeypatch, frozen, systems=None):
+    """Make jets.linearize and cli.linearize append to ``frozen`` an
+    (equality, probe) pair for each equality a call freezes, that is, each
+    one it is given no row for, and to ``systems`` each system."""
     original = jets.linearize
 
-    def counting(system, probe):
-        calls.append(system)
-        return original(system, probe)
+    def counting(system, probe, rows=None):
+        if systems is not None:
+            systems.append(system)
+        frozen.extend((p, tuple(map(str, probe))) for k, p in enumerate(system.equalities)
+                      if not rows or rows[k] is None)
+        return original(system, probe, rows)
 
+    monkeypatch.setattr(jets, "linearize", counting)
+    monkeypatch.setattr(cli, "linearize", counting)
+
+
+def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch):
+    # the torsion test and the redundancy reduction share one linearization
+    # of the prolonged system, and the next tableau reads the reduced
+    # system's; a step freezes at most twice as many equalities as the
+    # prolonged system has.  Carried equalities take their rows from the
+    # round's own linearization and unchanged ones from the extension's,
+    # so on these strata it freezes no more than the prolonged system has
     for name, sname, pname in [("hyperquadric", "nonzero_velocity", "Q0"),
                                ("cusp", "generic", "P_generic"),
                                ("cusp", "vertex", "R0")]:
         system, probes = _stratum(name, sname)
         lin = linearize(system, probes[pname])
-        calls.clear()
-        monkeypatch.setattr(jets, "linearize", counting)
+        frozen, systems = [], []
+        _counting_freezes(monkeypatch, frozen, systems)
         stratum_analyze(lin)
         monkeypatch.undo()
         prolonged = prolong_constraints(system)
-        assert prolonged in calls
-        frozen = sum(len(s.equalities) for s in calls)
-        assert frozen <= 2 * len(prolonged.equalities)
+        assert prolonged in systems
+        assert len(frozen) <= 2 * len(prolonged.equalities)
+        assert len(frozen) <= len(prolonged.equalities)
+        # no equality of the round's own system is frozen again
+        assert not {p for p, _ in frozen} & set(prolonged.equalities[:len(system.equalities)])
 
 
 def test_involution_loop_reads_each_system_probe_pair_once(monkeypatch):
     # one linearization and one tableau per (system, probe) over a whole
-    # loop, the reduced system's tableau carried into the next round; D_tb
-    # derives the barred generators directly, with no conjugation
+    # loop, the reduced system's tableau carried into the next round, and
+    # each equality frozen once per probe; D_tb derives the barred
+    # generators directly, with no conjugation
     linearized, tableaux, in_dtbar, conjugated, dtbar_calls = [], [], [], [], []
+    frozen = []
 
     def key(system, probe):
         return system, tuple(map(str, probe))
 
-    def counting_linearize(system, probe, original=jets.linearize):
+    def counting_linearize(system, probe, rows=None, original=jets.linearize):
         linearized.append(key(system, probe))
-        return original(system, probe)
+        frozen.extend((p, key(system, probe)[1]) for k, p in enumerate(system.equalities)
+                      if not rows or rows[k] is None)
+        return original(system, probe, rows)
 
     def counting_tableau(lin, original=jets.tableau_at_probe):
         tableaux.append(key(lin.system, lin.probe))
@@ -497,8 +600,11 @@ def test_involution_loop_reads_each_system_probe_pair_once(monkeypatch):
         for probe in probes.values():
             linearized.clear()
             tableaux.clear()
+            frozen.clear()
             chain = involution_loop(system, probe, max_rounds=5)
             assert len(set(linearized)) == len(linearized)
+            assert len(set(frozen)) == len(frozen)
+            assert len(frozen) < sum(len(s.equalities) for s, _ in linearized)
             assert len(set(tableaux)) == len(tableaux)
             # each round reads its base tableau; a settled round the next one
             assert len(tableaux) >= chain.rounds
@@ -751,7 +857,7 @@ def test_a_probe_extends_by_nonzero_top_jets():
     path = Path(__file__).resolve().parent / "golden" / "docs" / "n2_extension.json"
     system, probes = build_problem(load_problem(str(path))).strata["extension"]
     for probe in probes.values():
-        torsion_free, zero, extension, nonlinear = torsion_at_probe(system, probe)
+        torsion_free, zero, extension, nonlinear = torsion_at_probe(linearize(system, probe))
         assert torsion_free and nonlinear == 0
         assert not zero.satisfied(strict=False)
         assert extension.satisfied(strict=False)

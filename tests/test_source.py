@@ -126,6 +126,36 @@ def test_echelon_owns_every_row_update():
     assert sorted(set(found)) == ["linalg.py:_echelon"]
 
 
+STRATUM_BUILDERS = {"make_system", "probe_from_values"}
+
+
+def _stratum_builds(sources):
+    """name:owner for every call of a stratum builder (make_system,
+    probe_from_values) in the modules of ``sources`` (name -> text)."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in STRATUM_BUILDERS:
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_the_loader_owns_every_stratum_build():
+    # a stratum's system and probes are built on its first read, from what
+    # the loader checked; a builder called anywhere else builds a stratum a
+    # second time, or for a command that reads none
+    found = _stratum_builds({path.name: path.read_text()
+                             for path in sorted(SRC.glob("*.py"))})
+    assert found == ["reports.py:_Strata.__getitem__"]
+
+
+def test_the_stratum_build_rule_finds_a_second_caller():
+    source = (SRC / "cli.py").read_text() + (
+        "\n\ndef _system_of(lp, name):\n    return make_system(2, [], order=1)\n")
+    assert _stratum_builds({"cli.py": source}) == ["cli.py:_system_of"]
+
+
 def test_monomial_owns_every_power_at_a_point():
     # one polynomial evaluator in the package: an exact.power call outside
     # expr's monomial readers, the parser's literal powers and the
