@@ -78,20 +78,16 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     report = tableau_report(gb, dv, Q=opts.order)
     return {
         "point": pname,
-        "distinguished_pair": list(gb.problem.pair),
+        "distinguished_pair": gb.problem.pair,
         # gamma/D0 entries follow the relabeled order; these are the
         # user-coordinate indices they refer to
-        "reduced_coordinates": list(gb.sigma[2:]),
+        "reduced_coordinates": gb.sigma[2:],
         "D": gb.D,
-        "gamma1": list(gb.gamma1),
-        "gamma2": list(gb.gamma2),
-        "D0": list(dv.D0),
-        "D0_zero": all(x == 0 for x in dv.D0),
-        "dim_A": report.dim_A,
-        "dims": list(report.dims),
-        "q0": report.q0,
-        "involutive_from": report.involutive_from,
-        "involutive_at_0": report.involutive_at_0,
+        "gamma1": gb.gamma1,
+        "gamma2": gb.gamma2,
+        "D0": dv.D0,
+        "D0_zero": report.involutive_at_0,
+        **report._asdict(),
     }
 
 
@@ -100,15 +96,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
     jet = lp.jets[jname]
     sed = structure_equation_coefficients(_problem(lp), jet)
     verdict = torsion_absorbable(sed)
-    return {
-        "jet": jname,
-        "case": verdict.case,
-        "residual_1": verdict.residual_1,
-        "residual_2": verdict.residual_2,
-        "absorbable": verdict.absorbable,
-        "witness_v": list(verdict.witness_v) if verdict.witness_v else None,
-        "c_values": list(sed.c_values),
-    }
+    return {"jet": jname, **verdict._asdict(), "c_values": sed.c_values}
 
 
 def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
@@ -121,8 +109,8 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
         "point": pname,
         "B_lower": {f"{j},{k}": v for (j, k), v in sorted(data.B_lower.items())},
         "B_upper": {f"{j},{k}": v for (j, k), v in sorted(data.B_upper.items())},
-        "c1_matrix": [list(r) for r in data.c1],
-        "c2_matrix": [list(r) for r in data.c2],
+        "c1_matrix": data.c1,
+        "c2_matrix": data.c2,
         "c1_definiteness": d1,
         "c2_definiteness": d2,
         "only_points_possible": d1 != "not_definite" or d2 != "not_definite",
@@ -133,9 +121,7 @@ def cmd_dim6(lp: LoadedProblem, opts) -> dict:
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)
-    return {"point": pname, **{k: getattr(rep, k) for k in
-                               ("delta1", "delta2", "sign1", "sign2",
-                                "c1_definiteness", "c2_definiteness", "verdict")}}
+    return {"point": pname, **rep._asdict()}
 
 
 def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
@@ -150,8 +136,8 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
     rep = pseudo_ellipsoid_check(alphas, ks, lp.points[pname])
     return {
         "point": pname,
-        "v": list(rep.v),
-        "w": list(rep.w),
+        "v": rep.v,
+        "w": rep.w,
         "L": rep.L,
         "verdict": "holds" if rep.holds else "violated",
         "off_surface": rep.off_surface,
@@ -181,7 +167,7 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
             "determinant": verdict.determinant,
             "verdict": verdict.verdict,
             "dim_ker_gf": verdict.dim_ker_gf,
-            "eps_samples": [list(s) for s in verdict.eps_samples],
+            "eps_samples": verdict.eps_samples,
         }
     result = ordinary_element_search(problem, jet, trials=opts.trials,
                                      seed=opts.seed)
@@ -193,9 +179,9 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
             "candidate_index": result.candidate_index,
             "determinant": result.verdict.determinant,
             "verdict": result.verdict.verdict,
-            "flag_c1": list(result.flag.c1),
-            "flag_c2": list(result.flag.c2),
-            "eps_samples": [list(s) for s in result.verdict.eps_samples],
+            "flag_c1": result.flag.c1,
+            "flag_c2": result.flag.c2,
+            "eps_samples": result.verdict.eps_samples,
             "conclusion": ("ordinary integral element: a disk germ exists "
                            "through this jet"
                            + (" (zero velocity: the constant disk realizes it)"
@@ -233,7 +219,7 @@ def cmd_jets(lp: LoadedProblem, opts) -> dict:
                 "tableau dimension is not locally constant on the stratum: "
                 f"dimension {base_dims[pname]} here vs {min_dim} at other probes")
         out_probes[pname] = {
-            "dims": list(chain.dims),
+            "dims": chain.dims,
             "verdict": chain.verdict,
             "rounds": chain.rounds,
             "torsion_free": [r.torsion_free for r in chain.reports],
@@ -306,12 +292,11 @@ def run_command(command: str, problem_source: str, opts) -> Report:
     doc = load_problem(problem_source)
     lp = build_problem(doc, name=problem_source)
     results = run(lp, opts)
-    warnings = list(lp.structure_warnings)
     return Report(command, problem_source, lp.digest,
                   {k: getattr(opts, k) for k in
                    ("point", "jet", "order", "stratum", "probe", "rounds",
                     "seed", "trials") if getattr(opts, k, None) is not None},
-                  results, warnings)
+                  results, lp.structure_warnings)
 
 
 def build_parser():

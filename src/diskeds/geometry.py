@@ -39,7 +39,9 @@ D is, and no division is needed.  It is zero where rho names neither
 coordinate of the pair; otherwise it is read at witness points first
 (the point plus each unit vector, then each unit vector), one nonzero
 value decides, and the products are formed only when every witness
-gives zero.
+gives zero.  The same witness list, at the origin, serves the other
+identity test, A^2 = -I for a pair structure's A: one witness where
+A(w)^2 != -I decides, and the (2n)^3 products follow only when none does.
 """
 from __future__ import annotations
 
@@ -97,6 +99,28 @@ def structure_from_entries(n: int, entries) -> StructureMatrix:
     return StructureMatrix(n, entries, Polynomial.const(entries[0][0].vars, 1), "general")
 
 
+def _witnesses(point):
+    """The fixed witness points of both polynomial identity tests, each
+    once: ``point`` plus each unit vector e_k, then each e_k."""
+    two_n = len(point)
+    units = [(0,) * k + (1,) + (0,) * (two_n - k - 1) for k in range(two_n)]
+    shifted = [point[:k] + (point[k] + 1,) + point[k + 1:] for k in range(two_n)]
+    return list(dict.fromkeys(shifted + units))
+
+
+def _squares_to_minus_identity(A_entries) -> bool:
+    """Whether A^2 = -I, read first at the :func:`_witnesses` of the
+    origin: one A(w)^2 != -I decides, and the (2n)^3 polynomial products
+    are formed only when every witness squares to -I."""
+    squares = lambda rows, zero: all(
+        dot(row, column, zero) == (-1 if i == j else 0)
+        for j, row in enumerate(rows) for i, column in enumerate(zip(*rows)))
+    at = lambda w: [[x.evaluate(w) for x in row] for row in A_entries]
+    origin = (Fraction(0),) * len(A_entries)
+    return (all(squares(at(w), Fraction(0)) for w in _witnesses(origin))
+            and squares(A_entries, Polynomial.zero(A_entries[0][0].vars)))
+
+
 def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
                              n: int) -> StructureMatrix:
     """Almost-holomorphic reduction matrix b*(a*I - A)/(1 + a^2), from
@@ -112,11 +136,7 @@ def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
     m = 2 * n
     rows = tuple(tuple(b * (a - A_entries[j][i]) if i == j else b * -A_entries[j][i]
                        for i in range(m)) for j in range(m))
-    zero = Polynomial.zero(a.vars)
-    warnings = ()
-    if any(sum((A_entries[j][k] * A_entries[k][i] for k in range(m)), zero)
-           != (-1 if i == j else 0) for j in range(m) for i in range(m)):
-        warnings = ("NotAlmostComplex",)
+    warnings = () if _squares_to_minus_identity(A_entries) else ("NotAlmostComplex",)
     return StructureMatrix(n, rows, a * a + 1, "from_pair", warnings)
 
 
@@ -341,16 +361,14 @@ def _identically_singular(problem: HypersurfaceProblem, point) -> bool:
     """Whether D vanishes identically at the problem's pair, decided on
     the polynomial q D = rho_a M_b - rho_b M_a; only the pair's two columns
     of M are read.  D vanishes identically where rho names neither x_a nor
-    x_b.  Otherwise q D is read first at the witnesses ``point`` + e_k, then e_k: a nonzero
-    value decides at once, and the polynomial is formed only when each is 0."""
+    x_b.  Otherwise q D is read first at the :func:`_witnesses` of ``point``: a
+    nonzero value decides at once, and the polynomial is formed only when each is 0."""
     rho, numerators = problem.rho, problem.structure.numerators
     a, b = (i - 1 for i in problem.pair)
     if not any(e[a] or e[b] for e in rho.terms):
         return True
-    point, zero = tuple(map(Fraction, point)), Fraction(0)
-    two_n = len(point)
-    units = [(0,) * k + (1,) + (0,) * (two_n - k - 1) for k in range(two_n)]
-    for w in [point[:k] + (point[k] + 1,) + point[k + 1:] for k in range(two_n)] + units:
+    zero = Fraction(0)
+    for w in _witnesses(tuple(map(Fraction, point))):
         grad = rho.derivatives_at(w)[0]
         M = {i: dot(grad, [row[i].evaluate(w) for row in numerators], zero) for i in (a, b)}
         if not _pair_D_vanishes(grad, M, a, b, zero):

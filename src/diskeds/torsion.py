@@ -106,8 +106,8 @@ structure_equation_coefficients = _coefficient_tables
 # absorbability
 
 
-# case is "D0_zero" or "D0_nonzero"; witness_v is one solution of
-# D0 v = residual with minimal support, or None
+# case is "D0_zero" or "D0_nonzero"; witness_v is the solver's solution of
+# D1 v = residual_1, D2 v = residual_2 (free variables zero), or None
 TorsionVerdict = namedtuple("TorsionVerdict",
                             "case residual_1 residual_2 absorbable witness_v",
                             defaults=(None,))
@@ -117,7 +117,6 @@ def torsion_absorbable(sed: StructureEquationData) -> TorsionVerdict:
     """The absorbability verdict of the torsion coefficients ``sed`` at a jet."""
     gb = sed.point_data
     dv = compute_D_vectors(gb)
-    m = gb.two_n - 2
     c_rest = sed.c_values[2:]
     res1 = sed.c_values[0] - dot(gb.gamma1, c_rest, Fraction(0))
     res2 = sed.c_values[1] - dot(gb.gamma2, c_rest, Fraction(0))
@@ -130,16 +129,8 @@ def torsion_absorbable(sed: StructureEquationData) -> TorsionVerdict:
     if absorbable != (r1 * res1 + r2 * res2 == 0):
         raise CrossCheckMismatch(
             "absorbability solvability disagrees with the rho cross condition")
-    witness = None
-    if absorbable:
-        target = res1 / r2 if r2 != 0 else -res2 / r1
-        v = [Fraction(0)] * m
-        for k, x in enumerate(dv.D0):
-            if x != 0:
-                v[k] = target / x
-                break
-        witness = tuple(v)
-    return TorsionVerdict("D0_nonzero", res1, res2, absorbable, witness)
+    return TorsionVerdict("D0_nonzero", res1, res2, absorbable,
+                          tuple(solution) if absorbable else None)
 
 
 # ----------------------------------------------------------------------

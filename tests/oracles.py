@@ -264,6 +264,15 @@ def identically_singular_by_products(problem: HypersurfaceProblem) -> bool:
     return (grad[a] * M[b] - grad[b] * M[a]).is_zero()
 
 
+def squares_to_minus_identity_by_products(A_entries) -> bool:
+    """Whether A^2 = -I, from all (2n)^3 products of A's polynomial
+    entries, with no witness read first."""
+    zero = Polynomial.zero(A_entries[0][0].vars)
+    return all(sum((row[k] * A_entries[k][i] for k in range(len(row))), zero)
+               == (-1 if i == j else 0)
+               for j, row in enumerate(A_entries) for i in range(len(row)))
+
+
 def complex_problem(rho: Polynomial) -> HypersurfaceProblem:
     """The problem of a bare rho under the standard structure at the pair
     (1, 2)."""

@@ -14,10 +14,12 @@ from diskeds.geometry import (
     HypersurfaceProblem,
     _identically_singular,
     _inputs,
+    _squares_to_minus_identity,
     _tangent,
     _value,
     complex_standard,
     compute_gamma_beta,
+    default_coordinates,
     full_jet,
     gamma_beta_first_jets,
     make_structure_from_pair,
@@ -39,6 +41,7 @@ from oracles import (
     random_polynomial,
     random_polynomial_structure,
     solve_A6_direct,
+    squares_to_minus_identity_by_products,
     structure_entries,
     symbolic_gamma_beta,
     var,
@@ -547,3 +550,85 @@ def test_a_witness_decides_a_D_that_vanishes_at_the_point_only(command, tmp_path
     assert capsys.readouterr().err == (
         "SingularD: D = 0 at this point; try another distinguished pair\n")
     assert differentiated == []
+
+
+@st.composite
+def candidate_almost_complex(draw):
+    """A = P J0 P^-1 at n = 2, 3, with J0 the standard block and P = I + N
+    unipotent (N strictly upper, sparse entries of degree <= 1, so P^-1 =
+    sum_k (-N)^k is polynomial): A^2 = -I identically.  Then at most one
+    entry is perturbed: by a constant, by c f_i, or by c f_i f_j (i != j),
+    which is 0 at every witness, so only the products decide."""
+    n = draw(st.sampled_from((2, 3)))
+    m, vs = 2 * n, default_coordinates(2 * n)
+    zero, one = Polynomial.zero(vs), Polynomial.const(vs, 1)
+    coefficient = st.integers(-2, 2)
+
+    def linear():
+        if draw(st.booleans()):
+            return zero
+        return (Polynomial.const(vs, draw(coefficient))
+                + var(vs, vs[draw(st.integers(0, m - 1))]).scale(draw(coefficient)))
+
+    N = [[linear() if i > j else zero for i in range(m)] for j in range(m)]
+    identity = [[one if i == j else zero for i in range(m)] for j in range(m)]
+    times = lambda X, Y: [list(row_times_matrix(row, Y, zero)) for row in X]
+    P = [[a + b for a, b in zip(r, s)] for r, s in zip(identity, N)]
+    P_inverse, power = identity, identity
+    minus_N = [[-x for x in row] for row in N]
+    for _ in range(m - 1):
+        power = times(power, minus_N)
+        P_inverse = [[a + b for a, b in zip(r, s)] for r, s in zip(P_inverse, power)]
+    A = times(times(P, block_J(vs, n)), P_inverse)
+    kind = draw(st.sampled_from(("none", "constant", "linear", "vanishing")))
+    j, i = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    c = draw(st.integers(1, 2))
+    a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    A[j][i] = A[j][i] + {"none": zero, "constant": Polynomial.const(vs, c),
+                         "linear": var(vs, vs[a]).scale(c),
+                         "vanishing": (var(vs, vs[a]) * var(vs, vs[b])).scale(c)}[kind]
+    return A
+
+
+@given(candidate_almost_complex())
+@example(block_J(V6, 3))
+@example([[x + (parse_expression("f1*f2", V6) if (j, i) == (0, 1) else 0)
+           for i, x in enumerate(row)] for j, row in enumerate(block_J(V6, 3))])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_the_A_squared_witness_decision_matches_the_full_products(A):
+    # A(w)^2 read at the origin's witnesses decides A^2 != -I as the full
+    # products do, and the NotAlmostComplex warning follows the products
+    vs, n = A[0][0].vars, len(A) // 2
+    expected = squares_to_minus_identity_by_products(A)
+    assert _squares_to_minus_identity(A) == expected
+    structure = make_structure_from_pair(Polynomial.zero(vs), Polynomial.const(vs, 1), A, n)
+    assert structure.warnings == (() if expected else ("NotAlmostComplex",))
+
+
+# a 442-byte pair document whose 16 A entries are all (1+f1+f2+f4)^20: the
+# first entry of A^2 alone took four products of A entries and seconds
+FAR_FROM_ALMOST_COMPLEX = {
+    "dimension_2n": 4, "rho": "f3",
+    "structure": {"kind": "pair", "a": "0", "b": "1",
+                  "A": [["(1+f1+f2+f4)^20"] * 4 for _ in range(4)]},
+    "points": {"P0": ["0", "0", "0", "0"]}}
+
+
+def test_a_witness_decides_A_squared_without_a_product(tmp_path, capsys, monkeypatch):
+    # the witness e_1 gives A(e_1)^2 != -I, so no two non-constant
+    # polynomials are multiplied and the warning stands
+    from diskeds import cli
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(FAR_FROM_ALMOST_COMPLEX))
+    assert path.stat().st_size == 442
+    products, multiply = [], Polynomial.__mul__
+
+    def counting(p, q):
+        if isinstance(q, Polynomial) and p.degree() and q.degree():
+            products.append((p, q))
+        return multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert cli.main(["involutivity", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == ["NotAlmostComplex"]
+    assert products == []

@@ -1,4 +1,5 @@
-"""Every golden CLI report is reproduced byte for byte.
+"""Every golden CLI report is reproduced byte for byte, under this
+interpreter and under each other CPython 3.10 to 3.13 found on PATH.
 
 The files under tests/golden/ are written by scripts/record_golden.py; this
 test only reads them.  A change to one of them is a behaviour change.
@@ -7,6 +8,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,55 @@ def test_golden_report(case, monkeypatch):
     assert code == expected["exit"]
     assert err.getvalue() == expected["stderr"]
     assert out.buffer.getvalue() == (GOLDEN / f"{case}.out").read_bytes()
+
+
+# replays every indexed case in-process, importing nothing beyond the
+# standard library and diskeds (the interpreter runs with -S); prints each
+# case that differs, then the interpreter's version and the case count
+REPLAY = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "src"))
+from diskeds.cli import main
+golden = root / "tests" / "golden"
+index = json.loads((golden / "index.json").read_text(encoding="utf-8"))
+for case, expected in sorted(index.items()):
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(expected["argv"])
+    out.flush()
+    if (code, err.getvalue(), out.buffer.getvalue()) != (
+            expected["exit"], expected["stderr"], (golden / f"{case}.out").read_bytes()):
+        print("differs:", case)
+print("%d.%d" % sys.version_info[:2], len(index))
+"""
+
+
+def _environment(name):
+    """The environment that runs ``name`` from PATH, or None when it is
+    absent.  A pyenv shim runs only the selected versions, so the
+    environment selects the last installed version that provides ``name``."""
+    if shutil.which(name) is None:
+        return None
+    env = dict(os.environ)
+    if shutil.which("pyenv"):
+        versions = subprocess.run(["pyenv", "whence", name], capture_output=True,
+                                  text=True).stdout.split()
+        if versions:
+            env["PYENV_VERSION"] = versions[-1]
+    if subprocess.run([name, "-S", "-c", "pass"], env=env, capture_output=True).returncode:
+        return None
+    return env
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_golden_reports_replay_under_other_interpreters(version):
+    name = f"python{version}"
+    env = _environment(name)
+    if env is None:
+        pytest.skip(f"{name} is not on PATH")
+    run = subprocess.run([name, "-S", "-c", REPLAY, str(ROOT)], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [f"{version} {len(INDEX)}"]

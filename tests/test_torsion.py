@@ -12,6 +12,7 @@ from diskeds.geometry import (
     _value,
     complex_standard,
     compute_gamma_beta,
+    structure_from_entries,
 )
 from diskeds.involutivity import compute_D_vectors
 from diskeds.torsion import (
@@ -367,8 +368,8 @@ def test_closed_form_quadratics_equal_pipeline_at_random_jets():
 
 def test_absorbable_witness_solves_the_one_line_system():
     rng = random.Random(26)
-    found = 0
-    while found < 3:
+    cases = []
+    while len(cases) < 3:
         A, vs = random_constant_structure(rng, 2)
         rho = random_polynomial(rng, vs, 3, 6)
         prob = HypersurfaceProblem(rho, A, (1, 2))
@@ -383,12 +384,27 @@ def test_absorbable_witness_solves_the_one_line_system():
             continue
         if verdict.case != "D0_nonzero" or not verdict.absorbable:
             continue
+        cases.append((prob, pt, verdict))
+    # rho_2 = 0 at the origin, so D1 = rho_2 D0 = 0 and the solver reaches
+    # D0's first nonzero column by a row exchange
+    entries = [[0, -1, 0, 1], [1, -1, 1, 0], [-1, -1, -1, 0], [-1, -1, 1, -1]]
+    A = structure_from_entries(2, [[Polynomial.const(vs, x) for x in row] for row in entries])
+    prob = HypersurfaceProblem(parse_expression("f1 + f3^2 + f1*f4", vs), A, (1, 2))
+    pt = (0, 0, 0, 0)
+    jet = prob.make_jet(pt, (1, 0))
+    verdict = torsion_absorbable(structure_equation_coefficients(prob, jet))
+    assert compute_gamma_beta(prob, pt).rho_grad[1] == 0
+    assert verdict.case == "D0_nonzero" and verdict.absorbable and any(verdict.witness_v)
+    cases.append((prob, pt, verdict))
+    for prob, pt, verdict in cases:
         dv = compute_D_vectors(compute_gamma_beta(prob, pt))
         lhs1 = sum(a * b for a, b in zip(dv.D1, verdict.witness_v))
         lhs2 = sum(a * b for a, b in zip(dv.D2, verdict.witness_v))
         assert lhs1 == verdict.residual_1
         assert lhs2 == verdict.residual_2
-        found += 1
+        # free variables zero: only D0's first nonzero column is nonzero
+        k = next(k for k, x in enumerate(dv.D0) if x != 0)
+        assert all(x == 0 for i, x in enumerate(verdict.witness_v) if i != k)
 
 
 def test_pseudo_ellipsoid_closed_forms_symbolic():
