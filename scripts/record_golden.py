@@ -5,8 +5,9 @@ Runs ``diskeds.cli.main`` in-process on every builtin x applicable command
 in json and text format, plus ``jets`` on every stratum with ``--rounds``
 1..3, plus the jet and point commands on the documents under
 ``tests/golden/docs/`` (n = 4 and 5, a non-constant structure, which
-``dim6`` rejects in both formats, a structure of kind ``pair``, and flags
-on every branch of the Cramer determinant), plus ``jets`` with ``--rounds`` 1..3 on
+``dim6`` rejects in both formats, a structure of kind ``pair``, flags
+on every branch of the Cramer determinant, and a point charted at (3, 4)),
+plus ``jets`` with ``--rounds`` 1..3 on
 the Levi-null strata at n = 4 and 5, plus ``jets`` on a stratum whose probes
 extend by nonzero top jets, ``jets --probe`` on the cusp and
 ``pseudo-ellipsoid`` on a document of its own, and writes each invocation's stdout to
@@ -54,6 +55,9 @@ DOCS = {
     # a structure of kind "pair"; flag F (A_1 = 0) certifies at J1, G at J0
     "n3_pair": (("torsion", "--jet", "J1"), ("integral-element", "--flag", "G"),
                 ("integral-element", "--jet", "J1", "--flag", "F")),
+    # rho_1 = rho_2 = 0 at the point: every command charts at (3, 4), where
+    # the complex closed forms have nonzero B
+    "n3_chart34": (("dim6",),),
 }
 
 
@@ -73,7 +77,7 @@ def cases():
         for command in ("involutivity", "torsion", "complex-forms", "integral-element"):
             yield f"{command}-{stem}-json", [command, path, "--format", "json"]
         for command, *options in extra:
-            yield (f"{command}-{stem}-{'-'.join(o.lstrip('-') for o in options)}-json",
+            yield ("-".join([command, stem, *(o.lstrip("-") for o in options), "json"]),
                    [command, path, *options, "--format", "json"])
     # hyperquadric-type Levi-null strata above n = 3, each with a real probe
     # and a non-real one

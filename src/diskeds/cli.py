@@ -64,6 +64,12 @@ def _complex_standard(lp: LoadedProblem, command):
     return lp.problem
 
 
+def _chart(problem) -> dict:
+    """The pair a command charted ``problem`` at and, in the internal order
+    that its reduced entries follow, the user-coordinate indices of the rest."""
+    return {"distinguished_pair": problem.pair, "reduced_coordinates": problem.sigma()[2:]}
+
+
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     if opts.order is not None and opts.order < 0:
         raise SchemaViolation(f"--order must be nonnegative, got {opts.order}")
@@ -78,10 +84,7 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
     report = tableau_report(gb, dv, Q=opts.order)
     return {
         "point": pname,
-        "distinguished_pair": gb.problem.pair,
-        # gamma/D0 entries follow the relabeled order; these are the
-        # user-coordinate indices they refer to
-        "reduced_coordinates": gb.sigma[2:],
+        **_chart(gb.problem),
         "D": gb.D,
         "gamma1": gb.gamma1,
         "gamma2": gb.gamma2,
@@ -107,6 +110,7 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
     d2 = form_definiteness(data.c2)
     return {
         "point": pname,
+        **_chart(data.problem),
         "B_lower": {f"{j},{k}": v for (j, k), v in sorted(data.B_lower.items())},
         "B_upper": {f"{j},{k}": v for (j, k), v in sorted(data.B_upper.items())},
         "c1_matrix": data.c1,
@@ -120,8 +124,8 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
 def cmd_dim6(lp: LoadedProblem, opts) -> dict:
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
-    rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)
-    return {"point": pname, **rep._asdict()}
+    rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)._asdict()
+    return {"point": pname, **_chart(rep.pop("problem")), **rep}
 
 
 def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:

@@ -3,9 +3,11 @@
 A problem is a polynomial defining function rho on R^{2n}, a 2n x 2n
 structure matrix, and a distinguished coordinate pair playing the
 elimination roles 1 and 2; with no pair, each builder charts at the
-first pair with D != 0 at its point.  Internally coordinates are
-relabeled so the distinguished pair sits in positions 1,2; every report
-carries the permutation back to user coordinates.
+first pair with D != 0 at its point.  That is the one chart decision
+(:func:`_chart_order`); the complex closed forms drop any pair to take
+it.  Internally coordinates are relabeled so the distinguished pair
+sits in positions 1,2; every report carries the permutation back to
+user coordinates.
 
 A structure matrix holds polynomial numerators N over one polynomial
 denominator q, alpha_{j,i} = N_{j,i} / q: q = 1 for the standard and the

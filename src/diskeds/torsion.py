@@ -43,12 +43,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CrossCheckMismatch, SingularD, WrongDimension
+from .errors import CrossCheckMismatch, SchemaViolation, WrongDimension
 from .exact import power, rat
 from .geometry import (
     FirstJetPoint,
     HypersurfaceProblem,
-    complex_standard,
     _tangent,
     _value,
     gamma_beta_along_jet,
@@ -137,22 +136,12 @@ def torsion_absorbable(sed: StructureEquationData) -> TorsionVerdict:
 # complex case closed forms
 
 
-# gamma1, gamma2: values at the point, indices j = 3..2n; B_lower,
-# B_upper: (j, k) -> value, j,k = 2..n; c1, c2: symmetric quadratic-form
-# matrices in p^3..p^{2n}
+# problem: the problem charted at the pair the tables are read in; gamma1,
+# gamma2: values at the point, indices j = 3..2n; B_lower, B_upper: (j, k)
+# -> value, j,k = 2..n; c1, c2: symmetric quadratic-form matrices in
+# p^3..p^{2n}, internal order
 ComplexTorsionData = namedtuple("ComplexTorsionData",
-                                "n gamma1 gamma2 B_lower B_upper c1 c2")
-
-
-def _complex_problem(problem: HypersurfaceProblem) -> HypersurfaceProblem:
-    """``problem`` under the standard structure (its own when it has it) at
-    the pair (1, 2)."""
-    if problem.two_n < 4:
-        raise WrongDimension(f"need an even number >= 4 of variables, got {problem.two_n}")
-    if problem.structure.kind == "complex_standard":
-        return problem.with_pair((1, 2))
-    return HypersurfaceProblem(problem.rho, complex_standard(problem.n, problem.rho.vars),
-                               (1, 2))
+                                "problem gamma1 gamma2 B_lower B_upper c1 c2")
 
 
 def _p_operator(which, k, gamma1, gamma2, partial):
@@ -165,14 +154,16 @@ def _p_operator(which, k, gamma1, gamma2, partial):
     return dot_plus((g1_2k, g2_2k), (partial(0), partial(1)), partial(2 * k - 1))
 
 
-def complex_torsion(n, gammas, targets, partial) -> ComplexTorsionData:
+def complex_torsion(problem, gammas, targets, partial) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
     B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n,
-    and the two quadratic forms, over any exact scalar: ``gammas`` are
+    and the two quadratic forms of the charted ``problem``, over any exact
+    scalar: ``gammas`` are
     the P operators' coefficients (gamma^1, gamma^2), ``targets`` the
     entries (gamma^1, gamma^2) they differentiate and ``partial(target,
     i)`` a target's derivative along the 0-based internal f-variable i."""
     gamma1, gamma2 = gammas
+    n = problem.n
     P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
                                              lambda i: partial(target, i))
     B_lower, B_upper = {}, {}
@@ -183,23 +174,30 @@ def complex_torsion(n, gammas, targets, partial) -> ComplexTorsionData:
             B_lower[(j, k)] = P(2, k, g1_2j) + P(1, k, g2_2j)
             B_upper[(j, k)] = P(2, k, g2_2j) - P(1, k, g1_2j)
     c1, c2 = quadratics_from_B(n, B_lower, B_upper)
-    return ComplexTorsionData(n, gamma1, gamma2, B_lower, B_upper, c1, c2)
+    return ComplexTorsionData(problem, gamma1, gamma2, B_lower, B_upper, c1, c2)
 
 
 def complex_B_coefficients(problem: HypersurfaceProblem, f_point) -> ComplexTorsionData:
-    """The complex closed forms (:func:`complex_torsion`) of ``problem``
-    under the standard structure at the pair (1, 2), at ``f_point``: exact
-    rationals read from the gammas' first jets along the coordinate axes,
+    """The complex closed forms (:func:`complex_torsion`) of ``problem``,
+    which carries the standard structure, at ``f_point``: exact rationals
+    read from the gammas' first jets along the internal coordinate axes,
     the directions the P operators take.
+
+    A declared pair is ignored: the problem is charted as the builders
+    chart one with no pair.  Under the standard structure every pair
+    before (2k-1, 2k) has D = 0 and D(2k-1, 2k) = -(rho_{2k-1}^2 +
+    rho_{2k}^2), so the chart is the first complex coordinate z_k that
+    rho's gradient does not annihilate.  Swapping coordinate blocks
+    leaves the structure as it is, so the closed forms, written with the
+    pair first, hold in that chart.
     """
-    problem = _complex_problem(problem)
-    try:
-        gb = gamma_beta_first_jets(problem, f_point)
-    except SingularD:
-        # D = -(rho_1^2 + rho_2^2) for the standard structure
-        raise SingularD("rho_1^2 + rho_2^2 = 0 at the point") from None
+    if problem.two_n < 4:
+        raise WrongDimension(f"need an even number >= 4 of variables, got {problem.two_n}")
+    if problem.structure.kind != "complex_standard":
+        raise SchemaViolation("the complex closed forms need a complex_standard problem")
+    gb = gamma_beta_first_jets(problem.with_pair(None), f_point)
     gammas = (tuple(map(_value, gb.gamma1)), tuple(map(_value, gb.gamma2)))
-    return complex_torsion(problem.n, gammas, (gb.gamma1, gb.gamma2), _tangent)
+    return complex_torsion(gb.problem, gammas, (gb.gamma1, gb.gamma2), _tangent)
 
 
 def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
@@ -247,8 +245,9 @@ def form_definiteness(matrix) -> str:
 # dimension 6
 
 
-# verdict: necessary_condition_holds | necessary_condition_violated
-Dim6Report = namedtuple("Dim6Report", "delta1 delta2 sign1 sign2 c1_definiteness "
+# problem: the chart of the B tables; verdict: necessary_condition_holds |
+# necessary_condition_violated
+Dim6Report = namedtuple("Dim6Report", "problem delta1 delta2 sign1 sign2 c1_definiteness "
                         "c2_definiteness verdict")
 
 
@@ -274,7 +273,7 @@ def dim6_definiteness(problem: HypersurfaceProblem, f_point) -> Dim6Report:
         raise CrossCheckMismatch("dim-6 discriminant disagrees with c2 definiteness")
     sign = lambda x: (x > 0) - (x < 0)
     verdict = "necessary_condition_holds" if holds else "necessary_condition_violated"
-    return Dim6Report(delta1, delta2, sign(delta1), sign(delta2), d1, d2, verdict)
+    return Dim6Report(data.problem, delta1, delta2, sign(delta1), sign(delta2), d1, d2, verdict)
 
 
 # ----------------------------------------------------------------------

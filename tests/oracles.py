@@ -289,7 +289,7 @@ def symbolic_complex_B(rho: Polynomial):
     gb = symbolic_gamma_beta(problem)
     fvars = internal_vars(problem)
     gammas = (gb.gamma1, gb.gamma2)
-    return complex_torsion(problem.n, gammas, gammas,
+    return complex_torsion(problem, gammas, gammas,
                            lambda target, i: target.differentiate(fvars[i]))
 
 

@@ -384,22 +384,30 @@ def test_pair_fallback_reports_coordinate_mapping(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["complex-forms", "dim6"])
-def test_identically_singular_D_exit_2(command):
+def test_flat_charts_the_complex_forms_at_5_6(command):
+    # flat's gradient is zero on z1 and z2, so the closed forms chart at
+    # z3 = (f5, f6), the first pair with D != 0, whatever pair is declared
     rc, out, err = run_cli(command, "flat")
-    assert rc == 2 and out == b""
-    assert err.startswith(b"IdenticallySingularD: ")
-    assert b"Traceback" not in err
+    assert rc == 0 and err == b""
+    results = json.loads(out)["results"]
+    assert results["distinguished_pair"] == [5, 6]
+    assert results["reduced_coordinates"] == [1, 2, 3, 4]
+    assert results["c1_definiteness"] == results["c2_definiteness"] == "not_definite"
+    if command == "complex-forms":
+        assert set(results["B_lower"].values()) == set(results["B_upper"].values()) == {"0"}
+        assert results["c1_matrix"] == results["c2_matrix"] == [["0"] * 4] * 4
+    else:
+        assert results["delta1"] == results["delta2"] == "0"
+        assert results["verdict"] == "necessary_condition_holds"
 
 
-def test_all_flat_reports_dim6_not_applicable():
-    # dim6 hard-wires the pair (1, 2), where D vanishes identically on flat;
-    # the other sections still run
+def test_all_flat_runs_dim6_at_chart_5_6():
     rc, out, err = run_cli("all", "flat")
     assert rc == 0 and err == b""
     results = json.loads(out)["results"]
     assert sorted(results) == ["dim6", "involutivity", "jets[base]", "torsion"]
-    assert results["dim6"] == {"not_applicable": "IdenticallySingularD: D vanishes "
-                               "identically for this distinguished pair"}
+    assert results["dim6"]["distinguished_pair"] == [5, 6]
+    assert results["dim6"]["verdict"] == "necessary_condition_holds"
     assert results["involutivity"]["dims"] == [4, 4, 4, 4]
     assert results["torsion"]["absorbable"] is True
 
@@ -424,7 +432,7 @@ SINGULAR_AT_JET = {
 }
 
 
-@pytest.mark.parametrize("command", ["torsion", "complex-forms", "integral-element"])
+@pytest.mark.parametrize("command", ["torsion", "integral-element"])
 def test_D_zero_at_the_jet_only_exit_2(command, tmp_path):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(SINGULAR_AT_JET))
@@ -475,18 +483,36 @@ def test_an_unknown_name_exits_2_naming_what_it_is(argv, message, capsys):
     assert capsys.readouterr().err == f"SchemaViolation: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["complex-forms", "dim6"])
+def test_the_complex_forms_ignore_a_declared_pair_with_D_zero(command, tmp_path):
+    # the declared pair (1, 2) has D = 0 at the point; the closed forms
+    # chart at the first pair with D != 0, (3, 4), as the builders do
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_AT_JET))
+    rc, out, err = run_cli(command, str(path))
+    assert rc == 0 and err == b""
+    results = json.loads(out)["results"]
+    assert results["distinguished_pair"] == [3, 4]
+    assert results["reduced_coordinates"] == [1, 2, 5, 6]
+    if command == "complex-forms":
+        assert (results["B_lower"]["2,2"], results["B_lower"]["3,3"]) == ("2", "-2")
+        assert results["c2_matrix"] == [["-2", "0", "0", "0"], ["0", "-2", "0", "0"],
+                                        ["0", "0", "2", "0"], ["0", "0", "0", "2"]]
+    else:
+        assert results["verdict"] == "necessary_condition_holds"
+
+
 def test_all_marks_each_section_singular_at_the_point(tmp_path, capsys):
+    # the sections charted at the declared pair are singular; dim6 charts
+    # on its own at (3, 4)
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(SINGULAR_AT_JET))
     assert cli.main(["all", str(path)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results == {
-        "involutivity": {"not_applicable": "SingularD: D = 0 at this point; "
-                         "try another distinguished pair"},
-        "torsion": {"not_applicable": "SingularD: D = 0 at this point; "
-                    "try another distinguished pair"},
-        "dim6": {"not_applicable": "SingularD: rho_1^2 + rho_2^2 = 0 at the point"},
-    }
+    assert sorted(results) == ["dim6", "involutivity", "torsion"]
+    assert results["involutivity"] == results["torsion"] == {
+        "not_applicable": "SingularD: D = 0 at this point; try another distinguished pair"}
+    assert results["dim6"]["distinguished_pair"] == [3, 4]
 
 
 def test_torsion_command_builds_structure_equations_once(monkeypatch, capsys):

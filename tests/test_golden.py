@@ -23,14 +23,14 @@ INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 110
+    assert len(INDEX) == 115
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
             assert f"jets-{name}-{fmt}" in INDEX
     # beyond the n = 3 builtins: n = 4, 5 and a non-constant structure
     for stem in ("n5_hyperquadric", "n4_hyperquadric", "n3_matrix", "n3_ball_flags",
-                 "n3_pair"):
+                 "n3_pair", "n3_chart34"):
         for command in ("involutivity", "torsion", "complex-forms", "integral-element"):
             assert f"{command}-{stem}-json" in INDEX
     for stem in ("n4_levi_null", "n5_levi_null"):

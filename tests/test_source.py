@@ -173,8 +173,9 @@ def test_monomial_owns_every_power_at_a_point():
 
 def test_the_builders_own_the_chart_decision():
     # one chart decision in the package: the builders chart a problem in
-    # geometry._chart_order and the complex closed forms fix the pair
-    # (1, 2); only the loader reads a document's pair.  A with_pair call or
+    # geometry._chart_order, and the complex closed forms drop a declared
+    # pair so that the builders chart it; only the loader reads a
+    # document's pair.  A with_pair call or
     # a read of "distinguished_pair" (a subscript, or a call's argument
     # such as .get's) anywhere else takes that decision a second time
     charts, reads = [], []
@@ -192,7 +193,8 @@ def test_the_builders_own_the_chart_decision():
             if any(isinstance(key, ast.Constant) and key.value == "distinguished_pair"
                    for key in keys):
                 reads.append(f"{path.name}:{owner}")
-    assert sorted(set(charts)) == ["geometry.py:_chart_order", "torsion.py:_complex_problem"]
+    assert sorted(set(charts)) == ["geometry.py:_chart_order",
+                                   "torsion.py:complex_B_coefficients"]
     assert sorted(set(reads)) == ["reports.py:build_problem"]
 
 

@@ -39,6 +39,7 @@ from oracles import (
     extend_to,
     on_chart_point,
     on_surface_point,
+    permute_polynomial,
     pseudo_ellipsoid_rho,
     random_constant_structure,
     random_polynomial,
@@ -347,23 +348,56 @@ def test_complex_verdict_reduces_to_c1_c2():
         assert verdict.absorbable == (sed.c_values[0] == 0 and sed.c_values[1] == 0)
 
 
+def _flattened(rho, pt, blocks):
+    """rho less its value and its first-order terms along the first
+    ``blocks`` complex coordinates at ``pt``: rho = 0 there, and so are
+    rho_1, .., rho_{2 blocks}."""
+    grad = rho.derivatives_at(pt)[0]
+    vs = rho.vars
+    linear = sum((var(vs, vs[i]).scale(grad[i]) - grad[i] * pt[i]
+                  for i in range(2 * blocks)), Polynomial.const(vs, rho.evaluate(pt)))
+    return rho - linear
+
+
 def test_closed_form_quadratics_equal_pipeline_at_random_jets():
+    # at points where rho_1 = rho_2 = 0 too: the closed forms chart at the
+    # first z_k = (f_{2k-1}, f_{2k}) that rho's gradient does not annihilate,
+    # whatever pair is declared, and equal there both the torsion pipeline
+    # and the (1, 2) closed forms of rho with its blocks swapped
     rng = random.Random(25)
+    cases = []
     for n in (2, 3):
         vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
         rho = random_polynomial(rng, vs, 3, 6)
         prob = HypersurfaceProblem(rho, complex_standard(n, vs), (1, 2))
         try:
-            pt = on_surface_point(rng, prob)
+            cases.append((prob, on_surface_point(rng, prob)))
         except AssertionError:
-            continue
+            pass
+        for blocks in range(1, n):
+            pt = tuple(Fraction(rng.randint(-2, 2)) for _ in vs)
+            cases.append((HypersurfaceProblem(_flattened(rho, pt, blocks), prob.structure, (1, 2)),
+                          pt))
+    charts = set()
+    for prob, pt in cases:
         data = complex_B_coefficients(prob, pt)
+        grad = prob.rho.derivatives_at(pt)[0]
+        k = next(k for k in range(1, prob.n + 1) if grad[2 * k - 2] or grad[2 * k - 1])
+        chart = data.problem
+        assert chart.pair == (2 * k - 1, 2 * k)
+        charts.add(chart.pair)
         for _ in range(10):
-            pr = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
-            jet = prob.make_jet(pt, pr)
-            sed = structure_equation_coefficients(prob, jet)
+            pr = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * prob.n - 2))
+            sed = structure_equation_coefficients(chart, chart.make_jet(pt, pr))
+            assert sed.point_data.problem.pair == chart.pair
             assert sed.c_values[0] == evaluate_form(data.c1, pr)
             assert sed.c_values[1] == evaluate_form(data.c2, pr)
+        order = chart.internal_order()
+        swapped = symbolic_complex_B(permute_polynomial(prob.rho, order))
+        at = lambda f: f.evaluate(tuple(pt[i] for i in order))
+        assert data.B_lower == {key: at(f) for key, f in swapped.B_lower.items()}
+        assert data.B_upper == {key: at(f) for key, f in swapped.B_upper.items()}
+    assert charts == {(1, 2), (3, 4), (5, 6)}
 
 
 def test_absorbable_witness_solves_the_one_line_system():
