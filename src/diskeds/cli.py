@@ -9,13 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    CrossCheckMismatch,
-    DiskEdsError,
-    IdenticallySingularD,
-    SchemaViolation,
-    SingularD,
-)
+from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation, SingularD
 from .expr import print_polynomial
 from .geometry import compute_gamma_beta
 from .involutivity import compute_D_vectors, tableau_report
@@ -253,7 +247,7 @@ def _section(command, lp, opts) -> dict:
     """One section of ``all``; a chart with D = 0 makes it not applicable."""
     try:
         return command(lp, opts)
-    except (SingularD, IdenticallySingularD) as exc:
+    except SingularD as exc:
         return {"not_applicable": f"{type(exc).__name__}: {exc}"}
 
 

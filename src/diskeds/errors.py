@@ -39,10 +39,6 @@ class SingularD(DiskEdsError):
     pass
 
 
-class IdenticallySingularD(DiskEdsError):
-    pass
-
-
 class CrossCheckMismatch(DiskEdsError):
     """An internal identity failed; signals an implementation bug, never user error."""
 

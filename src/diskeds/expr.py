@@ -383,18 +383,6 @@ class Polynomial:
 
     # -- calculus -----------------------------------------------------
 
-    def differentiate(self, name):
-        if name not in self.vars:
-            raise UnknownVariable(f"unknown variable {name!r}")
-        i = self.vars.index(name)
-        res = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k:
-                # distinct monomials have distinct derivatives: no sums here
-                res[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
-        return Polynomial(self.vars, res)
-
     def _terms_at(self, point):
         """The (exps, coeff) pairs, read at a point of one value per variable."""
         if len(point) != len(self.vars):

@@ -34,16 +34,12 @@ only in how each input (a first derivative of rho or a structure entry)
 becomes a scalar, read once in user coordinates and then re-indexed into
 a chart's internal order or projected onto the directions.
 
-Whether D vanishes identically, which only picks between the two D = 0
-errors, is decided on polynomials: with M = grad(rho) N = q mu, the
-polynomial rho_1 M_2 - rho_2 M_1 equals q D, so it is zero exactly when
-D is, and no division is needed.  It is zero where rho names neither
-coordinate of the pair; otherwise it is read at witness points first
-(the point plus each unit vector, then each unit vector), one nonzero
-value decides, and the products are formed only when every witness
-gives zero.  The same witness list, at the origin, serves the other
-identity test, A^2 = -I for a pair structure's A: one witness where
-A(w)^2 != -I decides, and the (2n)^3 products follow only when none does.
+D = 0 at the point raises SingularD whether or not D vanishes
+identically: telling the two apart would need polynomial products whose
+size nothing at the point bounds.  The one polynomial identity test,
+A^2 = -I for a pair structure's A, reads A at the unit vectors first:
+one e_k with A(e_k)^2 != -I decides, and the (2n)^3 products follow
+only when none does.
 """
 from __future__ import annotations
 
@@ -52,13 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import (
-    CrossCheckMismatch,
-    DimensionMismatch,
-    IdenticallySingularD,
-    SingularD,
-    ZeroB,
-)
+from .errors import CrossCheckMismatch, DimensionMismatch, SingularD, ZeroB
 from .exact import FirstJet, rational_str
 from .expr import Polynomial
 from .linalg import dot, dot_plus, row_times_matrix
@@ -101,25 +91,17 @@ def structure_from_entries(n: int, entries) -> StructureMatrix:
     return StructureMatrix(n, entries, Polynomial.const(entries[0][0].vars, 1), "general")
 
 
-def _witnesses(point):
-    """The fixed witness points of both polynomial identity tests, each
-    once: ``point`` plus each unit vector e_k, then each e_k."""
-    two_n = len(point)
-    units = [(0,) * k + (1,) + (0,) * (two_n - k - 1) for k in range(two_n)]
-    shifted = [point[:k] + (point[k] + 1,) + point[k + 1:] for k in range(two_n)]
-    return list(dict.fromkeys(shifted + units))
-
-
 def _squares_to_minus_identity(A_entries) -> bool:
-    """Whether A^2 = -I, read first at the :func:`_witnesses` of the
-    origin: one A(w)^2 != -I decides, and the (2n)^3 polynomial products
-    are formed only when every witness squares to -I."""
+    """Whether A^2 = -I, read first at each unit vector e_k: one
+    A(e_k)^2 != -I decides, and the (2n)^3 polynomial products are
+    formed only when every e_k squares to -I."""
     squares = lambda rows, zero: all(
         dot(row, column, zero) == (-1 if i == j else 0)
         for j, row in enumerate(rows) for i, column in enumerate(zip(*rows)))
     at = lambda w: [[x.evaluate(w) for x in row] for row in A_entries]
-    origin = (Fraction(0),) * len(A_entries)
-    return (all(squares(at(w), Fraction(0)) for w in _witnesses(origin))
+    m = len(A_entries)
+    units = [(0,) * k + (1,) + (0,) * (m - k - 1) for k in range(m)]
+    return (all(squares(at(w), Fraction(0)) for w in units)
             and squares(A_entries, Polynomial.zero(A_entries[0][0].vars)))
 
 
@@ -352,45 +334,18 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
 
 
 def _pair_D_vanishes(grad, mu, a, b, zero):
-    """Whether rho_a mu_b - rho_b mu_a (0-based user indices) is 0: D at
-    the pair (a, b) over values, or q D over polynomials, where ``mu`` is
-    M = grad(rho) N."""
+    """Whether D = rho_a mu_b - rho_b mu_a at the pair (a, b), 0-based user
+    indices, is 0."""
     product = lambda x, y: x * y if x and y else zero
     return product(grad[a], mu[b]) == product(grad[b], mu[a])
 
 
-def _identically_singular(problem: HypersurfaceProblem, point) -> bool:
-    """Whether D vanishes identically at the problem's pair, decided on
-    the polynomial q D = rho_a M_b - rho_b M_a; only the pair's two columns
-    of M are read.  D vanishes identically where rho names neither x_a nor
-    x_b.  Otherwise q D is read first at the :func:`_witnesses` of ``point``: a
-    nonzero value decides at once, and the polynomial is formed only when each is 0."""
-    rho, numerators = problem.rho, problem.structure.numerators
-    a, b = (i - 1 for i in problem.pair)
-    if not any(e[a] or e[b] for e in rho.terms):
-        return True
-    zero = Fraction(0)
-    for w in _witnesses(tuple(map(Fraction, point))):
-        grad = rho.derivatives_at(w)[0]
-        M = {i: dot(grad, [row[i].evaluate(w) for row in numerators], zero) for i in (a, b)}
-        if not _pair_D_vanishes(grad, M, a, b, zero):
-            return False
-    grad, zero = tuple(map(rho.differentiate, rho.vars)), Polynomial.zero(rho.vars)
-    M = {i: dot(grad, [row[i] for row in numerators], zero) for i in (a, b)}
-    return _pair_D_vanishes(grad, M, a, b, zero)
-
-
-def _gamma_beta(problem: HypersurfaceProblem, inputs, point=None) -> GammaBetaData:
+def _gamma_beta(problem: HypersurfaceProblem, inputs) -> GammaBetaData:
     """The one gamma/beta builder behind both modes, over a problem and
-    its inputs from :func:`_chart_order`.  Where D vanishes at the point,
-    a first-jet mode, which passes its ``point``, tells an identically
-    vanishing D apart."""
+    its inputs from :func:`_chart_order`."""
     grad, alpha, zero = inputs
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
-        if point is not None and _identically_singular(problem, point):
-            raise IdenticallySingularD(
-                "D vanishes identically for this distinguished pair")
         raise SingularD("D = 0 at this point; try another distinguished pair")
     return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
                          *_gammas(grad, mu, D, zero))
@@ -408,13 +363,9 @@ def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
     """Pointwise mode over exact first jets: every entry is a FirstJet
     holding its value and its gradient in the internal f-variables, or its
     value where that gradient is zero (read through :func:`_value` and
-    :func:`_tangent`).
-
-    Raises IdenticallySingularD when D vanishes identically and SingularD
-    when it vanishes at the point only.
+    :func:`_tangent`).  Raises as :func:`compute_gamma_beta`.
     """
-    return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)),
-                       point)
+    return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)))
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
@@ -427,7 +378,7 @@ def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
     as :func:`gamma_beta_first_jets`.
     """
     inputs = _inputs(problem, jet.f, jets=True)
-    gb = _gamma_beta(*_chart_order(problem, inputs, _value), jet.f)
+    gb = _gamma_beta(*_chart_order(problem, inputs, _value))
     fj = full_jet(jet, gb)
     along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
     return gb, fj, along

@@ -158,10 +158,10 @@ def complex_torsion(problem, gammas, targets, partial) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
     B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n,
     and the two quadratic forms of the charted ``problem``, over any exact
-    scalar: ``gammas`` are
-    the P operators' coefficients (gamma^1, gamma^2), ``targets`` the
-    entries (gamma^1, gamma^2) they differentiate and ``partial(target,
-    i)`` a target's derivative along the 0-based internal f-variable i."""
+    scalar: ``gammas`` are the P operators' coefficients (gamma^1,
+    gamma^2), ``targets`` the entries (gamma^1, gamma^2) they differentiate
+    and ``partial(target, i)`` a target's derivative along the 0-based
+    internal f-variable i."""
     gamma1, gamma2 = gammas
     n = problem.n
     P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
@@ -273,7 +273,8 @@ def dim6_definiteness(problem: HypersurfaceProblem, f_point) -> Dim6Report:
         raise CrossCheckMismatch("dim-6 discriminant disagrees with c2 definiteness")
     sign = lambda x: (x > 0) - (x < 0)
     verdict = "necessary_condition_holds" if holds else "necessary_condition_violated"
-    return Dim6Report(data.problem, delta1, delta2, sign(delta1), sign(delta2), d1, d2, verdict)
+    return Dim6Report(data.problem, delta1, delta2, sign(delta1), sign(delta2), d1, d2,
+                      verdict)
 
 
 # ----------------------------------------------------------------------

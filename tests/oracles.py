@@ -32,7 +32,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from diskeds.errors import (DimensionMismatch, DiskEdsError, IdenticallySingularD,
+from diskeds.errors import (DimensionMismatch, DiskEdsError,
                             MalformedSyntax, NegativeOrNonIntegerExponent,
                             NotComplexifiedMode, SchemaViolation, SingularD,
                             UnknownVariable, WrongDimension)
@@ -52,6 +52,20 @@ from diskeds.torsion import complex_torsion
 
 # ----------------------------------------------------------------------
 # the symbolic reference: gamma/beta over rational functions of f
+
+
+def differentiate(p: Polynomial, name) -> Polynomial:
+    """The partial derivative of ``p`` along the variable ``name``."""
+    if name not in p.vars:
+        raise UnknownVariable(f"unknown variable {name!r}")
+    i = p.vars.index(name)
+    res = {}
+    for exps, c in p.terms.items():
+        k = exps[i]
+        if k:
+            # distinct monomials have distinct derivatives: no sums here
+            res[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
+    return Polynomial(p.vars, res)
 
 
 class DivisionByZeroFunction(DiskEdsError):
@@ -197,8 +211,8 @@ class RationalFunction:
 
     def differentiate(self, name):
         return RationalFunction(
-            self.num.differentiate(name) * self.den
-            - self.num * self.den.differentiate(name),
+            differentiate(self.num, name) * self.den
+            - self.num * differentiate(self.den, name),
             self.den * self.den)
 
     def evaluate(self, point):
@@ -237,10 +251,10 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     """GammaBetaData over RationalFunctions of the internal f-variables,
     from RationalFunction(N, q) inputs through geometry's own _mu_and_D
     and _gammas (beta_full forms on first read, over the same scalars).
-    Raises IdenticallySingularD when D = 0."""
+    Raises SingularD when D = 0."""
     order = problem.internal_order()
     rho = permute_polynomial(problem.rho, order)
-    grad = tuple(RationalFunction(rho.differentiate(v)) for v in rho.vars)
+    grad = tuple(RationalFunction(differentiate(rho, v)) for v in rho.vars)
     q = permute_polynomial(problem.structure.denominator, order)
     N = problem.structure.numerators
     alpha = tuple(tuple(RationalFunction(permute_polynomial(N[j][i], order), q)
@@ -248,20 +262,9 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     zero = RationalFunction.from_const(rho.vars, 0)
     mu, D = _mu_and_D(grad, alpha, zero)
     if D.is_zero():
-        raise IdenticallySingularD("D vanishes identically for this distinguished pair")
+        raise SingularD("D vanishes identically for this distinguished pair")
     return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
                          *_gammas(grad, mu, D, zero))
-
-
-def identically_singular_by_products(problem: HypersurfaceProblem) -> bool:
-    """Whether D vanishes identically at the problem's pair, from the full
-    polynomial q D = rho_a M_b - rho_b M_a, M = grad(rho) N, with no
-    witness read first."""
-    rho, N = problem.rho, problem.structure.numerators
-    grad, zero = [rho.differentiate(v) for v in rho.vars], Polynomial.zero(rho.vars)
-    a, b = (i - 1 for i in problem.pair)
-    M = {i: dot(grad, [row[i] for row in N], zero) for i in (a, b)}
-    return (grad[a] * M[b] - grad[b] * M[a]).is_zero()
 
 
 def squares_to_minus_identity_by_products(A_entries) -> bool:
@@ -469,10 +472,10 @@ def choose_pair_by_builds(problem: HypersurfaceProblem, point=None):
             try:
                 build(problem.with_pair((i1, i2)))
                 return (i1, i2)
-            except (SingularD, IdenticallySingularD):
+            except SingularD:
                 continue
     if point is None:
-        raise IdenticallySingularD("D vanishes identically for every distinguished pair")
+        raise SingularD("D vanishes identically for every distinguished pair")
     raise SingularD("D = 0 at the point for every distinguished pair")
 
 
@@ -574,7 +577,7 @@ def on_surface_point(rng, problem, tries=500):
         # try to fix one coordinate k appearing linearly
         for k in range(two_n):
             var = rho.vars[k]
-            dk = rho.differentiate(var)
+            dk = differentiate(rho, var)
             if dk.is_zero() or any(e[k] for e in dk.terms):
                 continue  # var absent or nonlinear
             rest = {v: x for v, x in zip(rho.vars, pt) if v != var}
@@ -693,8 +696,8 @@ def levi_form(rho: Polynomial, J: StructureMatrix, f_point, p):
     if any(ident[r][s] != (-1 if r == s else 0)
            for r in range(two_n) for s in range(two_n)):
         warnings.append("J^2 != -I at the point")
-    grad = [rho.differentiate(v).evaluate(f_point) for v in rho.vars]
-    hess = [[rho.differentiate(a).differentiate(b).evaluate(f_point)
+    grad = [differentiate(rho, v).evaluate(f_point) for v in rho.vars]
+    hess = [[differentiate(differentiate(rho, a), b).evaluate(f_point)
              for b in rho.vars] for a in rho.vars]
     Jp = [sum(Jval[r][s] * p[s] for s in range(two_n)) for r in range(two_n)]
 
@@ -820,7 +823,7 @@ def curve_probe(n: int, order: int, components, t0=Fraction(0)) -> tuple:
     """
     derivs = [list(components)]
     for _ in range(order):
-        derivs.append([q.differentiate("t") for q in derivs[-1]])
+        derivs.append([differentiate(q, "t") for q in derivs[-1]])
     values = [[q.evaluate((t0,)) for q in d] for d in derivs]
     return probe_from_values(n, order, values[0], values[1:])
 

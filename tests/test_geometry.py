@@ -2,17 +2,15 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.errors import DimensionMismatch, IdenticallySingularD, SingularD, ZeroB
+from diskeds.errors import DimensionMismatch, SingularD, ZeroB
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import (
     HypersurfaceProblem,
-    _identically_singular,
     _inputs,
     _squares_to_minus_identity,
     _tangent,
@@ -31,9 +29,9 @@ from diskeds.torsion import structure_equation_coefficients
 from oracles import (
     RationalFunction,
     choose_pair_by_builds,
+    differentiate,
     extend_to,
     first_jet_values,
-    identically_singular_by_products,
     internal_vars,
     on_chart_point,
     permute_polynomial,
@@ -118,14 +116,12 @@ def test_identity_structure_is_singular():
                                         for j in range(4)] for i in range(4)])
     rho = parse_expression("f1 + f2 + f3 + f4", vs)
     prob = HypersurfaceProblem(rho, ident, (1, 2))
+    for build in (compute_gamma_beta, gamma_beta_first_jets):
+        with pytest.raises(SingularD) as got:
+            build(prob, (1, 1, 1, -3))
+        assert str(got.value) == "D = 0 at this point; try another distinguished pair"
     with pytest.raises(SingularD):
-        compute_gamma_beta(prob, (1, 1, 1, -3))
-    with pytest.raises(IdenticallySingularD):
-        gamma_beta_first_jets(prob, (1, 1, 1, -3))
-    with pytest.raises(IdenticallySingularD):
         symbolic_gamma_beta(prob)
-    with pytest.raises(IdenticallySingularD):
-        _first_pair_not_identically_singular(prob)
 
 
 def test_constant_data_gives_constant_gamma_beta():
@@ -154,7 +150,7 @@ def test_full_jet_examples():
         # oracle: direct solve of the 2x2 elimination system
         p11, p21 = solve_A6_direct(prob, jet.f, pr)
         assert (fj.p11, fj.p21) == (p11, p21)
-        grad = [HYPERQUADRIC.differentiate(v).evaluate(jet.f) for v in V6]
+        grad = [differentiate(HYPERQUADRIC, v).evaluate(jet.f) for v in V6]
         assert sum(g * p for g, p in zip(grad, fj.p1)) == 0
         assert sum(g * p for g, p in zip(grad, fj.p2)) == 0
 
@@ -273,30 +269,6 @@ def test_builders_scan_pairs_in_order():
     assert gb.sigma == (3, 4, 1, 2, 5, 6)
 
 
-def _first_pair_not_identically_singular(prob):
-    """The first pair, in index order, at which D does not vanish
-    identically, decided on polynomials (witnesses around the origin)."""
-    origin = (0,) * prob.two_n
-    for pair in combinations(range(1, prob.two_n + 1), 2):
-        if not _identically_singular(prob.with_pair(pair), origin):
-            return pair
-    raise IdenticallySingularD("D vanishes identically for every distinguished pair")
-
-
-def _identical_scan_both_ways(prob):
-    """The polynomial decision per pair and the symbolic per-pair build
-    oracle: same pair, or the same IdenticallySingularD message."""
-    try:
-        want = choose_pair_by_builds(prob)
-    except IdenticallySingularD as exc:
-        with pytest.raises(IdenticallySingularD) as got:
-            _first_pair_not_identically_singular(prob)
-        assert str(got.value) == str(exc)
-        return None
-    assert _first_pair_not_identically_singular(prob) == want
-    return want
-
-
 # the problem each builder charts ``prob`` at, at ``pt``: pointwise, and
 # in first-jet mode along a jet there
 CHARTED_BY = (
@@ -319,6 +291,25 @@ def _scan_every_way(prob, pt):
             assert str(got.value) == str(exc)
         return None
     assert [charted(prob, pt).pair for charted in CHARTED_BY] == [want] * len(CHARTED_BY)
+    return want
+
+
+def _identical_scan_both_ways(prob, pt):
+    """The symbolic per-pair builds' scan of ``prob`` (the first pair where
+    D does not vanish identically) against the builders' scan at ``pt``:
+    no point charts at an earlier pair, where D = 0 identically, and a
+    point where that pair's D is nonzero charts at it."""
+    got = _scan_every_way(prob, pt)
+    try:
+        want = choose_pair_by_builds(prob.with_pair(None))
+    except SingularD:
+        assert got is None
+        return None
+    assert got is None or got >= want
+    charted = prob.with_pair(want)
+    if symbolic_gamma_beta(charted).D.evaluate(tuple(Fraction(pt[i])
+                                                     for i in charted.internal_order())):
+        assert got == want
     return want
 
 
@@ -381,7 +372,8 @@ def test_symbolic_pair_scan_equals_per_pair_builds(make):
                                            for i in range(4)])
         rho = extend_to(random_polynomial(rng, vs[2:], 3, 6), vs) + parse_expression("f3", vs)
         prob = HypersurfaceProblem(rho, A, (1, 2))
-        assert _identical_scan_both_ways(prob) != (1, 2)
+        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in vs)
+        assert _identical_scan_both_ways(prob, pt) != (1, 2)
 
 
 def _rho_grad_alpha_squared(grad, alpha, zero):
@@ -465,14 +457,6 @@ def structure_documents(draw):
                                  for _ in vs] for k in range(2)}}
 
 
-def _symbolically_singular(problem):
-    try:
-        symbolic_gamma_beta(problem)
-    except IdenticallySingularD:
-        return True
-    return False
-
-
 @given(structure_documents())
 @example(load_problem("flat"))
 @example(json.loads((DOCS / "n3_matrix.json").read_text()))
@@ -481,15 +465,10 @@ def _symbolically_singular(problem):
 def test_structure_format_agrees_with_the_rational_function_oracle(doc):
     prob = build_problem(doc).problem
     two_n = prob.two_n
-    # D = 0 identically, decided on q D, at the pairs (1, 2) and (1, 3)
-    first = tuple(map(Fraction, next(iter(doc["points"].values()))))
-    for pair in ((1, 2), (1, 3)):
-        candidate = prob.with_pair(pair)
-        assert _identically_singular(candidate, first) == _symbolically_singular(candidate)
-    _identical_scan_both_ways(prob)
+    _identical_scan_both_ways(prob, tuple(map(Fraction, next(iter(doc["points"].values())))))
     # each input at a point, entry by entry: values, then first jets
     entries = structure_entries(prob.structure)
-    rho_grad = [prob.rho.differentiate(v) for v in prob.rho.vars]
+    rho_grad = [differentiate(prob.rho, v) for v in prob.rho.vars]
     jet_view = lambda x: (_value(x), tuple(_tangent(x, i) for i in range(two_n)))
     for point in doc["points"].values():
         pt = tuple(map(Fraction, point))
@@ -503,28 +482,22 @@ def test_structure_format_agrees_with_the_rational_function_oracle(doc):
             [[(j.value, j.grad) for j in (e.first_jet(pt) for e in row)] for row in entries]
 
 
-@given(structure_documents())
-@example(load_problem("flat"))
-@example({"dimension_2n": 4, "rho": "f4 + f3^2 - f3*f4",
-          "points": {"P0": ["1", "2", "0", "0"], "P1": ["0", "0", "0", "0"]}})
-@example({"dimension_2n": 4, "rho": "f4 + f1^2 - f2*f3",
-          "structure": {"kind": "matrix", "entries": [
-              ["0", "0", "f2", "1"], ["0", "0", "1", "0"],
-              ["0", "0", "0", "-1"], ["0", "0", "1", "f1"]]},
-          "points": {"P0": ["1", "1", "0", "0"]}})
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-def test_the_witness_decision_matches_the_full_product(doc):
-    # q D read at the point plus each e_k, then at each e_k, decides D != 0
-    # as the full product does.  Where D = 0 identically, rho free of f1
-    # and f2 (flat) decides at once for the pair (1, 2), and a structure
-    # whose first two columns are zero makes every witness give 0 first
-    prob = build_problem(doc).problem
-    for point in doc["points"].values():
-        pt = tuple(map(Fraction, point))
-        for pair in combinations(range(1, prob.two_n + 1), 2):
-            candidate = prob.with_pair(pair)
-            assert (_identically_singular(candidate, pt)
-                    == identically_singular_by_products(candidate))
+def _forbid_products_after_loading(monkeypatch):
+    """Make every Polynomial product raise once the CLI has built its
+    problem: the analysis reads the point and forms no polynomial."""
+    from diskeds import cli
+
+    def forbidden(*args):
+        raise AssertionError("a polynomial product after loading")
+
+    def build_then_forbid(*args, **kwargs):
+        lp = build_problem(*args, **kwargs)
+        monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+        monkeypatch.setattr(Polynomial, "__rmul__", forbidden)
+        return lp
+
+    monkeypatch.setattr(cli, "build_problem", build_then_forbid)
+    return cli
 
 
 # D = 0 at the origin only: rho_1 = rho_2 = 0 there, and the full products
@@ -538,18 +511,37 @@ SINGULAR_AT_THE_ORIGIN = {
 @pytest.mark.parametrize("command", ["torsion", "integral-element", "involutivity"])
 def test_a_witness_decides_a_D_that_vanishes_at_the_point_only(command, tmp_path,
                                                               capsys, monkeypatch):
-    # the witness origin + e_1 gives q D != 0, so no polynomial is
-    # differentiated or multiplied and the exit is SingularD
-    from diskeds import cli
+    # D's value at the point decides, so no polynomial is multiplied and
+    # the exit is SingularD
+    cli = _forbid_products_after_loading(monkeypatch)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(SINGULAR_AT_THE_ORIGIN))
-    differentiated = []
-    monkeypatch.setattr(Polynomial, "differentiate",
-                        lambda p, v: differentiated.append(v))
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == (
         "SingularD: D = 0 at this point; try another distinguished pair\n")
-    assert differentiated == []
+
+
+# D = 0 identically at the pair (1, 2): N_11 = N_22 = (1+f1+f2+f4)^20 and the
+# standard block on f3, f4 give q D = 0.  Telling that apart from D = 0 at
+# the point took the products rho_a M_b and rho_b M_a, about 100 s
+IDENTICALLY_SINGULAR = {
+    "dimension_2n": 4, "rho": "f3 - (f1+f2+f4)^60", "distinguished_pair": [1, 2],
+    "structure": {"kind": "matrix", "entries": [
+        ["(1+f1+f2+f4)^20", "0", "0", "0"], ["0", "(1+f1+f2+f4)^20", "0", "0"],
+        ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    "points": {"O": ["0", "0", "0", "0"]},
+    "jets": {"J": {"point": "O", "p_reduced": ["1", "0"]}}}
+
+
+@pytest.mark.parametrize("command", ["torsion", "integral-element"])
+def test_a_D_that_vanishes_identically_exits_2_without_a_product(command, tmp_path,
+                                                                capsys, monkeypatch):
+    cli = _forbid_products_after_loading(monkeypatch)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(IDENTICALLY_SINGULAR))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "SingularD: D = 0 at this point; try another distinguished pair\n")
 
 
 @st.composite

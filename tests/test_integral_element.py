@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.errors import (CrossCheckMismatch, IdenticallySingularD, InadmissibleFlag,
-                            SingularD)
+from diskeds.errors import CrossCheckMismatch, InadmissibleFlag, SingularD
 from diskeds.expr import parse_expression
 from diskeds.geometry import (HypersurfaceProblem, complex_standard, compute_gamma_beta,
                               full_jet)
@@ -143,7 +142,7 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
                 if not torsion_absorbable(structure_equation_coefficients(
                         prob, jet)).absorbable:
                     continue
-            except (SingularD, IdenticallySingularD):
+            except SingularD:
                 break
             searches += 1
             result = ordinary_element_search(prob, jet, trials=20, seed=0)

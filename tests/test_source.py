@@ -204,7 +204,8 @@ LAYERS = SRC.parent.parent / "perfbench" / "layers.py"
 # dropped at the next benchmark change (ROADMAP item 1)
 STALE_SPECIAL = {("involutivity", "prolongation_dims"), ("involutivity", "involutivity_order"),
                  ("linalg", "nullity"), ("linalg", "nullspace"), ("linalg", "det"),
-                 ("linalg", "in_row_span"), ("geometry", "choose_pair")}
+                 ("linalg", "in_row_span"), ("geometry", "choose_pair"),
+                 ("expr", "Polynomial.differentiate")}
 
 
 def _defined_names(path):
