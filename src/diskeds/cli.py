@@ -159,32 +159,26 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
         if flag is None:
             raise SchemaViolation(f"unknown flag {opts.flag!r}")
         verdict = kahler_regularity(problem, jet, flag)
-        return {
-            "jet": jname,
-            "flag": opts.flag,
-            "determinant": verdict.determinant,
-            "verdict": verdict.verdict,
-            "dim_ker_gf": verdict.dim_ker_gf,
-            "eps_samples": verdict.eps_samples,
-        }
-    result = ordinary_element_search(problem, jet, trials=opts.trials,
-                                     seed=opts.seed)
-    out = {"jet": jname, "attempted": result.attempted,
-           "found": result.flag is not None}
-    if result.flag is not None:
+        out = {"jet": jname, "flag": opts.flag, "dim_ker_gf": verdict.dim_ker_gf}
+    else:
+        result = ordinary_element_search(problem, jet, trials=opts.trials,
+                                         seed=opts.seed)
+        out = {"jet": jname, "attempted": result.attempted,
+               "found": result.flag is not None}
+        if result.flag is None:
+            return out
+        verdict = result.verdict
         trivial = all(x == 0 for x in jet.p_reduced)
         out.update({
             "candidate_index": result.candidate_index,
-            "determinant": result.verdict.determinant,
-            "verdict": result.verdict.verdict,
             "flag_c1": result.flag.c1,
             "flag_c2": result.flag.c2,
-            "eps_samples": result.verdict.eps_samples,
             "conclusion": ("ordinary integral element: a disk germ exists "
                            "through this jet"
                            + (" (zero velocity: the constant disk realizes it)"
                               if trivial else "")),
         })
+    out.update({k: getattr(verdict, k) for k in ("determinant", "verdict", "eps_samples")})
     return out
 
 

@@ -180,14 +180,12 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
         return FirstJetPoint(f, p_reduced)
 
 
-class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
-                               "rho_grad mu D gamma1 gamma2")):
+class GammaBetaData(namedtuple("GammaBetaData", "problem alpha rho_grad mu D gamma1 gamma2")):
     """Reduced first-jet data; entries are Fractions in pointwise mode and
     FirstJets in first-jet mode (a Fraction where the tangent is zero).
 
-    ``sigma`` maps internal 1-based to original 1-based indices; ``alpha``
-    holds the structure entries in internal order; ``rho_grad`` and ``mu``
-    have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
+    ``alpha`` holds the structure entries in the internal order of
+    ``problem``'s chart; ``rho_grad`` and ``mu`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
     j = 3..2n); ``beta_full``, 2n rows and 2n-2 columns, is formed on first read.
     """
 
@@ -225,10 +223,15 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem sigma alpha "
                 raise CrossCheckMismatch("mu re-substitution failed")
 
 
+def _pair_D(grad, mu, a, b, zero):
+    """D = rho_a mu_b - rho_b mu_a at the 0-based pair (a, b), over any scalar."""
+    return dot((grad[a], grad[b]), (mu[b], -mu[a]), zero)
+
+
 def _mu_and_D(grad, alpha, zero):
     """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
     mu = row_times_matrix(grad, alpha, zero)
-    return mu, grad[0] * mu[1] - grad[1] * mu[0]
+    return mu, _pair_D(grad, mu, 0, 1, zero)
 
 
 def _gammas(grad, mu, D, zero):
@@ -320,7 +323,7 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
         values = tuple(map(_value, grad))
         mu = row_times_matrix(values, tuple(tuple(map(_value, row)) for row in alpha), zero)
         for a, b in combinations(range(len(grad)), 2):
-            if not _pair_D_vanishes(values, mu, a, b, zero):
+            if _pair_D(values, mu, a, b, zero) != 0:
                 problem = problem.with_pair((a + 1, b + 1))
                 break
         else:
@@ -333,13 +336,6 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
                      scalar(zero))
 
 
-def _pair_D_vanishes(grad, mu, a, b, zero):
-    """Whether D = rho_a mu_b - rho_b mu_a at the pair (a, b), 0-based user
-    indices, is 0."""
-    product = lambda x, y: x * y if x and y else zero
-    return product(grad[a], mu[b]) == product(grad[b], mu[a])
-
-
 def _gamma_beta(problem: HypersurfaceProblem, inputs) -> GammaBetaData:
     """The one gamma/beta builder behind both modes, over a problem and
     its inputs from :func:`_chart_order`."""
@@ -347,7 +343,7 @@ def _gamma_beta(problem: HypersurfaceProblem, inputs) -> GammaBetaData:
     mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
         raise SingularD("D = 0 at this point; try another distinguished pair")
-    return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
+    return GammaBetaData(problem, alpha, grad, mu, D,
                          *_gammas(grad, mu, D, zero))
 
 

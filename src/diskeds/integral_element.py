@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 import random
 
 from .errors import CrossCheckMismatch, InadmissibleFlag
@@ -243,17 +244,16 @@ def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     return flag if dot(row, (0, 1, *c2), Fraction(0)) == 0 else None
 
 
-def _candidate_c1(two_n, trials, seed):
+def _candidate_c1(two_n, seed):
+    """Zero, the unit vectors, then seeded rationals without end."""
     m = two_n - 2
     yield (Fraction(0),) * m
     for k in range(m):
         yield tuple(Fraction(1) if i == k else Fraction(0) for i in range(m))
     rng = random.Random(seed)
-    produced = m + 1
-    while produced < trials:
+    while True:
         yield tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                     for _ in range(m))
-        produced += 1
 
 
 def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
@@ -268,16 +268,12 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
     dtheta = _dtheta_row_data(problem, jet)
     if not dtheta.torsion.absorbable:
         return SearchResult(None, None, -1, trials)
-    attempted = 0
-    for index, c1 in enumerate(_candidate_c1(problem.two_n, trials, seed)):
-        if attempted >= trials:
-            break
-        attempted += 1
+    for index, c1 in enumerate(islice(_candidate_c1(problem.two_n, seed), trials)):
         flag = integral_flag_from_c1(dtheta, c1)
         if flag is None:
             continue
         # a candidate flag has A_1 = 1, so it is admissible
         verdict = kahler_regularity(problem, jet, flag, dtheta)
         if verdict.regular:
-            return SearchResult(flag, verdict, index, attempted)
-    return SearchResult(None, None, -1, attempted)
+            return SearchResult(flag, verdict, index, index + 1)
+    return SearchResult(None, None, -1, trials)

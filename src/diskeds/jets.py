@@ -415,9 +415,9 @@ def torsion_at_probe(lin: Linearization, prolongations=None):
                 ext = list(zero.probe)
                 n = prolonged.n
                 cut = len(ext) - 2 * n
-                for j, val in enumerate(solution):
-                    ext[cut + j] = val = normalize_scalar(val)
-                    ext[cut + (j + n if j < n else j - n)] = scalar_conj(val)
+                # each barred top jet, and its conjugate as the unbarred one
+                for k, val in enumerate(map(normalize_scalar, solution[n:])):
+                    ext[cut + n + k], ext[cut + k] = val, scalar_conj(val)
                 candidate = linearize(prolonged, tuple(ext),
                                       [None if row[3] else row for row in zero.rows])
                 if candidate.satisfied(strict=False):

@@ -86,14 +86,11 @@ def solve_particular(matrix, rhs):
     pivots, _ = _echelon(rows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
+    zero = Fraction(0)
+    x = [zero] * ncols
     for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = rows[r][ncols]
-        for c in range(pc + 1, ncols):
-            if x[c] != 0 and rows[r][c] != 0:
-                s = s - rows[r][c] * x[c]
-        x[pc] = s / rows[r][pc]
+        pc, row = pivots[r], rows[r]
+        x[pc] = (row[ncols] - dot(row[pc + 1:ncols], x[pc + 1:], zero)) / row[pc]
     return x
 
 

@@ -66,18 +66,6 @@ from .linalg import _echelon, dot, dot_plus, solve_particular
 StructureEquationData = namedtuple("StructureEquationData", "c_values point_data")
 
 
-def _symmetrize(raw):
-    """(raw + raw^T) / 2; an entry whose two halves are zero stays as it is."""
-    half = Fraction(1, 2)
-
-    def entry(x, y):
-        s = x + y if x and y else x or y
-        return s * half if s else s
-
-    return tuple(tuple(entry(x, y) for x, y in zip(row, column))
-                 for row, column in zip(raw, zip(*raw)))
-
-
 def _coefficient_tables(problem: HypersurfaceProblem,
                         jet: FirstJetPoint) -> StructureEquationData:
     """The torsion coefficients c^k at ``jet``, read as in the module
@@ -201,26 +189,34 @@ def complex_B_coefficients(problem: HypersurfaceProblem, f_point) -> ComplexTors
 
 
 def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
-    """Assemble the two torsion quadratic forms as symmetric matrices over
-    the reduced jet variables p^3..p^{2n} (slot a <-> p^{a+3})."""
+    """The two torsion quadratic forms as symmetric matrices over the
+    reduced jet variables p^3..p^{2n} (slot a <-> p^{a+3}).  Block (j, k),
+    rows p^{2j-1}, p^{2j} and columns p^{2k-1}, p^{2k}, is
+
+      c1 = 1/2 [[U, -L], [L, U]],     U = B^{j,k} + B^{k,j},  L = B_{j,k} - B_{k,j},
+      c2 = 1/2 [[-S, -V], [V, -S]],   S = B_{j,k} + B_{k,j},  V = B^{j,k} - B^{k,j}."""
+    half = Fraction(1, 2)
+
+    def halved(x, y):
+        """(x + y) / 2, skipping a zero term: no operation where both are zero."""
+        s = x + y if x and y else x or y
+        return s * half if s else s
+
+    negated = lambda x: -x if x else x
     m = 2 * n - 2
-    raw1 = [[None] * m for _ in range(m)]
-    raw2 = [[None] * m for _ in range(m)]
-    # each (j, k) fills its own 2x2 block of both matrices
+    c1 = [[None] * m for _ in range(m)]
+    c2 = [[None] * m for _ in range(m)]
     for j in range(2, n + 1):
         a, b = 2 * j - 4, 2 * j - 3     # p^{2j-1}, p^{2j}
         for k in range(2, n + 1):
             c, d = 2 * k - 4, 2 * k - 3
-            up = B_upper[(j, k)]
-            low = B_lower[(j, k)]
-            minus_up = -up if up else up
-            minus_low = -low if low else low
-            # c1: [p^{2j-1}p^{2k-1} + p^{2j}p^{2k}] B^{j,k}
-            #     + [p^{2j}p^{2k-1} - p^{2j-1}p^{2k}] B_{j,k}
-            raw1[a][c], raw1[b][d], raw1[b][c], raw1[a][d] = up, up, low, minus_low
-            # c2: -[..] B_{j,k} + [..] B^{j,k}
-            raw2[a][c], raw2[b][d], raw2[b][c], raw2[a][d] = minus_low, minus_low, up, minus_up
-    return _symmetrize(raw1), _symmetrize(raw2)
+            low, low_t = B_lower[(j, k)], B_lower[(k, j)]
+            up, up_t = B_upper[(j, k)], B_upper[(k, j)]
+            U, V = halved(up, up_t), halved(up, negated(up_t))
+            L, minus_S = halved(low, negated(low_t)), negated(halved(low, low_t))
+            c1[a][c], c1[a][d], c1[b][c], c1[b][d] = U, negated(L), L, U
+            c2[a][c], c2[a][d], c2[b][c], c2[b][d] = minus_S, negated(V), V, minus_S
+    return tuple(map(tuple, c1)), tuple(map(tuple, c2))
 
 
 def form_definiteness(matrix) -> str:

@@ -263,7 +263,7 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     mu, D = _mu_and_D(grad, alpha, zero)
     if D.is_zero():
         raise SingularD("D vanishes identically for this distinguished pair")
-    return GammaBetaData(problem, problem.sigma(), alpha, grad, mu, D,
+    return GammaBetaData(problem, alpha, grad, mu, D,
                          *_gammas(grad, mu, D, zero))
 
 

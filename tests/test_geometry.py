@@ -266,7 +266,7 @@ def test_builders_scan_pairs_in_order():
     assert _scan_every_way(prob, pt) == (3, 4)
     gb = compute_gamma_beta(prob.with_pair(None), pt)
     gb.self_check()
-    assert gb.sigma == (3, 4, 1, 2, 5, 6)
+    assert gb.problem.sigma() == (3, 4, 1, 2, 5, 6)
 
 
 # the problem each builder charts ``prob`` at, at ``pt``: pointwise, and
