@@ -48,6 +48,8 @@ def load_problem(source) -> dict:
             f"({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"invalid JSON in {source}: {exc}")
+    except RecursionError:   # the decoder recurses once per nesting level
+        raise SchemaViolation(f"invalid JSON in {source}: nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise SchemaViolation(f"{source} is not UTF-8: {exc}") from None
     except ValueError:   # int() refuses an integer literal past its digit limit

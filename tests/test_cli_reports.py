@@ -1440,6 +1440,50 @@ def test_json_integer_past_the_digit_limit_is_schema_violation(fmt, tmp_path, ca
     assert err.startswith("SchemaViolation: invalid JSON") and "too many digits" in err
 
 
+def _nested_doc(depth):
+    """A valid problem whose unread "extra" field nests ``depth`` lists deep."""
+    return ('{"dimension_2n": 4, "rho": "f1 - f2^2", "points": {"P": ["0","0","0","0"]}, '
+            '"extra": ' + "[" * depth + "1" + "]" * depth + "}")
+
+
+def test_deeply_nested_json_is_schema_violation(tmp_path, capsys):
+    # the decoder's RecursionError is an input problem, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["involutivity", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"SchemaViolation: invalid JSON in {path}: nested too deeply\n"
+
+
+def test_nesting_across_the_decoder_limit_exits_0_or_2(tmp_path, capsys):
+    # every depth either loads, and then its digest (which re-encodes the
+    # document, one recursion per level as the decoder) is formed too, or
+    # is refused as nested too deeply
+    path = tmp_path / "deep.json"
+    refused = 0
+    for depth in range(900, 1001, 5):
+        path.write_text(_nested_doc(depth))
+        try:
+            doc = load_problem(str(path))
+        except SchemaViolation as exc:
+            assert str(exc).endswith("nested too deeply")
+            refused += 1
+        else:
+            assert len(reports.problem_digest(doc)) == 64
+        assert cli.main(["involutivity", str(path)]) in (0, 2)
+    capsys.readouterr()
+    assert refused > 0
+
+
+def test_deeply_nested_problem_exits_2_in_a_fresh_process(tmp_path):
+    # a 2 KB document 1,000 lists deep, past the decoder's limit in a new interpreter
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_doc(1000))
+    rc, out, err = run_cli("involutivity", str(path))
+    assert (rc, out) == (2, b"")
+    assert err.decode() == f"SchemaViolation: invalid JSON in {path}: nested too deeply\n"
+
+
 def test_file_that_is_not_utf8_is_schema_violation(tmp_path, capsys):
     # a decoding error is a ValueError too, but not a long integer
     path = tmp_path / "latin1.json"
