@@ -449,6 +449,37 @@ def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
     return column
 
 
+def quadratics_by_symmetrizing(n: int, B_lower: dict, B_upper: dict):
+    """torsion.quadratics_from_B in two passes: each (j, k) fills its own
+    2x2 block of two raw matrices, which are then symmetrized entry by
+    entry as (raw + raw^T) / 2."""
+    m = 2 * n - 2
+    raw1 = [[None] * m for _ in range(m)]
+    raw2 = [[None] * m for _ in range(m)]
+    for j in range(2, n + 1):
+        a, b = 2 * j - 4, 2 * j - 3     # p^{2j-1}, p^{2j}
+        for k in range(2, n + 1):
+            c, d = 2 * k - 4, 2 * k - 3
+            up = B_upper[(j, k)]
+            low = B_lower[(j, k)]
+            minus_up = -up if up else up
+            minus_low = -low if low else low
+            # c1: [p^{2j-1}p^{2k-1} + p^{2j}p^{2k}] B^{j,k}
+            #     + [p^{2j}p^{2k-1} - p^{2j-1}p^{2k}] B_{j,k}
+            raw1[a][c], raw1[b][d], raw1[b][c], raw1[a][d] = up, up, low, minus_low
+            # c2: -[..] B_{j,k} + [..] B^{j,k}
+            raw2[a][c], raw2[b][d], raw2[b][c], raw2[a][d] = minus_low, minus_low, up, minus_up
+    half = Fraction(1, 2)
+
+    def entry(x, y):
+        s = x + y if x and y else x or y
+        return s * half if s else s
+
+    return tuple(tuple(tuple(entry(x, y) for x, y in zip(row, column))
+                       for row, column in zip(raw, zip(*raw)))
+                 for raw in (raw1, raw2))
+
+
 def definiteness_by_minors(matrix) -> str:
     """form_definiteness with one determinant per leading principal minor."""
     m = len(matrix)

@@ -42,6 +42,7 @@ from oracles import (
     on_surface_point,
     permute_polynomial,
     pseudo_ellipsoid_rho,
+    quadratics_by_symmetrizing,
     random_constant_structure,
     random_polynomial,
     random_polynomial_structure,
@@ -577,6 +578,36 @@ def test_points_only_conclusion_for_definite_forms():
         pr = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
         if any(pr):
             assert evaluate_form(data.c2, pr) != 0
+
+
+def _same_forms(forms, reference):
+    """Equal entries of equal types in both forms."""
+    types = lambda fs: [[[type(x) for x in row] for row in f] for f in fs]
+    return forms == reference and types(forms) == types(reference)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_pass_forms_match_the_symmetrized_assembly(n):
+    # B tables with many exact zeros, so that every entry meets each of
+    # its halves zero, nonzero and cancelling
+    rng = random.Random(90 + n)
+    pool = [Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(3, 2)]
+    keys = [(j, k) for j in range(2, n + 1) for k in range(2, n + 1)]
+    for _ in range(25):
+        B_lower = {key: rng.choice(pool) for key in keys}
+        B_upper = {key: rng.choice(pool) for key in keys}
+        assert _same_forms(quadratics_from_B(n, B_lower, B_upper),
+                           quadratics_by_symmetrizing(n, B_lower, B_upper))
+
+
+@pytest.mark.parametrize("alphas, ks", [((1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)),
+                                        ((1, 2, -1, 3, 1, -2), (1, 2, 1, 1, 2, 1))])
+def test_one_pass_forms_match_the_symmetrized_assembly_symbolically(alphas, ks):
+    # the same assembly over the oracles' rational functions
+    data = symbolic_complex_B(pseudo_ellipsoid_rho(alphas, ks))
+    reference = quadratics_by_symmetrizing(3, data.B_lower, data.B_upper)
+    assert _same_forms((data.c1, data.c2), reference)
+    assert {type(x) for form in reference for row in form for x in row} == {RationalFunction}
 
 
 def test_complex_torsion_quadratics_entry_point():
