@@ -285,9 +285,8 @@ def run_command(command: str, problem_source: str, opts) -> Report:
     lp = build_problem(doc, name=problem_source)
     results = run(lp, opts)
     return Report(command, problem_source, lp.digest,
-                  {k: getattr(opts, k) for k in
-                   ("point", "jet", "order", "stratum", "probe", "rounds",
-                    "seed", "trials") if getattr(opts, k, None) is not None},
+                  {k: getattr(opts, k) for k in _OPTIONAL + ("seed", "trials")
+                   if getattr(opts, k, None) is not None},
                   results, lp.structure_warnings)
 
 
