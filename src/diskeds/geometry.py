@@ -184,9 +184,9 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem alpha rho_grad mu D gam
     """Reduced first-jet data; entries are Fractions in pointwise mode and
     FirstJets in first-jet mode (a Fraction where the tangent is zero).
 
-    ``alpha`` holds the structure entries in the internal order of
-    ``problem``'s chart; ``rho_grad`` and ``mu`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2 (internal
-    j = 3..2n); ``beta_full``, 2n rows and 2n-2 columns, is formed on first read.
+    ``alpha`` holds the structure entries in internal order; ``rho_grad``
+    and ``mu`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2
+    (internal j = 3..2n); ``beta_full``, 2n rows and 2n-2 columns, is formed on first read.
     """
 
     @property

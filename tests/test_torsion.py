@@ -607,7 +607,8 @@ def test_one_pass_forms_match_the_symmetrized_assembly_symbolically(alphas, ks):
     data = symbolic_complex_B(pseudo_ellipsoid_rho(alphas, ks))
     reference = quadratics_by_symmetrizing(3, data.B_lower, data.B_upper)
     assert _same_forms((data.c1, data.c2), reference)
-    assert {type(x) for form in reference for row in form for x in row} == {RationalFunction}
+    types = {type(x) for form in reference for row in form for x in row}
+    assert types == {RationalFunction}
 
 
 def test_complex_torsion_quadratics_entry_point():
