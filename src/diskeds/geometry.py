@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import CrossCheckMismatch, DimensionMismatch, SingularD, ZeroB
-from .exact import FirstJet, rational_str
+from .exact import FirstJet, _negated, rational_str
 from .expr import Polynomial
 from .linalg import dot, dot_plus, row_times_matrix
 
@@ -223,28 +223,27 @@ class GammaBetaData(namedtuple("GammaBetaData", "problem alpha rho_grad mu D gam
                 raise CrossCheckMismatch("mu re-substitution failed")
 
 
-def _pair_D(grad, mu, a, b, zero):
-    """D = rho_a mu_b - rho_b mu_a at the 0-based pair (a, b), over any scalar."""
-    return dot((grad[a], grad[b]), (mu[b], -mu[a]), zero)
+def _pair_D(grad, mu, minus_mu, a, b, zero):
+    """D = rho_a mu_b - rho_b mu_a at the 0-based pair (a, b), over any
+    scalar; ``minus_mu`` is mu negated once for every pair read."""
+    return dot((grad[a], grad[b]), (mu[b], minus_mu[a]), zero)
 
 
 def _mu_and_D(grad, alpha, zero):
-    """mu_i = sum_j rho_j alpha_{j,i} and D = rho_1 mu_2 - rho_2 mu_1."""
+    """mu_i = sum_j rho_j alpha_{j,i}, mu negated, and D = rho_1 mu_2 - rho_2 mu_1."""
     mu = row_times_matrix(grad, alpha, zero)
-    return mu, _pair_D(grad, mu, 0, 1, zero)
+    minus_mu = _negated(mu)
+    return mu, minus_mu, _pair_D(grad, mu, minus_mu, 0, 1, zero)
 
 
-def _gammas(grad, mu, D, zero):
-    """gamma^1 and gamma^2, j = 3..2n."""
-    two_n = len(grad)
+def _gammas(grad, mu, minus_mu, D, zero):
+    """gamma^1 and gamma^2, j = 3..2n, over -D: their numerators are D at
+    the pairs (j, 2) and (1, j)."""
     minus_D = -D
-    minus_mu = tuple(-x if x else x for x in mu)
     over = lambda num: num / minus_D if num else num
-    gamma1 = tuple(over(dot((grad[j], grad[1]), (mu[1], minus_mu[j]), zero))
-                   for j in range(2, two_n))
-    gamma2 = tuple(over(dot((grad[0], grad[j]), (mu[j], minus_mu[0]), zero))
-                   for j in range(2, two_n))
-    return gamma1, gamma2
+    js = range(2, len(grad))
+    return (tuple(over(_pair_D(grad, mu, minus_mu, j, 1, zero)) for j in js),
+            tuple(over(_pair_D(grad, mu, minus_mu, 0, j, zero)) for j in js))
 
 
 def _settled(jet: FirstJet):
@@ -322,8 +321,9 @@ def _chart_order(problem: HypersurfaceProblem, inputs, scalar=None):
     if problem.pair is None:
         values = tuple(map(_value, grad))
         mu = row_times_matrix(values, tuple(tuple(map(_value, row)) for row in alpha), zero)
+        minus_mu = _negated(mu)
         for a, b in combinations(range(len(grad)), 2):
-            if _pair_D(values, mu, a, b, zero) != 0:
+            if _pair_D(values, mu, minus_mu, a, b, zero) != 0:
                 problem = problem.with_pair((a + 1, b + 1))
                 break
         else:
@@ -340,11 +340,11 @@ def _gamma_beta(problem: HypersurfaceProblem, inputs) -> GammaBetaData:
     """The one gamma/beta builder behind both modes, over a problem and
     its inputs from :func:`_chart_order`."""
     grad, alpha, zero = inputs
-    mu, D = _mu_and_D(grad, alpha, zero)
+    mu, minus_mu, D = _mu_and_D(grad, alpha, zero)
     if _value(D) == 0:
         raise SingularD("D = 0 at this point; try another distinguished pair")
     return GammaBetaData(problem, alpha, grad, mu, D,
-                         *_gammas(grad, mu, D, zero))
+                         *_gammas(grad, mu, minus_mu, D, zero))
 
 
 def compute_gamma_beta(problem: HypersurfaceProblem, point) -> GammaBetaData:

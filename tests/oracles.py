@@ -260,11 +260,11 @@ def symbolic_gamma_beta(problem: HypersurfaceProblem) -> GammaBetaData:
     alpha = tuple(tuple(RationalFunction(permute_polynomial(N[j][i], order), q)
                         for i in order) for j in order)
     zero = RationalFunction.from_const(rho.vars, 0)
-    mu, D = _mu_and_D(grad, alpha, zero)
+    mu, minus_mu, D = _mu_and_D(grad, alpha, zero)
     if D.is_zero():
         raise SingularD("D vanishes identically for this distinguished pair")
     return GammaBetaData(problem, alpha, grad, mu, D,
-                         *_gammas(grad, mu, D, zero))
+                         *_gammas(grad, mu, minus_mu, D, zero))
 
 
 def squares_to_minus_identity_by_products(A_entries) -> bool:
