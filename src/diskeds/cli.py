@@ -65,17 +65,12 @@ def _chart(problem) -> dict:
 
 
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
-    if opts.order is not None and opts.order < 0:
-        raise SchemaViolation(f"--order must be nonnegative, got {opts.order}")
-    if opts.order is not None and opts.order > lp.two_n - 2:
-        raise SchemaViolation(f"--order must be at most 2n-2 = {lp.two_n - 2}, where "
-                              f"dim A^(q) is constant, got {opts.order}")
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     gb = compute_gamma_beta(_problem(lp), point)
     gb.self_check()
     dv = compute_D_vectors(gb)
-    report = tableau_report(gb, dv, Q=opts.order)
+    report = tableau_report(gb, dv)
     return {
         "point": pname,
         **_chart(gb.problem),
@@ -143,14 +138,7 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
     }
 
 
-# the most flag candidates --trials may ask for, 40 times the default; at
-# n = 2, where none certifies, each costs about 0.1 ms
-MAX_TRIALS = 1000
-
-
 def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
-    if opts.trials > MAX_TRIALS:
-        raise SchemaViolation(f"--trials must be at most {MAX_TRIALS}, got {opts.trials}")
     jname = _pick(lp.jets, opts.jet, "jet", "jets")
     jet = lp.jets[jname]
     problem = _problem(lp)
@@ -161,8 +149,8 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
         verdict = kahler_regularity(problem, jet, flag)
         out = {"jet": jname, "flag": opts.flag, "dim_ker_gf": verdict.dim_ker_gf}
     else:
-        result = ordinary_element_search(problem, jet, trials=opts.trials,
-                                         seed=opts.seed)
+        trials = {} if opts.trials is None else {"trials": opts.trials}
+        result = ordinary_element_search(problem, jet, **trials)
         out = {"jet": jname, "attempted": result.attempted,
                "found": result.flag is not None}
         if result.flag is None:
@@ -260,34 +248,43 @@ def cmd_all(lp: LoadedProblem, opts) -> dict:
     return out
 
 
-# command -> (function, the options without a default that it reads)
+# command -> (function, the options it reads); every other option but
+# --format exits 2, so the report echoes only options that shaped it
 _DISPATCH = {
-    "involutivity": (cmd_involutivity, ("point", "order")),
+    "involutivity": (cmd_involutivity, ("point",)),
     "torsion": (cmd_torsion, ("jet",)),
     "complex-forms": (cmd_complex_forms, ("point",)),
     "dim6": (cmd_dim6, ("point",)),
     "pseudo-ellipsoid": (cmd_pseudo_ellipsoid, ("point",)),
-    "integral-element": (cmd_integral_element, ("jet", "flag")),
+    "integral-element": (cmd_integral_element, ("jet", "flag", "trials")),
     "jets": (cmd_jets, ("stratum", "probe", "rounds")),
     # every stratum and every probe, so neither --stratum nor --probe
-    "all": (cmd_all, ("point", "jet", "order", "rounds")),
+    "all": (cmd_all, ("point", "jet", "rounds")),
 }
 COMMANDS = tuple(_DISPATCH)
-_OPTIONAL = ("point", "jet", "order", "stratum", "probe", "rounds", "flag")
+_OPTIONAL = ("point", "jet", "stratum", "probe", "rounds", "flag", "trials")
+
+# the most flag candidates --trials may ask for, 40 times the default of
+# ordinary_element_search; at n = 2, where none certifies, each costs about 0.1 ms
+MAX_TRIALS = 1000
 
 
 def run_command(command: str, problem_source: str, opts) -> Report:
     run, reads = _DISPATCH[command]
-    for name in _OPTIONAL:
-        if getattr(opts, name, None) is not None and name not in reads:
+    options = {k: getattr(opts, k) for k in _OPTIONAL if getattr(opts, k) is not None}
+    for name in options:
+        if name not in reads:
             raise SchemaViolation(f"--{name} is not read by {command}")
+    for name in ("rounds", "trials"):
+        if options.get(name, 1) < 1:
+            raise SchemaViolation(f"--{name} must be at least 1, got {options[name]}")
+    if options.get("trials", 1) > MAX_TRIALS:
+        raise SchemaViolation(f"--trials must be at most {MAX_TRIALS}, got {opts.trials}")
     doc = load_problem(problem_source)
     lp = build_problem(doc, name=problem_source)
     results = run(lp, opts)
-    return Report(command, problem_source, lp.digest,
-                  {k: getattr(opts, k) for k in _OPTIONAL + ("seed", "trials")
-                   if getattr(opts, k, None) is not None},
-                  results, lp.structure_warnings)
+    return Report(command, problem_source, lp.digest, options, results,
+                  lp.structure_warnings)
 
 
 def build_parser():
@@ -299,13 +296,11 @@ def build_parser():
     ap.add_argument("problem", help="builtin name or JSON problem file")
     ap.add_argument("--point", default=None)
     ap.add_argument("--jet", default=None)
-    ap.add_argument("--order", type=int, default=None)
     ap.add_argument("--stratum", default=None)
     ap.add_argument("--probe", default=None)
     ap.add_argument("--rounds", type=int, default=None)
     ap.add_argument("--flag", default=None)
-    ap.add_argument("--trials", type=int, default=25)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=int, default=None)
     ap.add_argument("--format", dest="fmt", choices=("json", "text"),
                     default="json")
     return ap

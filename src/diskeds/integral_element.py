@@ -244,22 +244,22 @@ def integral_flag_from_c1(dtheta: DthetaRows, c1) -> FlagSpec:
     return flag if dot(row, (0, 1, *c2), Fraction(0)) == 0 else None
 
 
-def _candidate_c1(two_n, seed):
-    """Zero, the unit vectors, then seeded rationals without end."""
+def _candidate_c1(two_n):
+    """Zero, the unit vectors, then fixed-seed rationals without end."""
     m = two_n - 2
     yield (Fraction(0),) * m
     for k in range(m):
         yield tuple(Fraction(1) if i == k else Fraction(0) for i in range(m))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while True:
         yield tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                     for _ in range(m))
 
 
 def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
-                            trials: int = 25, seed: int = 0):
+                            trials: int = 25):
     """First Kahler-regular integral flag (coordinate c^1 candidates first,
-    then seeded rationals); None result carries the attempt count.  The
+    then fixed-seed rationals); None result carries the attempt count.  The
     d(theta) rows depend on the jet only, so every candidate shares them.
     Where the jet's torsion is not absorbable no candidate is integral, so
     none is built and all ``trials`` count as attempted."""
@@ -268,7 +268,7 @@ def ordinary_element_search(problem: HypersurfaceProblem, jet: FirstJetPoint,
     dtheta = _dtheta_row_data(problem, jet)
     if not dtheta.torsion.absorbable:
         return SearchResult(None, None, -1, trials)
-    for index, c1 in enumerate(islice(_candidate_c1(problem.two_n, seed), trials)):
+    for index, c1 in enumerate(islice(_candidate_c1(problem.two_n), trials)):
         flag = integral_flag_from_c1(dtheta, c1)
         if flag is None:
             continue

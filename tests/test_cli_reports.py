@@ -89,14 +89,14 @@ def test_torsion_and_dim6_and_integral_element_commands():
 def test_determinism_byte_identical():
     outs = set()
     for _ in range(2):
-        rc, out, _ = run_cli("all", "hyperquadric", "--seed", "5")
+        rc, out, _ = run_cli("all", "hyperquadric")
         assert rc == 0
         outs.add(out)
     assert len(outs) == 1
     outs = set()
     for _ in range(2):
         rc, out, _ = run_cli("integral-element", "hyperquadric", "--jet", "J1",
-                             "--seed", "3", "--format", "text")
+                             "--format", "text")
         assert rc == 0
         outs.add(out)
     assert len(outs) == 1
@@ -289,24 +289,29 @@ def test_not_almost_complex_warning_surfaces(tmp_path):
     assert "NotAlmostComplex" in json.loads(out)["warnings"]
 
 
-def test_order_flag_controls_prolongation_depth():
-    rc, out, _ = run_cli("involutivity", "hyperquadric", "--point", "P0",
-                         "--order", "2")
-    assert rc == 0
-    assert json.loads(out)["results"]["dims"] == [4, 4]
+def test_order_and_seed_are_not_options():
+    # dims always runs to 2n - 2, where dim A^(q) is constant, and the flag
+    # search's sampled tail has one fixed seed, so neither has an option
+    for argv, refused in ((["involutivity", "hyperquadric", "--point", "P0"], ["--order", "2"]),
+                          (["integral-element", "hyperquadric"], ["--seed", "7"]),
+                          (["all", "hyperquadric"], ["--order", "4", "--seed", "0"])):
+        rc, out, err = run_cli(*argv, *refused)
+        assert rc == 2 and out == b""
+        assert err.endswith(f"unrecognized arguments: {' '.join(refused)}\n".encode())
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["torsion", "hyperquadric", "--order", "99"], "--order is not read by torsion"),
+    (["torsion", "hyperquadric", "--flag", "F"], "--flag is not read by torsion"),
     (["complex-forms", "hyperquadric", "--stratum", "nope", "--rounds", "7"],
      "--stratum is not read by complex-forms"),
     (["all", "hyperquadric", "--stratum", "nonzero_velocity"],
      "--stratum is not read by all"),
-    (["jets", "hyperquadric", "--order", "2"], "--order is not read by jets"),
+    (["jets", "hyperquadric", "--point", "P0"], "--point is not read by jets"),
     (["integral-element", "hyperquadric", "--point", "P0"],
      "--point is not read by integral-element"),
     (["involutivity", "hyperquadric", "--flag", "F"], "--flag is not read by involutivity"),
     (["all", "hyperquadric", "--probe", "Q0"], "--probe is not read by all"),
+    (["torsion", "hyperquadric", "--trials", "3"], "--trials is not read by torsion"),
 ])
 def test_an_option_the_command_does_not_read_exits_2(argv, message, capsys):
     # an unread option would otherwise be echoed under options as if it
@@ -329,27 +334,64 @@ def test_all_runs_every_probe_of_every_stratum(capsys):
 
 
 def test_each_command_takes_the_options_it_reads(capsys):
-    # all reads what its sections read; --trials and --seed stay accepted
-    for argv in (["all", "hyperquadric", "--point", "P0", "--jet", "J1", "--order", "2",
-                  "--rounds", "1"],
-                 ["torsion", "hyperquadric", "--jet", "J1", "--trials", "3", "--seed", "4"],
-                 ["jets", "cusp", "--stratum", "generic", "--probe", "P_origin",
-                  "--rounds", "1"]):
+    # all reads what its sections read; the echo is exactly the options set
+    for argv, options in (
+            (["all", "hyperquadric", "--point", "P0", "--jet", "J1", "--rounds", "1"],
+             {"point": "P0", "jet": "J1", "rounds": 1}),
+            (["torsion", "hyperquadric", "--jet", "J1"], {"jet": "J1"}),
+            (["dim6", "hyperquadric", "--format", "json"], {}),
+            (["integral-element", "hyperquadric", "--jet", "J1", "--trials", "3"],
+             {"jet": "J1", "trials": 3}),
+            (["jets", "cusp", "--stratum", "generic", "--probe", "P_origin",
+              "--rounds", "1"], {"stratum": "generic", "probe": "P_origin", "rounds": 1})):
         assert cli.main(argv) == 0
-        options = json.loads(capsys.readouterr().out)["options"]
-        assert all(f"--{key}" in argv for key in options
-                   if key not in ("seed", "trials"))
+        assert json.loads(capsys.readouterr().out)["options"] == options
+
+
+# the options each command reads, as the README lists them
+READS = {"involutivity": {"point"}, "torsion": {"jet"}, "complex-forms": {"point"},
+         "dim6": {"point"}, "pseudo-ellipsoid": {"point"},
+         "integral-element": {"jet", "flag", "trials"},
+         "jets": {"stratum", "probe", "rounds"}, "all": {"point", "jet", "rounds"}}
+
+
+def test_every_option_but_format_exits_2_where_it_is_not_read(capsys):
+    values = {"point": "P0", "jet": "J1", "stratum": "S", "probe": "Q0",
+              "rounds": "1", "flag": "F", "trials": "3"}
+    declared = {s for action in cli.build_parser()._actions for s in action.option_strings}
+    assert declared == {"-h", "--help", "--format"} | {f"--{k}" for k in values}
+    assert sorted(READS) == sorted(cli.COMMANDS)
+    for command, reads in READS.items():
+        for name in sorted(set(values) - reads):
+            assert cli.main([command, "hyperquadric", f"--{name}", values[name]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"SchemaViolation: --{name} is not read by {command}\n"
 
 
 @pytest.mark.parametrize("command", ["involutivity", "all"])
 def test_negative_order_exit_2(command, capsys):
-    assert cli.main([command, "hyperquadric", "--order", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("SchemaViolation: --order must be nonnegative")
-    # --order 0 is accepted and asks for no prolongation dimensions
-    assert cli.main(["involutivity", "hyperquadric", "--order", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["dims"] == []
+    # --order is no option, so argparse refuses it whatever its value
+    for order in ("-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "hyperquadric", "--order", order])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: --order {order}" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, message", [
+    (["jets", "hyperquadric", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+    (["jets", "cusp", "--stratum", "generic", "--rounds", "-2"],
+     "--rounds must be at least 1, got -2"),
+    (["all", "hyperquadric", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+    (["integral-element", "hyperquadric", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+])
+def test_a_count_below_1_names_the_option(argv, message, fmt, capsys):
+    # a count is bad input named by its option, not by a library parameter
+    assert _cli_exit_2(argv, fmt, capsys) == f"SchemaViolation: {message}\n"
 
 
 def test_jets_probe_selection():
@@ -953,11 +995,11 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert cli.main(["dim6", "hyperquadric"]) == 0
     first = json.loads(capsys.readouterr().out)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["dim6", "hyperquadric", "--seed", "7", "--format", "xml"])
+        cli.main(["dim6", "hyperquadric", "--point", "P0", "--format", "xml"])
     assert exc.value.code == 2 and "invalid choice: 'xml'" in capsys.readouterr().err
     assert cli.main(["dim6", "hyperquadric"]) == 0
     assert json.loads(capsys.readouterr().out) == first
-    assert first["options"] == {"seed": 0, "trials": 25}
+    assert first["options"] == {}
     assert cli.main(["dim6", "hyperquadric", "--format", "text"]) == 0
     assert capsys.readouterr().out.startswith("diskeds dim6 on hyperquadric\n")
     assert built == [1]
@@ -983,18 +1025,18 @@ def test_declared_distinguished_pair_in_any_order_loads():
 
 @pytest.mark.parametrize("command", ["involutivity", "all"])
 def test_order_up_to_2n_minus_2_is_the_whole_report(command, capsys):
-    # dim A^(q) is constant from q0 <= 2n - 2 on, so 2n - 2 is the default
-    # and the largest order; one more is bad input, not a longer list
-    assert cli.main([command, "hyperquadric"]) == 0
-    default = json.loads(capsys.readouterr().out)["results"]
-    assert cli.main([command, "hyperquadric", "--order", "4"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"] == default
-    assert cli.main([command, "hyperquadric", "--order", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "SchemaViolation: --order must be at most 2n-2 = 4, where dim A^(q) is "
-        "constant, got 5")
+    # dim A^(q) is constant from q0 <= 2n - 2 on, so the report lists
+    # q = 1..2n - 2, and no option asks for a prefix of that list; the
+    # n = 3 matrix structure reaches q0 = 4 only at the last entry
+    doc = str(DOCS / "n3_matrix.json")
+    assert cli.main([command, doc]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    if command == "all":
+        results = results["involutivity"]
+    assert results["q0"] == 4 and results["dims"] == [3, 2, 1, 0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, doc, "--order", "4"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("sign", ["?", "", "positive", 1, None])

@@ -69,6 +69,29 @@ def test_golden_report(case, monkeypatch):
     assert out.buffer.getvalue() == (GOLDEN / f"{case}.out").read_bytes()
 
 
+def _options_set(argv):
+    """The options an argv ``[command, problem, --name value, ...]`` sets,
+    --format aside, with the counts as integers."""
+    options = {name[2:]: value for name, value in zip(argv[2::2], argv[3::2])
+               if name != "--format"}
+    return {name: int(value) if name in ("rounds", "trials") else value
+            for name, value in options.items()}
+
+
+@pytest.mark.parametrize("case", sorted(c for c, e in INDEX.items() if e["exit"] == 0))
+def test_golden_report_echoes_exactly_the_options_its_argv_sets(case):
+    # an option the report echoes but the argv does not set would read as
+    # if it had shaped the report
+    argv = INDEX[case]["argv"]
+    options = _options_set(argv)
+    report = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    if argv[argv.index("--format") + 1] == "json":
+        assert json.loads(report)["options"] == options
+    else:
+        assert [line for line in report.splitlines() if line.startswith("options.")] == [
+            f"options.{name} = {options[name]}" for name in sorted(options)]
+
+
 # replays every indexed case in-process, importing nothing beyond the
 # standard library and diskeds (the interpreter runs with -S); prints each
 # case that differs, then the interpreter's version and the case count

@@ -145,7 +145,7 @@ def test_generic_structure_certificates_annihilate_every_dtheta():
             except SingularD:
                 break
             searches += 1
-            result = ordinary_element_search(prob, jet, trials=20, seed=0)
+            result = ordinary_element_search(prob, jet, trials=20)
             if result.flag is None:
                 continue
             v = result.verdict
@@ -182,7 +182,7 @@ def test_hyperquadric_stratum_jet_certified():
     # polar dimension 2: a disk germ is certified, consistent with the
     # jet-prolongation route
     prob, jet = _hyperquadric_jet()
-    result = ordinary_element_search(prob, jet, trials=10, seed=0)
+    result = ordinary_element_search(prob, jet, trials=10)
     assert result.flag is not None
     assert result.candidate_index == 0  # within the coordinate prefix
     v = result.verdict
@@ -209,7 +209,7 @@ def test_ball_like_never_contradicts_points_only():
     ball = parse_expression("2*f5 + f1^2 + f2^2 + f3^2 + f4^2", V6)
     prob = HypersurfaceProblem(ball, complex_standard(3, V6), (1, 2))
     jet = prob.make_jet((1, 0, 0, 0, Fraction(-1, 2), 0), (1, 1, 0, 0))
-    result = ordinary_element_search(prob, jet, trials=10, seed=0)
+    result = ordinary_element_search(prob, jet, trials=10)
     assert result.flag is None
 
 
@@ -237,8 +237,8 @@ def test_zero_jet_block_pattern():
 
 def test_search_is_deterministic():
     prob, jet, _ = _generic_problem(45)
-    r1 = ordinary_element_search(prob, jet, trials=15, seed=7)
-    r2 = ordinary_element_search(prob, jet, trials=15, seed=7)
+    r1 = ordinary_element_search(prob, jet, trials=15)
+    r2 = ordinary_element_search(prob, jet, trials=15)
     assert r1.candidate_index == r2.candidate_index
     assert (r1.flag is None) == (r2.flag is None)
     if r1.flag is not None:
