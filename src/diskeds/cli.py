@@ -313,7 +313,10 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    opts = _PARSER.parse_args(argv)
+    try:
+        opts = _PARSER.parse_args(argv)
+    except SystemExit as exc:   # argparse wrote its usage and error, or --help
+        return exc.code
     try:
         out = emit_report(run_command(opts.command, opts.problem, opts), opts.fmt)
     except CrossCheckMismatch as exc:

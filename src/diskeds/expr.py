@@ -254,7 +254,11 @@ def partials_at(point, pairs, second=False):
 
 
 class Polynomial:
-    """Sparse exact polynomial over a fixed ordered variable table."""
+    """Sparse exact polynomial over a fixed ordered variable table.
+
+    The hash covers the table and the support (the exponent tuples) only:
+    equal polynomials have equal supports, so it agrees with ``==``, and
+    no coefficient is hashed."""
 
     __slots__ = ("vars", "terms", "_hash")
 
@@ -318,7 +322,7 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.vars, frozenset(self.terms)))
         return self._hash
 
     def __repr__(self):
@@ -376,9 +380,12 @@ class Polynomial:
         return Polynomial(self.vars, _power(self.terms, k, len(self.vars)))
 
     def scale(self, c):
+        """c times the polynomial; 0 and 1 cost no product."""
         c = normalize_scalar(c)
         if c == 0:
             return Polynomial.zero(self.vars)
+        if c == 1:
+            return self
         return Polynomial(self.vars, {e: v * c for e, v in self.terms.items()})
 
     # -- calculus -----------------------------------------------------

@@ -118,7 +118,9 @@ def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
         raise ZeroB("b is identically zero")
     A_entries = _square(A_entries, n, "A")
     m = 2 * n
-    rows = tuple(tuple(b * (a - A_entries[j][i]) if i == j else b * -A_entries[j][i]
+    # a constant b scales each entry, with no polynomial product
+    times_b = (lambda p: b * p) if b.degree() else (lambda p: p.scale(b.constant_term()))
+    rows = tuple(tuple(times_b(a - A_entries[j][i]) if i == j else times_b(-A_entries[j][i])
                        for i in range(m)) for j in range(m))
     warnings = () if _squares_to_minus_identity(A_entries) else ("NotAlmostComplex",)
     return StructureMatrix(n, rows, a * a + 1, "from_pair", warnings)

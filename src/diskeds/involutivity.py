@@ -90,13 +90,14 @@ def tableau_report(gb: GammaBetaData, dv: DVectors, Q=None) -> TableauReport:
     Once a Krylov row D0 beta^d lies in the span of the earlier rows, so
     does every later one; hence the first q rows have rank min(q, d) with
     d the rank of the first m = 2n-2 rows, and one elimination gives
-    every dim A^(q) = m - min(q, d) and q0 = d.
+    every dim A^(q) = m - min(q, d) and q0 = d.  A zero row times beta is
+    zero, so the rows stop at the first zero one (D0 = 0 forms none).
     """
     m = gb.two_n - 2
     if Q is None:
         Q = m
     rows, zero = [dv.D0], 0 * gb.D
-    while len(rows) < m:
+    while len(rows) < m and any(rows[-1]):
         rows.append(row_times_matrix(rows[-1], gb.beta, zero))
     d = mat_rank(rows)
     dims = [m - min(q, d) for q in range(1, Q + 1)]

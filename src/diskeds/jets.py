@@ -12,7 +12,9 @@ their partners come from g's, since conj(D_t g) = D_tb(conj g) and
 conj(D_t D_tb g) = D_t D_tb(conj g), so closure needs no conjugation.
 
 ``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
-and is a prefix of ``jet_table(n, q + 1)``.  Generator i is barred when
+and is a prefix of ``jet_table(n, q + 1)``.  Each (n, q) has one table,
+built on first use and shared by every system, polynomial and probe over
+it (the last ``JET_TABLES_KEPT`` stay built).  Generator i is barred when
 ``i // n`` is odd, has jet order ``i // 2n``, goes to ``i + 2n`` under D_t
 (or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  A
 probe is a tuple of values in the same order.  Derivation, conjugation,
@@ -42,7 +44,7 @@ linear coefficients.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import itemgetter
 
@@ -62,8 +64,14 @@ from .linalg import _echelon, mat_rank, solve_particular
 # variable tables
 
 
+# the jet tables kept built: a command meets one n and a few jet orders
+JET_TABLES_KEPT = 16
+
+
+@lru_cache(maxsize=JET_TABLES_KEPT)
 def jet_table(n: int, max_order: int):
-    """z/zb (order 0) then w-jets of orders 1..max_order."""
+    """z/zb (order 0) then w-jets of orders 1..max_order; one tuple per
+    (n, max_order), the last JET_TABLES_KEPT of them kept built."""
     names = [f"z{l}" for l in range(1, n + 1)] + [f"zb{l}" for l in range(1, n + 1)]
     for k in range(max_order):
         suffix = "" if k == 0 else f"_{k}"
@@ -95,8 +103,9 @@ def _derivation(p: Polynomial, barred: bool) -> Polynomial:
                 out[i] -= 1
                 out[i + 2 * n] += 1
                 out = tuple(out)
+                ce = c if e == 1 else c * e
                 s = res.get(out)
-                res[out] = c * e if s is None else s + c * e
+                res[out] = ce if s is None else s + ce
     return Polynomial(p.vars, res)
 
 
@@ -349,7 +358,10 @@ def linearize(system: JetConstraintSystem, probe: tuple, rows=None) -> Lineariza
             for exps, c in p.terms.items():
                 key, w = exps[cut:], monomial(low, exps)
                 s = frozen.get(key, 0)   # every key is kept, for uses_top and mixes
-                frozen[key] = (s + c * w if s else c * w) if w else s
+                if w:
+                    cw = c if w == 1 else c * w
+                    s = s + cw if s else cw
+                frozen[key] = s
             live = [(e, c) for e, c in frozen.items() if c != 0]
             row = (value_at(x, live), partials_at(x, live)[0],
                    any(sum(e) >= 2 for e, _ in live), any(any(e) for e in frozen),

@@ -1199,6 +1199,51 @@ def linearize_two_branch(system, probe):
             mixed)
 
 
+def rows_term_by_term(system, probe):
+    """The rows of jets.linearize (value, top-jet gradient, nonlinear,
+    uses_top, mixes), one per equality, summed term by term with the
+    scalar operators: the value is sum c probe^e, gradient entry j is
+    sum c e_j probe^(e - u_j) over the top jets u_j, and the flags read
+    each term's top-jet exponents, its coefficient frozen at the lower jets
+    and summed per top-jet exponent for ``nonlinear``."""
+    n = system.n
+    cut = len(system.table) - 2 * n
+    rows = []
+    for p in system.equalities:
+        value, grad, frozen = Fraction(0), [Fraction(0)] * (2 * n), {}
+        for exps, c in p.terms.items():
+            value = value + c * _monomial_at(probe, exps)
+            for j in range(2 * n):
+                e = exps[cut + j]
+                if e:
+                    down = exps[:cut + j] + (e - 1,) + exps[cut + j + 1:]
+                    grad[j] = grad[j] + c * e * _monomial_at(probe, down)
+            key = exps[cut:]
+            frozen[key] = frozen.get(key, 0) + c * _monomial_at(probe[:cut], exps)
+        rows.append((normalize_scalar(value), tuple(map(normalize_scalar, grad)),
+                     any(sum(e) >= 2 for e, c in frozen.items() if c != 0),
+                     any(map(any, frozen)),
+                     any(any(e[:n]) and any(e[n:]) for e in frozen)))
+    return tuple(rows)
+
+
+def derivation_at(p: Polynomial, probe, barred: bool):
+    """(D_t p)(probe), or (D_tb p)(probe) when ``barred``, by the product
+    rule read off the variable names: sum over the generators v of the
+    derived kind of dp/dv at the probe times the probe's value of v's
+    successor (z_l -> w_l, w_l^(k) -> w_l^(k+1), barred alike)."""
+    index = {name: i for i, name in enumerate(p.vars)}
+    out = Fraction(0)
+    for name in used_variables(p):
+        if name.startswith(("zb", "wb")) != barred:
+            continue
+        l, _, k = name.lstrip("zwb").partition("_")
+        after = ("wb" if barred else "w") + l + (
+            "" if name[0] == "z" else f"_{int(k or 0) + 1}")
+        out = out + differentiate(p, name).evaluate(probe) * probe[index[after]]
+    return normalize_scalar(out)
+
+
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p

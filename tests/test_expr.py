@@ -16,7 +16,7 @@ from diskeds.errors import (
     SchemaViolation,
     UnknownVariable,
 )
-from diskeds.exact import FirstJet, GaussianRational, gaussian, rat, rational_str
+from diskeds.exact import FirstJet, GaussianRational, I_UNIT, gaussian, rat, rational_str
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds import expr
 from diskeds.jets import conjugate_involution
@@ -454,6 +454,43 @@ def test_gaussian_repr_at_any_size():
     finally:
         sys.set_int_max_str_digits(saved)
     assert got == want
+
+
+_hash_coefficients = st.one_of(
+    st.fractions(max_denominator=9).filter(bool),
+    st.builds(lambda p, q: Fraction(p, q), st.integers(-2 ** 300, 2 ** 300).filter(bool),
+              st.integers(1, 2 ** 200)))
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _hash_coefficients,
+                       max_size=6),
+       st.randoms(use_true_random=False), st.sampled_from([1, -1, 3, Fraction(-7, 2)]))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_equal_polynomials_hash_equal_however_built(terms, rng, c):
+    # the hash covers the support only: equal polynomials built from
+    # Gaussian coefficients with a zero imaginary part, from sums in another
+    # order, or from a scale and its inverse hash equal and find each other
+    # in sets and dicts; c * p for c != 1 has the same support and the
+    # same hash, and is still told apart by equality
+    p = Polynomial(V3, terms)
+    monomials = [Polynomial(V3, {e: x}) for e, x in terms.items()]
+    rng.shuffle(monomials)
+    built = [Polynomial(V3, {e: GaussianRational(x, 0) for e, x in terms.items()}),
+             sum(monomials, Polynomial.zero(V3)),
+             p.scale(c).scale(1 / Fraction(c)),
+             (p + Polynomial.const(V3, c)) - c,
+             p.scale(I_UNIT).scale(-I_UNIT)]
+    for q in built:
+        assert q == p and hash(q) == hash(p)
+        assert q in {p} and {p: "p"}[q] == "p"
+    assert len(set(built + [p])) == 1
+    zero = p - built[1]
+    assert zero == Polynomial.zero(V3) and hash(zero) == hash(Polynomial.zero(V3))
+    assert zero in {Polynomial.zero(V3)}
+    if c != 1 and terms:
+        scaled = p.scale(c)
+        assert hash(scaled) == hash(p) and scaled != p
+        assert len({p, scaled}) == 2 and scaled not in {p: 0}
 
 
 @given(polys(maxdeg=2), st.integers(0, 6))

@@ -608,19 +608,26 @@ FAR_FROM_ALMOST_COMPLEX = {
 
 def test_a_witness_decides_A_squared_without_a_product(tmp_path, capsys, monkeypatch):
     # the witness e_1 gives A(e_1)^2 != -I, so no two non-constant
-    # polynomials are multiplied and the warning stands
+    # polynomials are multiplied and the warning stands; the constant b = 1
+    # scales the pair structure, so no constant multiplies a non-constant
+    # polynomial either
     from diskeds import cli
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(FAR_FROM_ALMOST_COMPLEX))
     assert path.stat().st_size == 442
-    products, multiply = [], Polynomial.__mul__
+    products, by_constant, multiply = [], [], Polynomial.__mul__
 
     def counting(p, q):
-        if isinstance(q, Polynomial) and p.degree() and q.degree():
-            products.append((p, q))
+        if isinstance(q, Polynomial):
+            if p.degree() and q.degree():
+                products.append((p, q))
+            elif p.degree() or q.degree():
+                by_constant.append((p, q))
         return multiply(p, q)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
     assert cli.main(["involutivity", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == ["NotAlmostComplex"]
     assert products == []
+    assert by_constant == []

@@ -1,6 +1,11 @@
 """Obstruction rows, prolongation dimensions, involutivity order."""
+import json
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
 
 from diskeds.errors import SingularD
 from diskeds.expr import Polynomial, parse_expression
@@ -11,11 +16,12 @@ from diskeds.geometry import (
     structure_from_entries,
 )
 from diskeds.involutivity import (
+    DVectors,
     compute_D_vectors,
     obstruction_bracket,
     tableau_report,
 )
-from diskeds import linalg
+from diskeds import cli, involutivity, linalg
 from diskeds.linalg import mat_rank, row_times_matrix
 from oracles import (
     var,
@@ -324,3 +330,45 @@ def test_almost_complex_reduction_vanishes_symbolically():
     prob = HypersurfaceProblem(rho, S, (1, 2))
     gb = symbolic_gamma_beta(prob)
     assert all(x.is_zero() for x in obstruction_bracket(gb))
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+def test_krylov_rank_when_a_row_vanishes_early(seed):
+    # the rows stop at the first zero row, and d is still the rank of all
+    # 2n-2 rows D0 beta^k; a nilpotent beta sends a nonzero D0 to a zero
+    # row before k = 2n-2 on some draws (test_tableau_report_is_one_elimination
+    # covers gamma/beta data from problems, where no row vanishes early)
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    m = 2 * n - 2
+    entry = lambda: (Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     if rng.random() < 0.6 else Fraction(0))
+    nilpotent = rng.random() < 0.5
+    beta = [[entry() if j > i or not nilpotent else Fraction(0) for j in range(m)]
+            for i in range(m)]
+    gb = SimpleNamespace(two_n=2 * n, D=Fraction(1), beta=beta)
+    D0 = tuple(entry() for _ in range(m))
+    rows = [D0]
+    while len(rows) < m:
+        rows.append(row_times_matrix(rows[-1], beta, Fraction(0)))
+    d = mat_rank(rows)
+    rep = tableau_report(gb, DVectors(D0, (), ()), Q=2 * n)
+    assert rep.q0 == d and rep.dims == tuple(m - min(q, d) for q in range(1, 2 * n + 1))
+    assert rep.involutive_at_0 == (not any(D0))
+
+
+def test_zero_D0_forms_no_krylov_row(monkeypatch, capsys):
+    # D0 = 0 on the hyperquadric, so tableau_report multiplies no row by beta
+    krylov, real = [], involutivity.row_times_matrix
+
+    def counting(row, matrix, zero):
+        if sys._getframe(1).f_code is tableau_report.__code__:
+            krylov.append(row)
+        return real(row, matrix, zero)
+
+    monkeypatch.setattr(involutivity, "row_times_matrix", counting)
+    assert cli.main(["involutivity", "hyperquadric"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["D0_zero"] is True and results["dims"] == [4, 4, 4, 4]
+    assert krylov == []

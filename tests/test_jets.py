@@ -31,11 +31,12 @@ from diskeds.jets import (
 )
 from diskeds.cli import main
 from diskeds.reports import build_problem, load_problem
-from oracles import (complexify, conjugate_by_name, curve_probe, differentiate, extend_to,
-                     jet_to_probe, levi_form, linearize_two_branch, prolong_by_conjugation,
-                     realify,
-                     reduce_redundant_by_span, substitute_vanishing_by_conjugation,
-                     used_variables, var, var_jet_order)
+from oracles import (complexify, conjugate_by_name, curve_probe, derivation_at,
+                     differentiate, extend_to, jet_to_probe, levi_form,
+                     linearize_two_branch, prolong_by_conjugation, realify,
+                     reduce_redundant_by_span, rows_term_by_term,
+                     substitute_vanishing_by_conjugation, used_variables, var,
+                     var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
 
@@ -259,6 +260,51 @@ def test_linearize_matches_the_two_branch_reference(seed, prolonged, top_zero):
     assert (lin.values, lin.gradients, lin.nonlinear, lin.uses_top, lin.mixed) == want
     types = lambda values, gradients: [type(x) for x in values + sum(gradients, ())]
     assert types(lin.values, lin.gradients) == types(*want[:2])
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_rows_and_derivations_match_term_by_term_evaluation(seed, prolonged):
+    # at n = 2..4 and Gaussian probes with zero and non-integral coordinates,
+    # linearize's rows are the term-by-term value, top-jet gradient and
+    # flags, and D_t, D_tb at the probe follow the product rule
+    rng = random.Random(seed)
+    n, order = rng.randint(2, 4), rng.randint(1, 2)
+    table = jet_table(n, order)
+    part = lambda: rng.choice((0, rng.randint(-3, 3),
+                               Fraction(rng.randint(-5, 5), rng.randint(2, 7))))
+    coeff = lambda: gaussian(part(), part()) or gaussian(1, rng.choice((0, 1)))
+
+    def poly(slots):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = [0] * len(table)
+            for i in rng.sample(range(slots), min(slots, rng.randint(0, 3))):
+                exps[i] += rng.randint(1, 2)
+            terms[tuple(exps)] = coeff()
+        return Polynomial(table, terms)
+
+    system = make_system(n, [poly(len(table)) for _ in range(rng.randint(1, 3))],
+                         order=order)
+    probe = probe_from_values(n, order, [gaussian(part(), part()) for _ in range(n)],
+                              [[gaussian(part(), part()) for _ in range(n)]
+                               for _ in range(order)])
+    if prolonged:
+        system = prolong_constraints(system)
+        probe = extend_probe(system, probe) if rng.random() < 0.5 else (
+            probe + probe_from_values(n, 1, [gaussian(part(), part()) for _ in range(n)],
+                                      [])[:2 * n])
+    rows = linearize(system, probe).rows
+    want = rows_term_by_term(system, probe)
+    assert rows == want
+    types = lambda rows: [type(x) for row in rows for x in (row[0],) + row[1]]
+    assert types(rows) == types(want)
+    # D_t and D_tb on generators below the top order, at the probe
+    p = poly(len(table) - 2 * n)
+    if prolonged:
+        p = prolong_constraints(make_system(n, [p], order=order)).equalities[0]
+    for barred, derive in ((False, d_t), (True, d_tbar)):
+        assert derive(p).evaluate(probe) == derivation_at(p, probe, barred)
 
 
 @given(jet_polys())
