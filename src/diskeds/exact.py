@@ -46,15 +46,12 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rat(value) -> Fraction:
-    """Parse an exact rational from an int or a 'p/q' / 'p' string.
+    """Parse an exact rational from an int or a 'p/q' / 'p' string, made
+    by :func:`_fraction` once the denominator is known to be nonzero.
 
     Decimal strings are rejected: '0.5' is not an exact input.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):   # first: a str is never a Fraction or an int
         m = _RATIONAL_RE.fullmatch(value.strip())
         if m is None:
             raise SchemaViolation(f"not an exact rational: {value!r}")
@@ -66,7 +63,11 @@ def rat(value) -> Fraction:
                 f"not an exact rational: {len(value)} characters is too long") from None
         if den == 0:
             raise SchemaViolation(f"zero denominator: {value!r}")
-        return Fraction(num) if den == 1 else Fraction(num, den)
+        return _fraction(num, den)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _fraction(int(value), 1)
     raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
 
 

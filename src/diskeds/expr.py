@@ -17,7 +17,9 @@ Exponents must be plain non-negative integers; '/' only forms rational
 literals; 'i' is the imaginary unit in complexified mode only; parentheses
 and unary minuses nest at most ``MAX_NESTING`` levels.  Neither the
 expanded expression nor a sum or partial product on the way to it may pass
-``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients.
+``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients,
+and the parses sharing a :class:`ParseBudget` (those of one document) may
+multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs together.
 Term order is graded lexicographic on the table order, so printing is
 deterministic and files round-trip.
 """
@@ -38,6 +40,7 @@ from .exact import (
     FirstJet,
     GaussianRational,
     I_UNIT,
+    _fraction,
     normalize_scalar,
     power,
     rational_str,
@@ -87,11 +90,13 @@ def _bounded(terms, limit):
     return terms
 
 
-def _product(a, b, limit=None):
+def _product(a, b, budget=None):
     """The term table of the product of the term tables ``a`` and ``b``:
     one product for two monomials, raw integers for two large rational
-    tables.  With a ``limit``, a partial product of more terms raises, and
-    so does a product past :func:`_bounded`'s coefficient bits."""
+    tables.  With a parse's :class:`ParseBudget`, each row of len(b)
+    coefficient pairs is taken from it before the row is multiplied, a
+    partial product past MAX_TERMS terms raises, and so does a product past
+    :func:`_bounded`'s coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -99,29 +104,33 @@ def _product(a, b, limit=None):
         # nothing; the other factor is a table the parser bounded already
         if c1 is _ONE or c2 is _ONE:
             return {tuple(map(_add, e1, e2)): c2 if c1 is _ONE else c1}
+        if budget is not None:
+            budget.take(1)
         res = {tuple(map(_add, e1, e2)): c1 * c2}
     else:
-        res = _integer_product(a, b, limit) if len(a) > 8 and len(b) > 8 else None
+        res = _integer_product(a, b, budget) if len(a) > 8 and len(b) > 8 else None
         if res is None:
             res = {}
             for e1, c1 in a.items():
+                if budget is not None:
+                    budget.take(len(b))
                 for e2, c2 in b.items():
                     _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
-                if limit and len(res) > limit:
-                    _too_many_terms(limit)
-    return _bounded(res, limit) if limit else res
+                if budget is not None and len(res) > MAX_TERMS:
+                    _too_many_terms(MAX_TERMS)
+    return res if budget is None else _bounded(res, MAX_TERMS)
 
 
-def _power(terms, k, nvars, limit=None):
+def _power(terms, k, nvars, budget=None):
     """The term table of ``terms`` to the power k >= 0: square only while
-    bits of k remain; ``limit`` as for :func:`_product`."""
+    bits of k remain; ``budget`` as for :func:`_product`."""
     out, base = None, terms
     while k:
         if k & 1:
-            out = base if out is None else _product(out, base, limit)
+            out = base if out is None else _product(out, base, budget)
         k >>= 1
         if k:
-            base = _product(base, base, limit)
+            base = _product(base, base, budget)
     return {(0,) * nvars: _ONE} if out is None else out
 
 
@@ -134,10 +143,10 @@ def _content(terms):
     return Fraction(g, l)
 
 
-def _integer_product(a, b, limit):
+def _integer_product(a, b, budget):
     """Large products: clear contents and multiply raw integers (one
     Fraction rescale at the end).  Rational coefficients only, else None;
-    ``limit`` as for :func:`_product`, counting cancelled terms too."""
+    ``budget`` as for :func:`_product`, counting cancelled terms too."""
     if not all(isinstance(c, Fraction) for c in a.values()):
         return None
     if not all(isinstance(c, Fraction) for c in b.values()):
@@ -168,11 +177,13 @@ def _integer_product(a, b, limit):
     res = {}
     get = res.get
     for e1, c1 in A:
+        if budget is not None:
+            budget.take(len(B))
         for e2, c2 in B:
             e = e1 + e2
             res[e] = get(e, 0) + c1 * c2
-        if limit and len(res) > limit:
-            _too_many_terms(limit)
+        if budget is not None and len(res) > MAX_TERMS:
+            _too_many_terms(MAX_TERMS)
     scale = ca * cb
     return {unpack(e): c * scale for e, c in res.items() if c}
 
@@ -466,6 +477,30 @@ MAX_TERMS = 2000
 # the most bits its coefficients may hold together: (f1 + f2 + f4)^60 holds
 # 126,546, and (1 + f1)^1999, 2,000 terms of 2,874,786 bits, takes 1.8 s
 MAX_COEFFICIENT_BITS = 2 ** 17
+# the most coefficient pairs, len(a) * len(b) for a product of two tables,
+# that the parses of one document may multiply together, taken one row of
+# a product at a time before the row is multiplied: (f1 + f2 + f4)^60
+# takes 284,337, and at half a microsecond a pair or less the products of
+# one load stop within about a quarter of a second
+MAX_PRODUCT_PAIRS = 2 ** 19
+
+
+class ParseBudget:
+    """The coefficient pairs that the parses sharing this budget, those of
+    one document, may still multiply."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self):
+        self.pairs = MAX_PRODUCT_PAIRS
+
+    def take(self, pairs):
+        """Take ``pairs`` coefficient pairs before they are multiplied;
+        SchemaViolation when they pass the budget."""
+        self.pairs -= pairs
+        if self.pairs < 0:
+            raise SchemaViolation(f"expressions multiply past {MAX_PRODUCT_PAIRS} "
+                                  f"coefficient pairs in one document")
 
 
 def unit_exponents(variables):
@@ -482,8 +517,9 @@ class _Parser:
     """Recursive descent over term tables {exponent tuple: coefficient};
     only :meth:`parse` builds a Polynomial."""
 
-    def __init__(self, tokens, variables, complexified, units):
+    def __init__(self, tokens, variables, complexified, units, budget):
         self.tokens = tokens
+        self.budget = ParseBudget() if budget is None else budget
         self.pos = 0
         self.depth = 0
         self.vars = tuple(variables)
@@ -531,7 +567,7 @@ class _Parser:
         terms = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            terms = _product(terms, self.factor(), MAX_TERMS)
+            terms = _product(terms, self.factor(), self.budget)
         return terms
 
     def factor(self):
@@ -547,7 +583,7 @@ class _Parser:
             if len(terms) == 1:   # one term: scale its exponents, power its coefficient
                 (exps, c), = terms.items()
                 return {tuple([e * k for e in exps]): c if c is _ONE else power(c, k)}
-            terms = _power(terms, k, len(self.vars), MAX_TERMS)
+            terms = _power(terms, k, len(self.vars), self.budget)
         return terms
 
     def exponent(self):
@@ -572,8 +608,8 @@ class _Parser:
                 den = self.expect("INT")
                 if den[1] == 0:
                     raise MalformedSyntax("zero denominator", den[2])
-                return {self.zero: Fraction(value, den[1])} if value else {}
-            return {self.zero: Fraction(value)} if value else {}
+                return {self.zero: _fraction(value, den[1])} if value else {}
+            return {self.zero: _fraction(value, 1)} if value else {}
         if kind == "NAME":
             unit = self.units.get(value)
             if unit is None:
@@ -590,16 +626,20 @@ class _Parser:
         raise MalformedSyntax(f"unexpected token {value!r}", off)
 
 
-def parse_tokens(tokens, variables, complexified=False, units=None) -> Polynomial:
+def parse_tokens(tokens, variables, complexified=False, units=None,
+                 budget=None) -> Polynomial:
     """Parse the tokens of an expression into the expanded canonical
     polynomial; ``units`` is :func:`unit_exponents` of ``variables``, to
-    build once for many expressions over one table."""
-    return _Parser(tokens, variables, complexified, units).parse()
+    build once for many expressions over one table, and ``budget`` the
+    :class:`ParseBudget` shared by the parses of one document (a fresh one
+    when None)."""
+    return _Parser(tokens, variables, complexified, units, budget).parse()
 
 
-def parse_expression(text, variables, complexified=False, units=None) -> Polynomial:
+def parse_expression(text, variables, complexified=False, units=None,
+                     budget=None) -> Polynomial:
     """Parse ``text`` into the expanded canonical polynomial."""
-    return parse_tokens(tokenize(text), variables, complexified, units)
+    return parse_tokens(tokenize(text), variables, complexified, units, budget)
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,11 @@ def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
     return StructureMatrix(n, rows, a * a + 1, "from_pair", warnings)
 
 
+def _fractions(xs) -> tuple:
+    """``xs`` as a tuple of Fractions; a Fraction is taken as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+
+
 # f: base point, user coordinate order; p_reduced: p^3_1..p^{2n}_1 in
 # relabeled coordinates
 FirstJetPoint = namedtuple("FirstJetPoint", "f p_reduced")
@@ -168,14 +173,18 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
     def with_pair(self, pair):
         return HypersurfaceProblem(self.rho, self.structure, pair)
 
-    def make_jet(self, f, p_reduced, allow_off_surface=False) -> FirstJetPoint:
-        f = tuple(Fraction(x) for x in f)
+    def make_jet(self, f, p_reduced, allow_off_surface=False, rho_at_f=None) -> FirstJetPoint:
+        """The jet at the point ``f``; DimensionMismatch when rho is not 0
+        there, unless ``allow_off_surface``.  ``rho_at_f``, a function of no
+        arguments that returns rho at f, lets a caller with many jets at
+        one point evaluate rho there once."""
+        f = _fractions(f)
         if len(f) != self.two_n:
             raise DimensionMismatch("base point has wrong length")
-        p_reduced = tuple(Fraction(x) for x in p_reduced)
+        p_reduced = _fractions(p_reduced)
         if len(p_reduced) != self.two_n - 2:
             raise DimensionMismatch("reduced jet has wrong length")
-        value = self.rho.evaluate(f)
+        value = self.rho.evaluate(f) if rho_at_f is None else rho_at_f()
         if value != 0 and not allow_off_surface:
             raise DimensionMismatch(
                 f"point is off the hypersurface: rho = {rational_str(value)}")
@@ -264,7 +273,7 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
     :func:`_settled`.  A zero entry costs nothing."""
     rho = problem.rho
     numerators, q = problem.structure.numerators, problem.structure.denominator
-    point = tuple(Fraction(x) for x in point)
+    point = _fractions(point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
     grad, hessian = rho.derivatives_at(point, second=jets)

@@ -1,10 +1,15 @@
 """Problem-file ingestion and deterministic report emission.
 
 Problem files are JSON; every numeric quantity is an exact rational given
-as a string 'p/q' (or 'p').  Floats are rejected outright.  Reports
-serialize with sorted keys and canonical rational strings so identical
-inputs give byte-identical output; the text format is a flat rendering of
-the JSON tree.
+as a string 'p/q' (or 'p').  Floats are rejected outright.  A load parses
+each distinct expression text once and spends one budget of coefficient
+pairs (``expr.ParseBudget``) over all its parses.
+
+Reports serialize with sorted keys and canonical rational strings so
+identical inputs give byte-identical output.  :func:`emit_report` is the
+one writer: the JSON format in one recursive pass over the report's tree,
+giving the bytes ``json.dumps(tree, sort_keys=True, indent=2)`` gives, and
+the text format as a flat rendering of the same tree.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SchemaViolation
 from .exact import gaussian, rat, rational_str
-from .expr import parse_expression, parse_tokens, tokenize, unit_exponents
+from .expr import ParseBudget, parse_expression, parse_tokens, tokenize, unit_exponents
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -167,9 +172,18 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
     problem = None
     structure_warnings = ()
+    budget = ParseBudget()   # the coefficient pairs every parse below takes from
     if "rho" in doc:
         units = unit_exponents(coords)
-        parse = lambda text: parse_expression(text, coords, units=units)
+        parsed = {}   # expression text -> its Polynomial, parsed once in this load
+
+        def parse(text):
+            poly = parsed.get(text) if type(text) is str else None
+            if poly is None:
+                poly = parse_expression(text, coords, units=units, budget=budget)
+                parsed[text] = poly
+            return poly
+
         rho = parse(doc["rho"])
         spath = f"{name}.structure"
         sdoc = _field(doc, "structure", name, "object", required=False,
@@ -205,6 +219,13 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             raise SchemaViolation(f"points.{pname} must have {two_n} entries")
 
     jets = {}
+    rho_at = {}   # point name -> rho there, evaluated for the first jet at it
+
+    def rho_at_point(pname):
+        if pname not in rho_at:
+            rho_at[pname] = problem.rho.evaluate(points[pname])
+        return rho_at[pname]
+
     for jname, jdoc in _field(doc, "jets", "", "object", required=False,
                               default={}).items():
         jpath = f"jets.{jname}"
@@ -217,7 +238,8 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         jets[jname] = problem.make_jet(
             points[pname], p_red,
             allow_off_surface=_field(jdoc, "allow_off_surface", jpath, "boolean",
-                                     required=False, default=False))
+                                     required=False, default=False),
+            rho_at_f=lambda: rho_at_point(pname))
 
     flags = {}
     for fname, fdoc in _field(doc, "flags", "", "object", required=False,
@@ -238,7 +260,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             table = jet_table(n, order)
             tables[order] = table, unit_exponents(table)
         table, units = tables[order]
-        return parse_tokens(tokens, table, complexified=True, units=units)
+        return parse_tokens(tokens, table, complexified=True, units=units, budget=budget)
 
     for sname, sdoc in _field(doc, "strata", "", "object", required=False,
                               default={}).items():
@@ -367,10 +389,59 @@ def _flatten(obj, prefix, lines):
         lines.append(f"{prefix} = {obj}")
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, indent, out):
+    """Append to ``out`` the pieces of the text that
+    ``json.dumps(obj, sort_keys=True, indent=2)`` writes, in one recursive
+    pass over a tree of dicts with str keys, lists, str, int, bool and
+    None; ``indent`` is a newline and the indentation of obj's own level."""
+    if isinstance(obj, str):
+        out.append(_quoted(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quoted(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:   # bool before int: True is an int too
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise CrossCheckMismatch(f"a {type(obj).__name__} reached the JSON writer")
+
+
 def emit_report(report: Report, fmt: str = "json") -> bytes:
+    """The report's bytes, the one writer of a report: JSON with sorted
+    keys and an indent of 2, or the text format's flat lines."""
     obj = report.to_obj()
     if fmt == "json":
-        return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        out = []
+        _write_json(obj, "\n", out)
+        out.append("\n")
+        return "".join(out).encode()
     if fmt == "text":
         lines = [f"diskeds {report.command} on {report.problem}"]
         _flatten(obj, "", lines)

@@ -21,9 +21,9 @@ linearization (affine coefficients at zero top jets), the explicit
 polar maps of a line with their stacked square, and ``det``,
 ``nullity`` and ``cramer_determinant``, which eliminate a matrix once
 per quantity.  The last section keeps the expression
-parser that built every term as a Polynomial and ``rat`` on
-``Fraction(str)``, which the runtime's term-table parser and split-text
-``rat`` are checked against.
+parser that built every term as a Polynomial, ``rat`` on
+``Fraction(str)`` and ``rat`` on Fraction's constructor, which the
+runtime's term-table parser and split-text ``rat`` are checked against.
 """
 from __future__ import annotations
 
@@ -1423,4 +1423,26 @@ def rat_reference(value) -> Fraction:
             return Fraction(s)
         except ZeroDivisionError as exc:
             raise SchemaViolation(f"zero denominator: {value!r}") from exc
+    raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
+
+
+def rat_by_fraction_constructor(value) -> Fraction:
+    """``diskeds.exact.rat`` with every value built by ``Fraction(p, q)``:
+    the same checks in the same order, with the same messages."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = re.fullmatch(r"([+-]?\d+)(?:/(\d+))?", value.strip())
+        if m is None:
+            raise SchemaViolation(f"not an exact rational: {value!r}")
+        try:
+            num, den = int(m[1]), int(m[2] or "1")
+        except ValueError:
+            raise SchemaViolation(
+                f"not an exact rational: {len(value)} characters is too long") from None
+        if den == 0:
+            raise SchemaViolation(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")

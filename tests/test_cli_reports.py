@@ -12,17 +12,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
-from diskeds.errors import CrossCheckMismatch, DiskEdsError, SchemaViolation
+from diskeds.errors import (CrossCheckMismatch, DimensionMismatch, DiskEdsError,
+                            MalformedSyntax, SchemaViolation)
 from diskeds.exact import gaussian
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import FirstJetPoint
 from diskeds.jets import Opening, jet_table, make_system
 from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
                              load_problem)
-from diskeds import cli, reports
+from diskeds import cli, expr, reports
 from operands import fraction_operands
 
 
@@ -162,6 +163,36 @@ def test_emit_report_stability():
     assert emit_report(rep, "json") == emit_report(rep, "json")
     obj = json.loads(emit_report(rep, "json"))
     assert obj["results"]["warn"] == []  # empty list serializes, not absent
+
+
+# JSON leaves: control and non-ASCII characters in strings, big and negative
+# ints, and the three constants
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.text(max_size=6),
+    st.text(alphabet=st.sampled_from("\x00\x1f\x7f\"\\/\n\t\u00e9\u2028\ud7ff\U0001f600ab"),
+            max_size=6))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=30)
+
+
+@given(_json_trees)
+@example({})
+@example([])
+@example({"": [{}, [], [[]], {"a": {}}]})
+@example([True, False, None, 1, -1, 0, 10 ** 300, -(10 ** 300)])
+@example({"b": 1, "a": {"\u00e9": "\x00\U0001f600"}, "A": [None]})
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_the_report_writer_writes_what_json_dumps_writes(tree):
+    # one pass over the tree gives the bytes of json.dumps with sorted keys
+    # and an indent of 2, whatever the nesting and the characters
+    from diskeds.reports import Report
+    report = Report("torsion", "doc.json", "0" * 64, {"point": "P0"}, tree, ["W"])
+    want = json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
+    assert emit_report(report, "json") == want.encode()
 
 
 def test_digest_detects_input_drift():
@@ -1681,6 +1712,113 @@ def test_the_coefficient_bit_bound_holds_in_the_parser_only():
         with pytest.raises(SchemaViolation):
             parse_expression(text, V4)
     assert bits(parse_expression("1 + f1", V4) ** 600) > MAX_COEFFICIENT_BITS
+
+
+def test_the_parse_budget_refuses_before_the_products(tmp_path):
+    # 40 copies of (1 + f1)^428 multiply 2.92 M coefficient pairs, and the
+    # bits bound refused the sum only at the end, after 1.15 s; the budget
+    # refuses before the first row of products past it.  The time is the
+    # CPU time of cli.main in a fresh process, which the heap of this test
+    # session does not slow
+    from diskeds.expr import MAX_PRODUCT_PAIRS
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4,
+                                "rho": " - ".join(["(1+f1)^428"] * 40)}))
+    code = ("import sys, time; from diskeds import cli; start = time.process_time(); "
+            "rc = cli.main(['involutivity', sys.argv[1]]); "
+            "print(rc, time.process_time() - start, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True)
+    err, timing = done.stderr.splitlines()
+    rc, seconds = timing.split()
+    assert (rc, done.stdout) == ("2", "") and float(seconds) < 0.5
+    assert err == (f"SchemaViolation: expressions multiply past {MAX_PRODUCT_PAIRS} "
+                   f"coefficient pairs in one document")
+
+
+def test_the_parse_budget_is_spent_once_per_distinct_text():
+    # (f1 + f2 + f4)^60 takes 284,337 pairs: four copies of one text are
+    # parsed once and load, and two spellings of it pass the budget together
+    spellings = ["(f1+f2+f4)^60", "(f1 + f2 + f4)^60"] * 2
+    entries = lambda texts: {"kind": "matrix", "entries": [
+        [texts[0], "0", "0", texts[1]], ["0", "0", "0", "0"],
+        ["0", "0", "0", texts[2]], ["0", "0", "0", texts[3]]]}
+    doc = {"dimension_2n": 4, "rho": "f3", "structure": entries([spellings[0]] * 4)}
+    build_problem(doc)
+    doc["structure"] = entries(spellings)
+    with pytest.raises(SchemaViolation, match="coefficient pairs in one document"):
+        build_problem(doc)
+
+
+def _counting(monkeypatch, owner, name):
+    """The calls of ``owner.name`` made from now on, as the list of their
+    first arguments."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+SWEEP_N3 = {"dimension_2n": 6, "rho": "2*f5 + f1^2 + f2^2 - f3^2 - f4^2",
+            "points": {"P0": ["1", "-2", "2", "1", "0", "1"],
+                       "P1": ["1", "1", "1", "1", "0", "7"]},
+            "jets": {"J0": {"point": "P0", "p_reduced": ["1", "2", "3", "1"]},
+                     "J1": {"point": "P0", "p_reduced": ["-1", "2", "3", "1"]},
+                     "J2": {"point": "P0", "p_reduced": ["0", "2", "3", "1"]},
+                     "J3": {"point": "P1", "p_reduced": ["0", "0", "0", "1"]}}}
+
+
+def test_rho_is_evaluated_once_per_point_a_jet_names(monkeypatch):
+    # three jets at P0 and one at P1: two evaluations, each at its point
+    evaluated = _counting(monkeypatch, Polynomial, "evaluate")
+    lp = build_problem(SWEEP_N3)
+    assert len(lp.jets) == 4
+    assert [poly.vars for poly in evaluated] == [lp.problem.rho.vars] * 2
+
+
+def test_each_jet_keeps_its_own_off_surface_check():
+    # rho(P0) = 3: the first jet allows it, the second does not and exits
+    # with the message the jet alone gives
+    doc = json.loads(json.dumps(SWEEP_N3))
+    doc["points"]["P0"][4] = "3/2"
+    doc["jets"]["J0"]["allow_off_surface"] = True
+    with pytest.raises(DimensionMismatch) as err:
+        build_problem(doc)
+    assert str(err.value) == "point is off the hypersurface: rho = 3"
+    del doc["jets"]["J1"], doc["jets"]["J2"]
+    assert set(build_problem(doc).jets) == {"J0", "J3"}
+
+
+def test_each_distinct_expression_text_is_parsed_once_per_load(monkeypatch):
+    # rho and 16 entries of four texts: five parses, and the entries of
+    # one text are one Polynomial
+    parsed = _counting(monkeypatch, expr._Parser, "parse")
+    doc = {"dimension_2n": 4, "rho": "f3 - f1^2",
+           "structure": {"kind": "matrix", "entries": [
+               ["f1", "-1", "0", "0"], ["1", "f1", "0", "0"],
+               ["0", "0", "f1", "-1"], ["0", "0", "1", "f1"]]}}
+    entries = build_problem(doc).problem.structure.numerators
+    assert len(parsed) == 5
+    assert entries[0][0] is entries[1][1] is entries[2][2] is entries[3][3]
+    assert entries[0][1] is entries[2][3] and entries[1][0] is entries[3][2]
+    build_problem(doc)
+    assert len(parsed) == 10   # the memo lives for one load
+
+
+def test_a_repeated_bad_entry_raises_its_first_error_unchanged():
+    doc = {"dimension_2n": 4, "rho": "f3",
+           "structure": {"kind": "matrix", "entries": [
+               ["f1 +", "0", "0", "0"], ["0", "f1 +", "0", "0"],
+               ["0", "0", "f9", "0"], ["0", "0", "0", "f1 +"]]}}
+    with pytest.raises(MalformedSyntax) as want:
+        parse_expression("f1 +", ("f1", "f2", "f3", "f4"))
+    with pytest.raises(MalformedSyntax) as got:
+        build_problem(doc)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -7,7 +7,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.exact import FRACTION_SLOTS, _fraction
+from diskeds.errors import DiskEdsError
+from diskeds.exact import FRACTION_SLOTS, _fraction, rat
+from oracles import rat_by_fraction_constructor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BIG = 2 ** 4000
@@ -37,6 +39,49 @@ def test_fraction_is_the_constructor(n, d, k):
     # Fraction(n, d) in type, value, parts, hash and repr
     for num, den in ((n, d), (n * k, d * k)):
         assert _view(_fraction(num, den)) == _view(Fraction(num, den))
+
+
+def _outcome(parse, value):
+    """What ``parse(value)`` gives: the Fraction's type, value, parts and
+    hash, or the error's type and message."""
+    try:
+        x = parse(value)
+    except DiskEdsError as exc:
+        return type(exc), str(exc)
+    return type(x), x, x.numerator, x.denominator, hash(x)
+
+
+# digit runs: short, and 4,000 digits (under int()'s default limit of 4,300)
+_digit_runs = st.one_of(st.integers(0, 10 ** 6), st.integers(10 ** 3999, 10 ** 4000 - 1)).map(str)
+
+
+@st.composite
+def _rational_texts(draw):
+    """'p' or 'p/q' with a sign or none, leading zeros on both parts, a
+    zero denominator now and then, and spaces around the whole text."""
+    text = draw(st.sampled_from(("", "+", "-"))) + "0" * draw(st.integers(0, 2)) + draw(_digit_runs)
+    if draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 2)) + draw(st.one_of(st.just("0"), _digit_runs))
+    pad = draw(st.sampled_from(("", " ", "\t", "\n ")))
+    return pad + text + pad
+
+
+@given(st.one_of(_rational_texts(), st.integers(-BIG, BIG), st.booleans(), st.fractions(),
+                 st.floats(allow_nan=False), st.none(),
+                 st.text(alphabet="0123456789+-/ ._", max_size=8)))
+@example("-0")
+@example("007/0")
+@example("0/000")
+@example("+12/18")
+@example("1" * 5000)
+@example("1/" + "1" * 5000)
+@example(True)
+@example(-(10 ** 4000))
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+def test_rat_is_the_fraction_constructor_oracle(value):
+    # the same Fraction in value, exact type, parts and hash, or the same
+    # error with the same message
+    assert _outcome(rat, value) == _outcome(rat_by_fraction_constructor, value)
 
 
 def test_fraction_keeps_its_parts_in_the_slots_the_kernels_read():

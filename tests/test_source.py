@@ -113,6 +113,39 @@ def test_the_fraction_layout_rule_finds_a_slot_read():
     assert _fraction_layout_uses({"geometry.py": source}) == ["geometry.py:_denominator_of"]
 
 
+def _report_writes(sources):
+    """name:owner for every json.dump or json.dumps call that passes an
+    indent, and every call of the report writer ``_write_json`` outside
+    ``reports.emit_report`` and the writer itself, in the modules of
+    ``sources`` (name -> text)."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{name}:{owner}")
+            elif called == "_write_json" and f"{name}:{owner}" not in (
+                    "reports.py:emit_report", "reports.py:_write_json"):
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_emit_report_writes_every_report():
+    # one writer of report bytes: the json module's indented encoder is the
+    # pure-Python one, and a second writer could drift from the first
+    found = _report_writes({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert found == []
+
+
+def test_the_report_writer_rule_finds_an_indented_dump():
+    source = (SRC / "cli.py").read_text() + (
+        "\n\ndef _pretty(obj):\n    return json.dumps(obj, sort_keys=True, indent=2)\n"
+        "\n\ndef _again(obj, out):\n    reports._write_json(obj, '\\n', out)\n")
+    assert _report_writes({"cli.py": source}) == ["cli.py:_again", "cli.py:_pretty"]
+
+
 def test_echelon_owns_every_row_update():
     # one elimination in the package: a row_minus call anywhere else is a
     # second elimination loop
