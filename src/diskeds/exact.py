@@ -8,18 +8,22 @@ part normalize back down to Fraction so term dictionaries stay canonical.
 
 The integer kernels live here too: :func:`sum_of_products` (under
 ``linalg.dot``), :func:`row_minus` (the elimination row update) and the
-``FirstJet`` gradient rules.  A Fraction x Fraction term a/b * c/d is the
-integer pair (a c, b d); a kernel sums such pairs on one integer numerator
-over the lcm of their denominators and makes each result one reduced
-Fraction with :func:`_fraction`: one gcd, both parts divided by it, and a
-write of Fraction's two slots.  That is exact: n/d with d > 0 divided
-through by g = gcd(n, d) is the one reduced form with a positive
-denominator, so it is the Fraction that ``Fraction(n, d)`` builds and
-Fraction's operators reach term by term, in value, parts, hash and type.
-The kernels read a Fraction's parts off the same slots; importing the
-module checks that Fraction keeps its parts in exactly those two slots and
-raises ImportError otherwise.  Operands of any other type (int, FirstJet,
-GaussianRational, a rational function) take their own operators.
+``FirstJet`` rules.  A Fraction x Fraction term a/b * c/d is the integer
+pair (a c, b d); a kernel sums such pairs on one integer numerator over
+the lcm of their denominators and makes each result one reduced Fraction
+with :func:`_fraction`: one gcd, both parts divided by it, and a write of
+Fraction's two slots.  That is exact: n/d with d > 0 divided through by
+g = gcd(n, d) is the one reduced form with a positive denominator, so it
+is the Fraction that ``Fraction(n, d)`` builds and Fraction's operators
+reach term by term, in value, parts, hash and type.  First jets run on
+the same kernels: a sum of products with FirstJet factors is one FirstJet
+whose value joins the integer sum and whose tangent components are
+integer sums of their own, and a FirstJet product or quotient builds its
+value and tangent from integer pairs.  The kernels read a Fraction's
+parts off the same slots; importing the module checks that Fraction
+keeps its parts in exactly those two slots and raises ImportError
+otherwise.  Operands of any other type (GaussianRational, a rational
+function) take their own operators.
 """
 from __future__ import annotations
 
@@ -223,6 +227,9 @@ class FirstJet:
     returns the jet itself.  So constant inputs cost no gradient arithmetic.
     Likewise each rule skips a gradient component whose terms have an
     exact zero factor, so a sparse gradient costs only its nonzero entries.
+    Products and quotients build their values and gradients from integer
+    pairs with :func:`_fraction`; a divisor whose value is 0 raises
+    ZeroDivisionError.
 
     A FirstJet is always truthy: a jet whose value is 0 can still have a
     nonzero gradient, so it is never taken for the constant 0.
@@ -237,14 +244,14 @@ class FirstJet:
     def __add__(self, other):
         if not isinstance(other, FirstJet):
             return self if not other else FirstJet(self.value + other, self.grad)
-        return FirstJet(self.value + other.value, _combined(1, self.grad, 1, other.grad))
+        return FirstJet(self.value + other.value, _combined(1, 1, self.grad, 1, 1, other.grad))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, FirstJet):
             return self if not other else FirstJet(self.value - other, self.grad)
-        return FirstJet(self.value - other.value, _combined(1, self.grad, -1, other.grad))
+        return FirstJet(self.value - other.value, _combined(1, 1, self.grad, -1, 1, other.grad))
 
     def __rsub__(self, other):
         if not other:
@@ -260,10 +267,14 @@ class FirstJet:
                 return Fraction(0)
             if other == 1:
                 return self
-            return FirstJet(self.value * other, _scaled(self.grad, other))
-        u, v = self.value, other.value
+            un, ud = _parts(self.value)
+            cn, cd = _parts(other)
+            return FirstJet(_fraction(un * cn, ud * cd), _scaled(self.grad, cn, cd))
+        un, ud = _parts(self.value)
+        vn, vd = _parts(other.value)
         # d(uv) = u dv + v du
-        return FirstJet(u * v, _combined(u, other.grad, v, self.grad))
+        return FirstJet(_fraction(un * vn, ud * vd),
+                        _combined(un, ud, other.grad, vn, vd, self.grad))
 
     __rmul__ = __mul__
 
@@ -271,20 +282,24 @@ class FirstJet:
         if not isinstance(other, FirstJet):
             if other == 1:
                 return self
-            return FirstJet(self.value / other,
-                            tuple(a / other if a else a for a in self.grad))
-        v = other.value
-        q = self.value / v
+            vn, vd = _inverse_parts(other)
+            un, ud = _parts(self.value)
+            return FirstJet(_fraction(un * vn, ud * vd), _scaled(self.grad, vn, vd))
+        vn, vd = _inverse_parts(other.value)
+        un, ud = _parts(self.value)
+        q = _fraction(un * vn, ud * vd)
         # d(u/v) = (du - q dv) / v
-        return FirstJet(q, _combined(1 / v, self.grad, -q / v, other.grad))
+        return FirstJet(q, _combined(vn, vd, self.grad,
+                                     -q._numerator * vn, q._denominator * vd, other.grad))
 
     def __rtruediv__(self, other):
-        v = self.value
-        q = other / v
-        if q == 0:
+        vn, vd = _inverse_parts(self.value)
+        cn, cd = _parts(other)
+        if not cn:
             return Fraction(0)
+        q = _fraction(cn * vn, cd * vd)
         # d(c/v) = -q dv / v
-        return FirstJet(q, _scaled(self.grad, -q / v))
+        return FirstJet(q, _scaled(self.grad, -q._numerator * vn, q._denominator * vd))
 
 
 def _negated(grad):
@@ -319,10 +334,21 @@ def _fraction(n, d):
 
 
 def _parts(c):
-    """(numerator, denominator) of an int or a Fraction coefficient."""
+    """(numerator, denominator) of an int or a Fraction coefficient; (0, 1)
+    for a zero Fraction, whose denominator is not read."""
     if type(c) is Fraction:
-        return c._numerator, c._denominator
+        n = c._numerator
+        return (n, c._denominator) if n else (0, 1)
     return c.numerator, c.denominator
+
+
+def _inverse_parts(c):
+    """(numerator, denominator) of 1/c, the denominator positive;
+    ZeroDivisionError for c = 0."""
+    n, d = _parts(c)
+    if not n:
+        raise ZeroDivisionError("division by zero FirstJet")
+    return (d, n) if n > 0 else (-d, -n)
 
 
 def sum_of_products(xs, ys, c=None):
@@ -330,12 +356,15 @@ def sum_of_products(xs, ys, c=None):
     an exact zero factor left out; None when every term is left out.
 
     The Fraction x Fraction terms and a Fraction c make one Fraction, from
-    one numerator over the lcm of their denominators; other pairs take
-    their own operators and their sum comes first, any other c last.
+    one numerator over the lcm of their denominators.  With a FirstJet
+    factor in any term the sum is one FirstJet (:func:`_jet_sum`): each
+    term's value joins that integer sum and each tangent component is an
+    integer sum of its own.  Other pairs take their own operators and
+    their sum comes first, any other c last.
     """
     cn = c._numerator if type(c) is Fraction else 0
     num, den = 0, 0     # den = 0 until the first Fraction term
-    rest = None
+    rest = jets = None
     for x, y in zip(xs, ys):
         if type(x) is Fraction and type(y) is Fraction:
             a = x._numerator
@@ -352,13 +381,74 @@ def sum_of_products(xs, ys, c=None):
                     else:
                         num, den = a * b, d
         elif x and y:
-            rest = x * y if rest is None else rest + x * y
+            if type(x) is FirstJet or type(y) is FirstJet:
+                if jets is None:
+                    jets = []
+                jets.append((x, y))
+            else:
+                rest = x * y if rest is None else rest + x * y
+    if jets is not None:
+        s = _jet_sum(jets, num, den, None if cn and den else c)
+        return s if rest is None else s + rest
     if den:
         s = _fraction(num, den)
         rest = s if rest is None else rest + s
         if cn:      # c is in the integer sum
             return rest
     return rest + c if c and rest is not None else rest
+
+
+def _jet_sum(terms, num, den, c):
+    """The FirstJet c + num/den + sum x * y over ``terms``, pairs with a
+    FirstJet factor and no exact-zero factor, where num/den is an integer
+    sum (den = 0 when empty) and c is None or not yet in it.
+
+    By the product rule a term u v contributes u dv + v du, or c du for a
+    constant factor c: every value product joins num/den, and each tangent
+    component sums its scaled components on an integer pair of its own,
+    so the whole sum builds one FirstJet.  A FirstJet, int or Fraction c
+    joins the sums too; any other c is added last by its operators.
+    """
+    if not den:
+        num, den = 0, 1
+    x, y = terms[0]
+    m = len((x if type(x) is FirstJet else y).grad)
+    nums, dens = [0] * m, [1] * m     # the tangent sums, 0/1 while empty
+    for x, y in terms:
+        if type(x) is not FirstJet:
+            x, y = y, x
+        un, ud = _parts(x.value)
+        if type(y) is FirstJet:
+            vn, vd = _parts(y.value)
+            if un:
+                _add_scaled(nums, dens, un, ud, y.grad)
+        else:
+            vn, vd = _parts(y)
+        if vn:
+            _add_scaled(nums, dens, vn, vd, x.grad)
+            if un:
+                num, den = _pair_sum(num, den, un * vn, ud * vd)
+    last = None
+    if type(c) is FirstJet:
+        _add_scaled(nums, dens, 1, 1, c.grad)
+        c = c.value
+    if type(c) is Fraction or type(c) is int:
+        if c:
+            num, den = _pair_sum(num, den, *_parts(c))
+    else:
+        last = c
+    s = FirstJet(_fraction(num, den) if num else _ZERO,
+                 tuple(_fraction(n, d) if n else _ZERO for n, d in zip(nums, dens)))
+    return s if last is None else s + last
+
+
+def _add_scaled(nums, dens, sn, sd, grad):
+    """nums/dens += (sn/sd) grad, component by component on integer pairs;
+    a zero component of grad is skipped unread."""
+    for k, t in enumerate(grad):
+        a = t._numerator
+        if a:
+            nums[k], dens[k] = _pair_sum(nums[k], dens[k], sn * a, sd * t._denominator)
 
 
 def row_minus(row, factor, pivot):
@@ -386,12 +476,11 @@ def row_minus(row, factor, pivot):
 
 
 # The gradient kernels: FirstJet gradients hold Fractions, and the
-# coefficients u, v and c are ints or Fractions.
+# coefficients u = un/ud, v = vn/vd and c = cn/cd come as integer pairs
+# with positive denominators.
 
-def _combined(u, xs, v, ys):
+def _combined(un, ud, xs, vn, vd, ys):
     """u xs + v ys, one Fraction per component from one integer pair."""
-    un, ud = _parts(u)
-    vn, vd = _parts(v)
     unit = un == ud     # u = 1: a component of xs alone is kept as it is
     out = []
     for x, y in zip(xs, ys):
@@ -407,9 +496,8 @@ def _combined(u, xs, v, ys):
     return tuple(out)
 
 
-def _scaled(grad, c):
+def _scaled(grad, cn, cd):
     """c grad for c != 0."""
-    cn, cd = _parts(c)
     out = []
     for x in grad:
         a = x._numerator

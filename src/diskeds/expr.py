@@ -19,7 +19,8 @@ and unary minuses nest at most ``MAX_NESTING`` levels.  Neither the
 expanded expression nor a sum or partial product on the way to it may pass
 ``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients,
 and the parses sharing a :class:`ParseBudget` (those of one document) may
-multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs together.
+multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs, holding at most
+``MAX_PRODUCT_WORDS`` pairs of 64-bit words, together.
 Term order is graded lexicographic on the table order, so printing is
 deterministic and files round-trip.
 """
@@ -45,10 +46,12 @@ from .exact import (
     power,
     rational_str,
     scalar_str,
+    sum_of_products,
 )
 
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _gradlex_key(exps):
@@ -79,6 +82,12 @@ def _bits(c):
     return p.bit_length() + q.bit_length()
 
 
+def _words(c):
+    """The 64-bit words of a coefficient's (or an int's) numerators and
+    denominators."""
+    return _bits(c) // 64 + 1
+
+
 def _bounded(terms, limit):
     """``terms``, raising past ``limit`` terms or past MAX_COEFFICIENT_BITS
     bits in all its coefficients together."""
@@ -94,9 +103,9 @@ def _product(a, b, budget=None):
     """The term table of the product of the term tables ``a`` and ``b``:
     one product for two monomials, raw integers for two large rational
     tables.  With a parse's :class:`ParseBudget`, each row of len(b)
-    coefficient pairs is taken from it before the row is multiplied, a
-    partial product past MAX_TERMS terms raises, and so does a product past
-    :func:`_bounded`'s coefficient bits."""
+    coefficient pairs, and their word pairs, is taken from it before the
+    row is multiplied, a partial product past MAX_TERMS terms raises, and
+    so does a product past :func:`_bounded`'s coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -105,15 +114,17 @@ def _product(a, b, budget=None):
         if c1 is _ONE or c2 is _ONE:
             return {tuple(map(_add, e1, e2)): c2 if c1 is _ONE else c1}
         if budget is not None:
-            budget.take(1)
+            budget.take(1, _words(c1) * _words(c2))
         res = {tuple(map(_add, e1, e2)): c1 * c2}
     else:
         res = _integer_product(a, b, budget) if len(a) > 8 and len(b) > 8 else None
         if res is None:
             res = {}
+            if budget is not None:
+                words_b = sum(map(_words, b.values()))
             for e1, c1 in a.items():
                 if budget is not None:
-                    budget.take(len(b))
+                    budget.take(len(b), _words(c1) * words_b)
                 for e2, c2 in b.items():
                     _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
                 if budget is not None and len(res) > MAX_TERMS:
@@ -174,11 +185,13 @@ def _integer_product(a, b, budget):
 
     A = [(pack(e), int(c / ca)) for e, c in a.items()]
     B = [(pack(e), int(c / cb)) for e, c in b.items()]
+    if budget is not None:
+        words_B = sum(_words(c) for _, c in B)
     res = {}
     get = res.get
     for e1, c1 in A:
         if budget is not None:
-            budget.take(len(B))
+            budget.take(len(B), _words(c1) * words_B)
         for e2, c2 in B:
             e = e1 + e2
             res[e] = get(e, 0) + c1 * c2
@@ -417,11 +430,22 @@ class Polynomial:
         return partials_at(point, self._terms_at(point), second)
 
     def first_jet(self, point) -> FirstJet:
-        """Value and gradient at a point; a constant's gradient is zero and
-        takes no pass over its terms."""
+        """Value and gradient at a point.  A polynomial of degree 1 or 0
+        takes no pass over its terms: its gradient is its linear
+        coefficients, and its value their dot with the point, plus the
+        constant term, from one integer sum."""
         pairs = self._terms_at(point)
-        grad = partials_at(point, pairs)[0] if self.degree() else (Fraction(0),) * len(point)
-        return FirstJet(value_at(point, pairs), grad)
+        if self.degree() > 1:
+            return FirstJet(value_at(point, pairs), partials_at(point, pairs)[0])
+        grad = [_ZERO] * len(point)
+        constant = _ZERO
+        for exps, c in pairs:
+            if 1 in exps:
+                grad[exps.index(1)] = c
+            else:
+                constant = c
+        value = sum_of_products(grad, point, constant)
+        return FirstJet(constant if value is None else normalize_scalar(value), tuple(grad))
 
 
 # ----------------------------------------------------------------------
@@ -483,24 +507,36 @@ MAX_COEFFICIENT_BITS = 2 ** 17
 # takes 284,337, and at half a microsecond a pair or less the products of
 # one load stop within about a quarter of a second
 MAX_PRODUCT_PAIRS = 2 ** 19
+# the most word pairs those products may multiply, taken with the pairs: a
+# coefficient of b bits is b // 64 + 1 words and a pair costs the product
+# of its words.  3^20000*3^20000, 1 pair, takes 496^2 and about 0.7 ms, so
+# few products of large coefficients stop within about a tenth of a
+# second; (1 + f1)^420*(1 + f1)^420 takes 5,602,827
+MAX_PRODUCT_WORDS = 2 ** 25
 
 
 class ParseBudget:
-    """The coefficient pairs that the parses sharing this budget, those of
-    one document, may still multiply."""
+    """The coefficient pairs, and the word pairs of their coefficients,
+    that the parses sharing this budget, those of one document, may still
+    multiply."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "words")
 
     def __init__(self):
         self.pairs = MAX_PRODUCT_PAIRS
+        self.words = MAX_PRODUCT_WORDS
 
-    def take(self, pairs):
-        """Take ``pairs`` coefficient pairs before they are multiplied;
-        SchemaViolation when they pass the budget."""
+    def take(self, pairs, words):
+        """Take ``pairs`` coefficient pairs and ``words`` word pairs before
+        they are multiplied; SchemaViolation when either passes the budget."""
         self.pairs -= pairs
         if self.pairs < 0:
             raise SchemaViolation(f"expressions multiply past {MAX_PRODUCT_PAIRS} "
                                   f"coefficient pairs in one document")
+        self.words -= words
+        if self.words < 0:
+            raise SchemaViolation(f"expressions multiply past {MAX_PRODUCT_WORDS} "
+                                  f"coefficient word pairs in one document")
 
 
 def unit_exponents(variables):

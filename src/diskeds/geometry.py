@@ -270,7 +270,10 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
     rho's gradient, and with ``jets`` its Hessian rows, come from one pass
     over its monomials, and each entry is N/q with q read once: values, or
     with ``jets`` first jets with gradients in user order, each
-    :func:`_settled`.  A zero entry costs nothing."""
+    :func:`_settled`.  A zero entry costs nothing, and each distinct
+    numerator object is read once: entries that share a Polynomial (the
+    loader shares one per distinct text) share its scalar, through a dict
+    keyed by the object's id that lives for this call."""
     rho = problem.rho
     numerators, q = problem.structure.numerators, problem.structure.denominator
     point = _fractions(point)
@@ -282,12 +285,18 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
     read = (lambda p: _settled(p.first_jet(point))) if jets else (lambda p: p.evaluate(point))
     q = read(q)
     zero = Fraction(0)
+    scalars = {}
 
     def entry(N):
         if not N:
             return zero
-        x = read(N)
-        return x if q == 1 else x / q
+        x = scalars.get(id(N))
+        if x is None:
+            x = read(N)
+            if q != 1:
+                x = x / q
+            scalars[id(N)] = x
+        return x
 
     return grad, tuple(tuple(map(entry, row)) for row in numerators), zero
 

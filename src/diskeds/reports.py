@@ -3,7 +3,7 @@
 Problem files are JSON; every numeric quantity is an exact rational given
 as a string 'p/q' (or 'p').  Floats are rejected outright.  A load parses
 each distinct expression text once and spends one budget of coefficient
-pairs (``expr.ParseBudget``) over all its parses.
+pairs and their word pairs (``expr.ParseBudget``) over all its parses.
 
 Reports serialize with sorted keys and canonical rational strings so
 identical inputs give byte-identical output.  :func:`emit_report` is the
@@ -172,7 +172,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
 
     problem = None
     structure_warnings = ()
-    budget = ParseBudget()   # the coefficient pairs every parse below takes from
+    budget = ParseBudget()   # the coefficient and word pairs every parse below takes from
     if "rho" in doc:
         units = unit_exponents(coords)
         parsed = {}   # expression text -> its Polynomial, parsed once in this load

@@ -913,6 +913,16 @@ def test_jets_multiplies_no_coefficient_by_one(capsys):
     assert 100 < _fraction_operands(["jets", "hyperquadric"])[0] <= 724
 
 
+def test_torsion_on_a_degree_1_structure_takes_one_jet_per_dot(tmp_path, capsys):
+    # each dot over first jets builds one FirstJet from integer sums, and each
+    # distinct entry is read once: exact arithmetic took 1,322 Fraction
+    # operands here with a FirstJet per product and per partial sum, and
+    # takes 1,013 with one per dot
+    path = tmp_path / "degree_1_n3.json"
+    path.write_text(json.dumps(DEGREE_1_N3))
+    assert 100 < _fraction_operands(["torsion", str(path)])[0] <= 1100
+
+
 def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -1736,6 +1746,27 @@ def test_the_parse_budget_refuses_before_the_products(tmp_path):
                    f"coefficient pairs in one document")
 
 
+def test_few_products_of_large_coefficients_stop_at_the_word_budget(tmp_path):
+    # each 3^20000*3^20000 multiplies two 31,699-bit coefficients, 1 pair of
+    # the pair budget and 496^2 word pairs; 4,000 of them (72,000
+    # characters) took about 3 s to load, and the word budget stops the
+    # load at the 137th.  The time is the CPU time of cli.main in a fresh process
+    from diskeds.expr import MAX_PRODUCT_WORDS
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4,
+                                "rho": " + ".join(["3^20000*3^20000"] * 4000)}))
+    code = ("import sys, time; from diskeds import cli; start = time.process_time(); "
+            "rc = cli.main(['involutivity', sys.argv[1]]); "
+            "print(rc, time.process_time() - start, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True)
+    err, timing = done.stderr.splitlines()
+    rc, seconds = timing.split()
+    assert (rc, done.stdout) == ("2", "") and float(seconds) < 1
+    assert err == (f"SchemaViolation: expressions multiply past {MAX_PRODUCT_WORDS} "
+                   f"coefficient word pairs in one document")
+
+
 def test_the_parse_budget_is_spent_once_per_distinct_text():
     # (f1 + f2 + f4)^60 takes 284,337 pairs: four copies of one text are
     # parsed once and load, and two spellings of it pass the budget together
@@ -1778,6 +1809,62 @@ def test_rho_is_evaluated_once_per_point_a_jet_names(monkeypatch):
     lp = build_problem(SWEEP_N3)
     assert len(lp.jets) == 4
     assert [poly.vars for poly in evaluated] == [lp.problem.rho.vars] * 2
+
+
+# a degree-1 matrix structure under a cubic rho, the shape of the
+# benchmark's polynomial_structure documents: 31 nonzero entries of 20 texts
+DEGREE_1_N3 = {
+    "dimension_2n": 6,
+    "rho": "-f1^2*f4 + 2*f3^2*f5 + 2*f2*f4 + 3*f3^2 - 3*f2 - 2*f6 - 19",
+    "structure": {"kind": "matrix", "entries": [
+        ["0", "2*f5 + 2", "-2*f6 + 2", "0", "0", "2*f6 + 2"],
+        ["-2", "-1", "-2", "-1", "-f5 + 2", "-2"],
+        ["f6", "-2", "-2*f6 - 2", "-1", "-2*f5", "1"],
+        ["-2", "-2", "-1", "-f5 + 2", "f5 + 1", "f6"],
+        ["2*f5", "-2*f6", "2*f3 - 2", "2*f3 + 2", "2", "0"],
+        ["f4", "-f5 - 2", "-2*f1", "f6", "2*f1 + 1", "0"]]},
+    "points": {"P0": ["-1", "2", "-2", "-1", "2", "0"]},
+    "jets": {"J0": {"point": "P0", "p_reduced": ["-2", "0", "2", "0"]}},
+    "distinguished_pair": [1, 2]}
+
+
+@pytest.mark.parametrize("name", ["n3_matrix", "degree_1_n3"])
+def test_each_distinct_numerator_is_read_once_per_point(name, monkeypatch):
+    # entries of one text share one Polynomial, and _inputs evaluates it, or
+    # takes its first jet, once per point; q is read once besides
+    from diskeds.geometry import _inputs
+    doc = (json.loads((DOCS / "n3_matrix.json").read_text()) if name == "n3_matrix"
+           else DEGREE_1_N3)
+    problem = build_problem(doc).problem
+    numerators = [N for row in problem.structure.numerators for N in row if N]
+    distinct = sorted({id(N) for N in numerators})
+    assert len(distinct) < len(numerators)
+    q = problem.structure.denominator
+    reads = {"evaluate": _counting(monkeypatch, Polynomial, "evaluate"),
+             "first_jet": _counting(monkeypatch, Polynomial, "first_jet")}
+    for point in doc["points"].values():
+        for method, jets in (("evaluate", False), ("first_jet", True)):
+            read = reads[method]
+            read.clear()
+            _inputs(problem, tuple(map(Fraction, point)), jets)
+            assert [p for p in read if p is q] == [q]
+            assert sorted(id(p) for p in read if p is not q) == distinct
+
+
+def test_a_degree_1_first_jet_reads_the_linear_coefficients(monkeypatch):
+    # the gradient of a degree-1 entry is its linear coefficients, read with
+    # no partials_at pass, and equals the pass's gradient
+    problem = build_problem(DEGREE_1_N3).problem
+    point = tuple(map(Fraction, DEGREE_1_N3["points"]["P0"]))
+    entries = {id(N): N for row in problem.structure.numerators for N in row
+               if N.degree() == 1}
+    assert len(entries) == 16
+    passes = _counting(monkeypatch, expr, "partials_at")
+    jets = [N.first_jet(point) for N in entries.values()]
+    assert not passes
+    for N, jet in zip(entries.values(), jets):
+        assert (jet.value, jet.grad) == (N.evaluate(point), N.derivatives_at(point)[0])
+        assert all(type(t) is Fraction for t in jet.grad)
 
 
 def test_each_jet_keeps_its_own_off_surface_check():

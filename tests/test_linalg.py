@@ -1,10 +1,12 @@
 """Exact linear algebra: rank, nullspace, determinant, solving."""
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.exact import FirstJet, GaussianRational, row_minus
+from diskeds.exact import FirstJet, GaussianRational, row_minus, sum_of_products
 from diskeds.expr import parse_expression
 from diskeds.linalg import (
     _echelon,
@@ -215,6 +217,76 @@ def test_dot_over_first_jets_is_the_dense_sum(pairs):
     assert type(got) is type(_fold(pairs, zero))
     if not pairs or all(not isinstance(x, FirstJet) and not x for x, _ in pairs):
         assert got is zero
+
+
+# jet parts: zeros, +-1, negatives, and 4,000-bit numerators and denominators
+jet_parts = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1), Fraction(-5, 6),
+                                           Fraction(4, 35), Fraction(3, BIG - 1)]),
+    st.fractions(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+# zero values and zero tangents come from jet_parts; one jet in five is
+# all zeros, so whole terms vanish too
+jet_operands = st.one_of(
+    st.builds(FirstJet, jet_parts, st.tuples(jet_parts, jet_parts, jet_parts)),
+    st.just(FirstJet(Fraction(0), ZERO3)))
+_operands = st.one_of(jet_operands, jet_parts, st.integers(-2, 2))
+
+
+def _exact_view(x):
+    """The value and tangent of a scalar, each with its type."""
+    if isinstance(x, FirstJet):
+        return FirstJet, (type(x.value), x.value), tuple((type(t), t) for t in x.grad)
+    return type(x), x
+
+
+@given(_pairs(_operands),
+       st.one_of(st.none(), st.integers(-2, 2), jet_parts, jet_operands, gaussians))
+@example([], FirstJet(Fraction(1), ZERO3))
+@example([(FirstJet(Fraction(0), ZERO3), FirstJet(Fraction(0), ZERO3))], None)
+@example([(FirstJet(Fraction(2), (Fraction(1), Fraction(0), Fraction(-1))), Fraction(0)),
+          (Fraction(0), FirstJet(Fraction(1), ZERO3))], Fraction(3))
+@example([(FirstJet(Fraction(1, 2), (Fraction(1), Fraction(0), Fraction(-1))),
+           FirstJet(Fraction(-2), (Fraction(0), Fraction(1, 3), Fraction(1, 2)))),
+          (Fraction(1, 6), Fraction(-5, 6)), (2, -1)],
+         FirstJet(Fraction(1), (Fraction(-1, 2), Fraction(0), Fraction(1, 2))))
+@example([(FirstJet(Fraction(1), (Fraction(1), Fraction(1), Fraction(0))), Fraction(-1)),
+          (FirstJet(Fraction(1), (Fraction(1), Fraction(1), Fraction(0))), 1)], 0)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_sum_of_products_over_first_jets_is_the_operator_fold(pairs, c):
+    # FirstJet, Fraction and int factors, and c of every kind: one FirstJet
+    # from integer sums, with the value, tangent and types of the term-by-
+    # term fold over the operators, or None when every term has a zero factor
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = sum_of_products(xs, ys, c)
+    if all(not (x and y) for x, y in pairs):
+        assert got is None
+        return
+    fold = _fold(pairs, None)
+    want = fold + c if c else fold
+    assert _exact_view(got) == _exact_view(want)
+
+
+@given(jet_operands, _operands)
+@example(FirstJet(Fraction(3), ZERO3), FirstJet(Fraction(0), (Fraction(1),) * 3))
+@example(FirstJet(Fraction(-1, 2), (Fraction(1), Fraction(0), Fraction(2))), Fraction(-1))
+@example(FirstJet(Fraction(0), ZERO3), 0)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_first_jet_products_and_quotients_have_fractions_values(x, y):
+    # u v and u / v are the Fractions Fraction's operators give, in value,
+    # parts and type; a zero divisor raises ZeroDivisionError as they do
+    value = lambda s: s.value if isinstance(s, FirstJet) else s
+    for op in (operator.mul, operator.truediv):
+        for a, b in ((x, y), (y, x)):
+            try:
+                want = op(Fraction(value(a)), Fraction(value(b)))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            got = value(op(a, b))
+            assert (type(got), got.numerator, got.denominator) == \
+                (Fraction, want.numerator, want.denominator)
 
 
 def _rows(values, most=6):
