@@ -8,7 +8,7 @@ part normalize back down to Fraction so term dictionaries stay canonical.
 
 The integer kernels live here too: :func:`sum_of_products` (under
 ``linalg.dot``), :func:`row_minus` (the elimination row update) and the
-``FirstJet`` rules.  A Fraction x Fraction term a/b * c/d is the integer
+first-jet rules.  A Fraction x Fraction term a/b * c/d is the integer
 pair (a c, b d); a kernel sums such pairs on one integer numerator over
 the lcm of their denominators and makes each result one reduced Fraction
 with :func:`_fraction`: one gcd, both parts divided by it, and a write of
@@ -18,12 +18,12 @@ is the Fraction that ``Fraction(n, d)`` builds and Fraction's operators
 reach term by term, in value, parts, hash and type.  First jets run on
 the same kernels: a sum of products with FirstJet factors is one FirstJet
 whose value joins the integer sum and whose tangent components are
-integer sums of their own, and a FirstJet product or quotient builds its
-value and tangent from integer pairs.  The kernels read a Fraction's
-parts off the same slots; importing the module checks that Fraction
-keeps its parts in exactly those two slots and raises ImportError
-otherwise.  Operands of any other type (GaussianRational, a rational
-function) take their own operators.
+integer sums of their own, and a FirstJet quotient sums its tangent the
+same way (:func:`_add_scaled` is the one update of a tangent sum).  The
+kernels read a Fraction's parts off the same slots; importing the module
+checks that Fraction keeps its parts in exactly those two slots and
+raises ImportError otherwise.  Operands of any other type
+(GaussianRational, a rational function) take their own operators.
 """
 from __future__ import annotations
 
@@ -215,19 +215,21 @@ class FirstJet:
     """Exact first jet of a function at a point: its value and gradient.
 
     Forward-mode differentiation over Q (Griewank & Walther, *Evaluating
-    Derivatives*, 2nd ed., 2008): +, -, * and / carry the gradient by the
-    sum, product and quotient rules, so a formula evaluated over FirstJets
-    seeded with each input's value and gradient returns the exact value
-    and first partial derivatives of its result.  Both FirstJet operands
-    of a binary operation are jets at the same point.
+    Derivatives*, 2nd ed., 2008): a formula written with ``linalg.dot``
+    and ``dot_plus``, negation and / carries the gradient by the sum,
+    product and quotient rules, so evaluated over FirstJets seeded with
+    each input's value and gradient it returns the exact value and first
+    partial derivatives of its result.  A FirstJet is a value-and-tangent
+    record: sums of products run on :func:`sum_of_products`, and the one
+    operator beside negation is /, on :func:`_quotient`.  Both FirstJet
+    operands of a quotient are jets at the same point.
 
-    An operand may also be a constant (``int`` or ``Fraction``, a jet with
-    zero gradient): it shifts the value or scales the gradient, multiplying
-    by 0 gives the constant 0, and adding 0 or multiplying or dividing by 1
-    returns the jet itself.  So constant inputs cost no gradient arithmetic.
-    Likewise each rule skips a gradient component whose terms have an
-    exact zero factor, so a sparse gradient costs only its nonzero entries.
-    Products and quotients build their values and gradients from integer
+    A factor, a ``dot_plus`` c or a quotient operand that is not a
+    FirstJet is a constant (``int`` or ``Fraction``, a jet with zero
+    gradient): it scales the gradient or joins the value and costs no
+    gradient arithmetic of its own.  Each rule skips a gradient component
+    whose terms have an exact zero factor, so a sparse gradient costs only
+    its nonzero entries, and builds its value and gradient from integer
     pairs with :func:`_fraction`; a divisor whose value is 0 raises
     ZeroDivisionError.
 
@@ -241,65 +243,16 @@ class FirstJet:
         self.value = value
         self.grad = grad
 
-    def __add__(self, other):
-        if not isinstance(other, FirstJet):
-            return self if not other else FirstJet(self.value + other, self.grad)
-        return FirstJet(self.value + other.value, _combined(1, 1, self.grad, 1, 1, other.grad))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, FirstJet):
-            return self if not other else FirstJet(self.value - other, self.grad)
-        return FirstJet(self.value - other.value, _combined(1, 1, self.grad, -1, 1, other.grad))
-
-    def __rsub__(self, other):
-        if not other:
-            return -self
-        return FirstJet(other - self.value, _negated(self.grad))
-
     def __neg__(self):
         return FirstJet(-self.value, _negated(self.grad))
 
-    def __mul__(self, other):
-        if not isinstance(other, FirstJet):
-            if not other:
-                return Fraction(0)
-            if other == 1:
-                return self
-            un, ud = _parts(self.value)
-            cn, cd = _parts(other)
-            return FirstJet(_fraction(un * cn, ud * cd), _scaled(self.grad, cn, cd))
-        un, ud = _parts(self.value)
-        vn, vd = _parts(other.value)
-        # d(uv) = u dv + v du
-        return FirstJet(_fraction(un * vn, ud * vd),
-                        _combined(un, ud, other.grad, vn, vd, self.grad))
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if not isinstance(other, FirstJet):
-            if other == 1:
-                return self
-            vn, vd = _inverse_parts(other)
-            un, ud = _parts(self.value)
-            return FirstJet(_fraction(un * vn, ud * vd), _scaled(self.grad, vn, vd))
-        vn, vd = _inverse_parts(other.value)
-        un, ud = _parts(self.value)
-        q = _fraction(un * vn, ud * vd)
-        # d(u/v) = (du - q dv) / v
-        return FirstJet(q, _combined(vn, vd, self.grad,
-                                     -q._numerator * vn, q._denominator * vd, other.grad))
+        if type(other) is FirstJet:
+            return _quotient(self.value, self.grad, other.value, other.grad)
+        return _quotient(self.value, self.grad, other, None)
 
     def __rtruediv__(self, other):
-        vn, vd = _inverse_parts(self.value)
-        cn, cd = _parts(other)
-        if not cn:
-            return Fraction(0)
-        q = _fraction(cn * vn, cd * vd)
-        # d(c/v) = -q dv / v
-        return FirstJet(q, _scaled(self.grad, -q._numerator * vn, q._denominator * vd))
+        return _quotient(other, None, self.value, self.grad)
 
 
 def _negated(grad):
@@ -357,10 +310,11 @@ def sum_of_products(xs, ys, c=None):
 
     The Fraction x Fraction terms and a Fraction c make one Fraction, from
     one numerator over the lcm of their denominators.  With a FirstJet
-    factor in any term the sum is one FirstJet (:func:`_jet_sum`): each
-    term's value joins that integer sum and each tangent component is an
-    integer sum of its own.  Other pairs take their own operators and
-    their sum comes first, any other c last.
+    factor in any term the sum is one FirstJet (:func:`_jet_sum`), every
+    other factor and c an int, Fraction or FirstJet: each term's value
+    joins that integer sum and each tangent component is an integer sum of
+    its own.  Other pairs take their own operators and their sum comes
+    first, any other c last.
     """
     cn = c._numerator if type(c) is Fraction else 0
     num, den = 0, 0     # den = 0 until the first Fraction term
@@ -387,9 +341,11 @@ def sum_of_products(xs, ys, c=None):
                 jets.append((x, y))
             else:
                 rest = x * y if rest is None else rest + x * y
+    if type(c) is FirstJet and (jets or den or rest is not None):
+        jets = [*(jets or ()), (c, 1)]      # c joins as the term c * 1
+        c = None
     if jets is not None:
-        s = _jet_sum(jets, num, den, None if cn and den else c)
-        return s if rest is None else s + rest
+        return _jet_sum(jets, num, den, (None if cn and den else c, rest))
     if den:
         s = _fraction(num, den)
         rest = s if rest is None else rest + s
@@ -398,16 +354,16 @@ def sum_of_products(xs, ys, c=None):
     return rest + c if c and rest is not None else rest
 
 
-def _jet_sum(terms, num, den, c):
-    """The FirstJet c + num/den + sum x * y over ``terms``, pairs with a
-    FirstJet factor and no exact-zero factor, where num/den is an integer
-    sum (den = 0 when empty) and c is None or not yet in it.
+def _jet_sum(terms, num, den, constants):
+    """The FirstJet num/den + sum x * y over ``terms`` + the ``constants``,
+    where ``terms`` are pairs with a FirstJet factor and no exact-zero
+    factor, num/den is an integer sum (den = 0 when empty) and each
+    constant is None, an int or a Fraction not yet in it.
 
     By the product rule a term u v contributes u dv + v du, or c du for a
     constant factor c: every value product joins num/den, and each tangent
     component sums its scaled components on an integer pair of its own,
-    so the whole sum builds one FirstJet.  A FirstJet, int or Fraction c
-    joins the sums too; any other c is added last by its operators.
+    so the whole sum builds one FirstJet.
     """
     if not den:
         num, den = 0, 1
@@ -428,27 +384,43 @@ def _jet_sum(terms, num, den, c):
             _add_scaled(nums, dens, vn, vd, x.grad)
             if un:
                 num, den = _pair_sum(num, den, un * vn, ud * vd)
-    last = None
-    if type(c) is FirstJet:
-        _add_scaled(nums, dens, 1, 1, c.grad)
-        c = c.value
-    if type(c) is Fraction or type(c) is int:
+    for c in constants:
         if c:
             num, den = _pair_sum(num, den, *_parts(c))
-    else:
-        last = c
-    s = FirstJet(_fraction(num, den) if num else _ZERO,
-                 tuple(_fraction(n, d) if n else _ZERO for n, d in zip(nums, dens)))
-    return s if last is None else s + last
+    return _jet(_fraction(num, den) if num else _ZERO, nums, dens)
+
+
+def _quotient(u, du, v, dv):
+    """The FirstJet u/v, with du or dv None for a constant u or v:
+    d(u/v) = (du - q dv) / v, two passes of :func:`_add_scaled` into one
+    tangent sum.  ZeroDivisionError where v = 0."""
+    vn, vd = _inverse_parts(v)
+    un, ud = _parts(u)
+    q = _fraction(un * vn, ud * vd)
+    m = len(dv if du is None else du)
+    nums, dens = [0] * m, [1] * m
+    if du is not None:
+        _add_scaled(nums, dens, vn, vd, du)
+    if dv is not None and un:
+        _add_scaled(nums, dens, -q._numerator * vn, q._denominator * vd, dv)
+    return _jet(q, nums, dens)
 
 
 def _add_scaled(nums, dens, sn, sd, grad):
     """nums/dens += (sn/sd) grad, component by component on integer pairs;
-    a zero component of grad is skipped unread."""
+    a zero component of grad is skipped unread, and a sum still 0 takes
+    the scaled component with no lcm."""
     for k, t in enumerate(grad):
         a = t._numerator
         if a:
-            nums[k], dens[k] = _pair_sum(nums[k], dens[k], sn * a, sd * t._denominator)
+            n = nums[k]
+            nums[k], dens[k] = (_pair_sum(n, dens[k], sn * a, sd * t._denominator) if n
+                                else (sn * a, sd * t._denominator))
+
+
+def _jet(value, nums, dens):
+    """The FirstJet of ``value`` and the tangent sums nums/dens."""
+    return FirstJet(value, tuple(_fraction(n, d) if n else _ZERO for n, d in zip(nums, dens)))
 
 
 def row_minus(row, factor, pivot):
@@ -473,36 +445,6 @@ def row_minus(row, factor, pivot):
             a = a - factor * b if a else -(factor * b)
         out.append(a)
     return out
-
-
-# The gradient kernels: FirstJet gradients hold Fractions, and the
-# coefficients u = un/ud, v = vn/vd and c = cn/cd come as integer pairs
-# with positive denominators.
-
-def _combined(un, ud, xs, vn, vd, ys):
-    """u xs + v ys, one Fraction per component from one integer pair."""
-    unit = un == ud     # u = 1: a component of xs alone is kept as it is
-    out = []
-    for x, y in zip(xs, ys):
-        a, c = un * x._numerator, vn * y._numerator
-        if c:
-            d = vd * y._denominator
-            out.append(_fraction(*_pair_sum(a, ud * x._denominator, c, d)) if a
-                       else _fraction(c, d))
-        elif a:
-            out.append(x if unit else _fraction(a, ud * x._denominator))
-        else:
-            out.append(_ZERO)
-    return tuple(out)
-
-
-def _scaled(grad, cn, cd):
-    """c grad for c != 0."""
-    out = []
-    for x in grad:
-        a = x._numerator
-        out.append(_fraction(cn * a, cd * x._denominator) if a else x)
-    return tuple(out)
 
 
 def normalize_scalar(value):

@@ -20,7 +20,8 @@ expanded expression nor a sum or partial product on the way to it may pass
 ``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients,
 and the parses sharing a :class:`ParseBudget` (those of one document) may
 multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs, holding at most
-``MAX_PRODUCT_WORDS`` pairs of 64-bit words, together.
+``MAX_PRODUCT_WORDS`` pairs of 64-bit words, together; a power of a
+constant counts as one pair of its own words.
 Term order is graded lexicographic on the table order, so printing is
 deterministic and files round-trip.
 """
@@ -41,9 +42,11 @@ from .exact import (
     FirstJet,
     GaussianRational,
     I_UNIT,
+    MAX_POWER_BITS,
     _fraction,
     normalize_scalar,
     power,
+    power_bits,
     rational_str,
     scalar_str,
     sum_of_products,
@@ -618,7 +621,13 @@ class _Parser:
             k = self.exponent()
             if len(terms) == 1:   # one term: scale its exponents, power its coefficient
                 (exps, c), = terms.items()
-                return {tuple([e * k for e in exps]): c if c is _ONE else power(c, k)}
+                if c is not _ONE:
+                    # c^k's squarings multiply about one pair of its words, and
+                    # power refuses a c^k past the bit bound before any of them
+                    words = min(power_bits(c) * k, MAX_POWER_BITS) // 64 + 1
+                    self.budget.take(1, words * words)
+                    c = power(c, k)
+                return {tuple([e * k for e in exps]): c}
             terms = _power(terms, k, len(self.vars), self.budget)
         return terms
 

@@ -58,13 +58,9 @@ from itertools import islice
 import random
 
 from .errors import CrossCheckMismatch, InadmissibleFlag
-from .geometry import FirstJetPoint, HypersurfaceProblem
+from .geometry import FirstJetPoint, HypersurfaceProblem, _fractions
 from .linalg import _echelon, dot, dot_plus
 from .torsion import structure_equation_coefficients, torsion_absorbable
-
-
-def _fractions(values):
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 class FlagSpec(namedtuple("FlagSpec", "a1 a2 c1 c2 alpha beta")):

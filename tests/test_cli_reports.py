@@ -1767,6 +1767,28 @@ def test_few_products_of_large_coefficients_stop_at_the_word_budget(tmp_path):
                    f"coefficient word pairs in one document")
 
 
+def test_lone_powers_of_a_constant_stop_at_the_word_budget(tmp_path):
+    # each 3^20000 alone is a power of one coefficient, which the parser
+    # charges as one pair of its 313 words (power_bits(3) = 1, 20,000
+    # factors); 20,000 of them (200 kB) took 3 to 4 s of CPU to load and no
+    # budget stopped them.  The time is the CPU time of cli.main in a
+    # fresh process
+    from diskeds.expr import MAX_PRODUCT_WORDS
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4,
+                                "rho": " + ".join(["3^20000"] * 20000)}))
+    code = ("import sys, time; from diskeds import cli; start = time.process_time(); "
+            "rc = cli.main(['involutivity', sys.argv[1]]); "
+            "print(rc, time.process_time() - start, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True)
+    err, timing = done.stderr.splitlines()
+    rc, seconds = timing.split()
+    assert (rc, done.stdout) == ("2", "") and float(seconds) < 1
+    assert err == (f"SchemaViolation: expressions multiply past {MAX_PRODUCT_WORDS} "
+                   f"coefficient word pairs in one document")
+
+
 def test_the_parse_budget_is_spent_once_per_distinct_text():
     # (f1 + f2 + f4)^60 takes 284,337 pairs: four copies of one text are
     # parsed once and load, and two spellings of it pass the budget together

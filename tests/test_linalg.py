@@ -140,6 +140,23 @@ def _pairs(values):
     return st.lists(st.tuples(values, values), max_size=6)
 
 
+def _dense_jet_fold(pairs, c=None):
+    """The value and tangent of c + sum x * y by the product rule on
+    Fractions, no term skipped: value sum u v, tangent sum u dv + v du."""
+    value, grad = Fraction(0), ZERO3
+    for x, y in (pairs if c is None else [*pairs, (c, 1)]):
+        (u, du), (v, dv) = _jet_view(x), _jet_view(y)
+        value += u * v
+        grad = tuple(g + u * b + v * a for g, a, b in zip(grad, du, dv))
+    return value, grad
+
+
+def _has_jet(pairs):
+    """Whether a term of ``pairs`` without an exact zero factor has a
+    FirstJet factor."""
+    return any(x and y and FirstJet in (type(x), type(y)) for x, y in pairs)
+
+
 def _fold(pairs, zero):
     """The kept terms x * y summed one by one by the scalars' operators."""
     out = None
@@ -156,30 +173,34 @@ def _zero_operands(f, *args):
     return got, counts[1]
 
 
-@given(st.one_of(_pairs(fractions_), _pairs(st.one_of(fractions_, ints, gaussians))),
-       st.one_of(fractions_, jets))
-@example([], Fraction(7, 3))
-@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(7, 3))
-@example([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(4, 35), Fraction(-9, 77)),
-          (Fraction(7, 6), Fraction(1, 6))], Fraction(7, 3))
-@example([(2, 3), (Fraction(1, 2), 0), (-1, 4)], Fraction(7, 3))
+# a FirstJet c meets rational terms only: a jet has no sum with a Gaussian
+@given(st.one_of(
+    st.tuples(st.one_of(_pairs(fractions_), _pairs(st.one_of(fractions_, ints))),
+              st.one_of(fractions_, jets)),
+    st.tuples(_pairs(st.one_of(fractions_, ints, gaussians)), fractions_)))
+@example(([], Fraction(7, 3)))
+@example(([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(7, 3)))
+@example(([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(4, 35), Fraction(-9, 77)),
+           (Fraction(7, 6), Fraction(1, 6))], Fraction(7, 3)))
+@example(([(2, 3), (Fraction(1, 2), 0), (-1, 4)], Fraction(7, 3)))
 # dot_plus's c: every term skipped, c cancelling the sum to 0, c a FirstJet
-@example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(-5, 9))
-@example([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(2), Fraction(1, 3))],
-         Fraction(-19, 36))
-@example([(Fraction(1, 2), Fraction(3)), (2, 4)],
-         FirstJet(Fraction(1), (Fraction(0), Fraction(2), Fraction(0))))
-@settings(max_examples=150, deadline=None)
-def test_dot_over_fractions_is_the_dense_sum(pairs, c):
+@example(([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(0))], Fraction(-5, 9)))
+@example(([(Fraction(1, 6), Fraction(-5, 6)), (Fraction(2), Fraction(1, 3))],
+          Fraction(-19, 36)))
+@example(([(Fraction(1, 2), Fraction(3)), (2, 4)],
+          FirstJet(Fraction(1), (Fraction(0), Fraction(2), Fraction(0)))))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_dot_over_fractions_is_the_dense_sum(case):
     # mixed with ints and Gaussian rationals, the sum has the value and the
-    # type of the term-by-term fold, and so has the sum plus c
+    # type of the term-by-term fold, and so has the sum plus c; plus a
+    # FirstJet c it is the FirstJet of the product-rule fold
+    pairs, c = case
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     zero = Fraction(0)
     got, zeros_read = _zero_operands(dot, xs, ys, zero)
     want = _fold(pairs, zero)
     assert got == want and type(got) is type(want)
     plus, plus_zeros_read = _zero_operands(dot_plus, xs, ys, c)
-    view = lambda x: (x.value, x.grad) if isinstance(x, FirstJet) else x
     if all(type(x) is Fraction and type(y) is Fraction for x, y in pairs):
         assert type(got) is Fraction and got == sum((x * y for x, y in pairs), zero)
         assert zeros_read == 0
@@ -188,10 +209,12 @@ def test_dot_over_fractions_is_the_dense_sum(pairs, c):
     if all(not (x and y) for x, y in pairs):
         assert got is zero
         assert plus is c
+    elif type(c) is FirstJet:
+        assert type(plus) is FirstJet and _jet_view(plus) == _dense_jet_fold(pairs, c)
     else:
         # an exact-zero c is a skipped term too
         want_plus = want + c if c else want
-        assert view(plus) == view(want_plus) and type(plus) is type(want_plus)
+        assert plus == want_plus and type(plus) is type(want_plus)
     assert dot_plus(xs, ys, zero) == got
 
 
@@ -208,13 +231,13 @@ def test_dot_over_rational_functions_is_the_dense_sum(pairs):
 
 
 @given(_pairs(st.one_of(jets, fractions_, ints)))
-@settings(max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 def test_dot_over_first_jets_is_the_dense_sum(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     zero = Fraction(0)
     got = dot(xs, ys, zero)
-    assert _jet_view(got) == _jet_view(sum((x * y for x, y in pairs), zero))
-    assert type(got) is type(_fold(pairs, zero))
+    assert _jet_view(got) == _dense_jet_fold(pairs)
+    assert type(got) is (FirstJet if _has_jet(pairs) else type(_fold(pairs, zero)))
     if not pairs or all(not isinstance(x, FirstJet) and not x for x, _ in pairs):
         assert got is zero
 
@@ -240,8 +263,7 @@ def _exact_view(x):
     return type(x), x
 
 
-@given(_pairs(_operands),
-       st.one_of(st.none(), st.integers(-2, 2), jet_parts, jet_operands, gaussians))
+@given(_pairs(_operands), st.one_of(st.none(), st.integers(-2, 2), jet_parts, jet_operands))
 @example([], FirstJet(Fraction(1), ZERO3))
 @example([(FirstJet(Fraction(0), ZERO3), FirstJet(Fraction(0), ZERO3))], None)
 @example([(FirstJet(Fraction(2), (Fraction(1), Fraction(0), Fraction(-1))), Fraction(0)),
@@ -254,17 +276,23 @@ def _exact_view(x):
           (FirstJet(Fraction(1), (Fraction(1), Fraction(1), Fraction(0))), 1)], 0)
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_sum_of_products_over_first_jets_is_the_operator_fold(pairs, c):
-    # FirstJet, Fraction and int factors, and c of every kind: one FirstJet
-    # from integer sums, with the value, tangent and types of the term-by-
-    # term fold over the operators, or None when every term has a zero factor
+    # FirstJet, Fraction and int factors, and c of each of those kinds: one
+    # FirstJet from integer sums, with the value and tangent of the dense
+    # product-rule fold, all Fractions; without a FirstJet the value and
+    # type of the term-by-term fold over the operators; None when every
+    # term has a zero factor
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     got = sum_of_products(xs, ys, c)
     if all(not (x and y) for x, y in pairs):
         assert got is None
         return
-    fold = _fold(pairs, None)
-    want = fold + c if c else fold
-    assert _exact_view(got) == _exact_view(want)
+    if _has_jet(pairs) or type(c) is FirstJet:
+        value, grad = _dense_jet_fold(pairs, c)
+        want = FirstJet, (Fraction, value), tuple((Fraction, t) for t in grad)
+    else:
+        fold = _fold(pairs, None)
+        want = _exact_view(fold + c if c else fold)
+    assert _exact_view(got) == want
 
 
 @given(jet_operands, _operands)
@@ -273,13 +301,15 @@ def test_sum_of_products_over_first_jets_is_the_operator_fold(pairs, c):
 @example(FirstJet(Fraction(0), ZERO3), 0)
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_first_jet_products_and_quotients_have_fractions_values(x, y):
-    # u v and u / v are the Fractions Fraction's operators give, in value,
-    # parts and type; a zero divisor raises ZeroDivisionError as they do
+    # u v, a one-term dot, and u / v are the Fractions Fraction's operators
+    # give, in value, parts and type; a zero divisor raises ZeroDivisionError
+    # as they do
     value = lambda s: s.value if isinstance(s, FirstJet) else s
-    for op in (operator.mul, operator.truediv):
+    product = lambda a, b: dot((a,), (b,), Fraction(0))
+    for rule, op in ((operator.mul, product), (operator.truediv, operator.truediv)):
         for a, b in ((x, y), (y, x)):
             try:
-                want = op(Fraction(value(a)), Fraction(value(b)))
+                want = rule(Fraction(value(a)), Fraction(value(b)))
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
                     op(a, b)

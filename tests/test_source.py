@@ -159,6 +159,52 @@ def test_echelon_owns_every_row_update():
     assert sorted(set(found)) == ["linalg.py:_echelon"]
 
 
+JET_OPERATORS = {f"__{side}{op}__" for side in ("", "r", "i") for op in ("add", "sub", "mul")}
+
+
+def _first_jet_rule_breaks(sources):
+    """name:owner for every + - * operator class FirstJet defines and for
+    every write to a tangent sum (an item of ``nums`` or ``dens``) outside
+    exact._add_scaled, in the modules of ``sources`` (name -> text)."""
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        for owner, node in _owned_nodes(tree.body):
+            if owner.startswith("FirstJet.") and owner.split(".")[1] in JET_OPERATORS:
+                found.append(f"{name}:{owner}")
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            else:
+                continue
+            if f"{name}:{owner}" != "exact.py:_add_scaled" and any(
+                    isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None)
+                    in ("nums", "dens") for target in targets for sub in ast.walk(target)):
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_first_jets_run_on_one_rule_set():
+    # a FirstJet is a value-and-tangent record: its sums and products run
+    # on sum_of_products and its quotients on _quotient, each tangent sum
+    # updated by _add_scaled alone; a + - * operator or a second tangent
+    # update would be a second rule set to keep in step with the first
+    found = _first_jet_rule_breaks({path.name: path.read_text()
+                                    for path in sorted(SRC.glob("*.py"))})
+    assert found == []
+
+
+def test_the_first_jet_rule_finds_an_operator_and_a_tangent_update():
+    source = (SRC / "exact.py").read_text().replace(
+        "    def __neg__(self):",
+        "    def __add__(self, other):\n        return self\n\n"
+        "    __rmul__ = __add__\n\n    def __neg__(self):") + (
+        "\n\ndef _bump(nums, dens, k):\n    nums[k] += dens[k]\n")
+    assert _first_jet_rule_breaks({"exact.py": source}) == [
+        "exact.py:FirstJet.__add__", "exact.py:FirstJet.__rmul__", "exact.py:_bump"]
+
+
 STRATUM_BUILDERS = {"make_system", "probe_from_values"}
 
 

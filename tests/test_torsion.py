@@ -1,6 +1,8 @@
 """Torsion coefficients, absorbability, complex closed forms, examples."""
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from diskeds.geometry import (
     structure_from_entries,
 )
 from diskeds.involutivity import compute_D_vectors
+from diskeds.reports import build_problem
 from diskeds.torsion import (
     complex_B_coefficients,
     dim6_definiteness,
@@ -117,6 +120,17 @@ def test_coefficient_pipeline_vs_dtheta_oracle_n3():
     _oracle_matches_pipeline(prob)
 
 
+def _n3_pair_case(**structure):
+    """The golden n3_pair document's problem, with ``structure`` replacing
+    fields of its pair structure, and its jet J0 as (problem, point, p)."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "docs"
+                      / "n3_pair.json").read_text())
+    doc["structure"].update(structure)
+    loaded = build_problem(doc)
+    jet = loaded.jets["J0"]
+    return loaded.problem, jet.f, list(jet.p_reduced)
+
+
 def _first_jet_cases(rng, n):
     """(problem, point) pairs: constant and degree-1 polynomial structures
     at pair (1, 2), plus one that names no pair, which the builders chart."""
@@ -143,6 +157,9 @@ def test_first_jet_tables_equal_symbolic_reference(n):
     rng = random.Random(70 + n)
     cases = _first_jet_cases(rng, n)
     assert len(cases) >= 4
+    if n == 3:
+        # the jet / constant and constant / jet quotients of the examples below
+        cases += [case[:2] for case in (_n3_pair_case(a="1/2"), _n3_pair_case(b="3"))]
     for prob, pt in cases:
         got = coefficient_tables_full(prob, pt)
         charted = got[0].problem
@@ -189,6 +206,10 @@ def torsion_jets(draw):
 @given(torsion_jets())
 @example((HypersurfaceProblem(HYPERQUADRIC2, complex_standard(3, V6), (1, 2)),
           (1, 0, 1, 0, 0, 0), [0, 0, 0, 0]))
+# a constant a makes 12 jet / constant quotients, a constant b (a = f1/2)
+# 6 constant / jet quotients; no golden report divides either way
+@example(_n3_pair_case(a="1/2"))
+@example(_n3_pair_case(b="3"))
 # rho_1 = 0: G's first row is d(theta^1)
 @example((HypersurfaceProblem(HYPERQUADRIC2, complex_standard(3, V6), (1, 2)),
           (0, 1, 1, 0, 0, 0), [1, 2, 0, 1]))
