@@ -393,9 +393,12 @@ def _jet_sum(terms, num, den, constants):
 def _quotient(u, du, v, dv):
     """The FirstJet u/v, with du or dv None for a constant u or v:
     d(u/v) = (du - q dv) / v, two passes of :func:`_add_scaled` into one
-    tangent sum.  ZeroDivisionError where v = 0."""
+    tangent sum.  A constant u = 0 gives the exact Fraction 0, which a dot
+    skips; ZeroDivisionError where v = 0."""
     vn, vd = _inverse_parts(v)
     un, ud = _parts(u)
+    if du is None and not un:
+        return _ZERO
     q = _fraction(un * vn, ud * vd)
     m = len(dv if du is None else du)
     nums, dens = [0] * m, [1] * m
@@ -408,14 +411,11 @@ def _quotient(u, du, v, dv):
 
 def _add_scaled(nums, dens, sn, sd, grad):
     """nums/dens += (sn/sd) grad, component by component on integer pairs;
-    a zero component of grad is skipped unread, and a sum still 0 takes
-    the scaled component with no lcm."""
+    a zero component of grad is skipped unread."""
     for k, t in enumerate(grad):
         a = t._numerator
         if a:
-            n = nums[k]
-            nums[k], dens[k] = (_pair_sum(n, dens[k], sn * a, sd * t._denominator) if n
-                                else (sn * a, sd * t._denominator))
+            nums[k], dens[k] = _pair_sum(nums[k], dens[k], sn * a, sd * t._denominator)
 
 
 def _jet(value, nums, dens):

@@ -315,7 +315,7 @@ def _value_and_grad(x):
     return (x.value, x.grad) if isinstance(x, FirstJet) else (Fraction(x), ZERO3)
 
 
-@given(first_jets(), st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), rationals))
+@given(first_jets(), st.one_of(st.sampled_from([0, Fraction(0), Fraction(1)]), rationals))
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 def test_first_jet_constant_operand_matches_lifted_jet(x, c):
     lifted = FirstJet(c, ZERO3)
@@ -327,8 +327,12 @@ def test_first_jet_constant_operand_matches_lifted_jet(x, c):
                 with pytest.raises(ZeroDivisionError):
                     operator.truediv(*operands)
             continue
-        assert _value_and_grad(operator.truediv(*args)) == want
+        got = operator.truediv(*args)
+        assert _value_and_grad(got) == want
         assert _value_and_grad(operator.truediv(*lifted_args)) == want
+        if args[0] is c and not c:
+            # 0 / v is the exact Fraction 0, a zero operand that dot skips
+            assert type(got) is Fraction and got == 0
 
 
 # zeros, negatives, equal and coprime denominators (6, 35, 77 and a
