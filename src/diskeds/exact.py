@@ -20,9 +20,11 @@ the same kernels: a sum of products with FirstJet factors is one FirstJet
 whose value joins the integer sum and whose tangent components are
 integer sums of their own, and a FirstJet quotient sums its tangent the
 same way (:func:`_add_scaled` is the one update of a tangent sum).  The
-kernels read a Fraction's parts off the same slots; importing the module
-checks that Fraction keeps its parts in exactly those two slots and
-raises ImportError otherwise.  Operands of any other type
+package's one polynomial evaluator, :func:`polynomial_at`, reads a term
+table's value and derivatives at a :class:`PreparedPoint` on the same
+integer sums.  The kernels read a Fraction's parts off the same slots;
+importing the module checks that Fraction keeps its parts in exactly
+those two slots and raises ImportError otherwise.  Operands of any other type
 (GaussianRational, a rational function) take their own operators.
 """
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .errors import NotRealCoefficients, SchemaViolation
@@ -53,9 +56,17 @@ def rat(value) -> Fraction:
     """Parse an exact rational from an int or a 'p/q' / 'p' string, made
     by :func:`_fraction` once the denominator is known to be nonzero.
 
-    Decimal strings are rejected: '0.5' is not an exact input.
+    Decimal strings are rejected: '0.5' is not an exact input.  A string
+    with no '/' and no '_' is read by int() alone, which takes the same
+    texts as the pattern there (spaces around, a sign, Unicode decimal
+    digits); the pattern reads 'p/q' and names every error.
     """
     if isinstance(value, str):   # first: a str is never a Fraction or an int
+        if "/" not in value and "_" not in value:
+            try:
+                return _fraction(int(value), 1)
+            except ValueError:
+                pass
         m = _RATIONAL_RE.fullmatch(value.strip())
         if m is None:
             raise SchemaViolation(f"not an exact rational: {value!r}")
@@ -72,7 +83,14 @@ def rat(value) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return _fraction(int(value), 1)
-    raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
+    kind = _KIND_NAMES.get(type(value), f"a {type(value).__name__}")
+    raise SchemaViolation(f"not an exact rational: {kind}, not a 'p/q' string or an integer")
+
+
+# what rat names a value of each refused kind: the JSON kinds a document
+# can hold, and a float, which only a Python caller can pass
+_KIND_NAMES = {bool: "a boolean", type(None): "null", list: "a list", dict: "an object",
+               float: "a float"}
 
 
 class GaussianRational:
@@ -503,6 +521,149 @@ def power(x, e: int):
         raise SchemaViolation(f"exact power x^{e} of a {power_bits(x)}-bit x "
                               f"passes {MAX_POWER_BITS} bits")
     return x ** e
+
+
+class PreparedPoint:
+    """A point read by :func:`polynomial_at`: each rational coordinate split
+    into its integer parts on its first read, and each power x_i^k
+    (k >= 2) taken at most once, through :func:`power`.  Made for one call
+    and dropped with it."""
+
+    __slots__ = ("values", "bases", "_powers")
+
+    def __init__(self, values):
+        self.values = tuple(values)
+        # per coordinate: (numerator, denominator) once read, a Gaussian value as it is
+        self.bases = list(self.values)
+        self._powers = {}
+
+    def factor(self, i, k):
+        """x_i^k for k >= 2: its (numerator, denominator), or a Gaussian
+        power as it is."""
+        x = self._powers.get((i, k))
+        if x is None:
+            x = power(self.values[i], k)
+            if type(x) is not GaussianRational:
+                x = _parts(x)
+            self._powers[i, k] = x
+        return x
+
+
+def polynomial_at(pairs, at: PreparedPoint, order=0, value=True, start=0):
+    """The value of sum c * x^e over the (e, c) pairs at the prepared point
+    ``at`` and its derivatives up to ``order`` (0, 1 or 2) in the
+    coordinates from ``start`` on, as (value, gradient, Hessian rows), each
+    None where not asked for (the value where not ``value``), from one
+    pass over the pairs; every entry is a canonical scalar.
+
+    A monomial, or a derivative of one, that keeps a factor whose
+    coordinate is an exact zero is 0 and takes no power; any other reads
+    its factors in slot order, each power through
+    :meth:`PreparedPoint.factor`.  A term whose coefficient and factors are
+    rational joins its output's integer sum, and each output is one
+    :func:`_fraction`; a term with a Gaussian coefficient or factor takes
+    the operators, as in :func:`sum_of_products`, and its sum joins the
+    integer sum last."""
+    m = len(at.values) - start
+    h0 = 1 + m          # the Hessian's (a, b) entry, a <= b, is output h0 + a m + b
+    size = h0 + m * m if order == 2 else h0 if order else 1
+    numer, denom = [0] * size, [1] * size
+    rests = None        # per output, the sum of its terms that took the operators
+    bases, factor = at.bases, at.factor
+    # (output, slot a, slot b): a monomial's derivative by its support slots
+    # a and b, twice where a == b, a slot -1 for none
+    just_value = [(0, -1, -1)]
+    for exps, c in pairs:
+        # the term's (coordinate, exponent, coordinate value) triples, and
+        # the slots among them whose coordinate is an exact zero; a term is
+        # left at the first zero no output can differentiate away
+        support, zeros = [], None
+        for i, e in compress(enumerate(exps), exps):
+            x = bases[i]
+            if type(x) is tuple:
+                zero = not x[0]
+            elif type(x) is GaussianRational:
+                zero = not x
+            else:
+                x = bases[i] = _parts(x)
+                zero = not x[0]
+            if zero:
+                if i < start or len(zeros or ()) == order:
+                    support = None
+                    break
+                zeros = [*(zeros or ()), len(support)]
+            support.append((i, e, x))
+        if support is None:
+            continue
+        if not order:
+            wanted = just_value
+        else:
+            wanted = [(0, -1, -1)] if value else []
+            for s, (i, _, _) in enumerate(support):
+                if i >= start:
+                    wanted.append((1 + i - start, s, -1))
+                    if order == 2:
+                        row = h0 + (i - start) * m - start
+                        wanted += [(row + support[t][0], s, t) for t in range(s, len(support))]
+        if zeros:       # keep the outputs that differentiate every zero factor away
+            wanted = [w for w in wanted
+                      if all((s == w[1]) + (s == w[2]) == support[s][1] for s in zeros)]
+        for k, a, b in wanted:
+            n = d = 1
+            g = None
+            for s, (i, e, x) in enumerate(support):
+                if s == a or s == b:
+                    if a == b:
+                        if e < 2:
+                            break
+                        n *= e * (e - 1)
+                        e -= 2
+                    else:
+                        n *= e
+                        e -= 1
+                    if not e:
+                        continue
+                if e > 1:
+                    x = factor(i, e)
+                if type(x) is tuple:
+                    n *= x[0]
+                    d *= x[1]
+                else:
+                    g = x if g is None else g * x
+            else:
+                if g is None and type(c) is not GaussianRational:
+                    if type(c) is Fraction:
+                        n *= c._numerator
+                        d *= c._denominator
+                    else:
+                        cn, cd = _parts(c)
+                        n *= cn
+                        d *= cd
+                    if not numer[k]:
+                        numer[k], denom[k] = n, d
+                    elif denom[k] == d:
+                        numer[k] += n
+                    else:
+                        numer[k], denom[k] = _pair_sum(numer[k], denom[k], n, d)
+                else:
+                    t = c if g is None else g * c
+                    if n != d:
+                        t = t * _fraction(n, d)
+                    if rests is None:
+                        rests = [None] * size
+                    rests[k] = t if rests[k] is None else rests[k] + t
+    out = [_fraction(n, d) if n else _ZERO for n, d in zip(numer, denom)]
+    if rests is not None:
+        for k, rest in enumerate(rests):
+            if rest is not None:
+                out[k] = normalize_scalar(rest + out[k] if numer[k] else rest)
+    hessian = None
+    if order == 2:
+        for a in range(m):      # the lower triangle mirrors the upper one
+            for b in range(a):
+                out[h0 + a * m + b] = out[h0 + b * m + a]
+        hessian = tuple(tuple(out[r:r + m]) for r in range(h0, size, m))
+    return (out[0] if value else None), (tuple(out[1:h0]) if order else None), hessian
 
 
 def gaussian(re, im=0) -> GaussianRational:

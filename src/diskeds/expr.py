@@ -43,8 +43,12 @@ from .exact import (
     GaussianRational,
     I_UNIT,
     MAX_POWER_BITS,
+    PreparedPoint,
     _fraction,
+    _pair_sum,
+    _parts,
     normalize_scalar,
+    polynomial_at,
     power,
     power_bits,
     rational_str,
@@ -105,10 +109,11 @@ def _bounded(terms, limit):
 def _product(a, b, budget=None):
     """The term table of the product of the term tables ``a`` and ``b``:
     one product for two monomials, raw integers for two large rational
-    tables.  With a parse's :class:`ParseBudget`, each row of len(b)
-    coefficient pairs, and their word pairs, is taken from it before the
-    row is multiplied, a partial product past MAX_TERMS terms raises, and
-    so does a product past :func:`_bounded`'s coefficient bits."""
+    tables, integer pairs for other rational tables.  With a parse's
+    :class:`ParseBudget`, each row of len(b) coefficient pairs, and their
+    word pairs, is taken from it before the row is multiplied, a partial
+    product past MAX_TERMS terms raises, and so does a product past
+    :func:`_bounded`'s coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -122,17 +127,59 @@ def _product(a, b, budget=None):
     else:
         res = _integer_product(a, b, budget) if len(a) > 8 and len(b) > 8 else None
         if res is None:
-            res = {}
-            if budget is not None:
-                words_b = sum(map(_words, b.values()))
-            for e1, c1 in a.items():
-                if budget is not None:
-                    budget.take(len(b), _words(c1) * words_b)
-                for e2, c2 in b.items():
-                    _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
-                if budget is not None and len(res) > MAX_TERMS:
-                    _too_many_terms(MAX_TERMS)
+            res = (_pair_product if _rational(a) and _rational(b) else _scalar_product)(
+                a, b, budget)
     return res if budget is None else _bounded(res, MAX_TERMS)
+
+
+def _rational(terms):
+    return all(type(c) is Fraction for c in terms.values())
+
+
+def _scalar_product(a, b, budget):
+    """:func:`_product` of two tables, one with a Gaussian coefficient, term
+    by term on the coefficients' operators."""
+    res = {}
+    if budget is not None:
+        words_b = sum(map(_words, b.values()))
+    for e1, c1 in a.items():
+        if budget is not None:
+            budget.take(len(b), _words(c1) * words_b)
+        for e2, c2 in b.items():
+            _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
+        if budget is not None and len(res) > MAX_TERMS:
+            _too_many_terms(MAX_TERMS)
+    return res
+
+
+def _pair_product(a, b, budget):
+    """:func:`_product` of two rational tables on integer pairs: each
+    product term sums its pairs on one integer numerator over the lcm of
+    their denominators (``exact._pair_sum``), a term that cancels leaves
+    the table as :func:`_accumulate` drops it, and each term left is one
+    ``exact._fraction``.  The budget is taken row by row as in
+    :func:`_scalar_product`."""
+    B = [(e, *_parts(c)) for e, c in b.items()]
+    if budget is not None:
+        words_b = sum(map(_words, b.values()))
+    res = {}
+    for e1, c1 in a.items():
+        if budget is not None:
+            budget.take(len(B), _words(c1) * words_b)
+        n1, d1 = _parts(c1)
+        for e2, n2, d2 in B:
+            e = tuple(map(_add, e1, e2))
+            n, d = n1 * n2, d1 * d2
+            s = res.get(e)
+            if s is not None:
+                n, d = _pair_sum(*s, n, d)
+                if not n:
+                    del res[e]
+                    continue
+            res[e] = n, d
+        if budget is not None and len(res) > MAX_TERMS:
+            _too_many_terms(MAX_TERMS)
+    return {e: _fraction(n, d) for e, (n, d) in res.items()}
 
 
 def _power(terms, k, nvars, budget=None):
@@ -202,82 +249,6 @@ def _integer_product(a, b, budget):
             _too_many_terms(MAX_TERMS)
     scale = ca * cb
     return {unpack(e): c * scale for e, c in res.items() if c}
-
-
-def monomial(point, exps):
-    """prod_i point_i^exps_i, each power through exact.power; 0 as soon as
-    a factor with exps_i > 0 is 0."""
-    out = None
-    for x, e in zip(point, exps):
-        if e:
-            if not x:
-                return 0
-            if e > 1:
-                x = power(x, e)
-            out = x if out is None else out * x
-    return 1 if out is None else out
-
-
-def value_at(point, pairs):
-    """sum c * point^e over the (e, c) pairs, as a canonical scalar; a
-    monomial with a zero factor costs nothing."""
-    out = None
-    for e, c in pairs:
-        w = monomial(point, e)
-        if w:
-            if w != 1:
-                c = c * w
-            out = c if out is None else out + c
-    return normalize_scalar(0 if out is None else out)
-
-
-def _monomial_partial(c, support, orders):
-    """The partial derivative of c * prod x_i^e_i at a point, ``support``
-    listing (i, e_i, x_i) for every e_i > 0 and ``orders`` the order of
-    differentiation by support slot; None when it is 0 there."""
-    acc = c
-    scale = 1
-    for slot, (_, e, x) in enumerate(support):
-        k = orders.get(slot, 0)
-        if k > e:
-            return None
-        for t in range(k):
-            scale *= e - t
-        if e > k:
-            if not x:
-                return None
-            acc = acc * (x if e - k == 1 else power(x, e - k))
-    return acc if scale == 1 else acc * scale
-
-
-def partials_at(point, pairs, second=False):
-    """The gradient of sum c * x^e over the (e, c) pairs at a point and,
-    with ``second``, the Hessian rows (else None), as canonical scalars
-    from one pass over the pairs.  A monomial adds to a derivative only
-    where no factor with an exact zero value is left in it."""
-    nv = len(point)
-    grad = [None] * nv
-    hessian = [[None] * nv for _ in range(nv)] if second else None
-
-    def add(row, i, term):
-        if term is not None:
-            row[i] = term if row[i] is None else row[i] + term
-
-    for exps, c in pairs:
-        support = [(i, e, point[i]) for i, e in enumerate(exps) if e]
-        for a, (i, _, _) in enumerate(support):
-            add(grad, i, _monomial_partial(c, support, {a: 1}))
-            if not second:
-                continue
-            for b in range(a, len(support)):
-                orders = {a: 2} if b == a else {a: 1, b: 1}
-                term = _monomial_partial(c, support, orders)
-                add(hessian[i], support[b][0], term)
-                if b != a:
-                    add(hessian[support[b][0]], i, term)
-    zero = Fraction(0)
-    finish = lambda row: tuple(zero if x is None else normalize_scalar(x) for x in row)
-    return finish(grad), (tuple(map(finish, hessian)) if second else None)
 
 
 class Polynomial:
@@ -417,37 +388,43 @@ class Polynomial:
 
     # -- calculus -----------------------------------------------------
 
-    def _terms_at(self, point):
-        """The (exps, coeff) pairs, read at a point of one value per variable."""
-        if len(point) != len(self.vars):
+    def _at(self, point) -> PreparedPoint:
+        """``point``, one value per variable, prepared for
+        :func:`exact.polynomial_at`; a PreparedPoint is taken as it is."""
+        if type(point) is not PreparedPoint:
+            point = PreparedPoint(point)
+        if len(point.values) != len(self.vars):
             raise DimensionMismatch(
-                f"point of length {len(point)} vs {len(self.vars)} variables")
-        return self.terms.items()
+                f"point of length {len(point.values)} vs {len(self.vars)} variables")
+        return point
 
     def evaluate(self, point):
-        return value_at(point, self._terms_at(point))
+        return polynomial_at(self.terms.items(), self._at(point))[0]
 
     def derivatives_at(self, point, second=False):
         """The gradient at a point and, with ``second``, the Hessian rows
-        (else None): :func:`partials_at` of the terms."""
-        return partials_at(point, self._terms_at(point), second)
+        (else None), from one pass over the terms."""
+        _, grad, hessian = polynomial_at(self.terms.items(), self._at(point),
+                                         2 if second else 1, value=False)
+        return grad, hessian
 
     def first_jet(self, point) -> FirstJet:
         """Value and gradient at a point.  A polynomial of degree 1 or 0
         takes no pass over its terms: its gradient is its linear
         coefficients, and its value their dot with the point, plus the
         constant term, from one integer sum."""
-        pairs = self._terms_at(point)
+        at = self._at(point)
         if self.degree() > 1:
-            return FirstJet(value_at(point, pairs), partials_at(point, pairs)[0])
-        grad = [_ZERO] * len(point)
+            value, grad, _ = polynomial_at(self.terms.items(), at, 1)
+            return FirstJet(value, grad)
+        grad = [_ZERO] * len(at.values)
         constant = _ZERO
-        for exps, c in pairs:
+        for exps, c in self.terms.items():
             if 1 in exps:
                 grad[exps.index(1)] = c
             else:
                 constant = c
-        value = sum_of_products(grad, point, constant)
+        value = sum_of_products(grad, at.values, constant)
         return FirstJet(constant if value is None else normalize_scalar(value), tuple(grad))
 
 

@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import CrossCheckMismatch, DimensionMismatch, SingularD, ZeroB
-from .exact import FirstJet, _negated, rational_str
+from .exact import FirstJet, PreparedPoint, _negated, rational_str
 from .expr import Polynomial
 from .linalg import dot, dot_plus, row_times_matrix
 
@@ -267,8 +267,10 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
     """rho's first derivatives and the structure entries at a point, user
     order, as the scalars of one mode, and last the zero of those scalars.
 
-    rho's gradient, and with ``jets`` its Hessian rows, come from one pass
-    over its monomials, and each entry is N/q with q read once: values, or
+    The point is prepared once (``exact.PreparedPoint``) for rho and
+    every numerator.  rho's gradient, and with ``jets`` its Hessian rows,
+    come from one pass over its monomials, and each entry is N/q with q
+    read once: values, or
     with ``jets`` first jets with gradients in user order, each
     :func:`_settled`.  A zero entry costs nothing, and each distinct
     numerator object is read once: entries that share a Polynomial (the
@@ -279,10 +281,11 @@ def _inputs(problem: HypersurfaceProblem, point, jets=False):
     point = _fractions(point)
     if len(point) != problem.two_n:
         raise DimensionMismatch("point has wrong length")
-    grad, hessian = rho.derivatives_at(point, second=jets)
+    at = PreparedPoint(point)
+    grad, hessian = rho.derivatives_at(at, second=jets)
     if jets:
         grad = tuple(map(_settled, map(FirstJet, grad, hessian)))
-    read = (lambda p: _settled(p.first_jet(point))) if jets else (lambda p: p.evaluate(point))
+    read = (lambda p: _settled(p.first_jet(at))) if jets else (lambda p: p.evaluate(at))
     q = read(q)
     zero = Fraction(0)
     scalars = {}

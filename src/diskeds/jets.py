@@ -37,9 +37,12 @@ report the full kernel dimension, which equals the real dimension of the
 real solution space.  Torsion-freeness at the probe is solvability of the
 prolonged equalities, lower jets frozen, as an affine system in the new
 top variables.  Freezing and reading use the package's one polynomial
-evaluator (``expr.monomial``, ``expr.value_at``, ``expr.partials_at``),
-which at zero top jets returns each frozen equality's constant and
-linear coefficients.
+evaluator, ``exact.polynomial_at``, on one prepared point per call
+(``exact.PreparedPoint``): it reads each equality's value and its
+gradient in the top jets off the whole probe, on integer sums, which at
+zero top jets are the frozen equality's constant and linear
+coefficients, and it freezes the lower jets into the coefficient of
+each monomial of degree >= 2 in the top jets.
 """
 from __future__ import annotations
 
@@ -55,8 +58,15 @@ from .errors import (
     ProbeViolatesStratum,
     SchemaViolation,
 )
-from .exact import normalize_scalar, rational_str, require_real, scalar_conj
-from .expr import Polynomial, monomial, partials_at, print_polynomial, value_at
+from .exact import (
+    PreparedPoint,
+    normalize_scalar,
+    polynomial_at,
+    rational_str,
+    require_real,
+    scalar_conj,
+)
+from .expr import Polynomial, print_polynomial
 from .linalg import _echelon, mat_rank, solve_particular
 
 
@@ -332,40 +342,39 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
 
 
 def linearize(system: JetConstraintSystem, probe: tuple, rows=None) -> Linearization:
-    """One pass over the monomials of every equality at the probe: the
-    lower jets freeze into each monomial's coefficient, and the value and
-    the gradient in the top jets are read off the frozen terms.
+    """One pass over the monomials of every equality at the probe, prepared
+    once: each equality's value and its gradient in the top jets; the
+    lower jets freeze into a coefficient only for the monomials of degree
+    >= 2 in the top jets, whose frozen coefficients decide ``nonlinear``.
 
     ``rows``, one per equality, holds a row already read where the
     equality's generators had the values they have in ``probe`` (see
     :attr:`Linearization.rows`), or None; only an equality without one is
-    frozen."""
+    read."""
     table, n = system.table, system.n
     if len(probe) != len(table):
         raise DimensionMismatch(f"probe of {len(probe)} values for a table of "
                                 f"{len(table)} jets")
     cut = len(table) - 2 * n    # the top-order jets close the table
-    # an integral value freezes as an int, which multiplies natively
-    low, x = [v.numerator if type(v) is Fraction and v.denominator == 1 else v
-              for v in probe[:cut]], probe[cut:]
+    at = PreparedPoint(probe)
     out = []
     for k, p in enumerate(system.equalities):
         row = rows[k] if rows else None
         if row is None:
             if p.vars != table:
                 raise CrossCheckMismatch("equality is not over the system's jet table")
-            frozen = {}   # top-jet exponents -> coefficient, lower jets frozen
+            keys = set()    # the top-jet exponents of every term
+            quadratic = {}  # top-jet exponents of degree >= 2 -> their lower-jet terms
             for exps, c in p.terms.items():
-                key, w = exps[cut:], monomial(low, exps)
-                s = frozen.get(key, 0)   # every key is kept, for uses_top and mixes
-                if w:
-                    cw = c if w == 1 else c * w
-                    s = s + cw if s else cw
-                frozen[key] = s
-            live = [(e, c) for e, c in frozen.items() if c != 0]
-            row = (value_at(x, live), partials_at(x, live)[0],
-                   any(sum(e) >= 2 for e, _ in live), any(any(e) for e in frozen),
-                   any(any(e[:n]) and any(e[n:]) for e in frozen))
+                key = exps[cut:]
+                keys.add(key)
+                if sum(key) >= 2:
+                    quadratic.setdefault(key, []).append((exps[:cut], c))
+            value, grad, _ = polynomial_at(p.terms.items(), at, 1, start=cut)
+            row = (value, grad,
+                   any(polynomial_at(terms, at)[0] for terms in quadratic.values()),
+                   any(any(e) for e in keys),
+                   any(any(e[:n]) and any(e[n:]) for e in keys))
         out.append(row)
     return Linearization(system, probe, *(tuple(zip(*out)) or ((),) * 5))
 

@@ -173,17 +173,36 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
     problem = None
     structure_warnings = ()
     budget = ParseBudget()   # the coefficient and word pairs every parse below takes from
+    parsed = {}    # (text, jet order or None) -> its Polynomial, parsed once in this load
+    tables = {}    # jet order or None -> (the table it parses over, its unit exponents)
+    texts = {}     # stratum expression text -> (its tokens, the highest jet order it names)
+
+    def stratum_text(text):
+        got = texts.get(text) if type(text) is str else None
+        if got is None:
+            tokens = tokenize(text)   # raises for a text that is not a string
+            got = texts[text] = tokens, _jet_order(tokens)
+        return got
+
+    def parse(text, order=None):
+        """``text`` as a Polynomial over the coordinates (``order`` None) or
+        over the jet table of ``order``, parsed, taking from the budget,
+        once per (text, order); a stratum text is tokenized once."""
+        poly = parsed.get((text, order)) if type(text) is str else None
+        if poly is None:
+            if order not in tables:
+                table = coords if order is None else jet_table(n, order)
+                tables[order] = table, unit_exponents(table)
+            table, units = tables[order]
+            if order is None:
+                poly = parse_expression(text, table, units=units, budget=budget)
+            else:
+                poly = parse_tokens(stratum_text(text)[0], table, complexified=True,
+                                    units=units, budget=budget)
+            parsed[text, order] = poly
+        return poly
+
     if "rho" in doc:
-        units = unit_exponents(coords)
-        parsed = {}   # expression text -> its Polynomial, parsed once in this load
-
-        def parse(text):
-            poly = parsed.get(text) if type(text) is str else None
-            if poly is None:
-                poly = parse_expression(text, coords, units=units, budget=budget)
-                parsed[text] = poly
-            return poly
-
         rho = parse(doc["rho"])
         spath = f"{name}.structure"
         sdoc = _field(doc, "structure", name, "object", required=False,
@@ -253,30 +272,20 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         )
 
     strata = {}   # name -> what _Strata builds it from
-    tables = {}   # jet order -> (jet table, its unit exponents)
-
-    def parse(tokens, order):
-        if order not in tables:
-            table = jet_table(n, order)
-            tables[order] = table, unit_exponents(table)
-        table, units = tables[order]
-        return parse_tokens(tokens, table, complexified=True, units=units, budget=budget)
-
     for sname, sdoc in _field(doc, "strata", "", "object", required=False,
                               default={}).items():
         spath = f"strata.{sname}"
         eq_exprs = _field(sdoc, "equalities", spath, "list")
         probe_docs = _field(sdoc, "probes", spath, "object", required=False, default={})
         # each equality over the table its own jets need; make_system widens
-        parsed, order = [], 1
+        parsed_eqs, order = [], 1
         for text in eq_exprs:
-            tokens = tokenize(text)
-            own = _jet_order(tokens)
+            own = stratum_text(text)[1]
             if two_n * (own + 1) > MAX_JET_NAMES:
                 raise SchemaViolation(
                     f"{spath}: jets of order {own} need a table of {two_n * (own + 1)} "
                     f"names, more than {MAX_JET_NAMES}")
-            parsed.append(parse(tokens, own))
+            parsed_eqs.append(parse(text, own))
             order = max(order, own)
         openings = []
         for k, odoc in enumerate(_field(sdoc, "openings", spath, "list",
@@ -284,11 +293,11 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
             if isinstance(odoc, str):
                 odoc = {"expr": odoc, "sign": "nonzero"}
             opath = f"{spath}.openings[{k}]"
-            tokens = tokenize(_field(odoc, "expr", opath, None))
-            if _jet_order(tokens) > order:
+            text = _field(odoc, "expr", opath, None)
+            if stratum_text(text)[1] > order:
                 raise SchemaViolation(
                     f"{opath} uses a jet above the stratum's order {order}")
-            op = parse(tokens, order)
+            op = parse(text, order)
             sign = odoc.get("sign", "nonzero")
             if sign not in ("+", "-", "nonzero"):
                 raise SchemaViolation(f"strata.{sname}.openings[{k}].sign must be "
@@ -314,7 +323,7 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
                 raise SchemaViolation("need n values for z" if len(z_vals) != n
                                       else "need n values for each w jet")
             probes[pname] = z_vals, w_jets
-        strata[sname] = parsed, openings, order, probes
+        strata[sname] = parsed_eqs, openings, order, probes
 
     return LoadedProblem(doc, problem_digest(doc), two_n, problem, points, jets,
                          flags, _Strata(n, strata), structure_warnings)

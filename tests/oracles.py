@@ -406,9 +406,13 @@ def raw_torsion_matrices(gammas, gamma_grads, beta_full, beta_grads, zero):
             for k in range(two_n)]
 
 
-def torsion_values_from_matrices(problem: HypersurfaceProblem, jet: FirstJetPoint):
-    """c^k = p^T raw_k p at the jet, from the full-gradient tables."""
-    gb, (g1v, g1d), (g2v, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
+def torsion_values_from_matrices(jet: FirstJetPoint, tables):
+    """c^k = p^T raw_k p at the jet, from ``tables``, the full-gradient
+    tables of the symbolic reference at ``jet.f``
+    (:func:`coefficient_tables_symbolic`: each entry a rational function,
+    differentiated, then evaluated), which no first jet of the pipeline
+    enters."""
+    _, (g1v, g1d), (g2v, g2d), bv, bd = tables
     raw = raw_torsion_matrices((g1v, g2v), (g1d, g2d), bv, bd, Fraction(0))
     p = tuple(Fraction(x) for x in jet.p_reduced)
     zero = Fraction(0)
@@ -429,15 +433,16 @@ def torsion_values_along_tables(problem: HypersurfaceProblem, jet: FirstJetPoint
     return tuple([gk - bk for gk, bk in zip(g, b)] + [-bk for bk in b[2:]])
 
 
-def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint):
+def dtheta_x2_column_full(problem: HypersurfaceProblem, jet: FirstJetPoint, tables):
     """G's X_2 column at the jet contracted from the full-gradient tables:
     sum_i p^i (D_{p2} gamma^k_i - D_{p1} beta_{k,i}) for d(theta^k), k = 2
     or, where rho_1 = 0, k = 1; then sum_i p^i D_{p1} beta_{j,i} for
-    j = 3..2n, with D_v e = grad(e) . v."""
-    gb, (_, g1d), (_, g2d), bv, bd = coefficient_tables_full(problem, jet.f)
-    k = 0 if _value(gb.rho_grad[0]) == 0 else 1
-    fj = full_jet(jet, compute_gamma_beta(problem, jet.f))
+    j = 3..2n, with D_v e = grad(e) . v; the gradients come from
+    ``tables``, as in :func:`torsion_values_from_matrices`."""
+    gb, (_, g1d), (_, g2d), bv, bd = tables
     order = problem.internal_order()
+    k = 0 if gb.rho_grad[0].evaluate(tuple(Fraction(jet.f[i]) for i in order)) == 0 else 1
+    fj = full_jet(jet, compute_gamma_beta(problem, jet.f))
     p1 = tuple(fj.p1[i] for i in order)
     p2 = tuple(fj.p2[i] for i in order)
     p = tuple(Fraction(x) for x in jet.p_reduced)
@@ -1406,7 +1411,42 @@ def parse_expression_reference(text, variables, complexified=False) -> Polynomia
     return ReferenceParser(tokenize(text), variables, complexified).parse()
 
 
+def product_by_operators(a, b, budget=None):
+    """``diskeds.expr._product`` of two term tables, with a budget taken the
+    same way, term by term on the coefficients' operators: each row of
+    len(b) coefficient pairs, and their word pairs, is taken from
+    ``budget`` before it is multiplied, a sum that cancels leaves the
+    table, a partial product past MAX_TERMS terms raises, and so does a
+    product past the coefficient bits."""
+    from diskeds import expr
+    res = {}
+    words_b = sum(map(expr._words, b.values()))
+    for e1, c1 in a.items():
+        if budget is not None:
+            budget.take(len(b), expr._words(c1) * words_b)
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2 if e not in res else res[e] + c1 * c2
+            if c != 0:
+                res[e] = c
+            else:
+                del res[e]
+        if budget is not None and len(res) > expr.MAX_TERMS:
+            raise SchemaViolation(f"expression expands past {expr.MAX_TERMS} terms")
+    return res if budget is None else expr._bounded(res, expr.MAX_TERMS)
+
+
 _REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
+
+
+# what the readers below name a value of each kind they refuse
+_REFUSED_KINDS = {bool: "a boolean", type(None): "null", list: "a list", dict: "an object",
+                  float: "a float"}
+
+
+def _refuse_kind(value):
+    kind = _REFUSED_KINDS.get(type(value), f"a {type(value).__name__}")
+    raise SchemaViolation(f"not an exact rational: {kind}, not a 'p/q' string or an integer")
 
 
 def rat_reference(value) -> Fraction:
@@ -1423,7 +1463,7 @@ def rat_reference(value) -> Fraction:
             return Fraction(s)
         except ZeroDivisionError as exc:
             raise SchemaViolation(f"zero denominator: {value!r}") from exc
-    raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
+    _refuse_kind(value)
 
 
 def rat_by_fraction_constructor(value) -> Fraction:
@@ -1445,4 +1485,4 @@ def rat_by_fraction_constructor(value) -> Fraction:
         if den == 0:
             raise SchemaViolation(f"zero denominator: {value!r}")
         return Fraction(num, den)
-    raise SchemaViolation(f"not an exact rational: {value!r} (floats are rejected)")
+    _refuse_kind(value)

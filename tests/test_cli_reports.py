@@ -774,17 +774,19 @@ def test_a_problem_with_no_pair_reads_its_point_once(command, name, tmp_path,
 def test_a_constant_structure_entry_costs_no_gradient_pass(command, name, monkeypatch,
                                                            capsys):
     # the standard structure's entries are constants, whose first jets have
-    # a zero gradient; only rho's derivatives take a pass over monomials
+    # a zero gradient; only rho's derivatives take a derivative pass over
+    # monomials
     from diskeds import expr
     constant = []
-    real = expr.partials_at
+    real = expr.polynomial_at
 
-    def counting(point, pairs, second=False):
+    def counting(pairs, at, order=0, value=True, start=0):
         pairs = list(pairs)
-        constant.append(not any(map(any, (exps for exps, _ in pairs))))
-        return real(point, pairs, second)
+        if order:
+            constant.append(not any(map(any, (exps for exps, _ in pairs))))
+        return real(pairs, at, order, value, start)
 
-    monkeypatch.setattr(expr, "partials_at", counting)
+    monkeypatch.setattr(expr, "polynomial_at", counting)
     assert cli.main([command, name]) == 0
     assert constant and not any(constant)
 
@@ -863,7 +865,7 @@ def test_exact_zeros_cost_no_multiplication(command, tmp_path, capsys):
     # 80 % of their Fraction products; the kernels skip those terms.  With
     # a dot that skips none, 817 of 2,705 (torsion) and 1,472 of 2,662
     # (involutivity) operands are zeros; with the skipping kernels, 2 of
-    # 1,129 and 7 of 552
+    # 847 and 0 of 443
     path = tmp_path / "n5.json"
     path.write_text(json.dumps(N5_HYPERQUADRIC))
     operands, zeros = _fraction_operands([command, str(path)])
@@ -875,10 +877,11 @@ def test_exact_zeros_cost_no_multiplication(command, tmp_path, capsys):
 def test_torsion_along_the_jet_is_quadratic_work(command, tmp_path, capsys):
     # the 2n quadratic-form matrices on full gradients took 2,661 (torsion)
     # and 2,873 (integral-element) Fraction operands here, on the same
-    # kernels; the derivatives along p1 and p2 take 1,129, under half
+    # kernels; the derivatives along p1 and p2 took 1,129, under half, and
+    # take 847 with rho's derivatives on integer sums (exact.polynomial_at)
     path = tmp_path / "n5.json"
     path.write_text(json.dumps(N5_HYPERQUADRIC))
-    assert 100 < _fraction_operands([command, str(path)])[0] <= 1450
+    assert 100 < _fraction_operands([command, str(path)])[0] <= 847
 
 
 def test_gaussian_arithmetic_skips_zero_parts(monkeypatch, capsys):
@@ -909,18 +912,20 @@ def test_gaussian_arithmetic_skips_zero_parts(monkeypatch, capsys):
 def test_jets_multiplies_no_coefficient_by_one(capsys):
     # the derivations and the frozen coefficients skip products by 1 (an
     # exponent 1, a term free of lower jets): exact arithmetic took 858
-    # Fraction operands here with them and takes 724 without
-    assert 100 < _fraction_operands(["jets", "hyperquadric"])[0] <= 724
+    # Fraction operands here with them and 724 without, and takes 702 with
+    # each equality read on integer sums (exact.polynomial_at)
+    assert 100 < _fraction_operands(["jets", "hyperquadric"])[0] <= 702
 
 
 def test_torsion_on_a_degree_1_structure_takes_one_jet_per_dot(tmp_path, capsys):
     # each dot over first jets builds one FirstJet from integer sums, and each
     # distinct entry is read once: exact arithmetic took 1,322 Fraction
-    # operands here with a FirstJet per product and per partial sum, and
-    # takes 1,013 with one per dot
+    # operands here with a FirstJet per product and per partial sum, 1,013
+    # with one per dot, and takes 974 with rho's derivatives on integer
+    # sums (exact.polynomial_at)
     path = tmp_path / "degree_1_n3.json"
     path.write_text(json.dumps(DEGREE_1_N3))
-    assert 100 < _fraction_operands(["torsion", str(path)])[0] <= 1100
+    assert 100 < _fraction_operands(["torsion", str(path)])[0] <= 974
 
 
 def _schema_exit_2(doc, tmp_path, capsys, command="involutivity"):
@@ -965,7 +970,13 @@ def test_deep_nesting_exits_2_naming_the_offset(where, text, tmp_path, capsys):
 @pytest.mark.parametrize("value, message", [
     ("3 / 4", "not an exact rational: '3 / 4'"),
     ("1" * 5000, "not an exact rational: 5000 characters is too long"),
-], ids=["spaces", "long"])
+    # the loader refuses floats while it reads the JSON, so a value of any
+    # other kind is named by its JSON kind
+    (True, "not an exact rational: a boolean, not a 'p/q' string or an integer"),
+    (None, "not an exact rational: null, not a 'p/q' string or an integer"),
+    (["1", "2"], "not an exact rational: a list, not a 'p/q' string or an integer"),
+    ({"re": "1"}, "not an exact rational: an object, not a 'p/q' string or an integer"),
+], ids=["spaces", "long", "true", "null", "list", "object"])
 def test_unreadable_rational_exits_2(value, message, tmp_path, capsys):
     doc = json.loads(json.dumps(SCHEMA_DOC))
     doc["points"]["P"][3] = value
@@ -1875,13 +1886,13 @@ def test_each_distinct_numerator_is_read_once_per_point(name, monkeypatch):
 
 def test_a_degree_1_first_jet_reads_the_linear_coefficients(monkeypatch):
     # the gradient of a degree-1 entry is its linear coefficients, read with
-    # no partials_at pass, and equals the pass's gradient
+    # no polynomial_at pass, and equals the pass's gradient
     problem = build_problem(DEGREE_1_N3).problem
     point = tuple(map(Fraction, DEGREE_1_N3["points"]["P0"]))
     entries = {id(N): N for row in problem.structure.numerators for N in row
                if N.degree() == 1}
     assert len(entries) == 16
-    passes = _counting(monkeypatch, expr, "partials_at")
+    passes = _counting(monkeypatch, expr, "polynomial_at")
     jets = [N.first_jet(point) for N in entries.values()]
     assert not passes
     for N, jet in zip(entries.values(), jets):

@@ -68,7 +68,8 @@ def _rational_texts(draw):
 
 @given(st.one_of(_rational_texts(), st.integers(-BIG, BIG), st.booleans(), st.fractions(),
                  st.floats(allow_nan=False), st.none(),
-                 st.text(alphabet="0123456789+-/ ._", max_size=8)))
+                 st.lists(st.integers(), max_size=2), st.dictionaries(st.text(), st.integers()),
+                 st.text(alphabet="0123456789+-/ ._\u0661\u00b2\xa0\u2003", max_size=8)))
 @example("-0")
 @example("007/0")
 @example("0/000")
@@ -76,7 +77,14 @@ def _rational_texts(draw):
 @example("1" * 5000)
 @example("1/" + "1" * 5000)
 @example(True)
+@example(None)
+@example([])
+@example({})
 @example(-(10 ** 4000))
+@example("\u0661\u0662")
+@example("\xa0-7\u2003")
+@example("\u00b2")
+@example("\u0661/\u0663")
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 def test_rat_is_the_fraction_constructor_oracle(value):
     # the same Fraction in value, exact type, parts and hash, or the same

@@ -1,11 +1,12 @@
 """expr core: parsing, exact arithmetic, differentiation, rational functions."""
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskeds.errors import (
     DimensionMismatch,
@@ -16,7 +17,17 @@ from diskeds.errors import (
     SchemaViolation,
     UnknownVariable,
 )
-from diskeds.exact import FirstJet, GaussianRational, I_UNIT, gaussian, rat, rational_str
+from diskeds.exact import (
+    FirstJet,
+    GaussianRational,
+    I_UNIT,
+    PreparedPoint,
+    gaussian,
+    normalize_scalar,
+    polynomial_at,
+    rat,
+    rational_str,
+)
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds import expr
 from diskeds.jets import conjugate_involution
@@ -28,6 +39,7 @@ from oracles import (
     RationalFunction,
     differentiate,
     parse_expression_reference,
+    product_by_operators,
     rat_reference,
     symbolic_gamma_beta,
     var,
@@ -235,29 +247,44 @@ def gaussian_polys(draw):
     return Polynomial(V3, terms)
 
 
-COORDINATES = (0, 0, 1, -2, Fraction(3, 2), gaussian(0, 1), gaussian(1, -2))
+BIG = 2 ** 4000
+# zero, negative, half-integer and 4,000-bit rationals, an int, and
+# Gaussian values with and without a real part
+COORDINATES = (0, 0, 1, -2, Fraction(3, 2), Fraction(-1, 2), BIG + 1, Fraction(1 - BIG, 3),
+               gaussian(0, 1), gaussian(1, -2))
 
 
 @given(st.one_of(polys(), gaussian_polys()), st.tuples(*[st.sampled_from(COORDINATES)] * 3))
-@settings(max_examples=150, deadline=None)
+@example(Polynomial(V3, {(2, 1, 0): Fraction(1), (0, 0, 3): gaussian(0, 2)}), (0, 1, 0))
+@example(Polynomial(V3, {(3, 3, 3): Fraction(-3, 4)}), (BIG + 1, Fraction(1, 2), 0))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
 def test_one_pass_derivatives_equal_differentiate_then_evaluate(p, pt):
     # zero coordinates included: a monomial with a zero factor left out of
     # a derivative contributes nothing to it; Fraction and Gaussian
-    # coefficients and coordinates, and every result a canonical scalar
+    # coefficients and coordinates, mixed in one polynomial, and every
+    # result a canonical scalar, of the type the oracle's value has
     grad, hessian = p.derivatives_at(pt, second=True)
-    assert grad == tuple(_evaluated(differentiate(p, v), pt) for v in V3)
-    assert hessian == tuple(tuple(_evaluated(differentiate(differentiate(p, a), b), pt)
-                                  for b in V3) for a in V3)
+    want_grad = tuple(_evaluated(differentiate(p, v), pt) for v in V3)
+    want_hessian = tuple(tuple(_evaluated(differentiate(differentiate(p, a), b), pt)
+                               for b in V3) for a in V3)
+    assert grad == want_grad and hessian == want_hessian
     assert p.derivatives_at(pt) == (grad, None)
     value = p.evaluate(pt)
     assert value == _evaluated(p, pt)
     jet = p.first_jet(pt)
     assert (jet.value, jet.grad) == (value, grad)
-    # the term-pair functions over any iterable of (exps, coeff) pairs
+    outputs = (value,) + grad + sum(hessian, ())
+    wants = (_evaluated(p, pt),) + want_grad + sum(want_hessian, ())
+    assert all(map(_canonical, outputs))
+    assert [type(x) for x in outputs] == [type(normalize_scalar(w)) for w in wants]
+    # the kernel over any iterable of (exps, coeff) pairs, one prepared
+    # point shared by every read, and derivatives from a coordinate on
     pairs = list(p.terms.items())
-    assert expr.value_at(pt, iter(pairs)) == value
-    assert expr.partials_at(pt, iter(pairs), second=True) == (grad, hessian)
-    assert all(map(_canonical, (value,) + grad + sum(hessian, ())))
+    at = PreparedPoint(pt)
+    assert polynomial_at(iter(pairs), at, 2) == (value, grad, hessian)
+    assert polynomial_at(iter(pairs), at, 1, value=False) == (None, grad, None)
+    assert polynomial_at(iter(pairs), at, 2, start=1) == (
+        value, grad[1:], tuple(row[1:] for row in hessian[1:]))
 
 
 def test_every_reading_at_a_point_checks_its_length():
@@ -269,13 +296,43 @@ def test_every_reading_at_a_point_checks_its_length():
 
 
 def test_monomial_stops_at_the_first_zero_factor():
-    # a zero coordinate ends the product before a later power is taken; an
-    # earlier power past the bit bound raises
-    assert expr.monomial((0, 2), (1, 10 ** 8)) == 0
-    assert expr.monomial((3, 2), (0, 0)) == 1
-    assert expr.monomial((Fraction(1, 2), 3), (2, 1)) == Fraction(3, 4)
-    with pytest.raises(SchemaViolation, match="x\\^100000000 of a 1-bit x"):
-        expr.monomial((2, 0), (10 ** 8, 1))
+    # a monomial, or a derivative of one, that keeps a factor with an exact
+    # zero value is 0 before any of its powers is taken, wherever the zero
+    # stands; a power it needs passes exact.power's bit bound or raises
+    p = Polynomial(F2, {(10 ** 8, 1): Fraction(1), (0, 0): Fraction(3)})   # f1^(10^8) f2 + 3
+    assert p.evaluate((0, 2)) == p.evaluate((2, 0)) == 3
+    assert p.derivatives_at((0, 2), second=True) == ((0, 0), ((0, 0), (0, 0)))
+    assert p.evaluate((1, 5)) == p.evaluate((-1, 5)) == 8
+    for read, message in ((lambda: p.evaluate((2, 1)), "x^100000000"),
+                          (lambda: p.derivatives_at((2, 0)), "x^100000000"),
+                          (lambda: p.derivatives_at((2, 1)), "x^99999999")):
+        with pytest.raises(SchemaViolation, match=re.escape(f"exact power {message} of a 1-bit x")):
+            read()
+    q = Polynomial(F2, {(2, 1): Fraction(1, 2)})
+    assert q.evaluate((Fraction(1, 2), 3)) == Fraction(3, 8)
+
+
+def test_each_power_at_a_point_is_taken_once(monkeypatch):
+    # the value, gradient and Hessian of f1^3 f2^2 + f1^3 + f1^2 f2 read
+    # each power x_i^k, k >= 2, that a kept factor needs, once
+    from diskeds import exact
+    taken = []
+    real = exact.power
+
+    def power(x, k):
+        taken.append((x, k))
+        return real(x, k)
+
+    monkeypatch.setattr(exact, "power", power)
+    p = parse_expression("f1^3*f2^2 + f1^3 + f1^2*f2", F2)
+    pt = (Fraction(2, 3), Fraction(-5))
+    jet = p.first_jet(PreparedPoint(pt))
+    taken.clear()
+    at = PreparedPoint(pt)
+    value, grad, hessian = polynomial_at(p.terms.items(), at, 2)
+    assert (value, grad) == (jet.value, jet.grad)
+    assert sorted(taken, key=repr) == sorted(
+        [(pt[0], 3), (pt[0], 2), (pt[1], 2)], key=repr)
 
 
 @st.composite
@@ -337,7 +394,6 @@ def test_first_jet_constant_operand_matches_lifted_jet(x, c):
 
 # zeros, negatives, equal and coprime denominators (6, 35, 77 and a
 # 4,000-bit one), and 4,000-bit numerators and denominators
-BIG = 2 ** 4000
 sparse_rationals = st.one_of(
     st.just(Fraction(0)), st.just(Fraction(0)), rationals,
     st.sampled_from([Fraction(1, 6), Fraction(-5, 6), Fraction(4, 35), Fraction(-9, 77),
@@ -611,6 +667,66 @@ def test_term_table_parser_matches_the_polynomial_parser(case):
         assert parse_expression(print_polynomial(p), table, complexified) == p
 
 
+_SMALL_COEFFICIENTS = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+_RATIONAL_COEFFICIENTS = st.one_of(
+    _SMALL_COEFFICIENTS, _SMALL_COEFFICIENTS, _SMALL_COEFFICIENTS,
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool), st.integers(1, BIG)))
+_GAUSSIAN_COEFFICIENTS = st.builds(gaussian, st.integers(-3, 3), st.integers(-3, 3)).map(
+    normalize_scalar).filter(bool)
+
+
+@st.composite
+def _product_cases(draw):
+    """Two term tables over 3 variables, the first of 2 to 12 terms and the
+    second of 1 to 12, rational or with Gaussian coefficients, so that the
+    integer-pair, Gaussian and raw-integer products all run, with a budget
+    that may run out part way."""
+    coefficients = draw(st.sampled_from(
+        [_RATIONAL_COEFFICIENTS] * 3 + [st.one_of(_RATIONAL_COEFFICIENTS, _GAUSSIAN_COEFFICIENTS)]))
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    a, b = (draw(st.dictionaries(exps, coefficients, min_size=low, max_size=12))
+            for low in (2, 1))
+    pairs = draw(st.one_of(st.just(expr.MAX_PRODUCT_PAIRS), st.integers(0, 150)))
+    words = draw(st.one_of(st.just(expr.MAX_PRODUCT_WORDS), st.integers(0, 2000)))
+    return a, b, pairs, words
+
+
+def _product_outcome(product, a, b, pairs, words, ordered):
+    budget = expr.ParseBudget()
+    budget.pairs, budget.words = pairs, words
+    try:
+        res = product(a, b, budget)
+    except DiskEdsError as exc:
+        return type(exc), str(exc), budget.pairs, budget.words
+    types = {e: type(c) for e, c in res.items()}
+    return (list(res.items()) if ordered else res), types, budget.pairs, budget.words
+
+
+@given(_product_cases())
+@example(({(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1, 2)},
+          {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1, 2)}, expr.MAX_PRODUCT_PAIRS,
+          expr.MAX_PRODUCT_WORDS))
+@example(({(0, 0, 0): Fraction(BIG, 3), (1, 0, 0): Fraction(1)},
+          {(0, 0, 0): Fraction(3, BIG), (0, 0, 1): Fraction(2)}, 3, 40))
+@example(({(k, 0, 1): Fraction(k + 1, 2) for k in range(9)},
+          {(0, k % 3, k // 3): Fraction(-1, k + 1) for k in range(9)}, expr.MAX_PRODUCT_PAIRS,
+          expr.MAX_PRODUCT_WORDS))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_products_on_integer_pairs_equal_the_operator_products(case):
+    # the same table in the same term order, with the same coefficient
+    # types, or the same ParseBudget error with the same budget left.  Two
+    # tables of more than 8 terms multiply as raw integers, which take
+    # the words of their cleared integers and keep no term order: those
+    # give the same table under a full budget
+    a, b, pairs, words = case
+    ordered = len(a) <= 8 or len(b) <= 8
+    if not ordered:
+        pairs, words = expr.MAX_PRODUCT_PAIRS, expr.MAX_PRODUCT_WORDS
+    got = _product_outcome(expr._product, a, b, pairs, words, ordered)
+    want = _product_outcome(product_by_operators, a, b, pairs, words, ordered)
+    assert got == want if ordered else got[:2] == want[:2]
+
+
 def test_loading_cusp_builds_one_polynomial_per_parsed_expression(monkeypatch):
     doc = load_problem("cusp")
     expressions = 1 + sum(len(sdoc["equalities"]) + len(sdoc["openings"])
@@ -633,8 +749,30 @@ def test_loading_cusp_builds_one_polynomial_per_parsed_expression(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", init)
     monkeypatch.setattr(expr._Parser, "parse", parse)
     build_problem(doc, "cusp")
-    assert expressions == 10 and len(parsed) == expressions
+    # both strata hold the long equality and w3, each at one jet order:
+    # 10 expressions are 8 distinct (text, jet order) parses
+    assert expressions == 10 and len(parsed) == 8
     assert built == parsed
+
+
+def test_repeated_stratum_texts_take_the_budget_once(monkeypatch):
+    # a load parses each (text, jet order) once, so strata that repeat
+    # their equalities and openings take from the load's budget what one
+    # of them takes
+    taken = []
+    real = expr.ParseBudget.take
+
+    def take(self, pairs, words):
+        taken.append((pairs, words))
+        return real(self, pairs, words)
+
+    monkeypatch.setattr(expr.ParseBudget, "take", take)
+    stratum = {"equalities": ["(z1 + zb1)^3 - w2*wb2", "(w1 + 2*wb1)*(z2 - 1/2*zb2)"],
+               "openings": ["(z1 + 1)*(zb1 + 1)", "(w1 + 2*wb1)*(z2 - 1/2*zb2)"]}
+    build_problem({"dimension_2n": 4, "strata": {"S": stratum}})
+    once, taken[:] = list(taken), []
+    build_problem({"dimension_2n": 4, "strata": {f"S{k}": stratum for k in range(6)}})
+    assert len(once) > 5 and taken == once
 
 
 _RATIONAL_TEXTS = ("3", "-3", "+3", " 7 ", "3/4", "-3/4", "+3/4", "3 / 4", "3/ 4", "3 /4",

@@ -235,19 +235,33 @@ def test_the_stratum_build_rule_finds_a_second_caller():
     assert _stratum_builds({"cli.py": source}) == ["cli.py:_system_of"]
 
 
-def test_monomial_owns_every_power_at_a_point():
-    # one polynomial evaluator in the package: an exact.power call outside
-    # expr's monomial readers, the parser's literal powers and the
-    # pseudo-ellipsoid's closed form is a second evaluator
+def _power_calls(sources):
+    """name:owner for every call of exact.power in the modules of
+    ``sources`` (name -> text)."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for owner, node in _owned_nodes(tree.body):
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
             if isinstance(node, ast.Call) and getattr(
                     node.func, "id", getattr(node.func, "attr", None)) == "power":
-                found.append(f"{path.name}:{owner}")
-    assert sorted(set(found)) == ["expr.py:_Parser.factor", "expr.py:_monomial_partial",
-                                  "expr.py:monomial", "torsion.py:pseudo_ellipsoid_check"]
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_monomial_owns_every_power_at_a_point():
+    # one polynomial evaluator in the package: an exact.power call outside
+    # the prepared point that exact.polynomial_at reads its powers from,
+    # the parser's literal powers and the pseudo-ellipsoid's closed form is
+    # a second evaluator
+    found = _power_calls({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert found == ["exact.py:PreparedPoint.factor", "expr.py:_Parser.factor",
+                     "torsion.py:pseudo_ellipsoid_check"]
+
+
+def test_the_one_evaluator_rule_finds_a_second_caller():
+    source = (SRC / "geometry.py").read_text() + (
+        "\n\ndef _value_at(p, point):\n"
+        "    return sum(c * power(point[0], e[0]) for e, c in p.terms.items())\n")
+    assert _power_calls({"geometry.py": source}) == ["geometry.py:_value_at"]
 
 
 def test_the_builders_own_the_chart_decision():

@@ -224,10 +224,13 @@ def test_directional_torsion_equals_the_quadratic_forms(case):
         return
     jet = prob.make_jet(pt, p, allow_off_surface=True)
     c = structure_equation_coefficients(prob, jet).c_values
-    assert c == torsion_values_from_matrices(prob, jet)
+    # the reference differentiates the symbolic gamma/beta, so no first jet
+    # of the pipeline enters what c is checked against
+    tables = coefficient_tables_symbolic(prob, jet.f)
+    assert c == torsion_values_from_matrices(jet, tables)
     assert all(isinstance(x, Fraction) for x in c)
     rows = _dtheta_row_data(prob, jet).rows
-    assert [x2 for x2, _, _ in rows] == dtheta_x2_column_full(prob, jet)
+    assert [x2 for x2, _, _ in rows] == dtheta_x2_column_full(prob, jet, tables)
 
 
 @st.composite
