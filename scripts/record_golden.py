@@ -9,7 +9,8 @@ in json and text format, plus ``jets`` on every stratum with ``--rounds``
 on every branch of the Cramer determinant, and a point charted at (3, 4)),
 plus ``jets`` with ``--rounds`` 1..3 on
 the Levi-null strata at n = 4 and 5, plus ``jets`` on a stratum whose probes
-extend by nonzero top jets, ``jets --probe`` on the cusp and
+extend by nonzero top jets and on one whose equality names a plain and a
+barred velocity, ``jets --probe`` on the cusp and
 ``pseudo-ellipsoid`` on a document of its own, and writes each invocation's stdout to
 ``tests/golden/<case>.out`` and its argv, exit code and stderr to
 ``tests/golden/index.json``.  Reports echo
@@ -91,12 +92,15 @@ def cases():
     for fmt in ("json", "text"):
         yield (f"dim6-n3_matrix-{fmt}",
                ["dim6", "tests/golden/docs/n3_matrix.json", "--format", fmt])
-    # a probe extended by nonzero top jets (n2_extension), the base tableau
-    # of probes jets does not select, and pseudo-ellipsoid at a point where
-    # the condition holds on the surface and one off it where it is violated
+    # a probe extended by nonzero top jets (n2_extension), a real velocity
+    # wb1 = w1, whose tableau mixes the conjugate halves (n2_real_velocity),
+    # the base tableau of probes jets does not select, and pseudo-ellipsoid
+    # at a point where the condition holds on the surface and one off it
+    # where it is violated
     for fmt in ("json", "text"):
-        yield (f"jets-n2_extension-{fmt}",
-               ["jets", "tests/golden/docs/n2_extension.json", "--format", fmt])
+        for stem in ("n2_extension", "n2_real_velocity"):
+            yield (f"jets-{stem}-{fmt}",
+                   ["jets", f"tests/golden/docs/{stem}.json", "--format", fmt])
         yield (f"jets-cusp-generic-probe-P_origin-{fmt}",
                ["jets", "cusp", "--stratum", "generic", "--probe", "P_origin",
                 "--format", fmt])

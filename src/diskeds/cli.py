@@ -178,11 +178,11 @@ def cmd_jets(lp: LoadedProblem, opts) -> dict:
     selected = sorted(probes) if opts.probe is None else [
         _pick(probes, opts.probe, "probe", "probes")]
     chains, base_dims = {}, {}
-    prolongations = {}   # system -> its prolongation, shared by the probes
+    memo = {}   # each system's prolongation, substitution and velocity check
     for pname in sorted(probes):
         if pname in selected:
             chains[pname] = involution_loop(system, probes[pname], max_rounds=opts.rounds,
-                                            prolongations=prolongations)
+                                            memo=memo)
             base_dims[pname] = chains[pname].dims[0]
         else:
             # only the base tableau, for the locally-constant check

@@ -279,6 +279,16 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def canonical(cls, variables, terms):
+        """A polynomial from ``terms`` that is canonical already: exponent
+        tuples of the length of ``variables``, a tuple, and nonzero
+        coefficients in :func:`exact.normalize_scalar` form.  Nothing is
+        checked again and ``terms`` is taken, not copied."""
+        p = cls.__new__(cls)
+        p.vars, p.terms, p._hash = variables, terms, None
+        return p
+
+    @classmethod
     def zero(cls, variables):
         return cls(variables, {})
 

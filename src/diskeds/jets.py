@@ -28,21 +28,32 @@ equalities first and unchanged, so at the probe extended by zero top
 jets they keep the round's own values; an extension solved for nonzero
 top jets keeps the rows of the equalities free of top jets; and the
 reduced system keeps the extension's rows of the equalities the
-substitution left alone.  The
-tableau is the kernel of the Jacobian of the equalities with respect to
-the top-order variables.  When no equality structurally couples barred and
-unbarred top variables the system splits into conjugate halves and the
+substitution left alone.  The tableau is the kernel of the Jacobian of
+the equalities with respect to the top-order variables.  When no
+equality names both a barred and an unbarred top variable, in one
+monomial or in two, the system splits into conjugate halves and the
 complex dimension (half the kernel dimension) is reported; mixed systems
-report the full kernel dimension, which equals the real dimension of the
-real solution space.  Torsion-freeness at the probe is solvability of the
-prolonged equalities, lower jets frozen, as an affine system in the new
-top variables.  Freezing and reading use the package's one polynomial
-evaluator, ``exact.polynomial_at``, on one prepared point per call
-(``exact.PreparedPoint``): it reads each equality's value and its
-gradient in the top jets off the whole probe, on integer sums, which at
-zero top jets are the frozen equality's constant and linear
-coefficients, and it freezes the lower jets into the coefficient of
-each monomial of degree >= 2 in the top jets.
+(``wb1 - w1``, say) report the full kernel dimension, which equals the
+real dimension of the real solution space.  Torsion-freeness at the
+probe is solvability of the prolonged equalities, lower jets frozen, as
+an affine system in the new top variables.  Freezing and reading use
+the package's one polynomial evaluator, ``exact.polynomial_at``, on one
+prepared point per call (``exact.PreparedPoint``): it reads each
+equality's value and its gradient in the top jets off the whole probe,
+on integer sums, which at zero top jets are the frozen equality's
+constant and linear coefficients, and it freezes the lower jets into
+the coefficient of each monomial of degree >= 2 in the top jets.
+
+One command shares one memo between the loops over its probes (see
+:func:`_shared`): each system it meets is prolonged, substituted and
+velocity-checked once, and the memo is dropped with the command.  Work
+that changes nothing builds nothing: ``substitute_vanishing`` returns its
+system when nothing was cut and no bare equality zeroes a generator
+another names, ``reduce_redundant`` returns its system when it drops
+nothing, and ``_widen`` and ``_without`` return the polynomial they were
+given when it is already over the table or loses no term.  The layout's
+own outputs are canonical by construction and are built by
+``Polynomial.canonical``, which checks nothing again.
 """
 from __future__ import annotations
 
@@ -101,8 +112,10 @@ def _block(table) -> int:
 
 def _derivation(p: Polynomial, barred: bool) -> Polynomial:
     """The product rule on the table layout: each exponent e_i of a
-    generator of the derived kind moves one unit to slot i + 2n, times e_i."""
-    n, res = _block(p.vars), {}
+    generator of the derived kind moves one unit to slot i + 2n, times e_i.
+    A coefficient times a positive integer stays canonical, so only a sum
+    where two terms met is normalized, and dropped if it cancelled."""
+    n, res, met = _block(p.vars), {}, set()
     for exps, c in p.terms.items():
         for i, e in enumerate(exps):
             if e and (i // n) % 2 == barred:
@@ -115,8 +128,18 @@ def _derivation(p: Polynomial, barred: bool) -> Polynomial:
                 out = tuple(out)
                 ce = c if e == 1 else c * e
                 s = res.get(out)
-                res[out] = ce if s is None else s + ce
-    return Polynomial(p.vars, res)
+                if s is None:
+                    res[out] = ce
+                else:
+                    res[out] = s + ce
+                    met.add(out)
+    for out in met:
+        c = normalize_scalar(res[out])
+        if c:
+            res[out] = c
+        else:
+            del res[out]
+    return Polynomial.canonical(p.vars, res)
 
 
 def conjugate_involution(p: Polynomial) -> Polynomial:
@@ -124,7 +147,8 @@ def conjugate_involution(p: Polynomial) -> Polynomial:
     w_k <-> wb_k) and conjugate the coefficients."""
     n = _block(p.vars)
     swap = itemgetter(*[i - n if (i // n) % 2 else i + n for i in range(len(p.vars))])
-    return Polynomial(p.vars, {swap(exps): scalar_conj(c) for exps, c in p.terms.items()})
+    return Polynomial.canonical(p.vars, {swap(exps): scalar_conj(c)
+                                         for exps, c in p.terms.items()})
 
 
 def d_t(p: Polynomial) -> Polynomial:
@@ -154,10 +178,12 @@ Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))
 
 class JetConstraintSystem(namedtuple("JetConstraintSystem",
                                      "n order equalities openings partners")):
-    """``equalities`` are monic, deduplicated and conjugation-closed;
-    ``partners[k]`` is the index of equality k's monic conjugate among them
-    (a redundancy reduction's output is the one system that is not closed:
-    see :func:`reduce_redundant`); ``openings`` are Opening instances."""
+    """``equalities`` are monic, deduplicated and conjugation-closed, in the
+    order :func:`_close` leaves them, so closing them again changes
+    nothing; ``partners[k]`` is the index of equality k's monic conjugate
+    among them (a redundancy reduction's output is the one system that is
+    not closed: see :func:`reduce_redundant`); ``openings`` are Opening
+    instances."""
 
     __slots__ = ()
 
@@ -168,9 +194,16 @@ class JetConstraintSystem(namedtuple("JetConstraintSystem",
 
 def _widen(p: Polynomial, table) -> Polynomial:
     """``p`` over ``table``, a jet table of the same n that its own table is
-    a prefix of: every exponent tuple gains trailing zeros."""
-    pad = (0,) * (len(table) - len(p.vars))
-    return Polynomial(table, {e + pad: c for e, c in p.terms.items()})
+    a prefix of: every exponent tuple gains trailing zeros; ``p`` itself
+    when its table is ``table``."""
+    extra = len(table) - len(p.vars)
+    if extra < 0:
+        raise DimensionMismatch(f"a polynomial over {len(p.vars)} jets does not "
+                                f"widen to a table of {len(table)}")
+    if not extra:
+        return p
+    pad = (0,) * extra
+    return Polynomial.canonical(table, {e + pad: c for e, c in p.terms.items()})
 
 
 def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSystem:
@@ -233,33 +266,54 @@ def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
 def substitute_vanishing(system: JetConstraintSystem, cut=()) -> JetConstraintSystem:
     """Propagate bare-variable equalities (c*v = 0) through the system, then
     close it again: an equality whose conjugate is missing gets it back,
-    right after itself.
+    right after itself.  ``system`` itself when nothing was cut and no
+    equality names a generator a bare one zeroes.
 
     ``cut`` lists the equalities a redundancy reduction dropped from a
     closed system; ``partners`` then index into ``equalities + cut``.  The
     substitution runs on each conjugate alongside, over the conjugate
-    variables, so it stays the conjugate of its equality."""
+    variables, so it stays the conjugate of its equality.  Each pass
+    rebuilds only the equalities that name a generator zeroed in that
+    pass, and only the rebuilt ones are made monic again."""
     n, eqs = system.n, list(system.equalities)
     everything = eqs + list(cut)
     conjugates = [everything[j] for j in system.partners]
+    zero, changed = set(), set()
     while True:
-        bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
-        zero = {next(iter(p.terms)).index(1) for p in bare}
-        new_eqs = [p if p in bare else _without(p, zero) for p in eqs]
-        if new_eqs == eqs:
-            eqs, partners = _close([_monic(p) for p in eqs],
-                                   [_monic(q) for q in conjugates])
-            return system._replace(equalities=eqs, partners=partners)
-        mirror = {i - n if (i // n) % 2 else i + n for i in zero}
-        conjugates = [q if p in bare else _without(q, mirror)
-                      for p, q in zip(eqs, conjugates)]
-        eqs = new_eqs
+        new = {next(iter(p.terms)).index(1) for p in eqs if _bare(p)} - zero
+        if not new:
+            break
+        zero |= new
+        mirror = {i - n if (i // n) % 2 else i + n for i in new}
+        for k, p in enumerate(eqs):
+            if not _bare(p):
+                q = _without(p, new)
+                if q is not p:
+                    eqs[k], conjugates[k] = q, _without(conjugates[k], mirror)
+                    changed.add(k)
+    if not changed and not cut:
+        return system
+    eqs, partners = _close([_monic(p) if k in changed else p for k, p in enumerate(eqs)],
+                           [_monic(q) if k in changed else q
+                            for k, q in enumerate(conjugates)])
+    return system._replace(equalities=eqs, partners=partners)
+
+
+def _bare(p: Polynomial) -> bool:
+    """``p`` is c*v for one generator v."""
+    return len(p.terms) == 1 and sum(next(iter(p.terms))) == 1
 
 
 def _without(p: Polynomial, slots) -> Polynomial:
-    """``p`` with every term that involves a generator in ``slots`` removed."""
-    return Polynomial(p.vars, {e: c for e, c in p.terms.items()
-                               if not any(e[i] for i in slots)})
+    """``p`` with every term that involves a generator in ``slots`` removed;
+    ``p`` itself when no term does."""
+    gone = [e for e in p.terms if any(e[i] for i in slots)]
+    if not gone:
+        return p
+    terms = dict(p.terms)
+    for e in gone:
+        del terms[e]
+    return Polynomial.canonical(p.vars, terms)
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +353,14 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
     """Per equality of a system at one probe: its value, its gradient in the
     top-order jets, whether a monomial of degree >= 2 in them survives
     freezing the lower jets, whether it involves a top jet at all, and
-    whether some monomial couples plain and barred top jets (``mixes``).
+    whether it names both a plain and a barred top jet, in one monomial or
+    in two (``mixes``).
     Where the top jets are zero, value and gradient are the affine part.
     Instances keep a ``__dict__`` for the cached tableau."""
 
     @property
     def mixed(self) -> bool:
-        """Some equality couples plain and barred top jets."""
+        """Some equality names both a plain and a barred top jet."""
         return any(self.mixes)
 
     @property
@@ -318,7 +373,7 @@ class Linearization(namedtuple("Linearization", "system probe values gradients "
     def satisfied(self, strict=True) -> bool:
         """Equalities vanish and openings hold; ``strict`` raises instead."""
         for p, value in zip(self.system.equalities, self.values):
-            if value != 0:
+            if value:
                 if strict:
                     raise ProbeViolatesStratum(
                         f"probe violates equality {print_polynomial(p)}")
@@ -374,7 +429,7 @@ def linearize(system: JetConstraintSystem, probe: tuple, rows=None) -> Lineariza
             row = (value, grad,
                    any(polynomial_at(terms, at)[0] for terms in quadratic.values()),
                    any(any(e) for e in keys),
-                   any(any(e[:n]) and any(e[n:]) for e in keys))
+                   any(any(e[:n]) for e in keys) and any(any(e[n:]) for e in keys))
         out.append(row)
     return Linearization(system, probe, *(tuple(zip(*out)) or ((),) * 5))
 
@@ -396,7 +451,20 @@ def tableau_at_probe(lin: Linearization):
     return null, False, rank
 
 
-def torsion_at_probe(lin: Linearization, prolongations=None):
+def _shared(memo, make, *args):
+    """``make(*args)``, made once per ``memo``: a dict that one command owns
+    and drops, keyed by the function and its arguments, so the probes of
+    the command share each prolongation, substitution and velocity check of
+    a system they meet.  Without a memo nothing is shared."""
+    if memo is None:
+        return make(*args)
+    key = (make, *args)
+    if key not in memo:
+        memo[key] = make(*args)
+    return memo[key]
+
+
+def torsion_at_probe(lin: Linearization, memo=None):
     """Solvability of ``lin.system``'s prolongation in the next-order jets
     at ``lin.probe``.
 
@@ -407,22 +475,18 @@ def torsion_at_probe(lin: Linearization, prolongations=None):
     A carried equality names no new top jet, so its row at the zero
     extension is its value in ``lin``, and the extension reads each
     equality free of top jets off ``zero``.
-    ``prolongations`` maps systems to their prolongations; a caller that
-    owns it shares each prolongation between the probes of one system.
+    ``memo`` is a dict a caller owns to share work between the probes of
+    one command (see :func:`_shared`).
     """
     system = lin.system
-    if prolongations is None:
-        prolongations = {}
-    if system not in prolongations:
-        prolongations[system] = prolong_constraints(system)
-    prolonged = prolongations[system]
+    prolonged = _shared(memo, prolong_constraints, system)
     flat = (Fraction(0),) * (2 * system.n)
     carried = [(value, flat, False, False, False) for value in lin.values]
     zero = linearize(prolonged, extend_probe(prolonged, lin.probe),
                      carried + [None] * (len(prolonged.equalities) - len(carried)))
     rows, rhs = [], []
     for grad, value in zip(zero.gradients, zero.values):
-        if value != 0 or any(x != 0 for x in grad):
+        if value or any(grad):
             rows.append(grad)
             rhs.append(-value)
     solution = solve_particular(rows, rhs)
@@ -460,7 +524,7 @@ def reduce_redundant(lin: Linearization):
     the dropped equalities in descending index.
     """
     system = lin.system
-    if any(x != 0 for x in lin.probe[-2 * system.n:]):
+    if any(lin.probe[-2 * system.n:]):
         raise CrossCheckMismatch("affine parts need a probe with zero top jets")
     eqs = system.equalities
     parts = [list(g) + [v] for g, v in zip(lin.gradients, lin.values)]
@@ -471,6 +535,8 @@ def reduce_redundant(lin: Linearization):
     pivots, _ = _echelon([list(col) for col in zip(*stack)], len(stack))
     kept = {candidates[c - len(free)] for c in pivots if c >= len(free)}
     dropped = [j for j in reversed(candidates) if j not in kept]
+    if not dropped:
+        return system, []
     # the reduced system is not closed, and substitute_vanishing(reduced,
     # dropped) puts back each dropped equality whose conjugate was retained,
     # so the partners index into the retained equalities, then the dropped
@@ -506,12 +572,12 @@ def _velocities_pinned(system: JetConstraintSystem) -> bool:
     return bool(rows) and mat_rank(rows) == system.n
 
 
-def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
+def stratum_analyze(lin: Linearization, memo=None) -> StratumReport:
     """One round of the involution loop at ``lin.system`` and ``lin.probe``;
-    ``prolongations`` as for :func:`torsion_at_probe`."""
+    ``memo`` as for :func:`torsion_at_probe`."""
     lin.satisfied(strict=True)
     dim_now, split_now, _ = lin.tableau
-    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin, prolongations)
+    torsion_free, zero, ext, nonlinear = torsion_at_probe(lin, memo)
     warnings = []
     if nonlinear:
         warnings.append(
@@ -524,7 +590,7 @@ def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
         dim_next = -1
     else:
         reduced, dropped = reduce_redundant(zero)
-        reduced = substitute_vanishing(reduced, dropped)
+        reduced = _shared(memo, substitute_vanishing, reduced, tuple(dropped))
         if reduced == ext.system:
             following = ext
         else:
@@ -541,7 +607,7 @@ def stratum_analyze(lin: Linearization, prolongations=None) -> StratumReport:
         verdict = "involutive_at_order_q" if dim_next == dim_now else "continue"
     return StratumReport(torsion_free, dim_now, split_now, dim_next,
                          tuple(dropped), verdict, tuple(warnings), following,
-                         _velocities_pinned((following or lin).system))
+                         _shared(memo, _velocities_pinned, (following or lin).system))
 
 
 # verdict: involutive | blocked | rounds_exhausted
@@ -549,10 +615,10 @@ InvolutionChain = namedtuple("InvolutionChain", "reports dims verdict rounds")
 
 
 def involution_loop(initial: JetConstraintSystem, probe: tuple,
-                    max_rounds: int = None, prolongations=None) -> InvolutionChain:
+                    max_rounds: int = None, memo=None) -> InvolutionChain:
     """Rounds of :func:`stratum_analyze` until involutive or blocked; pass one
-    ``prolongations`` dict to the loops over the probes of one system to
-    prolong each system they meet once."""
+    ``memo`` dict to the loops over the probes of one command to prolong,
+    substitute and check each system they meet once."""
     if max_rounds is None:
         max_rounds = max(2 * initial.n - 2, 1)
     if max_rounds < 1:
@@ -561,7 +627,7 @@ def involution_loop(initial: JetConstraintSystem, probe: tuple,
     reports = []
     verdict = "rounds_exhausted"
     for _ in range(max_rounds):
-        rep = stratum_analyze(lin, prolongations)
+        rep = stratum_analyze(lin, memo)
         reports.append(rep)
         if rep.verdict == "involutive_at_order_q":
             verdict = "involutive"

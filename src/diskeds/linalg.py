@@ -2,7 +2,8 @@
 
 Rank and nullspace questions here are yes/no algebraic properties, so
 everything is decided by exact elimination with exact zero tests; there
-are no thresholds.  Entries only need +, -, *, / and == 0: Fractions,
+are no thresholds.  Entries only need +, -, *, / and a truth value that
+is false exactly at 0 (a FirstJet is always truthy): Fractions,
 first jets, and the test suite's rational functions (giving ranks at the
 generic point) all run through the same code paths.
 
@@ -51,7 +52,7 @@ def _echelon(rows, ncols):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -61,7 +62,7 @@ def _echelon(rows, ncols):
             swaps += 1
         pv = rows[r][c]
         for i in range(r + 1, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 rows[i] = row_minus(rows[i], rows[i][c] / pv, rows[r])
         pivots.append(c)
         r += 1

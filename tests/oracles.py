@@ -45,7 +45,7 @@ from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               gamma_beta_along_jet, gamma_beta_first_jets,
                               structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
-from diskeds.jets import d_t, d_tbar, jet_table, probe_from_values
+from diskeds.jets import _close, d_t, d_tbar, jet_table, probe_from_values
 from diskeds.linalg import _echelon, dot, dot_plus, solve_particular
 from diskeds.torsion import complex_torsion
 
@@ -1199,7 +1199,9 @@ def linearize_two_branch(system, probe):
                 for j in range(2 * n)))
         nonlinear.append(any(sum(e) >= 2 for e, _ in live))
         uses_top.append(any(any(e) for e in frozen))
-        mixed = mixed or any(any(e[:n]) and any(e[n:]) for e in frozen)
+        # one equality naming a plain and a barred top jet mixes the halves
+        mixed = mixed or (any(any(e[:n]) for e in frozen)
+                          and any(any(e[n:]) for e in frozen))
     return (tuple(values), tuple(gradients), tuple(nonlinear), tuple(uses_top),
             mixed)
 
@@ -1210,7 +1212,8 @@ def rows_term_by_term(system, probe):
     scalar operators: the value is sum c probe^e, gradient entry j is
     sum c e_j probe^(e - u_j) over the top jets u_j, and the flags read
     each term's top-jet exponents, its coefficient frozen at the lower jets
-    and summed per top-jet exponent for ``nonlinear``."""
+    and summed per top-jet exponent for ``nonlinear``; ``mixes`` holds when
+    the equality names a plain and a barred top jet, in one term or two."""
     n = system.n
     cut = len(system.table) - 2 * n
     rows = []
@@ -1228,7 +1231,7 @@ def rows_term_by_term(system, probe):
         rows.append((normalize_scalar(value), tuple(map(normalize_scalar, grad)),
                      any(sum(e) >= 2 for e, c in frozen.items() if c != 0),
                      any(map(any, frozen)),
-                     any(any(e[:n]) and any(e[n:]) for e in frozen)))
+                     any(any(e[:n]) for e in frozen) and any(any(e[n:]) for e in frozen)))
     return tuple(rows)
 
 
@@ -1298,6 +1301,34 @@ def substitute_vanishing_by_conjugation(equalities):
         if new_eqs == eqs:
             return close_by_conjugation(eqs)
         eqs = new_eqs
+
+
+def substitute_vanishing_by_full_passes(system, cut=()):
+    """jets.substitute_vanishing by full passes: every pass rebuilds every
+    equality and partner that is not bare, against every generator zeroed
+    so far, and the closure makes every equality and partner monic again
+    and always builds a new system."""
+    n, eqs = system.n, list(system.equalities)
+    everything = eqs + list(cut)
+    conjugates = [everything[j] for j in system.partners]
+    while True:
+        bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
+        zero = {next(iter(p.terms)).index(1) for p in bare}
+        new_eqs = [p if p in bare else _without_rebuilt(p, zero) for p in eqs]
+        if new_eqs == eqs:
+            eqs, partners = _close([_monic(p) for p in eqs],
+                                   [_monic(q) for q in conjugates])
+            return system._replace(equalities=eqs, partners=partners)
+        mirror = {i - n if (i // n) % 2 else i + n for i in zero}
+        conjugates = [q if p in bare else _without_rebuilt(q, mirror)
+                      for p, q in zip(eqs, conjugates)]
+        eqs = new_eqs
+
+
+def _without_rebuilt(p: Polynomial, slots) -> Polynomial:
+    """``p`` with every term that involves a generator in ``slots`` removed."""
+    return Polynomial(p.vars, {e: c for e, c in p.terms.items()
+                               if not any(e[i] for i in slots)})
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 115
+    assert len(INDEX) == 117
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
@@ -38,7 +38,8 @@ def test_golden_set_covers_every_builtin_command():
             assert f"jets-{stem}-r{rounds}-json" in INDEX
     assert INDEX["dim6-n3_matrix-json"]["exit"] == INDEX["dim6-n3_matrix-text"]["exit"] == 2
     for fmt in ("json", "text"):
-        for case in ("jets-n2_extension", "jets-cusp-generic-probe-P_origin",
+        for case in ("jets-n2_extension", "jets-n2_real_velocity",
+                     "jets-cusp-generic-probe-P_origin",
                      "pseudo-ellipsoid-pseudo_ellipsoid-point-Y0",
                      "pseudo-ellipsoid-pseudo_ellipsoid-point-Y1"):
             assert INDEX[f"{case}-{fmt}"]["exit"] == 0

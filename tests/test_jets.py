@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import DimensionMismatch, NotComplexifiedMode, ProbeViolatesStratum
-from diskeds.exact import gaussian, scalar_conj
+from diskeds.exact import I_UNIT, gaussian, scalar_conj
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import complex_standard
 from diskeds import cli, expr, jets
@@ -35,7 +35,8 @@ from oracles import (complexify, conjugate_by_name, curve_probe, derivation_at,
                      differentiate, extend_to, jet_to_probe, levi_form,
                      linearize_two_branch, prolong_by_conjugation, realify,
                      reduce_redundant_by_span, rows_term_by_term,
-                     substitute_vanishing_by_conjugation, used_variables, var,
+                     substitute_vanishing_by_conjugation,
+                     substitute_vanishing_by_full_passes, used_variables, var,
                      var_jet_order)
 
 V6 = tuple(f"f{i}" for i in range(1, 7))
@@ -397,6 +398,138 @@ def test_prolongation_by_partner_index_matches_closing_by_conjugation(seed):
     _substitute_like_the_reference(linearize(prolonged, extend_probe(prolonged, probe)))
 
 
+def _cut(system, dropped):
+    """(reduced system, cut): ``system`` without the equalities at the
+    indices ``dropped``, in descending order, as jets.reduce_redundant
+    leaves it, its partners indexing the retained equalities, then the
+    dropped ones."""
+    eqs = system.equalities
+    retained = sorted(set(range(len(eqs))).difference(dropped))
+    where = {j: k for k, j in enumerate(retained + dropped)}
+    return (system._replace(equalities=tuple(eqs[j] for j in retained),
+                            partners=tuple(where[system.partners[j]] for j in retained)),
+            [eqs[j] for j in dropped])
+
+
+def _random_chain_system(rng):
+    """A closed system over jet_table(n, q), n = 2..4 and q = 1..2, with
+    Gaussian coefficients: c v0 = 0, mostly, then c' v1 + v0 u = 0, bare
+    once v0 is zero, and so on along a chain of generators, and rows that
+    name the chain next to other generators and a constant."""
+    n, q = rng.randint(2, 4), rng.randint(1, 2)
+    table = jet_table(n, q)
+    part = lambda: rng.choice((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+    coeff = lambda: gaussian(part(), part()) or gaussian(1, rng.choice((0, 1, -1)))
+    anywhere = lambda: rng.randrange(len(table))
+    chain = rng.sample(range(len(table)), rng.randint(1, 4))
+
+    def monomial(*slots):
+        exps = [0] * len(table)
+        for i in slots:
+            exps[i] += 1
+        return tuple(exps)
+
+    eqs = [Polynomial(table, {monomial(chain[0]): coeff()})] if rng.random() < 0.8 else []
+    for before, v in zip(chain, chain[1:]):
+        eqs.append(Polynomial(table, {monomial(v): coeff(),
+                                      monomial(before, anywhere()): coeff()}))
+    for _ in range(rng.randint(1, 3)):
+        eqs.append(Polynomial(table, {monomial(rng.choice(chain), anywhere()): coeff(),
+                                      monomial(anywhere()): coeff(), monomial(): coeff()}))
+    return make_system(n, eqs, order=q)
+
+
+def _canonical(p):
+    """``p`` is what checking its own terms gives: the same table, terms and
+    coefficient types, no zero coefficient and tuples throughout."""
+    want = Polynomial(p.vars, p.terms)
+    return (type(p.vars) is tuple and all(type(e) is tuple for e in p.terms)
+            and p == want and list(map(type, p.terms.values()))
+            == list(map(type, want.terms.values())))
+
+
+def _recording_canonical(mp, built):
+    """Make Polynomial.canonical append each polynomial it builds to ``built``."""
+    original = Polynomial.canonical.__func__
+    mp.setattr(Polynomial, "canonical", classmethod(
+        lambda cls, variables, terms: built.append(original(cls, variables, terms))
+        or built[-1]))
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+def test_substitution_matches_the_full_passes(seed, prolonged, cut):
+    # rebuilding only what names a newly zeroed generator gives what
+    # rebuilding every equality on every pass gives, partners included; a
+    # system nothing changes in comes back itself, and every polynomial the
+    # layout builds unchecked is canonical
+    rng = random.Random(seed)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_canonical(mp, built)
+        system = _random_chain_system(rng)
+        if prolonged:
+            system = prolong_constraints(system)
+        count = len(system.equalities)
+        dropped = sorted(rng.sample(range(count), rng.randint(1, min(3, count))),
+                         reverse=True) if cut else []
+        reduced, gone = _cut(system, dropped)
+        got = substitute_vanishing(reduced, gone)
+    want = substitute_vanishing_by_full_passes(reduced, gone)
+    assert got.equalities == want.equalities and got.partners == want.partners
+    assert got == want
+    if not gone and want.equalities == reduced.equalities:
+        assert got is reduced
+    assert built and all(map(_canonical, built))
+
+
+def test_substitution_follows_a_chain_of_bare_equalities():
+    # w1 = 0 makes w2 + z1*w1 bare, and w2 = 0 then leaves z2 + 1 of the
+    # third; the second and third passes rebuild only what they touch
+    table = jet_table(2, 1)
+    eq = lambda text: parse_expression(text, table, complexified=True)
+    system = make_system(2, [eq("w1"), eq("w2 + z1*w1"), eq("2*z2 + zb1*w2 + 2")])
+    got = substitute_vanishing(system)
+    assert got == substitute_vanishing_by_full_passes(system)
+    assert set(got.equalities) == set(map(eq, ("w1", "wb1", "w2", "wb2", "z2 + 1", "zb2 + 1")))
+    assert substitute_vanishing(got) is got
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_the_layout_builds_canonical_polynomials(seed, barred):
+    # D_t, D_tb, conjugation and widening build what checking their terms
+    # builds: a z_l w_m + b z_m w_l (or its barred twin) meets itself in
+    # w_l w_m under the derivation, and with units and 1 +- i for a and b
+    # the sum is often real or 0
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    table = jet_table(n, 1)
+    coeff = lambda: rng.choice((1, -1, I_UNIT, -I_UNIT, gaussian(1, 1), gaussian(1, -1)))
+    l, m = rng.sample(range(n), 2)
+    shift = n if barred else 0      # the barred block follows the plain one
+
+    def monomial(*slots):
+        exps = [0] * len(table)
+        for i in slots:
+            exps[i] += 1
+        return tuple(exps)
+
+    terms = {monomial(l + shift, 2 * n + m + shift): coeff(),
+             monomial(m + shift, 2 * n + l + shift): coeff()}
+    for _ in range(rng.randint(0, 3)):
+        terms[monomial(*rng.choices(range(len(table)), k=rng.randint(1, 2)))] = coeff()
+    p = Polynomial(table, terms)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_canonical(mp, built)
+        widened = jets._widen(p, jet_table(n, 2))
+        (d_tbar if barred else d_t)(widened)
+        conjugate_involution(widened)
+    assert len(built) == 3 and all(map(_canonical, built))
+    assert jets._widen(p, p.vars) is p
+
+
 def _same_rows(got, want):
     """Two linearizations agree field by field, in value and in type."""
     fields = lambda lin: (lin.values, lin.gradients, lin.nonlinear, lin.uses_top, lin.mixes)
@@ -512,34 +645,57 @@ def test_prolonging_and_substituting_conjugate_nothing(monkeypatch):
     assert len(strata) == 4 and calls == []
 
 
-def test_jets_prolongs_each_system_once_per_command(monkeypatch, capsys):
-    # the two probes of hyperquadric share the prolongation of its stratum
-    initial = _stratum("hyperquadric", "nonzero_velocity")[0]
-    prolonged = []
-
-    def counting(system, original=jets.prolong_constraints):
-        prolonged.append(system)
-        return original(system)
-
-    monkeypatch.setattr(jets, "prolong_constraints", counting)
-    assert main(["jets", "hyperquadric"]) == 0
-    assert prolonged.count(initial) == 1
-    assert len(set(prolonged)) == len(prolonged)
+SHARED_WORK = ("prolong_constraints", "substitute_vanishing", "_velocities_pinned")
 
 
-def test_no_prolongation_outlives_a_command(monkeypatch, capsys):
-    # the shared prolongations belong to one command: a second run in the
-    # same process derives as much as the first
+def _counting_shared_work(monkeypatch):
+    """Make each function the command memo shares append its arguments to a
+    list; returns the lists by function name."""
+    work = {name: [] for name in SHARED_WORK}
+    for name, calls in work.items():
+        monkeypatch.setattr(jets, name, lambda *args, f=getattr(jets, name), calls=calls:
+                            calls.append(args) or f(*args))
+    return work
+
+
+@pytest.mark.parametrize("argv", (["jets", "hyperquadric"], ["all", "cusp"]))
+def test_jets_prolongs_each_system_once_per_command(monkeypatch, capsys, argv):
+    # the probes of one command share each system's prolongation, each
+    # substitution of a reduced system and each velocity check
+    work = _counting_shared_work(monkeypatch)
+    assert main(argv) == 0
+    for name, calls in work.items():
+        assert calls and len(set(calls)) == len(calls), name
+    if argv[1] != "hyperquadric":
+        return
+    system, probes = _stratum("hyperquadric", "nonzero_velocity")
+    assert work["prolong_constraints"].count((system,)) == 1
+    # the two probes meet the same systems: without a memo, each does it all
+    shared = {name: len(calls) for name, calls in work.items()}
+    for calls in work.values():
+        calls.clear()
+    for probe in probes.values():
+        involution_loop(system, probe)
+    assert len(probes) == 2
+    assert {name: len(calls) for name, calls in work.items()} == {
+        name: 2 * count for name, count in shared.items()}
+
+
+@pytest.mark.parametrize("argv", (["jets", "hyperquadric"], ["all", "cusp"]))
+def test_no_prolongation_outlives_a_command(monkeypatch, capsys, argv):
+    # the memo belongs to one command: a second run in the same process
+    # derives, substitutes and checks as much as the first
     counts = []
     for _ in range(2):
         calls = []
         for name in ("d_t", "d_tbar"):
             monkeypatch.setattr(jets, name, lambda p, f=getattr(jets, name):
                                 calls.append(p) or f(p))
-        assert main(["jets", "hyperquadric"]) == 0
+        work = _counting_shared_work(monkeypatch)
+        assert main(argv) == 0
         monkeypatch.undo()
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append([len(calls)] + [len(work[name]) for name in SHARED_WORK])
+    assert counts[0] == counts[1] and all(counts[0])
 
 
 def test_stratum_dims_fixtures():

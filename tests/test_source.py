@@ -162,27 +162,76 @@ def test_echelon_owns_every_row_update():
 JET_OPERATORS = {f"__{side}{op}__" for side in ("", "r", "i") for op in ("add", "sub", "mul")}
 
 
+# the tangent-sum arguments of the calls that take them: _add_scaled(nums,
+# dens, ...) and _jet(value, nums, dens)
+TANGENT_ARGUMENTS = {"_add_scaled": (0, 1), "_jet": (1, 2)}
+
+
+def _calls(function):
+    """(callee name, argument names by position) of every call in ``function``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            yield callee, [getattr(arg, "id", None) for arg in node.args]
+
+
+def _tangent_sums(functions):
+    """The tangent sums of each function of ``functions``: ``nums``,
+    ``dens``, the names it passes where _add_scaled, _jet or a function of
+    the module takes a tangent sum, and its parameters where a caller
+    passes one in."""
+    by_name = {}
+    for node in functions:
+        by_name.setdefault(node.name, []).append(node)
+    sums = {node: {"nums", "dens"} for node in functions}
+
+    def taken(callee):
+        """The argument positions where ``callee`` takes a tangent sum."""
+        out = set(TANGENT_ARGUMENTS.get(callee, ()))
+        for target in by_name.get(callee, ()):
+            out |= {k for k, a in enumerate(target.args.args) if a.arg in sums[target]}
+        return out
+
+    grown = True
+    while grown:
+        grown = False
+        for node in functions:
+            for callee, args in _calls(node):
+                passed = {k for k, a in enumerate(args) if a in sums[node]}
+                for target in by_name.get(callee, ()):
+                    names = {a.arg for k, a in enumerate(target.args.args) if k in passed}
+                    grown |= not names <= sums[target]
+                    sums[target] |= names
+                names = {args[k] for k in taken(callee) if k < len(args) and args[k]}
+                grown |= not names <= sums[node]
+                sums[node] |= names
+    return sums
+
+
 def _first_jet_rule_breaks(sources):
     """name:owner for every + - * operator class FirstJet defines and for
-    every write to a tangent sum (an item of ``nums`` or ``dens``) outside
-    exact._add_scaled, in the modules of ``sources`` (name -> text)."""
+    every write to an item of a tangent sum (see :func:`_tangent_sums`)
+    outside exact._add_scaled, in the modules of ``sources`` (name -> text)."""
     found = []
     for name, text in sources.items():
-        tree = ast.parse(text)
-        for owner, node in _owned_nodes(tree.body):
+        functions = {}
+        for owner, node in _owned_nodes(ast.parse(text).body):
             if owner.startswith("FirstJet.") and owner.split(".")[1] in JET_OPERATORS:
                 found.append(f"{name}:{owner}")
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-            else:
-                continue
-            if f"{name}:{owner}" != "exact.py:_add_scaled" and any(
-                    isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None)
-                    in ("nums", "dens") for target in targets for sub in ast.walk(target)):
-                found.append(f"{name}:{owner}")
-    return sorted(set(found))
+            if isinstance(node, ast.FunctionDef):
+                functions[node] = owner
+        for function, names in _tangent_sums(functions).items():
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None)
+                       in names for target in targets for sub in ast.walk(target)):
+                    found.append(f"{name}:{functions[function]}")
+    return sorted(use for use in set(found) if use != "exact.py:_add_scaled")
 
 
 def test_first_jets_run_on_one_rule_set():
@@ -196,13 +245,25 @@ def test_first_jets_run_on_one_rule_set():
 
 
 def test_the_first_jet_rule_finds_an_operator_and_a_tangent_update():
+    # a tangent sum is found by where it goes, under any name: straight to
+    # _jet, into a helper's parameter, or through a helper to _jet
     source = (SRC / "exact.py").read_text().replace(
         "    def __neg__(self):",
         "    def __add__(self, other):\n        return self\n\n"
         "    __rmul__ = __add__\n\n    def __neg__(self):") + (
-        "\n\ndef _bump(nums, dens, k):\n    nums[k] += dens[k]\n")
+        "\n\ndef _bump(nums, dens, k):\n    nums[k] += dens[k]\n"
+        "\n\ndef _shifted(value, tops, bottoms):\n"
+        "    tops[0], bottoms[0] = _pair_sum(tops[0], bottoms[0], 1, 1)\n"
+        "    return _jet(value, tops, bottoms)\n"
+        "\n\ndef _nudged(value, tops, bottoms):\n"
+        "    _nudge(tops)\n    return _jet(value, tops, bottoms)\n"
+        "\n\ndef _nudge(row):\n    row[0] += 1\n"
+        "\n\ndef _finished(value, tops, bottoms):\n"
+        "    tops[-1] = 0\n    return _as_jet(value, tops, bottoms)\n"
+        "\n\ndef _as_jet(value, a, b):\n    return _jet(value, a, b)\n")
     assert _first_jet_rule_breaks({"exact.py": source}) == [
-        "exact.py:FirstJet.__add__", "exact.py:FirstJet.__rmul__", "exact.py:_bump"]
+        "exact.py:FirstJet.__add__", "exact.py:FirstJet.__rmul__", "exact.py:_bump",
+        "exact.py:_finished", "exact.py:_nudge", "exact.py:_shifted"]
 
 
 STRATUM_BUILDERS = {"make_system", "probe_from_values"}
@@ -233,6 +294,33 @@ def test_the_stratum_build_rule_finds_a_second_caller():
     source = (SRC / "cli.py").read_text() + (
         "\n\ndef _system_of(lp, name):\n    return make_system(2, [], order=1)\n")
     assert _stratum_builds({"cli.py": source}) == ["cli.py:_system_of"]
+
+
+def _canonical_builds(sources):
+    """name:owner for every call of Polynomial.canonical in the modules of
+    ``sources`` (name -> text)."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "canonical":
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_the_jet_layout_owns_every_unchecked_polynomial():
+    # Polynomial.canonical checks nothing, so only outputs canonical by
+    # construction may go through it: the derivations, conjugation,
+    # widening and the substitution's term removal on the jet layout
+    found = _canonical_builds({path.name: path.read_text()
+                               for path in sorted(SRC.glob("*.py"))})
+    assert found == ["jets.py:_derivation", "jets.py:_widen", "jets.py:_without",
+                     "jets.py:conjugate_involution"]
+
+
+def test_the_unchecked_polynomial_rule_finds_a_second_caller():
+    source = (SRC / "geometry.py").read_text() + (
+        "\n\ndef _shifted(p):\n    return Polynomial.canonical(p.vars, dict(p.terms))\n")
+    assert _canonical_builds({"geometry.py": source}) == ["geometry.py:_shifted"]
 
 
 def _power_calls(sources):
