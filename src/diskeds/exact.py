@@ -33,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotRealCoefficients, SchemaViolation
 
@@ -311,6 +311,13 @@ def _parts(c):
         n = c._numerator
         return (n, c._denominator) if n else (0, 1)
     return c.numerator, c.denominator
+
+
+def _cleared(coefficients):
+    """The integer numerators of nonzero Fractions over the lcm of their
+    denominators, and that lcm."""
+    d = lcm(*[c._denominator for c in coefficients])
+    return [c._numerator * (d // c._denominator) for c in coefficients], d
 
 
 def _inverse_parts(c):

@@ -24,12 +24,16 @@ multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs, holding at most
 constant counts as one pair of its own words.
 Term order is graded lexicographic on the table order, so printing is
 deterministic and files round-trip.
+
+Every product of two term tables, in the parser and in ``Polynomial``
+arithmetic, is :func:`_product`: one loop over the pairs of terms on
+integer exponent keys, which builds the table, term order and
+coefficient types of the term-by-term operator fold.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add as _add
+from operator import add as _add, lshift as _lshift
 
 from .errors import (
     DimensionMismatch,
@@ -45,8 +49,7 @@ from .exact import (
     MAX_POWER_BITS,
     PreparedPoint,
     _fraction,
-    _pair_sum,
-    _parts,
+    _cleared,
     normalize_scalar,
     polynomial_at,
     power,
@@ -107,13 +110,25 @@ def _bounded(terms, limit):
 
 
 def _product(a, b, budget=None):
-    """The term table of the product of the term tables ``a`` and ``b``:
-    one product for two monomials, raw integers for two large rational
-    tables, integer pairs for other rational tables.  With a parse's
-    :class:`ParseBudget`, each row of len(b) coefficient pairs, and their
-    word pairs, is taken from it before the row is multiplied, a partial
-    product past MAX_TERMS terms raises, and so does a product past
-    :func:`_bounded`'s coefficient bits."""
+    """The term table of the product of the term tables ``a`` and ``b``, the
+    table the operator fold ``res[e1 + e2] += c1 * c2`` builds, in its
+    term order and with its coefficient types.
+
+    One monomial by one is one product.  Otherwise each exponent tuple is
+    one integer key, its exponents in slots wide enough for the sum of
+    the two tables' largest, so a product term's key is one addition and
+    its exponent tuple is built when the key enters the table.  Two
+    rational tables are cleared to integer numerators over the lcm of
+    each table's denominators: a pair is one integer product and a term
+    left one ``exact._fraction``; a table with a Gaussian coefficient
+    takes the coefficients' operators in the same loop.  A sum that
+    cancels leaves the table, as :func:`_accumulate` drops it.
+
+    With a parse's :class:`ParseBudget`, each row of len(b) coefficient
+    pairs, and their word pairs counted on the coefficients as written,
+    is taken from it before the row is multiplied, a partial product past
+    MAX_TERMS terms raises, and so does a product past :func:`_bounded`'s
+    coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -124,62 +139,41 @@ def _product(a, b, budget=None):
         if budget is not None:
             budget.take(1, _words(c1) * _words(c2))
         res = {tuple(map(_add, e1, e2)): c1 * c2}
+        return res if budget is None else _bounded(res, MAX_TERMS)
+    if not a or not b:
+        return {}
+    # two distinct exponent tuples make the width at least 1
+    width = (max(map(max, a)) + max(map(max, b))).bit_length()
+    shifts = range(0, width * len(next(iter(a))), width)
+    rational = all(type(c) is Fraction for t in (a, b) for c in t.values())
+    if rational:
+        (ca, da), (cb, db) = _cleared(a.values()), _cleared(b.values())
     else:
-        res = _integer_product(a, b, budget) if len(a) > 8 and len(b) > 8 else None
-        if res is None:
-            res = (_pair_product if _rational(a) and _rational(b) else _scalar_product)(
-                a, b, budget)
+        (ca, da), (cb, db) = (a.values(), 1), (b.values(), 1)
+    A = zip([sum(map(_lshift, e, shifts)) for e in a], a, ca, a.values())
+    B = list(zip([sum(map(_lshift, e, shifts)) for e in b], b, cb))
+    if budget is not None:
+        words_b = sum(map(_words, b.values()))
+    res, exps = {}, {}
+    get = res.get
+    for k1, e1, c1, c in A:
+        if budget is not None:
+            budget.take(len(B), _words(c) * words_b)
+        for k2, e2, c2 in B:
+            k = k1 + k2
+            s = get(k)
+            if s is None:
+                res[k] = c1 * c2
+                exps[k] = tuple(map(_add, e1, e2))
+            elif s := s + c1 * c2:
+                res[k] = s
+            else:
+                del res[k]
+        if budget is not None and len(res) > MAX_TERMS:
+            _too_many_terms(MAX_TERMS)
+    d = da * db
+    res = {exps[k]: _fraction(c, d) if rational else c for k, c in res.items()}
     return res if budget is None else _bounded(res, MAX_TERMS)
-
-
-def _rational(terms):
-    return all(type(c) is Fraction for c in terms.values())
-
-
-def _scalar_product(a, b, budget):
-    """:func:`_product` of two tables, one with a Gaussian coefficient, term
-    by term on the coefficients' operators."""
-    res = {}
-    if budget is not None:
-        words_b = sum(map(_words, b.values()))
-    for e1, c1 in a.items():
-        if budget is not None:
-            budget.take(len(b), _words(c1) * words_b)
-        for e2, c2 in b.items():
-            _accumulate(res, tuple(map(_add, e1, e2)), c1 * c2)
-        if budget is not None and len(res) > MAX_TERMS:
-            _too_many_terms(MAX_TERMS)
-    return res
-
-
-def _pair_product(a, b, budget):
-    """:func:`_product` of two rational tables on integer pairs: each
-    product term sums its pairs on one integer numerator over the lcm of
-    their denominators (``exact._pair_sum``), a term that cancels leaves
-    the table as :func:`_accumulate` drops it, and each term left is one
-    ``exact._fraction``.  The budget is taken row by row as in
-    :func:`_scalar_product`."""
-    B = [(e, *_parts(c)) for e, c in b.items()]
-    if budget is not None:
-        words_b = sum(map(_words, b.values()))
-    res = {}
-    for e1, c1 in a.items():
-        if budget is not None:
-            budget.take(len(B), _words(c1) * words_b)
-        n1, d1 = _parts(c1)
-        for e2, n2, d2 in B:
-            e = tuple(map(_add, e1, e2))
-            n, d = n1 * n2, d1 * d2
-            s = res.get(e)
-            if s is not None:
-                n, d = _pair_sum(*s, n, d)
-                if not n:
-                    del res[e]
-                    continue
-            res[e] = n, d
-        if budget is not None and len(res) > MAX_TERMS:
-            _too_many_terms(MAX_TERMS)
-    return {e: _fraction(n, d) for e, (n, d) in res.items()}
 
 
 def _power(terms, k, nvars, budget=None):
@@ -193,62 +187,6 @@ def _power(terms, k, nvars, budget=None):
         if k:
             base = _product(base, base, budget)
     return {(0,) * nvars: _ONE} if out is None else out
-
-
-def _content(terms):
-    """Positive rational content of rational coefficients."""
-    g, l = 0, 1
-    for c in terms.values():
-        g = gcd(g, c.numerator)
-        l = l * c.denominator // gcd(l, c.denominator)
-    return Fraction(g, l)
-
-
-def _integer_product(a, b, budget):
-    """Large products: clear contents and multiply raw integers (one
-    Fraction rescale at the end).  Rational coefficients only, else None;
-    ``budget`` as for :func:`_product`, counting cancelled terms too."""
-    if not all(isinstance(c, Fraction) for c in a.values()):
-        return None
-    if not all(isinstance(c, Fraction) for c in b.values()):
-        return None
-    ca, cb = _content(a), _content(b)
-    # pack exponent tuples into one integer so products add keys
-    nv = len(next(iter(a)))
-    maxdeg = max(max(e) for e in a) + max(max(e) for e in b)
-    shift = max(maxdeg + 1, 2).bit_length()
-
-    def pack(e):
-        out = 0
-        for x in e:
-            out = (out << shift) | x
-        return out
-
-    mask = (1 << shift) - 1
-
-    def unpack(key):
-        e = [0] * nv
-        for i in range(nv - 1, -1, -1):
-            e[i] = key & mask
-            key >>= shift
-        return tuple(e)
-
-    A = [(pack(e), int(c / ca)) for e, c in a.items()]
-    B = [(pack(e), int(c / cb)) for e, c in b.items()]
-    if budget is not None:
-        words_B = sum(_words(c) for _, c in B)
-    res = {}
-    get = res.get
-    for e1, c1 in A:
-        if budget is not None:
-            budget.take(len(B), _words(c1) * words_B)
-        for e2, c2 in B:
-            e = e1 + e2
-            res[e] = get(e, 0) + c1 * c2
-        if budget is not None and len(res) > MAX_TERMS:
-            _too_many_terms(MAX_TERMS)
-    scale = ca * cb
-    return {unpack(e): c * scale for e, c in res.items() if c}
 
 
 class Polynomial:
@@ -494,8 +432,8 @@ MAX_COEFFICIENT_BITS = 2 ** 17
 # the most coefficient pairs, len(a) * len(b) for a product of two tables,
 # that the parses of one document may multiply together, taken one row of
 # a product at a time before the row is multiplied: (f1 + f2 + f4)^60
-# takes 284,337, and at half a microsecond a pair or less the products of
-# one load stop within about a quarter of a second
+# takes 284,337 in about 60 ms, and at about 0.2 microseconds a pair of
+# small coefficients the products of one load stop within about 0.15 s
 MAX_PRODUCT_PAIRS = 2 ** 19
 # the most word pairs those products may multiply, taken with the pairs: a
 # coefficient of b bits is b // 64 + 1 words and a pair costs the product

@@ -34,7 +34,8 @@ equality names both a barred and an unbarred top variable, in one
 monomial or in two, the system splits into conjugate halves and the
 complex dimension (half the kernel dimension) is reported; mixed systems
 (``wb1 - w1``, say) report the full kernel dimension, which equals the
-real dimension of the real solution space.  Torsion-freeness at the
+real dimension of the real solution space.  Two tableaux are compared
+by their kernels' real dimension, whichever dimension they report.  Torsion-freeness at the
 probe is solvability of the prolonged equalities, lower jets frozen, as
 an affine system in the new top variables.  Freezing and reading use
 the package's one polynomial evaluator, ``exact.polynomial_at``, on one
@@ -439,16 +440,18 @@ def linearize(system: JetConstraintSystem, probe: tuple, rows=None) -> Lineariza
 
 
 def tableau_at_probe(lin: Linearization):
-    """(dimension, complex_split, jacobian rank) of the top-order tableau."""
+    """(dimension, complex_split, kernel) of the top-order tableau: the
+    reported dimension, complex for a split kernel and real otherwise, and
+    the real dimension 2n - rank of the kernel, the one two tableaux are
+    compared by."""
     rows = [g for g, used in zip(lin.gradients, lin.uses_top) if used]
-    rank = mat_rank(rows)
-    null = 2 * lin.system.n - rank
+    null = 2 * lin.system.n - mat_rank(rows)
     if not lin.mixed:
         if null % 2:
             raise CrossCheckMismatch(
                 "unmixed top-order kernel does not split into conjugate halves")
-        return null // 2, True, rank
-    return null, False, rank
+        return null // 2, True, null
+    return null, False, null
 
 
 def _shared(memo, make, *args):
@@ -576,7 +579,7 @@ def stratum_analyze(lin: Linearization, memo=None) -> StratumReport:
     """One round of the involution loop at ``lin.system`` and ``lin.probe``;
     ``memo`` as for :func:`torsion_at_probe`."""
     lin.satisfied(strict=True)
-    dim_now, split_now, _ = lin.tableau
+    dim_now, split_now, kernel_now = lin.tableau
     torsion_free, zero, ext, nonlinear = torsion_at_probe(lin, memo)
     warnings = []
     if nonlinear:
@@ -598,13 +601,12 @@ def stratum_analyze(lin: Linearization, memo=None) -> StratumReport:
             known = dict(zip(ext.system.equalities, ext.rows))
             following = linearize(reduced, ext.probe,
                                   [known.get(p) for p in reduced.equalities])
-        dim_next = ext.tableau[0]
-        dim_reduced = following.tableau[0]
-        if dim_reduced != dim_next:
+        dim_next, _, kernel_next = ext.tableau
+        if following.tableau[2] != kernel_next:
             warnings.append(
                 f"redundancy reduction changed the next tableau dimension "
-                f"({dim_next} -> {dim_reduced}); reporting the unreduced value")
-        verdict = "involutive_at_order_q" if dim_next == dim_now else "continue"
+                f"({dim_next} -> {following.tableau[0]}); reporting the unreduced value")
+        verdict = "involutive_at_order_q" if kernel_next == kernel_now else "continue"
     return StratumReport(torsion_free, dim_now, split_now, dim_next,
                          tuple(dropped), verdict, tuple(warnings), following,
                          _shared(memo, _velocities_pinned, (following or lin).system))
@@ -624,11 +626,12 @@ def involution_loop(initial: JetConstraintSystem, probe: tuple,
     if max_rounds < 1:
         raise DimensionMismatch("max_rounds must be >= 1")
     lin = linearize(initial, probe)
-    reports = []
+    reports, kernels = [], []
     verdict = "rounds_exhausted"
     for _ in range(max_rounds):
         rep = stratum_analyze(lin, memo)
         reports.append(rep)
+        kernels.append(lin.tableau[2])
         if rep.verdict == "involutive_at_order_q":
             verdict = "involutive"
             break
@@ -636,9 +639,11 @@ def involution_loop(initial: JetConstraintSystem, probe: tuple,
             verdict = "blocked"
             break
         lin = rep.next
+    # a settled round's next kernel equals its own, so the rounds' kernels
+    # decide the check
+    if any(b > a for a, b in zip(kernels, kernels[1:])):
+        raise CrossCheckMismatch("tableau dimensions must be non-increasing")
     dims = [r.tableau_dim for r in reports]
     if reports and reports[-1].verdict == "involutive_at_order_q":
         dims.append(reports[-1].next_dim)
-    if any(b > a for a, b in zip(dims, dims[1:])):
-        raise CrossCheckMismatch("tableau dimensions must be non-increasing")
     return InvolutionChain(tuple(reports), tuple(dims), verdict, len(reports))

@@ -677,54 +677,59 @@ _GAUSSIAN_COEFFICIENTS = st.builds(gaussian, st.integers(-3, 3), st.integers(-3,
 
 @st.composite
 def _product_cases(draw):
-    """Two term tables over 3 variables, the first of 2 to 12 terms and the
-    second of 1 to 12, rational or with Gaussian coefficients, so that the
-    integer-pair, Gaussian and raw-integer products all run, with a budget
-    that may run out part way."""
+    """Two term tables over 3 variables of 0 to 12 terms each, rational or
+    with Gaussian coefficients, so that both factors of a product may pass
+    8 terms, with a budget that may run out part way."""
     coefficients = draw(st.sampled_from(
         [_RATIONAL_COEFFICIENTS] * 3 + [st.one_of(_RATIONAL_COEFFICIENTS, _GAUSSIAN_COEFFICIENTS)]))
     exps = st.tuples(*[st.integers(0, 3)] * 3)
-    a, b = (draw(st.dictionaries(exps, coefficients, min_size=low, max_size=12))
-            for low in (2, 1))
+    a, b = (draw(st.dictionaries(exps, coefficients, max_size=12)) for _ in range(2))
     pairs = draw(st.one_of(st.just(expr.MAX_PRODUCT_PAIRS), st.integers(0, 150)))
     words = draw(st.one_of(st.just(expr.MAX_PRODUCT_WORDS), st.integers(0, 2000)))
     return a, b, pairs, words
 
 
-def _product_outcome(product, a, b, pairs, words, ordered):
+def _product_outcome(product, a, b, pairs, words):
     budget = expr.ParseBudget()
     budget.pairs, budget.words = pairs, words
     try:
         res = product(a, b, budget)
     except DiskEdsError as exc:
         return type(exc), str(exc), budget.pairs, budget.words
-    types = {e: type(c) for e, c in res.items()}
-    return (list(res.items()) if ordered else res), types, budget.pairs, budget.words
+    return list(res.items()), [type(c) for c in res.values()], budget.pairs, budget.words
+
+
+_FULL = expr.MAX_PRODUCT_PAIRS, expr.MAX_PRODUCT_WORDS
 
 
 @given(_product_cases())
 @example(({(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1, 2)},
-          {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1, 2)}, expr.MAX_PRODUCT_PAIRS,
-          expr.MAX_PRODUCT_WORDS))
+          {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1, 2)}, *_FULL))
 @example(({(0, 0, 0): Fraction(BIG, 3), (1, 0, 0): Fraction(1)},
           {(0, 0, 0): Fraction(3, BIG), (0, 0, 1): Fraction(2)}, 3, 40))
 @example(({(k, 0, 1): Fraction(k + 1, 2) for k in range(9)},
-          {(0, k % 3, k // 3): Fraction(-1, k + 1) for k in range(9)}, expr.MAX_PRODUCT_PAIRS,
-          expr.MAX_PRODUCT_WORDS))
+          {(0, k % 3, k // 3): Fraction(-1, k + 1) for k in range(9)}, *_FULL))
+# two Gaussian tables of more than 8 terms
+@example(({(k, 0, 1): gaussian(k, 1) for k in range(9)},
+          {(0, k % 3, k // 3): gaussian(1, -k - 1) for k in range(10)}, *_FULL))
+# x*y forms in the first row, cancels in the second and forms again in
+# the last, at the end of the table
+@example(({(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(1),
+           **{(0, 0, k): Fraction(k) for k in range(1, 7)}, (0, 1, 0): Fraction(1)},
+          {(1, 1, 0): Fraction(1), (0, 1, 0): Fraction(-1), (1, 0, 0): Fraction(1),
+           **{(0, 0, k): Fraction(1, k) for k in range(1, 7)}}, *_FULL))
+# exponents of 2^70 widen every slot past a machine word
+@example(({(2 ** 70, 0, 1): Fraction(1, 3), (0, 1, 0): Fraction(2)},
+          {(2 ** 70, 0, 0): Fraction(1), (0, 0, 5): Fraction(-1, 2)}, *_FULL))
+@example(({(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(1)}, {}, 0, 0))
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-def test_products_on_integer_pairs_equal_the_operator_products(case):
-    # the same table in the same term order, with the same coefficient
-    # types, or the same ParseBudget error with the same budget left.  Two
-    # tables of more than 8 terms multiply as raw integers, which take
-    # the words of their cleared integers and keep no term order: those
-    # give the same table under a full budget
+def test_the_term_table_product_equals_the_operator_fold(case):
+    # at every table size: the same table in the same term order, with the
+    # same coefficient types, or the same ParseBudget error with the same
+    # budget left
     a, b, pairs, words = case
-    ordered = len(a) <= 8 or len(b) <= 8
-    if not ordered:
-        pairs, words = expr.MAX_PRODUCT_PAIRS, expr.MAX_PRODUCT_WORDS
-    got = _product_outcome(expr._product, a, b, pairs, words, ordered)
-    want = _product_outcome(product_by_operators, a, b, pairs, words, ordered)
-    assert got == want if ordered else got[:2] == want[:2]
+    got = _product_outcome(expr._product, a, b, pairs, words)
+    assert got == _product_outcome(product_by_operators, a, b, pairs, words)
 
 
 def test_loading_cusp_builds_one_polynomial_per_parsed_expression(monkeypatch):

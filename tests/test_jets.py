@@ -1017,6 +1017,24 @@ def test_small_dimension_flat_model():
     assert rep.verdict == "involutive_at_order_q"
 
 
+def test_tableaux_of_both_kinds_compare_by_their_real_kernels():
+    # wb1 - w1 and wb1 + w1 mix a plain and a barred top jet and leave a
+    # real kernel of dimension 2; their prolongation pins w1_1 and wb1_1,
+    # an unmixed kernel of complex dimension 1, real dimension 2 again.
+    # The round is involutive, though its reported dims read 2 then 1
+    n = 2
+    table = jet_table(n, 1)
+    system = make_system(n, [parse_expression(text, table, complexified=True)
+                             for text in ("wb1 - w1", "wb1 + w1")])
+    probe = probe_from_values(n, 1, [1, 0], [[0, 1]])
+    rep = stratum_analyze(linearize(system, probe))
+    assert (rep.tableau_dim, rep.complex_split, rep.next_dim) == (2, False, 1)
+    assert rep.torsion_free and rep.warnings == ()
+    assert rep.verdict == "involutive_at_order_q"
+    chain = involution_loop(system, probe)
+    assert (chain.dims, chain.verdict, chain.rounds) == ((2, 1), "involutive", 1)
+
+
 def _hyperquadric_type_stratum(n):
     """2 Re z_n + sum_k s_k |z_k|^2 with signs + - + ..., its velocity
     equation and its Levi-null condition, probed at z = w = (1, 1, 0, ...)."""

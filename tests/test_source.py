@@ -352,6 +352,53 @@ def test_the_one_evaluator_rule_finds_a_second_caller():
     assert _power_calls({"geometry.py": source}) == ["geometry.py:_value_at"]
 
 
+def _exponent_sums(sources):
+    """name:owner for every elementwise sum of two sequences in the modules
+    of ``sources`` (name -> text): a map() of an add, or a comprehension of
+    x + y over ``zip``, the exponents of a monomial product."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text).body):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+                adds = bool(node.args) and getattr(
+                    node.args[0], "id", getattr(node.args[0], "attr", None)) in ("add", "_add")
+            elif isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+                loop, elt = node.generators[0], node.elt
+                adds = (isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Add)
+                        and getattr(getattr(loop.iter, "func", None), "id", None) == "zip"
+                        and isinstance(loop.target, ast.Tuple)
+                        and {getattr(elt.left, "id", None), getattr(elt.right, "id", None)}
+                        == {getattr(t, "id", None) for t in loop.target.elts})
+            else:
+                continue
+            if adds:
+                found.append(f"{name}:{owner}")
+    return sorted(set(found))
+
+
+def test_the_term_table_product_owns_every_monomial_product():
+    # expr._product is the one code that multiplies two term tables; a sum
+    # of exponent tuples anywhere else is a second product, outside its
+    # order, its budget and its bounds
+    found = _exponent_sums({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert found == ["expr.py:_product"]
+
+
+def test_the_monomial_product_rule_finds_a_second_product():
+    source = (SRC / "geometry.py").read_text() + (
+        "\n\ndef _times(p, q):\n"
+        "    out = {}\n"
+        "    for e1, c1 in p.terms.items():\n"
+        "        for e2, c2 in q.terms.items():\n"
+        "            e = tuple(x + y for x, y in zip(e1, e2))\n"
+        "            out[e] = out.get(e, 0) + c1 * c2\n"
+        "    return out\n"
+        "\n\ndef _shift(p, e2):\n"
+        "    return {tuple(map(add, e1, e2)): c for e1, c in p.terms.items()}\n")
+    assert _exponent_sums({"geometry.py": source}) == ["geometry.py:_shift",
+                                                       "geometry.py:_times"]
+
+
 def test_the_builders_own_the_chart_decision():
     # one chart decision in the package: the builders chart a problem in
     # geometry._chart_order, and the complex closed forms drop a declared
