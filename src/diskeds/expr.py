@@ -20,8 +20,9 @@ expanded expression nor a sum or partial product on the way to it may pass
 ``MAX_TERMS`` terms or ``MAX_COEFFICIENT_BITS`` bits in its coefficients,
 and the parses sharing a :class:`ParseBudget` (those of one document) may
 multiply at most ``MAX_PRODUCT_PAIRS`` coefficient pairs, holding at most
-``MAX_PRODUCT_WORDS`` pairs of 64-bit words, together; a power of a
-constant counts as one pair of its own words.
+``MAX_PRODUCT_WORDS`` pairs of 64-bit words of the integers the products
+work on, together; a power of a constant counts as one pair of its own
+words.
 Term order is graded lexicographic on the table order, so printing is
 deterministic and files round-trip.
 
@@ -124,11 +125,14 @@ def _product(a, b, budget=None):
     takes the coefficients' operators in the same loop.  A sum that
     cancels leaves the table, as :func:`_accumulate` drops it.
 
-    With a parse's :class:`ParseBudget`, each row of len(b) coefficient
-    pairs, and their word pairs counted on the coefficients as written,
-    is taken from it before the row is multiplied, a partial product past
-    MAX_TERMS terms raises, and so does a product past :func:`_bounded`'s
-    coefficient bits."""
+    With a parse's :class:`ParseBudget`, the budget is charged for the
+    integers the loop works on: each row of len(b) coefficient pairs, and
+    their word pairs counted on the cleared numerators of rational tables
+    (on the coefficients of others), is taken from it before the row is
+    multiplied, and each term left over a denominator other than 1 takes
+    its numerator's words times the denominator's, for the gcd that
+    reduces it, before any gcd runs.  A partial product past MAX_TERMS terms raises, and so does
+    a product past :func:`_bounded`'s coefficient bits."""
     if len(a) == 1 and len(b) == 1:
         (e1, c1), = a.items()
         (e2, c2), = b.items()
@@ -150,15 +154,15 @@ def _product(a, b, budget=None):
         (ca, da), (cb, db) = _cleared(a.values()), _cleared(b.values())
     else:
         (ca, da), (cb, db) = (a.values(), 1), (b.values(), 1)
-    A = zip([sum(map(_lshift, e, shifts)) for e in a], a, ca, a.values())
+    A = zip([sum(map(_lshift, e, shifts)) for e in a], a, ca)
     B = list(zip([sum(map(_lshift, e, shifts)) for e in b], b, cb))
     if budget is not None:
-        words_b = sum(map(_words, b.values()))
+        words_b = sum(map(_words, cb))
     res, exps = {}, {}
     get = res.get
-    for k1, e1, c1, c in A:
+    for k1, e1, c1 in A:
         if budget is not None:
-            budget.take(len(B), _words(c) * words_b)
+            budget.take(len(B), _words(c1) * words_b)
         for k2, e2, c2 in B:
             k = k1 + k2
             s = get(k)
@@ -172,6 +176,8 @@ def _product(a, b, budget=None):
         if budget is not None and len(res) > MAX_TERMS:
             _too_many_terms(MAX_TERMS)
     d = da * db
+    if budget is not None and d != 1:
+        budget.take(0, _words(d) * sum(map(_words, res.values())))
     res = {exps[k]: _fraction(c, d) if rational else c for k, c in res.items()}
     return res if budget is None else _bounded(res, MAX_TERMS)
 
@@ -437,9 +443,12 @@ MAX_COEFFICIENT_BITS = 2 ** 17
 MAX_PRODUCT_PAIRS = 2 ** 19
 # the most word pairs those products may multiply, taken with the pairs: a
 # coefficient of b bits is b // 64 + 1 words and a pair costs the product
-# of its words.  3^20000*3^20000, 1 pair, takes 496^2 and about 0.7 ms, so
-# few products of large coefficients stop within about a tenth of a
-# second; (1 + f1)^420*(1 + f1)^420 takes 5,602,827
+# of its words, counted on a rational table's cleared numerators, and each
+# term left over a denominator other than 1 costs its numerator's words
+# times the denominator's for its gcd.  3^20000*3^20000, 1 pair, takes
+# 496^2 and about 0.7 ms, so few products of large coefficients stop
+# within about a tenth of a second; (1 + f1)^420*(1 + f1)^420 takes
+# 5,602,827
 MAX_PRODUCT_WORDS = 2 ** 25
 
 

@@ -31,6 +31,7 @@ import random
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from diskeds.errors import (DimensionMismatch, DiskEdsError,
                             MalformedSyntax, NegativeOrNonIntegerExponent,
@@ -1443,18 +1444,29 @@ def parse_expression_reference(text, variables, complexified=False) -> Polynomia
 
 
 def product_by_operators(a, b, budget=None):
-    """``diskeds.expr._product`` of two term tables, with a budget taken the
-    same way, term by term on the coefficients' operators: each row of
-    len(b) coefficient pairs, and their word pairs, is taken from
-    ``budget`` before it is multiplied, a sum that cancels leaves the
+    """``diskeds.expr._product`` of two term tables, term by term on the
+    coefficients' operators, with a budget taken for the integers that
+    product works on.  A monomial by a monomial is one pair of its
+    coefficients' words.  Otherwise each row of len(b) coefficient pairs
+    is taken from ``budget`` before it is multiplied, with its
+    coefficient's words times those of b, two rational tables counted on
+    their numerators over the lcm of each table's denominators and other
+    tables as written; after the last row, each term left over a
+    denominator d = da * db other than 1 takes the words of d times those
+    of its numerator over d, for its gcd.  A sum that cancels leaves the
     table, a partial product past MAX_TERMS terms raises, and so does a
     product past the coefficient bits."""
     from diskeds import expr
+    words = expr._words
+    da = db = 1
+    monomials = len(a) == 1 and len(b) == 1
+    if not monomials and all(type(c) is Fraction for t in (a, b) for c in t.values()):
+        da, db = (lcm(*[c.denominator for c in t.values()]) for t in (a, b))
     res = {}
-    words_b = sum(map(expr._words, b.values()))
+    words_b = sum(words(c * db) for c in b.values())
     for e1, c1 in a.items():
         if budget is not None:
-            budget.take(len(b), expr._words(c1) * words_b)
+            budget.take(len(b), words(c1 * da) * words_b)
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             c = c1 * c2 if e not in res else res[e] + c1 * c2
@@ -1464,6 +1476,9 @@ def product_by_operators(a, b, budget=None):
                 del res[e]
         if budget is not None and len(res) > expr.MAX_TERMS:
             raise SchemaViolation(f"expression expands past {expr.MAX_TERMS} terms")
+    d = da * db
+    if budget is not None and d != 1:
+        budget.take(0, words(d) * sum(words(c * d) for c in res.values()))
     return res if budget is None else expr._bounded(res, expr.MAX_TERMS)
 
 

@@ -1778,6 +1778,29 @@ def test_few_products_of_large_coefficients_stop_at_the_word_budget(tmp_path):
                    f"coefficient word pairs in one document")
 
 
+def test_products_of_tables_over_unshared_denominators_stop_at_the_word_budget(tmp_path):
+    # two sums of 600 terms 1/(10^30 + k)*f1^k: written, each coefficient
+    # is 2 words and the product 360,000 pairs of 1,440,000 word pairs, but
+    # over the lcm of its table's denominators each numerator holds about
+    # 60,000 bits.  Charged on the written words the product ran for more
+    # than 40 s of CPU; charged on the cleared numerators it stops at the
+    # first row.  The time is the CPU time of cli.main in a fresh process
+    from diskeds.expr import MAX_PRODUCT_WORDS
+    table = lambda first: " + ".join(f"1/{10 ** 30 + first + k}*f1^{k}" for k in range(600))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension_2n": 4, "rho": f"({table(0)})*({table(1000)})"}))
+    code = ("import sys, time; from diskeds import cli; start = time.process_time(); "
+            "rc = cli.main(['involutivity', sys.argv[1]]); "
+            "print(rc, time.process_time() - start, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, timeout=60)
+    err, timing = done.stderr.splitlines()
+    rc, seconds = timing.split()
+    assert (rc, done.stdout) == ("2", "") and float(seconds) < 1
+    assert err == (f"SchemaViolation: expressions multiply past {MAX_PRODUCT_WORDS} "
+                   f"coefficient word pairs in one document")
+
+
 def test_lone_powers_of_a_constant_stop_at_the_word_budget(tmp_path):
     # each 3^20000 alone is a power of one coefficient, which the parser
     # charges as one pair of its 313 words (power_bits(3) = 1, 20,000

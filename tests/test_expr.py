@@ -722,6 +722,14 @@ _FULL = expr.MAX_PRODUCT_PAIRS, expr.MAX_PRODUCT_WORDS
 @example(({(2 ** 70, 0, 1): Fraction(1, 3), (0, 1, 0): Fraction(2)},
           {(2 ** 70, 0, 0): Fraction(1), (0, 0, 5): Fraction(-1, 2)}, *_FULL))
 @example(({(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(1)}, {}, 0, 0))
+# denominators that share no factor: each row is charged on numerators
+# over the table's lcm, about 13 words each, and stops at the second row
+# of 2,000 words; with 20,000 the rows pass and the gcds of the 81 terms
+# left, over a 29-word denominator, do not
+@example(({(k, 0, 0): Fraction(1, 10 ** 30 + k) for k in range(9)},
+          {(0, k, 0): Fraction(1, 10 ** 30 + 100 + k) for k in range(9)}, 150, 2000))
+@example(({(k, 0, 0): Fraction(1, 10 ** 30 + k) for k in range(9)},
+          {(0, k, 0): Fraction(1, 10 ** 30 + 100 + k) for k in range(9)}, 150, 20000))
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_the_term_table_product_equals_the_operator_fold(case):
     # at every table size: the same table in the same term order, with the
