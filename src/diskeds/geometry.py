@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import CrossCheckMismatch, DimensionMismatch, SingularD, ZeroB
-from .exact import FirstJet, PreparedPoint, _negated, rational_str
+from .exact import FirstJet, PreparedPoint, _negated, rat, rational_str
 from .expr import Polynomial
 from .linalg import dot, dot_plus, row_times_matrix
 
@@ -94,15 +94,17 @@ def structure_from_entries(n: int, entries) -> StructureMatrix:
 def _squares_to_minus_identity(A_entries) -> bool:
     """Whether A^2 = -I, read first at each unit vector e_k: one
     A(e_k)^2 != -I decides, and the (2n)^3 polynomial products are
-    formed only when every e_k squares to -I."""
+    formed only when every e_k squares to -I.  A constant A is read at
+    e_1 alone: its value there is A."""
     squares = lambda rows, zero: all(
         dot(row, column, zero) == (-1 if i == j else 0)
         for j, row in enumerate(rows) for i, column in enumerate(zip(*rows)))
     at = lambda w: [[x.evaluate(w) for x in row] for row in A_entries]
     m = len(A_entries)
-    units = [(0,) * k + (1,) + (0,) * (m - k - 1) for k in range(m)]
+    constant = not any(x.degree() for row in A_entries for x in row)
+    units = [(0,) * k + (1,) + (0,) * (m - k - 1) for k in range(1 if constant else m)]
     return (all(squares(at(w), Fraction(0)) for w in units)
-            and squares(A_entries, Polynomial.zero(A_entries[0][0].vars)))
+            and (constant or squares(A_entries, Polynomial.zero(A_entries[0][0].vars))))
 
 
 def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
@@ -127,8 +129,8 @@ def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,
 
 
 def _fractions(xs) -> tuple:
-    """``xs`` as a tuple of Fractions; a Fraction is taken as it is."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    """``xs`` as a tuple of Fractions, each read by ``rat`` (no floats)."""
+    return tuple(x if type(x) is Fraction else rat(x) for x in xs)
 
 
 # f: base point, user coordinate order; p_reduced: p^3_1..p^{2n}_1 in

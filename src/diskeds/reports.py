@@ -6,10 +6,10 @@ each distinct expression text once and spends one budget of coefficient
 pairs and their word pairs (``expr.ParseBudget``) over all its parses.
 
 Reports serialize with sorted keys and canonical rational strings so
-identical inputs give byte-identical output.  :func:`emit_report` is the
-one writer: the JSON format in one recursive pass over the report's tree,
-giving the bytes ``json.dumps(tree, sort_keys=True, indent=2)`` gives, and
-the text format as a flat rendering of the same tree.
+identical inputs give byte-identical output.  :func:`emit_report`, the
+one writer, reads the command's own values in one pass per format with
+one leaf rule: JSON as ``json.dumps(sort_keys=True, indent=2)`` writes it,
+each Fraction as its string, or ``path = value`` text lines.
 """
 from __future__ import annotations
 
@@ -252,6 +252,8 @@ def build_problem(doc: dict, name="problem") -> LoadedProblem:
         if pname not in points:
             raise SchemaViolation(f"jets.{jname}.point: unknown point {pname!r}")
         p_red = _field(jdoc, "p_reduced", jpath, "rationals")
+        if len(p_red) != two_n - 2:
+            raise SchemaViolation(f"{jpath}.p_reduced must have {two_n - 2} entries")
         if problem is None:
             raise SchemaViolation("jets need a rho/structure block")
         jets[jname] = problem.make_jet(
@@ -354,58 +356,54 @@ def _gauss(value, path):
 # emission
 
 
-def jsonable(value):
-    """Exact canonical JSON form: rationals as strings, no floats ever."""
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, Fraction):
+# a report's top-level keys; each holds the command's own values: str-keyed
+# dicts, lists, tuples, Fractions, str, int, bool and None
+Report = namedtuple("Report", "command problem problem_digest options results warnings")
+
+
+def _leaf(value) -> str:
+    """The text of a report value that is not a container, in both formats:
+    a Fraction's rational_str, or str() of a str, int, bool or None.  A
+    float is an input error; anything else (a record, which subclasses
+    tuple, a Gaussian, a first jet) is a cross-check failure."""
+    if type(value) is Fraction:
         return rational_str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if type(value) in (list, tuple):   # not a record, which subclasses tuple
-        return [jsonable(v) for v in value]
+    if isinstance(value, (str, int)) or value is None:
+        return str(value)
     if isinstance(value, float):
         raise SchemaViolation("internal error: a float reached the report layer")
-    raise CrossCheckMismatch(
-        f"a {type(value).__name__} reached the report layer")
+    raise CrossCheckMismatch(f"a {type(value).__name__} reached the report layer")
 
 
-class Report(namedtuple("Report", "command problem digest options results warnings")):
-    __slots__ = ()
-
-    def to_obj(self):
-        return {
-            "command": self.command,
-            "problem": self.problem,
-            "problem_digest": self.digest,
-            "options": jsonable(self.options),
-            "results": jsonable(self.results),
-            "warnings": jsonable(list(self.warnings)),
-        }
+def _keys(obj) -> list:
+    """The keys of the dict ``obj``, sorted; each must be a str."""
+    for key in obj:
+        if type(key) is not str:
+            raise CrossCheckMismatch(f"a {type(key).__name__} key reached the report layer")
+    return sorted(obj)
 
 
 def _flatten(obj, prefix, lines):
     if isinstance(obj, dict):
-        for k in sorted(obj):
+        for k in _keys(obj):
             _flatten(obj[k], f"{prefix}.{k}" if prefix else k, lines)
-    elif isinstance(obj, list):
-        if all(not isinstance(v, (dict, list)) for v in obj):
-            lines.append(f"{prefix} = [{', '.join(str(v) for v in obj)}]")
-        else:
+    elif type(obj) is list or type(obj) is tuple:
+        if any(isinstance(v, dict) or type(v) is list or type(v) is tuple for v in obj):
             for i, v in enumerate(obj):
                 _flatten(v, f"{prefix}[{i}]", lines)
+        else:
+            lines.append(f"{prefix} = [{', '.join(map(_leaf, obj))}]")
     else:
-        lines.append(f"{prefix} = {obj}")
+        lines.append(f"{prefix} = {_leaf(obj)}")
 
 
 _quoted = json.encoder.encode_basestring_ascii
 
 
 def _write_json(obj, indent, out):
-    """Append to ``out`` the pieces of the text that
-    ``json.dumps(obj, sort_keys=True, indent=2)`` writes, in one recursive
-    pass over a tree of dicts with str keys, lists, str, int, bool and
-    None; ``indent`` is a newline and the indentation of obj's own level."""
+    """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
+    indent=2)``, each tuple a list and each other leaf :func:`_leaf`'s text;
+    ``indent`` is a newline and the indentation of obj's own level."""
     if isinstance(obj, str):
         out.append(_quoted(obj))
     elif isinstance(obj, dict):
@@ -414,12 +412,12 @@ def _write_json(obj, indent, out):
             return
         inner = indent + "  "
         sep = "{" + inner
-        for key in sorted(obj):
+        for key in _keys(obj):
             out.append(sep + _quoted(key) + ": ")
             _write_json(obj[key], inner, out)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(obj, list):
+    elif type(obj) is list or type(obj) is tuple:
         if not obj:
             out.append("[]")
             return
@@ -430,22 +428,18 @@ def _write_json(obj, indent, out):
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(indent + "]")
+    elif isinstance(obj, int):   # True and False are ints too
+        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
     elif obj is None:
         out.append("null")
-    elif obj is True:   # bool before int: True is an int too
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
     else:
-        raise CrossCheckMismatch(f"a {type(obj).__name__} reached the JSON writer")
+        out.append(_quoted(_leaf(obj)))
 
 
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """The report's bytes, the one writer of a report: JSON with sorted
     keys and an indent of 2, or the text format's flat lines."""
-    obj = report.to_obj()
+    obj = report._asdict()
     if fmt == "json":
         out = []
         _write_json(obj, "\n", out)

@@ -20,25 +20,28 @@ by one determinant per leading minor, the two-branch reading of a
 linearization (affine coefficients at zero top jets), the explicit
 polar maps of a line with their stacked square, and ``det``,
 ``nullity`` and ``cramer_determinant``, which eliminate a matrix once
-per quantity.  The last section keeps the expression
+per quantity.  The last sections keep the expression
 parser that built every term as a Polynomial, ``rat`` on
 ``Fraction(str)`` and ``rat`` on Fraction's constructor, which the
-runtime's term-table parser and split-text ``rat`` are checked against.
+runtime's term-table parser and split-text ``rat`` are checked against,
+and the report rendering by way of a second tree of strings
+(``jsonable``), which the one-pass report writer is checked against.
 """
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from diskeds.errors import (DimensionMismatch, DiskEdsError,
+from diskeds.errors import (CrossCheckMismatch, DimensionMismatch, DiskEdsError,
                             MalformedSyntax, NegativeOrNonIntegerExponent,
                             NotComplexifiedMode, SchemaViolation, SingularD,
                             UnknownVariable, WrongDimension)
 from diskeds.exact import (I_UNIT, FirstJet, GaussianRational, gaussian, normalize_scalar,
-                           rat, require_real, row_minus, scalar_conj)
+                           rat, rational_str, require_real, row_minus, scalar_conj)
 from diskeds.expr import Polynomial, print_polynomial, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
                               StructureMatrix, _gammas, _mu_and_D, _tangent,
@@ -1532,3 +1535,52 @@ def rat_by_fraction_constructor(value) -> Fraction:
             raise SchemaViolation(f"zero denominator: {value!r}")
         return Fraction(num, den)
     _refuse_kind(value)
+
+
+# ----------------------------------------------------------------------
+# the report rendering by way of a tree of strings
+
+
+def jsonable(value):
+    """Exact canonical JSON form: rationals as strings, no floats ever."""
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if type(value) in (list, tuple):   # not a record, which subclasses tuple
+        return [jsonable(v) for v in value]
+    if isinstance(value, float):
+        raise SchemaViolation("internal error: a float reached the report layer")
+    raise CrossCheckMismatch(
+        f"a {type(value).__name__} reached the report layer")
+
+
+def _flatten(obj, prefix, lines):
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            _flatten(obj[k], f"{prefix}.{k}" if prefix else k, lines)
+    elif isinstance(obj, list):
+        if all(not isinstance(v, (dict, list)) for v in obj):
+            lines.append(f"{prefix} = [{', '.join(str(v) for v in obj)}]")
+        else:
+            for i, v in enumerate(obj):
+                _flatten(v, f"{prefix}[{i}]", lines)
+    else:
+        lines.append(f"{prefix} = {obj}")
+
+
+def report_by_tree(report, fmt):
+    """``diskeds.reports.emit_report`` by way of the report's jsonable
+    tree: ``json.dumps`` of it with sorted keys and an indent of 2, or its
+    flat text lines."""
+    tree = {"command": report.command, "problem": report.problem,
+            "problem_digest": report.problem_digest,
+            "options": jsonable(report.options), "results": jsonable(report.results),
+            "warnings": jsonable(list(report.warnings))}
+    if fmt == "json":
+        return (json.dumps(tree, sort_keys=True, indent=2) + "\n").encode()
+    lines = [f"diskeds {report.command} on {report.problem}"]
+    _flatten(tree, "", lines)
+    return ("\n".join(lines) + "\n").encode()

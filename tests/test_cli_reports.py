@@ -17,14 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 from diskeds.builtins import BUILTIN_PROBLEMS
 from diskeds.errors import (CrossCheckMismatch, DimensionMismatch, DiskEdsError,
                             MalformedSyntax, SchemaViolation)
-from diskeds.exact import gaussian
+from diskeds.exact import FirstJet, gaussian
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import FirstJetPoint
 from diskeds.jets import Opening, jet_table, make_system
-from diskeds.reports import (MAX_DIMENSION_2N, build_problem, emit_report, jsonable,
-                             load_problem)
+from diskeds.reports import MAX_DIMENSION_2N, Report, build_problem, emit_report, load_problem
 from diskeds import cli, expr, reports
 from operands import fraction_operands
+from oracles import report_by_tree
 
 
 def run_cli(*args):
@@ -158,41 +158,43 @@ def test_cross_check_failure_exit_3(monkeypatch):
 
 
 def test_emit_report_stability():
-    from diskeds.reports import Report
     rep = Report("x", "y", "z", {}, {"value": 1, "warn": []}, [])
     assert emit_report(rep, "json") == emit_report(rep, "json")
     obj = json.loads(emit_report(rep, "json"))
     assert obj["results"]["warn"] == []  # empty list serializes, not absent
 
 
-# JSON leaves: control and non-ASCII characters in strings, big and negative
-# ints, and the three constants
-_json_leaves = st.one_of(
+# report leaves: control and non-ASCII characters in strings, big and
+# negative ints, the three constants, and Fractions, one of them past
+# 4,300 digits, the int-to-str limit
+_report_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-10 ** 400, 10 ** 400),
     st.text(max_size=6),
     st.text(alphabet=st.sampled_from("\x00\x1f\x7f\"\\/\n\t\u00e9\u2028\ud7ff\U0001f600ab"),
-            max_size=6))
-_json_trees = st.recursive(
-    _json_leaves,
-    lambda kids: st.one_of(st.lists(kids, max_size=4),
+            max_size=6),
+    st.fractions(), st.just(4400).map(lambda k: Fraction(-(10 ** k) - 1, 3)))
+_report_trees = st.recursive(
+    _report_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
                            st.dictionaries(st.text(max_size=4), kids, max_size=4)),
     max_leaves=30)
 
 
-@given(_json_trees)
+@given(_report_trees)
 @example({})
 @example([])
 @example({"": [{}, [], [[]], {"a": {}}]})
 @example([True, False, None, 1, -1, 0, 10 ** 300, -(10 ** 300)])
 @example({"b": 1, "a": {"\u00e9": "\x00\U0001f600"}, "A": [None]})
+@example(((Fraction(1, 3), (Fraction(-2), ())), [(), {"x": (Fraction(10 ** 40, 7),)}]))
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_the_report_writer_writes_what_json_dumps_writes(tree):
-    # one pass over the tree gives the bytes of json.dumps with sorted keys
-    # and an indent of 2, whatever the nesting and the characters
-    from diskeds.reports import Report
-    report = Report("torsion", "doc.json", "0" * 64, {"point": "P0"}, tree, ["W"])
-    want = json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
-    assert emit_report(report, "json") == want.encode()
+    # one pass over the command's own values gives the bytes of json.dumps
+    # with sorted keys and an indent of 2 over their tree of strings, and
+    # the text lines of that tree, whatever the nesting and the characters
+    report = Report("torsion", "doc.json", "0" * 64, {"point": "P0"}, tree, ("W",))
+    for fmt in ("json", "text"):
+        assert emit_report(report, fmt) == report_by_tree(report, fmt)
 
 
 def test_digest_detects_input_drift():
@@ -1381,6 +1383,7 @@ def test_jets_probe_runs_one_involution_loop(monkeypatch, capsys):
     (("strata", "S", "probes", "Q"), True, "strata.S.probes.Q must be an object"),
     (("strata", "S", "probes", "Q", "w", 0), [], "strata.S.probes.Q.w: complex values"),
     (("structure", "A", 1), 0, "structure.A[1] must be a list"),
+    (("jets", "J", "p_reduced"), ["1"], "jets.J.p_reduced must have 2 entries"),
     (("dimension_2n",), "4", "dimension_2n must be an integer"),
 ], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else None)
 def test_wrong_json_type_names_its_path(field, value, message, tmp_path, capsys):
@@ -1393,14 +1396,22 @@ def test_wrong_json_type_names_its_path(field, value, message, tmp_path, capsys)
 
 
 def test_report_values_of_unexpected_type_are_a_cross_check_failure():
-    # nothing is turned into text silently; a float stays an input error
-    with pytest.raises(CrossCheckMismatch):
-        jsonable({"value": object()})
-    with pytest.raises(SchemaViolation):
-        jsonable([0.5])
-    # a record is a tuple subclass, not a list
-    with pytest.raises(CrossCheckMismatch):
-        jsonable({"value": FirstJetPoint((0, 0, 0, 0), (1, 0))})
+    # nothing is turned into text silently, in either format; a float
+    # stays an input error
+    for results, error in [
+            ({"value": object()}, CrossCheckMismatch),
+            ([Fraction(1, 2), 0.5], SchemaViolation),
+            # a record is a tuple subclass, not a list
+            ({"value": FirstJetPoint((0, 0, 0, 0), (1, 0))}, CrossCheckMismatch),
+            ({"value": [gaussian(1, 1)]}, CrossCheckMismatch),
+            ({"value": FirstJet(Fraction(1), (Fraction(0),))}, CrossCheckMismatch),
+            # a key that is not a str, alone or among str keys
+            ({"value": {1: "one"}}, CrossCheckMismatch),
+            ({"value": {"a": 1, 2: "b"}}, CrossCheckMismatch)]:
+        report = Report("torsion", "doc.json", "0" * 64, {}, results, ())
+        for fmt in ("json", "text"):
+            with pytest.raises(error):
+                emit_report(report, fmt)
 
 
 # wrong-typed values, junk expressions and rationals, expressions nested

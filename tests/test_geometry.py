@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskeds.errors import DimensionMismatch, SingularD, ZeroB
+from diskeds.errors import DimensionMismatch, SchemaViolation, SingularD, ZeroB
 from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import (
     HypersurfaceProblem,
@@ -23,6 +23,7 @@ from diskeds.geometry import (
     make_structure_from_pair,
     structure_from_entries,
 )
+from diskeds.integral_element import FlagSpec
 from diskeds.linalg import row_times_matrix
 from diskeds.reports import build_problem, load_problem
 from diskeds.torsion import structure_equation_coefficients
@@ -161,6 +162,21 @@ def test_make_jet_surface_enforcement():
         prob.make_jet((1, 1, 1, 0, 0, 0), (0, 0, 0, 0))
     jet = prob.make_jet((1, 1, 1, 0, 0, 0), (0, 0, 0, 0), allow_off_surface=True)
     assert prob.rho.evaluate(jet.f) != 0
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "0.5"])
+def test_the_library_refuses_floats_and_decimal_strings(value):
+    # exact.rat reads every coordinate and flag weight, as at load: 0.1 is
+    # never taken as the binary fraction a float holds
+    prob = HypersurfaceProblem(HYPERQUADRIC, complex_standard(3, V6), (1, 2))
+    with pytest.raises(SchemaViolation, match="not an exact rational"):
+        prob.make_jet((1, 0, 1, 0, 0, 0), (value, 0, 0, 0))
+    with pytest.raises(SchemaViolation, match="not an exact rational"):
+        prob.make_jet((value, 0, 1, 0, 0, 0), (0, 0, 0, 0), allow_off_surface=True)
+    with pytest.raises(SchemaViolation, match="not an exact rational"):
+        FlagSpec((value, 0), (0, 1), (0,) * 4, (0,) * 4)
+    with pytest.raises(SchemaViolation, match="not an exact rational"):
+        FlagSpec((1, 0), (0, 1), (0,) * 4, (0,) * 4, beta=value)
 
 
 def test_resubstitution_invariants_random():
@@ -631,3 +647,40 @@ def test_a_witness_decides_A_squared_without_a_product(tmp_path, capsys, monkeyp
     assert json.loads(capsys.readouterr().out)["warnings"] == ["NotAlmostComplex"]
     assert products == []
     assert by_constant == []
+
+
+@pytest.mark.parametrize("scale, warnings", [(1, []), (2, ["NotAlmostComplex"])])
+def test_a_constant_A_is_read_at_one_unit_vector(scale, warnings, tmp_path, capsys,
+                                                  monkeypatch):
+    # a constant A is its value at e_1, so A^2 = -I is decided there: (2n)^2
+    # evaluations, where reading it at every unit vector took 2n (2n)^2,
+    # and no product of A's entries
+    from diskeds import cli
+    two_n = 20
+    A = [["0"] * two_n for _ in range(two_n)]
+    for i in range(0, two_n, 2):
+        A[i][i + 1], A[i + 1][i] = str(-scale), str(scale)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "dimension_2n": two_n, "rho": f"f{two_n} + f1^2",
+        "structure": {"kind": "pair", "a": "0", "b": "1", "A": A},
+        "points": {"P0": ["0"] * two_n}}))
+    evaluations, products, evaluate = [], [], Polynomial.evaluate
+    multiply = Polynomial.__mul__
+
+    def counting(p, w):
+        evaluations.append(w)
+        return evaluate(p, w)
+
+    def counting_products(p, q):
+        products.append((p, q))
+        return multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_products)
+    loaded = build_problem(load_problem(str(path)))
+    assert len(evaluations) == two_n ** 2
+    assert len(products) == 1   # the structure's denominator a * a + 1
+    assert list(loaded.structure_warnings) == warnings
+    assert cli.main(["involutivity", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == warnings

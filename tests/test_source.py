@@ -146,6 +146,25 @@ def test_the_report_writer_rule_finds_an_indented_dump():
     assert _report_writes({"cli.py": source}) == ["cli.py:_again", "cli.py:_pretty"]
 
 
+def _rational_str_uses(text):
+    """The owner of every use of ``rational_str`` in the module source
+    ``text``, a call or the name passed on."""
+    return sorted({owner for owner, node in _owned_nodes(ast.parse(text).body)
+                   if getattr(node, "id", getattr(node, "attr", None)) == "rational_str"})
+
+
+def test_the_leaf_rule_owns_every_report_rational():
+    # one rule writes a report's Fractions in both formats; a second
+    # caller in reports.py is a second rendering that could drift
+    assert _rational_str_uses((SRC / "reports.py").read_text()) == ["_leaf"]
+
+
+def test_the_leaf_rule_finds_a_second_caller():
+    source = (SRC / "reports.py").read_text() + (
+        "\n\ndef _row(xs):\n    return ', '.join(map(rational_str, xs))\n")
+    assert _rational_str_uses(source) == ["_leaf", "_row"]
+
+
 def test_echelon_owns_every_row_update():
     # one elimination in the package: a row_minus call anywhere else is a
     # second elimination loop
