@@ -11,7 +11,9 @@ plus ``jets`` with ``--rounds`` 1..3 on
 the Levi-null strata at n = 4 and 5, plus ``jets`` on a stratum whose probes
 extend by nonzero top jets and on one whose equality names a plain and a
 barred velocity, ``jets --probe`` on the cusp and
-``pseudo-ellipsoid`` on a document of its own, and writes each invocation's stdout to
+``pseudo-ellipsoid`` on a document of its own, plus ``involutivity`` on
+two n = 4 pair documents whose A^2 = -I check is decided by the
+polynomial products, and writes each invocation's stdout to
 ``tests/golden/<case>.out`` and its argv, exit code and stderr to
 ``tests/golden/index.json``.  Reports echo
 the problem path, so the documents are named relative to the repository
@@ -108,6 +110,14 @@ def cases():
             yield (f"pseudo-ellipsoid-pseudo_ellipsoid-point-{point}-{fmt}",
                    ["pseudo-ellipsoid", "tests/golden/docs/pseudo_ellipsoid.json",
                     "--point", point, "--format", fmt])
+    # A^2 = -I decided past the unit vectors: A of 2x2 blocks
+    # [[f3, 1 + f3^2], [-1, -f3]], non-constant and squaring to -I, and J
+    # with f1*f2 added to one entry, -I at every unit vector but not as
+    # polynomials (NotAlmostComplex)
+    for fmt in ("json", "text"):
+        for stem in ("n4_pair_blocks", "n4_pair_not_almost_complex"):
+            yield (f"involutivity-{stem}-{fmt}",
+                   ["involutivity", f"tests/golden/docs/{stem}.json", "--format", fmt])
 
 
 def run(argv):

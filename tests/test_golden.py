@@ -23,7 +23,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 117
+    assert len(INDEX) == 121
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
@@ -41,7 +41,8 @@ def test_golden_set_covers_every_builtin_command():
         for case in ("jets-n2_extension", "jets-n2_real_velocity",
                      "jets-cusp-generic-probe-P_origin",
                      "pseudo-ellipsoid-pseudo_ellipsoid-point-Y0",
-                     "pseudo-ellipsoid-pseudo_ellipsoid-point-Y1"):
+                     "pseudo-ellipsoid-pseudo_ellipsoid-point-Y1",
+                     "involutivity-n4_pair_blocks", "involutivity-n4_pair_not_almost_complex"):
             assert INDEX[f"{case}-{fmt}"]["exit"] == 0
 
 
