@@ -38,8 +38,8 @@ D = 0 at the point raises SingularD whether or not D vanishes
 identically: telling the two apart would need polynomial products whose
 size nothing at the point bounds.  The one polynomial identity test,
 A^2 = -I for a pair structure's A, reads A at the unit vectors first:
-one e_k with A(e_k)^2 != -I decides, and the (2n)^3 products follow
-only when none does.
+one e_k with A(e_k)^2 != -I decides, and the products of its nonzero
+entries follow only when none does.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import CrossCheckMismatch, DimensionMismatch, SingularD, ZeroB
-from .exact import FirstJet, PreparedPoint, _negated, rat, rational_str
+from .exact import FirstJet, PreparedPoint, _negated, rat, rational_str, sum_of_products
 from .expr import Polynomial
 from .linalg import dot, dot_plus, row_times_matrix
 
@@ -91,20 +91,33 @@ def structure_from_entries(n: int, entries) -> StructureMatrix:
     return StructureMatrix(n, entries, Polynomial.const(entries[0][0].vars, 1), "general")
 
 
+def _square_is_minus_identity(rows) -> bool:
+    """Whether a matrix squares to -I, row i given by its nonzero entries as
+    (k, a_ik) pairs: row i of the square sums a_ik a_kj over those alone,
+    and the first row that is not -e_i decides."""
+    for i, row in enumerate(rows):
+        pairs = {}
+        for k, x in row:
+            for j, y in rows[k]:
+                pairs.setdefault(j, []).append((x, y))
+        if i not in pairs or any(sum_of_products(*zip(*terms)) != (-1 if j == i else 0)
+                                 for j, terms in pairs.items()):
+            return False
+    return True
+
+
 def _squares_to_minus_identity(A_entries) -> bool:
     """Whether A^2 = -I, read first at each unit vector e_k: one
-    A(e_k)^2 != -I decides, and the (2n)^3 polynomial products are
-    formed only when every e_k squares to -I.  A constant A is read at
-    e_1 alone: its value there is A."""
-    squares = lambda rows, zero: all(
-        dot(row, column, zero) == (-1 if i == j else 0)
-        for j, row in enumerate(rows) for i, column in enumerate(zip(*rows)))
-    at = lambda w: [[x.evaluate(w) for x in row] for row in A_entries]
-    m = len(A_entries)
-    constant = not any(x.degree() for row in A_entries for x in row)
-    units = [(0,) * k + (1,) + (0,) * (m - k - 1) for k in range(1 if constant else m)]
-    return (all(squares(at(w), Fraction(0)) for w in units)
-            and (constant or squares(A_entries, Polynomial.zero(A_entries[0][0].vars))))
+    A(e_k)^2 != -I decides, and the polynomial products are formed only
+    when every e_k squares to -I.  Only A's nonzero entries are evaluated
+    and multiplied.  A constant A is read at e_1 alone: its value there is A."""
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in A_entries]
+    constant = not any(x.degree() for row in rows for _, x in row)
+    units = [tuple(int(i == k) for i in range(len(rows)))
+             for k in range(1 if constant else len(rows))]
+    return (all(_square_is_minus_identity([[(j, v) for j, x in row if (v := x.evaluate(w))]
+                                           for row in rows]) for w in units)
+            and (constant or _square_is_minus_identity(rows)))
 
 
 def make_structure_from_pair(a: Polynomial, b: Polynomial, A_entries,

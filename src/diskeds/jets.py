@@ -6,10 +6,10 @@ z1..zn, zb1..zbn, w1..wn, wb1..wbn, w1_1.., where wl_k stands for the
 k-th derivative of wl along the disk parameter.  The derivation D_t acts
 by z_l -> w_l, w_l^(j) -> w_l^(j+1) and kills every barred variable
 (holomorphy of the sought disk); D_tb is its conjugate.  A system is
-closed under conjugation, and carries each equality's conjugate partner by
-index.  Prolonging adds D_t g, D_tb g and D_t D_tb g for every equality g;
-their partners come from g's, since conj(D_t g) = D_tb(conj g) and
-conj(D_t D_tb g) = D_t D_tb(conj g), so closure needs no conjugation.
+closed under conjugation: each equality it adds is followed by its monic
+conjugate.  Prolonging adds D_t g, D_tb g and D_t D_tb g for every
+equality g and closes only those; the system's own equalities are closed
+already.
 
 ``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
 and is a prefix of ``jet_table(n, q + 1)``.  Each (n, q) has one table,
@@ -143,11 +143,17 @@ def _derivation(p: Polynomial, barred: bool) -> Polynomial:
     return Polynomial.canonical(p.vars, res)
 
 
+@lru_cache(maxsize=JET_TABLES_KEPT)
+def _conjugate_slots(table):
+    """The exponent swap of ``table``: slot i takes slot i + n or i - n."""
+    n = _block(table)
+    return itemgetter(*[i - n if (i // n) % 2 else i + n for i in range(len(table))])
+
+
 def conjugate_involution(p: Polynomial) -> Polynomial:
     """Swap each generator with its partner i + n or i - n (z <-> zb,
     w_k <-> wb_k) and conjugate the coefficients."""
-    n = _block(p.vars)
-    swap = itemgetter(*[i - n if (i // n) % 2 else i + n for i in range(len(p.vars))])
+    swap = _conjugate_slots(p.vars)
     return Polynomial.canonical(p.vars, {swap(exps): scalar_conj(c)
                                          for exps, c in p.terms.items()})
 
@@ -178,11 +184,10 @@ Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))
 
 
 class JetConstraintSystem(namedtuple("JetConstraintSystem",
-                                     "n order equalities openings partners")):
+                                     "n order equalities openings")):
     """``equalities`` are monic, deduplicated and conjugation-closed, in the
     order :func:`_close` leaves them, so closing them again changes
-    nothing; ``partners[k]`` is the index of equality k's monic conjugate
-    among them (a redundancy reduction's output is the one system that is
+    nothing (a redundancy reduction's output is the one system that is
     not closed: see :func:`reduce_redundant`); ``openings`` are Opening
     instances."""
 
@@ -209,8 +214,7 @@ def _widen(p: Polynomial, table) -> Polynomial:
 
 def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSystem:
     """Over ``jet_table(n, order)``, which the tables of ``equalities`` and
-    ``openings`` are prefixes of; ``order`` defaults to their highest jet.
-    The only conjugation a system needs happens here, at load."""
+    ``openings`` are prefixes of; ``order`` defaults to their highest jet."""
     eqs = list(equalities)
     needed = max([1] + [i // (2 * n) for p in eqs for e in p.terms
                         for i, k in enumerate(e) if k])
@@ -221,83 +225,64 @@ def make_system(n: int, equalities, openings=(), order=None) -> JetConstraintSys
     table = jet_table(n, order)
     eqs = [_monic(_widen(p, table)) for p in eqs]
     ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in openings)
-    eqs, partners = _close(eqs, [_monic(conjugate_involution(p)) for p in eqs])
-    return JetConstraintSystem(n, order, eqs, ops, partners)
+    return JetConstraintSystem(n, order, _close(eqs), ops)
 
 
-def _close(eqs, conjugates, kept=0):
-    """(equalities, partners) of the closed system spanned by the monic
-    ``eqs``, ``conjugates[k]`` the monic conjugate of ``eqs[k]``: the first
-    ``kept`` equalities, distinct and closed among themselves, in place,
-    then each other nonzero equality in turn, unless already present, then
-    its conjugate, unless already present."""
-    out, partner_of = list(eqs[:kept]), list(conjugates[:kept])
-    index = {p: k for k, p in enumerate(out)}
-    for p, q in zip(eqs[kept:], conjugates[kept:]):
-        if p.is_zero():
-            continue
-        for a, b in ((p, q), (q, p)):
-            if a not in index:
-                index[a] = len(out)
-                out.append(a)
-                partner_of.append(b)
-    return tuple(out), tuple(index[b] for b in partner_of)
+def _close(eqs, kept=0):
+    """The closed system spanned by the monic ``eqs``: the first ``kept``
+    equalities, distinct and closed among themselves, in place, then each
+    other nonzero equality in turn, unless already present, then its monic
+    conjugate, unless already present."""
+    out = dict.fromkeys(eqs[:kept])     # an ordered set
+    for p in eqs[kept:]:
+        if p and p not in out:
+            out[p] = None
+            out.setdefault(_monic(conjugate_involution(p)))
+    return tuple(out)
 
 
 def prolong_constraints(system: JetConstraintSystem) -> JetConstraintSystem:
     """Add D_t g, D_tb g and D_t D_tb g for every equality; order + 1.  The
-    partner of D_t g is D_tb of g's partner, and D_t D_tb g's is D_t D_tb of
-    it.  The system's own equalities, widened, come first in their order."""
+    system's own equalities, widened, come first in their order, and only
+    the derived ones are closed."""
     table = jet_table(system.n, system.order + 1)
     eqs = [_widen(p, table) for p in system.equalities]
     derived = []
     for p in eqs:
         dt = d_t(p)
-        derived.append((_monic(dt), _monic(d_tbar(p)), _monic(d_tbar(dt))))
-    conjugates = [eqs[j] for j in system.partners]
-    for j in system.partners:
-        dt, dtb, dtdtb = derived[j]
-        conjugates += [dtb, dt, dtdtb]
-    eqs, partners = _close(eqs + [q for triple in derived for q in triple], conjugates,
-                           kept=len(eqs))
+        derived += [_monic(dt), _monic(d_tbar(p)), _monic(d_tbar(dt))]
     ops = tuple(Opening(_widen(o.poly, table), o.sign) for o in system.openings)
-    return JetConstraintSystem(system.n, system.order + 1, eqs, ops, partners)
+    return JetConstraintSystem(system.n, system.order + 1,
+                               _close(eqs + derived, kept=len(eqs)), ops)
 
 
-def substitute_vanishing(system: JetConstraintSystem, cut=()) -> JetConstraintSystem:
+def substitute_vanishing(system: JetConstraintSystem, cut=False) -> JetConstraintSystem:
     """Propagate bare-variable equalities (c*v = 0) through the system, then
     close it again: an equality whose conjugate is missing gets it back,
     right after itself.  ``system`` itself when nothing was cut and no
     equality names a generator a bare one zeroes.
 
-    ``cut`` lists the equalities a redundancy reduction dropped from a
-    closed system; ``partners`` then index into ``equalities + cut``.  The
-    substitution runs on each conjugate alongside, over the conjugate
-    variables, so it stays the conjugate of its equality.  Each pass
-    rebuilds only the equalities that name a generator zeroed in that
-    pass, and only the rebuilt ones are made monic again."""
-    n, eqs = system.n, list(system.equalities)
-    everything = eqs + list(cut)
-    conjugates = [everything[j] for j in system.partners]
+    ``cut`` is true when a redundancy reduction dropped equalities from a
+    closed system, so it must be closed again.  Each pass rebuilds only
+    the equalities that name a generator zeroed in that pass, and only the
+    rebuilt ones are made monic again."""
+    eqs = list(system.equalities)
     zero, changed = set(), set()
     while True:
         new = {next(iter(p.terms)).index(1) for p in eqs if _bare(p)} - zero
         if not new:
             break
         zero |= new
-        mirror = {i - n if (i // n) % 2 else i + n for i in new}
         for k, p in enumerate(eqs):
             if not _bare(p):
                 q = _without(p, new)
                 if q is not p:
-                    eqs[k], conjugates[k] = q, _without(conjugates[k], mirror)
+                    eqs[k] = q
                     changed.add(k)
     if not changed and not cut:
         return system
-    eqs, partners = _close([_monic(p) if k in changed else p for k, p in enumerate(eqs)],
-                           [_monic(q) if k in changed else q
-                            for k, q in enumerate(conjugates)])
-    return system._replace(equalities=eqs, partners=partners)
+    return system._replace(equalities=_close(
+        [_monic(p) if k in changed else p for k, p in enumerate(eqs)]))
 
 
 def _bare(p: Polynomial) -> bool:
@@ -540,13 +525,10 @@ def reduce_redundant(lin: Linearization):
     dropped = [j for j in reversed(candidates) if j not in kept]
     if not dropped:
         return system, []
-    # the reduced system is not closed, and substitute_vanishing(reduced,
-    # dropped) puts back each dropped equality whose conjugate was retained,
-    # so the partners index into the retained equalities, then the dropped
-    retained = sorted(set(range(len(eqs))).difference(dropped))
-    where = {j: k for k, j in enumerate(retained + dropped)}
-    return (system._replace(equalities=tuple(eqs[j] for j in retained),
-                            partners=tuple(where[system.partners[j]] for j in retained)),
+    # the reduced system is not closed: substitute_vanishing(reduced, True)
+    # puts back each dropped equality whose conjugate was retained
+    return (system._replace(equalities=tuple(p for j, p in enumerate(eqs)
+                                             if j not in dropped)),
             [eqs[j] for j in dropped])
 
 
@@ -593,7 +575,7 @@ def stratum_analyze(lin: Linearization, memo=None) -> StratumReport:
         dim_next = -1
     else:
         reduced, dropped = reduce_redundant(zero)
-        reduced = _shared(memo, substitute_vanishing, reduced, tuple(dropped))
+        reduced = _shared(memo, substitute_vanishing, reduced, bool(dropped))
         if reduced == ext.system:
             following = ext
         else:

@@ -1307,25 +1307,18 @@ def substitute_vanishing_by_conjugation(equalities):
         eqs = new_eqs
 
 
-def substitute_vanishing_by_full_passes(system, cut=()):
+def substitute_vanishing_by_full_passes(system):
     """jets.substitute_vanishing by full passes: every pass rebuilds every
-    equality and partner that is not bare, against every generator zeroed
-    so far, and the closure makes every equality and partner monic again
-    and always builds a new system."""
-    n, eqs = system.n, list(system.equalities)
-    everything = eqs + list(cut)
-    conjugates = [everything[j] for j in system.partners]
+    equality that is not bare, against every generator zeroed so far, and
+    the closure makes every equality monic again and always builds a new
+    system."""
+    eqs = list(system.equalities)
     while True:
         bare = {p for p in eqs if len(p.terms) == 1 and sum(next(iter(p.terms))) == 1}
         zero = {next(iter(p.terms)).index(1) for p in bare}
         new_eqs = [p if p in bare else _without_rebuilt(p, zero) for p in eqs]
         if new_eqs == eqs:
-            eqs, partners = _close([_monic(p) for p in eqs],
-                                   [_monic(q) for q in conjugates])
-            return system._replace(equalities=eqs, partners=partners)
-        mirror = {i - n if (i // n) % 2 else i + n for i in zero}
-        conjugates = [q if p in bare else _without_rebuilt(q, mirror)
-                      for p, q in zip(eqs, conjugates)]
+            return system._replace(equalities=_close([_monic(p) for p in eqs]))
         eqs = new_eqs
 
 

@@ -652,9 +652,10 @@ def test_a_witness_decides_A_squared_without_a_product(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("scale, warnings", [(1, []), (2, ["NotAlmostComplex"])])
 def test_a_constant_A_is_read_at_one_unit_vector(scale, warnings, tmp_path, capsys,
                                                   monkeypatch):
-    # a constant A is its value at e_1, so A^2 = -I is decided there: (2n)^2
-    # evaluations, where reading it at every unit vector took 2n (2n)^2,
-    # and no product of A's entries
+    # a constant A is its value at e_1, so A^2 = -I is decided there: its
+    # 2n nonzero entries evaluated, where reading every entry took (2n)^2
+    # and reading it at every unit vector 2n (2n)^2, and no product of A's
+    # entries
     from diskeds import cli
     two_n = 20
     A = [["0"] * two_n for _ in range(two_n)]
@@ -679,8 +680,47 @@ def test_a_constant_A_is_read_at_one_unit_vector(scale, warnings, tmp_path, caps
     monkeypatch.setattr(Polynomial, "evaluate", counting)
     monkeypatch.setattr(Polynomial, "__mul__", counting_products)
     loaded = build_problem(load_problem(str(path)))
-    assert len(evaluations) == two_n ** 2
+    assert len(evaluations) == two_n
     assert len(products) == 1   # the structure's denominator a * a + 1
     assert list(loaded.structure_warnings) == warnings
     assert cli.main(["involutivity", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == warnings
+
+
+def test_a_non_constant_A_at_the_dimension_bound_is_squared_over_its_nonzero_entries(
+        tmp_path, capsys, monkeypatch):
+    # 2 x 2 blocks [[f3, 1 + f3^2], [-1, -f3]] square to -I with A not
+    # constant, so every unit vector passes and the polynomial square is
+    # formed: each of the 2n unit vectors evaluates the 4n nonzero entries,
+    # and each row of the square takes 4 products, where the dense square
+    # evaluated 2n (2n)^2 entries and formed (2n)^3 products
+    from diskeds import cli
+    two_n = 120
+    A = [["0"] * two_n for _ in range(two_n)]
+    for i in range(0, two_n, 2):
+        A[i][i], A[i][i + 1], A[i + 1][i], A[i + 1][i + 1] = "f3", "1 + f3^2", "-1", "-f3"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "dimension_2n": two_n, "rho": f"f{two_n} + f1^2",
+        "structure": {"kind": "pair", "a": "0", "b": "1", "A": A},
+        "points": {"P0": ["0"] * two_n}}))
+    evaluations, products = [], []
+    evaluate, multiply = Polynomial.evaluate, Polynomial.__mul__
+
+    def counting(p, w):
+        evaluations.append(w)
+        return evaluate(p, w)
+
+    def counting_products(p, q):
+        products.append((p, q))
+        return multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_products)
+    loaded = build_problem(load_problem(str(path)))
+    assert len(evaluations) == two_n * 2 * two_n
+    # 4 per row of the square, and the structure's denominator a * a + 1
+    assert len(products) == 4 * two_n + 1
+    assert list(loaded.structure_warnings) == []
+    assert cli.main(["involutivity", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []

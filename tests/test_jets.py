@@ -365,17 +365,17 @@ def _random_closed_system(rng):
     return make_system(n, eqs, order=q), probe
 
 
-def _assert_partners(system):
-    assert len(system.partners) == len(system.equalities)
-    for eq, j in zip(system.equalities, system.partners):
-        assert jets._monic(conjugate_involution(eq)) == system.equalities[j]
+def _assert_closed(system):
+    eqs = system.equalities
+    assert {jets._monic(conjugate_involution(eq)) for eq in eqs} <= set(eqs)
+    assert jets._close(eqs) == eqs
 
 
 def _prolong_like_the_reference(system):
-    _assert_partners(system)
+    _assert_closed(system)
     prolonged = prolong_constraints(system)
     assert prolonged.equalities == prolong_by_conjugation(system)
-    _assert_partners(prolonged)
+    _assert_closed(prolonged)
     return prolonged
 
 
@@ -383,16 +383,16 @@ def _substitute_like_the_reference(lin):
     reduced, dropped = reduce_redundant(lin)
     out = substitute_vanishing(reduced, dropped)
     assert out.equalities == substitute_vanishing_by_conjugation(reduced.equalities)
-    _assert_partners(out)
+    _assert_closed(out)
     return out
 
 
 @given(st.integers(0, 2 ** 32))
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-def test_prolongation_by_partner_index_matches_closing_by_conjugation(seed):
-    # the partners of D_t g, D_tb g and D_t D_tb g come from g's; the order
-    # is the one conjugating every prolonged equality gives, and so is the
-    # re-closure after a redundancy reduction
+def test_prolongation_closing_the_derived_equalities_matches_closing_every_one(seed):
+    # closing only D_t g, D_tb g and D_t D_tb g gives the order conjugating
+    # every prolonged equality gives, and so does the re-closure after a
+    # redundancy reduction
     system, probe = _random_closed_system(random.Random(seed))
     prolonged = _prolong_like_the_reference(system)
     _substitute_like_the_reference(linearize(prolonged, extend_probe(prolonged, probe)))
@@ -401,13 +401,10 @@ def test_prolongation_by_partner_index_matches_closing_by_conjugation(seed):
 def _cut(system, dropped):
     """(reduced system, cut): ``system`` without the equalities at the
     indices ``dropped``, in descending order, as jets.reduce_redundant
-    leaves it, its partners indexing the retained equalities, then the
-    dropped ones."""
+    leaves it, then the dropped ones."""
     eqs = system.equalities
-    retained = sorted(set(range(len(eqs))).difference(dropped))
-    where = {j: k for k, j in enumerate(retained + dropped)}
-    return (system._replace(equalities=tuple(eqs[j] for j in retained),
-                            partners=tuple(where[system.partners[j]] for j in retained)),
+    return (system._replace(equalities=tuple(p for j, p in enumerate(eqs)
+                                             if j not in dropped)),
             [eqs[j] for j in dropped])
 
 
@@ -460,7 +457,7 @@ def _recording_canonical(mp, built):
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 def test_substitution_matches_the_full_passes(seed, prolonged, cut):
     # rebuilding only what names a newly zeroed generator gives what
-    # rebuilding every equality on every pass gives, partners included; a
+    # rebuilding every equality on every pass gives; a
     # system nothing changes in comes back itself, and every polynomial the
     # layout builds unchecked is canonical
     rng = random.Random(seed)
@@ -475,8 +472,7 @@ def test_substitution_matches_the_full_passes(seed, prolonged, cut):
                          reverse=True) if cut else []
         reduced, gone = _cut(system, dropped)
         got = substitute_vanishing(reduced, gone)
-    want = substitute_vanishing_by_full_passes(reduced, gone)
-    assert got.equalities == want.equalities and got.partners == want.partners
+    want = substitute_vanishing_by_full_passes(reduced)
     assert got == want
     if not gone and want.equalities == reduced.equalities:
         assert got is reduced
@@ -627,10 +623,11 @@ def test_prolongation_matches_closing_by_conjugation_on_builtin_strata():
                     system = _substitute_like_the_reference(linearize(prolonged, probe))
 
 
-def test_prolonging_and_substituting_conjugate_nothing(monkeypatch):
-    # closure is carried by index: only loading a system conjugates
-    strata = [stratum for name in sorted(BUILTIN_PROBLEMS)
-              for stratum in build_problem(load_problem(name), name).strata.values()]
+def test_prolongation_conjugates_none_of_the_carried_equalities(monkeypatch):
+    # a closed system's equalities are closed already: prolonging conjugates
+    # only derived equalities, each at most once and none that was carried
+    systems = [system for name in sorted(BUILTIN_PROBLEMS)
+               for system, _ in build_problem(load_problem(name), name).strata.values()]
     calls = []
 
     def counting(p, original=jets.conjugate_involution):
@@ -638,11 +635,17 @@ def test_prolonging_and_substituting_conjugate_nothing(monkeypatch):
         return original(p)
 
     monkeypatch.setattr(jets, "conjugate_involution", counting)
-    for system, probes in strata:
-        substitute_vanishing(prolong_constraints(prolong_constraints(system)))
-        for probe in probes.values():
-            involution_loop(system, probe, max_rounds=3)
-    assert len(strata) == 4 and calls == []
+    for system in systems:
+        for _ in range(2):
+            calls.clear()
+            prolonged = prolong_constraints(system)
+            carried = prolonged.equalities[:len(system.equalities)]
+            assert calls and len(set(calls)) == len(calls)
+            assert len(calls) <= 3 * len(system.equalities)
+            assert not set(calls) & set(carried)
+            assert set(calls) <= set(prolonged.equalities[len(carried):])
+            system = prolonged
+    assert len(systems) == 4
 
 
 SHARED_WORK = ("prolong_constraints", "substitute_vanishing", "_velocities_pinned")
