@@ -9,8 +9,9 @@ in json and text format, plus ``jets`` on every stratum with ``--rounds``
 on every branch of the Cramer determinant, and a point charted at (3, 4)),
 plus ``jets`` with ``--rounds`` 1..3 on
 the Levi-null strata at n = 4 and 5, plus ``jets`` on a stratum whose probes
-extend by nonzero top jets and on one whose equality names a plain and a
-barred velocity, ``jets --probe`` on the cusp and
+extend by nonzero top jets, on one whose equality names a plain and a
+barred velocity and on one whose prolongation is quadratic in the top
+jets, ``jets --probe`` on the cusp and
 ``pseudo-ellipsoid`` on a document of its own, plus ``involutivity`` on
 two n = 4 pair documents whose A^2 = -I check is decided by the
 polynomial products, and writes each invocation's stdout to
@@ -96,11 +97,13 @@ def cases():
                ["dim6", "tests/golden/docs/n3_matrix.json", "--format", fmt])
     # a probe extended by nonzero top jets (n2_extension), a real velocity
     # wb1 = w1, whose tableau mixes the conjugate halves (n2_real_velocity),
+    # a stratum w1*wb1 = z1*zb1 whose prolongation is quadratic in the top
+    # jets (n2_quadratic_stratum),
     # the base tableau of probes jets does not select, and pseudo-ellipsoid
     # at a point where the condition holds on the surface and one off it
     # where it is violated
     for fmt in ("json", "text"):
-        for stem in ("n2_extension", "n2_real_velocity"):
+        for stem in ("n2_extension", "n2_real_velocity", "n2_quadratic_stratum"):
             yield (f"jets-{stem}-{fmt}",
                    ["jets", f"tests/golden/docs/{stem}.json", "--format", fmt])
         yield (f"jets-cusp-generic-probe-P_origin-{fmt}",

@@ -23,7 +23,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def test_golden_set_covers_every_builtin_command():
-    assert len(INDEX) == 121
+    assert len(INDEX) == 123
     for name in ("flat", "hyperquadric", "cusp"):
         for fmt in ("json", "text"):
             assert f"all-{name}-{fmt}" in INDEX
