@@ -3,18 +3,20 @@
 Exit code 0 means the analysis ran (mathematical verdicts are data in the
 report, never exit codes); 2 is an input problem; 3 is an internal
 cross-check failure, which signals a bug.
+
+Every call is a fresh interpreter, so importing this module loads only
+the loader and the modules every command needs; each ``cmd_*`` imports
+the module it runs when it is dispatched.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .errors import CrossCheckMismatch, DiskEdsError, SchemaViolation, SingularD
 from .expr import print_polynomial
 from .geometry import compute_gamma_beta
-from .involutivity import compute_D_vectors, tableau_report
-from .integral_element import kahler_regularity, ordinary_element_search
-from .jets import involution_loop, linearize
 from .reports import (
     LoadedProblem,
     Report,
@@ -23,14 +25,7 @@ from .reports import (
     emit_report,
     load_problem,
 )
-from .torsion import (
-    complex_B_coefficients,
-    dim6_definiteness,
-    form_definiteness,
-    pseudo_ellipsoid_check,
-    structure_equation_coefficients,
-    torsion_absorbable,
-)
+
 
 def _pick(named: dict, requested, one, many):
     if not named:
@@ -65,6 +60,7 @@ def _chart(problem) -> dict:
 
 
 def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
+    from .involutivity import compute_D_vectors, tableau_report
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     gb = compute_gamma_beta(_problem(lp), point)
@@ -84,6 +80,7 @@ def cmd_involutivity(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_torsion(lp: LoadedProblem, opts) -> dict:
+    from .torsion import structure_equation_coefficients, torsion_absorbable
     jname = _pick(lp.jets, opts.jet, "jet", "jets")
     jet = lp.jets[jname]
     sed = structure_equation_coefficients(_problem(lp), jet)
@@ -92,6 +89,7 @@ def cmd_torsion(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
+    from .torsion import complex_B_coefficients, form_definiteness
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     data = complex_B_coefficients(_complex_standard(lp, "complex-forms"), point)
@@ -111,6 +109,7 @@ def cmd_complex_forms(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_dim6(lp: LoadedProblem, opts) -> dict:
+    from .torsion import dim6_definiteness
     pname = _pick(lp.points, opts.point, "point", "points")
     point = lp.points[pname]
     rep = dim6_definiteness(_complex_standard(lp, "dim6"), point)._asdict()
@@ -118,6 +117,7 @@ def cmd_dim6(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
+    from .torsion import pseudo_ellipsoid_check
     pe = _field(lp.doc, "pseudo_ellipsoid", "", "object", required=False)
     if not pe:
         raise SchemaViolation("the problem has no pseudo_ellipsoid block")
@@ -139,6 +139,7 @@ def cmd_pseudo_ellipsoid(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
+    from .integral_element import kahler_regularity, ordinary_element_search
     jname = _pick(lp.jets, opts.jet, "jet", "jets")
     jet = lp.jets[jname]
     problem = _problem(lp)
@@ -171,6 +172,7 @@ def cmd_integral_element(lp: LoadedProblem, opts) -> dict:
 
 
 def cmd_jets(lp: LoadedProblem, opts) -> dict:
+    from .jets import involution_loop, linearize
     sname = _pick(lp.strata, opts.stratum, "stratum", "strata")
     system, probes = lp.strata[sname]
     if not probes:
@@ -291,7 +293,10 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="diskeds",
         description="Exact Pfaffian-system analyzer for disk germs in "
-                    "real-analytic hypersurfaces")
+                    "real-analytic hypersurfaces",
+        # argparse's width off a terminal, fixed so that it loads no shutil
+        # to read the terminal's
+        formatter_class=partial(argparse.HelpFormatter, width=78))
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("problem", help="builtin name or JSON problem file")
     ap.add_argument("--point", default=None)

@@ -697,7 +697,12 @@ def _digits(n: int) -> str:
 def rational_str(x: Fraction) -> str:
     """str(x) of a rational of any size, 'p' or 'p/q'.  It never changes
     the process-wide digit limit (sys.set_int_max_str_digits)."""
-    num, den = x.numerator, x.denominator
+    if type(x) is Fraction:
+        num, den = x._numerator, x._denominator
+    else:
+        num, den = x.numerator, x.denominator
+    if -_PIECE < num < _PIECE and den < _PIECE:   # most values: str() on its own
+        return str(num) if den == 1 else f"{num}/{den}"
     text = "-" + _digits(-num) if num < 0 else _digits(num)
     return text if den == 1 else f"{text}/{_digits(den)}"
 

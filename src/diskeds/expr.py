@@ -30,10 +30,16 @@ Every product of two term tables, in the parser and in ``Polynomial``
 arithmetic, is :func:`_product`: one loop over the pairs of terms on
 integer exponent keys, which builds the table, term order and
 coefficient types of the term-by-term operator fold.
+
+The jet tables that strata are parsed over (:func:`jet_table`) and a
+stratum's open conditions (``Opening``) live here too, so loading a
+document needs nothing of ``jets``, which analyzes the strata.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from operator import add as _add, lshift as _lshift
 
 from .errors import (
@@ -659,3 +665,28 @@ def print_polynomial(p: Polynomial) -> str:
     for sign, body in pieces[1:]:
         out += (" - " if sign else " + ") + body
     return out
+
+
+# ----------------------------------------------------------------------
+# jet tables and openings
+
+
+# the jet tables kept built: a command meets one n and a few jet orders
+JET_TABLES_KEPT = 16
+
+
+@lru_cache(maxsize=JET_TABLES_KEPT)
+def jet_table(n: int, max_order: int):
+    """z/zb (order 0) then w-jets of orders 1..max_order; one tuple per
+    (n, max_order), the last JET_TABLES_KEPT of them kept built."""
+    names = [f"z{l}" for l in range(1, n + 1)] + [f"zb{l}" for l in range(1, n + 1)]
+    for k in range(max_order):
+        suffix = "" if k == 0 else f"_{k}"
+        names += [f"w{l}{suffix}" for l in range(1, n + 1)]
+        names += [f"wb{l}{suffix}" for l in range(1, n + 1)]
+    return tuple(names)
+
+
+# an open condition of a stratum on a Polynomial over a jet table; sign:
+# "+", "-", or "nonzero"
+Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))

@@ -14,7 +14,9 @@ already.
 ``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
 and is a prefix of ``jet_table(n, q + 1)``.  Each (n, q) has one table,
 built on first use and shared by every system, polynomial and probe over
-it (the last ``JET_TABLES_KEPT`` stay built).  Generator i is barred when
+it (the last ``JET_TABLES_KEPT`` stay built).  The tables and ``Opening``
+are defined in ``expr``, so loading a document needs nothing of this
+module.  Generator i is barred when
 ``i // n`` is odd, has jet order ``i // 2n``, goes to ``i + 2n`` under D_t
 (or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  A
 probe is a tuple of values in the same order.  Derivation, conjugation,
@@ -78,28 +80,12 @@ from .exact import (
     require_real,
     scalar_conj,
 )
-from .expr import Polynomial, print_polynomial
+from .expr import JET_TABLES_KEPT, Opening, Polynomial, jet_table, print_polynomial
 from .linalg import _echelon, mat_rank, solve_particular
 
 
 # ----------------------------------------------------------------------
 # variable tables
-
-
-# the jet tables kept built: a command meets one n and a few jet orders
-JET_TABLES_KEPT = 16
-
-
-@lru_cache(maxsize=JET_TABLES_KEPT)
-def jet_table(n: int, max_order: int):
-    """z/zb (order 0) then w-jets of orders 1..max_order; one tuple per
-    (n, max_order), the last JET_TABLES_KEPT of them kept built."""
-    names = [f"z{l}" for l in range(1, n + 1)] + [f"zb{l}" for l in range(1, n + 1)]
-    for k in range(max_order):
-        suffix = "" if k == 0 else f"_{k}"
-        names += [f"w{l}{suffix}" for l in range(1, n + 1)]
-        names += [f"wb{l}{suffix}" for l in range(1, n + 1)]
-    return tuple(names)
 
 
 def _block(table) -> int:
@@ -177,10 +163,6 @@ def _monic(p: Polynomial) -> Polynomial:
         return p
     lead = p.leading()[1]
     return p if lead == 1 else p.scale(1 / lead)
-
-
-# sign: "+", "-", or "nonzero"
-Opening = namedtuple("Opening", "poly sign", defaults=("nonzero",))
 
 
 class JetConstraintSystem(namedtuple("JetConstraintSystem",

@@ -22,7 +22,15 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, SchemaViolation
 from .exact import gaussian, rat, rational_str
-from .expr import ParseBudget, parse_expression, parse_tokens, tokenize, unit_exponents
+from .expr import (
+    Opening,
+    ParseBudget,
+    jet_table,
+    parse_expression,
+    parse_tokens,
+    tokenize,
+    unit_exponents,
+)
 from .builtins import BUILTIN_PROBLEMS
 from .geometry import (
     HypersurfaceProblem,
@@ -31,7 +39,6 @@ from .geometry import (
     make_structure_from_pair,
     structure_from_entries,
 )
-from .jets import Opening, jet_table, make_system, probe_from_values
 
 
 def _reject_float(text):
@@ -131,7 +138,8 @@ class _Strata(Mapping):
     built on its first read from what the loader checked: the parsed
     equalities and openings, the order and each probe's z values and w
     jets.  Every check that can fail runs at load, so a build raises
-    nothing and a command that reads no stratum builds none."""
+    nothing and a command that reads no stratum builds none, nor loads
+    ``jets``."""
 
     def __init__(self, n, checked):
         self._n, self._checked, self._built = n, checked, {}
@@ -139,6 +147,7 @@ class _Strata(Mapping):
     def __getitem__(self, name):
         built = self._built.get(name)
         if built is None:
+            from .jets import make_system, probe_from_values
             parsed, openings, order, probes = self._checked[name]
             built = self._built[name] = (
                 make_system(self._n, parsed, openings, order=order),

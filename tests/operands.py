@@ -8,8 +8,9 @@ a term they keep.  Counting both reads, the slot's only where the reading
 frame is in ``diskeds/exact.py``, counts the Fraction operands exact
 arithmetic takes in, whichever path takes them, and a read of an exact
 zero's denominator is work spent on a zero.  Comparisons and the report
-writer read denominators too and are not counted; nor are Fraction's own
-slot reads under its public properties and operators.
+writer (``rational_str``, which reads the slots) read denominators too
+and are not counted on either path; nor are Fraction's own slot reads
+under its public properties and operators.
 """
 import contextlib
 import sys
@@ -39,7 +40,8 @@ def fraction_operands(counting=lambda: True):
         return real.fget(x)
 
     def slot_read(x):
-        if counting() and sys._getframe(1).f_code.co_filename == exact.__file__:
+        code = sys._getframe(1).f_code
+        if counting() and code.co_filename == exact.__file__ and code not in _NOT_ARITHMETIC:
             count(x)
         return slot.__get__(x)
 

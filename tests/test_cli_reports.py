@@ -22,7 +22,7 @@ from diskeds.expr import Polynomial, parse_expression, print_polynomial
 from diskeds.geometry import FirstJetPoint
 from diskeds.jets import Opening, jet_table, make_system
 from diskeds.reports import MAX_DIMENSION_2N, Report, build_problem, emit_report, load_problem
-from diskeds import cli, expr, reports
+from diskeds import cli, expr, jets, reports
 from operands import fraction_operands
 from oracles import report_by_tree
 
@@ -600,7 +600,6 @@ def test_torsion_command_builds_structure_equations_once(monkeypatch, capsys):
         return real(problem, jet)
 
     monkeypatch.setattr(torsion, "structure_equation_coefficients", counting)
-    monkeypatch.setattr(cli, "structure_equation_coefficients", counting)
     assert cli.main(["torsion", "hyperquadric"]) == 0
     assert len(builds) == 1
 
@@ -1056,6 +1055,17 @@ def test_help_returns_0_and_an_unknown_option_2(capsys):
     assert captured.err.endswith("diskeds: error: unrecognized arguments: --bogus\n")
 
 
+def test_help_wraps_at_a_fixed_width(monkeypatch, capsys):
+    # the width argparse takes off a terminal, whatever COLUMNS says
+    texts = []
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.main(["--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
+    assert "usage: diskeds [-h] [--point POINT] [--jet JET] [--stratum STRATUM]\n" in texts[0]
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     # the argparse parser is built on the first call and reused; a call
     # argparse rejects leaves it working and keeps no option of its own
@@ -1260,8 +1270,8 @@ def test_a_stratum_is_built_on_its_first_read(argv, built, monkeypatch, capsys):
     strata = build_problem(load_problem(name), name).strata
     want = [strata[sname][0] for sname in built]
     made = []
-    real = reports.make_system
-    monkeypatch.setattr(reports, "make_system",
+    real = jets.make_system
+    monkeypatch.setattr(jets, "make_system",
                         lambda *args, **kwargs: made.append(real(*args, **kwargs)) or made[-1])
     cli.main(argv)
     capsys.readouterr()
@@ -1359,13 +1369,13 @@ def test_jets_probe_runs_one_involution_loop(monkeypatch, capsys):
     # the other probes only get the probe check and their base tableau,
     # which the locally-constant warning compares against
     calls = []
-    real = cli.involution_loop
+    real = jets.involution_loop
 
     def counting(system, probe, **options):
         calls.append(probe)
         return real(system, probe, **options)
 
-    monkeypatch.setattr(cli, "involution_loop", counting)
+    monkeypatch.setattr(jets, "involution_loop", counting)
     assert cli.main(["jets", "cusp", "--stratum", "generic",
                      "--probe", "P_origin"]) == 0
     assert len(calls) == 1

@@ -719,9 +719,9 @@ def test_stratum_dims_fixtures():
 
 
 def _counting_freezes(monkeypatch, frozen, systems=None):
-    """Make jets.linearize and cli.linearize append to ``frozen`` an
-    (equality, probe) pair for each equality a call freezes, that is, each
-    one it is given no row for, and to ``systems`` each system."""
+    """Make jets.linearize append to ``frozen`` an (equality, probe) pair
+    for each equality a call freezes, that is, each one it is given no row
+    for, and to ``systems`` each system."""
     original = jets.linearize
 
     def counting(system, probe, rows=None):
@@ -732,7 +732,6 @@ def _counting_freezes(monkeypatch, frozen, systems=None):
         return original(system, probe, rows)
 
     monkeypatch.setattr(jets, "linearize", counting)
-    monkeypatch.setattr(cli, "linearize", counting)
 
 
 def test_stratum_step_freezes_each_prolonged_equality_at_most_twice(monkeypatch):

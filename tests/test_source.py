@@ -1,8 +1,12 @@
 """Source-level rules for the package."""
 import ast
+import importlib
 import pathlib
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "diskeds"
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
@@ -498,12 +502,98 @@ def test_no_dataclasses_in_the_package():
     assert found == []
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import diskeds.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+def _modules_after(code, root=SRC.parent, flag="-I"):
+    """The modules a fresh interpreter, run with ``flag`` and ``root`` first
+    on its path, has loaded once ``code`` has run; ``code`` may write to
+    stdout."""
+    script = (f"import sys\nsys.path.insert(0, sys.argv[1])\n{code}\n"
+              "sys.stderr.write(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, flag, "-c", script, str(root)],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return set(done.stderr.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert {"dataclasses", "inspect"} & _modules_after("import diskeds.cli") == set()
+
+
+# the modules a command runs; each loads on the dispatch of its command
+COMMAND_MODULES = {"diskeds.involutivity", "diskeds.torsion",
+                   "diskeds.integral_element", "diskeds.jets"}
+
+
+def _main_loads(argv):
+    """The modules a fresh interpreter run with -S has loaded after
+    ``cli.main(argv)`` exits 0.  -S keeps site from loading modules
+    (random and shutil among them) that the package may not need."""
+    return _modules_after(f"from diskeds import cli\nif cli.main({argv!r}):\n"
+                          "    sys.exit('the command failed')", flag="-S")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert {m for m in _modules_after("import diskeds")
+            if m.startswith("diskeds.")} == set()
+
+
+def _command_modules_the_cli_import_loads(root=SRC.parent):
+    return sorted(COMMAND_MODULES & _modules_after("import diskeds.cli", root))
+
+
+def test_importing_the_cli_loads_no_command_module():
+    # every CLI call is a fresh interpreter: the loader, but no command's
+    # own module, is paid for before the command is known
+    assert _command_modules_the_cli_import_loads() == []
+
+
+def test_the_cli_import_rule_finds_a_module_level_command_import(tmp_path):
+    shutil.copytree(SRC, tmp_path / "diskeds",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "diskeds" / "cli.py"
+    cli.write_text(cli.read_text() + "\nfrom .jets import involution_loop\n")
+    assert _command_modules_the_cli_import_loads(tmp_path) == ["diskeds.jets"]
+
+
+def test_torsion_loads_no_stratum_flag_search_or_terminal_module():
+    # torsion reads no stratum, flag search or terminal: neither jets,
+    # integral_element (nor its random) nor argparse's shutil loads
+    loaded = _main_loads(["torsion", "hyperquadric"])
+    assert "diskeds.torsion" in loaded
+    assert {"diskeds.jets", "diskeds.integral_element", "random", "shutil"} & loaded == set()
+
+
+def test_jets_loads_no_other_command_module():
+    assert COMMAND_MODULES & _main_loads(["jets", "cusp"]) == {"diskeds.jets"}
+
+
+# every name diskeds exported when its __init__ imported every module
+PACKAGE_EXPORTS = {
+    "exact": ["GaussianRational", "Rational", "gaussian", "rat"],
+    "expr": ["Polynomial", "parse_expression", "print_polynomial"],
+    "geometry": ["FirstJetPoint", "GammaBetaData", "HypersurfaceProblem",
+                 "StructureMatrix", "complex_standard", "compute_gamma_beta",
+                 "full_jet", "make_structure_from_pair", "structure_from_entries"],
+    "involutivity": ["DVectors", "TableauReport", "compute_D_vectors", "tableau_report"],
+    "torsion": ["ComplexTorsionData", "StructureEquationData", "TorsionVerdict",
+                "complex_B_coefficients", "dim6_definiteness", "pseudo_ellipsoid_check",
+                "structure_equation_coefficients", "torsion_absorbable"],
+    "integral_element": ["FlagSpec", "kahler_regularity", "ordinary_element_search"],
+    "jets": ["JetConstraintSystem", "Linearization", "StratumReport",
+             "conjugate_involution", "involution_loop", "linearize", "make_system",
+             "prolong_constraints", "reduce_redundant", "stratum_analyze"],
+}
+
+
+def test_the_lazy_package_exports_every_name_it_exported():
+    import diskeds
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+    assert sorted(diskeds.__all__) == sorted(names)
+    assert set(names) <= set(dir(diskeds))
+    for module, names in PACKAGE_EXPORTS.items():
+        owner = importlib.import_module(f"diskeds.{module}")
+        for name in names:
+            assert getattr(diskeds, name) is getattr(owner, name)
+    with pytest.raises(AttributeError):
+        diskeds.no_such_name
 
 
 def test_importing_the_cli_builds_no_argument_parser():
