@@ -11,12 +11,11 @@ conjugate.  Prolonging adds D_t g, D_tb g and D_t D_tb g for every
 equality g and closes only those; the system's own equalities are closed
 already.
 
-``jet_table(n, q)`` holds blocks of n names, z, zb, w, wb, w_1, wb_1, ...,
-and is a prefix of ``jet_table(n, q + 1)``.  Each (n, q) has one table,
-built on first use and shared by every system, polynomial and probe over
-it (the last ``JET_TABLES_KEPT`` stay built).  The tables and ``Opening``
-are defined in ``expr``, so loading a document needs nothing of this
-module.  Generator i is barred when
+``jet_table(n, q)``, which ``expr`` defines with ``Opening`` for the
+loader, holds blocks of n names, z, zb, w, wb, w_1, wb_1, ..., and is a
+prefix of ``jet_table(n, q + 1)``.  Each (n, q) has one table, built on
+first use and shared by every system, polynomial and probe over it (the
+last ``JET_TABLES_KEPT`` stay built).  Generator i is barred when
 ``i // n`` is odd, has jet order ``i // 2n``, goes to ``i + 2n`` under D_t
 (or D_tb) and has its conjugate partner at ``i + n`` or ``i - n``.  A
 probe is a tuple of values in the same order.  Derivation, conjugation,
