@@ -353,13 +353,23 @@ class Polynomial:
         :func:`exact.polynomial_at`; a PreparedPoint is taken as it is."""
         if type(point) is not PreparedPoint:
             point = PreparedPoint(point)
-        if len(point.values) != len(self.vars):
-            raise DimensionMismatch(
-                f"point of length {len(point.values)} vs {len(self.vars)} variables")
+        self._check_length(point.values)
         return point
 
+    def _check_length(self, values):
+        if len(values) != len(self.vars):
+            raise DimensionMismatch(
+                f"point of length {len(values)} vs {len(self.vars)} variables")
+
     def evaluate(self, point):
-        return polynomial_at(self.terms.items(), self._at(point))[0]
+        """The value at a point.  A constant takes no pass and prepares no
+        point: its value is its constant term, the exact 0 for the zero
+        polynomial."""
+        terms = self.terms
+        if len(terms) > 1 or terms and any(next(iter(terms))):
+            return polynomial_at(terms.items(), self._at(point))[0]
+        self._check_length(point.values if type(point) is PreparedPoint else point)
+        return next(iter(terms.values()), _ZERO)
 
     def derivatives_at(self, point, second=False):
         """The gradient at a point and, with ``second``, the Hessian rows

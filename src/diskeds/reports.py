@@ -13,12 +13,22 @@ each Fraction as its string, or ``path = value`` text lines.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+
+# the interpreter's own SHA-256 (_sha2 on 3.12+, _sha256 before), not
+# OpenSSL's, which would map libcrypto into every CLI process for one short
+# digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:     # an interpreter built without either
+        from hashlib import sha256
 
 from .errors import CrossCheckMismatch, SchemaViolation
 from .exact import gaussian, rat, rational_str
@@ -70,8 +80,10 @@ def load_problem(source) -> dict:
 
 
 def problem_digest(doc: dict) -> str:
+    """The SHA-256 hexdigest of ``doc``'s canonical JSON: sorted keys, no
+    whitespace, encoded as UTF-8."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # JSON kind -> (Python type, what a value of that kind is)

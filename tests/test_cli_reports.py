@@ -206,6 +206,33 @@ def test_digest_detects_input_drift():
     assert a.digest != b.digest
 
 
+@given(st.binary(max_size=300))
+@example(bytes(range(256)) * 8)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+def test_the_digest_sha256_is_hashlib_sha256(data):
+    # the interpreter's own SHA-256 the digest uses, against OpenSSL's;
+    # sizes across the 55/64-byte padding and block boundaries
+    import hashlib
+    assert reports.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    doc = {"blob": data.hex(), "dimension_2n": 4}
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert reports.problem_digest(doc) == hashlib.sha256(canonical).hexdigest()
+
+
+def test_the_hashlib_fallback_reproduces_the_golden_digest():
+    # an interpreter built without _sha2 and _sha256 digests through
+    # hashlib, to the same bytes
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from diskeds import cli\n"
+            "rc = cli.main(['torsion', 'hyperquadric', '--format', 'json'])\n"
+            "print(rc, 'hashlib' in sys.modules, file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    golden = Path(__file__).resolve().parent / "golden" / "torsion-hyperquadric-json.out"
+    assert done.stderr == b"0 True\n"
+    assert done.stdout == golden.read_bytes()
+
+
 def test_pseudo_ellipsoid_command(tmp_path):
     doc = {
         "dimension_2n": 6,

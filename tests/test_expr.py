@@ -295,6 +295,32 @@ def test_every_reading_at_a_point_checks_its_length():
                 read(point)
 
 
+@given(st.one_of(st.just(Fraction(0)), st.sampled_from(COORDINATES)),
+       st.tuples(*[st.sampled_from(COORDINATES)] * 3), st.booleans(),
+       st.integers(0, 5).filter(lambda n: n != 3))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+def test_a_constant_evaluates_to_its_constant_term(c, pt, prepared, wrong):
+    # a constant, the zero polynomial among them, takes no polynomial_at
+    # pass; its value and type are the pass's, and the length check stays
+    p = Polynomial.const(V3, c)
+    want = polynomial_at(p.terms.items(), PreparedPoint(pt))[0]
+    value = p.evaluate(PreparedPoint(pt) if prepared else pt)
+    assert value == want and type(value) is type(want)
+    point = (pt * 2)[:wrong]
+    with pytest.raises(DimensionMismatch, match=f"point of length {wrong} vs 3"):
+        p.evaluate(PreparedPoint(point) if prepared else point)
+
+
+def test_a_constant_prepares_no_point_and_takes_no_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant prepared a point or took a pass")
+
+    monkeypatch.setattr(expr, "polynomial_at", refuse)
+    monkeypatch.setattr(expr, "PreparedPoint", refuse)
+    assert Polynomial.const(V3, gaussian(1, 2)).evaluate((1, 2, 3)) == gaussian(1, 2)
+    assert Polynomial.zero(V3).evaluate([0, 0, 0]) is expr._ZERO
+
+
 def test_monomial_stops_at_the_first_zero_factor():
     # a monomial, or a derivative of one, that keeps a factor with an exact
     # zero value is 0 before any of its powers is taken, wherever the zero

@@ -96,7 +96,9 @@ def test_golden_report_echoes_exactly_the_options_its_argv_sets(case):
 
 # replays every indexed case in-process, importing nothing beyond the
 # standard library and diskeds (the interpreter runs with -S); prints each
-# case that differs, then the interpreter's version and the case count
+# case that differs, then the interpreter's version and the case count, and
+# whether OpenSSL's _hashlib was loaded (the digest uses the interpreter's
+# own SHA-256: _sha256 on 3.10, _sha2 on 3.12 and 3.13)
 REPLAY = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -114,6 +116,7 @@ for case, expected in sorted(index.items()):
             expected["exit"], expected["stderr"], (golden / f"{case}.out").read_bytes()):
         print("differs:", case)
 print("%d.%d" % sys.version_info[:2], len(index))
+print("_hashlib loaded:", "_hashlib" in sys.modules)
 """
 
 
@@ -143,4 +146,4 @@ def test_golden_reports_replay_under_other_interpreters(version):
     run = subprocess.run([name, "-S", "-c", REPLAY, str(ROOT)], cwd=ROOT, env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [f"{version} {len(INDEX)}"]
+    assert run.stdout.splitlines() == [f"{version} {len(INDEX)}", "_hashlib loaded: False"]

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 import ast
 import importlib
+import importlib.util
 import pathlib
 import shutil
 import subprocess
@@ -522,12 +523,12 @@ COMMAND_MODULES = {"diskeds.involutivity", "diskeds.torsion",
                    "diskeds.integral_element", "diskeds.jets"}
 
 
-def _main_loads(argv):
+def _main_loads(argv, root=SRC.parent):
     """The modules a fresh interpreter run with -S has loaded after
     ``cli.main(argv)`` exits 0.  -S keeps site from loading modules
     (random and shutil among them) that the package may not need."""
     return _modules_after(f"from diskeds import cli\nif cli.main({argv!r}):\n"
-                          "    sys.exit('the command failed')", flag="-S")
+                          "    sys.exit('the command failed')", root, flag="-S")
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -563,6 +564,32 @@ def test_torsion_loads_no_stratum_flag_search_or_terminal_module():
 
 def test_jets_loads_no_other_command_module():
     assert COMMAND_MODULES & _main_loads(["jets", "cusp"]) == {"diskeds.jets"}
+
+
+# hashlib and the OpenSSL and BLAKE2 modules it maps in; the digest uses the
+# interpreter's own SHA-256 (_sha2 on 3.12+, _sha256 before) where it has one
+HASHLIB_MODULES = {"hashlib", "_hashlib", "_blake2"}
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+def _hashlib_modules_loaded(argv, root=SRC.parent):
+    return sorted(HASHLIB_MODULES & _main_loads(argv, root))
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="the interpreter has no built-in SHA-256")
+@pytest.mark.parametrize("argv", [["torsion", "hyperquadric"], ["jets", "cusp"],
+                                  ["integral-element", "hyperquadric"]])
+def test_no_command_loads_hashlib(argv):
+    # every CLI call is a fresh interpreter, and each digests its document
+    assert _hashlib_modules_loaded(argv) == []
+
+
+def test_the_hashlib_rule_finds_a_module_level_hashlib_import(tmp_path):
+    shutil.copytree(SRC, tmp_path / "diskeds",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    reports = tmp_path / "diskeds" / "reports.py"
+    reports.write_text(reports.read_text() + "\nimport hashlib\n")
+    assert "hashlib" in _hashlib_modules_loaded(["torsion", "hyperquadric"], tmp_path)
 
 
 # every name diskeds exported when its __init__ imported every module
