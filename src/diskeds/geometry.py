@@ -29,10 +29,18 @@ evaluate them over rational functions as the symbolic reference.  A first
 jet's tangent holds the derivatives along chosen directions: the
 coordinate axes give the full gradient (the complex closed forms), and
 the full first jet's p1 and p2 give the two derivatives that torsion and
-the polar maps contract with.  One builder runs both modes: they differ
-only in how each input (a first derivative of rho or a structure entry)
-becomes a scalar, read once in user coordinates and then re-indexed into
-a chart's internal order or projected onto the directions.
+the polar maps contract with.  The modes differ only in how each input
+(a first derivative of rho or a structure entry) becomes a scalar, read
+once in user coordinates and then re-indexed into a chart's internal
+order or projected onto the directions.
+
+Over first jets only what is read is differentiated.  The gamma
+numerators are linear in (rho_j, mu_j), so torsion's contractions
+p^k_1 = sum_j p^j gamma^k_j are the gamma formula at one added
+coordinate (:func:`contracted_gammas`): two quotients per jet at any n.
+The complex closed forms read gamma_{2j} alone, from mu at the pair and
+the columns 2k (:func:`gamma_first_jets`).  No beta is formed over
+first jets.
 
 D = 0 at the point raises SingularD whether or not D vanishes
 identically: telling the two apart would need polynomial products whose
@@ -207,8 +215,9 @@ class HypersurfaceProblem(namedtuple("HypersurfaceProblem", "rho structure pair"
 
 
 class GammaBetaData(namedtuple("GammaBetaData", "problem alpha rho_grad mu D gamma1 gamma2")):
-    """Reduced first-jet data; entries are Fractions in pointwise mode and
-    FirstJets in first-jet mode (a Fraction where the tangent is zero).
+    """Reduced first-jet data at a point, its entries Fractions; the test
+    oracles build it over other exact scalars too (first jets, rational
+    functions).
 
     ``alpha`` holds the structure entries in internal order; ``rho_grad``
     and ``mu`` have length 2n, ``gamma1`` and ``gamma2`` length 2n-2
@@ -263,13 +272,20 @@ def _mu_and_D(grad, alpha, zero):
 
 
 def _gammas(grad, mu, minus_mu, D, zero):
-    """gamma^1 and gamma^2, j = 3..2n, over -D: their numerators are D at
-    the pairs (j, 2) and (1, j)."""
+    """gamma^1 and gamma^2, j = 3..len(grad), over -D: their numerators
+    are D at the pairs (j, 2) and (1, j)."""
     minus_D = -D
     over = lambda num: num / minus_D if num else num
     js = range(2, len(grad))
     return (tuple(over(_pair_D(grad, mu, minus_mu, j, 1, zero)) for j in js),
             tuple(over(_pair_D(grad, mu, minus_mu, 0, j, zero)) for j in js))
+
+
+def _gammas_over(grad, mu, zero):
+    """:func:`_gammas` of rho's derivatives and mu read at the pair and then
+    at any further coordinates, D read off the same mu; D's value is not 0."""
+    minus_mu = _negated(mu)
+    return _gammas(grad, mu, minus_mu, _pair_D(grad, mu, minus_mu, 0, 1, zero), zero)
 
 
 def _settled(jet: FirstJet):
@@ -393,29 +409,44 @@ def compute_gamma_beta(problem: HypersurfaceProblem, point) -> GammaBetaData:
     return _gamma_beta(*_chart_order(problem, _inputs(problem, point)))
 
 
-def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
-    """Pointwise mode over exact first jets: every entry is a FirstJet
-    holding its value and its gradient in the internal f-variables, or its
-    value where that gradient is zero (read through :func:`_value` and
-    :func:`_tangent`).  Raises as :func:`compute_gamma_beta`.
-    """
-    return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)))
+def gamma_first_jets(problem: HypersurfaceProblem, point, columns):
+    """(the chart, gamma^1_j and gamma^2_j at the 0-based internal
+    ``columns`` alone) as first jets along the internal axes, read through
+    :func:`_value` and :func:`_tangent`, from mu at the pair and
+    ``columns`` only.  ``problem`` names no pair, so its chart has D != 0."""
+    problem, (grad, alpha, zero) = _chart_order(problem, _inputs(problem, point, jets=True))
+    read = (0, 1, *columns)
+    mu = tuple(dot(grad, [row[i] for row in alpha], zero) for i in read)
+    return (problem, *_gammas_over(tuple(grad[i] for i in read), mu, zero))
 
 
 def gamma_beta_along_jet(problem: HypersurfaceProblem, jet: FirstJetPoint):
-    """(pointwise data at ``jet.f``, its :func:`full_jet`, first-jet data
-    along the jet), from one reading of the inputs.
+    """(pointwise data at ``jet.f``, its :func:`full_jet`, the inputs along
+    the jet), from one reading of the inputs.
 
-    The first jets carry, in place of a gradient, the derivatives along
-    the jet's p1 and p2 (user order): two numbers per entry instead of
-    2n.  They need p1 and p2, hence the pointwise gammas, first.  Raises
-    as :func:`gamma_beta_first_jets`.
+    The inputs along the jet are rho's derivatives and the structure
+    entries in the chart's internal order, as first jets that carry, in
+    place of a gradient, the derivatives along the jet's p1 and p2 (user
+    order): two numbers per entry instead of 2n.  They need p1 and p2,
+    hence the pointwise gammas, first.  Raises as :func:`compute_gamma_beta`.
     """
     inputs = _inputs(problem, jet.f, jets=True)
     gb = _gamma_beta(*_chart_order(problem, inputs, _value))
     fj = full_jet(jet, gb)
-    along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
-    return gb, fj, along
+    return gb, fj, _chart_order(gb.problem, inputs, _along((fj.p1, fj.p2)))[1]
+
+
+def contracted_gammas(inputs, p):
+    """p^k_1 = sum_j p^j gamma^k_j, k = 1, 2, over the scalars of charted
+    ``inputs`` and the constants ``p`` = p^3..p^2n.  The gammas'
+    numerators are linear in (rho_j, mu_j), so this is the gamma pair at
+    one added coordinate whose rho is p . rho_rest and whose mu is
+    p . mu_rest: two quotients, whatever n.  D's value is not 0."""
+    grad, alpha, zero = inputs
+    contracted = lambda v: (v[0], v[1], dot(p, v[2:], zero))
+    (p11,), (p21,) = _gammas_over(contracted(grad),
+                                  contracted(row_times_matrix(grad, alpha, zero)), zero)
+    return p11, p21
 
 
 # p1 and p2 in user coordinate order

@@ -19,9 +19,11 @@ contracted with p before differentiating: as the p^j are constant,
 sum_j p^j D gamma^k_j = D p^k_1 and sum_j p^j beta_{k,j} = (A p1)_k.  The
 test suite fixes the table sums against an independent exterior-derivative
 expansion and this reading against the table sums.  Each term is a
-rational dot over the tangents along (p1, p2) of the gammas and the
-structure entries, so no beta is formed over first jets: O(n^2) work where
-the 2n quadratic-form matrices (a test oracle) cost O(n^3).
+rational dot over the tangents along (p1, p2) of p^1_1, p^2_1 and the
+structure entries.  p^k_1 is the gamma formula at one contracted
+coordinate (``geometry.contracted_gammas``), so a jet takes two
+first-jet quotients at any n and no beta over first jets: O(n^2) work
+where the 2n quadratic-form matrices (a test oracle) cost O(n^3).
 
 Torsion is absorbable when the two-row system D1 v = residual_1,
 D2 v = residual_2 is solvable: for D0 = 0 both residuals must vanish;
@@ -30,9 +32,11 @@ cross condition rho_1 * residual_1 + rho_2 * residual_2 = 0 decides.  Both
 the solvability test and the closed form are evaluated and must agree.
 
 The complex-case closed forms (first-order differential operators P^1_k,
-P^2_k acting on the gammas, the B coefficient tables, the two quadratic
-forms, the dimension-6 discriminants and the pseudo-ellipsoid product
-condition) are implemented against the same exact substrate.  A form is
+P^2_k acting on gamma^1_{2j} and gamma^2_{2j}, the only gammas they read
+and so the only ones differentiated; the B coefficient tables, each entry
+one dot; the two quadratic forms, the dimension-6 discriminants and the
+pseudo-ellipsoid product condition) are implemented against the same
+exact substrate.  A form is
 definite by the signs of its leading principal minors, all read off one
 ``linalg._echelon``: a row exchange or a missing pivot makes a minor 0;
 otherwise the pivots are the eliminated rows' diagonal and the k-th
@@ -50,11 +54,12 @@ from .geometry import (
     HypersurfaceProblem,
     _tangent,
     _value,
+    contracted_gammas,
     gamma_beta_along_jet,
-    gamma_beta_first_jets,
+    gamma_first_jets,
 )
 from .involutivity import compute_D_vectors
-from .linalg import _echelon, dot, dot_plus, solve_particular
+from .linalg import _echelon, dot, solve_particular
 
 
 # ----------------------------------------------------------------------
@@ -74,12 +79,11 @@ def _coefficient_tables(problem: HypersurfaceProblem,
     p, zero = jet.p_reduced, Fraction(0)
     p1 = (fj.p11, fj.p21) + p
     tangents = lambda row, d: [_tangent(x, d) for x in row]
-    gammas = (along.gamma1, along.gamma2)
     # D_{p1} p^k_1 and D_{p2} p^k_1 (k = 1, 2), then every D_{p1} (A p1)_k
-    dp1 = [dot(p, tangents(g, 0), zero) for g in gammas]
-    dp2 = [dot(p, tangents(g, 1), zero) for g in gammas]
+    pk1 = contracted_gammas(along, p)
+    dp1, dp2 = tangents(pk1, 0), tangents(pk1, 1)
     b = [dot((*tangents(along_row, 0), *row[:2]), (*p1, *dp1), zero)
-         for row, along_row in zip(gb.alpha, along.alpha)]
+         for row, along_row in zip(gb.alpha, along[1])]
     c_values = tuple([g - bk if bk else g for g, bk in zip(dp2, b)]
                      + [-bk if bk else bk for bk in b[2:]])
     return StructureEquationData(c_values, gb)
@@ -124,52 +128,49 @@ def torsion_absorbable(sed: StructureEquationData) -> TorsionVerdict:
 # complex case closed forms
 
 
-# problem: the problem charted at the pair the tables are read in; gamma1,
-# gamma2: values at the point, indices j = 3..2n; B_lower, B_upper: (j, k)
-# -> value, j,k = 2..n; c1, c2: symmetric quadratic-form matrices in
-# p^3..p^{2n}, internal order
-ComplexTorsionData = namedtuple("ComplexTorsionData",
-                                "problem gamma1 gamma2 B_lower B_upper c1 c2")
+# problem: the problem charted at the pair the tables are read in; B_lower,
+# B_upper: (j, k) -> value, j,k = 2..n; c1, c2: symmetric quadratic-form
+# matrices in p^3..p^{2n}, internal order
+ComplexTorsionData = namedtuple("ComplexTorsionData", "problem B_lower B_upper c1 c2")
 
 
-def _p_operator(which, k, gamma1, gamma2, partial):
-    """P^1_k / P^2_k applied to a target given by ``partial(i)``, its
-    derivative along the 0-based f-variable i."""
-    g1_2k = gamma1[2 * k - 3]   # index j=2k -> tuple slot 2k-3
-    g2_2k = gamma2[2 * k - 3]
-    if which == 1:
-        return dot_plus((g2_2k, -g1_2k), (partial(0), partial(1)), partial(2 * k - 2))
-    return dot_plus((g1_2k, g2_2k), (partial(0), partial(1)), partial(2 * k - 1))
-
-
-def complex_torsion(problem, gammas, targets, partial) -> ComplexTorsionData:
+def complex_torsion(problem, gammas, targets, partial, zero) -> ComplexTorsionData:
     """B_{j,k} = P^2_k(gamma^1_{2j}) + P^1_k(gamma^2_{2j}),
     B^{j,k} = P^2_k(gamma^2_{2j}) - P^1_k(gamma^1_{2j}), for j,k = 2..n,
     and the two quadratic forms of the charted ``problem``, over any exact
-    scalar: ``gammas`` are the P operators' coefficients (gamma^1,
-    gamma^2), ``targets`` the entries (gamma^1, gamma^2) they differentiate
-    and ``partial(target, i)`` a target's derivative along the 0-based
-    internal f-variable i."""
-    gamma1, gamma2 = gammas
+    scalar with zero ``zero``.  The first-order operators are
+
+      P^1_k = gamma^2_{2k} d_1 - gamma^1_{2k} d_2 + d_{2k-1},
+      P^2_k = gamma^1_{2k} d_1 + gamma^2_{2k} d_2 + d_{2k},
+
+    so each B is one dot over six derivatives.  ``gammas`` are the
+    operators' coefficients (gamma^1_{2k}, gamma^2_{2k}), ``targets`` the
+    entries (gamma^1_{2j}, gamma^2_{2j}) they differentiate, both at slot
+    j - 2, and ``partial(target, i)`` a target's derivative along the
+    0-based internal f-variable i."""
     n = problem.n
-    P = lambda which, k, target: _p_operator(which, k, gamma1, gamma2,
-                                             lambda i: partial(target, i))
+    one, minus_one = Fraction(1), Fraction(-1)
     B_lower, B_upper = {}, {}
-    for j in range(2, n + 1):
-        g1_2j = targets[0][2 * j - 3]
-        g2_2j = targets[1][2 * j - 3]
-        for k in range(2, n + 1):
-            B_lower[(j, k)] = P(2, k, g1_2j) + P(1, k, g2_2j)
-            B_upper[(j, k)] = P(2, k, g2_2j) - P(1, k, g1_2j)
+    coefficients = [((g1, g2, one, g2, -g1, one), (g1, g2, one, -g2, g1, minus_one))
+                    for g1, g2 in zip(*gammas)]
+    for j, a, b in zip(range(2, n + 1), *targets):
+        da, db = ([partial(t, i) for i in range(2 * n)] for t in (a, b))
+        for k, (lower, upper) in enumerate(coefficients, 2):
+            odd, even = 2 * k - 2, 2 * k - 1    # 0-based f_{2k-1}, f_{2k}
+            B_lower[(j, k)] = dot((da[0], da[1], da[even], db[0], db[1], db[odd]),
+                                  lower, zero)
+            B_upper[(j, k)] = dot((db[0], db[1], db[even], da[0], da[1], da[odd]),
+                                  upper, zero)
     c1, c2 = quadratics_from_B(n, B_lower, B_upper)
-    return ComplexTorsionData(problem, gamma1, gamma2, B_lower, B_upper, c1, c2)
+    return ComplexTorsionData(problem, B_lower, B_upper, c1, c2)
 
 
 def complex_B_coefficients(problem: HypersurfaceProblem, f_point) -> ComplexTorsionData:
     """The complex closed forms (:func:`complex_torsion`) of ``problem``,
     which carries the standard structure, at ``f_point``: exact rationals
-    read from the gammas' first jets along the internal coordinate axes,
-    the directions the P operators take.
+    read from the first jets of gamma^1_{2j} and gamma^2_{2j} along the
+    internal coordinate axes, the directions the P operators take; no
+    other gamma is formed.
 
     A declared pair is ignored: the problem is charted as the builders
     chart one with no pair.  Under the standard structure every pair
@@ -183,9 +184,11 @@ def complex_B_coefficients(problem: HypersurfaceProblem, f_point) -> ComplexTors
         raise WrongDimension(f"need an even number >= 4 of variables, got {problem.two_n}")
     if problem.structure.kind != "complex_standard":
         raise SchemaViolation("the complex closed forms need a complex_standard problem")
-    gb = gamma_beta_first_jets(problem.with_pair(None), f_point)
-    gammas = (tuple(map(_value, gb.gamma1)), tuple(map(_value, gb.gamma2)))
-    return complex_torsion(gb.problem, gammas, (gb.gamma1, gb.gamma2), _tangent)
+    # the 0-based internal columns of f_4, f_6, .., f_2n
+    chart, *targets = gamma_first_jets(problem.with_pair(None), f_point,
+                                       range(3, problem.two_n, 2))
+    gammas = [tuple(map(_value, target)) for target in targets]
+    return complex_torsion(chart, gammas, targets, _tangent, Fraction(0))
 
 
 def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
@@ -195,13 +198,11 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
 
       c1 = 1/2 [[U, -L], [L, U]],     U = B^{j,k} + B^{k,j},  L = B_{j,k} - B_{k,j},
       c2 = 1/2 [[-S, -V], [V, -S]],   S = B_{j,k} + B_{k,j},  V = B^{j,k} - B^{k,j}."""
-    half = Fraction(1, 2)
-
-    def halved(x, y):
-        """(x + y) / 2, skipping a zero term: no operation where both are zero."""
-        s = x + y if x and y else x or y
-        return s * half if s else s
-
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+    # one dot per half-sum (s x + t y) / 2, s, t = +-1: y, a zero of the
+    # tables' scalar, where x and y are both zero
+    plus, minus, minus_both = (half, half), (half, minus_half), (minus_half, minus_half)
+    halved = lambda x, y, signs: dot((x, y), signs, y)
     negated = lambda x: -x if x else x
     m = 2 * n - 2
     c1 = [[None] * m for _ in range(m)]
@@ -212,8 +213,8 @@ def quadratics_from_B(n: int, B_lower: dict, B_upper: dict):
             c, d = 2 * k - 4, 2 * k - 3
             low, low_t = B_lower[(j, k)], B_lower[(k, j)]
             up, up_t = B_upper[(j, k)], B_upper[(k, j)]
-            U, V = halved(up, up_t), halved(up, negated(up_t))
-            L, minus_S = halved(low, negated(low_t)), negated(halved(low, low_t))
+            U, V = halved(up, up_t, plus), halved(up, up_t, minus)
+            L, minus_S = halved(low, low_t, minus), halved(low, low_t, minus_both)
             c1[a][c], c1[a][d], c1[b][c], c1[b][d] = U, negated(L), L, U
             c2[a][c], c2[a][d], c2[b][c], c2[b][d] = minus_S, negated(V), V, minus_S
     return tuple(map(tuple, c1)), tuple(map(tuple, c2))

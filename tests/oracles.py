@@ -44,9 +44,9 @@ from diskeds.exact import (I_UNIT, FirstJet, GaussianRational, gaussian, normali
                            rat, rational_str, require_real, row_minus, scalar_conj)
 from diskeds.expr import Polynomial, print_polynomial, tokenize
 from diskeds.geometry import (FirstJetPoint, GammaBetaData, HypersurfaceProblem,
-                              StructureMatrix, _gammas, _mu_and_D, _tangent,
-                              _value, complex_standard, compute_gamma_beta, full_jet,
-                              gamma_beta_along_jet, gamma_beta_first_jets,
+                              StructureMatrix, _along, _chart_order, _gamma_beta,
+                              _gammas, _inputs, _mu_and_D, _tangent, _value,
+                              complex_standard, compute_gamma_beta, full_jet,
                               structure_from_entries)
 from diskeds.integral_element import FlagSpec, _dtheta_row_data
 from diskeds.jets import _close, d_t, d_tbar, jet_table, probe_from_values
@@ -295,9 +295,10 @@ def symbolic_complex_B(rho: Polynomial):
     problem = complex_problem(rho)
     gb = symbolic_gamma_beta(problem)
     fvars = internal_vars(problem)
-    gammas = (gb.gamma1, gb.gamma2)
+    gammas = tuple(gamma[1::2] for gamma in (gb.gamma1, gb.gamma2))   # j = 4, 6, .., 2n
     return complex_torsion(problem, gammas, gammas,
-                           lambda target, i: target.differentiate(fvars[i]))
+                           lambda target, i: target.differentiate(fvars[i]),
+                           RationalFunction.from_const(fvars, 0))
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +372,14 @@ def first_jet_values(gb: GammaBetaData) -> GammaBetaData:
                        gamma1=values(gb.gamma1), gamma2=values(gb.gamma2))
 
 
+def gamma_beta_first_jets(problem: HypersurfaceProblem, point) -> GammaBetaData:
+    """The gamma/beta builder over exact first jets at ``point``: every
+    entry is a FirstJet holding its value and its gradient in the internal
+    f-variables, or its value where that gradient is zero.  Raises as
+    compute_gamma_beta."""
+    return _gamma_beta(*_chart_order(problem, _inputs(problem, point, jets=True)))
+
+
 def coefficient_tables_full(problem: HypersurfaceProblem, point):
     """Values and f-gradients of gamma and beta_full at the point (user
     order), read from the exact first jets; also returns those jets."""
@@ -426,10 +435,13 @@ def torsion_values_from_matrices(jet: FirstJetPoint, tables):
 def torsion_values_along_tables(problem: HypersurfaceProblem, jet: FirstJetPoint):
     """c^k = sum_j p^j (D_{p2} gamma^k_j - D_{p1} beta_{k,j}), the gamma
     term for k = 1, 2 only: the table sums that torsion's contracted
-    reading must equal, from the tangents along (p1, p2) of the
-    along-the-jet build's gammas and of its beta_full, which this read
-    forms over first jets."""
-    _, _, along = gamma_beta_along_jet(problem, jet)
+    reading must equal, from the tangents along (p1, p2) of every gamma
+    and of beta_full, built here over first jets along the jet by the
+    gamma/beta builder."""
+    inputs = _inputs(problem, jet.f, jets=True)
+    gb = compute_gamma_beta(problem, jet.f)
+    fj = full_jet(jet, gb)
+    along = _gamma_beta(*_chart_order(gb.problem, inputs, _along((fj.p1, fj.p2))))
     p, zero = jet.p_reduced, Fraction(0)
     along_p = lambda row, d: dot(p, [_tangent(x, d) for x in row], zero)
     b = [along_p(row, 0) for row in along.beta_full]

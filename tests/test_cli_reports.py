@@ -725,9 +725,9 @@ def test_allow_off_surface_is_a_json_boolean(value, rc, message, tmp_path, capsy
 
 
 def _count_gamma_beta_builds(monkeypatch):
-    """Count pointwise, full-gradient first-jet and along-the-jet
-    gamma/beta builds, wherever called, and the passes that read
-    derivatives off a polynomial's monomials."""
+    """Count pointwise gamma/beta builds, first-jet gamma builds along the
+    coordinate axes and along-the-jet reads, wherever called, and the
+    passes that read derivatives off a polynomial's monomials."""
     from diskeds import geometry, involutivity, torsion
     from diskeds.expr import Polynomial
     counts = {"pointwise": 0, "first_jets": 0, "along_jet": 0, "derivative_passes": 0}
@@ -741,7 +741,7 @@ def _count_gamma_beta_builds(monkeypatch):
     wrappers = {
         "compute_gamma_beta": counting("pointwise", geometry.compute_gamma_beta,
                                        lambda problem, point=None: point is not None),
-        "gamma_beta_first_jets": counting("first_jets", geometry.gamma_beta_first_jets),
+        "gamma_first_jets": counting("first_jets", geometry.gamma_first_jets),
         "gamma_beta_along_jet": counting("along_jet", geometry.gamma_beta_along_jet),
     }
     for module in (geometry, involutivity, torsion, cli):

@@ -19,7 +19,6 @@ from diskeds.geometry import (
     compute_gamma_beta,
     default_coordinates,
     full_jet,
-    gamma_beta_first_jets,
     make_structure_from_pair,
     structure_from_entries,
 )
@@ -33,6 +32,7 @@ from oracles import (
     differentiate,
     extend_to,
     first_jet_values,
+    gamma_beta_first_jets,
     internal_vars,
     on_chart_point,
     permute_polynomial,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diskeds import exact, geometry
 from diskeds.errors import SingularD, WrongDimension
 from diskeds.expr import Polynomial, parse_expression
 from diskeds.geometry import (
@@ -235,11 +236,11 @@ def test_directional_torsion_equals_the_quadratic_forms(case):
 
 @st.composite
 def contraction_cases(draw):
-    """A problem under a constant or degree-1 matrix structure at n = 2..4,
+    """A problem under a constant or degree-1 matrix structure at n = 2..5,
     naming the pair (1, 2) or none, a point and a reduced jet, zero entries
     included; where asked, rho is (f1 - a)^2 plus terms free of f1 and the
     point has f1 = a, so rho_1 = 0 there."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
     make = draw(st.sampled_from([random_constant_structure, random_polynomial_structure]))
     pair = draw(st.sampled_from([(1, 2), None]))
     rho_1_zero = draw(st.booleans())
@@ -272,6 +273,59 @@ def test_contracted_torsion_equals_the_table_sums(case):
         assert sed.point_data.rho_grad[0] == 0
     assert sed.c_values == torsion_values_along_tables(prob, jet)
     assert all(type(x) is Fraction for x in sed.c_values)
+
+
+def _sweep_problem(rng, n):
+    """rho = 2 f_{2n-1} + sum_{i<n} s_i (f_{2i-1}^2 + f_{2i}^2), s_i = +-1,
+    under the standard structure, a point on it whose coordinates other
+    than f_{2n-1} are nonzero, and a reduced jet with nonzero entries."""
+    vs = tuple(f"f{i}" for i in range(1, 2 * n + 1))
+    squares = " + ".join(f"{rng.choice((1, -1))}*(f{2 * i - 1}^2 + f{2 * i}^2)"
+                         for i in range(1, n))
+    rho = parse_expression(f"2*f{2 * n - 1} + {squares}", vs)
+    pt = [Fraction(rng.choice((-2, -1, 1, 2))) for _ in vs]
+    pt[2 * n - 2] = Fraction(0)
+    pt[2 * n - 2] = -rho.evaluate(pt) / 2
+    p = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(2 * n - 2))
+    return HypersurfaceProblem(rho, complex_standard(n, vs), (1, 2)), tuple(pt), p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torsion_and_the_complex_forms_form_only_the_quotients_they_read(n, monkeypatch):
+    # torsion contracts with p before dividing: p^1_1 and p^2_1 are two
+    # first-jet quotients at any n, where one per gamma made 4n - 4; the
+    # complex forms divide for gamma^1_{2j} and gamma^2_{2j} alone and read
+    # mu at the pair and the columns f_4, f_6, .., f_2n
+    prob, pt, p = _sweep_problem(random.Random(440 + n), n)
+    jet = prob.make_jet(pt, p)
+    quotients = []
+    real_quotient, real_chart = exact._quotient, geometry._chart_order
+    monkeypatch.setattr(exact, "_quotient",
+                        lambda *args: quotients.append(None) or real_quotient(*args))
+    sed = structure_equation_coefficients(prob, jet)
+    assert len(quotients) == 2
+    assert sed.c_values == torsion_values_along_tables(prob, jet)
+
+    reads = set()
+
+    class Row(tuple):
+        """A structure row that records the columns read from it by index."""
+
+        def __getitem__(self, i):
+            reads.add(i)
+            return super().__getitem__(i)
+
+    def recording_chart(*args):
+        chart, (grad, alpha, zero) = real_chart(*args)
+        return chart, (grad, tuple(map(Row, alpha)), zero)
+
+    monkeypatch.setattr(geometry, "_chart_order", recording_chart)
+    quotients.clear()
+    data = complex_B_coefficients(prob, pt)
+    assert len(quotients) == 2 * (n - 1)
+    assert reads == {0, 1, *range(3, 2 * n, 2)} and len(reads) == n + 1
+    assert (sed.c_values[0], sed.c_values[1]) == \
+        (evaluate_form(data.c1, p), evaluate_form(data.c2, p))
 
 
 def _symmetric(entries, m):
@@ -326,8 +380,6 @@ def test_pointwise_complex_B_equals_symbolic_at_the_point(n):
         for key in symbolic.B_lower:
             assert pointwise.B_lower[key] == symbolic.B_lower[key].evaluate(pt)
             assert pointwise.B_upper[key] == symbolic.B_upper[key].evaluate(pt)
-        assert pointwise.gamma1 == tuple(g.evaluate(pt) for g in symbolic.gamma1)
-        assert pointwise.gamma2 == tuple(g.evaluate(pt) for g in symbolic.gamma2)
         for got, want in ((pointwise.c1, symbolic.c1), (pointwise.c2, symbolic.c2)):
             assert [list(r) for r in got] == [[e.evaluate(pt) for e in r] for r in want]
         checked += 1
